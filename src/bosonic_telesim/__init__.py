@@ -23,8 +23,8 @@ from .errors import (BosonicTelesimError, ClassificationAmbiguousError,
                      SingularCoefficientError, UnsupportedFormError,
                      ValidationError)
 from .fidelity import (BoundsPair, b1_gamma, bures_distance, fid_b2_asymptotic,
-                       fid_env_A2, fid_env_C, fid_env_D, fid_output_identity,
-                       fuchs_vdg, gaussian_fidelity)
+                       fid_env_A2, fid_env_C, fid_output_identity, fuchs_vdg,
+                       gaussian_fidelity)
 from .peeling import (AdaptiveProtocolSpec, PeelingBound, TwoRoundReport,
                       epsilon_tp_bound, peel_bound, two_round_demo)
 from .symplectic import (BlochMessiah2x2, GaussianState, SymplecticMatrix,

@@ -116,9 +116,13 @@ def _load_json_arg(arg: str):
             except OSError as exc:
                 raise _CliInputError(f"cannot read {arg}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise _CliInputError(f"malformed JSON: {exc}") from exc
+
+
+def _reject_constant(name: str):
+    raise _CliInputError(f"non-finite number {name} in JSON input")
 
 
 def _state_from_dict(spec) -> GaussianState:
@@ -267,7 +271,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_peel(args) -> int:
-    _tolerances(args)
+    tol = _tolerances(args)
     if args.delta is None and args.channel is None:
         raise _CliInputError("peel requires either --delta or --channel with --mu")
     if args.delta is not None:
@@ -276,7 +280,7 @@ def _cmd_peel(args) -> int:
         if args.mu is None:
             raise _CliInputError("--channel requires --mu")
         ch = channel_from_dict(_load_json_arg(args.channel))
-        delta = diamond_upper_bound(ch, args.mu)
+        delta = diamond_upper_bound(ch, args.mu, tol=tol)
     bound = peel_bound(args.n, delta, args.topology)
     print(_emit_json({"topology": bound.topology, "n": args.n,
                       "per_use_delta": bound.per_use_delta, "total": bound.total,

@@ -17,9 +17,9 @@ import numpy as np
 
 from .channels import CanonicalClass, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
-from .fidelity import (_fid_env_C_mp, _fidelity_mp, fid_env_A2, fid_env_C,
-                       fid_env_D, fid_output_identity)
-from .teleportation import bk_added_noise
+from .fidelity import (_b2_infidelity, _fidelity_mp, fid_env_A2, fid_env_C,
+                       fid_output_identity)
+from .teleportation import _env_gamma, bk_added_noise
 from .tolerances import Tolerances
 
 __all__ = [
@@ -61,33 +61,6 @@ def decide_uniform(ch: GaussianChannel, mu_grid=None,
     return ConvergenceVerdict(uniform=uniform, reason=reason, bound_curve=curve)
 
 
-_B2_TAU_STEPS = (1e-6, 1e-5)  # primary evaluation point and remainder check
-
-
-def _bound_b2(xi: float, xi_prime: float, r: float) -> float:
-    """Additive-class bound through the transparency-limit dilation.
-
-    Evaluated in extended precision at tau = 1 - 1e-6 (the closed form
-    cancels catastrophically in float64 once omega ~ 1e6), then re-evaluated
-    at tau = 1 - 1e-5: the two agree to O(1e-5) relative, confirming the
-    O(tau - 1) remainder is negligible at the working accuracy.
-    """
-    with mp.workdps(40):
-        bounds = []
-        for eps in _B2_TAU_STEPS:
-            e = mp.mpf(eps)
-            gamma = mp.mpf(xi) * (1 - e) / e
-            omega = mp.mpf(xi_prime) / e
-            f = _fid_env_C_mp(gamma, omega, mp.mpf(r))
-            bounds.append(2 * mp.sqrt(max(1 - f ** 2, mp.mpf(0))))
-        primary, check = bounds
-        if abs(primary - check) > 1e-4 * primary + 1e-12:
-            raise ArithmeticError(
-                "transparency-limit remainder exceeds tolerance: "
-                f"{float(primary):g} vs {float(check):g}")
-        return float(primary)
-
-
 def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
                         a: float = 1.0, c: float = 0.0,
                         tol: Tolerances | None = None) -> float:
@@ -104,10 +77,8 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
     xi = bk_added_noise(mu)
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag
-    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp):
-        f = fid_env_C(xi * form.tau / abs(1.0 - form.tau), omega, r)
-    elif tag is CanonicalClass.D:
-        f = fid_env_D(xi * form.tau / (1.0 - form.tau), omega, r)
+    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
+        f = fid_env_C(_env_gamma(xi, form.tau), omega, r)
     elif tag is CanonicalClass.A2:
         f = fid_env_A2(xi, omega, a, c)
     elif tag is CanonicalClass.A1:
@@ -115,7 +86,8 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
         # the simulation is exact for any mu
         f = 1.0
     elif tag is CanonicalClass.B2:
-        return _bound_b2(xi, form.noise_param, r)
+        # exact transparency limit of the beam-splitter dilation
+        return float(2.0 * np.sqrt(_b2_infidelity(xi, form.noise_param, r)))
     else:
         raise NoUniformBoundError(
             f"class {tag.value} has rank-deficient noise: no uniform bound exists")

@@ -35,7 +35,6 @@ __all__ = [
     "fuchs_vdg",
     "fid_output_identity",
     "fid_env_C",
-    "fid_env_D",
     "fid_env_A2",
     "b1_gamma",
     "fid_b2_asymptotic",
@@ -155,8 +154,9 @@ def _check_omega_r(omega: float, r: float) -> None:
 
 
 def fid_env_C(gamma: float, omega: float, r: float) -> float:
-    """Environmental fidelity for the attenuator/amplifier class: thermal
-    state of variance omega against the CM ``omega I + gamma diag(r^2, 1/r^2)``.
+    """Environmental fidelity for the attenuator, amplifier and
+    amplifier-conjugate classes: thermal state of variance omega against the
+    CM ``omega I + gamma diag(r^2, 1/r^2)``.
 
     Equals 1 at gamma = 0; the infidelity vanishes quadratically in gamma
     (the Bures metric is second order in the perturbation), so the derived
@@ -171,34 +171,6 @@ def fid_env_C(gamma: float, omega: float, r: float) -> float:
     t2 = np.sqrt((omega ** 2 - 1.0)
                  * (gamma * omega + gamma * r ** 4 * omega
                     + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
-    return min(float(np.sqrt(2.0 * r) / np.sqrt(t1 - t2)), 1.0)
-
-
-def _fid_env_C_mp(gamma, omega, r) -> mp.mpf:
-    # same closed form in arbitrary precision; t1 - t2 cancels catastrophically
-    # once omega ~ 1/(1 - tau) grows past ~1e5
-    t1 = mp.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1)
-                 * (gamma * omega + r ** 2 * (omega ** 2 + 1)))
-    t2 = mp.sqrt((omega ** 2 - 1)
-                 * (gamma * omega + gamma * r ** 4 * omega
-                    + r ** 2 * (gamma ** 2 + omega ** 2 - 1)))
-    return mp.sqrt(2 * r) / mp.sqrt(t1 - t2)
-
-
-def fid_env_D(kappa: float, omega: float, r: float) -> float:
-    """Environmental fidelity for the amplifier-conjugate class: thermal
-    state of variance omega against ``omega I - kappa diag(r^2, 1/r^2)`` with
-    ``kappa <= 0``.  Coincides with :func:`fid_env_C` under gamma = -kappa.
-    """
-    kappa, omega, r = float(kappa), float(omega), float(r)
-    if kappa > 0.0:
-        raise DomainError(f"kappa must be non-positive, got {kappa}")
-    _check_omega_r(omega, r)
-    t1 = np.sqrt((-kappa * r ** 2 * omega + omega ** 2 + 1.0)
-                 * (-kappa * omega + r ** 2 * (omega ** 2 + 1.0)))
-    t2 = np.sqrt((1.0 - omega ** 2)
-                 * (kappa * omega + kappa * r ** 4 * omega
-                    - r ** 2 * (kappa ** 2 + omega ** 2 - 1.0)))
     return min(float(np.sqrt(2.0 * r) / np.sqrt(t1 - t2)), 1.0)
 
 
@@ -239,21 +211,53 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     return 2.0 * (s + xi) / (xi * (s + 0.5 * xi) ** 2)
 
 
+# Outward rounding of the B2 infidelity, so that the bound 2 sqrt(1 - F^2)
+# never falls under the exact limit.  2^-45 relative exceeds the float64
+# rounding of the ~35 operations on positive terms below and of the final
+# square root; unrounded, the bound was measured at most 8e-16 relative off
+# the exact limit for mu in (1, 1e150].
+_B2_ROUND_UP = 1.0 + 2.0 ** -45
+
+
+def _b2_infidelity(xi: float, xi_prime: float, r: float) -> float:
+    """``1 - F^2`` for the additive-noise class in the transparency limit
+    tau -> 1, with F the fidelity of :func:`fid_b2_asymptotic`.
+
+    With ``F^2 = 4 num / den``, ``den - 4 num`` is rationalized to
+    ``(den^2 - 16 num^2) / (den + 4 num)``.  Dividing num and den by
+    ``r^2 / u``, where ``u = 1 / (r^2 + r^-2) <= 1/2``, gives
+
+        1 - F^2 = xi^2 [4 xi'^2 (1 - 2 u^2) + u (4 xi xi' + u xi^2)]
+                  / (D (D + 4 N)),
+        D = 2 xi xi' + u (xi^2 + 4 xi'^2),
+        N = xi' sqrt(u (xi xi' + u (xi^2 + xi'^2))),
+
+    sums of positive terms: no cancellation at any xi and no overflow at any
+    r.  The result is rounded up by 2^-45 relative and capped at 1.
+    """
+    if not r > 0.0:
+        raise DomainError(f"squeezing parameter must be positive, got {r}")
+    q = min(r, 1.0 / r) ** 2  # F is symmetric under r -> 1/r
+    u = q / (1.0 + q * q)
+    d = 2.0 * xi * xi_prime + u * (xi * xi + 4.0 * xi_prime * xi_prime)
+    n = xi_prime * np.sqrt(u * (xi * xi_prime + u * (xi * xi + xi_prime * xi_prime)))
+    top = xi * xi * (4.0 * xi_prime * xi_prime * (1.0 - 2.0 * u * u)
+                     + u * (4.0 * xi * xi_prime + u * xi * xi))
+    return min(float(top / (d * (d + 4.0 * n))) * _B2_ROUND_UP, 1.0)
+
+
 def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
-    """Leading term of the environmental fidelity for the additive-noise
-    class, dilated as a beam splitter in the transparency limit.
+    """Environmental fidelity for the additive-noise class, dilated as a beam
+    splitter, in the exact transparency limit tau -> 1.
 
     ``xi`` is the teleporter's added noise, ``xi_prime`` the channel's own
-    added noise and ``r`` the input-frame squeezing; the remainder of the
-    expansion is O(tau - 1).  The infidelity vanishes quadratically as
-    xi -> 0, making the trace-norm bound linear in xi.
+    added noise and ``r`` the input-frame squeezing.  In closed form
+    ``F = 2 sqrt(num / den)`` with ``a = xi xi' (1 + r^4)``,
+    ``num = r xi' sqrt(a + r^2 (xi^2 + xi'^2))`` and
+    ``den = 2 a + r^2 (xi^2 + 4 xi'^2)``.  The infidelity vanishes
+    quadratically as xi -> 0, making the trace-norm bound linear in xi.
     """
     xi, xi_prime, r = float(xi), float(xi_prime), float(r)
     if xi <= 0.0 or xi_prime <= 0.0:
         raise DomainError("both noise parameters must be positive")
-    if r <= 0.0:
-        raise DomainError(f"squeezing parameter must be positive, got {r}")
-    num = r * xi_prime * np.sqrt(xi * xi_prime * (1.0 + r ** 4)
-                                 + r ** 2 * (xi ** 2 + xi_prime ** 2))
-    den = 2.0 * xi * xi_prime * (1.0 + r ** 4) + r ** 2 * (xi ** 2 + 4.0 * xi_prime ** 2)
-    return min(float(2.0 * np.sqrt(num / den)), 1.0)
+    return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, r)))

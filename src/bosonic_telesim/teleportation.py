@@ -41,9 +41,15 @@ def bk_added_noise(mu: float) -> float:
     Evaluated as ``2 / (mu + sqrt(mu^2 - 1))`` to stay accurate at large mu.
     """
     mu = float(mu)
-    if mu < 1.0:
-        raise DomainError(f"resource variance must satisfy mu >= 1, got {mu}")
+    if not (np.isfinite(mu) and mu >= 1.0):
+        raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
     return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+
+
+def _env_gamma(xi: float, tau: float) -> float:
+    """Weight ``gamma = xi |tau| / |1 - tau|`` of the squeezed noise that the
+    simulation adds to the environment of the C_Att, C_Amp and D forms."""
+    return xi * abs(tau) / abs(1.0 - tau)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,11 +119,9 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     a zero-mean Gaussian state whose CM, written in the frame that
     diagonalizes it, is
 
-        C (either direction):  omega I + gamma diag(r^2, 1/r^2),
-                               gamma = xi |tau| / |1 - tau|
-        D:                     omega I - kappa diag(r^2, 1/r^2),
-                               kappa = xi tau / (1 - tau) <= 0
-        A2:                    diag(xi (a^2 + c^2) + omega, omega)
+        C_Att, C_Amp, D:  omega I + gamma diag(r^2, 1/r^2),
+                          gamma = xi |tau| / |1 - tau|
+        A2:               diag(xi (a^2 + c^2) + omega, omega)
 
     ``squeeze_r`` is the squeezing of the input-frame symplectic for C and D;
     ``a, c`` are its first-row entries for A2.  The defaults reproduce the
@@ -128,12 +132,9 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     xi = bk_added_noise(mu)
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag
-    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp):
-        gamma = xi * form.tau / abs(1.0 - form.tau)
+    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
+        gamma = _env_gamma(xi, form.tau)
         w = omega * np.eye(2) + gamma * np.diag([squeeze_r ** 2, squeeze_r ** -2])
-    elif tag is CanonicalClass.D:
-        kappa = xi * form.tau / (1.0 - form.tau)
-        w = omega * np.eye(2) - kappa * np.diag([squeeze_r ** 2, squeeze_r ** -2])
     elif tag is CanonicalClass.A2:
         w = np.diag([xi * (a * a + c * c) + omega, omega])
     else:

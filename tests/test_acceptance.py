@@ -25,7 +25,7 @@ from bosonic_telesim import (CanonicalClass,
                              bures_distance, c_epsilon, canonical_channel,
                              canonical_matrices, classify, decide_uniform,
                              diamond_upper_bound, dilation_of, environmental_pair,
-                             fid_env_A2, fid_env_C, fid_env_D,
+                             fid_env_A2, fid_env_C,
                              fid_output_identity, form_from_fields, fuchs_vdg,
                              gaussian_fidelity, nonuniform_witness, partial_trace,
                              peel_bound, phi_amp, phi_loss, random_state,
@@ -114,7 +114,7 @@ def test_03_closed_form_fidelity_agreement():
                 gaussian_fidelity(thermal_state(omega), GaussianState(zero, w)), abs=1e-9)
             kappa = -rng.uniform(0, 3)
             w = omega * I2 - kappa * np.diag([r * r, r ** -2])
-            assert fid_env_D(kappa, omega, r) == pytest.approx(
+            assert fid_env_C(-kappa, omega, r) == pytest.approx(
                 gaussian_fidelity(thermal_state(omega), GaussianState(zero, w)), abs=1e-9)
             xi, a, c = rng.uniform(0, 2), rng.normal(), rng.normal()
             w = np.diag([xi * (a * a + c * c) + omega, omega])

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--channel", '{"class": "B2", "foo": 1}')
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ['{"class": "C_Att", "tau": 0.5, "nbar": NaN}',
+                                      '{"class": "B2", "xi": Infinity}'])
+    def test_non_finite_json_rejected(self, capsys, spec):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "classify", "--channel", spec)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+        assert caught == []
+
 
 class TestApplyAndSimulate:
     def test_apply_loss_to_thermal(self, capsys):
@@ -67,6 +79,12 @@ class TestApplyAndSimulate:
         # and re-emission is byte-identical
         code3, out3, _ = run(capsys, "simulate", "--channel", LOSS, "--mu", "3.0")
         assert out3 == out
+
+    def test_simulate_infinite_mu_rejected(self, capsys):
+        code, out, err = run(capsys, "simulate", "--channel", LOSS, "--mu", "inf")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
     def test_simulate_noise_shift(self, capsys):
         _, out, _ = run(capsys, "simulate", "--channel", IDENTITY, "--mu", "1.25")
@@ -200,6 +218,26 @@ class TestPeel:
         code, _, _ = run(capsys, "peel", "--n", "2", "--channel", IDENTITY,
                          "--mu", "10")
         assert code == 3
+
+    def test_tolerance_changes_per_use_delta(self, capsys, monkeypatch):
+        # sqrt(1 - 1e-7) I is an attenuator by default and the additive class
+        # once the boundary is loosened past 1e-7; peel must follow the switch
+        from bosonic_telesim import GaussianChannel, Tolerances, diamond_upper_bound
+        t = np.sqrt(1.0 - 1e-7)
+        spec = json.dumps({"t": [[t, 0.0], [0.0, t]], "n": [[0.1, 0.0], [0.0, 0.1]]})
+        ch = GaussianChannel(t * np.eye(2), 0.1 * np.eye(2))
+        argv = ("peel", "--n", "1", "--channel", spec, "--mu", "10")
+        _, out, _ = run(capsys, *argv)
+        default = json.loads(out)["per_use_delta"]
+        assert default == diamond_upper_bound(ch, 10.0)
+        assert default == pytest.approx(0.667534, abs=1e-6)
+        loose = diamond_upper_bound(ch, 10.0, tol=Tolerances.uniform(1e-6))
+        assert loose == pytest.approx(0.667782, abs=1e-6)
+        _, out, _ = run(capsys, *argv, "--tol", "1e-6")
+        assert json.loads(out)["per_use_delta"] == loose
+        monkeypatch.setenv("BOSONIC_TELESIM_TOL", "1e-6")
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["per_use_delta"] == loose
 
 
 class TestCapacity:

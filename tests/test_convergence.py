@@ -6,7 +6,7 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, b1_gamma, b1_witness_bound,
                              bk_added_noise, canonical_channel, convergence_scan,
                              decide_uniform, diamond_upper_bound, fid_env_A2,
-                             fid_env_C, fid_env_D, form_from_fields,
+                             fid_env_C, form_from_fields,
                              nonuniform_witness)
 
 I2 = np.eye(2)
@@ -69,7 +69,8 @@ class TestDiamondUpperBound:
         expected = 2.0 * np.sqrt(1.0 - fid_env_C(xi * 2.0, 2.0, r) ** 2)
         assert diamond_upper_bound(amp, mu, r=r) == pytest.approx(expected, rel=1e-12)
         conj = canonical_channel(form_from_fields(CanonicalClass.D, tau=-1.0, nbar=0.5))
-        expected = 2.0 * np.sqrt(1.0 - fid_env_D(-xi / 2.0, 2.0, r) ** 2)
+        kappa = -xi / 2.0  # xi tau / (1 - tau) at tau = -1
+        expected = 2.0 * np.sqrt(1.0 - fid_env_C(-kappa, 2.0, r) ** 2)
         assert diamond_upper_bound(conj, mu, r=r) == pytest.approx(expected, rel=1e-12)
 
     def test_rank_one_transmission_route(self):
@@ -91,11 +92,30 @@ class TestDiamondUpperBound:
         assert bounds[0] <= 1e-2
 
     def test_additive_route_matches_exact_form(self):
-        # r = 1, xi' = 1: bound = 2 xi_bk / (2 + xi_bk) up to the O(1-tau) remainder
+        # r = 1, xi' = 1: bound = 2 xi_bk / (2 + xi_bk)
         xi_bk = 1e-3
         ch = canonical_channel(form_from_fields(CanonicalClass.B2, xi=1.0))
         got = diamond_upper_bound(ch, mu_for_xi(xi_bk))
-        assert got == pytest.approx(2.0 * xi_bk / (2.0 + xi_bk), rel=1e-4)
+        assert got == pytest.approx(2.0 * xi_bk / (2.0 + xi_bk), rel=1e-12)
+
+    def test_additive_route_sound_against_extended_precision(self, rng):
+        # the exact tau -> 1 limit 2 sqrt(1 - 4 num/den) in 60 digits, with
+        # xi(mu) exact; the float64 bound must match it and never fall below
+        import mpmath as mp
+        for _ in range(300):
+            mu = float(np.exp(rng.uniform(np.log(1.1), np.log(1e12))))
+            xi_prime, r = rng.uniform(0.05, 2.0), rng.uniform(0.5, 2.0)
+            ch = canonical_channel(form_from_fields(CanonicalClass.B2, xi=xi_prime))
+            got = diamond_upper_bound(ch, mu, r=r)
+            with mp.workdps(60):
+                m, xp, rr = mp.mpf(mu), mp.mpf(xi_prime), mp.mpf(r)
+                xi = 2 / (m + mp.sqrt(m * m - 1))
+                a = xi * xp * (1 + rr ** 4)
+                num = rr * xp * mp.sqrt(a + rr ** 2 * (xi ** 2 + xp ** 2))
+                den = 2 * a + rr ** 2 * (xi ** 2 + 4 * xp ** 2)
+                exact = 2 * mp.sqrt(1 - 4 * num / den)
+                assert got >= exact
+                assert float((got - exact) / exact) <= 1e-12
 
     def test_rank_deficient_rejected(self):
         for ch in (GaussianChannel.identity(), GaussianChannel(I2, np.diag([0.0, 1.0]))):

@@ -7,7 +7,7 @@ from _helpers import loglog_slope
 from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
                              SingularCoefficientError, apply_affine, apply_channel,
                              b1_gamma, bk_added_noise, bk_channel, bures_distance,
-                             fid_b2_asymptotic, fid_env_A2, fid_env_C, fid_env_D,
+                             fid_b2_asymptotic, fid_env_A2, fid_env_C,
                              fid_output_identity, fuchs_vdg, gaussian_fidelity,
                              partial_trace, random_state, random_symplectic,
                              tensor_states, thermal_state, tmsv_state)
@@ -270,32 +270,24 @@ class TestEnvClosedForms:
         # gamma = omega = r = 1: thermal vacuum against 2I
         assert fid_env_C(1.0, 1.0, 1.0) == pytest.approx(np.sqrt(2.0 / 3.0), rel=1e-12)
 
+    # the amplifier-conjugate class D enters fid_env_C with gamma = -kappa,
+    # kappa = xi tau / (1 - tau) <= 0
     def test_conjugate_class_against_general(self, rng):
         for _ in range(60):
             kappa = -rng.uniform(0.0, 3.0)
             omega = rng.uniform(1.0, 6.0)
             r = rng.uniform(0.5, 2.0)
             w = omega * I2 - kappa * np.diag([r * r, r ** -2])
-            assert fid_env_D(kappa, omega, r) == pytest.approx(
+            assert fid_env_C(-kappa, omega, r) == pytest.approx(
                 gaussian_fidelity(thermal_state(omega), _env_state(w)), abs=1e-9)
 
-    def test_conjugate_matches_attenuator_at_unit_omega(self, rng):
-        for _ in range(20):
-            g = rng.uniform(0.0, 3.0)
-            r = rng.uniform(0.5, 2.0)
-            assert fid_env_D(-g, 1.0, r) == pytest.approx(fid_env_C(g, 1.0, r), rel=1e-12)
-
     def test_conjugate_at_zero(self):
-        assert fid_env_D(0.0, 4.0, 1.5) == pytest.approx(1.0, abs=1e-12)
+        assert fid_env_C(0.0, 4.0, 1.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_conjugate_spot_value(self):
         w = 3.0 * I2 + 0.5 * np.diag([4.0, 0.25])
-        assert fid_env_D(-0.5, 3.0, 2.0) == pytest.approx(
+        assert fid_env_C(0.5, 3.0, 2.0) == pytest.approx(
             gaussian_fidelity(thermal_state(3.0), _env_state(w)), abs=1e-9)
-
-    def test_conjugate_domain(self):
-        with pytest.raises(DomainError):
-            fid_env_D(0.1, 2.0, 1.0)
 
     def test_rank_one_transmission_against_general(self, rng):
         for _ in range(60):
@@ -355,19 +347,36 @@ class TestB2Asymptotic:
             assert fid_b2_asymptotic(xi, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_consistent_with_transparency_limit(self, rng):
-        # the finite-tau side is evaluated in extended precision: at
-        # omega ~ 1e6 the float64 closed form loses ~4 digits to cancellation
+        # finite-tau side: the beam-splitter dilation at tau = 1 - e has the
+        # environments V1 = omega I, V2 = omega I + gamma diag(r^2, r^-2) with
+        # omega = xi'/e and gamma = xi (1 - e)/e.  Their fidelity comes from
+        # the single-mode formula F^2 = 2 / (sqrt(D + L) - sqrt(L)),
+        # D = det(V1 + V2), L = (det V1 - 1)(det V2 - 1), in 40 digits: at
+        # omega ~ 1e6 float64 would lose ~4 digits to cancellation
         import mpmath as mp
-        from bosonic_telesim.fidelity import _fid_env_C_mp
         for _ in range(20):
             xi = rng.uniform(0.01, 1.5)
             xi_prime = rng.uniform(0.05, 2.0)
             r = rng.uniform(0.6, 1.8)
             with mp.workdps(40):
                 e = mp.mpf(1) / 10 ** 6
-                f_limit = float(_fid_env_C_mp(mp.mpf(xi) * (1 - e) / e,
-                                              mp.mpf(xi_prime) / e, mp.mpf(r)))
-            assert fid_b2_asymptotic(xi, xi_prime, r) == pytest.approx(f_limit, abs=1e-4)
+                omega = mp.mpf(xi_prime) / e
+                gamma = mp.mpf(xi) * (1 - e) / e
+                v2 = (omega + gamma * mp.mpf(r) ** 2, omega + gamma / mp.mpf(r) ** 2)
+                d = (omega + v2[0]) * (omega + v2[1])
+                lam = (omega ** 2 - 1) * (v2[0] * v2[1] - 1)
+                f_tau = float(mp.sqrt(2 / (mp.sqrt(d + lam) - mp.sqrt(lam))))
+            # the remainder of the tau -> 1 limit is O(e)
+            assert fid_b2_asymptotic(xi, xi_prime, r) == pytest.approx(f_tau, abs=1e-5)
+
+    def test_frame_symmetry_and_extreme_squeezing(self):
+        # swapping q and p maps r to 1/r; far from r = 1 the environments
+        # become orthogonal and F -> 0 without overflow
+        for r in (0.3, 1.7, 40.0):
+            assert fid_b2_asymptotic(0.2, 0.7, r) == pytest.approx(
+                fid_b2_asymptotic(0.2, 0.7, 1.0 / r), rel=1e-12)
+        for r in (1e-200, 1e40, 1e200):
+            assert 0.0 <= fid_b2_asymptotic(0.2, 0.7, r) < 1e-8
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -33,6 +33,11 @@ class TestAddedNoise:
         with pytest.raises(DomainError):
             bk_added_noise(0.99)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, mu):
+        with pytest.raises(DomainError):
+            bk_added_noise(mu)
+
     @given(st.floats(min_value=1.0, max_value=1e8))
     @settings(max_examples=200, deadline=None)
     def test_range(self, mu):
