@@ -11,14 +11,14 @@ unit-rank classes) diverging-energy witnesses push the trace distance to 2.
 from __future__ import annotations
 
 import dataclasses
+import math
 
-import mpmath as mp
 import numpy as np
 
 from .channels import CanonicalClass, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
-from .fidelity import (_b2_infidelity, _fidelity_mp, fid_env_A2, fid_env_C,
-                       fid_output_identity)
+from .fidelity import (_B1_ROUND_DOWN, _b1_witness_infidelity, _b2_infidelity,
+                       fid_env_A2, fid_env_C, fid_output_identity)
 from .teleportation import _env_gamma, bk_added_noise
 from .tolerances import Tolerances
 
@@ -101,33 +101,7 @@ def nonuniform_witness(mu: float, mu_tilde: float) -> float:
     At fixed mu it approaches 2 as mu_tilde grows, so no energy-independent
     simulation error can decay; at fixed mu_tilde it vanishes as mu grows.
     """
-    if mu_tilde < 1.0 or mu < 1.0:
-        raise DomainError("both variance parameters must be >= 1")
     return 2.0 * (1.0 - fid_output_identity(mu_tilde, mu))
-
-
-def _b1_witness_cms(mu_tilde: float, xi, a: float, c: float):
-    """Output CMs of the unit-rank-noise form and of its simulation, fed the
-    two-mode squeezed witness; built in extended precision so the near-unit
-    correlations survive.  The input-frame symplectic contributes only through
-    its first row (a, c)."""
-    mut = mp.mpf(mu_tilde)
-    s = mp.sqrt(mut * mut - 1)
-    base = [[mut, 0, s, 0],
-            [0, mut, 0, -s],
-            [s, 0, mut, 0],
-            [0, -s, 0, mut + 1]]  # + diag(0, 1) channel noise on mode B
-    va = [row[:] for row in base]
-    vb = [row[:] for row in base]
-    # simulation adds xi S_A S_A^T on mode B before the channel; complete
-    # (a, c) to a determinant-one matrix, the expansion is row-one only
-    d_, b_ = (0.0, 1.0 / a) if a != 0.0 else (-1.0 / c, 0.0)
-    sa = np.array([[a, c], [d_, b_]], dtype=float)
-    ssT = sa @ sa.T
-    for i in range(2):
-        for j in range(2):
-            vb[2 + i][2 + j] += xi * mp.mpf(ssT[i, j])
-    return va, vb
 
 
 def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
@@ -137,19 +111,18 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
 
     ``F^4 mu_tilde`` converges to :func:`fidelity.b1_gamma` as the witness
     energy diverges, so the bound approaches 2 and uniform convergence fails.
-    Evaluated in extended precision (the fidelity scales as mu_tilde^{-1/4}
-    and float64 cannot resolve it beyond mu_tilde ~ 1e5).
+    Evaluated in float64 as ``2 (1 - F^2) / (1 + F)`` from an exact closed
+    form, rounded down by 2^-45 relative so that it never exceeds the exact
+    value.
     """
-    if mu_tilde < 1.0 or mu < 1.0:
-        raise DomainError("both variance parameters must be >= 1")
+    mu_tilde = float(mu_tilde)  # plain floats: numpy scalar arithmetic is slower
+    if not (math.isfinite(mu_tilde) and mu_tilde >= 1.0):
+        raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde}")
     if a == 0.0 and c == 0.0:
         raise DomainError("(a, c) = (0, 0) is outside the witness family")
-    xi = bk_added_noise(mu)
-    dps = max(40, int(8 * np.log10(max(mu_tilde, 10.0))))
-    with mp.workdps(dps):
-        va, vb = _b1_witness_cms(mu_tilde, mp.mpf(xi), a, c)
-        f = _fidelity_mp(va, vb, dps=dps)
-        return float(2 * (1 - f))
+    xi = float(bk_added_noise(mu))
+    infidelity, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
+    return min(2.0 * infidelity / (1.0 + math.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
 
 
 @dataclasses.dataclass(frozen=True)

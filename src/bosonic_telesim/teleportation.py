@@ -39,10 +39,14 @@ def bk_added_noise(mu: float) -> float:
     """Added noise xi of the finite-energy teleportation channel.
 
     Evaluated as ``2 / (mu + sqrt(mu^2 - 1))`` to stay accurate at large mu.
+    From mu = 2^27 on that rounds to exactly ``1 / mu``, which is used there
+    because ``mu * mu`` overflows above mu ~ 1.34e154.
     """
     mu = float(mu)
     if not (np.isfinite(mu) and mu >= 1.0):
         raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
+    if mu >= 2.0 ** 27:
+        return 1.0 / mu
     return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
 
 

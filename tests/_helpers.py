@@ -1,5 +1,7 @@
-"""Shared test utilities: random channel factories and fit helpers."""
+"""Shared test utilities: random channel factories, fit helpers and the
+extended-precision two-mode fidelity oracle."""
 
+import mpmath as mp
 import numpy as np
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, canonical_channel,
@@ -35,3 +37,51 @@ def loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(xs, dtype=float)),
                             np.log(np.asarray(ys, dtype=float)), 1)[0])
+
+
+def fidelity_mp(v1, v2, dps: int = 50):
+    """Extended-precision fidelity of zero-mean two-mode states, from the
+    generic eigenvalue route of ``gaussian_fidelity``: the moduli of the
+    eigenvalues of ``W Omega``, ``W = Omega^T (V1 + V2)^{-1} (Omega + V2 Omega
+    V1)``, found by ``mp.eig``.  Returned as an mpf at ``dps`` digits."""
+    with mp.workdps(dps):
+        v1 = mp.matrix(v1.tolist() if isinstance(v1, np.ndarray) else v1)
+        v2 = mp.matrix(v2.tolist() if isinstance(v2, np.ndarray) else v2)
+        dim = v1.rows
+        omega = mp.matrix(dim, dim)
+        for k in range(dim // 2):
+            omega[2 * k, 2 * k + 1] = 1
+            omega[2 * k + 1, 2 * k] = -1
+        vsum = v1 + v2
+        vaux = omega.T * (vsum ** -1) * (omega + v2 * omega * v1)
+        eigs = mp.eig(vaux * omega, left=False, right=False)
+        moduli = sorted(abs(e) for e in eigs)
+        ftot4 = mp.mpf(1)
+        for i in range(dim // 2):
+            w = max(moduli[2 * i], mp.mpf(1))
+            ftot4 *= (w + mp.sqrt(w * w - 1)) ** 2
+        f4 = ftot4 / mp.det(vsum / 2)
+        return min(f4 ** mp.mpf("0.25"), mp.mpf(1))
+
+
+def b1_witness_mp(mu, mu_tilde, a, c, dps: int):
+    """Unit-rank-noise witness ``2 (1 - F)`` from :func:`fidelity_mp` at
+    ``dps`` digits: F is the fidelity of ``TMSV(mu_tilde) + diag(0, 0, 0, 1)``
+    and of the same state plus ``xi(mu) S S^T`` on mode B, S the
+    determinant-one completion of the row (a, c).  mu, mu_tilde, a and c are
+    taken as exact binary values."""
+    with mp.workdps(dps):
+        mut, a, c = mp.mpf(mu_tilde), mp.mpf(a), mp.mpf(c)
+        mu = mp.mpf(mu)
+        xi = 2 / (mu + mp.sqrt(mu * mu - 1))
+        s = mp.sqrt(mut * mut - 1)
+        va = mp.matrix([[mut, 0, s, 0], [0, mut, 0, -s],
+                        [s, 0, mut, 0], [0, -s, 0, mut + 1]])
+        d, b = (mp.mpf(0), 1 / a) if a != 0 else (-1 / c, mp.mpf(0))
+        sa = mp.matrix([[a, c], [d, b]])
+        sst = sa * sa.T
+        vb = va.copy()
+        for i in range(2):
+            for j in range(2):
+                vb[2 + i, 2 + j] += xi * sst[i, j]
+        return 2 * (1 - fidelity_mp(va, vb, dps))

@@ -307,6 +307,14 @@ class TestInfrastructure:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["class"] == "C_Att"
 
+    def test_import_leaves_mpmath_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bosonic_telesim.cli; print('mpmath' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
     def test_seventeen_digit_roundtrip(self, capsys):
         _, out, _ = run(capsys, "simulate", "--channel", LOSS, "--mu", "3.0000001")
         record = json.loads(out)

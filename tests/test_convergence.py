@@ -1,13 +1,17 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import conjugated_channel, loglog_slope, sample_form
+from _helpers import b1_witness_mp, conjugated_channel, loglog_slope, sample_form
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, b1_gamma, b1_witness_bound,
                              bk_added_noise, canonical_channel, convergence_scan,
                              decide_uniform, diamond_upper_bound, fid_env_A2,
                              fid_env_C, form_from_fields,
                              nonuniform_witness)
+from bosonic_telesim.fidelity import _b1_witness_infidelity
 
 I2 = np.eye(2)
 
@@ -101,7 +105,6 @@ class TestDiamondUpperBound:
     def test_additive_route_sound_against_extended_precision(self, rng):
         # the exact tau -> 1 limit 2 sqrt(1 - 4 num/den) in 60 digits, with
         # xi(mu) exact; the float64 bound must match it and never fall below
-        import mpmath as mp
         for _ in range(300):
             mu = float(np.exp(rng.uniform(np.log(1.1), np.log(1e12))))
             xi_prime, r = rng.uniform(0.05, 2.0), rng.uniform(0.5, 2.0)
@@ -116,6 +119,11 @@ class TestDiamondUpperBound:
                 exact = 2 * mp.sqrt(1 - 4 * num / den)
                 assert got >= exact
                 assert float((got - exact) / exact) <= 1e-12
+
+    def test_additive_bound_positive_beyond_mu_squared_overflow(self):
+        # mu * mu overflows above mu ~ 1.34e154; xi(mu) = 1/mu must survive
+        ch = canonical_channel(form_from_fields(CanonicalClass.B2, xi=1.0))
+        assert diamond_upper_bound(ch, 1e155) > 0.0
 
     def test_rank_deficient_rejected(self):
         for ch in (GaussianChannel.identity(), GaussianChannel(I2, np.diag([0.0, 1.0]))):
@@ -147,6 +155,13 @@ class TestNonuniformWitness:
             nonuniform_witness(0.5, 10.0)
 
 
+@pytest.mark.parametrize("mu_tilde", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("witness", [nonuniform_witness, b1_witness_bound])
+def test_witness_rejects_non_finite_energy(witness, mu_tilde):
+    with pytest.raises(DomainError):
+        witness(5.0, mu_tilde)
+
+
 class TestB1Witness:
     def test_approaches_two(self):
         assert b1_witness_bound(1.25, 1e8, 1.0, 0.0) >= 1.9
@@ -171,6 +186,54 @@ class TestB1Witness:
     def test_zero_row_rejected(self):
         with pytest.raises(DomainError):
             b1_witness_bound(2.0, 1e4, 0.0, 0.0)
+
+    def test_matches_extended_precision_oracle(self, rng):
+        # the generic mp.eig two-mode fidelity at 60 digits, with xi(mu)
+        # exact: the closed form must agree to 1e-12 and, being a lower
+        # bound, never exceed it
+        points = [(1.0, 1.0), (1.0, 1e12), (1e12, 1.0), (1e12, 1e12)]
+        points += [tuple(float(x) for x in np.exp(rng.uniform(0.0, np.log(1e12), 2)))
+                   for _ in range(28)]
+        for k, (mu, mu_tilde) in enumerate(points):
+            if k % 4 == 0:
+                a, c = 0.0, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0))
+            else:
+                a, c = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1.0, 1.0))
+            got = b1_witness_bound(mu, mu_tilde, a, c)
+            exact = b1_witness_mp(mu, mu_tilde, a, c, dps=60)
+            assert mp.mpf(got) <= exact
+            assert float((exact - got) / exact) <= 1e-12
+
+    def test_large_resource_at_unit_energy(self):
+        # F = 1 - 3.4e-17, below float64's resolution of F near 1: the
+        # witness keeps full relative accuracy only if 1 - F^2 is computed
+        # without forming F; the reference is the 60-digit oracle value
+        got = b1_witness_bound(1e8, 1.0, 1.3, -0.4)
+        assert got == pytest.approx(6.8411773311036529e-17, rel=1e-13)
+
+    @pytest.mark.parametrize("mu_tilde", [1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("mu,a,c", [(2.0, 1.0, 1.0), (1.25, 1.0, 0.0),
+                                        (5.0, 1.3, -0.4)])
+    def test_leading_coefficient_rate(self, mu, a, c, mu_tilde):
+        # F^4 mu_tilde -> b1_gamma with an O(1/mu_tilde) relative correction
+        xi = bk_added_noise(mu)
+        _, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
+        ratio = f2 * f2 * mu_tilde / b1_gamma(a, c, xi)
+        assert abs(ratio - 1.0) <= 10.0 / mu_tilde + 1e-12
+
+    @given(mu=st.floats(min_value=1.0, max_value=1e12),
+           mu_tilde=st.floats(min_value=1.0, max_value=1e300),
+           factor=st.floats(min_value=1.0, max_value=1e6),
+           a=st.sampled_from([0.0, 0.5, 1.0, 1.3, 2.0]),
+           c=st.floats(min_value=-1.0, max_value=1.0).filter(lambda x: abs(x) >= 0.1))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_monotone_and_finite(self, mu, mu_tilde, factor, a, c):
+        lo = b1_witness_bound(mu, mu_tilde, a, c)
+        hi = b1_witness_bound(mu, min(mu_tilde * factor, 1e300), a, c)
+        assert 0.0 <= lo <= 2.0 and 0.0 <= hi <= 2.0
+        # each value lies within 2^-44 relative below the exact one, so the
+        # exact monotonicity survives up to that much
+        assert lo <= hi * (1.0 + 2.0 ** -44)
 
 
 class TestConvergenceScan:

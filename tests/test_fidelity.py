@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import loglog_slope
+from _helpers import fidelity_mp, loglog_slope
 from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
                              SingularCoefficientError, apply_affine, apply_channel,
                              b1_gamma, bk_added_noise, bk_channel, bures_distance,
@@ -11,7 +11,6 @@ from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
                              fid_output_identity, fuchs_vdg, gaussian_fidelity,
                              partial_trace, random_state, random_symplectic,
                              tensor_states, thermal_state, tmsv_state)
-from bosonic_telesim.fidelity import _fidelity_mp
 
 I2 = np.eye(2)
 
@@ -108,7 +107,7 @@ class TestGaussianFidelity:
             v2 = random_state(2, rng).cm
             f64 = gaussian_fidelity(GaussianState(np.zeros(4), v1),
                                     GaussianState(np.zeros(4), v2))
-            fmp = float(_fidelity_mp(v1, v2, dps=40))
+            fmp = float(fidelity_mp(v1, v2, dps=40))
             assert f64 == pytest.approx(fmp, rel=1e-10)
 
     @pytest.mark.parametrize("p1,p2", [
@@ -229,6 +228,11 @@ class TestOutputIdentityFidelity:
     def test_domain(self):
         with pytest.raises(DomainError):
             fid_output_identity(0.5, 2.0)
+
+    @pytest.mark.parametrize("mu_tilde", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_energy_rejected(self, mu_tilde):
+        with pytest.raises(DomainError):
+            fid_output_identity(mu_tilde, 2.0)
 
 
 def _env_state(cm):

@@ -50,6 +50,17 @@ class TestAddedNoise:
     def test_strictly_decreasing(self, mu, step):
         assert bk_added_noise(mu + step) < bk_added_noise(mu)
 
+    def test_no_overflow_at_huge_resource(self):
+        assert bk_added_noise(1e155) == 1e-155
+
+    def test_reciprocal_branch_bit_identical(self, rng):
+        # below the overflow, 2 / (mu + sqrt(mu^2 - 1)) and the 1/mu branch
+        # taken from mu = 2^27 must give the same bits
+        mus = np.exp(rng.uniform(0.0, np.log(1e150), 20000))
+        mus = np.concatenate([mus, 2.0 ** 27 + np.arange(-3.0, 4.0)])
+        for mu in mus:
+            assert bk_added_noise(mu) == 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+
     def test_xi_mu_product_limit(self):
         mu = 1e4
         assert abs(bk_added_noise(mu) * mu - 1.0) <= 1e-6
