@@ -3,9 +3,9 @@
 Commands: classify, apply, simulate, fidelity, convergence, peel, capacity.
 Channel, state and scan-config arguments accept either inline JSON or a path
 to a JSON file.  Output is JSON (CSV for convergence scans) with floats
-printed to 17 significant digits so that every emitted number re-parses to
-the identical value.  Exit codes: 0 success, 2 input error, 3 request outside
-the supported domain.
+printed as their shortest round-trip ``repr``, so that every emitted number
+re-parses to the identical value; a non-finite result is an error.  Exit
+codes: 0 success, 2 input error, 3 request outside the supported domain.
 
 Channel spec   {"t": [[...]], "n": [[...]], "d": [...]}  or
                {"class": "C_Att", "tau": 0.5, "nbar": 0.0} (see channels module)
@@ -25,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .capacity import corrected_key_bound
 from .channels import (apply_channel, channel_from_dict, channel_to_dict,
                        classify)
 from .convergence import convergence_scan, decide_uniform, diamond_upper_bound
-from .errors import (BosonicTelesimError, NoUniformBoundError,
+from .errors import (BosonicTelesimError, DomainError, NoUniformBoundError,
                      UnsupportedFormError, ValidationError)
 from .fidelity import fuchs_vdg, gaussian_fidelity
 from .peeling import peel_bound
@@ -52,49 +53,18 @@ class _CliInputError(Exception):
     pass
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _emit_json(obj) -> str:
-    """Minimal JSON emitter with 17-significant-digit floats."""
-    out = io.StringIO()
+    """JSON text; floats print as their shortest round-trip ``repr``."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError("result is not finite") from None
 
-    def write(o, indent):
-        pad = "  " * indent
-        if isinstance(o, dict):
-            if not o:
-                out.write("{}")
-                return
-            out.write("{\n")
-            for i, (k, v) in enumerate(o.items()):
-                out.write(f'{pad}  {json.dumps(str(k))}: ')
-                write(v, indent + 1)
-                out.write(",\n" if i < len(o) - 1 else "\n")
-            out.write(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                out.write("[]")
-                return
-            out.write("[")
-            for i, v in enumerate(o):
-                write(v, indent)
-                if i < len(o) - 1:
-                    out.write(", ")
-            out.write("]")
-        elif isinstance(o, bool):
-            out.write("true" if o else "false")
-        elif o is None:
-            out.write("null")
-        elif isinstance(o, (int, np.integer)):
-            out.write(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
-            out.write(_format_float(o))
-        else:
-            out.write(json.dumps(o))
 
-    write(obj, 0)
-    return out.getvalue()
+def _csv_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise DomainError("result is not finite")
+    return repr(float(x))
 
 
 def _load_json_arg(arg: str):
@@ -259,7 +229,7 @@ def _cmd_convergence(args) -> int:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_SCAN_COLUMNS)
         for rec in records:
-            writer.writerow(["" if rec[col] is None else _format_float(rec[col])
+            writer.writerow(["" if rec[col] is None else _csv_float(rec[col])
                              for col in _SCAN_COLUMNS])
         text = buf.getvalue()
     if path:

@@ -118,10 +118,18 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
     mu_tilde = float(mu_tilde)  # plain floats: numpy scalar arithmetic is slower
     if not (math.isfinite(mu_tilde) and mu_tilde >= 1.0):
         raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde}")
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
     if a == 0.0 and c == 0.0:
         raise DomainError("(a, c) = (0, 0) is outside the witness family")
     xi = float(bk_added_noise(mu))
-    infidelity, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
+    try:
+        infidelity, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
+    except OverflowError:
+        infidelity = f2 = math.nan
+    if not (math.isfinite(infidelity) and math.isfinite(f2)):
+        raise DomainError(f"witness row (a, c) = ({a}, {c}): its completion S "
+                          "overflows float64")
     return min(2.0 * infidelity / (1.0 + math.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
 
 

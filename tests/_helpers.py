@@ -1,5 +1,5 @@
 """Shared test utilities: random channel factories, fit helpers and the
-extended-precision two-mode fidelity oracle."""
+extended-precision two-mode fidelity and symplectic-spectrum oracles."""
 
 import mpmath as mp
 import numpy as np
@@ -85,3 +85,17 @@ def b1_witness_mp(mu, mu_tilde, a, c, dps: int):
             for j in range(2):
                 vb[2 + i, 2 + j] += xi * sst[i, j]
         return 2 * (1 - fidelity_mp(va, vb, dps))
+
+
+def symplectic_spectrum_mp(cm, dps: int = 50):
+    """Extended-precision symplectic spectrum (descending) of a CM taken as
+    exact binary values: the moduli of the eigenvalues of ``Omega V``, which
+    come in +/- i nu pairs, found by ``mp.eig``."""
+    with mp.workdps(dps):
+        v = mp.matrix(np.asarray(cm, dtype=float).tolist())
+        omega = mp.matrix(v.rows, v.rows)
+        for k in range(v.rows // 2):
+            omega[2 * k, 2 * k + 1] = 1
+            omega[2 * k + 1, 2 * k] = -1
+        eigs = mp.eig(omega * v, left=False, right=False)
+        return sorted((abs(e) for e in eigs), reverse=True)[::2]

@@ -184,6 +184,30 @@ class TestConvergence:
         code, _, _ = run(capsys, "convergence", "--config", config)
         assert code == 2
 
+    def test_witness_row_overflow_rejected(self, capsys):
+        config = json.dumps({
+            "channel": {"class": "B1"},
+            "grid": {"param": "mu_tilde", "start": 1.0, "stop": 1e6, "points": 3},
+            "witness": {"mu": 5.0, "a": 1e-200, "c": 0.5},
+        })
+        code, out, err = run(capsys, "convergence", "--config", config)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+    def test_csv_floats_roundtrip(self, capsys):
+        from bosonic_telesim import channel_from_dict, convergence_scan
+        spec = {"class": "C_Amp", "tau": 2.0, "nbar": 0.3}
+        config = json.dumps({
+            "channel": spec,
+            "grid": {"param": "mu", "start": 1.1, "stop": 1e9, "points": 7, "log": True},
+        })
+        _, out, _ = run(capsys, "convergence", "--config", config)
+        rows = convergence_scan(channel_from_dict(spec), np.geomspace(1.1, 1e9, 7))
+        for line, row in zip(out.strip().splitlines()[1:], rows):
+            mu, _, xi, bound, _ = line.split(",")
+            assert (float(mu), float(xi), float(bound)) == (row.mu, row.xi, row.upper_bound)
+
     def test_json_output_to_file(self, capsys, tmp_path):
         path = tmp_path / "scan.json"
         config = json.dumps({
@@ -314,6 +338,24 @@ class TestInfrastructure:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bosonic_telesim.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_non_finite_result_rejected(self):
+        # V = inf makes the clean bound infinite; JSON has no infinity
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosonic_telesim.cli", "capacity", "--channel", LOSS,
+             "--n", "10", "--eps", "0.1", "--mu", "10", "--V", "inf"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "error" in proc.stderr
 
     def test_seventeen_digit_roundtrip(self, capsys):
         _, out, _ = run(capsys, "simulate", "--channel", LOSS, "--mu", "3.0000001")

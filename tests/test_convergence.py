@@ -162,6 +162,17 @@ def test_witness_rejects_non_finite_energy(witness, mu_tilde):
         witness(5.0, mu_tilde)
 
 
+@pytest.mark.parametrize("a, c", [
+    (float("nan"), 1.0), (float("inf"), 0.0), (1.0, float("-inf")), (0.0, float("nan")),
+    (1e-200, 0.5), (0.0, 1e-200), (1e200, 0.0), (1e150, 0.0), (1e-150, 0.0),
+])
+@pytest.mark.parametrize("mu_tilde", [1.0, 1e6, 1e300])
+def test_witness_rejects_non_finite_or_overflowing_row(a, c, mu_tilde):
+    # the completion S of the row (a, c) is non-finite or overflows float64
+    with pytest.raises(DomainError):
+        b1_witness_bound(5.0, mu_tilde, a, c)
+
+
 class TestB1Witness:
     def test_approaches_two(self):
         assert b1_witness_bound(1.25, 1e8, 1.0, 0.0) >= 1.9

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
-                             SymplecticMatrix, ValidationError, apply_affine,
-                             bloch_messiah_2x2, is_symplectic, partial_trace,
-                             random_state, random_symplectic,
+from _helpers import symplectic_spectrum_mp
+from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
+                             InvalidDimensionError, SymplecticMatrix,
+                             ValidationError, apply_affine, bloch_messiah_2x2,
+                             canonical_channel, form_from_fields, is_symplectic,
+                             partial_trace, quasi_choi, random_state,
+                             random_symplectic, simulate_channel,
                              symplectic_eigenvalues, symplectic_form,
                              tensor_states, thermal_state, tmsv_state,
                              williamson)
@@ -107,6 +110,47 @@ class TestWilliamson:
     def test_not_positive_definite(self):
         with pytest.raises(ValidationError):
             williamson(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("cm, spectrum", [
+        (tmsv_state(2.0).cm, (1.0, 1.0)),
+        (3.0 * np.eye(4), (3.0, 3.0)),
+        (np.diag([2.0, 2.0, 2.0 + 1e-9, 2.0 + 1e-9]), (2.0 + 1e-9, 2.0)),
+    ])
+    def test_degenerate_spectra(self, cm, spectrum):
+        dec = williamson(cm)
+        assert dec.spectrum == pytest.approx(spectrum, rel=1e-14)
+        assert np.max(np.abs(dec.s.s @ cm @ dec.s.s.T - dec.diagonal())) <= 1e-13
+        assert is_symplectic(dec.s.s, 1e-13)
+
+    def test_three_modes(self, rng):
+        for _ in range(10):
+            cm = random_state(3, rng).cm
+            dec = williamson(cm)
+            assert np.max(np.abs(dec.s.s @ cm @ dec.s.s.T - dec.diagonal())) <= 1e-11
+            assert is_symplectic(dec.s.s, 1e-12)
+            assert list(dec.spectrum) == sorted(dec.spectrum, reverse=True)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_extended_precision_oracle(self, rng, n):
+        for _ in range(10):
+            cm = random_state(n, rng, nu_max=10.0, max_squeeze=4.0).cm
+            oracle = symplectic_spectrum_mp(cm)
+            for got, want in zip(williamson(cm).spectrum, oracle):
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("cls, tau, nbar, mu", [
+        ("C_Amp", 3.1764667999533556, 0.008068264549870863, 918430.410183697),
+        ("C_Att", 0.5, 0.5, 1e7),
+        ("C_Amp", 1.5, 0.0, 1e7),
+    ])
+    def test_large_resource_quasi_choi(self, cls, tau, nbar, mu):
+        # phase-space entries of order mu: the symplectic self-check scales
+        # with max|V|, so these valid states decompose
+        form = form_from_fields(CanonicalClass(cls), tau=tau, nbar=nbar)
+        cm = quasi_choi(simulate_channel(canonical_channel(form), mu).effective, mu).cm
+        dec = williamson(cm)
+        for got, want in zip(dec.spectrum, symplectic_spectrum_mp(cm)):
+            assert abs(got - want) <= 1e-6 * want
 
 
 class TestBlochMessiah:
