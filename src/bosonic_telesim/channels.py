@@ -2,11 +2,11 @@
 canonical-form classification.
 
 A channel is the triple (T, N, d) acting on first and second moments as
-``mean -> T mean + d`` and ``V -> T V T^T + N``.  It is physical iff N is
-symmetric positive semidefinite and ``det N >= (det T - 1)^2``.  Up to
-input/output Gaussian unitaries every such channel reduces to one of eight
-canonical classes, uniquely fixed by the invariants ``tau = det T`` and the
-channel rank ``r = rank(T) rank(N) / 2``:
+``mean -> T mean + d`` and ``V -> T V T^T + N``.  It is physical iff
+``N + i (1 - det T) Omega >= 0``, i.e. N >= 0 and ``det N >= (det T - 1)^2``.
+Up to input/output Gaussian unitaries every such channel reduces to one of
+eight canonical classes, uniquely fixed by the invariants ``tau = det T`` and
+the channel rank ``r = rank(T) rank(N) / 2``:
 
     tau     r   class   T_c             N_c
     0       0   A1      0               (2 nbar + 1) I
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
-from .symplectic import GaussianState
+from .symplectic import GaussianState, _checked, _readonly
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -66,7 +66,7 @@ class CanonicalClass(str, enum.Enum):
 class GaussianChannel:
     """Raw (T, N, d) representation of a single-mode Gaussian channel.
 
-    Construction only enforces shapes and exact symmetrization of N; the
+    Construction only enforces shapes and a finite N, symmetrized exactly; the
     physical bona-fide condition is checked by :func:`validate_channel` so
     that unphysical triples can still be represented and interrogated.
     """
@@ -82,12 +82,9 @@ class GaussianChannel:
         if t.shape != (2, 2) or n.shape != (2, 2) or d.shape != (2,):
             raise InvalidDimensionError(
                 f"expected 2x2 T, 2x2 N and length-2 d, got {t.shape}, {n.shape}, {d.shape}")
-        if np.max(np.abs(n - n.T)) > DEFAULT.symmetry:
-            raise ValidationError("noise matrix is not symmetric within tolerance")
-        for name, a in (("t", t), ("n", 0.5 * (n + n.T)), ("d", d)):
-            a = np.array(a, dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        n = _checked(n, DEFAULT, what="noise matrix")
+        for name, a in (("t", t), ("n", n), ("d", d)):
+            object.__setattr__(self, name, _readonly(a))
 
     @classmethod
     def identity(cls) -> "GaussianChannel":
@@ -110,17 +107,21 @@ class CanonicalForm:
 
 
 def validate_channel(ch: GaussianChannel, tol: Tolerances | None = None) -> bool:
-    """True iff N >= 0 and ``det N >= (det T - 1)^2`` within tolerance."""
-    tol = tol or DEFAULT
-    if np.min(np.linalg.eigvalsh(ch.n)) < -tol.uncertainty:
+    """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner), by one
+    ``eigvalsh`` on the scale ``s = max(1, max|N|)``: N symmetric within
+    ``tol.symmetry s``, no eigenvalue below ``-tol.uncertainty s``.  An output
+    frame of single-mode squeezing r widens the accepted band below the
+    boundary by at most ``(r^2 + r^-2) / 2``."""
+    try:
+        _require_valid(ch, tol)
+    except ValidationError:
         return False
-    return bool(np.linalg.det(ch.n) >= (np.linalg.det(ch.t) - 1.0) ** 2 - tol.uncertainty)
+    return True
 
 
 def _require_valid(ch: GaussianChannel, tol: Tolerances | None = None) -> None:
-    if not validate_channel(ch, tol):
-        raise ValidationError("channel violates the bona-fide condition "
-                              "det N >= (det T - 1)^2 with N >= 0")
+    (a, b), (c, d) = ch.t.tolist()  # plain floats: no numpy call, no warning on NaN
+    _checked(ch.n, tol or DEFAULT, 1.0 - (a * d - b * c), "channel noise matrix")
 
 
 def apply_channel(ch: GaussianChannel, state: GaussianState,

@@ -15,8 +15,9 @@ Scan config    {"channel": ..., "grid": {"param": "mu"|"mu_tilde", "start": ...,
                "witness": {"mu": ..., "a": ..., "c": ..., "r": ...},
                "output": {"format": "csv"|"json", "path": "..."}}
 
-The environment variable BOSONIC_TELESIM_TOL overrides the default tolerance
-bundle; the --tol flag takes precedence over the environment.
+classify, convergence, peel and capacity take a --tol flag that overrides the
+default tolerance bundle; the environment variable BOSONIC_TELESIM_TOL does
+the same when --tol is absent.  apply, simulate and fidelity use none.
 """
 
 from __future__ import annotations
@@ -70,29 +71,25 @@ def _csv_float(x: float) -> str:
 def _load_json_arg(arg: str):
     """Accept inline JSON, @path, or a plain path to a JSON file."""
     text = arg
-    if arg.startswith("@"):
-        path = arg[1:]
+    if arg.startswith("@") or not arg.strip().startswith(("{", "[")):
+        path = arg[1:] if arg.startswith("@") else arg
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _CliInputError(f"cannot read {path}: {exc}") from exc
-    else:
-        stripped = arg.strip()
-        if not stripped.startswith(("{", "[")):
-            try:
-                with open(arg, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise _CliInputError(f"cannot read {arg}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise _CliInputError(f"malformed JSON: {exc}") from exc
 
 
-def _reject_constant(name: str):
-    raise _CliInputError(f"non-finite number {name} in JSON input")
+def _finite_float(text: str) -> float:
+    """JSON number hook: NaN, Infinity and literals beyond float range fail."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise _CliInputError(f"non-finite number {text} in JSON input")
+    return x
 
 
 def _state_from_dict(spec) -> GaussianState:
@@ -107,19 +104,17 @@ def _state_to_dict(state: GaussianState) -> dict:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     if tol is None:
         env = os.environ.get("BOSONIC_TELESIM_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise _CliInputError(
-                    f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
-    if tol is None:
-        return DEFAULT
-    if tol <= 0.0:
-        raise _CliInputError(f"tolerance must be positive, got {tol}")
+        if env is None:
+            return DEFAULT
+        try:
+            tol = float(env)
+        except ValueError:
+            raise _CliInputError(f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
+    if not 0.0 < tol < math.inf:
+        raise _CliInputError(f"tolerance must be positive and finite, got {tol}")
     return Tolerances.uniform(tol)
 
 
@@ -135,7 +130,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    _tolerances(args)
     ch = channel_from_dict(_load_json_arg(args.channel))
     state = _state_from_dict(_load_json_arg(args.state))
     out = apply_channel(ch, state, target_mode=args.mode)
@@ -144,7 +138,6 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _tolerances(args)
     ch = channel_from_dict(_load_json_arg(args.channel))
     sim = simulate_channel(ch, args.mu)
     print(_emit_json({"mu": sim.params.mu, "xi": sim.params.xi,
@@ -187,8 +180,15 @@ def _parse_scan_config(spec: dict):
     if param not in ("mu", "mu_tilde"):
         raise _CliInputError(f"grid param must be 'mu' or 'mu_tilde', got {param!r}")
     points = grid_spec["points"]
-    if not isinstance(points, int) or points < 1:
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
         raise _CliInputError(f"grid points must be a positive integer, got {points!r}")
+    witness = spec.get("witness", {})
+    if not isinstance(witness, dict) or set(witness) - _WITNESS_KEYS:
+        raise _CliInputError(f"witness keys must be a subset of {sorted(_WITNESS_KEYS)}")
+    for key, x in [("start", grid_spec["start"]), ("stop", grid_spec["stop"]),
+                   *witness.items()]:
+        if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise _CliInputError(f"{key!r} must be a finite number, got {x!r}")
     start, stop = float(grid_spec["start"]), float(grid_spec["stop"])
     if grid_spec.get("log", False):
         if start <= 0.0 or stop <= 0.0:
@@ -196,9 +196,6 @@ def _parse_scan_config(spec: dict):
         grid = np.geomspace(start, stop, points)
     else:
         grid = np.linspace(start, stop, points)
-    witness = spec.get("witness", {})
-    if not isinstance(witness, dict) or set(witness) - _WITNESS_KEYS:
-        raise _CliInputError(f"witness keys must be a subset of {sorted(_WITNESS_KEYS)}")
     output = spec.get("output", {"format": "csv", "path": None})
     if not isinstance(output, dict) or set(output) - _OUTPUT_KEYS:
         raise _CliInputError(f"output keys must be a subset of {sorted(_OUTPUT_KEYS)}")
@@ -285,19 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", required=True, help="channel JSON (inline or path)")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("apply", parents=[common], help="apply a channel to a state")
+    p = sub.add_parser("apply", help="apply a channel to a state")
     p.add_argument("--channel", required=True)
     p.add_argument("--state", required=True, help="state JSON (inline or path)")
     p.add_argument("--mode", type=int, default=0, help="target mode (default 0)")
     p.set_defaults(func=_cmd_apply)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
                        help="teleportation simulation of a channel at resource mu")
     p.add_argument("--channel", required=True)
     p.add_argument("--mu", type=float, required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("fidelity", parents=[common],
+    p = sub.add_parser("fidelity",
                        help="fidelity and trace-distance sandwich of two states")
     p.add_argument("--state1", required=True)
     p.add_argument("--state2", required=True)

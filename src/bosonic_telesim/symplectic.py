@@ -10,6 +10,8 @@ eigenvalues satisfy ``nu_k >= 1`` with ``V > 0``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
@@ -55,14 +57,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n: int):
-    """The 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
+    """Read-only, cached 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDimensionError(f"mode count must be a positive integer, got {n!r}")
     omega = np.zeros((2 * n, 2 * n))
     for k in range(n):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.setflags(write=False)
     return omega
 
 
@@ -76,9 +80,25 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
 
 
-def _check_symmetric(v: np.ndarray, tol: float, what: str = "matrix") -> None:
-    if np.max(np.abs(v - v.T)) > tol:
-        raise ValidationError(f"{what} is not symmetric within tolerance {tol:g}")
+def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
+             what: str = "covariance matrix") -> np.ndarray:
+    """The one symmetry and physicality test (see ``Tolerances``) on the scale
+    ``s = max(1, max|M|)``, which bounds the backward error of ``eigvalsh``;
+    w = 1 for a CM, ``1 - det T`` for a channel.  Returns the symmetrized M."""
+    scale = float(abs(m).max())
+    if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
+        raise ValidationError(f"{what} is not finite")
+    scale = max(1.0, scale)
+    if abs(m - m.T).max() > tol.symmetry * scale:
+        raise ValidationError(f"{what} is not symmetric within tolerance "
+                              f"{tol.symmetry:g} max(1, max|M|)")
+    m = 0.5 * (m + m.T)
+    if w is not None:
+        lam = np.linalg.eigvalsh(m + 1j * w * symplectic_form(m.shape[0] // 2))[0]
+        if lam < -tol.uncertainty * scale:
+            raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
+                                  f"eigenvalue {lam:.12g} < 0")
+    return m
 
 
 def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
@@ -89,8 +109,7 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
     """
     cm = _as_matrix(cm)
     n = _check_even(cm.shape[0])
-    tol = tol or DEFAULT
-    _check_symmetric(cm, tol.symmetry, "covariance matrix")
+    _checked(cm, tol or DEFAULT)
     moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cm)))[::-1]
     # eigenvalues of Omega V come in +/- i nu pairs; keep one of each
     return moduli[::2].copy()
@@ -100,9 +119,12 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
 class GaussianState:
     """Gaussian state of ``n`` modes: mean quadrature vector and CM.
 
-    Construction validates symmetry, positive definiteness and the uncertainty
-    principle (``nu_k >= 1`` up to the default tolerance).  Instances are
-    immutable; the stored arrays are read-only.
+    Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta; it
+    implies V > 0) by one ``eigvalsh`` on the scale ``s = max(1, max|V|)``: V
+    symmetric within ``DEFAULT.symmetry s``, no eigenvalue below
+    ``-DEFAULT.uncertainty s``, i.e. ``nu_min >= 1 - DEFAULT.uncertainty s`` in
+    the thermal frame; single-mode squeezing r widens that band by at most
+    ``(r^2 + r^-2) / 2``.  Instances are immutable; the arrays are read-only.
     """
 
     mean: np.ndarray
@@ -115,17 +137,7 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise InvalidDimensionError(
                 f"mean has length {mean.shape[0]}, CM is {2 * n} x {2 * n}")
-        _check_symmetric(cm, DEFAULT.symmetry, "covariance matrix")
-        cm = 0.5 * (cm + cm.T)
-        if np.min(np.linalg.eigvalsh(cm)) <= 0.0:
-            raise ValidationError("covariance matrix is not positive definite")
-        nus = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cm)))[::2]
-        # eigenvalue roundoff grows with the matrix scale
-        slack = DEFAULT.uncertainty * max(1.0, float(np.max(np.abs(cm))))
-        if np.min(nus) < 1.0 - slack:
-            raise ValidationError(
-                f"uncertainty principle violated: min symplectic eigenvalue "
-                f"{np.min(nus):.12g} < 1")
+        cm = _checked(cm, DEFAULT, 1.0)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cm", _readonly(cm))
 
@@ -198,14 +210,8 @@ def tmsv_state(mu: float) -> GaussianState:
     mu = float(mu)
     if mu < 1.0:
         raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
-    s = np.sqrt(mu * mu - 1.0)
-    z = np.diag([1.0, -1.0])
-    cm = np.zeros((4, 4))
-    cm[:2, :2] = mu * np.eye(2)
-    cm[2:, 2:] = mu * np.eye(2)
-    cm[:2, 2:] = s * z
-    cm[2:, :2] = s * z
-    return GaussianState(np.zeros(4), cm)
+    s = np.sqrt(mu * mu - 1.0) * np.diag([1.0, -1.0])
+    return GaussianState(np.zeros(4), np.block([[mu * np.eye(2), s], [s, mu * np.eye(2)]]))
 
 
 def thermal_state(omega: float) -> GaussianState:
@@ -275,18 +281,14 @@ def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
     """
     cm = _as_matrix(cm)
     n = _check_even(cm.shape[0])
-    tol = tol or DEFAULT
-    _check_symmetric(cm, tol.symmetry, "covariance matrix")
-    cm = 0.5 * (cm + cm.T)
-    if np.min(np.linalg.eigvalsh(cm)) <= 0.0:
-        raise ValidationError("matrix is not positive definite")
+    cm = _checked(cm, tol or DEFAULT)
+    vm12 = _inv_sqrt_spd(cm)
 
     if n == 1:
         nu = float(np.sqrt(np.linalg.det(cm)))
-        s = np.sqrt(nu) * _inv_sqrt_spd(cm)
+        s = np.sqrt(nu) * vm12
         spectrum = (nu,)
     else:
-        vm12 = _inv_sqrt_spd(cm)
         a = vm12 @ symplectic_form(n) @ vm12
         a = 0.5 * (a - a.T)
         vecs = np.linalg.eigh(1j * a)[1][:, n:]  # ascending: the +1/nu_k come last
@@ -340,13 +342,8 @@ def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         x, y = q.real, q.imag
-        o = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                o[2 * i, 2 * j] = x[i, j]
-                o[2 * i, 2 * j + 1] = -y[i, j]
-                o[2 * i + 1, 2 * j] = y[i, j]
-                o[2 * i + 1, 2 * j + 1] = x[i, j]
+        o = np.empty((2 * n, 2 * n))
+        o[0::2, 0::2], o[0::2, 1::2], o[1::2, 0::2], o[1::2, 1::2] = x, -y, y, x
         return o
 
     rs = rng.uniform(1.0, max_squeeze, size=n)

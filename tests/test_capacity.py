@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
-                             NoUniformBoundError, UnsupportedFormError,
+                             NoUniformBoundError, Tolerances, UnsupportedFormError,
                              c_epsilon, canonical_channel, corrected_key_bound,
-                             entropic_h, epsilon_tp_bound, form_from_fields,
-                             overall_error, phi_add, phi_amp, phi_loss,
-                             strong_converse_bound)
+                             diamond_upper_bound, entropic_h, epsilon_tp_bound,
+                             form_from_fields, overall_error, phi_add, phi_amp,
+                             phi_loss, strong_converse_bound)
 
 
 class TestEntropicH:
@@ -184,6 +184,16 @@ class TestCorrectedKeyBound:
         assert report.value == pytest.approx(expected, rel=1e-12)
         assert report.inputs["phi"] == pytest.approx(1.0)
         assert report.inputs["eps_tp"] == pytest.approx(eps_tp)
+
+    def test_tolerance_reaches_eps_tp(self):
+        # sqrt(1 - 1e-7) I is the additive class B2 under a 1e-6 boundary;
+        # eps_tp must come from that B2 bound, not the cancelled C_Att one
+        tol = Tolerances.uniform(1e-6)
+        ch = GaussianChannel(np.sqrt(1.0 - 1e-7) * np.eye(2), 0.1 * np.eye(2))
+        report = corrected_key_bound(ch, 10, 0.1, 1e6, tol=tol)
+        assert report.inputs["class"] == "B2"
+        assert report.inputs["eps_tp"] == 10 * diamond_upper_bound(ch, 1e6, tol=tol) / 2
+        assert report.inputs["eps_tp"] == pytest.approx(4.99997500012632e-05, rel=1e-12)
 
     def test_approaches_clean_bound(self):
         # the simulation penalty decays ~ n sqrt(xi) ~ n / sqrt(mu)

@@ -116,6 +116,16 @@ class TestFidelity:
         code, _, _ = run(capsys, "fidelity", "--state1", VACUUM, "--state2", bad)
         assert code == 2
 
+    def test_out_of_range_number_rejected(self, capsys):
+        huge = '{"mean": [0, 0], "cm": [[1e400, 0], [0, 1]]}'
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "fidelity", "--state1", huge, "--state2", VACUUM)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+        assert caught == []
+
 
 class TestConvergence:
     def test_bound_scan_csv(self, capsys):
@@ -194,6 +204,23 @@ class TestConvergence:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @pytest.mark.parametrize("channel, grid, witness", [
+        ({"class": "B1"}, {"start": 1.0}, {"mu": 5, "a": "x"}),
+        ({"class": "B2_Id"}, {"start": 1.0}, {"mu": "x"}),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": "x"}, {}),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 1.1}, {"r": "x"}),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": True}, {}),
+    ])
+    def test_non_numeric_field_rejected(self, capsys, channel, grid, witness):
+        param = "mu" if channel["class"] == "C_Att" else "mu_tilde"
+        config = json.dumps({
+            "channel": channel, "witness": witness,
+            "grid": dict(grid, param=param, stop=10.0, points=3)})
+        code, out, err = run(capsys, "convergence", "--config", config)
+        assert code == 2
+        assert out == ""
+        assert "must be a finite number" in err
 
     def test_csv_floats_roundtrip(self, capsys):
         from bosonic_telesim import channel_from_dict, convergence_scan
@@ -288,6 +315,17 @@ class TestCapacity:
         assert record["inputs"]["c_eps"] > 10.0  # large finite-size term
         assert record["value"] > record["inputs"]["phi"]
 
+    def test_tolerance_reaches_eps_tp(self, capsys):
+        t = np.sqrt(1.0 - 1e-7)
+        spec = json.dumps({"t": [[t, 0.0], [0.0, t]], "n": [[0.1, 0.0], [0.0, 0.1]]})
+        argv = ("capacity", "--channel", spec, "--n", "10", "--eps", "0.1",
+                "--mu", "1e6", "--tol", "1e-6")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        inputs = json.loads(out)["inputs"]
+        assert inputs["class"] == "B2"
+        assert inputs["eps_tp"] == pytest.approx(4.99997500012632e-05, rel=1e-12)
+
 
 class TestInfrastructure:
     def test_file_inputs(self, capsys, tmp_path):
@@ -323,6 +361,25 @@ class TestInfrastructure:
         _, out, _ = run(capsys, "classify", "--channel", near_identity,
                         "--tol", "1e-12")
         assert json.loads(out)["class"] == "C_Att"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_non_positive_tolerance_rejected(self, capsys, monkeypatch, tol):
+        code, out, _ = run(capsys, "classify", "--channel", LOSS, "--tol", tol)
+        assert (code, out) == (2, "")
+        monkeypatch.setenv("BOSONIC_TELESIM_TOL", tol)
+        code, out, _ = run(capsys, "classify", "--channel", LOSS)
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("apply", "--channel", LOSS, "--state", VACUUM),
+        ("simulate", "--channel", LOSS, "--mu", "10"),
+        ("fidelity", "--state1", VACUUM, "--state2", VACUUM),
+    ])
+    def test_tol_only_where_used(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-6"])
+        assert exc.value.code == 2
 
     def test_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "bosonic_telesim.cli",
