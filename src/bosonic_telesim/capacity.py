@@ -23,8 +23,7 @@ import math
 
 from .channels import CanonicalClass, GaussianChannel, classify
 from .errors import DomainError, UnsupportedFormError
-from .convergence import diamond_upper_bound
-from .peeling import peel_bound
+from .peeling import epsilon_tp_bound
 from .tolerances import Tolerances
 
 __all__ = [
@@ -184,8 +183,7 @@ def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
             f"no key-capacity formula for class {form.tag.value}; "
             "supported: C_Att, C_Amp, B2")
     phi_report = _PHI_BY_CLASS[form.tag](form)
-    delta = diamond_upper_bound(ch, mu, r=r, tol=tol)
-    eps_tp = min(1.0, peel_bound(n, delta, "uniform").total / 2.0)
+    eps_tp = min(1.0, epsilon_tp_bound(n, mu, ch, "uniform", {"r": r}, tol=tol))
     eps_all = overall_error(eps, eps_tp)
     clean = strong_converse_bound(phi_report.value, v, n, eps)
     inputs = {"class": form.tag.value, "tau": form.tau,

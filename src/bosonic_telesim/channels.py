@@ -109,9 +109,9 @@ class CanonicalForm:
 def validate_channel(ch: GaussianChannel, tol: Tolerances | None = None) -> bool:
     """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner), by one
     ``eigvalsh`` on the scale ``s = max(1, max|N|)``: N symmetric within
-    ``tol.symmetry s``, no eigenvalue below ``-tol.uncertainty s``.  An output
-    frame of single-mode squeezing r widens the accepted band below the
-    boundary by at most ``(r^2 + r^-2) / 2``."""
+    ``tol.symmetry s``, no eigenvalue below ``-max(tol.uncertainty, 64 eps s)``.
+    An output frame of single-mode squeezing r widens the accepted band below
+    the boundary by at most ``(r^2 + r^-2) / 2``."""
     try:
         _require_valid(ch, tol)
     except ValidationError:

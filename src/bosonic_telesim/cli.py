@@ -71,15 +71,24 @@ def _csv_float(x: float) -> str:
 def _load_json_arg(arg: str):
     """Accept inline JSON, @path, or a plain path to a JSON file."""
     text = arg
-    if arg.startswith("@") or not arg.strip().startswith(("{", "[")):
-        path = arg[1:] if arg.startswith("@") else arg
+    if arg.startswith("@"):
+        path = arg[1:]
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise _CliInputError(f"cannot read {path}: {exc}") from exc
+    else:
+        stripped = arg.strip()
+        if not stripped.startswith(("{", "[")):
+            try:
+                with open(arg, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise _CliInputError(f"cannot read {arg}: {exc}") from exc
     try:
-        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float,
+                          parse_int=_float_range_int)
     except json.JSONDecodeError as exc:
         raise _CliInputError(f"malformed JSON: {exc}") from exc
 
@@ -89,6 +98,17 @@ def _finite_float(text: str) -> float:
     x = float(text)
     if not math.isfinite(x):
         raise _CliInputError(f"non-finite number {text} in JSON input")
+    return x
+
+
+def _float_range_int(text: str) -> int:
+    """JSON integer hook: integers beyond float range fail."""
+    try:
+        x = int(text)
+        float(x)
+    except (OverflowError, ValueError):
+        raise _CliInputError(f"integer of {len(text)} characters in JSON input "
+                             "is beyond float range") from None
     return x
 
 
@@ -104,15 +124,17 @@ def _state_to_dict(state: GaussianState) -> dict:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = args.tol
+    tol = getattr(args, "tol", None)
     if tol is None:
         env = os.environ.get("BOSONIC_TELESIM_TOL")
-        if env is None:
-            return DEFAULT
-        try:
-            tol = float(env)
-        except ValueError:
-            raise _CliInputError(f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
+        if env is not None:
+            try:
+                tol = float(env)
+            except ValueError:
+                raise _CliInputError(
+                    f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
+    if tol is None:
+        return DEFAULT
     if not 0.0 < tol < math.inf:
         raise _CliInputError(f"tolerance must be positive and finite, got {tol}")
     return Tolerances.uniform(tol)
@@ -337,6 +359,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UnsupportedFormError, NoUniformBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except np.linalg.LinAlgError as exc:
+        # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
+        print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (_CliInputError, BosonicTelesimError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
 from .symplectic import SymplecticMatrix, apply_affine, tmsv_state
 from .teleportation import simulate_channel
+from .tolerances import Tolerances
 
 __all__ = [
     "TOPOLOGIES",
@@ -42,20 +43,21 @@ class AdaptiveProtocolSpec:
 
     The uniform topology demands a full-rank noise matrix (otherwise no
     energy-independent bound exists); the bounded-uniform topology demands a
-    finite energy bound on the input alphabet.
+    finite energy bound on the input alphabet.  ``tol`` decides the rank.
     """
 
     rounds: int
     channel: GaussianChannel
     topology: str
     energy_bound: float | None = None
+    tol: Tolerances | None = None
 
     def __post_init__(self):
         if self.rounds < 1:
             raise DomainError(f"round count must be >= 1, got {self.rounds}")
         if self.topology not in TOPOLOGIES:
             raise DomainError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.topology == "uniform" and not decide_uniform(self.channel).uniform:
+        if self.topology == "uniform" and not decide_uniform(self.channel, tol=self.tol).uniform:
             raise NoUniformBoundError(
                 "uniform topology requires a full-rank noise matrix")
         if self.topology == "bounded_uniform" and (
@@ -85,7 +87,8 @@ def peel_bound(n: int, delta: float, topology: str) -> PeelingBound:
 
 
 def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
-                     params: dict | None = None) -> float:
+                     params: dict | None = None, *,
+                     tol: Tolerances | None = None) -> float:
     """Upper bound ``n delta / 2`` on the output infidelity of the simulated
     protocol.
 
@@ -94,13 +97,14 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     topology (the energy bound enters only as metadata, since the bound
     dominates its energy-constrained restriction); and the same quantity
     again for the strong topology, where it dominates the error of every
-    state the protocol actually produces rather than a true supremum.
+    state the protocol actually produces rather than a true supremum.  ``tol``
+    reaches every classification: the topology check and the diamond bound.
     """
     params = dict(params or {})
     spec = AdaptiveProtocolSpec(rounds=n, channel=ch, topology=topology,
-                                energy_bound=params.get("energy_bound"))
+                                energy_bound=params.get("energy_bound"), tol=tol)
     delta = diamond_upper_bound(ch, mu, r=params.get("r", 1.0),
-                                a=params.get("a", 1.0), c=params.get("c", 0.0))
+                                a=params.get("a", 1.0), c=params.get("c", 0.0), tol=tol)
     return spec.rounds * delta / 2.0
 
 

@@ -57,11 +57,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=None)
 def symplectic_form(n: int):
-    """Read-only, cached 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
+    """Read-only 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDimensionError(f"mode count must be a positive integer, got {n!r}")
+    return _omega(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _omega(n: int) -> np.ndarray:
     omega = np.zeros((2 * n, 2 * n))
     for k in range(n):
         omega[2 * k, 2 * k + 1] = 1.0
@@ -80,11 +84,17 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
 
 
+# eigvalsh's backward error per unit of max|M| on 2x2 and 4x4 matrices, with
+# margin: valid inputs up to mu = 1e12 reach about 6 eps.
+_ROUNDOFF = 64.0 * np.finfo(float).eps
+
+
 def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
              what: str = "covariance matrix") -> np.ndarray:
     """The one symmetry and physicality test (see ``Tolerances``) on the scale
-    ``s = max(1, max|M|)``, which bounds the backward error of ``eigvalsh``;
-    w = 1 for a CM, ``1 - det T`` for a channel.  Returns the symmetrized M."""
+    ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  The
+    eigenvalue slack is ``max(tol.uncertainty, 64 eps s)``: the tolerance at
+    unit scale, eigvalsh's roundoff beyond.  Returns the symmetrized M."""
     scale = float(abs(m).max())
     if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
@@ -95,7 +105,7 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
     m = 0.5 * (m + m.T)
     if w is not None:
         lam = np.linalg.eigvalsh(m + 1j * w * symplectic_form(m.shape[0] // 2))[0]
-        if lam < -tol.uncertainty * scale:
+        if lam < -max(tol.uncertainty, _ROUNDOFF * scale):
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return m
@@ -119,12 +129,14 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
 class GaussianState:
     """Gaussian state of ``n`` modes: mean quadrature vector and CM.
 
-    Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta; it
-    implies V > 0) by one ``eigvalsh`` on the scale ``s = max(1, max|V|)``: V
-    symmetric within ``DEFAULT.symmetry s``, no eigenvalue below
-    ``-DEFAULT.uncertainty s``, i.e. ``nu_min >= 1 - DEFAULT.uncertainty s`` in
-    the thermal frame; single-mode squeezing r widens that band by at most
-    ``(r^2 + r^-2) / 2``.  Instances are immutable; the arrays are read-only.
+    Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) by one
+    ``eigvalsh`` on the scale ``s = max(1, max|V|)``: V symmetric within
+    ``DEFAULT.symmetry s``, no eigenvalue below ``-e`` with
+    ``e = max(DEFAULT.uncertainty, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
+    thermal frame; single-mode squeezing r widens that band by at most
+    ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
+    singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.
+    Instances are immutable; the arrays are read-only.
     """
 
     mean: np.ndarray
@@ -210,8 +222,14 @@ def tmsv_state(mu: float) -> GaussianState:
     mu = float(mu)
     if mu < 1.0:
         raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
-    s = np.sqrt(mu * mu - 1.0) * np.diag([1.0, -1.0])
-    return GaussianState(np.zeros(4), np.block([[mu * np.eye(2), s], [s, mu * np.eye(2)]]))
+    s = np.sqrt(mu * mu - 1.0)
+    z = np.diag([1.0, -1.0])
+    cm = np.zeros((4, 4))
+    cm[:2, :2] = mu * np.eye(2)
+    cm[2:, 2:] = mu * np.eye(2)
+    cm[:2, 2:] = s * z
+    cm[2:, :2] = s * z
+    return GaussianState(np.zeros(4), cm)
 
 
 def thermal_state(omega: float) -> GaussianState:
@@ -342,8 +360,13 @@ def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0
         q, r = np.linalg.qr(g)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         x, y = q.real, q.imag
-        o = np.empty((2 * n, 2 * n))
-        o[0::2, 0::2], o[0::2, 1::2], o[1::2, 0::2], o[1::2, 1::2] = x, -y, y, x
+        o = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            for j in range(n):
+                o[2 * i, 2 * j] = x[i, j]
+                o[2 * i, 2 * j + 1] = -y[i, j]
+                o[2 * i + 1, 2 * j] = y[i, j]
+                o[2 * i + 1, 2 * j + 1] = x[i, j]
         return o
 
     rs = rng.uniform(1.0, max_squeeze, size=n)

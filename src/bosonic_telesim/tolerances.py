@@ -12,9 +12,11 @@ class Tolerances:
     symmetry      bound on |M - M^T| entries, relative to s = max(1, max|M|)
     symplectic    absolute bound on |S Omega S^T - Omega| entries
     uncertainty   V + i Omega (a CM) or N + i (1 - det T) Omega (a channel)
-                  has no eigenvalue below -uncertainty s; in a CM's thermal
-                  frame that is nu_min >= 1 - uncertainty s, and single-mode
-                  squeezing r widens the band by at most (r^2 + r^-2) / 2
+                  has no eigenvalue below -e, e = max(uncertainty, 64 eps s):
+                  the tolerance at unit scale, eigvalsh's roundoff beyond; in
+                  a CM's thermal frame that is nu_min >= 1 - e, and
+                  single-mode squeezing r widens the band by at most
+                  (r^2 + r^-2) / 2
     rank          singular values below rank * max(s_max, 1) count as zero
     tau_boundary  |tau| <= tau_boundary is tau = 0; |tau - 1| likewise tau = 1
     """

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bosonic_telesim import tmsv_state
 from bosonic_telesim.cli import main
 
 LOSS = '{"class": "C_Att", "tau": 0.5, "nbar": 0.0}'
@@ -55,6 +56,19 @@ class TestClassify:
         assert out == ""
         assert "non-finite" in err
         assert caught == []
+
+    def test_state_singular_to_roundoff_is_unsupported(self, capsys):
+        state = tmsv_state(1e12)
+        spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
+        code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
+        assert (code, out) == (3, "")
+        assert "float64" in err
+
+    def test_integer_beyond_float_range_rejected(self, capsys):
+        huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
+        code, out, err = run(capsys, "fidelity", "--state1", huge, "--state2", VACUUM)
+        assert (code, out) == (2, "")
+        assert "beyond float range" in err
 
 
 class TestApplyAndSimulate:
@@ -125,6 +139,19 @@ class TestFidelity:
         assert out == ""
         assert "non-finite" in err
         assert caught == []
+
+    def test_state_singular_to_roundoff_is_unsupported(self, capsys):
+        state = tmsv_state(1e12)
+        spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
+        code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
+        assert (code, out) == (3, "")
+        assert "float64" in err
+
+    def test_integer_beyond_float_range_rejected(self, capsys):
+        huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
+        code, out, err = run(capsys, "fidelity", "--state1", huge, "--state2", VACUUM)
+        assert (code, out) == (2, "")
+        assert "beyond float range" in err
 
 
 class TestConvergence:
@@ -211,6 +238,7 @@ class TestConvergence:
         ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": "x"}, {}),
         ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 1.1}, {"r": "x"}),
         ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": True}, {}),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 10 ** 400}, {}),
     ])
     def test_non_numeric_field_rejected(self, capsys, channel, grid, witness):
         param = "mu" if channel["class"] == "C_Att" else "mu_tilde"
@@ -220,7 +248,7 @@ class TestConvergence:
         code, out, err = run(capsys, "convergence", "--config", config)
         assert code == 2
         assert out == ""
-        assert "must be a finite number" in err
+        assert "must be a finite number" in err or "beyond float range" in err
 
     def test_csv_floats_roundtrip(self, capsys):
         from bosonic_telesim import channel_from_dict, convergence_scan

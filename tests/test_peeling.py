@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (AdaptiveProtocolSpec, CanonicalClass, DomainError,
-                             GaussianChannel, NoUniformBoundError,
+                             GaussianChannel, NoUniformBoundError, Tolerances,
                              canonical_channel, diamond_upper_bound,
                              epsilon_tp_bound, form_from_fields, peel_bound,
                              two_round_demo)
@@ -93,6 +93,16 @@ class TestEpsilonTpBound:
     def test_bounded_uniform_requires_energy(self):
         with pytest.raises(DomainError):
             epsilon_tp_bound(2, 10.0, attenuator(), "bounded_uniform")
+
+    def test_tolerance_reaches_topology_check_and_bound(self):
+        # N = diag(0.1, 1e-11) has rank 1 under the default rank tolerance
+        # and rank 2 under 1e-12
+        ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))
+        with pytest.raises(NoUniformBoundError):
+            epsilon_tp_bound(2, 10.0, ch, "uniform")
+        tol = Tolerances.uniform(1e-12)
+        got = epsilon_tp_bound(2, 10.0, ch, "uniform", tol=tol)
+        assert got == 2 * diamond_upper_bound(ch, 10.0, tol=tol) / 2
 
 
 class TestTwoRoundDemo:

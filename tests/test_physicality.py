@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
-                             ValidationError, canonical_channel, form_from_fields,
+                             ValidationError, canonical_channel, classify,
+                             form_from_fields,
                              quasi_choi, random_symplectic, symplectic_eigenvalues,
                              tmsv_state, validate_channel)
 
@@ -83,11 +84,29 @@ class TestInvalidStillRejected:
             with pytest.raises(ValidationError):
                 GaussianState(*framed_state(s, nus))
 
+    @pytest.mark.parametrize("cm", [
+        np.diag([-5e-5, 1e5]),  # a negative variance
+        np.diag([-999.0, 1e12]),
+        np.diag([1.0 - 1e-6, 1.0 - 1e-6, 1e6, 1e6]),  # nu deficit beside a large mode
+        np.diag([1.0, 1.0, 1e6, 0.5e-6]),  # nu = 0.71, squeezed by 1e6
+    ])
+    def test_large_scale(self, cm):
+        # the eigenvalue slack grows with the scale only as eigvalsh's roundoff
+        with pytest.raises(ValidationError):
+            GaussianState(np.zeros(len(cm)), cm)
+
     @pytest.mark.parametrize("tau", [0.5, 2.0, -1.0, 1e4])
     def test_channel_below_bona_fide(self, rng, tau):
         assert not validate_channel(framed_channel(rng, tau, 1.0 - 1e-6, frame=False))
         for _ in range(FRAMES):
             assert not validate_channel(framed_channel(rng, tau, 1.0 - 1e-6))
+
+    def test_channel_with_large_noise_below_bona_fide(self):
+        # det N = 0.15 < (1 - det T)^2 = 1
+        ch = GaussianChannel(np.zeros((2, 2)), np.diag([5e-6, 3e4]))
+        assert not validate_channel(ch)
+        with pytest.raises(ValidationError):
+            classify(ch)
 
     @pytest.mark.parametrize("tau", [0.5, 2.0, -1.0, 1e4])
     def test_channel_on_bona_fide_boundary(self, tau):

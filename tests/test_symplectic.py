@@ -36,6 +36,12 @@ class TestSymplecticForm:
         with pytest.raises(InvalidDimensionError):
             symplectic_form(0)
 
+    @pytest.mark.parametrize("bad", [2.0, [2]])
+    def test_non_integer_rejected_after_cached_call(self, bad):
+        symplectic_form(2)
+        with pytest.raises(InvalidDimensionError):
+            symplectic_form(bad)
+
 
 class TestIsSymplectic:
     def test_identity(self):
