@@ -14,6 +14,7 @@ Scan config    {"channel": ..., "grid": {"param": "mu"|"mu_tilde", "start": ...,
                "stop": ..., "points": ..., "log": true},
                "witness": {"mu": ..., "a": ..., "c": ..., "r": ...},
                "output": {"format": "csv"|"json", "path": "..."}}
+               with an integer number of grid points from 1 to 10**6
 
 classify, convergence, peel and capacity take a --tol flag that overrides the
 default tolerance bundle; the environment variable BOSONIC_TELESIM_TOL does
@@ -179,6 +180,7 @@ def _cmd_fidelity(args) -> int:
 
 
 _GRID_KEYS = {"param", "start", "stop", "points", "log"}
+_MAX_POINTS = 10 ** 6
 _WITNESS_KEYS = {"mu", "a", "c", "r"}
 _OUTPUT_KEYS = {"format", "path"}
 _SCAN_COLUMNS = ("mu", "mu_tilde", "xi", "upper_bound", "witness_lower_bound")
@@ -202,8 +204,10 @@ def _parse_scan_config(spec: dict):
     if param not in ("mu", "mu_tilde"):
         raise _CliInputError(f"grid param must be 'mu' or 'mu_tilde', got {param!r}")
     points = grid_spec["points"]
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise _CliInputError(f"grid points must be a positive integer, got {points!r}")
+    if (isinstance(points, bool) or not isinstance(points, int)
+            or not 1 <= points <= _MAX_POINTS):
+        raise _CliInputError(f"grid points must be an integer from 1 to {_MAX_POINTS}, "
+                             f"got {points!r}")
     witness = spec.get("witness", {})
     if not isinstance(witness, dict) or set(witness) - _WITNESS_KEYS:
         raise _CliInputError(f"witness keys must be a subset of {sorted(_WITNESS_KEYS)}")

@@ -35,30 +35,24 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class ConvergenceVerdict:
-    """Outcome of the rank criterion, with an optional sampled bound curve."""
+    """Outcome of the rank criterion."""
 
     uniform: bool
     reason: str
-    bound_curve: tuple = ()
 
 
-def decide_uniform(ch: GaussianChannel, mu_grid=None,
+def decide_uniform(ch: GaussianChannel,
                    tol: Tolerances | None = None) -> ConvergenceVerdict:
     """Uniform convergence holds iff rank(N) = 2.
 
-    The verdict is decided symbolically from the classification; when a
-    ``mu_grid`` is supplied and the verdict is positive, the upper-bound
-    curve is sampled as numerical evidence.
+    The verdict is decided symbolically from the classification;
+    :func:`convergence_scan` samples the upper-bound curve over a grid.
     """
     form = classify(ch, tol)
     rank_n = {CanonicalClass.B2_Id: 0, CanonicalClass.B1: 1}.get(form.tag, 2)
     uniform = rank_n == 2
     reason = f"{form.tag.value}: rank(N)={rank_n}"
-    curve = ()
-    if uniform and mu_grid is not None:
-        curve = tuple((float(mu), diamond_upper_bound(ch, mu, tol=tol))
-                      for mu in mu_grid)
-    return ConvergenceVerdict(uniform=uniform, reason=reason, bound_curve=curve)
+    return ConvergenceVerdict(uniform=uniform, reason=reason)
 
 
 def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .channels import CanonicalClass, CanonicalForm, canonical_matrices
 from .errors import DomainError, InvalidDimensionError, UnsupportedFormError
-from .symplectic import GaussianState, SymplecticMatrix, tensor_states, thermal_state
+from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, tensor_states,
+                         thermal_state)
 
 __all__ = ["SingleModeDilation", "dilation_of", "apply_via_dilation", "asymptotic_b2"]
 
@@ -80,15 +81,19 @@ def dilation_of(form: CanonicalForm) -> SingleModeDilation:
     """Exact single-mode dilation of a non-additive canonical form.
 
     The environment is thermal with variance ``2 nbar + 1``.  Raises
-    :class:`UnsupportedFormError` for B2 and the identity.
+    :class:`UnsupportedFormError` for B2 and the identity.  The self-checks
+    hold M to symplecticity and its blocks to ``(T_c, N_c)`` within 1e-12 at
+    unit scale and within float64 roundoff of ``max|M|^2``, ``max|T_c|`` and
+    ``max|N_c|`` beyond.
     """
     m = _dilation_matrix(form)
-    dil = SingleModeDilation(SymplecticMatrix(m, tol=1e-12),
-                             thermal_state(2.0 * form.noise_param + 1.0))
+    sym = SymplecticMatrix(m, tol=_self_check_tol(np.max(np.abs(m)) ** 2))
+    dil = SingleModeDilation(sym, thermal_state(2.0 * form.noise_param + 1.0))
     t_c, n_c = canonical_matrices(form)
     omega_env = dil.env.cm[0, 0]
-    if (np.max(np.abs(dil.m1.T - t_c)) > 1e-12
-            or np.max(np.abs(dil.m2 @ dil.m2.T * omega_env - n_c)) > 1e-12):
+    if (np.max(np.abs(dil.m1.T - t_c)) > _self_check_tol(np.max(np.abs(t_c)))
+            or np.max(np.abs(dil.m2 @ dil.m2.T * omega_env - n_c))
+            > _self_check_tol(np.max(np.abs(n_c)))):
         raise UnsupportedFormError(
             f"dilation blocks inconsistent with canonical matrices for {form.tag.value}")
     return dil

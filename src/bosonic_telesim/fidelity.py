@@ -40,9 +40,6 @@ __all__ = [
     "fid_b2_asymptotic",
 ]
 
-_PURITY_TOL = 1e-9
-
-
 def _mean_factor(delta: np.ndarray, vsum: np.ndarray) -> float:
     if not np.any(delta):
         return 1.0
@@ -70,9 +67,12 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     v1, v2 = s1.cm, s2.cm
     vsum = v1 + v2
     mean = _mean_factor(s2.mean - s1.mean, vsum)
-    if s1.is_pure(_PURITY_TOL) or s2.is_pure(_PURITY_TOL):
+    if s1.is_pure() or s2.is_pure():
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
-        overlap = 1.0 / np.sqrt(np.linalg.det(vsum / 2.0))
+        det = np.linalg.det(vsum / 2.0)
+        if not det > 0.0:  # V1 + V2 singular to roundoff: a TMSV at mu >= 1e8 twice
+            raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
+        overlap = 1.0 / np.sqrt(det)
         return min(float(np.sqrt(overlap)) * mean, 1.0)
     omega = symplectic_form(n)
     vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)

@@ -89,6 +89,12 @@ def is_symplectic(m, tol: float | None = None) -> bool:
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
+def _self_check_tol(scale: float) -> float:
+    """Threshold of an absolute self-check on a quantity of magnitude
+    ``scale``: 1e-12 at unit scale, float64 roundoff ``64 eps scale`` beyond."""
+    return max(1e-12, _ROUNDOFF * float(scale))
+
+
 def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
              what: str = "covariance matrix") -> np.ndarray:
     """The one symmetry and physicality test (see ``Tolerances``) on the scale
@@ -111,18 +117,33 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
     return m
 
 
+def _sqrt_form(cm, tol: Tolerances | None):
+    """The one spectral kernel: an ``eigh`` of V gives ``R = V^{1/2}`` (with
+    eigenvalues within ``64 eps max(1, max|V|)`` of 0 clipped to 0, any below
+    an error) and ``K = R Omega R``, similar to ``Omega V``, so the Hermitian
+    ``i K`` has eigenvalues ``+/- nu_k``.  Returns ``(V, lam, U, K)``."""
+    cm = _as_matrix(cm)
+    n = _check_even(cm.shape[0])
+    cm = _checked(cm, tol or DEFAULT)
+    lam, u = np.linalg.eigh(cm)
+    if lam[0] < -_ROUNDOFF * max(1.0, float(abs(cm).max())):
+        raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
+    r = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.T
+    k = r @ symplectic_form(n) @ r
+    return cm, lam, u, 0.5 * (k - k.T)
+
+
 def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
-    """Symplectic spectrum of a symmetric matrix: the moduli of the eigenvalues
-    of ``Omega V``, one per mode, sorted in descending order.
+    """Symplectic spectrum of a symmetric positive-semidefinite V, one nu per
+    mode in descending order: the positive eigenvalues of the Hermitian
+    ``i V^{1/2} Omega V^{1/2}``, backward stable even for V singular to roundoff.
 
     For a valid CM the product of the spectrum equals ``sqrt(det V)``.
     """
-    cm = _as_matrix(cm)
-    n = _check_even(cm.shape[0])
-    _checked(cm, tol or DEFAULT)
-    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ cm)))[::-1]
-    # eigenvalues of Omega V come in +/- i nu pairs; keep one of each
-    return moduli[::2].copy()
+    k = _sqrt_form(cm, tol)[3]
+    vals = np.linalg.eigvalsh(1j * k)
+    # ascending, so vals[-1 - j] and vals[j] are the pair +/- nu_j
+    return 0.5 * (vals[::-1] - vals)[:k.shape[0] // 2]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -273,54 +294,38 @@ def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(np.concatenate([a.mean, b.mean]), cm)
 
 
-def _inv_sqrt_spd(v: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(v)
-    if vals[0] <= 0.0:
-        raise ValidationError("matrix is not positive definite")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite symmetric matrix.
 
     Returns ``(S, spectrum)`` with ``S V S^T = diag(nu_1, nu_1, ...)`` and the
-    spectrum sorted in descending order.  For one mode the closed form
-    ``S = sqrt(nu) V^{-1/2}`` is used.  For more modes the Hermitian ``i A``,
-    ``A = V^{-1/2} Omega V^{-1/2}``, has eigenvalues ``+/- 1/nu_k``; each
-    eigenvector ``x_k`` of ``+1/nu_k`` gives the column pair
-    ``(Im x_k, Re x_k)``.  A QR step re-orthonormalizes the pairs and each
-    ``1/nu_k`` is the Rayleigh quotient ``q_2k^T A q_2k+1``.  ``eigh`` returns
-    an orthonormal eigenbasis, so degenerate spectra need no special case.
+    spectrum sorted in descending order.  The Hermitian ``i K`` of the spectral
+    kernel, ``K = V^{1/2} Omega V^{1/2}``, has eigenvalues ``+/- nu_k``; each
+    eigenvector ``x_k`` of ``+nu_k`` gives the column pair ``(Im x_k, Re x_k)``.
+    A QR step re-orthonormalizes the pairs into Q, each ``nu_k`` is the
+    Rayleigh quotient ``q_2k^T K q_2k+1`` and ``S = sqrt(nu) Q^T V^{-1/2}``;
+    ``eigh``'s orthonormal eigenbasis needs no special case for degeneracy.
 
     Both self-checks scale with ``m = max(1, max|V|)``: the reconstruction
     residual must stay within ``1e-8 m`` and ``|S Omega S^T - Omega|`` within
     ``16 eps m``, never below the default 1e-10.  On 7,700 quasi-Choi states
     with mu from 10 to 1.3e8 the symplectic residual is at most ``0.56 eps m``.
     """
-    cm = _as_matrix(cm)
-    n = _check_even(cm.shape[0])
-    cm = _checked(cm, tol or DEFAULT)
-    vm12 = _inv_sqrt_spd(cm)
-
-    if n == 1:
-        nu = float(np.sqrt(np.linalg.det(cm)))
-        s = np.sqrt(nu) * vm12
-        spectrum = (nu,)
-    else:
-        a = vm12 @ symplectic_form(n) @ vm12
-        a = 0.5 * (a - a.T)
-        vecs = np.linalg.eigh(1j * a)[1][:, n:]  # ascending: the +1/nu_k come last
-        pairs = np.empty((2 * n, 2 * n))
-        pairs[:, 0::2], pairs[:, 1::2] = vecs.imag, vecs.real
-        q = np.linalg.qr(pairs)[0]
-        lams = np.sum(q[:, 0::2] * (a @ q[:, 1::2]), axis=0)  # Rayleigh quotients
-        # largest nu first; a pair with a negative quotient is swapped
-        order = np.argsort(np.abs(lams))
-        perm = [j for k in order
-                for j in ((2 * k, 2 * k + 1) if lams[k] > 0.0 else (2 * k + 1, 2 * k))]
-        nus = 1.0 / np.abs(lams[order])
-        s = np.repeat(np.sqrt(nus), 2)[:, None] * (q[:, perm].T @ vm12)
-        spectrum = tuple(float(x) for x in nus)
+    cm, lam, u, k = _sqrt_form(cm, tol)
+    if lam[0] <= 0.0:
+        raise ValidationError("matrix is not positive definite")
+    n = cm.shape[0] // 2
+    vecs = np.linalg.eigh(1j * k)[1][:, n:]  # ascending: the +nu_k come last
+    pairs = np.empty((2 * n, 2 * n))
+    pairs[:, 0::2], pairs[:, 1::2] = vecs.imag, vecs.real
+    q = np.linalg.qr(pairs)[0]
+    nus = np.sum(q[:, 0::2] * (k @ q[:, 1::2]), axis=0)  # Rayleigh quotients
+    # largest nu first; a pair with a negative quotient is swapped
+    order = np.argsort(-np.abs(nus))
+    perm = [j for i in order
+            for j in ((2 * i, 2 * i + 1) if nus[i] > 0.0 else (2 * i + 1, 2 * i))]
+    nus = np.abs(nus[order])
+    s = np.repeat(np.sqrt(nus), 2)[:, None] * (q[:, perm].T @ (u / np.sqrt(lam)) @ u.T)
+    spectrum = tuple(float(x) for x in nus)
 
     scale = max(1.0, float(np.max(np.abs(cm))))
     target = np.diag(np.repeat(spectrum, 2))

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import (CanonicalClass, CanonicalForm, GaussianChannel,
                        apply_channel, compose)
 from .errors import DomainError, UnsupportedFormError, ValidationError
-from .symplectic import GaussianState, thermal_state, tmsv_state
+from .symplectic import GaussianState, _self_check_tol, thermal_state, tmsv_state
 
 __all__ = [
     "BKParameters",
@@ -85,13 +85,15 @@ class SimulatedChannel:
 def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
     """Compose the base channel with the finite-energy teleporter.
 
-    The composed noise matrix is verified against ``N + xi T T^T`` to 1e-12;
-    a mismatch would indicate a broken composition rule, not bad input.
+    The composed noise matrix is verified against ``N + xi T T^T`` to 1e-12
+    at unit scale and to float64 roundoff of its largest entry beyond; a
+    mismatch would indicate a broken composition rule, not bad input.
     """
     params = BKParameters(mu)
     effective = compose(base, bk_channel(mu))
     expected_n = base.n + params.xi * base.t @ base.t.T
-    if np.max(np.abs(effective.n - expected_n)) > 1e-12:
+    deviation = np.max(np.abs(effective.n - expected_n))
+    if deviation > _self_check_tol(np.max(np.abs(expected_n))):
         raise ValidationError("composed noise matrix deviates from N + xi T T^T")
     return SimulatedChannel(base=base, params=params, effective=effective)
 

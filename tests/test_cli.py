@@ -57,19 +57,6 @@ class TestClassify:
         assert "non-finite" in err
         assert caught == []
 
-    def test_state_singular_to_roundoff_is_unsupported(self, capsys):
-        state = tmsv_state(1e12)
-        spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
-        code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
-        assert (code, out) == (3, "")
-        assert "float64" in err
-
-    def test_integer_beyond_float_range_rejected(self, capsys):
-        huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
-        code, out, err = run(capsys, "fidelity", "--state1", huge, "--state2", VACUUM)
-        assert (code, out) == (2, "")
-        assert "beyond float range" in err
-
 
 class TestApplyAndSimulate:
     def test_apply_loss_to_thermal(self, capsys):
@@ -141,11 +128,13 @@ class TestFidelity:
         assert caught == []
 
     def test_state_singular_to_roundoff_is_unsupported(self, capsys):
-        state = tmsv_state(1e12)
-        spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
-        code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
-        assert (code, out) == (3, "")
-        assert "float64" in err
+        # the float64 TMSV is pure, so the overlap route meets det <= 0
+        for mu in (1e8, 1e10, 1e12):
+            state = tmsv_state(mu)
+            spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
+            code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
+            assert (code, out) == (3, "")
+            assert "float64" in err
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
@@ -195,6 +184,16 @@ class TestConvergence:
         })
         code, _, err = run(capsys, "convergence", "--config", config)
         assert code == 2
+
+    @pytest.mark.parametrize("points", [10 ** 7, 10 ** 300], ids=["1e7", "1e300"])
+    def test_points_beyond_maximum_rejected(self, capsys, points):
+        config = json.dumps({
+            "channel": {"class": "C_Att", "tau": 0.5, "nbar": 0.0},
+            "grid": {"param": "mu", "start": 1.1, "stop": 10.0, "points": points},
+        })
+        code, out, err = run(capsys, "convergence", "--config", config)
+        assert (code, out) == (2, "")
+        assert "grid points" in err
 
     def test_unknown_config_key_rejected(self, capsys):
         config = json.dumps({

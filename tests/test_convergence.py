@@ -51,13 +51,6 @@ class TestDecideUniform:
         with pytest.raises(ClassificationAmbiguousError):
             decide_uniform(GaussianChannel(np.diag([1e-6, 1e-6]), 2.0 * I2))
 
-    def test_bound_curve_sampling(self):
-        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5))
-        verdict = decide_uniform(ch, mu_grid=[2.0, 10.0, 100.0])
-        assert len(verdict.bound_curve) == 3
-        values = [b for _, b in verdict.bound_curve]
-        assert values == sorted(values, reverse=True)
-
 
 class TestDiamondUpperBound:
     def test_attenuator_closed_form_composition(self):

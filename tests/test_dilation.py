@@ -53,6 +53,25 @@ class TestDilationMatrices:
         assert np.max(np.abs(dil.m2 @ dil.m2.T * omega_env - n_c)) <= 1e-12
         assert np.allclose(dil.env.cm, omega_env * I2)
 
+    @pytest.mark.parametrize("tag, tau, nbar", [
+        (CanonicalClass.C_Amp, 1e3, 5.0),
+        (CanonicalClass.D, -1e3, 5.0),
+        (CanonicalClass.C_Att, 0.3, 1e5),
+        (CanonicalClass.C_Amp, 1e5, 0.0),
+    ])
+    def test_large_gain_or_noise(self, tag, tau, nbar, rng):
+        # the self-checks scale with the blocks, so these valid forms dilate
+        form = form_from_fields(tag, tau=tau, nbar=nbar)
+        dil = dilation_of(form)
+        ch = canonical_channel(form)
+        for _ in range(20):
+            state = random_state(1, rng, displace=1.0)
+            via = apply_via_dilation(dil, state)
+            direct = apply_channel(ch, state)
+            scale = np.max(np.abs(direct.cm))
+            assert np.max(np.abs(via.cm - direct.cm)) <= 1e-12 * scale
+            assert np.max(np.abs(via.mean - direct.mean)) <= 1e-12 * scale
+
     def test_additive_forms_rejected(self):
         for tag in (CanonicalClass.B2, CanonicalClass.B2_Id):
             form = (form_from_fields(tag, xi=0.5) if tag is CanonicalClass.B2

@@ -15,6 +15,7 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              williamson)
 
 OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+EPS = np.finfo(float).eps
 
 
 class TestSymplecticForm:
@@ -84,6 +85,28 @@ class TestSymplecticEigenvalues:
             cm = random_state(2, rng).cm
             nus = symplectic_eigenvalues(cm)
             assert np.prod(nus) == pytest.approx(np.sqrt(np.linalg.det(cm)), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_extended_precision_oracle(self, rng, n):
+        # backward stable: the relative error stays within a few eps times
+        # the condition number max|V| max|V^-1| (measured at most 2.5)
+        for _ in range(20):
+            cm = random_state(n, rng, nu_max=10.0, max_squeeze=1e3).cm
+            cond = np.max(np.abs(cm)) * np.max(np.abs(np.linalg.inv(cm)))
+            oracle = np.array([float(x) for x in symplectic_spectrum_mp(cm)])
+            got = symplectic_eigenvalues(cm)
+            assert np.max(np.abs(got - oracle) / oracle) <= 16.0 * EPS * cond
+
+    def test_cm_singular_to_roundoff(self):
+        # the float64 TMSV CMs themselves: 60 digits give nu = 0.8631674575 at
+        # mu = 5e7 and about 0 at mu = 1e12 (not 1: the rounded entries)
+        assert symplectic_eigenvalues(tmsv_state(5e7).cm) == pytest.approx(
+            [0.8631674575] * 2, rel=1e-6)
+        assert symplectic_eigenvalues(tmsv_state(1e12).cm)[0] <= 1e-3
+
+    def test_negative_eigenvalue_rejected(self):
+        with pytest.raises(ValidationError):
+            symplectic_eigenvalues(np.diag([4.0, -1e-3]))
 
 
 class TestWilliamson:

@@ -116,6 +116,14 @@ class TestSimulateChannel:
         with pytest.raises(ValidationError):
             quasi_choi(bad, 2.0)
 
+    def test_large_gain_and_noise(self):
+        # the composition self-check scales with max|N + xi T T^T| (about 1e5)
+        rot = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+        base = GaussianChannel(np.sqrt(1e5) * rot, (1e5 - 1.0) * I2)
+        sim = simulate_channel(base, 1.1)
+        expected = base.n + sim.params.xi * base.t @ base.t.T
+        assert np.max(np.abs(sim.effective.n - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_noise_shift_is_exact(self, rng):
         from _helpers import conjugated_channel, sample_form
         for _ in range(100):
