@@ -107,9 +107,12 @@ class CanonicalForm:
 
 
 def validate_channel(ch: GaussianChannel, tol: Tolerances | None = None) -> bool:
-    """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner), by one
-    ``eigvalsh`` on the scale ``s = max(1, max|N|)``: N symmetric within
-    ``tol.symmetry s``, no eigenvalue below ``-max(tol.uncertainty, 64 eps s)``.
+    """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner) on the scale
+    ``s = max(1, max|N|)``: N symmetric within ``tol.symmetry s``, no
+    eigenvalue below ``-max(tol.uncertainty, 64 eps s)``.  The eigenvalue is
+    the 2x2 closed form ``(p + q)/2 - hypot((p - q)/2, r, 1 - det T)``, within
+    about ``eps s`` of the exact one near the threshold, on plain floats with
+    ``det T = a d - b c``, so a non-finite entry anywhere gives False.
     An output frame of single-mode squeezing r widens the accepted band below
     the boundary by at most ``(r^2 + r^-2) / 2``."""
     try:

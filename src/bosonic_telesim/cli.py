@@ -4,8 +4,9 @@ Commands: classify, apply, simulate, fidelity, convergence, peel, capacity.
 Channel, state and scan-config arguments accept either inline JSON or a path
 to a JSON file.  Output is JSON (CSV for convergence scans) with floats
 printed as their shortest round-trip ``repr``, so that every emitted number
-re-parses to the identical value; a non-finite result is an error.  Exit
-codes: 0 success, 2 input error, 3 request outside the supported domain.
+re-parses to the identical value; a non-finite result is an error, and so
+is finite input whose arithmetic overflows float64.  Exit codes: 0 success,
+2 input error, 3 request outside the supported domain.
 
 Channel spec   {"t": [[...]], "n": [[...]], "d": [...]}  or
                {"class": "C_Att", "tau": 0.5, "nbar": 0.0} (see channels module)
@@ -360,7 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except (UnsupportedFormError, NoUniformBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -368,6 +370,10 @@ def main(argv=None) -> int:
         # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
         print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except FloatingPointError as exc:
+        # finite input whose arithmetic leaves float64 range, e.g. T ~ 1e300
+        print(f"error: input beyond float64 range: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (_CliInputError, BosonicTelesimError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

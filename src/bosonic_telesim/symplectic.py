@@ -84,8 +84,9 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
 
 
-# eigvalsh's backward error per unit of max|M| on 2x2 and 4x4 matrices, with
-# margin: valid inputs up to mu = 1e12 reach about 6 eps.
+# roundoff of the smallest eigenvalue of M + i w Omega per unit of max|M|, with
+# margin: eigvalsh on valid inputs up to mu = 1e12 reaches about 6 eps, the
+# 2x2 closed form of _checked about 1 eps.
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
@@ -100,18 +101,42 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
     """The one symmetry and physicality test (see ``Tolerances``) on the scale
     ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  The
     eigenvalue slack is ``max(tol.uncertainty, 64 eps s)``: the tolerance at
-    unit scale, eigvalsh's roundoff beyond.  Returns the symmetrized M."""
-    scale = float(abs(m).max())
+    unit scale, the eigenvalue's roundoff beyond.  Returns the symmetrized M.
+
+    A 2x2 M is decided on plain floats: the smallest eigenvalue of the
+    Hermitian ``[[p, r + i w], [r - i w, q]]`` is
+    ``(p + q)/2 - hypot((p - q)/2, r, w)``, in error by at most about
+    ``eps s`` near the threshold (0.98 eps s at most against 50 digits on
+    30,000 random-frame draws; eigvalsh 3.2 eps s), and the symmetrized M is
+    built from the same floats, bit-identical to ``0.5 (M + M^T)`` wherever
+    that does not overflow.  Larger M take one ``eigvalsh``, since a 4x4
+    closed form would not be backward stable."""
+    single = m.shape == (2, 2)
+    if single:
+        (p, b), (c, q) = m.tolist()
+        finite = all(map(math.isfinite, (p, b, c, q)))  # entry by entry: max() drops NaN
+        scale = max(abs(p), abs(b), abs(c), abs(q)) if finite else math.nan
+    else:
+        scale = float(abs(m).max())
     if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
     scale = max(1.0, scale)
-    if abs(m - m.T).max() > tol.symmetry * scale:
+    if (abs(b - c) if single else abs(m - m.T).max()) > tol.symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{tol.symmetry:g} max(1, max|M|)")
-    m = 0.5 * (m + m.T)
+    if single:
+        r = 0.5 * (b + c)
+        if math.isinf(r):  # b + c beyond float64 range
+            r = 0.5 * b + 0.5 * c
+        m = np.array(((p, r), (r, q)))
+    else:
+        m = 0.5 * (m + m.T)
     if w is not None:
-        lam = np.linalg.eigvalsh(m + 1j * w * symplectic_form(m.shape[0] // 2))[0]
-        if lam < -max(tol.uncertainty, _ROUNDOFF * scale):
+        if single:
+            lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
+        else:
+            lam = np.linalg.eigvalsh(m + 1j * w * symplectic_form(m.shape[0] // 2))[0]
+        if not lam >= -max(tol.uncertainty, _ROUNDOFF * scale):  # NaN fails too
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return m
@@ -150,8 +175,9 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
 class GaussianState:
     """Gaussian state of ``n`` modes: mean quadrature vector and CM.
 
-    Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) by one
-    ``eigvalsh`` on the scale ``s = max(1, max|V|)``: V symmetric within
+    Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) on the
+    scale ``s = max(1, max|V|)``, in closed form for one mode and by one
+    ``eigvalsh`` for two (see ``_checked``): V symmetric within
     ``DEFAULT.symmetry s``, no eigenvalue below ``-e`` with
     ``e = max(DEFAULT.uncertainty, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
     thermal frame; single-mode squeezing r widens that band by at most

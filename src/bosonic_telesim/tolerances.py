@@ -13,7 +13,9 @@ class Tolerances:
     symplectic    absolute bound on |S Omega S^T - Omega| entries
     uncertainty   V + i Omega (a CM) or N + i (1 - det T) Omega (a channel)
                   has no eigenvalue below -e, e = max(uncertainty, 64 eps s):
-                  the tolerance at unit scale, eigvalsh's roundoff beyond; in
+                  the tolerance at unit scale, the eigenvalue's roundoff
+                  beyond (a closed form within about eps s for 2x2, one
+                  eigvalsh within a few eps s for 4x4); in
                   a CM's thermal frame that is nu_min >= 1 - e, and
                   single-mode squeezing r widens the band by at most
                   (r^2 + r^-2) / 2

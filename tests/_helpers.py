@@ -1,8 +1,10 @@
-"""Shared test utilities: random channel factories, fit helpers and the
-extended-precision two-mode fidelity and symplectic-spectrum oracles."""
+"""Shared test utilities: random channel factories, fit helpers, the
+extended-precision two-mode fidelity and symplectic-spectrum oracles and a
+hypothesis strategy of raw channel specs."""
 
 import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, canonical_channel,
                              form_from_fields, random_symplectic)
@@ -99,3 +101,30 @@ def symplectic_spectrum_mp(cm, dps: int = 50):
             omega[2 * k + 1, 2 * k] = -1
         eigs = mp.eig(omega * v, left=False, right=False)
         return sorted((abs(e) for e in eigs), reverse=True)[::2]
+
+
+# --- raw 2x2 channel specs for fuzzing --------------------------------------------
+
+_MODERATE = st.floats(-10.0, 10.0)
+_ENTRY = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _MODERATE,
+                   st.sampled_from([0.0, 1.0, -1.0, 1e154, 1.7e308, -1.7e308, 5e-324]))
+
+
+def _matrix(entry):
+    return st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
+@st.composite
+def _near_boundary(draw):
+    """Moderate T and N = f |1 - det T| I plus a small asymmetric part, f
+    around 1: on either side of the Holevo-Werner boundary."""
+    t = draw(_matrix(_MODERATE))
+    (a, b), (c, d) = t
+    diag = draw(st.floats(0.5, 1.5)) * abs(1.0 - (a * d - b * c))
+    off = draw(st.lists(st.floats(-1e-6, 1e-6), min_size=2, max_size=2))
+    return t, [[diag, off[0]], [off[1], diag]]
+
+
+# finite (T, N) as row lists: huge, asymmetric, or below the boundary
+raw_channel_specs = st.one_of(st.tuples(_matrix(_ENTRY), _matrix(_ENTRY)),
+                              _near_boundary()).map(lambda tn: {"t": tn[0], "n": tn[1]})

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from _helpers import conjugated_channel, sample_form
-from bosonic_telesim import (CanonicalClass, ClassificationAmbiguousError,
+from _helpers import conjugated_channel, raw_channel_specs, sample_form
+from bosonic_telesim import (BosonicTelesimError, CanonicalClass, ClassificationAmbiguousError,
                              GaussianChannel, ValidationError, apply_channel,
                              canonical_channel, canonical_matrices, channel_from_dict,
                              channel_rank, channel_to_dict, classify, compose,
@@ -215,3 +218,16 @@ class TestJsonSpec:
     def test_unknown_class(self):
         with pytest.raises(ValidationError):
             channel_from_dict({"class": "E9"})
+
+    @given(raw_channel_specs)
+    @settings(max_examples=500, deadline=None)
+    def test_raw_spec_fuzz(self, spec):
+        # finite input builds a finite channel or raises a package error, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ch = channel_from_dict(spec)
+            except BosonicTelesimError:
+                return
+            assert np.isfinite(ch.t).all() and np.isfinite(ch.n).all()
+            validate_channel(ch)

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _helpers import raw_channel_specs
 from bosonic_telesim import tmsv_state
 from bosonic_telesim.cli import main
 
@@ -446,3 +452,33 @@ class TestInfrastructure:
         record = json.loads(out)
         from bosonic_telesim import bk_added_noise
         assert record["xi"] == bk_added_noise(3.0000001)
+
+
+def _numbers(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for x in obj:
+            yield from _numbers(x)
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield obj
+
+
+class TestRawChannelFuzz:
+    @given(raw_channel_specs, st.sampled_from(["classify", "apply"]))
+    @settings(max_examples=400, deadline=None)
+    def test_exit_code_and_finite_output(self, spec, command):
+        argv = [command, "--channel", json.dumps(spec)]
+        if command == "apply":
+            argv += ["--state", THERMAL3]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)  # an exception here is a traceback
+        assert code in (0, 2, 3)
+        if code == 0:
+            record = json.loads(out.getvalue(), parse_constant=float)
+            assert all(math.isfinite(x) for x in _numbers(record))
+        else:
+            assert out.getvalue() == "" and "error" in err.getvalue()

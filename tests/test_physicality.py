@@ -8,12 +8,15 @@ inputs a relative 1e-6 beyond the boundary are still rejected.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              ValidationError, canonical_channel, classify,
                              form_from_fields,
                              quasi_choi, random_symplectic, symplectic_eigenvalues,
                              tmsv_state, validate_channel)
+from bosonic_telesim.tolerances import DEFAULT
 
 Z2 = np.diag([1.0, -1.0])
 FRAMES = 50
@@ -122,10 +125,94 @@ class TestScaleRule:
         with pytest.raises(ValidationError):
             GaussianState(np.zeros(2), cm)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValidationError):
-            GaussianState(np.zeros(2), [[bad, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
-            GaussianChannel(np.eye(2), [[bad, 0.0], [0.0, 1.0]])
-        assert not validate_channel(GaussianChannel([[bad, 0.0], [0.0, 0.0]], np.eye(2)))
+        # every entry is checked: a max() over them would drop a NaN
+        for entry in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            m = np.eye(2)
+            m[entry] = bad
+            with pytest.raises(ValidationError, match="not finite"):
+                GaussianState(np.zeros(2), m)
+            with pytest.raises(ValidationError, match="not finite"):
+                GaussianChannel(np.eye(2), m)
+            ch = GaussianChannel(m, np.eye(2))  # T
+            assert not validate_channel(ch)
+            with pytest.raises(ValidationError, match="not finite"):
+                classify(ch)
+
+    def test_beyond_half_float_range(self):
+        # b + c and p + p overflow; the symmetrized entries do not
+        big = 1.7e308
+        ch = GaussianChannel(np.eye(2), [[big, big], [big, big]])
+        assert ch.n.tolist() == [[big, big], [big, big]]
+        assert validate_channel(ch)
+        assert GaussianState(np.zeros(2), big * np.eye(2)).cm[1, 1] == big
+
+
+def _rotation(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
+def _frame(theta, phi, log_r2):
+    """Single-mode symplectic R(theta) diag(r, 1/r) R(phi)."""
+    r = 10.0 ** (0.5 * log_r2)
+    return _rotation(theta) @ np.diag([r, 1.0 / r]) @ _rotation(phi)
+
+
+class TestClosedFormAgainstEigvalsh:
+    """The 2x2 test decides ``M + i w Omega >= 0`` in closed form; a test-side
+    ``eigvalsh`` is the oracle outside a band of 8 eps s around the threshold
+    ``-max(uncertainty, 64 eps s)``, s = max(1, max|M|)."""
+
+    BAND = 8.0 * np.finfo(float).eps
+
+    @given(state=st.booleans(),
+           log_w=st.floats(-3.0, 12.0),
+           w_sign=st.sampled_from([1.0, -1.0]),
+           squeeze=st.floats(0.0, 1.0),
+           log_delta=st.floats(-17.0, 0.0),
+           delta_sign=st.sampled_from([1.0, -1.0]),
+           offset=st.one_of(st.none(), st.floats(-200.0, 200.0)),
+           angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_oracle(self, state, log_w, w_sign, squeeze, log_delta, delta_sign,
+                            offset, angles):
+        if state:
+            w, log_w = 1.0, 0.0
+        else:
+            # a channel with 1 - det T = +-10^log_w, in random input/output frames
+            tau = 1.0 - w_sign * 10.0 ** log_w
+            t_c = np.sqrt(abs(tau)) * (np.eye(2) if tau > 0.0 else Z2)
+            t = _frame(*angles[2:4], 1.0) @ t_c @ _frame(*angles[4:6], -1.0)
+            (a, b), (c, d) = t.tolist()
+            w = 1.0 - (a * d - b * c)
+        # nu S S^T with S of squeeze r^2 up to 10^(12 - log_w): scales 1e-3 to 1e12
+        r2 = 10.0 ** (squeeze * (12.0 - max(log_w, 0.0)))
+        if offset is None:
+            nu = abs(w) * (1.0 + delta_sign * 10.0 ** log_delta)
+        else:
+            # smallest eigenvalue about 2 (nu - |w|) / (r^2 + r^-2): offset eps s
+            nu = abs(w) * (1.0 + offset * np.finfo(float).eps * r2 * (r2 + 1.0 / r2) / 2.0)
+        s = _frame(*angles[:2], np.log10(r2))
+        m = s @ np.diag([nu, nu]) @ s.T  # asymmetric by roundoff
+        sym = 0.5 * (m + m.T)
+
+        if state:
+            try:
+                assert GaussianState(np.zeros(2), m).cm.tobytes() == sym.tobytes()
+                accepted = True
+            except ValidationError:
+                accepted = False
+        else:
+            ch = GaussianChannel(t, m)
+            assert ch.n.tobytes() == sym.tobytes()
+            accepted = validate_channel(ch)
+
+        scale = max(1.0, float(np.max(np.abs(m))))
+        lam = np.linalg.eigvalsh(sym + 1j * w * np.array([[0.0, 1.0], [-1.0, 0.0]]))[0]
+        threshold = -max(DEFAULT.uncertainty, 64.0 * np.finfo(float).eps * scale)
+        if lam < threshold - self.BAND * scale:
+            assert not accepted
+        elif lam > threshold + self.BAND * scale:
+            assert accepted
