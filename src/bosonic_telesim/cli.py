@@ -370,8 +370,9 @@ def main(argv=None) -> int:
         # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
         print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         # finite input whose arithmetic leaves float64 range, e.g. T ~ 1e300
+        # (numpy) or a frame squeezing r ~ 1e154 (a Python float power)
         print(f"error: input beyond float64 range: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (_CliInputError, BosonicTelesimError, ValidationError) as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .channels import CanonicalClass, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import (_B1_ROUND_DOWN, _b1_witness_infidelity, _b2_infidelity,
-                       fid_env_A2, fid_env_C, fid_output_identity)
+                       _identity_witness, fid_env_A2, fid_env_C)
 from .teleportation import _env_gamma, bk_added_noise
 from .tolerances import Tolerances
 
@@ -94,8 +94,11 @@ def nonuniform_witness(mu: float, mu_tilde: float) -> float:
 
     At fixed mu it approaches 2 as mu_tilde grows, so no energy-independent
     simulation error can decay; at fixed mu_tilde it vanishes as mu grows.
+    Evaluated from F of :func:`fidelity.fid_output_identity` without forming
+    ``1 - F`` (see ``fidelity._identity_witness``), rounded down by 2^-45
+    relative so that it never exceeds the exact value.
     """
-    return 2.0 * (1.0 - fid_output_identity(mu_tilde, mu))
+    return _witness_column(mu, (mu_tilde,))[1][0]
 
 
 def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
@@ -109,22 +112,58 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
     form, rounded down by 2^-45 relative so that it never exceeds the exact
     value.
     """
-    mu_tilde = float(mu_tilde)  # plain floats: numpy scalar arithmetic is slower
-    if not (math.isfinite(mu_tilde) and mu_tilde >= 1.0):
-        raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde}")
-    if not (math.isfinite(a) and math.isfinite(c)):
-        raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
-    if a == 0.0 and c == 0.0:
-        raise DomainError("(a, c) = (0, 0) is outside the witness family")
-    xi = float(bk_added_noise(mu))
+    return _witness_column(mu, (mu_tilde,), (a, c))[1][0]
+
+
+def _witness_column(mu: float, grid, row: tuple | None = None):
+    """``(mu_tilde, witness)`` as float lists over the mu_tilde of ``grid`` at
+    resource mu, in one array pass: the B1 witness of the input-frame row
+    ``row = (a, c)``, or the identity witness for ``row=None``.
+
+    The closed forms use only + - * / and sqrt, so each element equals the
+    one-point evaluation bit for bit.  The error raised is the one the rows
+    would raise checked one after another: for each row its conversion by
+    ``float`` and its ``mu_tilde >= 1``, then (at the first row) the row
+    ``(a, c)`` and mu, then its witness.  An empty grid checks nothing.
+    """
+    mu_tilde, unconverted = [], None
     try:
-        infidelity, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
-    except OverflowError:
-        infidelity = f2 = math.nan
-    if not (math.isfinite(infidelity) and math.isfinite(f2)):
-        raise DomainError(f"witness row (a, c) = ({a}, {c}): its completion S "
-                          "overflows float64")
-    return min(2.0 * infidelity / (1.0 + math.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
+        for x in grid:
+            mu_tilde.append(float(x))
+    except (TypeError, ValueError, OverflowError) as exc:
+        unconverted = exc
+    m = np.array(mu_tilde)
+    valid = np.isfinite(m) & (m >= 1.0)
+    n_valid = int(np.argmin(valid)) if not valid.all() else len(mu_tilde)
+    witness = []
+    if n_valid:
+        if row is not None:
+            a, c = row
+            if not (math.isfinite(a) and math.isfinite(c)):
+                raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
+            if a == 0.0 and c == 0.0:
+                raise DomainError("(a, c) = (0, 0) is outside the witness family")
+        xi = float(bk_added_noise(mu))
+        with np.errstate(all="ignore"):  # a non-finite B1 row is rejected below
+            if row is None:
+                witness = _identity_witness(m[:n_valid], xi)
+            else:
+                try:
+                    infidelity, f2 = _b1_witness_infidelity(m[:n_valid], xi, a, c)
+                    finite = np.isfinite(infidelity).all() and np.isfinite(f2).all()
+                except OverflowError:  # a Python float power of the row
+                    finite = False
+                if not finite:
+                    raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
+                                      "completion S overflows float64")
+                witness = np.minimum(
+                    2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
+        witness = witness.tolist()
+    if n_valid < len(mu_tilde):
+        raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde[n_valid]}")
+    if unconverted is not None:
+        raise unconverted
+    return mu_tilde, witness
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,7 +186,10 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     the rows carry the diamond upper bound.  For rank-deficient channels the
     grid sweeps the witness energy mu_tilde at fixed mu (``witness_params``:
     mu, and a, c for the unit-rank class; r for the dilation frame) and the
-    rows carry the witness lower bound.  An empty grid yields an empty table.
+    rows carry the witness lower bound.  The witness column is one array pass
+    over the grid, each row bit-identical to :func:`b1_witness_bound` or
+    :func:`nonuniform_witness` at its point, and a bad row raises what those
+    would raise for the first bad row.  An empty grid yields an empty table.
     """
     params = dict(witness_params or {})
     form = classify(ch, tol)
@@ -163,12 +205,9 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
                                 witness_lower_bound=None))
         return rows
     mu = float(params.get("mu", 5.0))
-    for mu_tilde in grid:
-        if form.tag is CanonicalClass.B1:
-            witness = b1_witness_bound(mu, mu_tilde,
-                                       params.get("a", 1.0), params.get("c", 0.0))
-        else:
-            witness = nonuniform_witness(mu, mu_tilde)
-        rows.append(ScanRow(mu=mu, mu_tilde=float(mu_tilde), xi=bk_added_noise(mu),
-                            upper_bound=None, witness_lower_bound=witness))
-    return rows
+    row = ((params.get("a", 1.0), params.get("c", 0.0))
+           if form.tag is CanonicalClass.B1 else None)
+    mu_tilde, witness = _witness_column(mu, grid, row)
+    xi = bk_added_noise(mu) if witness else None  # an empty grid leaves mu unchecked
+    return [ScanRow(mu=mu, mu_tilde=m, xi=xi, upper_bound=None, witness_lower_bound=w)
+            for m, w in zip(mu_tilde, witness)]

@@ -20,7 +20,6 @@ closed forms below are validated against this general routine in the tests.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -236,16 +235,15 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, r)))
 
 
-# Inward rounding of the B1 witness ``2 (1 - F^2) / (1 + F)``, so that the
-# lower bound never exceeds the exact value.  2^-45 relative exceeds the
-# float64 rounding of the ~60 operations on positive terms below; unrounded,
-# the witness was measured at most 1.1e-15 relative off the exact value for
-# mu and mu_tilde up to 1e300.
+# Inward rounding of the witnesses, B1's ``2 (1 - F^2) / (1 + F)`` and the
+# identity's ``2 (1 - F)``, so that a lower bound never exceeds the exact
+# value.  2^-45 relative exceeds the float64 rounding of the ~60 operations
+# on positive terms below; unrounded, the B1 witness was measured at most
+# 1.1e-15 relative off the exact value for mu and mu_tilde up to 1e300.
 _B1_ROUND_DOWN = 1.0 - 2.0 ** -45
 
 
-def _b1_witness_infidelity(mu_tilde: float, xi: float, a: float,
-                           c: float) -> tuple[float, float]:
+def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
     """``(1 - F^2, F^2)`` for the unit-rank-noise witness: F is the fidelity
     of ``V1 = TMSV(m) + diag(0, 0, 0, 1)`` and ``V2 = V1 + xi (0 + S S^T)``,
     the outputs of the channel and of its simulation, with ``m = mu_tilde``,
@@ -261,7 +259,8 @@ def _b1_witness_infidelity(mu_tilde: float, xi: float, a: float,
     ``S^2 >= 32``: nothing cancels.  They are evaluated as dd, pp, qq and rr,
     divided by ``m^2 s``, ``m^3 s``, ``m^3 s`` and ``m^4 s`` with
     ``s = xi + 1/m``, so that none overflows or underflows at any mu_tilde
-    and xi.
+    and xi.  Elementwise on an array of mu_tilde: only + - * / and sqrt
+    touch it, so each element equals the scalar evaluation bit for bit.
     """
     d, b = (0.0, 1.0 / a) if a != 0.0 else (-1.0 / c, 0.0)
     p, q, t = a * a + c * c, a * d + c * b, d * d + b * b
@@ -277,7 +276,17 @@ def _b1_witness_infidelity(mu_tilde: float, xi: float, a: float,
         4.0 * xi * (p + t) * (2.0 * p + xi)
         + 4.0 * u * xi * (p * p + t * t + 2.0 * (g + q * q))
         + 8.0 * p * g * (1.0 + u) * (1.0 + 2.0 * u))
-    ss = math.sqrt(pp) + math.sqrt(qq)
-    scaled = math.sqrt(2.0 * v) * ss
-    infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / ss ** 2) * (dd + scaled))
+    ss = np.sqrt(pp) + np.sqrt(qq)
+    scaled = np.sqrt(2.0 * v) * ss
+    infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled))
     return infidelity, scaled / dd
+
+
+def _identity_witness(mu_tilde, xi):
+    """``2 (1 - F)`` for the F of :func:`fid_output_identity`, rounded down
+    by 2^-45 relative.  With ``x = mu_tilde xi / 2`` and ``s = sqrt(1 + x)``,
+    ``1 - F = 1 - 1/s = x / (s (1 + s))``: every term is positive, and
+    ``x <= mu_tilde`` cannot overflow.  Elementwise on arrays."""
+    x = mu_tilde * (0.5 * xi)
+    s = np.sqrt(1.0 + x)
+    return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN

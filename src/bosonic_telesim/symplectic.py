@@ -110,7 +110,9 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
     30,000 random-frame draws; eigvalsh 3.2 eps s), and the symmetrized M is
     built from the same floats, bit-identical to ``0.5 (M + M^T)`` wherever
     that does not overflow.  Larger M take one ``eigvalsh``, since a 4x4
-    closed form would not be backward stable."""
+    closed form would not be backward stable; they are halved before
+    ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
+    subnormal range and cannot overflow."""
     single = m.shape == (2, 2)
     if single:
         (p, b), (c, q) = m.tolist()
@@ -118,10 +120,12 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
         scale = max(abs(p), abs(b), abs(c), abs(q)) if finite else math.nan
     else:
         scale = float(abs(m).max())
+        half = 0.5 * m  # halved first: M +/- M^T overflows for entries near 1e308
     if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
     scale = max(1.0, scale)
-    if (abs(b - c) if single else abs(m - m.T).max()) > tol.symmetry * scale:
+    if (abs(b - c) if single
+            else 2.0 * float(abs(half - half.T).max())) > tol.symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{tol.symmetry:g} max(1, max|M|)")
     if single:
@@ -130,7 +134,7 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
             r = 0.5 * b + 0.5 * c
         m = np.array(((p, r), (r, q)))
     else:
-        m = 0.5 * (m + m.T)
+        m = half + half.T
     if w is not None:
         if single:
             lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)

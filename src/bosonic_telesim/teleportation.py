@@ -87,10 +87,13 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
 
     The composed noise matrix is verified against ``N + xi T T^T`` to 1e-12
     at unit scale and to float64 roundoff of its largest entry beyond; a
-    mismatch would indicate a broken composition rule, not bad input.
+    mismatch would indicate a broken composition rule, not bad input.  A
+    composed noise matrix beyond float64 range (T of order 1e155) raises
+    :class:`ValidationError`.
     """
     params = BKParameters(mu)
-    effective = compose(base, bk_channel(mu))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite N is rejected
+        effective = compose(base, bk_channel(mu))
     expected_n = base.n + params.xi * base.t @ base.t.T
     deviation = np.max(np.abs(effective.n - expected_n))
     if deviation > _self_check_tol(np.max(np.abs(expected_n))):

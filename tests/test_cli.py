@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import raw_channel_specs
@@ -482,3 +482,68 @@ class TestRawChannelFuzz:
             assert all(math.isfinite(x) for x in _numbers(record))
         else:
             assert out.getvalue() == "" and "error" in err.getvalue()
+
+
+_CLASS_SPECS = [
+    {"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"class": "C_Amp", "tau": 2.0, "nbar": 1.0},
+    {"class": "A2", "nbar": 0.5}, {"class": "B2", "xi": 0.5},
+    {"class": "B1"}, {"class": "B2_Id"}, json.loads(IDENTITY)]
+
+
+@st.composite
+def _endpoint(draw):
+    """Mostly valid (1 to 1e300), else any finite float, huge, tiny,
+    negative or not a number at all."""
+    if draw(st.integers(0, 3)):
+        return draw(st.floats(1.0, draw(st.sampled_from([1e12, 1e300]))))
+    return draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, 0.5, -1.0, 1.7e308, -1.7e308, 5e-324,
+                                           "x", None, True, 10 ** 400])))
+
+
+@st.composite
+def scan_configs(draw):
+    """Scan configs over full-rank and rank-deficient channels (a quarter of
+    them raw specs), mostly with the grid param that fits the channel, with
+    endpoints drawn independently (so inverted too); up to 10^4 points where
+    the scan is a witness column, 64 where it may not be."""
+    if draw(st.integers(0, 3)):
+        channel = draw(st.sampled_from(_CLASS_SPECS))
+    else:
+        channel = draw(raw_channel_specs)
+    witness_scan = channel.get("class") in ("B1", "B2_Id") or channel == _CLASS_SPECS[-1]
+    fits, other = ("mu_tilde", "mu") if witness_scan else ("mu", "mu_tilde")
+    grid = {"param": draw(st.sampled_from([fits, fits, fits, other])),
+            "start": draw(_endpoint()), "stop": draw(_endpoint()),
+            "points": draw(st.integers(1, 10 ** 4 if witness_scan else 64)),
+            "log": draw(st.booleans())}
+    witness = {key: draw(_endpoint()) for key in ("mu", "a", "c", "r")
+               if draw(st.integers(0, 3)) == 0}
+    output = {"format": draw(st.sampled_from(["csv", "json"]))}
+    return {"channel": channel, "grid": grid, "witness": witness, "output": output}
+
+
+class TestConvergenceFuzz:
+    @given(scan_configs())
+    @example({"channel": _CLASS_SPECS[0],  # r ** 2 in fid_env_C overflows: exit 2
+              "grid": {"param": "mu", "start": 2.0, "stop": 10.0, "points": 3},
+              "witness": {"r": 1.3407807929942597e154}, "output": {"format": "csv"}})
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_finite_output(self, config):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["convergence", "--config", json.dumps(config)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert out.getvalue() == "" and "error" in err.getvalue()
+        elif config["output"]["format"] == "json":
+            records = json.loads(out.getvalue(), parse_constant=float)
+            assert len(records) == config["grid"]["points"]
+            assert all(math.isfinite(x) for x in _numbers(records))
+        else:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == config["grid"]["points"] + 1
+            assert all(math.isfinite(float(x)) for line in lines[1:]
+                       for x in line.split(",") if x)

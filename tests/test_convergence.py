@@ -1,7 +1,9 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import b1_witness_mp, conjugated_channel, loglog_slope, sample_form
@@ -147,6 +149,25 @@ class TestNonuniformWitness:
         with pytest.raises(DomainError):
             nonuniform_witness(0.5, 10.0)
 
+    @given(mu=st.floats(min_value=1.1, max_value=1e150),
+           mu_tilde=st.floats(min_value=1.0, max_value=1e300))
+    @example(mu=1e12, mu_tilde=1.5)  # 2 (1 - F) with a float64 F is 8.9e-5 high
+    @example(mu=1e15, mu_tilde=1.0)  # and 11% low
+    @example(mu=1e150, mu_tilde=1.0)
+    @example(mu=1.1, mu_tilde=1e300)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_extended_precision_oracle(self, mu, mu_tilde):
+        # 2 (1 - F), F = (1 + mu_tilde xi / 2)^(-1/2) with xi(mu) exact, at
+        # enough digits that 1 - F keeps 200 of them: a lower bound, so never
+        # above, and within 1e-12 relative
+        got = nonuniform_witness(mu, mu_tilde)
+        with mp.workdps(360):
+            m = mp.mpf(mu)
+            xi = 2 / (m + mp.sqrt(m * m - 1))
+            exact = 2 * (1 - 1 / mp.sqrt(1 + mp.mpf(mu_tilde) * xi / 2))
+            assert mp.mpf(got) <= exact
+            assert float((exact - got) / exact) <= 1e-12
+
 
 @pytest.mark.parametrize("mu_tilde", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("witness", [nonuniform_witness, b1_witness_bound])
@@ -240,6 +261,74 @@ class TestB1Witness:
         assert lo <= hi * (1.0 + 2.0 ** -44)
 
 
+@st.composite
+def witness_grids(draw):
+    """Unsorted mu_tilde grids with duplicates, 1 and values up to 1e300, and
+    sometimes NaN, inf or 0.5 at random positions."""
+    grid = draw(st.lists(st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=1e300)),
+                         max_size=12))
+    if grid:
+        grid = draw(st.permutations(grid + draw(st.lists(st.sampled_from(grid), max_size=4))))
+    if draw(st.booleans()):
+        for bad in draw(st.lists(st.sampled_from([math.nan, math.inf, 0.5]),
+                                 min_size=1, max_size=2)):
+            grid.insert(draw(st.integers(0, len(grid))), bad)
+    return grid
+
+
+class TestWitnessColumn:
+    """The witness column of a rank-deficient scan is one array pass; every
+    row must equal the public scalar function at its point bit for bit, and
+    a bad grid must raise what a row-by-row loop over that function raises."""
+
+    @given(grid=witness_grids(), as_array=st.booleans(),
+           mu=st.one_of(st.floats(min_value=1.0, max_value=1e12),
+                        st.sampled_from([1.0, 1e300, 0.5])),
+           a=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
+           c=st.floats(min_value=-3.0, max_value=3.0), unit_rank=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_scalar_functions(self, grid, as_array, mu, a, c, unit_rank):
+        if unit_rank:
+            ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": mu, "a": a, "c": c}
+            def witness(m):
+                return b1_witness_bound(mu, m, a, c)
+        else:
+            ch, params = GaussianChannel.identity(), {"mu": mu}
+            def witness(m):
+                return nonuniform_witness(mu, m)
+        try:
+            expected = [(float(m).hex(), witness(m).hex()) for m in grid]
+        except DomainError as exc:
+            with pytest.raises(DomainError) as info:
+                convergence_scan(ch, np.array(grid) if as_array else grid, params)
+            assert str(info.value) == str(exc)
+            return
+        rows = convergence_scan(ch, np.array(grid) if as_array else grid, params)
+        assert [(r.mu_tilde.hex(), r.witness_lower_bound.hex()) for r in rows] == expected
+        assert all((r.mu, r.xi, r.upper_bound) == (mu, bk_added_noise(mu), None)
+                   for r in rows)
+
+    @pytest.mark.parametrize("grid, error", [
+        (["x", math.nan], ValueError),  # row 0 fails first: its conversion
+        ([math.nan, "x"], DomainError),  # row 0 fails first: mu_tilde
+        ([2.0, None], TypeError),
+        ([2.0, 10 ** 400], OverflowError),
+        (5.0, TypeError),  # not iterable
+    ])
+    def test_first_bad_row_decides_the_error(self, grid, error):
+        with pytest.raises(error):
+            convergence_scan(GaussianChannel.identity(), grid, {"mu": 5.0})
+
+    def test_row_checks_follow_a_valid_first_row(self):
+        ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
+        with pytest.raises(DomainError, match="resource variance"):
+            convergence_scan(ch, [2.0, 0.5], {"mu": 0.5})
+        with pytest.raises(DomainError, match=r"\(0, 0\)"):
+            convergence_scan(ch, [2.0, 0.5], {"mu": 5.0, "a": 0.0, "c": 0.0})
+        with pytest.raises(DomainError, match="mu_tilde must be finite"):
+            convergence_scan(ch, [0.5, 2.0], {"mu": 0.5, "a": 0.0, "c": 0.0})
+
+
 class TestConvergenceScan:
     def test_rank_two_scan_decreasing(self):
         ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5))
@@ -266,3 +355,7 @@ class TestConvergenceScan:
 
     def test_empty_grid(self):
         assert convergence_scan(GaussianChannel.identity(), [], {"mu": 2.0}) == []
+        # with no row, neither mu nor the row (a, c) is checked
+        ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
+        assert convergence_scan(ch, [], {"mu": 0.5, "a": 0.0, "c": 0.0}) == []
+        assert convergence_scan(GaussianChannel.identity(), np.array([]), {"mu": 0.5}) == []

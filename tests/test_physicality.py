@@ -147,6 +147,20 @@ class TestScaleRule:
         assert ch.n.tolist() == [[big, big], [big, big]]
         assert validate_channel(ch)
         assert GaussianState(np.zeros(2), big * np.eye(2)).cm[1, 1] == big
+        # the same for M + M^T and M - M^T of a 4x4 M: a valid CM comes back
+        # unchanged, the others raise, and no RuntimeWarning is emitted
+        coupled = np.block([[1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), np.zeros((2, 2))],
+                            [np.zeros((2, 2)), np.eye(2)]])
+        for cm in (big * np.eye(4), coupled):
+            assert np.array_equal(GaussianState(np.zeros(4), cm).cm, cm)
+        not_psd = coupled.copy()
+        not_psd[0, 1] = not_psd[1, 0] = big
+        with pytest.raises(ValidationError, match="unphysical"):
+            GaussianState(np.zeros(4), not_psd)
+        asymmetric = np.eye(4)
+        asymmetric[0, 1], asymmetric[1, 0] = big, -big
+        with pytest.raises(ValidationError, match="not symmetric"):
+            GaussianState(np.zeros(4), asymmetric)
 
 
 def _rotation(theta):

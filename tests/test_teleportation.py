@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (BKParameters, CanonicalClass, DomainError,
-                             GaussianChannel, UnsupportedFormError, apply_channel,
-                             apply_via_dilation, bk_added_noise, bk_channel,
+                             GaussianChannel, UnsupportedFormError, ValidationError,
+                             apply_channel, apply_via_dilation, bk_added_noise, bk_channel,
                              canonical_channel, canonical_matrices, classify,
                              dilation_of, environmental_pair, form_from_fields,
                              quasi_choi, random_state, simulate_channel,
@@ -123,6 +123,13 @@ class TestSimulateChannel:
         sim = simulate_channel(base, 1.1)
         expected = base.n + sim.params.xi * base.t @ base.t.T
         assert np.max(np.abs(sim.effective.n - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_noise_beyond_float_range_rejected(self):
+        # xi T T^T overflows for a T entry of 1e155 (det T = 1): a typed
+        # error, not inf carried on with a RuntimeWarning
+        base = GaussianChannel(np.diag([1e155, 1e-155]), I2)
+        with pytest.raises(ValidationError, match="not finite"):
+            simulate_channel(base, 2.0)
 
     def test_noise_shift_is_exact(self, rng):
         from _helpers import conjugated_channel, sample_form
