@@ -22,8 +22,9 @@ import dataclasses
 import math
 
 from .channels import CanonicalClass, GaussianChannel, classify
+from .convergence import _diamond_bound
 from .errors import DomainError, UnsupportedFormError
-from .peeling import epsilon_tp_bound
+from .peeling import _protocol_form
 from .tolerances import Tolerances
 
 __all__ = [
@@ -176,6 +177,13 @@ def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
     additive noise); the rank criterion excludes identity-like and unit-rank
     channels from the uniform topology.  For a channel away from canonical
     form, pass the input-frame squeezing ``r`` of its reduction.
+
+    The channel is classified once under ``tol``, and that form serves the
+    capacity formula, the uniform-topology check and the diamond bound;
+    eps_TP equals ``epsilon_tp_bound(n, mu, ch, "uniform", {"r": r}, tol=tol)``.
+    Errors come in order: the classification, an unsupported class, then
+    those of :func:`epsilon_tp_bound`, :func:`overall_error` and
+    :func:`strong_converse_bound`.
     """
     form = classify(ch, tol)
     if form.tag not in _PHI_BY_CLASS:
@@ -183,7 +191,8 @@ def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
             f"no key-capacity formula for class {form.tag.value}; "
             "supported: C_Att, C_Amp, B2")
     phi_report = _PHI_BY_CLASS[form.tag](form)
-    eps_tp = min(1.0, epsilon_tp_bound(n, mu, ch, "uniform", {"r": r}, tol=tol))
+    _protocol_form(n, ch, "uniform", None, tol, form)
+    eps_tp = min(1.0, n * _diamond_bound(form, mu, r, 1.0, 0.0) / 2.0)
     eps_all = overall_error(eps, eps_tp)
     clean = strong_converse_bound(phi_report.value, v, n, eps)
     inputs = {"class": form.tag.value, "tau": form.tau,

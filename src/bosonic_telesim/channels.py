@@ -130,20 +130,25 @@ def _require_valid(ch: GaussianChannel, tol: Tolerances | None = None) -> None:
 def apply_channel(ch: GaussianChannel, state: GaussianState,
                   target_mode: int = 0) -> GaussianState:
     """Apply the channel to one mode of a one- or two-mode state, acting as
-    the identity elsewhere."""
+    the identity elsewhere: ``mean -> T_full mean + d_full`` and
+    ``V -> T_full V T_full^T + N_full``, with (T, N, d) embedded at the target
+    mode.  The channel is validated first.  Only the target mode's entries
+    change, so only they are computed, from the two rows of ``T_full`` at the
+    target mode: each is the same length-2n dot product that the dense
+    embedding forms."""
     _require_valid(ch)
     n_modes = state.modes
     if target_mode not in range(n_modes):
         raise DomainError(f"target_mode {target_mode} out of range for {n_modes} modes")
-    t_full = np.eye(2 * n_modes)
-    n_full = np.zeros((2 * n_modes, 2 * n_modes))
-    d_full = np.zeros(2 * n_modes)
     sl = slice(2 * target_mode, 2 * target_mode + 2)
-    t_full[sl, sl] = ch.t
-    n_full[sl, sl] = ch.n
-    d_full[sl] = ch.d
-    return GaussianState(t_full @ state.mean + d_full,
-                         t_full @ state.cm @ t_full.T + n_full)
+    rows = np.zeros((2, 2 * n_modes))
+    rows[:, sl] = ch.t
+    mean, cm = state.mean.copy(), state.cm.copy()
+    mean[sl] = rows @ state.mean + ch.d
+    cm[sl] = rows @ state.cm
+    cm[:, sl] = cm @ rows.T
+    cm[sl, sl] += ch.n
+    return GaussianState(mean, cm)
 
 
 def compose(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:

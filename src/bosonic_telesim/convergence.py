@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import CanonicalClass, GaussianChannel, classify
+from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import (_B1_ROUND_DOWN, _b1_witness_infidelity, _b2_infidelity,
                        _identity_witness, fid_env_A2, fid_env_C)
@@ -41,6 +41,11 @@ class ConvergenceVerdict:
     reason: str
 
 
+def _noise_rank(form: CanonicalForm) -> int:
+    """rank(N) of a canonical form: 0 for the identity, 1 for B1, else 2."""
+    return {CanonicalClass.B2_Id: 0, CanonicalClass.B1: 1}.get(form.tag, 2)
+
+
 def decide_uniform(ch: GaussianChannel,
                    tol: Tolerances | None = None) -> ConvergenceVerdict:
     """Uniform convergence holds iff rank(N) = 2.
@@ -49,7 +54,7 @@ def decide_uniform(ch: GaussianChannel,
     :func:`convergence_scan` samples the upper-bound curve over a grid.
     """
     form = classify(ch, tol)
-    rank_n = {CanonicalClass.B2_Id: 0, CanonicalClass.B1: 1}.get(form.tag, 2)
+    rank_n = _noise_rank(form)
     uniform = rank_n == 2
     reason = f"{form.tag.value}: rank(N)={rank_n}"
     return ConvergenceVerdict(uniform=uniform, reason=reason)
@@ -67,7 +72,12 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
     rank-deficient noise have no such bound and raise
     :class:`NoUniformBoundError`.
     """
-    form = classify(ch, tol)
+    return _diamond_bound(classify(ch, tol), mu, r, a, c)
+
+
+def _diamond_bound(form: CanonicalForm, mu: float, r: float, a: float,
+                   c: float) -> float:
+    """:func:`diamond_upper_bound` of a channel already classified as ``form``."""
     xi = bk_added_noise(mu)
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag

@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
-from .symplectic import GaussianState, symplectic_form
+from .symplectic import GaussianState, _purities, symplectic_form
 from .teleportation import bk_added_noise
 
 __all__ = [
@@ -57,7 +57,10 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     for Gaussian states of the same mode count (1 or 2).
 
     Symmetric in its arguments, equal to 1 iff the states coincide, and
-    includes the Gaussian factor for unequal mean vectors.
+    includes the Gaussian factor for unequal mean vectors.  When either state
+    is pure (``s1.is_pure() or s2.is_pure()``, both spectra from one stacked
+    spectral pass, s1 checked first) it is the Gaussian overlap; otherwise the
+    general formula above.
     """
     if s1.modes != s2.modes:
         raise InvalidDimensionError(
@@ -66,7 +69,7 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     v1, v2 = s1.cm, s2.cm
     vsum = v1 + v2
     mean = _mean_factor(s2.mean - s1.mean, vsum)
-    if s1.is_pure() or s2.is_pure():
+    if any(_purities((s1, s2))):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
         det = np.linalg.det(vsum / 2.0)
         if not det > 0.0:  # V1 + V2 singular to roundoff: a TMSV at mu >= 1e8 twice

@@ -13,14 +13,16 @@ distance (strong).
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
-from .channels import GaussianChannel, apply_channel
-from .convergence import decide_uniform, diamond_upper_bound
+from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
+from .convergence import _diamond_bound, _noise_rank, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
-from .symplectic import SymplecticMatrix, apply_affine, tmsv_state
+from .symplectic import SymplecticMatrix, _self_check_tol, apply_affine, tmsv_state
 from .teleportation import simulate_channel
 from .tolerances import Tolerances
 
@@ -53,16 +55,32 @@ class AdaptiveProtocolSpec:
     tol: Tolerances | None = None
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise DomainError(f"round count must be >= 1, got {self.rounds}")
-        if self.topology not in TOPOLOGIES:
-            raise DomainError(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.topology == "uniform" and not decide_uniform(self.channel, tol=self.tol).uniform:
+        _protocol_form(self.rounds, self.channel, self.topology, self.energy_bound,
+                       self.tol)
+
+
+def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound,
+                   tol: Tolerances | None,
+                   form: CanonicalForm | None = None) -> CanonicalForm | None:
+    """The checks of :class:`AdaptiveProtocolSpec`, in order: the round count,
+    the topology, the energy bound of the bounded-uniform topology, then the
+    rank criterion of the uniform topology.  The criterion reads ``form``, or
+    classifies ``ch`` under ``tol`` once the earlier checks pass.  Returns the
+    form, or None when it was neither given nor needed."""
+    if rounds < 1:
+        raise DomainError(f"round count must be >= 1, got {rounds}")
+    if topology not in TOPOLOGIES:
+        raise DomainError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
+    if topology == "bounded_uniform" and (
+            energy_bound is None or not np.isfinite(energy_bound)):
+        raise DomainError("bounded_uniform topology requires a finite energy bound")
+    if topology == "uniform":
+        if form is None:
+            form = classify(ch, tol)
+        if _noise_rank(form) != 2:
             raise NoUniformBoundError(
                 "uniform topology requires a full-rank noise matrix")
-        if self.topology == "bounded_uniform" and (
-                self.energy_bound is None or not np.isfinite(self.energy_bound)):
-            raise DomainError("bounded_uniform topology requires a finite energy bound")
+    return form
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,21 +116,36 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     dominates its energy-constrained restriction); and the same quantity
     again for the strong topology, where it dominates the error of every
     state the protocol actually produces rather than a true supremum.  ``tol``
-    reaches every classification: the topology check and the diamond bound.
+    reaches the one classification, which serves both the topology check and
+    the diamond bound.  The checks and their errors are those of
+    :class:`AdaptiveProtocolSpec`, then those of :func:`diamond_upper_bound`.
     """
     params = dict(params or {})
-    spec = AdaptiveProtocolSpec(rounds=n, channel=ch, topology=topology,
-                                energy_bound=params.get("energy_bound"), tol=tol)
-    delta = diamond_upper_bound(ch, mu, r=params.get("r", 1.0),
-                                a=params.get("a", 1.0), c=params.get("c", 0.0), tol=tol)
-    return spec.rounds * delta / 2.0
+    form = _protocol_form(n, ch, topology, params.get("energy_bound"), tol)
+    if form is None:
+        form = classify(ch, tol)
+    delta = _diamond_bound(form, mu, params.get("r", 1.0), params.get("a", 1.0),
+                           params.get("c", 0.0))
+    return n * delta / 2.0
 
 
+@functools.lru_cache(maxsize=8)
 def _two_mode_squeezer(s: float) -> SymplecticMatrix:
+    """The validated (immutable) two-mode squeezer of parameter s.  Its
+    symplectic check runs at the roundoff of ``S Omega S^T``, whose entries
+    reach ``cosh^2 s``; an s whose ``cosh^2`` leaves float64 range (or NaN)
+    is a :class:`DomainError`, raised before any array is formed."""
+    try:
+        finite = math.isfinite(math.cosh(s) ** 2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"two-mode squeezing must be finite with cosh^2 s in float64 range, got {s}")
     z = np.diag([1.0, -1.0])
     ch_, sh_ = np.cosh(s), np.sinh(s)
-    return SymplecticMatrix(np.block([[ch_ * np.eye(2), sh_ * z],
-                                      [sh_ * z, ch_ * np.eye(2)]]))
+    m = np.block([[ch_ * np.eye(2), sh_ * z], [sh_ * z, ch_ * np.eye(2)]])
+    return SymplecticMatrix(m, tol=_self_check_tol(np.max(np.abs(m)) ** 2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,15 +173,18 @@ def two_round_demo(ch: GaussianChannel, mu: float,
     checked against the accumulated peeling bound ``2 delta``.
 
     The channel must be in canonical form (the per-use bound is evaluated in
-    the canonical dilation frame) with full-rank noise.
+    the canonical dilation frame) with full-rank noise.  Both runs start from
+    the same probe, built once per call, and share the squeezer, validated
+    once per parameter and cached.  A squeeze whose ``cosh^2`` leaves float64
+    range, or NaN, raises :class:`DomainError`.
     """
     delta = diamond_upper_bound(ch, mu)
     effective = simulate_channel(ch, mu).effective
     locc = _two_mode_squeezer(lo_cc_squeeze)
+    probe = tmsv_state(2.0)
 
     def run(channel):
-        state = tmsv_state(2.0)
-        state = apply_channel(channel, state, target_mode=1)
+        state = apply_channel(channel, probe, target_mode=1)
         state = apply_affine(state, locc)
         return apply_channel(channel, state, target_mode=1)
 

@@ -74,6 +74,14 @@ def _omega(n: int) -> np.ndarray:
     return omega
 
 
+@functools.lru_cache(maxsize=None)
+def _i_omega(n: int) -> np.ndarray:
+    """Read-only ``i Omega`` of n modes."""
+    i_omega = 1j * _omega(n)
+    i_omega.setflags(write=False)
+    return i_omega
+
+
 def is_symplectic(m, tol: float | None = None) -> bool:
     """True iff ``max|M Omega M^T - Omega| <= tol``."""
     m = _as_matrix(m)
@@ -139,27 +147,54 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
         if single:
             lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
         else:
-            lam = np.linalg.eigvalsh(m + 1j * w * symplectic_form(m.shape[0] // 2))[0]
+            lam = np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0]
         if not lam >= -max(tol.uncertainty, _ROUNDOFF * scale):  # NaN fails too
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return m
 
 
-def _sqrt_form(cm, tol: Tolerances | None):
-    """The one spectral kernel: an ``eigh`` of V gives ``R = V^{1/2}`` (with
-    eigenvalues within ``64 eps max(1, max|V|)`` of 0 clipped to 0, any below
-    an error) and ``K = R Omega R``, similar to ``Omega V``, so the Hermitian
-    ``i K`` has eigenvalues ``+/- nu_k``.  Returns ``(V, lam, U, K)``."""
-    cm = _as_matrix(cm)
-    n = _check_even(cm.shape[0])
-    cm = _checked(cm, tol or DEFAULT)
-    lam, u = np.linalg.eigh(cm)
-    if lam[0] < -_ROUNDOFF * max(1.0, float(abs(cm).max())):
-        raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
-    r = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.T
+def _sqrt_form(cms, tol: Tolerances | None):
+    """The one spectral kernel, on a sequence of same-size matrices (a single
+    matrix is a stack of one): each V is checked in order, then one ``eigh``
+    of the stack gives ``R = V^{1/2}`` (eigenvalues within
+    ``64 eps max(1, max|V|)`` of 0 clipped to 0) and ``K = R Omega R``,
+    similar to ``Omega V``, so the Hermitian ``i K`` has eigenvalues
+    ``+/- nu_k``.  Returns the stacks ``(V, lam, U, K)``, each slice
+    bit-identical to a stack of one; :func:`_require_psd` checks a slice."""
+    tol = tol or DEFAULT
+    v = []
+    for m in cms:
+        m = _as_matrix(m)
+        n = _check_even(m.shape[0])
+        v.append(_checked(m, tol))
+    if not v:
+        raise InvalidDimensionError("expected at least one matrix")
+    v = np.array(v)
+    lam, u = np.linalg.eigh(v)
+    r = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
     k = r @ symplectic_form(n) @ r
-    return cm, lam, u, 0.5 * (k - k.T)
+    return v, lam, u, 0.5 * (k - k.transpose(0, 2, 1))
+
+
+def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
+    """V (with ascending eigenvalues lam) has none below ``-64 eps max(1, max|V|)``."""
+    if lam[0] < -_ROUNDOFF * max(1.0, float(abs(v).max())):
+        raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
+
+
+def _spectra(cms, tol: Tolerances | None):
+    """The symplectic spectrum (descending) of each matrix of ``cms``, from one
+    ``_sqrt_form`` and one ``eigvalsh`` of the stacked ``i K``.  Each is yielded
+    after its own matrix passes :func:`_require_psd`, so a caller that stops
+    early leaves the later matrices unchecked."""
+    v, lam, _, k = _sqrt_form(cms, tol)
+    vals = np.linalg.eigvalsh(1j * k)
+    # ascending, so vals[:, -1 - j] and vals[:, j] are the pair +/- nu_j
+    nus = 0.5 * (vals[:, ::-1] - vals)[:, :k.shape[-1] // 2]
+    for vj, lamj, nu in zip(v, lam, nus):
+        _require_psd(vj, lamj)
+        yield nu
 
 
 def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
@@ -167,12 +202,22 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
     mode in descending order: the positive eigenvalues of the Hermitian
     ``i V^{1/2} Omega V^{1/2}``, backward stable even for V singular to roundoff.
 
-    For a valid CM the product of the spectrum equals ``sqrt(det V)``.
+    ``cm`` may also be a stack of same-size matrices, checked in stack order,
+    for one spectrum per matrix from one spectral pass; each equals the
+    spectrum of that matrix alone bit for bit.  For a valid CM the product of
+    the spectrum equals ``sqrt(det V)``.
     """
-    k = _sqrt_form(cm, tol)[3]
-    vals = np.linalg.eigvalsh(1j * k)
-    # ascending, so vals[-1 - j] and vals[j] are the pair +/- nu_j
-    return 0.5 * (vals[::-1] - vals)[:k.shape[0] // 2]
+    stack = np.ndim(cm) == 3
+    nus = list(_spectra(cm if stack else (cm,), tol))
+    return np.array(nus) if stack else nus[0]
+
+
+def _purities(states, tol: float = 1e-9):
+    """``state.is_pure(tol)`` of each state in turn, from one spectral pass
+    over the stacked CMs.  Read lazily, ``any(_purities((s1, s2)))`` keeps the
+    short circuit of ``s1.is_pure() or s2.is_pure()``: s1's error comes first,
+    and nothing about s2 raises once s1 is pure."""
+    return (bool(np.max(nu) <= 1.0 + tol) for nu in _spectra([s.cm for s in states], None))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,9 +245,10 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise InvalidDimensionError(
                 f"mean has length {mean.shape[0]}, CM is {2 * n} x {2 * n}")
-        cm = _checked(cm, DEFAULT, 1.0)
+        cm = _checked(cm, DEFAULT, 1.0)  # a fresh array: frozen, not copied
+        cm.setflags(write=False)
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cm", _readonly(cm))
+        object.__setattr__(self, "cm", cm)
 
     @property
     def modes(self) -> int:
@@ -216,7 +262,7 @@ class GaussianState:
         return symplectic_eigenvalues(self.cm)
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(self.symplectic_spectrum()) <= 1.0 + tol)
+        return next(_purities((self,), tol))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,13 +320,8 @@ def tmsv_state(mu: float) -> GaussianState:
     if mu < 1.0:
         raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
     s = np.sqrt(mu * mu - 1.0)
-    z = np.diag([1.0, -1.0])
-    cm = np.zeros((4, 4))
-    cm[:2, :2] = mu * np.eye(2)
-    cm[2:, 2:] = mu * np.eye(2)
-    cm[:2, 2:] = s * z
-    cm[2:, :2] = s * z
-    return GaussianState(np.zeros(4), cm)
+    return GaussianState(np.zeros(4), np.array([[mu, 0.0, s, 0.0], [0.0, mu, 0.0, -s],
+                                                [s, 0.0, mu, 0.0], [0.0, -s, 0.0, mu]]))
 
 
 def thermal_state(omega: float) -> GaussianState:
@@ -340,7 +381,8 @@ def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
     ``16 eps m``, never below the default 1e-10.  On 7,700 quasi-Choi states
     with mu from 10 to 1.3e8 the symplectic residual is at most ``0.56 eps m``.
     """
-    cm, lam, u, k = _sqrt_form(cm, tol)
+    cm, lam, u, k = (x[0] for x in _sqrt_form((cm,), tol))
+    _require_psd(cm, lam)
     if lam[0] <= 0.0:
         raise ValidationError("matrix is not positive definite")
     n = cm.shape[0] // 2

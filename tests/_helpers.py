@@ -1,13 +1,14 @@
 """Shared test utilities: random channel factories, fit helpers, the
-extended-precision two-mode fidelity and symplectic-spectrum oracles and a
-hypothesis strategy of raw channel specs."""
+extended-precision two-mode fidelity and symplectic-spectrum oracles, dense
+reference constructions of channel action and the TMSV, and a hypothesis
+strategy of raw channel specs."""
 
 import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from bosonic_telesim import (CanonicalClass, GaussianChannel, canonical_channel,
-                             form_from_fields, random_symplectic)
+from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
+                             canonical_channel, form_from_fields, random_symplectic)
 
 
 def sample_form(rng):
@@ -101,6 +102,30 @@ def symplectic_spectrum_mp(cm, dps: int = 50):
             omega[2 * k + 1, 2 * k] = -1
         eigs = mp.eig(omega * v, left=False, right=False)
         return sorted((abs(e) for e in eigs), reverse=True)[::2]
+
+
+def apply_channel_dense(ch, state, target_mode=0):
+    """Reference channel action: T, N and d embedded at ``target_mode`` in
+    dense identity, zero and zero blocks, ``V -> T_full V T_full^T + N_full``."""
+    dim = 2 * state.modes
+    t_full, n_full, d_full = np.eye(dim), np.zeros((dim, dim)), np.zeros(dim)
+    sl = slice(2 * target_mode, 2 * target_mode + 2)
+    t_full[sl, sl], n_full[sl, sl], d_full[sl] = ch.t, ch.n, ch.d
+    return GaussianState(t_full @ state.mean + d_full,
+                         t_full @ state.cm @ t_full.T + n_full)
+
+
+def tmsv_cm_blocks(mu):
+    """Reference TMSV CM assembled block by block: ``mu I`` on the diagonal,
+    ``sqrt(mu^2 - 1) Z`` off it (so ``-0.0`` entries at mu = 1)."""
+    s = np.sqrt(mu * mu - 1.0)
+    z = np.diag([1.0, -1.0])
+    cm = np.zeros((4, 4))
+    cm[:2, :2] = mu * np.eye(2)
+    cm[2:, 2:] = mu * np.eye(2)
+    cm[:2, 2:] = s * z
+    cm[2:, :2] = s * z
+    return cm
 
 
 # --- raw 2x2 channel specs for fuzzing --------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, Tolerances, UnsupportedFormError,
+                             ValidationError,
                              c_epsilon, canonical_channel, corrected_key_bound,
                              diamond_upper_bound, entropic_h, epsilon_tp_bound,
                              form_from_fields, overall_error, phi_add, phi_amp,
@@ -172,6 +173,59 @@ class TestStrongConverseBound:
 
 def attenuator(tau=0.5, nbar=0.0):
     return canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=tau, nbar=nbar))
+
+
+_UNPHYSICAL = GaussianChannel(0.5 * np.eye(2), np.zeros((2, 2)))  # tau = 1/4, N = 0
+
+
+def _unsupported(cls):
+    return f"no key-capacity formula for class {cls}; supported: C_Att, C_Amp, B2"
+
+
+# (channel, n, eps, mu, V) and the error corrected_key_bound raises; each
+# input also fails every check after the one it is listed for, so the table
+# pins the order: classification, class support, round count, the uniform rank
+# criterion, mu, the security parameter, the variance parameter
+KEY_ERRORS = [
+    ((_UNPHYSICAL, 0, 1.5, 0.5, -1.0), ValidationError,
+     "channel noise matrix is unphysical: M + i 0.75 Omega has eigenvalue -0.75 < 0"),
+    ((GaussianChannel(np.eye(2), np.diag([0.0, 1.0])), 0, 1.5, 0.5, -1.0),
+     UnsupportedFormError, _unsupported("B1")),
+    ((GaussianChannel(np.zeros((2, 2)), 2.0 * np.eye(2)), 0, 1.5, 0.5, -1.0),
+     UnsupportedFormError, _unsupported("A1")),
+    ((canonical_channel(form_from_fields(CanonicalClass.D, tau=-0.5, nbar=0.5)),
+      0, 1.5, 0.5, -1.0), UnsupportedFormError, _unsupported("D")),
+    ((GaussianChannel.identity(), 0, 1.5, 0.5, -1.0), DomainError,
+     "round count must be >= 1, got 0"),
+    ((GaussianChannel.identity(), 3, 1.5, 0.5, -1.0), NoUniformBoundError,
+     "uniform topology requires a full-rank noise matrix"),
+    ((attenuator(), 3, 1.5, 0.5, -1.0), DomainError,
+     "resource variance must be finite with mu >= 1, got 0.5"),
+    ((attenuator(), 3, 1.5, 20.0, -1.0), DomainError, "both error terms must lie in [0, 1]"),
+    ((attenuator(), 3, 0.1, 20.0, -1.0), DomainError,
+     "variance parameter must be non-negative, got -1.0"),
+]
+
+
+class TestCorrectedKeyBoundErrors:
+    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-6)])
+    @pytest.mark.parametrize("args, exc, msg", KEY_ERRORS)
+    def test_errors_and_their_order(self, args, exc, msg, tol):
+        with pytest.raises(exc) as info:
+            corrected_key_bound(*args, tol=tol)
+        assert type(info.value) is exc and str(info.value) == msg
+
+    @pytest.mark.parametrize("ch, tol", [
+        (attenuator(), None),
+        (GaussianChannel(np.eye(2), np.diag([0.1, 1e-11])), Tolerances.uniform(1e-12))])
+    def test_one_classify_per_call(self, classify_calls, ch, tol):
+        corrected_key_bound(ch, 10, 0.1, 100.0, tol=tol)
+        assert len(classify_calls) == 1
+
+    def test_one_classify_before_the_rank_error(self, classify_calls):
+        with pytest.raises(NoUniformBoundError):
+            corrected_key_bound(GaussianChannel.identity(), 10, 0.1, 100.0)
+        assert len(classify_calls) == 1
 
 
 class TestCorrectedKeyBound:

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _helpers import conjugated_channel, raw_channel_specs, sample_form
+from _helpers import apply_channel_dense, conjugated_channel, raw_channel_specs, sample_form
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, ClassificationAmbiguousError,
                              GaussianChannel, ValidationError, apply_channel,
                              canonical_channel, canonical_matrices, channel_from_dict,
@@ -65,6 +66,16 @@ class TestApply:
         bad = GaussianChannel(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             apply_channel(bad, thermal_state(1.0))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1, 0), (2, 0), (2, 1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_dense_embedding(self, seed, modes_target):
+        modes, target = modes_target
+        rng = np.random.default_rng(seed)
+        ch = conjugated_channel(sample_form(rng), rng)
+        state = random_state(modes, rng, nu_max=3.0, max_squeeze=4.0, displace=1.0)
+        got, want = apply_channel(ch, state, target), apply_channel_dense(ch, state, target)
+        assert np.array_equal(got.cm, want.cm) and np.array_equal(got.mean, want.mean)
 
     def test_validity_preserved_randomized(self, rng):
         for _ in range(200):

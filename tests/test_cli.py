@@ -547,3 +547,71 @@ class TestConvergenceFuzz:
             assert len(lines) == config["grid"]["points"] + 1
             assert all(math.isfinite(float(x)) for line in lines[1:]
                        for x in line.split(",") if x)
+
+
+_BAD_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 400).map(str),
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "-inf", "x", "", "0x10", "1" * 400]))
+
+
+def _number_arg(valid):
+    """A command-line number: seven in eight drawn from ``valid``, else any
+    finite float or integer, one beyond float range, NaN or infinity, or not a
+    number at all."""
+    return st.integers(0, 7).flatmap(lambda k: valid.map(repr) if k else _BAD_NUMBER)
+
+
+_COUNTS = _number_arg(st.integers(1, 10 ** 6))
+_SPECS = st.integers(0, 3).flatmap(
+    lambda k: st.sampled_from(_CLASS_SPECS) if k else raw_channel_specs).map(json.dumps)
+_TOLS = st.one_of(st.just([]), _number_arg(st.floats(1e-14, 1e-3)).map(lambda t: ["--tol", t]))
+
+
+def _run_cli(argv):
+    """Run ``main(argv)`` with warnings raised as errors: it must exit 0 with
+    finite JSON, or 2 or 3 with an error and no output.  An argparse rejection
+    counts by its exit code; any other exception is a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 2, 3)
+    if code == 0:
+        record = json.loads(out.getvalue(), parse_constant=float)
+        assert all(math.isfinite(x) for x in _numbers(record))
+    else:
+        assert out.getvalue() == "" and err.getvalue()
+
+
+class TestPeelAndCapacityFuzz:
+    @given(_COUNTS, st.sampled_from(["bounded_uniform", "uniform", "strong"]),
+           st.one_of(st.none(), _number_arg(st.floats(0.0, 2.0))),
+           st.one_of(st.none(), _SPECS), st.one_of(st.none(), _number_arg(st.floats(1.0, 1e12))),
+           _TOLS)
+    @example("3", "uniform", None, LOSS, "1e400", [])
+    @example(str(10 ** 300), "strong", "2.0", None, None, [])
+    @settings(max_examples=300, deadline=None)
+    def test_peel(self, n, topology, delta, channel, mu, tol):
+        argv = ["peel", "--n", n, "--topology", topology] + tol
+        for flag, value in (("--delta", delta), ("--channel", channel), ("--mu", mu)):
+            if value is not None:
+                argv += [flag, value]
+        _run_cli(argv)
+
+    @given(_SPECS, _COUNTS, _number_arg(st.floats(1e-6, 0.999)),
+           _number_arg(st.floats(1.0, 1e12)),
+           st.one_of(st.none(), _number_arg(st.floats(0.0, 10.0))), _TOLS)
+    @example(LOSS, "100", "0.1", "1e400", None, [])
+    @example(LOSS, "100", "0.1", "1e8", "nan", [])
+    @example(LOSS, str(10 ** 300), "0.1", "10.0", None, [])
+    @settings(max_examples=300, deadline=None)
+    def test_capacity(self, channel, n, eps, mu, v, tol):
+        argv = ["capacity", "--channel", channel, "--n", n, "--eps", eps, "--mu", mu] + tol
+        if v is not None:
+            argv += ["--V", v]
+        _run_cli(argv)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from _helpers import fidelity_mp, loglog_slope
 from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
-                             SingularCoefficientError, apply_affine, apply_channel,
+                             SingularCoefficientError, ValidationError,
+                             apply_affine, apply_channel,
                              b1_gamma, bk_added_noise, bk_channel, bures_distance,
                              fid_b2_asymptotic, fid_env_A2, fid_env_C,
                              fid_output_identity, fuchs_vdg, gaussian_fidelity,
@@ -25,7 +26,26 @@ def fock_vacuum_thermal_fidelity(nbar, cutoff=200):
     return float(np.sqrt(p[0]))
 
 
+def _unchecked_state(cm):
+    """A GaussianState holding ``cm`` without its construction checks."""
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "mean", np.zeros(len(cm)))
+    object.__setattr__(state, "cm", np.asarray(cm, dtype=float))
+    return state
+
+
 class TestGaussianFidelity:
+    def test_purity_short_circuit(self):
+        # ``s1.is_pure() or s2.is_pure()``: s1's error first, and once s1 is
+        # pure nothing about s2's spectrum may raise
+        pure, not_psd = tmsv_state(2.0), _unchecked_state(np.diag([-1e-3, 5.0, 5.0, 5.0]))
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            not_psd.is_pure()
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            gaussian_fidelity(not_psd, pure)
+        overlap = np.linalg.det((pure.cm + not_psd.cm) / 2.0) ** -0.25
+        assert gaussian_fidelity(pure, not_psd) == pytest.approx(overlap, rel=1e-12)
+
     def test_identical_states(self, rng):
         for state in (GaussianState.vacuum(), thermal_state(2.5),
                       tmsv_state(3.0), random_state(2, rng, displace=1.0)):

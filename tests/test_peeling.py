@@ -1,19 +1,37 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (AdaptiveProtocolSpec, CanonicalClass, DomainError,
                              GaussianChannel, NoUniformBoundError, Tolerances,
+                             ValidationError, apply_affine, apply_channel,
                              canonical_channel, diamond_upper_bound,
-                             epsilon_tp_bound, form_from_fields, peel_bound,
-                             two_round_demo)
+                             epsilon_tp_bound, form_from_fields, gaussian_fidelity,
+                             fuchs_vdg, is_symplectic, peel_bound, simulate_channel,
+                             tmsv_state, two_round_demo)
+from bosonic_telesim.peeling import _two_mode_squeezer
 
 I2 = np.eye(2)
 
 
 def attenuator(tau=0.5, nbar=0.0):
     return canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=tau, nbar=nbar))
+
+
+# N = 0 is below the Holevo-Werner bound of T = I/2 (tau = 1/4)
+UNPHYSICAL = GaussianChannel(0.5 * I2, np.zeros((2, 2)))
+UNIT_RANK = GaussianChannel(I2, np.diag([0.0, 1.0]))
+UNPHYSICAL_MSG = "channel noise matrix is unphysical: M + i 0.75 Omega has eigenvalue -0.75 < 0"
+ROUNDS_MSG = "round count must be >= 1, got 0"
+TOPOLOGY_MSG = "topology must be one of ('bounded_uniform', 'uniform', 'strong'), got 'weak'"
+ENERGY_MSG = "bounded_uniform topology requires a finite energy bound"
+UNIFORM_RANK_MSG = "uniform topology requires a full-rank noise matrix"
+MU_MSG = "resource variance must be finite with mu >= 1, got 0.5"
 
 
 class TestPeelBound:
@@ -105,7 +123,134 @@ class TestEpsilonTpBound:
         assert got == 2 * diamond_upper_bound(ch, 10.0, tol=tol) / 2
 
 
+# (n, mu, channel, topology, params) and the error epsilon_tp_bound raises;
+# each input also fails every check after the one it is listed for, so the
+# table pins the order: round count, topology, energy bound, classification,
+# the uniform rank criterion, mu, and the rank-deficient class of the bound
+EPS_TP_ERRORS = [
+    ((0, 0.5, UNPHYSICAL, "weak", {}), DomainError, ROUNDS_MSG),
+    ((3, 0.5, UNPHYSICAL, "weak", {}), DomainError, TOPOLOGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {}), DomainError, ENERGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": 4.0}), ValidationError,
+     UNPHYSICAL_MSG),
+    ((3, 0.5, UNPHYSICAL, "uniform", {}), ValidationError, UNPHYSICAL_MSG),
+    ((3, 0.5, UNPHYSICAL, "strong", {}), ValidationError, UNPHYSICAL_MSG),
+    ((3, 0.5, GaussianChannel.identity(), "uniform", {}), NoUniformBoundError,
+     UNIFORM_RANK_MSG),
+    ((3, 0.5, UNIT_RANK, "strong", {}), DomainError, MU_MSG),
+    ((3, 20.0, UNIT_RANK, "strong", {}), NoUniformBoundError,
+     "class B1 has rank-deficient noise: no uniform bound exists"),
+    ((3, 20.0, GaussianChannel.identity(), "bounded_uniform", {"energy_bound": 4.0}),
+     NoUniformBoundError, "class B2_Id has rank-deficient noise: no uniform bound exists"),
+]
+
+
+class TestSingleClassification:
+    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-6)])
+    @pytest.mark.parametrize("args, exc, msg", EPS_TP_ERRORS)
+    def test_errors_and_their_order(self, args, exc, msg, tol):
+        with pytest.raises(exc) as info:
+            epsilon_tp_bound(*args, tol=tol)
+        assert type(info.value) is exc and str(info.value) == msg
+
+    def test_tolerance_decides_physicality(self):
+        # N = (1/2 - 1e-10) I is 1e-10 below the bound of tau = 1/2: inside the
+        # default slack, outside a 1e-12 one
+        ch = GaussianChannel(np.sqrt(0.5) * I2, (0.5 - 1e-10) * I2)
+        assert epsilon_tp_bound(3, 20.0, ch, "strong") == pytest.approx(0.46866428, rel=1e-7)
+        with pytest.raises(ValidationError, match="eigenvalue -9.99998972517e-11 < 0"):
+            epsilon_tp_bound(3, 20.0, ch, "strong", tol=Tolerances.uniform(1e-12))
+
+    @pytest.mark.parametrize("topology, params", [
+        ("uniform", {}), ("strong", {}), ("bounded_uniform", {"energy_bound": 2.0})])
+    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-12)])
+    def test_one_classify_per_call(self, classify_calls, topology, params, tol):
+        ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))  # B2 under 1e-12 only
+        if tol is None:
+            with pytest.raises(NoUniformBoundError):
+                epsilon_tp_bound(2, 10.0, ch, topology, params, tol=tol)
+        else:
+            epsilon_tp_bound(2, 10.0, ch, topology, params, tol=tol)
+        assert len(classify_calls) == 1
+
+    def test_spec_classifies_only_for_the_uniform_topology(self, classify_calls):
+        AdaptiveProtocolSpec(rounds=2, channel=UNPHYSICAL, topology="strong")
+        assert classify_calls == []
+        AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="uniform")
+        assert len(classify_calls) == 1
+
+
+def _two_round_rebuilt(ch, mu, lo_cc_squeeze):
+    """two_round_demo with the probe and the LOCC squeezer rebuilt for every
+    run, as separate uncached objects."""
+    delta = diamond_upper_bound(ch, mu)
+    effective = simulate_channel(ch, mu).effective
+
+    def run(channel):
+        state = apply_channel(channel, tmsv_state(2.0), target_mode=1)
+        state = apply_affine(state, _two_mode_squeezer.__wrapped__(lo_cc_squeeze))
+        return apply_channel(channel, state, target_mode=1)
+
+    f = gaussian_fidelity(run(ch), run(effective))
+    trace_ub = fuchs_vdg(f).upper
+    return (float(mu), delta, 2.0 * delta, f, trace_ub, trace_ub <= 2.0 * delta + 1e-12)
+
+
+class TestTwoModeSqueezer:
+    @pytest.mark.parametrize("s", [8.0, 10.0, 30.0, -8.0])
+    def test_large_squeeze_is_symplectic(self, s):
+        # the roundoff of S Omega S^T grows as eps cosh^2 s: 5e-10 at s = 8
+        sq = _two_mode_squeezer(s)
+        assert sq.s[0, 0] == np.cosh(s)
+        assert is_symplectic(sq.s, 1e-15 * np.cosh(s) ** 2)
+
+    def test_demo_runs_at_large_squeeze(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = two_round_demo(attenuator(), 100.0, lo_cc_squeeze=8.0)
+        assert report.holds
+        assert report.fidelity == pytest.approx(0.99751168, abs=1e-5)  # 60 digits
+
+    @pytest.mark.parametrize("s", [800.0, 400.0, -800.0, math.nan, math.inf])
+    def test_overflowing_or_nan_squeeze_rejected(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="two-mode squeezing"):
+                _two_mode_squeezer(s)
+            with pytest.raises(DomainError, match="two-mode squeezing"):
+                two_round_demo(attenuator(), 100.0, lo_cc_squeeze=s)
+
+    def test_cached_value_is_immutable(self):
+        sq = _two_mode_squeezer(0.2)
+        assert _two_mode_squeezer(0.2) is sq
+        with pytest.raises(ValueError):
+            sq.s[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sq.s = np.eye(4)
+
+
 class TestTwoRoundDemo:
+    @given(st.sampled_from(["C_Att", "C_Amp", "D", "B2"]), st.floats(0.05, 0.95),
+           st.floats(0.0, 2.0), st.floats(1.5, 1e6), st.floats(-2.0, 2.0))
+    @example("C_Att", 0.5, 0.0, 100.0, 8.0)
+    @example("C_Amp", 0.5, 1.0, 1e3, 30.0)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_rebuilt_probe_and_squeezer(self, cls, x, nbar, mu, squeeze):
+        tag = CanonicalClass(cls)
+        if tag is CanonicalClass.B2:
+            form = form_from_fields(tag, xi=2.0 * x)
+        else:
+            tau = {"C_Att": x, "C_Amp": 1.0 + 4.0 * x, "D": -4.0 * x}[cls]
+            form = form_from_fields(tag, tau=tau, nbar=nbar)
+        ch = canonical_channel(form)
+        want = _two_round_rebuilt(ch, mu, squeeze)
+        if want[-1]:
+            assert dataclasses.astuple(two_round_demo(ch, mu, lo_cc_squeeze=squeeze)) == want
+        else:
+            with pytest.raises(ArithmeticError):
+                two_round_demo(ch, mu, lo_cc_squeeze=squeeze)
+
+
     def test_attenuator_demo_holds(self):
         report = two_round_demo(attenuator(), 1e3)
         assert report.holds

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import symplectic_spectrum_mp
+from _helpers import symplectic_spectrum_mp, tmsv_cm_blocks
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              InvalidDimensionError, SymplecticMatrix,
                              ValidationError, apply_affine, bloch_messiah_2x2,
@@ -107,6 +107,37 @@ class TestSymplecticEigenvalues:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValidationError):
             symplectic_eigenvalues(np.diag([4.0, -1e-3]))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_is_bit_identical_to_each_matrix(self, data):
+        modes = data.draw(st.sampled_from([1, 2]))
+        cms = [data.draw(_states(modes)).cm for _ in range(data.draw(st.integers(1, 3)))]
+        stacked = symplectic_eigenvalues(np.stack(cms))
+        assert stacked.shape == (len(cms), modes)
+        for nu, cm in zip(stacked, cms):
+            assert nu.tobytes() == symplectic_eigenvalues(cm).tobytes()
+
+    def test_stack_checks_in_order(self):
+        bad_psd, asym = np.diag([4.0, -1e-3]), np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            symplectic_eigenvalues(np.stack([np.eye(2), bad_psd]))
+        with pytest.raises(ValidationError, match="symmetric"):
+            symplectic_eigenvalues(np.stack([bad_psd, asym]))
+        for shape in ((2, 2, 3), (0, 2, 2), (2, 3, 3)):
+            with pytest.raises(InvalidDimensionError):
+                symplectic_eigenvalues(np.zeros(shape))
+
+
+@st.composite
+def _states(draw, modes):
+    """Valid states of ``modes`` modes: random mixed or pure ones, and (for
+    two modes) TMSVs up to mu = 1e12, float64-singular from mu ~ 1e8."""
+    if modes == 2 and draw(st.booleans()):
+        return tmsv_state(draw(st.one_of(st.floats(1.0, 1e12), st.sampled_from([1.0, 1e8, 1e12]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_state(modes, rng, nu_max=draw(st.sampled_from([1.0, 1.5, 10.0])),
+                        max_squeeze=draw(st.sampled_from([1.5, 30.0])))
 
 
 class TestWilliamson:
@@ -232,6 +263,16 @@ class TestStates:
         nus = symplectic_eigenvalues(tmsv_state(mu).cm)
         assert np.max(np.abs(nus - 1.0)) <= 1e-6 * mu
 
+    @given(st.one_of(st.floats(1.0, 1e12), st.sampled_from([1.0, 1.0 + 2 ** -52, 1e12])))
+    @settings(max_examples=100, deadline=None)
+    def test_tmsv_equals_block_construction(self, mu):
+        want = GaussianState(np.zeros(4), tmsv_cm_blocks(mu))
+        assert tmsv_state(mu).cm.tobytes() == want.cm.tobytes()
+
+    def test_tmsv_at_unity_keeps_signed_zeros(self):
+        cm = tmsv_state(1.0).cm
+        assert np.signbit(cm[1, 3]) and np.signbit(cm[3, 1]) and not np.signbit(cm[0, 2])
+
     def test_tmsv_domain(self):
         with pytest.raises(DomainError):
             tmsv_state(0.5)
@@ -253,6 +294,14 @@ class TestStates:
         state = thermal_state(2.0)
         with pytest.raises(ValueError):
             state.cm[0, 0] = 5.0
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_state_does_not_alias_its_input(self, dim):
+        cm, mean = 2.0 * np.eye(dim), np.zeros(dim)
+        state = GaussianState(mean, cm)
+        cm[0, 0], mean[0] = 5.0, 1.0
+        assert state.cm[0, 0] == 2.0 and state.mean[0] == 0.0
+        assert not state.cm.flags.writeable and not state.mean.flags.writeable
 
 
 class TestApplyAffine:
