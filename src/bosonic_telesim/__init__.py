@@ -22,17 +22,16 @@ from .errors import (BosonicTelesimError, ClassificationAmbiguousError,
                      DomainError, InvalidDimensionError, NoUniformBoundError,
                      SingularCoefficientError, UnsupportedFormError,
                      ValidationError)
-from .fidelity import (BoundsPair, b1_gamma, bures_distance, fid_b2_asymptotic,
-                       fid_env_A2, fid_env_C, fid_output_identity, fuchs_vdg,
+from .fidelity import (BoundsPair, b1_gamma, fid_b2_asymptotic, fid_env_A2,
+                       fid_env_C, fid_output_identity, fuchs_vdg,
                        gaussian_fidelity)
-from .peeling import (AdaptiveProtocolSpec, PeelingBound, TwoRoundReport,
-                      epsilon_tp_bound, peel_bound, two_round_demo)
-from .symplectic import (BlochMessiah2x2, GaussianState, SymplecticMatrix,
-                         WilliamsonDecomposition, apply_affine,
-                         bloch_messiah_2x2, is_symplectic, partial_trace,
-                         random_state, random_symplectic, symplectic_eigenvalues,
-                         symplectic_form, tensor_states, thermal_state,
-                         tmsv_state, williamson)
+from .peeling import (TOPOLOGIES, AdaptiveProtocolSpec, PeelingBound,
+                      TwoRoundReport, epsilon_tp_bound, peel_bound,
+                      two_round_demo)
+from .symplectic import (GaussianState, SymplecticMatrix,
+                         WilliamsonDecomposition, apply_affine, is_symplectic,
+                         partial_trace, symplectic_eigenvalues, symplectic_form,
+                         tensor_states, thermal_state, tmsv_state, williamson)
 from .teleportation import (BKParameters, EnvironmentalPair, SimulatedChannel,
                             bk_added_noise, bk_channel, environmental_pair,
                             quasi_choi, simulate_channel)

@@ -42,6 +42,8 @@ __all__ = [
     "compose",
     "classify",
     "canonical_matrices",
+    "canonical_channel",
+    "form_from_fields",
     "channel_rank",
     "channel_from_dict",
     "channel_to_dict",

@@ -42,7 +42,7 @@ from .convergence import convergence_scan, decide_uniform, diamond_upper_bound
 from .errors import (BosonicTelesimError, DomainError, NoUniformBoundError,
                      UnsupportedFormError, ValidationError)
 from .fidelity import fuchs_vdg, gaussian_fidelity
-from .peeling import peel_bound
+from .peeling import TOPOLOGIES, peel_bound
 from .symplectic import GaussianState
 from .teleportation import simulate_channel
 from .tolerances import DEFAULT, Tolerances
@@ -341,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-use error (otherwise computed from --channel/--mu)")
     p.add_argument("--channel", default=None)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--topology", choices=["bounded_uniform", "uniform", "strong"],
-                   default="uniform")
+    p.add_argument("--topology", choices=TOPOLOGIES, default="uniform")
     p.set_defaults(func=_cmd_peel)
 
     p = sub.add_parser("capacity", parents=[common],

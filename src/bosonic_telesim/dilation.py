@@ -45,20 +45,16 @@ class SingleModeDilation:
     def m2(self):
         return self.m.s[:2, 2:]
 
-    @property
-    def m3(self):
-        return self.m.s[2:, :2]
 
-    @property
-    def m4(self):
-        return self.m.s[2:, 2:]
+def _beam_splitter(tau: float) -> np.ndarray:
+    c, s = np.sqrt(tau), np.sqrt(1.0 - tau)
+    return np.block([[c * _I, s * _I], [-s * _I, c * _I]])
 
 
 def _dilation_matrix(form: CanonicalForm) -> np.ndarray:
     tag, tau = form.tag, form.tau
     if tag is CanonicalClass.C_Att:
-        c, s = np.sqrt(tau), np.sqrt(1.0 - tau)
-        return np.block([[c * _I, s * _I], [-s * _I, c * _I]])  # beam splitter
+        return _beam_splitter(tau)
     if tag is CanonicalClass.C_Amp:
         c, s = np.sqrt(tau), np.sqrt(tau - 1.0)
         return np.block([[c * _I, s * _Z], [s * _Z, c * _I]])  # two-mode squeezer
@@ -133,6 +129,5 @@ def asymptotic_b2(xi_prime: float, tau: float) -> SingleModeDilation:
             f"environment variance xi'/(1 - tau) = {omega:g} < 1; "
             f"tau is not close enough to 1 for this noise level")
     omega = max(omega, 1.0)
-    c, s = np.sqrt(tau), np.sqrt(1.0 - tau)
-    m = np.block([[c * _I, s * _I], [-s * _I, c * _I]])
-    return SingleModeDilation(SymplecticMatrix(m, tol=1e-12), thermal_state(omega))
+    return SingleModeDilation(SymplecticMatrix(_beam_splitter(tau), tol=1e-12),
+                              thermal_state(omega))

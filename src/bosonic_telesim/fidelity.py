@@ -1,6 +1,5 @@
-"""Quantum fidelity for one- and two-mode Gaussian states, the Bures distance,
-the trace-norm sandwich, and the closed-form fidelities used by the
-convergence bounds.
+"""Quantum fidelity for one- and two-mode Gaussian states, the trace-norm
+sandwich, and the closed-form fidelities used by the convergence bounds.
 
 The general fidelity is computed from symplectic invariants of the pair
 (V1, V2, delta = mean difference).  With W defined through
@@ -30,7 +29,6 @@ from .teleportation import bk_added_noise
 __all__ = [
     "BoundsPair",
     "gaussian_fidelity",
-    "bures_distance",
     "fuchs_vdg",
     "fid_output_identity",
     "fid_env_C",
@@ -82,11 +80,6 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     ftot4 = np.prod((w + np.sqrt(w * w - 1.0)) ** 2)
     f = float((ftot4 / np.linalg.det(vsum / 2.0)) ** 0.25)
     return min(f * mean, 1.0)
-
-
-def bures_distance(s1: GaussianState, s2: GaussianState) -> float:
-    """``d_B = sqrt(2 [1 - F])``; zero iff the states coincide."""
-    return float(np.sqrt(2.0 * max(1.0 - gaussian_fidelity(s1, s2), 0.0)))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -59,6 +59,15 @@ class AdaptiveProtocolSpec:
                        self.tol)
 
 
+def _check_schedule(rounds: int, topology: str) -> None:
+    """The round count, then the topology: the first checks of both
+    :func:`_protocol_form` and :func:`peel_bound`."""
+    if rounds < 1:
+        raise DomainError(f"round count must be >= 1, got {rounds}")
+    if topology not in TOPOLOGIES:
+        raise DomainError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
+
+
 def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound,
                    tol: Tolerances | None,
                    form: CanonicalForm | None = None) -> CanonicalForm | None:
@@ -67,10 +76,7 @@ def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound
     rank criterion of the uniform topology.  The criterion reads ``form``, or
     classifies ``ch`` under ``tol`` once the earlier checks pass.  Returns the
     form, or None when it was neither given nor needed."""
-    if rounds < 1:
-        raise DomainError(f"round count must be >= 1, got {rounds}")
-    if topology not in TOPOLOGIES:
-        raise DomainError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
+    _check_schedule(rounds, topology)
     if topology == "bounded_uniform" and (
             energy_bound is None or not np.isfinite(energy_bound)):
         raise DomainError("bounded_uniform topology requires a finite energy bound")
@@ -94,10 +100,7 @@ class PeelingBound:
 
 def peel_bound(n: int, delta: float, topology: str) -> PeelingBound:
     """Accumulated output error after n uses at per-use error delta."""
-    if n < 1:
-        raise DomainError(f"round count must be >= 1, got {n}")
-    if topology not in TOPOLOGIES:
-        raise DomainError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
+    _check_schedule(n, topology)
     if not 0.0 <= delta <= 2.0:
         raise DomainError(f"per-use trace-distance error must lie in [0, 2], got {delta}")
     return PeelingBound(per_use_delta=float(delta), total=n * float(delta),

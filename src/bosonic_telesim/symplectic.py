@@ -22,19 +22,15 @@ __all__ = [
     "GaussianState",
     "SymplecticMatrix",
     "WilliamsonDecomposition",
-    "BlochMessiah2x2",
     "symplectic_form",
     "is_symplectic",
     "symplectic_eigenvalues",
     "williamson",
-    "bloch_messiah_2x2",
     "tmsv_state",
     "thermal_state",
     "apply_affine",
     "partial_trace",
     "tensor_states",
-    "random_symplectic",
-    "random_state",
 ]
 
 
@@ -295,20 +291,6 @@ class WilliamsonDecomposition:
         return np.diag(np.repeat(self.spectrum, 2))
 
 
-@dataclasses.dataclass(frozen=True)
-class BlochMessiah2x2:
-    """Euler factorization S = O1 (r, 1/r) O2 of a single-mode symplectic,
-    with O1, O2 rotations and r >= 1."""
-
-    o1: np.ndarray
-    sq: np.ndarray
-    o2: np.ndarray
-
-    @property
-    def r(self) -> float:
-        return float(self.sq[0, 0])
-
-
 def tmsv_state(mu: float) -> GaussianState:
     """Two-mode squeezed vacuum with variance parameter ``mu >= 1``.
 
@@ -406,56 +388,3 @@ def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
         raise ValidationError(f"Williamson reconstruction residual too large: {resid:g}")
     sym_tol = max(DEFAULT.symplectic, 16.0 * np.finfo(float).eps * scale)
     return WilliamsonDecomposition(SymplecticMatrix(s, sym_tol), spectrum)
-
-
-def bloch_messiah_2x2(s, tol: float | None = None) -> BlochMessiah2x2:
-    """Rotation-squeeze-rotation factorization of a 2x2 symplectic matrix.
-
-    Canonical gauge: ``r >= 1`` from the SVD and the sign ambiguity resolved
-    by requiring a non-negative (1, 1) entry of O2.  Consumers must not rely
-    on a specific gauge beyond the reconstruction identity.
-    """
-    mat = s.s if isinstance(s, SymplecticMatrix) else _as_matrix(s)
-    if mat.shape != (2, 2):
-        raise InvalidDimensionError("bloch_messiah_2x2 expects a 2x2 matrix")
-    if not is_symplectic(mat, tol):
-        raise ValidationError("input matrix is not symplectic")
-    u, sing, vt = np.linalg.svd(mat)
-    # det u * det vt = det(mat) / det(diag) = +1; make both rotations
-    if np.linalg.det(u) < 0.0:
-        u = u @ np.diag([1.0, -1.0])
-        vt = np.diag([1.0, -1.0]) @ vt
-    if vt[0, 0] < 0.0:
-        u, vt = -u, -vt
-    return BlochMessiah2x2(o1=_readonly(u), sq=_readonly(np.diag(sing)), o2=_readonly(vt))
-
-
-def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0):
-    """Haar-rotation x squeezing x Haar-rotation random symplectic matrix."""
-    def _orthogonal_symplectic():
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        x, y = q.real, q.imag
-        o = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                o[2 * i, 2 * j] = x[i, j]
-                o[2 * i, 2 * j + 1] = -y[i, j]
-                o[2 * i + 1, 2 * j] = y[i, j]
-                o[2 * i + 1, 2 * j + 1] = x[i, j]
-        return o
-
-    rs = rng.uniform(1.0, max_squeeze, size=n)
-    sq = np.diag(np.concatenate([[r, 1.0 / r] for r in rs]))
-    return _orthogonal_symplectic() @ sq @ _orthogonal_symplectic()
-
-
-def random_state(n: int, rng: np.random.Generator, nu_max: float = 3.0,
-                 max_squeeze: float = 2.0, displace: float = 0.0) -> GaussianState:
-    """Random valid Gaussian state: a symplectic congruence of a thermal CM."""
-    s = random_symplectic(n, rng, max_squeeze)
-    nus = rng.uniform(1.0, nu_max, size=n)
-    cm = s @ np.diag(np.repeat(nus, 2)) @ s.T
-    mean = displace * rng.normal(size=2 * n) if displace else np.zeros(2 * n)
-    return GaussianState(mean, 0.5 * (cm + cm.T))

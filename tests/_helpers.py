@@ -1,14 +1,45 @@
-"""Shared test utilities: random channel factories, fit helpers, the
-extended-precision two-mode fidelity and symplectic-spectrum oracles, dense
-reference constructions of channel action and the TMSV, and a hypothesis
-strategy of raw channel specs."""
+"""Shared test utilities: random symplectic, state and channel factories,
+fit helpers, the extended-precision two-mode fidelity and symplectic-spectrum
+oracles, dense reference constructions of channel action and the TMSV, and
+hypothesis strategies of raw channel and state specs."""
 
 import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
-                             canonical_channel, form_from_fields, random_symplectic)
+                             canonical_channel, form_from_fields)
+
+
+def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0):
+    """Haar-rotation x squeezing x Haar-rotation random symplectic matrix."""
+    def _orthogonal_symplectic():
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q, r = np.linalg.qr(g)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        x, y = q.real, q.imag
+        o = np.zeros((2 * n, 2 * n))
+        for i in range(n):
+            for j in range(n):
+                o[2 * i, 2 * j] = x[i, j]
+                o[2 * i, 2 * j + 1] = -y[i, j]
+                o[2 * i + 1, 2 * j] = y[i, j]
+                o[2 * i + 1, 2 * j + 1] = x[i, j]
+        return o
+
+    rs = rng.uniform(1.0, max_squeeze, size=n)
+    sq = np.diag(np.concatenate([[r, 1.0 / r] for r in rs]))
+    return _orthogonal_symplectic() @ sq @ _orthogonal_symplectic()
+
+
+def random_state(n: int, rng: np.random.Generator, nu_max: float = 3.0,
+                 max_squeeze: float = 2.0, displace: float = 0.0) -> GaussianState:
+    """Random valid Gaussian state: a symplectic congruence of a thermal CM."""
+    s = random_symplectic(n, rng, max_squeeze)
+    nus = rng.uniform(1.0, nu_max, size=n)
+    cm = s @ np.diag(np.repeat(nus, 2)) @ s.T
+    mean = displace * rng.normal(size=2 * n) if displace else np.zeros(2 * n)
+    return GaussianState(mean, 0.5 * (cm + cm.T))
 
 
 def sample_form(rng):
@@ -135,8 +166,8 @@ _ENTRY = st.one_of(st.floats(allow_nan=False, allow_infinity=False), _MODERATE,
                    st.sampled_from([0.0, 1.0, -1.0, 1e154, 1.7e308, -1.7e308, 5e-324]))
 
 
-def _matrix(entry):
-    return st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
+def _matrix(entry, dim=2):
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
 
 
 @st.composite
@@ -153,3 +184,35 @@ def _near_boundary(draw):
 # finite (T, N) as row lists: huge, asymmetric, or below the boundary
 raw_channel_specs = st.one_of(st.tuples(_matrix(_ENTRY), _matrix(_ENTRY)),
                               _near_boundary()).map(lambda tn: {"t": tn[0], "n": tn[1]})
+
+
+# --- raw one- and two-mode state specs for fuzzing --------------------------------
+
+@st.composite
+def _framed_thermal_cm(draw, modes):
+    """``nu_k I`` on each mode, squeezed by ``exp(+/- r_k)`` and rotated by
+    theta_k, and for two modes mixed by a beam splitter of angle phi."""
+    s, nus = np.zeros((2 * modes, 2 * modes)), []
+    for k in range(modes):
+        th, r = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(-5.0, 5.0))
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        s[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rot * np.exp([r, -r])
+        nus += [draw(st.floats(1.0, 1e6))] * 2
+    if modes == 2:
+        phi = draw(st.floats(0.0, np.pi))
+        c, t = np.cos(phi), np.sin(phi)
+        s = np.block([[c * np.eye(2), t * np.eye(2)], [-t * np.eye(2), c * np.eye(2)]]) @ s
+    return ((s * nus) @ s.T).tolist()
+
+
+def raw_state_specs(modes):
+    """State specs of ``modes`` modes as row lists: a thermal CM in a squeezed
+    and rotated frame, a TMSV up to mu = 1e12 (two modes) or any finite
+    matrix, with a zero, moderate or any finite mean."""
+    dim = 2 * modes
+    cms = [_framed_thermal_cm(modes), _matrix(_ENTRY, dim)]
+    if modes == 2:
+        cms.append(st.floats(1.0, 1e12).map(lambda mu: tmsv_cm_blocks(mu).tolist()))
+    means = st.one_of(st.just([0.0] * dim), *(st.lists(e, min_size=dim, max_size=dim)
+                                              for e in (_MODERATE, _ENTRY)))
+    return st.fixed_dictionaries({"mean": means, "cm": st.one_of(cms)})

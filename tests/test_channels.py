@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import apply_channel_dense, conjugated_channel, raw_channel_specs, sample_form
-from bosonic_telesim import (BosonicTelesimError, CanonicalClass, ClassificationAmbiguousError,
-                             GaussianChannel, ValidationError, apply_channel,
-                             canonical_channel, canonical_matrices, channel_from_dict,
-                             channel_rank, channel_to_dict, classify, compose,
-                             form_from_fields, random_state, thermal_state,
-                             tmsv_state, validate_channel)
+from _helpers import (apply_channel_dense, conjugated_channel, random_state,
+                      raw_channel_specs, sample_form)
+from bosonic_telesim import (BosonicTelesimError, CanonicalClass,
+                             ClassificationAmbiguousError, GaussianChannel,
+                             ValidationError, apply_channel, canonical_channel,
+                             canonical_matrices, channel_from_dict, channel_rank,
+                             channel_to_dict, classify, compose, form_from_fields,
+                             thermal_state, tmsv_state, validate_channel)
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import raw_channel_specs
+from _helpers import raw_channel_specs, raw_state_specs
 from bosonic_telesim import tmsv_state
 from bosonic_telesim.cli import main
 
@@ -464,13 +464,20 @@ def _numbers(obj):
         yield obj
 
 
+# a resource mu: valid, below 1, negative, huge, tiny or not finite
+_MU = st.one_of(st.floats(1.0, 1e12), st.floats(),
+                st.sampled_from([1.0, 0.5, -1.0, 1e300, 1.7e308, 5e-324]))
+
+
 class TestRawChannelFuzz:
-    @given(raw_channel_specs, st.sampled_from(["classify", "apply"]))
+    @given(raw_channel_specs, st.sampled_from(["classify", "apply", "simulate"]), _MU)
     @settings(max_examples=400, deadline=None)
-    def test_exit_code_and_finite_output(self, spec, command):
+    def test_exit_code_and_finite_output(self, spec, command, mu):
         argv = [command, "--channel", json.dumps(spec)]
         if command == "apply":
             argv += ["--state", THERMAL3]
+        if command == "simulate":
+            argv.append(f"--mu={mu!r}")  # a bare negative value would read as a flag
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -615,3 +622,19 @@ class TestPeelAndCapacityFuzz:
         if v is not None:
             argv += ["--V", v]
         _run_cli(argv)
+
+
+@st.composite
+def _state_pairs(draw):
+    """Two state specs of one or two modes; one pair in eight differs in modes."""
+    modes = draw(st.integers(1, 2))
+    other = 3 - modes if draw(st.integers(0, 7)) == 0 else modes
+    return draw(raw_state_specs(modes)), draw(raw_state_specs(other))
+
+
+class TestFidelityFuzz:
+    @given(_state_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_code_and_finite_output(self, pair):
+        _run_cli(["fidelity", "--state1", json.dumps(pair[0]),
+                  "--state2", json.dumps(pair[1])])

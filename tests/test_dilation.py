@@ -3,11 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _helpers import random_state
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
-                             UnsupportedFormError, apply_channel,
-                             apply_via_dilation, asymptotic_b2, canonical_channel,
-                             canonical_matrices, dilation_of, form_from_fields,
-                             is_symplectic, random_state, thermal_state)
+                             UnsupportedFormError, apply_channel, apply_via_dilation,
+                             asymptotic_b2, canonical_channel, canonical_matrices,
+                             dilation_of, form_from_fields, is_symplectic, thermal_state)
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])

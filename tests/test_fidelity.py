@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import fidelity_mp, loglog_slope
+from _helpers import fidelity_mp, loglog_slope, random_state, random_symplectic
 from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
-                             SingularCoefficientError, ValidationError,
-                             apply_affine, apply_channel,
-                             b1_gamma, bk_added_noise, bk_channel, bures_distance,
+                             SingularCoefficientError, ValidationError, apply_affine,
+                             apply_channel, b1_gamma, bk_added_noise, bk_channel,
                              fid_b2_asymptotic, fid_env_A2, fid_env_C,
                              fid_output_identity, fuchs_vdg, gaussian_fidelity,
-                             partial_trace, random_state, random_symplectic,
-                             tensor_states, thermal_state, tmsv_state)
+                             partial_trace, tensor_states, thermal_state, tmsv_state)
 
 I2 = np.eye(2)
 
@@ -179,18 +177,6 @@ class TestGaussianFidelity:
         got = gaussian_fidelity(GaussianState(np.zeros(4), cm(*p1)),
                                 GaussianState(np.zeros(4), cm(*p2)))
         assert got == pytest.approx(oracle, abs=1e-6)
-
-
-class TestBuresDistance:
-    def test_identical(self):
-        assert bures_distance(thermal_state(2.0), thermal_state(2.0)) == 0.0
-
-    def test_relation_to_fidelity(self, rng):
-        for _ in range(20):
-            s1, s2 = random_state(1, rng), random_state(1, rng)
-            f = gaussian_fidelity(s1, s2)
-            assert bures_distance(s1, s2) == pytest.approx(np.sqrt(2 * (1 - f)), rel=1e-9)
-            assert bures_distance(s1, s2) <= np.sqrt(2.0) + 1e-12
 
 
 class TestFuchsVdg:

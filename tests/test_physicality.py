@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import random_symplectic
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              ValidationError, canonical_channel, classify,
-                             form_from_fields,
-                             quasi_choi, random_symplectic, symplectic_eigenvalues,
+                             form_from_fields, quasi_choi, symplectic_eigenvalues,
                              tmsv_state, validate_channel)
 from bosonic_telesim.tolerances import DEFAULT
 

@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import symplectic_spectrum_mp, tmsv_cm_blocks
+from _helpers import (random_state, random_symplectic, symplectic_spectrum_mp,
+                      tmsv_cm_blocks)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
-                             InvalidDimensionError, SymplecticMatrix,
-                             ValidationError, apply_affine, bloch_messiah_2x2,
-                             canonical_channel, form_from_fields, is_symplectic,
-                             partial_trace, quasi_choi, random_state,
-                             random_symplectic, simulate_channel,
-                             symplectic_eigenvalues, symplectic_form,
-                             tensor_states, thermal_state, tmsv_state,
-                             williamson)
+                             InvalidDimensionError, SymplecticMatrix, ValidationError,
+                             apply_affine, canonical_channel, form_from_fields,
+                             is_symplectic, partial_trace, quasi_choi, simulate_channel,
+                             symplectic_eigenvalues, symplectic_form, tensor_states,
+                             thermal_state, tmsv_state, williamson)
 
 OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 EPS = np.finfo(float).eps
@@ -213,42 +211,6 @@ class TestWilliamson:
             assert abs(got - want) <= 1e-6 * want
 
 
-class TestBlochMessiah:
-    def test_identity(self):
-        dec = bloch_messiah_2x2(np.eye(2))
-        assert dec.r == pytest.approx(1.0)
-        assert np.allclose(dec.o1, np.eye(2))
-        assert np.allclose(dec.o2, np.eye(2))
-
-    def test_pure_squeezer(self):
-        dec = bloch_messiah_2x2(np.diag([2.0, 0.5]))
-        assert dec.r == pytest.approx(2.0)
-        assert np.allclose(dec.o1, np.eye(2))
-        assert np.allclose(dec.o2, np.eye(2))
-
-    def test_rotation_absorbed(self):
-        th = 0.7
-        rot = np.array([[np.cos(th), np.sin(th)], [-np.sin(th), np.cos(th)]])
-        dec = bloch_messiah_2x2(rot)
-        assert dec.r == pytest.approx(1.0)
-        assert np.allclose(dec.o1 @ dec.sq @ dec.o2, rot, atol=1e-12)
-
-    def test_random_reconstruction_and_gauge(self, rng):
-        for _ in range(50):
-            s = random_symplectic(1, rng)
-            dec = bloch_messiah_2x2(s)
-            assert np.max(np.abs(dec.o1 @ dec.sq @ dec.o2 - s)) <= 1e-10
-            assert dec.r >= 1.0
-            assert dec.o2[0, 0] >= 0.0
-            for o in (dec.o1, dec.o2):
-                assert np.allclose(o @ o.T, np.eye(2), atol=1e-12)
-                assert is_symplectic(o, 1e-12)
-
-    def test_rejects_non_symplectic(self):
-        with pytest.raises(ValidationError):
-            bloch_messiah_2x2(np.diag([2.0, 2.0]))
-
-
 class TestStates:
     def test_tmsv_at_unity_is_double_vacuum(self):
         assert np.array_equal(tmsv_state(1.0).cm, np.eye(4))
@@ -347,17 +309,3 @@ class TestPartialTrace:
     def test_one_mode_state_rejected(self):
         with pytest.raises(InvalidDimensionError):
             partial_trace(thermal_state(1.0), 0)
-
-
-class TestRandomGenerators:
-    def test_random_symplectic_residual(self, rng):
-        om = {1: symplectic_form(1), 2: symplectic_form(2)}
-        for n in (1, 2):
-            for _ in range(100):
-                s = random_symplectic(n, rng)
-                assert np.max(np.abs(s @ om[n] @ s.T - om[n])) <= 1e-10
-
-    def test_random_state_is_valid(self, rng):
-        for n in (1, 2):
-            state = random_state(n, rng, displace=1.0)
-            assert np.min(state.symplectic_spectrum()) >= 1.0 - 1e-9

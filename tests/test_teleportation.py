@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonic_telesim import (BKParameters, CanonicalClass, DomainError,
-                             GaussianChannel, UnsupportedFormError, ValidationError,
-                             apply_channel, apply_via_dilation, bk_added_noise, bk_channel,
+from _helpers import random_state
+from bosonic_telesim import (BKParameters, CanonicalClass, DomainError, GaussianChannel,
+                             UnsupportedFormError, ValidationError, apply_channel,
+                             apply_via_dilation, bk_added_noise, bk_channel,
                              canonical_channel, canonical_matrices, classify,
                              dilation_of, environmental_pair, form_from_fields,
-                             quasi_choi, random_state, simulate_channel,
-                             symplectic_eigenvalues, tmsv_state)
+                             quasi_choi, simulate_channel, symplectic_eigenvalues,
+                             tmsv_state)
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
