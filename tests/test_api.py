@@ -1,9 +1,12 @@
 """The package's declared public surface, and the README's quick tour run as
 code."""
 
+import importlib
 import inspect
 import pathlib
 import re
+
+import pytest
 
 import bosonic_telesim as bt
 from bosonic_telesim import (capacity, channels, convergence, dilation, errors, fidelity,
@@ -25,6 +28,16 @@ class TestExports:
                     if not name.startswith("_") and not inspect.ismodule(obj)}
         declared = set().union(*(mod.__all__ for mod in LAYERS))
         assert exported == declared | _classes(errors) | _classes(tolerances)
+
+    # names that only tests used; the generators now live in tests/_helpers.py
+    @pytest.mark.parametrize("name", ["bloch_messiah_2x2", "BlochMessiah2x2",
+                                      "bures_distance", "random_symplectic",
+                                      "random_state"])
+    def test_test_only_names_not_exported(self, name):
+        with pytest.raises(ImportError):
+            exec(f"from bosonic_telesim import {name}", {})
+        assert not any(hasattr(importlib.import_module(mod.__name__), name)
+                       for mod in LAYERS)
 
 
 class TestReadme:

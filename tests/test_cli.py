@@ -303,6 +303,19 @@ class TestPeel:
                          "--mu", "10")
         assert code == 3
 
+    def test_topology_choices_are_the_library_ones(self, capsys):
+        from bosonic_telesim import TOPOLOGIES
+        for topology in TOPOLOGIES:
+            code, out, _ = run(capsys, "peel", "--n", "2", "--delta", "0.1",
+                               "--topology", topology)
+            assert code == 0 and json.loads(out)["total"] == pytest.approx(0.2)
+        with pytest.raises(SystemExit) as info:
+            main(["peel", "--n", "2", "--delta", "0.1", "--topology", "weak"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'weak'" in err
+        assert all(topology in err for topology in TOPOLOGIES)
+
     def test_tolerance_changes_per_use_delta(self, capsys, monkeypatch):
         # sqrt(1 - 1e-7) I is an attenuator by default and the additive class
         # once the boundary is loosened past 1e-7; peel must follow the switch

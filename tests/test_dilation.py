@@ -115,6 +115,12 @@ class TestApplyViaDilation:
         out = apply_via_dilation(dil, GaussianState.vacuum())
         assert np.allclose(out.cm, 0.5 * I2 + 0.5 * 3.0 * I2)
 
+    def test_blocks_are_m1_and_m2_only(self):
+        dil = dilation_of(form_from_fields(CanonicalClass.C_Att, tau=0.5))
+        assert np.array_equal(dil.m1, dil.m.s[:2, :2])
+        assert np.array_equal(dil.m2, dil.m.s[:2, 2:])
+        assert not hasattr(dil, "m3") and not hasattr(dil, "m4")
+
 
 class TestAsymptoticB2:
     def test_environment_variance(self):
@@ -148,6 +154,15 @@ class TestAsymptoticB2:
         dil = asymptotic_b2(xi_prime, tau)
         out = apply_via_dilation(dil, GaussianState.vacuum())
         assert np.allclose(out.cm, (tau + xi_prime) * I2, atol=1e-12)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+    def test_beam_splitter_is_the_c_att_dilation(self, tau):
+        # the same matrix, bit for bit, as the C_Att dilation at that tau
+        dil = asymptotic_b2(1.0 - tau, tau)
+        c_att = dilation_of(form_from_fields(CanonicalClass.C_Att, tau=tau))
+        assert np.array_equal(dil.m.s, c_att.m.s)
+        assert np.array_equal(dil.m.s[:2, :2], np.sqrt(tau) * I2)
+        assert np.array_equal(dil.m.s[:2, 2:], np.sqrt(1.0 - tau) * I2)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

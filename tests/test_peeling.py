@@ -63,6 +63,17 @@ class TestPeelBound:
         with pytest.raises(DomainError):
             peel_bound(2, 0.1, "weak")
 
+    @pytest.mark.parametrize("n, delta, topology, msg", [
+        (0, 0.1, "weak", ROUNDS_MSG),
+        (3, 2.5, "weak", TOPOLOGY_MSG),
+        (3, 2.5, "uniform", "per-use trace-distance error must lie in [0, 2], got 2.5"),
+    ])
+    def test_schedule_errors_are_the_protocol_ones(self, n, delta, topology, msg):
+        # the round count, then the topology, with the messages of epsilon_tp_bound
+        with pytest.raises(DomainError) as info:
+            peel_bound(n, delta, topology)
+        assert type(info.value) is DomainError and str(info.value) == msg
+
 
 class TestAdaptiveProtocolSpec:
     def test_uniform_requires_full_rank_noise(self):
