@@ -35,6 +35,5 @@ from .symplectic import (GaussianState, SymplecticMatrix,
 from .teleportation import (BKParameters, EnvironmentalPair, SimulatedChannel,
                             bk_added_noise, bk_channel, environmental_pair,
                             quasi_choi, simulate_channel)
-from .tolerances import Tolerances
 
 __version__ = "1.0.0"

@@ -25,7 +25,6 @@ from .channels import CanonicalClass, GaussianChannel, classify
 from .convergence import _diamond_bound
 from .errors import DomainError, UnsupportedFormError
 from .peeling import _protocol_form
-from .tolerances import Tolerances
 
 __all__ = [
     "BoundReport",
@@ -164,7 +163,7 @@ _PHI_BY_CLASS = {
 
 def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
                         v: float = 0.0, *, r: float = 1.0,
-                        tol: Tolerances | None = None) -> BoundReport:
+                        tol: float | None = None) -> BoundReport:
     """Finite-size key bound with the teleportation-simulation error of a
     mu-resource simulation folded in.
 

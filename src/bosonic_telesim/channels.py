@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
 from .symplectic import GaussianState, _checked, _readonly
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "GaussianChannel",
@@ -84,7 +83,7 @@ class GaussianChannel:
         if t.shape != (2, 2) or n.shape != (2, 2) or d.shape != (2,):
             raise InvalidDimensionError(
                 f"expected 2x2 T, 2x2 N and length-2 d, got {t.shape}, {n.shape}, {d.shape}")
-        n = _checked(n, DEFAULT, what="noise matrix")
+        n = _checked(n, None, what="noise matrix")
         for name, a in (("t", t), ("n", n), ("d", d)):
             object.__setattr__(self, name, _readonly(a))
 
@@ -108,10 +107,11 @@ class CanonicalForm:
     noise_param: float
 
 
-def validate_channel(ch: GaussianChannel, tol: Tolerances | None = None) -> bool:
+def validate_channel(ch: GaussianChannel, tol: float | None = None) -> bool:
     """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner) on the scale
-    ``s = max(1, max|N|)``: N symmetric within ``tol.symmetry s``, no
-    eigenvalue below ``-max(tol.uncertainty, 64 eps s)``.  The eigenvalue is
+    ``s = max(1, max|N|)``: N symmetric within ``1e-12 s``, no eigenvalue
+    below ``-max(1e-9, 64 eps s)``, a float ``tol`` replacing both 1e-12 and
+    1e-9 (see ``symplectic._checked``).  The eigenvalue is
     the 2x2 closed form ``(p + q)/2 - hypot((p - q)/2, r, 1 - det T)``, within
     about ``eps s`` of the exact one near the threshold, on plain floats with
     ``det T = a d - b c``, so a non-finite entry anywhere gives False.
@@ -124,9 +124,9 @@ def validate_channel(ch: GaussianChannel, tol: Tolerances | None = None) -> bool
     return True
 
 
-def _require_valid(ch: GaussianChannel, tol: Tolerances | None = None) -> None:
+def _require_valid(ch: GaussianChannel, tol: float | None = None) -> None:
     (a, b), (c, d) = ch.t.tolist()  # plain floats: no numpy call, no warning on NaN
-    _checked(ch.n, tol or DEFAULT, 1.0 - (a * d - b * c), "channel noise matrix")
+    _checked(ch.n, tol, 1.0 - (a * d - b * c), "channel noise matrix")
 
 
 def apply_channel(ch: GaussianChannel, state: GaussianState,
@@ -162,9 +162,12 @@ def compose(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:
                            ch2.t @ ch1.d + ch2.d)
 
 
-def _numeric_rank(m: np.ndarray, tol: Tolerances) -> int:
+_RANK = 1e-10  # default: singular values below 1e-10 max(s_max, 1) count as zero
+
+
+def _numeric_rank(m: np.ndarray, tol: float | None) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > tol.rank * max(float(sv[0]), 1.0)))
+    return int(np.sum(sv > (_RANK if tol is None else tol) * max(float(sv[0]), 1.0)))
 
 
 def _snap_noise(p: float) -> float:
@@ -173,23 +176,27 @@ def _snap_noise(p: float) -> float:
     return 0.0 if p < 1e-11 else p
 
 
-def channel_rank(ch: GaussianChannel, tol: Tolerances | None = None) -> float:
+def channel_rank(ch: GaussianChannel, tol: float | None = None) -> float:
     """The invariant r = rank(T) rank(N) / 2, with numeric ranks."""
-    tol = tol or DEFAULT
     _require_valid(ch, tol)
     return _numeric_rank(ch.t, tol) * _numeric_rank(ch.n, tol) / 2.0
 
 
-def classify(ch: GaussianChannel, tol: Tolerances | None = None) -> CanonicalForm:
+_TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is tau = 1
+
+
+def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     """Map a valid channel to its canonical class and invariant parameters.
 
     Decisions are made on the symplectic invariants only: tau = det T, the
     numeric ranks of T and N, and sqrt(det N) for the noise scale.  Invariant
     combinations matching no class row raise
-    :class:`ClassificationAmbiguousError` with diagnostics.
+    :class:`ClassificationAmbiguousError` with diagnostics.  ``tol`` replaces
+    every default tolerance of the decision: those of :func:`validate_channel`,
+    the rank threshold 1e-10 and the tau boundary 1e-9.
     """
-    tol = tol or DEFAULT
     _require_valid(ch, tol)
+    boundary = _TAU_BOUNDARY if tol is None else tol
     tau = float(np.linalg.det(ch.t))
     rank_t = _numeric_rank(ch.t, tol)
     rank_n = _numeric_rank(ch.n, tol)
@@ -199,7 +206,7 @@ def classify(ch: GaussianChannel, tol: Tolerances | None = None) -> CanonicalFor
     def ambiguous(msg):
         raise ClassificationAmbiguousError(msg, diag)
 
-    if abs(tau) <= tol.tau_boundary:
+    if abs(tau) <= boundary:
         if rank_n != 2:
             ambiguous("tau = 0 requires a full-rank noise matrix")
         nbar = _snap_noise(max(0.5 * (sqrt_det_n - 1.0), 0.0))
@@ -208,7 +215,7 @@ def classify(ch: GaussianChannel, tol: Tolerances | None = None) -> CanonicalFor
         if rank_t == 1:
             return CanonicalForm(CanonicalClass.A2, 0.0, 1, nbar)
         ambiguous("det T = 0 but T has numeric rank 2")
-    if abs(tau - 1.0) <= tol.tau_boundary:
+    if abs(tau - 1.0) <= boundary:
         if rank_t != 2:
             ambiguous("tau = 1 requires an invertible T")
         if rank_n == 0:

@@ -17,9 +17,11 @@ Scan config    {"channel": ..., "grid": {"param": "mu"|"mu_tilde", "start": ...,
                "output": {"format": "csv"|"json", "path": "..."}}
                with an integer number of grid points from 1 to 10**6
 
-classify, convergence, peel and capacity take a --tol flag that overrides the
-default tolerance bundle; the environment variable BOSONIC_TELESIM_TOL does
-the same when --tol is absent.  apply, simulate and fidelity use none.
+classify, convergence, peel and capacity take a --tol flag: one number that
+replaces every default tolerance of the classification (symmetry 1e-12,
+physicality 1e-9, rank 1e-10, tau boundary 1e-9).  The environment variable
+BOSONIC_TELESIM_TOL does the same when --tol is absent.  apply, simulate and
+fidelity use none.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .fidelity import fuchs_vdg, gaussian_fidelity
 from .peeling import TOPOLOGIES, peel_bound
 from .symplectic import GaussianState
 from .teleportation import simulate_channel
-from .tolerances import DEFAULT, Tolerances
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -125,7 +126,7 @@ def _state_to_dict(state: GaussianState) -> dict:
     return {"mean": state.mean.tolist(), "cm": state.cm.tolist()}
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerances(args) -> float | None:
     tol = getattr(args, "tol", None)
     if tol is None:
         env = os.environ.get("BOSONIC_TELESIM_TOL")
@@ -135,11 +136,9 @@ def _tolerances(args) -> Tolerances:
             except ValueError:
                 raise _CliInputError(
                     f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
-    if tol is None:
-        return DEFAULT
-    if not 0.0 < tol < math.inf:
+    if tol is not None and not 0.0 < tol < math.inf:
         raise _CliInputError(f"tolerance must be positive and finite, got {tol}")
-    return Tolerances.uniform(tol)
+    return tol
 
 
 def _cmd_classify(args) -> int:
@@ -300,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help="override the tolerance bundle (takes precedence "
-                             "over BOSONIC_TELESIM_TOL)")
+                        help="one tolerance for every classification check "
+                             "(takes precedence over BOSONIC_TELESIM_TOL)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common],

@@ -20,7 +20,6 @@ from .errors import DomainError, NoUniformBoundError
 from .fidelity import (_B1_ROUND_DOWN, _b1_witness_infidelity, _b2_infidelity,
                        _identity_witness, fid_env_A2, fid_env_C)
 from .teleportation import _env_gamma, bk_added_noise
-from .tolerances import Tolerances
 
 __all__ = [
     "ConvergenceVerdict",
@@ -47,7 +46,7 @@ def _noise_rank(form: CanonicalForm) -> int:
 
 
 def decide_uniform(ch: GaussianChannel,
-                   tol: Tolerances | None = None) -> ConvergenceVerdict:
+                   tol: float | None = None) -> ConvergenceVerdict:
     """Uniform convergence holds iff rank(N) = 2.
 
     The verdict is decided symbolically from the classification;
@@ -62,7 +61,7 @@ def decide_uniform(ch: GaussianChannel,
 
 def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
                         a: float = 1.0, c: float = 0.0,
-                        tol: Tolerances | None = None) -> float:
+                        tol: float | None = None) -> float:
     """Diamond-distance upper bound ``2 sqrt(1 - F^2)`` between a full-rank-
     noise channel and its mu-resource teleportation simulation.
 
@@ -189,7 +188,7 @@ class ScanRow:
 
 
 def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = None,
-                     tol: Tolerances | None = None):
+                     tol: float | None = None):
     """Tabulate the convergence diagnostics of a channel over a grid.
 
     For full-rank-noise channels the grid sweeps the resource variance mu and

@@ -24,7 +24,6 @@ from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
 from .symplectic import SymplecticMatrix, _self_check_tol, apply_affine, tmsv_state
 from .teleportation import simulate_channel
-from .tolerances import Tolerances
 
 __all__ = [
     "TOPOLOGIES",
@@ -52,7 +51,7 @@ class AdaptiveProtocolSpec:
     channel: GaussianChannel
     topology: str
     energy_bound: float | None = None
-    tol: Tolerances | None = None
+    tol: float | None = None
 
     def __post_init__(self):
         _protocol_form(self.rounds, self.channel, self.topology, self.energy_bound,
@@ -69,7 +68,7 @@ def _check_schedule(rounds: int, topology: str) -> None:
 
 
 def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound,
-                   tol: Tolerances | None,
+                   tol: float | None,
                    form: CanonicalForm | None = None) -> CanonicalForm | None:
     """The checks of :class:`AdaptiveProtocolSpec`, in order: the round count,
     the topology, the energy bound of the bounded-uniform topology, then the
@@ -109,7 +108,7 @@ def peel_bound(n: int, delta: float, topology: str) -> PeelingBound:
 
 def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
                      params: dict | None = None, *,
-                     tol: Tolerances | None = None) -> float:
+                     tol: float | None = None) -> float:
     """Upper bound ``n delta / 2`` on the output infidelity of the simulated
     protocol.
 

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, ValidationError
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "GaussianState",
@@ -78,12 +77,15 @@ def _i_omega(n: int) -> np.ndarray:
     return i_omega
 
 
+_SYMPLECTIC = 1e-10
+
+
 def is_symplectic(m, tol: float | None = None) -> bool:
-    """True iff ``max|M Omega M^T - Omega| <= tol``."""
+    """True iff ``max|M Omega M^T - Omega| <= tol`` (default 1e-10)."""
     m = _as_matrix(m)
     n = _check_even(m.shape[0])
     if tol is None:
-        tol = DEFAULT.symplectic
+        tol = _SYMPLECTIC
     omega = symplectic_form(n)
     return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
 
@@ -100,12 +102,21 @@ def _self_check_tol(scale: float) -> float:
     return max(1e-12, _ROUNDOFF * float(scale))
 
 
-def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
+# the default tolerances of _checked: symmetry, and eigenvalue slack at unit scale
+_SYMMETRY = 1e-12
+_UNCERTAINTY = 1e-9
+
+
+def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
              what: str = "covariance matrix") -> np.ndarray:
-    """The one symmetry and physicality test (see ``Tolerances``) on the scale
-    ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  The
-    eigenvalue slack is ``max(tol.uncertainty, 64 eps s)``: the tolerance at
-    unit scale, the eigenvalue's roundoff beyond.  Returns the symmetrized M.
+    """The one symmetry and physicality test, on the scale
+    ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  M
+    must be symmetric within ``1e-12 s``, and ``M + i w Omega`` must have no
+    eigenvalue below ``-e`` with ``e = max(1e-9, 64 eps s)``: the tolerance at
+    unit scale, the eigenvalue's roundoff beyond.  A float ``tol`` replaces
+    both 1e-12 and 1e-9.  In a CM's thermal frame the band is
+    ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
+    ``(r^2 + r^-2) / 2``.  Returns the symmetrized M.
 
     A 2x2 M is decided on plain floats: the smallest eigenvalue of the
     Hermitian ``[[p, r + i w], [r - i w, q]]`` is
@@ -128,10 +139,11 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
     if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
     scale = max(1.0, scale)
+    symmetry, uncertainty = (_SYMMETRY, _UNCERTAINTY) if tol is None else (tol, tol)
     if (abs(b - c) if single
-            else 2.0 * float(abs(half - half.T).max())) > tol.symmetry * scale:
+            else 2.0 * float(abs(half - half.T).max())) > symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
-                              f"{tol.symmetry:g} max(1, max|M|)")
+                              f"{symmetry:g} max(1, max|M|)")
     if single:
         r = 0.5 * (b + c)
         if math.isinf(r):  # b + c beyond float64 range
@@ -144,13 +156,13 @@ def _checked(m: np.ndarray, tol: Tolerances, w: float | None = None,
             lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
         else:
             lam = np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0]
-        if not lam >= -max(tol.uncertainty, _ROUNDOFF * scale):  # NaN fails too
+        if not lam >= -max(uncertainty, _ROUNDOFF * scale):  # NaN fails too
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return m
 
 
-def _sqrt_form(cms, tol: Tolerances | None):
+def _sqrt_form(cms, tol: float | None):
     """The one spectral kernel, on a sequence of same-size matrices (a single
     matrix is a stack of one): each V is checked in order, then one ``eigh``
     of the stack gives ``R = V^{1/2}`` (eigenvalues within
@@ -158,7 +170,6 @@ def _sqrt_form(cms, tol: Tolerances | None):
     similar to ``Omega V``, so the Hermitian ``i K`` has eigenvalues
     ``+/- nu_k``.  Returns the stacks ``(V, lam, U, K)``, each slice
     bit-identical to a stack of one; :func:`_require_psd` checks a slice."""
-    tol = tol or DEFAULT
     v = []
     for m in cms:
         m = _as_matrix(m)
@@ -179,7 +190,7 @@ def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
         raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
 
 
-def _spectra(cms, tol: Tolerances | None):
+def _spectra(cms, tol: float | None):
     """The symplectic spectrum (descending) of each matrix of ``cms``, from one
     ``_sqrt_form`` and one ``eigvalsh`` of the stacked ``i K``.  Each is yielded
     after its own matrix passes :func:`_require_psd`, so a caller that stops
@@ -193,7 +204,7 @@ def _spectra(cms, tol: Tolerances | None):
         yield nu
 
 
-def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
+def symplectic_eigenvalues(cm, tol: float | None = None):
     """Symplectic spectrum of a symmetric positive-semidefinite V, one nu per
     mode in descending order: the positive eigenvalues of the Hermitian
     ``i V^{1/2} Omega V^{1/2}``, backward stable even for V singular to roundoff.
@@ -201,7 +212,8 @@ def symplectic_eigenvalues(cm, tol: Tolerances | None = None):
     ``cm`` may also be a stack of same-size matrices, checked in stack order,
     for one spectrum per matrix from one spectral pass; each equals the
     spectrum of that matrix alone bit for bit.  For a valid CM the product of
-    the spectrum equals ``sqrt(det V)``.
+    the spectrum equals ``sqrt(det V)``.  A float ``tol`` replaces the default
+    tolerances of the check of V (see ``_checked``).
     """
     stack = np.ndim(cm) == 3
     nus = list(_spectra(cm if stack else (cm,), tol))
@@ -222,9 +234,9 @@ class GaussianState:
 
     Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) on the
     scale ``s = max(1, max|V|)``, in closed form for one mode and by one
-    ``eigvalsh`` for two (see ``_checked``): V symmetric within
-    ``DEFAULT.symmetry s``, no eigenvalue below ``-e`` with
-    ``e = max(DEFAULT.uncertainty, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
+    ``eigvalsh`` for two (see ``_checked``), at the default tolerances: V
+    symmetric within ``1e-12 s``, no eigenvalue below ``-e`` with
+    ``e = max(1e-9, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
     thermal frame; single-mode squeezing r widens that band by at most
     ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
     singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.
@@ -241,7 +253,7 @@ class GaussianState:
         if mean.shape[0] != 2 * n:
             raise InvalidDimensionError(
                 f"mean has length {mean.shape[0]}, CM is {2 * n} x {2 * n}")
-        cm = _checked(cm, DEFAULT, 1.0)  # a fresh array: frozen, not copied
+        cm = _checked(cm, None, 1.0)  # a fresh array: frozen, not copied
         cm.setflags(write=False)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cm", cm)
@@ -347,7 +359,7 @@ def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(np.concatenate([a.mean, b.mean]), cm)
 
 
-def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
+def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite symmetric matrix.
 
     Returns ``(S, spectrum)`` with ``S V S^T = diag(nu_1, nu_1, ...)`` and the
@@ -362,6 +374,7 @@ def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
     residual must stay within ``1e-8 m`` and ``|S Omega S^T - Omega|`` within
     ``16 eps m``, never below the default 1e-10.  On 7,700 quasi-Choi states
     with mu from 10 to 1.3e8 the symplectic residual is at most ``0.56 eps m``.
+    ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`.
     """
     cm, lam, u, k = (x[0] for x in _sqrt_form((cm,), tol))
     _require_psd(cm, lam)
@@ -386,5 +399,5 @@ def williamson(cm, tol: Tolerances | None = None) -> WilliamsonDecomposition:
     resid = np.max(np.abs(s @ cm @ s.T - target))
     if resid > 1e-8 * scale:
         raise ValidationError(f"Williamson reconstruction residual too large: {resid:g}")
-    sym_tol = max(DEFAULT.symplectic, 16.0 * np.finfo(float).eps * scale)
+    sym_tol = max(_SYMPLECTIC, 16.0 * np.finfo(float).eps * scale)
     return WilliamsonDecomposition(SymplecticMatrix(s, sym_tol), spectrum)

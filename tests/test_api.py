@@ -10,7 +10,7 @@ import pytest
 
 import bosonic_telesim as bt
 from bosonic_telesim import (capacity, channels, convergence, dilation, errors, fidelity,
-                             peeling, symplectic, teleportation, tolerances)
+                             peeling, symplectic, teleportation)
 
 LAYERS = (symplectic, channels, teleportation, dilation, fidelity, convergence, peeling,
           capacity)
@@ -27,7 +27,7 @@ class TestExports:
         exported = {name for name, obj in vars(bt).items()
                     if not name.startswith("_") and not inspect.ismodule(obj)}
         declared = set().union(*(mod.__all__ for mod in LAYERS))
-        assert exported == declared | _classes(errors) | _classes(tolerances)
+        assert exported == declared | _classes(errors)
 
     # names that only tests used; the generators now live in tests/_helpers.py
     @pytest.mark.parametrize("name", ["bloch_messiah_2x2", "BlochMessiah2x2",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
-                             NoUniformBoundError, Tolerances, UnsupportedFormError,
+                             NoUniformBoundError, UnsupportedFormError,
                              ValidationError,
                              c_epsilon, canonical_channel, corrected_key_bound,
                              diamond_upper_bound, entropic_h, epsilon_tp_bound,
@@ -208,7 +208,7 @@ KEY_ERRORS = [
 
 
 class TestCorrectedKeyBoundErrors:
-    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-6)])
+    @pytest.mark.parametrize("tol", [None, 1e-6])
     @pytest.mark.parametrize("args, exc, msg", KEY_ERRORS)
     def test_errors_and_their_order(self, args, exc, msg, tol):
         with pytest.raises(exc) as info:
@@ -217,7 +217,7 @@ class TestCorrectedKeyBoundErrors:
 
     @pytest.mark.parametrize("ch, tol", [
         (attenuator(), None),
-        (GaussianChannel(np.eye(2), np.diag([0.1, 1e-11])), Tolerances.uniform(1e-12))])
+        (GaussianChannel(np.eye(2), np.diag([0.1, 1e-11])), 1e-12)])
     def test_one_classify_per_call(self, classify_calls, ch, tol):
         corrected_key_bound(ch, 10, 0.1, 100.0, tol=tol)
         assert len(classify_calls) == 1
@@ -242,7 +242,7 @@ class TestCorrectedKeyBound:
     def test_tolerance_reaches_eps_tp(self):
         # sqrt(1 - 1e-7) I is the additive class B2 under a 1e-6 boundary;
         # eps_tp must come from that B2 bound, not the cancelled C_Att one
-        tol = Tolerances.uniform(1e-6)
+        tol = 1e-6
         ch = GaussianChannel(np.sqrt(1.0 - 1e-7) * np.eye(2), 0.1 * np.eye(2))
         report = corrected_key_bound(ch, 10, 0.1, 1e6, tol=tol)
         assert report.inputs["class"] == "B2"

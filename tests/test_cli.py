@@ -319,7 +319,7 @@ class TestPeel:
     def test_tolerance_changes_per_use_delta(self, capsys, monkeypatch):
         # sqrt(1 - 1e-7) I is an attenuator by default and the additive class
         # once the boundary is loosened past 1e-7; peel must follow the switch
-        from bosonic_telesim import GaussianChannel, Tolerances, diamond_upper_bound
+        from bosonic_telesim import GaussianChannel, diamond_upper_bound
         t = np.sqrt(1.0 - 1e-7)
         spec = json.dumps({"t": [[t, 0.0], [0.0, t]], "n": [[0.1, 0.0], [0.0, 0.1]]})
         ch = GaussianChannel(t * np.eye(2), 0.1 * np.eye(2))
@@ -328,7 +328,7 @@ class TestPeel:
         default = json.loads(out)["per_use_delta"]
         assert default == diamond_upper_bound(ch, 10.0)
         assert default == pytest.approx(0.667534, abs=1e-6)
-        loose = diamond_upper_bound(ch, 10.0, tol=Tolerances.uniform(1e-6))
+        loose = diamond_upper_bound(ch, 10.0, tol=1e-6)
         assert loose == pytest.approx(0.667782, abs=1e-6)
         _, out, _ = run(capsys, *argv, "--tol", "1e-6")
         assert json.loads(out)["per_use_delta"] == loose

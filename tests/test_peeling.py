@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bosonic_telesim import (AdaptiveProtocolSpec, CanonicalClass, DomainError,
-                             GaussianChannel, NoUniformBoundError, Tolerances,
+                             GaussianChannel, NoUniformBoundError,
                              ValidationError, apply_affine, apply_channel,
                              canonical_channel, diamond_upper_bound,
                              epsilon_tp_bound, form_from_fields, gaussian_fidelity,
@@ -129,7 +129,7 @@ class TestEpsilonTpBound:
         ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))
         with pytest.raises(NoUniformBoundError):
             epsilon_tp_bound(2, 10.0, ch, "uniform")
-        tol = Tolerances.uniform(1e-12)
+        tol = 1e-12
         got = epsilon_tp_bound(2, 10.0, ch, "uniform", tol=tol)
         assert got == 2 * diamond_upper_bound(ch, 10.0, tol=tol) / 2
 
@@ -157,7 +157,7 @@ EPS_TP_ERRORS = [
 
 
 class TestSingleClassification:
-    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-6)])
+    @pytest.mark.parametrize("tol", [None, 1e-6])
     @pytest.mark.parametrize("args, exc, msg", EPS_TP_ERRORS)
     def test_errors_and_their_order(self, args, exc, msg, tol):
         with pytest.raises(exc) as info:
@@ -170,11 +170,11 @@ class TestSingleClassification:
         ch = GaussianChannel(np.sqrt(0.5) * I2, (0.5 - 1e-10) * I2)
         assert epsilon_tp_bound(3, 20.0, ch, "strong") == pytest.approx(0.46866428, rel=1e-7)
         with pytest.raises(ValidationError, match="eigenvalue -9.99998972517e-11 < 0"):
-            epsilon_tp_bound(3, 20.0, ch, "strong", tol=Tolerances.uniform(1e-12))
+            epsilon_tp_bound(3, 20.0, ch, "strong", tol=1e-12)
 
     @pytest.mark.parametrize("topology, params", [
         ("uniform", {}), ("strong", {}), ("bounded_uniform", {"energy_bound": 2.0})])
-    @pytest.mark.parametrize("tol", [None, Tolerances.uniform(1e-12)])
+    @pytest.mark.parametrize("tol", [None, 1e-12])
     def test_one_classify_per_call(self, classify_calls, topology, params, tol):
         ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))  # B2 under 1e-12 only
         if tol is None:

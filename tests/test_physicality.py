@@ -16,7 +16,7 @@ from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              ValidationError, canonical_channel, classify,
                              form_from_fields, quasi_choi, symplectic_eigenvalues,
                              tmsv_state, validate_channel)
-from bosonic_telesim.tolerances import DEFAULT
+from bosonic_telesim.symplectic import _UNCERTAINTY
 
 Z2 = np.diag([1.0, -1.0])
 FRAMES = 50
@@ -225,7 +225,7 @@ class TestClosedFormAgainstEigvalsh:
 
         scale = max(1.0, float(np.max(np.abs(m))))
         lam = np.linalg.eigvalsh(sym + 1j * w * np.array([[0.0, 1.0], [-1.0, 0.0]]))[0]
-        threshold = -max(DEFAULT.uncertainty, 64.0 * np.finfo(float).eps * scale)
+        threshold = -max(_UNCERTAINTY, 64.0 * np.finfo(float).eps * scale)
         if lam < threshold - self.BAND * scale:
             assert not accepted
         elif lam > threshold + self.BAND * scale:
