@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 import numpy as np
 
@@ -182,6 +183,24 @@ def channel_rank(ch: GaussianChannel, tol: float | None = None) -> float:
     return _numeric_rank(ch.t, tol) * _numeric_rank(ch.n, tol) / 2.0
 
 
+def _sqrt_det(n: np.ndarray) -> float:
+    """``sqrt(max(det N, 0))`` of a finite symmetric 2x2 N, from numpy's
+    ``det``.  Up to ``max|N| = 2^511``, ``|det N| <= 2 max|N|^2`` cannot
+    overflow; beyond, a ``det`` that overflows is taken of N scaled by an
+    exact power of two."""
+    (p, b), (_, q) = n.tolist()  # plain floats: the range test dispatches no ufunc
+    big = max(abs(p), abs(b), abs(q))
+    if big <= 2.0 ** 511:
+        det = np.linalg.det(n)
+    else:
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(n)
+        if math.isinf(det):
+            e = math.frexp(big)[1]
+            return math.ldexp(math.sqrt(max(np.linalg.det(np.ldexp(n, -e)), 0.0)), e)
+    return float(np.sqrt(max(det, 0.0)))
+
+
 _TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is tau = 1
 
 
@@ -200,7 +219,7 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     tau = float(np.linalg.det(ch.t))
     rank_t = _numeric_rank(ch.t, tol)
     rank_n = _numeric_rank(ch.n, tol)
-    sqrt_det_n = float(np.sqrt(max(np.linalg.det(ch.n), 0.0)))
+    sqrt_det_n = _sqrt_det(ch.n)
     diag = {"tau": tau, "rank_t": rank_t, "rank_n": rank_n, "sqrt_det_n": sqrt_det_n}
 
     def ambiguous(msg):

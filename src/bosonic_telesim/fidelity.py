@@ -19,6 +19,7 @@ closed forms below are validated against this general routine in the tests.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -38,9 +39,19 @@ __all__ = [
 ]
 
 def _mean_factor(delta: np.ndarray, vsum: np.ndarray) -> float:
+    """``exp(-delta^T (V1 + V2)^{-1} delta / 4)``, 0 where it underflows.  A
+    quadratic form beyond float64 range is taken of ``u = 2^-e delta``, with
+    ``2^e > max|delta|``, and scaled back by the exact ``4^e``, so far-apart
+    means give 0 rather than NaN or a warning."""
     if not np.any(delta):
         return 1.0
-    return float(np.exp(-0.25 * delta @ np.linalg.solve(vsum, delta)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = delta @ np.linalg.solve(vsum, delta)
+        if not np.isfinite(q):
+            e = math.frexp(float(np.max(np.abs(delta))))[1]
+            u = np.ldexp(delta, -e)
+            q = np.ldexp(u @ np.linalg.solve(vsum, u), 2 * e)
+    return float(np.exp(-0.25 * q))
 
 
 def _spectral_w(vaux: np.ndarray, n: int) -> np.ndarray:

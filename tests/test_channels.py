@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -150,6 +151,30 @@ class TestClassify:
             classify(GaussianChannel(np.diag([1e-6, 1e-6]), 2.0 * I2))
         assert "rank" in str(err.value)
         assert err.value.diagnostics["rank_t"] == 2
+
+    def test_zero_tol_is_not_the_default(self):
+        # 1e-11 is below the default rank threshold 1e-10, above 0
+        ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))
+        assert classify(ch).tag is CanonicalClass.B1
+        assert classify(ch, 0.0).tag is CanonicalClass.B2
+        assert classify(ch, 0.0).noise_param == float(np.sqrt(np.linalg.det(ch.n)))
+
+    def test_huge_noise_matrix_does_not_overflow(self):
+        # det N = 1.96e616 is beyond float64; N is scaled by 2^-1024 first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            form = classify(channel_from_dict({"class": "A2", "nbar": 7e307}))
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert classify(channel_from_dict({"class": "A2", "nbar": 7e307})) == form
+        assert form.tag is CanonicalClass.A2
+        assert abs(form.noise_param - 7e307) <= 4 * math.ulp(7e307)
+
+    def test_huge_noise_matrix_with_finite_det_keeps_numpy_det(self):
+        # max|N| beyond 2^511 but det N = 1e308 finite: numpy's det, unscaled
+        n = np.diag([1e158, 1e150])
+        form = classify(GaussianChannel(np.diag([1.0, 0.0]), n))
+        assert form.tag is CanonicalClass.A2
+        assert form.noise_param == 0.5 * (float(np.sqrt(np.linalg.det(n))) - 1.0)
 
     def test_roundtrip_all_classes(self, rng):
         for _ in range(30):

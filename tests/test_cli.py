@@ -19,6 +19,10 @@ LOSS = '{"class": "C_Att", "tau": 0.5, "nbar": 0.0}'
 IDENTITY = '{"t": [[1.0, 0.0], [0.0, 1.0]], "n": [[0.0, 0.0], [0.0, 0.0]], "d": [0.0, 0.0]}'
 VACUUM = '{"mean": [0.0, 0.0], "cm": [[1.0, 0.0], [0.0, 1.0]]}'
 THERMAL3 = '{"mean": [0.0, 0.0], "cm": [[3.0, 0.0], [0.0, 3.0]]}'
+# delta^T (V1 + V2)^-1 delta is inf - inf = NaN in float64 for this pair
+_CM = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
+_FAR = (json.dumps({"mean": [9.5e15, 0.0, 1.7e308, 8.0], "cm": _CM}),
+        json.dumps({"mean": [0.0] * 4, "cm": _CM}))
 
 
 def run(capsys, *argv):
@@ -47,6 +51,13 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--channel", '{"t": [[1,')
         assert code == 2
         assert "error" in err
+
+    def test_huge_noise_matrix(self, capsys):
+        code, out, _ = run(capsys, "classify", "--channel", '{"class": "A2", "nbar": 7e307}')
+        assert code == 0
+        record = json.loads(out)
+        assert (record["class"], record["r"]) == ("A2", 1)
+        assert abs(record["noise_param"] - 7e307) <= 4 * math.ulp(7e307)
 
     def test_unknown_spec_key(self, capsys):
         code, _, err = run(capsys, "classify", "--channel", '{"class": "B2", "foo": 1}')
@@ -141,6 +152,11 @@ class TestFidelity:
             code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
             assert (code, out) == (3, "")
             assert "float64" in err
+
+    def test_far_apart_means(self, capsys):
+        code, out, _ = run(capsys, "fidelity", "--state1", _FAR[0], "--state2", _FAR[1])
+        assert code == 0
+        assert json.loads(out)["fidelity"] == 0.0
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
@@ -647,6 +663,7 @@ def _state_pairs(draw):
 
 class TestFidelityFuzz:
     @given(_state_pairs())
+    @example(tuple(json.loads(s) for s in _FAR))
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_finite_output(self, pair):
         _run_cli(["fidelity", "--state1", json.dumps(pair[0]),

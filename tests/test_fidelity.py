@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,19 @@ class TestGaussianFidelity:
         shifted = GaussianState([1.0, 0.0], I2)
         assert gaussian_fidelity(GaussianState.vacuum(), shifted) == pytest.approx(
             np.exp(-1.0 / 8.0), rel=1e-12)
+
+    @pytest.mark.parametrize("mean", [[9.5e15, 0.0, 1.7e308, 8.0], [1e200, -1e200]])
+    def test_far_apart_means_give_zero(self, rng, mean):
+        # delta^T (V1 + V2)^-1 delta overflows float64 (it gave NaN in about
+        # half of these pairs); the Gaussian factor underflows to 0 instead
+        modes = len(mean) // 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(300):
+                far = GaussianState(mean, random_state(modes, rng).cm)
+                near = random_state(modes, rng)
+                assert gaussian_fidelity(far, near) == 0.0
+                assert gaussian_fidelity(near, far) == 0.0
 
     def test_symmetry(self, rng):
         for _ in range(25):

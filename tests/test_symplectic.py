@@ -106,6 +106,12 @@ class TestSymplecticEigenvalues:
         with pytest.raises(ValidationError):
             symplectic_eigenvalues(np.diag([4.0, -1e-3]))
 
+    def test_tol_loosens_the_symmetry_check(self):
+        cm = np.array([[2.0, 1e-8], [0.0, 2.0]])
+        with pytest.raises(ValidationError, match="symmetric within tolerance 1e-12"):
+            symplectic_eigenvalues(cm)
+        assert symplectic_eigenvalues(cm, 1e-6) == pytest.approx([2.0], rel=1e-15)
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_stack_is_bit_identical_to_each_matrix(self, data):
@@ -168,6 +174,15 @@ class TestWilliamson:
     def test_not_positive_definite(self):
         with pytest.raises(ValidationError):
             williamson(np.diag([1.0, -1.0]))
+
+    def test_tol_loosens_the_symmetry_check(self):
+        cm = np.array([[2.0, 1e-8], [0.0, 2.0]])
+        with pytest.raises(ValidationError, match="symmetric within tolerance 1e-12"):
+            williamson(cm)
+        dec = williamson(cm, tol=1e-6)
+        assert dec.spectrum == pytest.approx((2.0,), rel=1e-15)
+        assert np.max(np.abs(dec.s.s @ (0.5 * (cm + cm.T)) @ dec.s.s.T
+                             - dec.diagonal())) <= 1e-12
 
     @pytest.mark.parametrize("cm, spectrum", [
         (tmsv_state(2.0).cm, (1.0, 1.0)),
