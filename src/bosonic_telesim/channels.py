@@ -71,11 +71,15 @@ class GaussianChannel:
     Construction only enforces shapes and a finite N, symmetrized exactly; the
     physical bona-fide condition is checked by :func:`validate_channel` so
     that unphysical triples can still be represented and interrogated.
+    Instances are immutable, so a passed check at the default tolerances is
+    a fact of the channel: it runs on the first use and is remembered (a
+    failed one is not, and raises again on every use).
     """
 
     t: np.ndarray
     n: np.ndarray
     d: np.ndarray = None
+    _physical = False  # not a field: set on the instance by a passed default check
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -117,7 +121,9 @@ def validate_channel(ch: GaussianChannel, tol: float | None = None) -> bool:
     about ``eps s`` of the exact one near the threshold, on plain floats with
     ``det T = a d - b c``, so a non-finite entry anywhere gives False.
     An output frame of single-mode squeezing r widens the accepted band below
-    the boundary by at most ``(r^2 + r^-2) / 2``."""
+    the boundary by at most ``(r^2 + r^-2) / 2``.  The default-tolerance
+    answer True is remembered on the channel; a float ``tol`` (0.0 included)
+    always checks again."""
     try:
         _require_valid(ch, tol)
     except ValidationError:
@@ -126,8 +132,15 @@ def validate_channel(ch: GaussianChannel, tol: float | None = None) -> bool:
 
 
 def _require_valid(ch: GaussianChannel, tol: float | None = None) -> None:
+    """Raise :class:`ValidationError` unless the channel is physical.  A
+    passed check at the default tolerances is remembered on the immutable
+    channel, so it runs once per channel; a failed one is not remembered."""
+    if tol is None and ch._physical:
+        return
     (a, b), (c, d) = ch.t.tolist()  # plain floats: no numpy call, no warning on NaN
     _checked(ch.n, tol, 1.0 - (a * d - b * c), "channel noise matrix")
+    if tol is None:
+        object.__setattr__(ch, "_physical", True)  # past the frozen __setattr__
 
 
 def apply_channel(ch: GaussianChannel, state: GaussianState,

@@ -125,9 +125,10 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
 
 
 def _witness_column(mu: float, grid, row: tuple | None = None):
-    """``(mu_tilde, witness)`` as float lists over the mu_tilde of ``grid`` at
-    resource mu, in one array pass: the B1 witness of the input-frame row
-    ``row = (a, c)``, or the identity witness for ``row=None``.
+    """``(mu_tilde, witness, xi)``: float lists over the mu_tilde of ``grid``
+    at resource mu, in one array pass, and the ``xi = bk_added_noise(mu)``
+    they used (None when no row is valid): the B1 witness of the input-frame
+    row ``row = (a, c)``, or the identity witness for ``row=None``.
 
     The closed forms use only + - * / and sqrt, so each element equals the
     one-point evaluation bit for bit.  The error raised is the one the rows
@@ -144,7 +145,7 @@ def _witness_column(mu: float, grid, row: tuple | None = None):
     m = np.array(mu_tilde)
     valid = np.isfinite(m) & (m >= 1.0)
     n_valid = int(np.argmin(valid)) if not valid.all() else len(mu_tilde)
-    witness = []
+    witness, xi = [], None
     if n_valid:
         if row is not None:
             a, c = row
@@ -152,17 +153,13 @@ def _witness_column(mu: float, grid, row: tuple | None = None):
                 raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
             if a == 0.0 and c == 0.0:
                 raise DomainError("(a, c) = (0, 0) is outside the witness family")
-        xi = float(bk_added_noise(mu))
+        xi = bk_added_noise(mu)
         with np.errstate(all="ignore"):  # a non-finite B1 row is rejected below
             if row is None:
-                witness = _identity_witness(m[:n_valid], xi)
+                witness = _identity_witness(m[:n_valid], float(xi))
             else:
-                try:
-                    infidelity, f2 = _b1_witness_infidelity(m[:n_valid], xi, a, c)
-                    finite = np.isfinite(infidelity).all() and np.isfinite(f2).all()
-                except OverflowError:  # a Python float power of the row
-                    finite = False
-                if not finite:
+                infidelity, f2 = _b1_witness_infidelity(m[:n_valid], float(xi), a, c)
+                if not (np.isfinite(infidelity).all() and np.isfinite(f2).all()):
                     raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
                                       "completion S overflows float64")
                 witness = np.minimum(
@@ -172,7 +169,7 @@ def _witness_column(mu: float, grid, row: tuple | None = None):
         raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde[n_valid]}")
     if unconverted is not None:
         raise unconverted
-    return mu_tilde, witness
+    return mu_tilde, witness, xi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,15 +205,12 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
         r = params.get("r", 1.0)
         a, c = params.get("a", 1.0), params.get("c", 0.0)
         for mu in grid:
-            rows.append(ScanRow(mu=float(mu), mu_tilde=None, xi=bk_added_noise(mu),
-                                upper_bound=diamond_upper_bound(
-                                    ch, mu, r=r, a=a, c=c, tol=tol),
-                                witness_lower_bound=None))
+            rows.append(ScanRow(float(mu), None, bk_added_noise(mu),
+                                diamond_upper_bound(ch, mu, r=r, a=a, c=c, tol=tol),
+                                None))
         return rows
     mu = float(params.get("mu", 5.0))
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
-    mu_tilde, witness = _witness_column(mu, grid, row)
-    xi = bk_added_noise(mu) if witness else None  # an empty grid leaves mu unchecked
-    return [ScanRow(mu=mu, mu_tilde=m, xi=xi, upper_bound=None, witness_lower_bound=w)
-            for m, w in zip(mu_tilde, witness)]
+    mu_tilde, witness, xi = _witness_column(mu, grid, row)
+    return [ScanRow(mu, m, xi, None, w) for m, w in zip(mu_tilde, witness)]

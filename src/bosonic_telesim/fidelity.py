@@ -38,19 +38,27 @@ __all__ = [
     "fid_b2_asymptotic",
 ]
 
-def _mean_factor(delta: np.ndarray, vsum: np.ndarray) -> float:
-    """``exp(-delta^T (V1 + V2)^{-1} delta / 4)``, 0 where it underflows.  A
-    quadratic form beyond float64 range is taken of ``u = 2^-e delta``, with
-    ``2^e > max|delta|``, and scaled back by the exact ``4^e``, so far-apart
-    means give 0 rather than NaN or a warning."""
-    if not np.any(delta):
+
+def _mean_factor(m1: np.ndarray, m2: np.ndarray, vsum: np.ndarray) -> float:
+    """``exp(-delta^T (V1 + V2)^{-1} delta / 4)`` of ``delta = m2 - m1``, 0
+    where it underflows, with no warning.  delta is formed on plain floats,
+    so a difference beyond float64 range is inf.  A quadratic form beyond
+    float64 range is taken again of ``u = 2^-e h``, with ``h = m2/2 - m1/2``
+    (which cannot overflow) and ``2^e > max|h|``, and scaled back by the
+    exact ``4^(e+1)``.  Where delta is finite and has no subnormal entry, h
+    is delta/2 exactly, so u is ``2^-(e+1) delta`` bit for bit."""
+    a, b = m1.tolist(), m2.tolist()
+    delta = [y - x for x, y in zip(a, b)]
+    if not any(delta):
         return 1.0
+    delta = np.array(delta)
     with np.errstate(over="ignore", invalid="ignore"):
         q = delta @ np.linalg.solve(vsum, delta)
         if not np.isfinite(q):
-            e = math.frexp(float(np.max(np.abs(delta))))[1]
-            u = np.ldexp(delta, -e)
-            q = np.ldexp(u @ np.linalg.solve(vsum, u), 2 * e)
+            h = np.array([0.5 * y - 0.5 * x for x, y in zip(a, b)])
+            e = math.frexp(float(np.max(np.abs(h))))[1]
+            u = np.ldexp(h, -e)
+            q = np.ldexp(u @ np.linalg.solve(vsum, u), 2 * e + 2)
     return float(np.exp(-0.25 * q))
 
 
@@ -77,7 +85,7 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     n = s1.modes
     v1, v2 = s1.cm, s2.cm
     vsum = v1 + v2
-    mean = _mean_factor(s2.mean - s1.mean, vsum)
+    mean = _mean_factor(s1.mean, s2.mean, vsum)
     if any(_purities((s1, s2))):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
         det = np.linalg.det(vsum / 2.0)
@@ -268,21 +276,26 @@ def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
     ``s = xi + 1/m``, so that none overflows or underflows at any mu_tilde
     and xi.  Elementwise on an array of mu_tilde: only + - * / and sqrt
     touch it, so each element equals the scalar evaluation bit for bit.
+    Squares are products, never a ``**`` (libm ``pow`` misrounds some and
+    raises ``OverflowError`` on Python floats): an overflowing row gives a
+    non-finite result, which the caller rejects.
     """
     d, b = (0.0, 1.0 / a) if a != 0.0 else (-1.0 / c, 0.0)
     p, q, t = a * a + c * c, a * d + c * b, d * d + b * b
     u = 1.0 / mu_tilde
     g = (mu_tilde - 1.0) * u
-    x, v = xi / (xi + u), u / (xi + u)
-    dd = x * (2.0 * p + xi) + v * (2.0 * xi * (p + t) + 4.0 + 4.0 * u)
-    pp = x * (p + xi) + v * (2.0 * xi * (2.0 * p + xi + t) + 2.0
-                             + u * (xi * (5.0 * p + xi + 4.0 * t) + 8.0
-                                    + u * (2.0 * p * xi + 8.0)))
-    qq = x * (p + xi) + v * (2.0 * t * xi + 2.0 + u * xi * (p + xi + 2.0 * u * p))
-    rr = x * (2.0 * p + xi) ** 2 + v * (
-        4.0 * xi * (p + t) * (2.0 * p + xi)
-        + 4.0 * u * xi * (p * p + t * t + 2.0 * (g + q * q))
-        + 8.0 * p * g * (1.0 + u) * (1.0 + 2.0 * u))
+    s = xi + u
+    x, v = xi / s, u / s
+    u2, u4 = 2.0 * u, 4.0 * u
+    w = 2.0 * p + xi
+    xp = x * (p + xi)
+    dd = x * w + v * (2.0 * xi * (p + t) + 4.0 + u4)
+    pp = xp + v * (2.0 * xi * (w + t) + 2.0
+                   + u * (xi * (5.0 * p + xi + 4.0 * t) + 8.0 + u * (2.0 * p * xi + 8.0)))
+    qq = xp + v * (2.0 * t * xi + 2.0 + u * xi * (p + xi + u2 * p))
+    rr = x * (w * w) + v * (4.0 * xi * (p + t) * w
+                            + u4 * xi * (p * p + t * t + 2.0 * (g + q * q))
+                            + 8.0 * p * g * (1.0 + u) * (1.0 + u2))
     ss = np.sqrt(pp) + np.sqrt(qq)
     scaled = np.sqrt(2.0 * v) * ss
     infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled))

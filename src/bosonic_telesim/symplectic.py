@@ -169,9 +169,17 @@ def _sqrt_form(cms, tol: float | None):
     ``64 eps max(1, max|V|)`` of 0 clipped to 0) and ``K = R Omega R``,
     similar to ``Omega V``, so the Hermitian ``i K`` has eigenvalues
     ``+/- nu_k``.  Returns the stacks ``(V, lam, U, K)``, each slice
-    bit-identical to a stack of one; :func:`_require_psd` checks a slice."""
+    bit-identical to a stack of one; :func:`_require_psd` checks a slice.
+
+    An entry may also be a :class:`GaussianState`, whose CM is taken as it
+    is: it was checked and symmetrized when the state was constructed, and
+    symmetrizing a symmetric matrix again returns it bit for bit."""
     v = []
     for m in cms:
+        if isinstance(m, GaussianState):
+            n = m.modes
+            v.append(m.cm)
+            continue
         m = _as_matrix(m)
         n = _check_even(m.shape[0])
         v.append(_checked(m, tol))
@@ -222,10 +230,12 @@ def symplectic_eigenvalues(cm, tol: float | None = None):
 
 def _purities(states, tol: float = 1e-9):
     """``state.is_pure(tol)`` of each state in turn, from one spectral pass
-    over the stacked CMs.  Read lazily, ``any(_purities((s1, s2)))`` keeps the
-    short circuit of ``s1.is_pure() or s2.is_pure()``: s1's error comes first,
-    and nothing about s2 raises once s1 is pure."""
-    return (bool(np.max(nu) <= 1.0 + tol) for nu in _spectra([s.cm for s in states], None))
+    over the stacked CMs.  The states go to ``_sqrt_form`` as they are, so
+    their CMs, checked at construction, are not checked again.  Read lazily,
+    ``any(_purities((s1, s2)))`` keeps the short circuit of
+    ``s1.is_pure() or s2.is_pure()``: s1's error comes first, and nothing
+    about s2 raises once s1 is pure."""
+    return (bool(np.max(nu) <= 1.0 + tol) for nu in _spectra(states, None))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,8 +249,8 @@ class GaussianState:
     ``e = max(1e-9, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
     thermal frame; single-mode squeezing r widens that band by at most
     ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
-    singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.
-    Instances are immutable; the arrays are read-only.
+    singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.  The
+    mean must be finite.  Instances are immutable; the arrays are read-only.
     """
 
     mean: np.ndarray
@@ -254,6 +264,8 @@ class GaussianState:
             raise InvalidDimensionError(
                 f"mean has length {mean.shape[0]}, CM is {2 * n} x {2 * n}")
         cm = _checked(cm, None, 1.0)  # a fresh array: frozen, not copied
+        if not all(map(math.isfinite, mean.tolist())):  # plain floats: no ufunc
+            raise ValidationError("mean is not finite")
         cm.setflags(write=False)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cm", cm)

@@ -38,6 +38,79 @@ class TestValidate:
         assert not validate_channel(GaussianChannel(I2, np.diag([1.0, -0.5])))
 
 
+class TestCheckOnce:
+    """A channel is immutable, so a passed default-tolerance physicality
+    check is remembered on it; a failed one and a float ``tol`` are not."""
+
+    @pytest.fixture
+    def physicality_checks(self, monkeypatch):
+        from bosonic_telesim import channels
+
+        calls, real = [], channels._checked
+
+        def counted(m, tol, w=None, what="covariance matrix"):
+            if what == "channel noise matrix":
+                calls.append(tol)
+            return real(m, tol, w, what)
+
+        monkeypatch.setattr(channels, "_checked", counted)
+        return calls
+
+    def test_failed_check_raises_the_same_error_on_every_use(self):
+        ch = GaussianChannel(2.0 * I2, 0.5 * I2)  # det N = 0.25 < (det T - 1)^2 = 9
+        messages = set()
+        for _ in range(3):
+            assert not validate_channel(ch)
+            for use in (classify, channel_rank, lambda c: apply_channel(c, thermal_state(1.0)),
+                        lambda c: compose(c, GaussianChannel.identity()),
+                        lambda c: compose(GaussianChannel.identity(), c)):
+                with pytest.raises(ValidationError) as info:
+                    use(ch)
+                messages.add(str(info.value))
+        assert len(messages) == 1 and "unphysical" in messages.pop()
+
+    def test_float_tol_always_checks_again(self):
+        # min eigenvalue of N + i 0 Omega is -5e-10: inside the default slack
+        # 1e-9, outside 1e-12 and 0.0, whatever was remembered in between
+        ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
+        assert [validate_channel(ch), validate_channel(ch, 1e-12), validate_channel(ch),
+                validate_channel(ch, 0.0)] == [True, False, True, False]
+        with pytest.raises(ValidationError):
+            classify(ch, 0.0)
+        classify(ch)  # the remembered default check still passes
+
+    def test_one_check_per_channel(self, physicality_checks, classify_calls):
+        from bosonic_telesim import convergence_scan
+
+        ch = loss_channel(0.5, 0.5)
+        classify(ch)
+        apply_channel(ch, tmsv_state(2.0), 1)
+        compose(ch, ch)
+        rows = convergence_scan(ch, np.geomspace(1.1, 1e10, 50))
+        assert len(rows) == 50
+        assert physicality_checks == [None]
+        assert len(classify_calls) == 52  # the scan still classifies 52 times
+        validate_channel(ch, 1e-9)
+        classify(ch, 1e-9)
+        assert physicality_checks == [None, 1e-9, 1e-9]
+
+    def test_the_remembered_check_is_not_a_field(self):
+        import dataclasses
+
+        ch = loss_channel(0.5)
+        classify(ch)
+        assert [f.name for f in dataclasses.fields(ch)] == ["t", "n", "d"]
+        assert dataclasses.replace(ch, n=2.0 * ch.n)._physical is False
+
+    def test_a_composite_is_checked_on_its_own_first_use(self, physicality_checks):
+        ch = loss_channel(0.5)
+        both = compose(ch, ch)
+        assert physicality_checks == [None]
+        assert classify(both).tag is CanonicalClass.C_Att
+        assert classify(both).tau == pytest.approx(0.25)
+        assert physicality_checks == [None, None]
+
+
 class TestApply:
     def test_pure_loss_fixed_point(self):
         out = apply_channel(loss_channel(0.5), thermal_state(1.0))

@@ -229,6 +229,26 @@ class TestB1Witness:
             assert mp.mpf(got) <= exact
             assert float((exact - got) / exact) <= 1e-12
 
+    @pytest.mark.parametrize("mu, mu_tilde, a, c", [
+        (2.176120975131546, 72.78953843983153, 1.3331628123203703, 0.568544950730951),
+        (19.956228009787235, 1.0, 1.3503263101093383, -0.25405792513405534),
+        (42.951143774117654, 35.62247890262442, 1.5026648477234472, -0.7134906559457876),
+    ])
+    def test_rows_moved_by_the_product_square(self, mu, mu_tilde, a, c):
+        # (2p + xi)^2 as a product moved these rows by one ulp from the
+        # former libm pow; both values stay under the 60-digit one
+        got = b1_witness_bound(mu, mu_tilde, a, c)
+        exact = b1_witness_mp(mu, mu_tilde, a, c, dps=60)
+        assert mp.mpf(got) <= exact
+        assert float((exact - got) / exact) <= 1e-12
+
+    def test_kernel_squares_by_product(self):
+        # a Python float ``**`` raised OverflowError for this row; the product
+        # gives inf, which _witness_column rejects as a DomainError
+        with np.errstate(all="ignore"):
+            infidelity, f2 = _b1_witness_infidelity(np.array([1.0, 1e6]), 0.2, 1e150, 0.0)
+        assert not (np.isfinite(infidelity).all() and np.isfinite(f2).all())
+
     def test_large_resource_at_unit_energy(self):
         # F = 1 - 3.4e-17, below float64's resolution of F near 1: the
         # witness keeps full relative accuracy only if 1 - F^2 is computed
@@ -352,6 +372,18 @@ class TestConvergenceScan:
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
         rows = convergence_scan(ch, [1e2, 1e4], {"mu": 1.25, "a": 1.0, "c": 0.0})
         assert rows[0].witness_lower_bound < rows[1].witness_lower_bound
+
+    @pytest.mark.parametrize("unit_rank", [False, True])
+    def test_one_added_noise_per_witness_scan(self, unit_rank, monkeypatch):
+        from bosonic_telesim import convergence
+
+        calls = []
+        monkeypatch.setattr(convergence, "bk_added_noise",
+                            lambda mu: calls.append(mu) or bk_added_noise(mu))
+        ch = GaussianChannel(I2, np.diag([0.0, 1.0])) if unit_rank else GaussianChannel.identity()
+        rows = convergence_scan(ch, np.geomspace(1.0, 1e9, 30), {"mu": 5.0})
+        assert calls == [5.0]
+        assert all(row.xi is rows[0].xi == bk_added_noise(5.0) for row in rows)
 
     def test_empty_grid(self):
         assert convergence_scan(GaussianChannel.identity(), [], {"mu": 2.0}) == []

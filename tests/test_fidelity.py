@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,6 +25,29 @@ def fock_vacuum_thermal_fidelity(nbar, cutoff=200):
     p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
     p = p / p.sum()
     return float(np.sqrt(p[0]))
+
+
+# (nbar1, nbar2, z, theta) pairs of the two-mode Fock-oracle test
+FOCK_POINTS = [
+    ((0.3, 0.2, 0.25, 0.6), (0.1, 0.4, 0.15, 1.1)),
+    ((0.2, 0.0, 0.3, 0.4), (0.35, 0.15, 0.1, 0.9)),
+    ((0.0, 0.0, 0.2, 0.3), (0.25, 0.1, 0.25, 0.5)),
+]
+
+
+def fock_point_cm(nbar1, nbar2, z, theta):
+    """CM of thermal inputs through a two-mode squeezer z and a beam splitter
+    theta, the phase-space twin of the Fock-basis state of the oracle test."""
+    z2 = np.diag([1.0, -1.0])
+    v0 = np.zeros((4, 4))
+    v0[:2, :2] = (2 * nbar1 + 1) * I2
+    v0[2:, 2:] = (2 * nbar2 + 1) * I2
+    s_tms = np.block([[np.cosh(z) * I2, np.sinh(z) * z2],
+                      [np.sinh(z) * z2, np.cosh(z) * I2]])
+    s_bs = np.block([[np.cos(theta) * I2, np.sin(theta) * I2],
+                     [-np.sin(theta) * I2, np.cos(theta) * I2]])
+    s = s_bs @ s_tms
+    return s @ v0 @ s.T
 
 
 def _unchecked_state(cm):
@@ -88,6 +112,60 @@ class TestGaussianFidelity:
                 assert gaussian_fidelity(far, near) == 0.0
                 assert gaussian_fidelity(near, far) == 0.0
 
+    @pytest.mark.parametrize("mean", [[math.inf, 0.0], [math.nan, 0.0],
+                                      [0.0, 1.0, -math.inf, 0.0]])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValidationError, match="mean is not finite"):
+            GaussianState(mean, np.eye(len(mean)))
+        # the CM's own error keeps coming first
+        with pytest.raises(ValidationError, match="unphysical"):
+            GaussianState(mean, 0.5 * np.eye(len(mean)))
+
+    def test_opposite_means_near_float64_range(self):
+        # m2 - m1 overflows float64 (a numpy subtraction warns and ends in NaN)
+        far, other = GaussianState([1e308, 0.0], I2), GaussianState([-1e308, 0.0], I2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                assert gaussian_fidelity(far, other) == 0.0
+                assert gaussian_fidelity(other, far) == 0.0
+                assert gaussian_fidelity(far, far) == 1.0
+
+    def test_mean_factor_unchanged_where_difference_is_finite(self, rng):
+        # the plain numpy route: delta = m2 - m1, exp(-q / 4) of its
+        # quadratic form, bit for bit wherever q is finite
+        from bosonic_telesim.fidelity import _mean_factor
+
+        for k in range(400):
+            n = 1 + k % 2
+            s1 = random_state(n, rng, displace=10.0 ** rng.uniform(-3, 3))
+            s2 = random_state(n, rng, displace=10.0 ** rng.uniform(-3, 3))
+            vsum = s1.cm + s2.cm
+            delta = s2.mean - s1.mean
+            want = float(np.exp(-0.25 * (delta @ np.linalg.solve(vsum, delta))))
+            assert _mean_factor(s1.mean, s2.mean, vsum) == want
+
+    @pytest.mark.parametrize("p1,p2", FOCK_POINTS)
+    def test_fock_points_match_the_checked_cm_route(self, p1, p2, monkeypatch):
+        # the purity pass takes the states' CMs as constructed; handing it the
+        # CMs as raw arrays, checked again, must give the same bits
+        from bosonic_telesim import fidelity, symplectic
+
+        states = [GaussianState(np.zeros(4), fock_point_cm(*p)) for p in (p1, p2)]
+        states += [GaussianState.vacuum(), thermal_state(3.0)]
+        pairs = [(states[0], states[1]), (states[1], states[0]), (states[2], states[3])]
+        got = [gaussian_fidelity(*pair).hex() for pair in pairs]
+        pure = [s.is_pure() for s in states]
+
+        def checked_route(states, tol=1e-9):
+            return (bool(np.max(nu) <= 1.0 + tol)
+                    for nu in symplectic._spectra([s.cm for s in states], None))
+
+        monkeypatch.setattr(fidelity, "_purities", checked_route)
+        assert got == [gaussian_fidelity(*pair).hex() for pair in pairs]
+        assert pure == [next(checked_route((s,))) for s in states]
+        assert pure[2:] == [True, False]
+
     def test_symmetry(self, rng):
         for _ in range(25):
             s1 = random_state(2, rng, displace=1.0)
@@ -143,11 +221,7 @@ class TestGaussianFidelity:
             fmp = float(fidelity_mp(v1, v2, dps=40))
             assert f64 == pytest.approx(fmp, rel=1e-10)
 
-    @pytest.mark.parametrize("p1,p2", [
-        ((0.3, 0.2, 0.25, 0.6), (0.1, 0.4, 0.15, 1.1)),
-        ((0.2, 0.0, 0.3, 0.4), (0.35, 0.15, 0.1, 0.9)),
-        ((0.0, 0.0, 0.2, 0.3), (0.25, 0.1, 0.25, 0.5)),
-    ])
+    @pytest.mark.parametrize("p1,p2", FOCK_POINTS)
     def test_two_mode_mixed_against_fock_oracle(self, p1, p2):
         """Fully independent oracle: build the states in a truncated Fock
         basis (thermal inputs through a two-mode squeezer and beam splitter)
@@ -170,18 +244,6 @@ class TestGaussianFidelity:
                 z * (a1.T @ a2.T - a1 @ a2))
             return u @ rho @ u.T
 
-        def cm(nbar1, nbar2, z, theta):
-            z2 = np.diag([1.0, -1.0])
-            v0 = np.zeros((4, 4))
-            v0[:2, :2] = (2 * nbar1 + 1) * I2
-            v0[2:, 2:] = (2 * nbar2 + 1) * I2
-            s_tms = np.block([[np.cosh(z) * I2, np.sinh(z) * z2],
-                              [np.sinh(z) * z2, np.cosh(z) * I2]])
-            s_bs = np.block([[np.cos(theta) * I2, np.sin(theta) * I2],
-                             [-np.sin(theta) * I2, np.cos(theta) * I2]])
-            s = s_bs @ s_tms
-            return s @ v0 @ s.T
-
         def fock_fidelity(rho, sigma):
             vals, vecs = np.linalg.eigh(rho)
             sq = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
@@ -189,8 +251,8 @@ class TestGaussianFidelity:
             return float(np.sum(np.sqrt(lam)))
 
         oracle = fock_fidelity(fock_state(*p1), fock_state(*p2))
-        got = gaussian_fidelity(GaussianState(np.zeros(4), cm(*p1)),
-                                GaussianState(np.zeros(4), cm(*p2)))
+        got = gaussian_fidelity(GaussianState(np.zeros(4), fock_point_cm(*p1)),
+                                GaussianState(np.zeros(4), fock_point_cm(*p2)))
         assert got == pytest.approx(oracle, abs=1e-6)
 
 

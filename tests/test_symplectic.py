@@ -281,6 +281,33 @@ class TestStates:
         assert not state.cm.flags.writeable and not state.mean.flags.writeable
 
 
+class TestPurityPass:
+    """``is_pure`` and ``gaussian_fidelity`` hand the states themselves to the
+    spectral kernel, which takes a state's CM as constructed: checked and
+    symmetrized once, at construction."""
+
+    def test_spectrum_equals_the_checked_cm_route(self, rng):
+        from bosonic_telesim import symplectic
+
+        for n in (1, 2) * 50:
+            state = random_state(n, rng, max_squeeze=3.0)
+            got = next(symplectic._spectra([state], None))
+            assert got.tobytes() == symplectic_eigenvalues(state.cm).tobytes()
+
+    def test_state_cm_is_not_checked_again(self, rng, monkeypatch):
+        from bosonic_telesim import gaussian_fidelity, symplectic
+
+        s1, s2 = random_state(2, rng), tmsv_state(3.0)
+        calls, real = [], symplectic._checked
+        monkeypatch.setattr(symplectic, "_checked",
+                            lambda *args: calls.append(args) or real(*args))
+        assert s2.is_pure() and not s1.is_pure()
+        gaussian_fidelity(s1, s2)
+        assert calls == []
+        symplectic_eigenvalues(s1.cm)  # a raw array is still checked
+        assert len(calls) == 1
+
+
 class TestApplyAffine:
     def test_identity_noop(self):
         state = thermal_state(2.0)
