@@ -191,9 +191,10 @@ def _snap_noise(p: float) -> float:
 
 
 def channel_rank(ch: GaussianChannel, tol: float | None = None) -> float:
-    """The invariant r = rank(T) rank(N) / 2, with numeric ranks."""
+    """The invariant r = rank(T) rank(N) / 2, with numeric ranks (N's from
+    :func:`_noise_invariants`)."""
     _require_valid(ch, tol)
-    return _numeric_rank(ch.t, tol) * _numeric_rank(ch.n, tol) / 2.0
+    return _numeric_rank(ch.t, tol) * _noise_invariants(ch.n, tol)[0] / 2.0
 
 
 def _sqrt_det(n: np.ndarray) -> float:
@@ -214,6 +215,15 @@ def _sqrt_det(n: np.ndarray) -> float:
     return float(np.sqrt(max(det, 0.0)))
 
 
+def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
+    """``(rank, sqrt(det N))`` of a noise matrix.  N counts as full rank only
+    where ``sqrt(det N) > 0``: a slightly negative eigenvalue inside the
+    physicality slack has a singular value that passes the rank threshold,
+    but N then has no noise scale, so it counts as rank 1."""
+    rank, sqrt_det = _numeric_rank(n, tol), _sqrt_det(n)
+    return (1 if rank == 2 and not sqrt_det > 0.0 else rank), sqrt_det
+
+
 _TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is tau = 1
 
 
@@ -231,8 +241,7 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     boundary = _TAU_BOUNDARY if tol is None else tol
     tau = float(np.linalg.det(ch.t))
     rank_t = _numeric_rank(ch.t, tol)
-    rank_n = _numeric_rank(ch.n, tol)
-    sqrt_det_n = _sqrt_det(ch.n)
+    rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
     diag = {"tau": tau, "rank_t": rank_t, "rank_n": rank_n, "sqrt_det_n": sqrt_det_n}
 
     def ambiguous(msg):

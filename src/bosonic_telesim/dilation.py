@@ -24,11 +24,6 @@ from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, tenso
 
 __all__ = ["SingleModeDilation", "dilation_of", "apply_via_dilation", "asymptotic_b2"]
 
-_I = np.eye(2)
-_Z = np.diag([1.0, -1.0])
-_PI_PLUS = (_I + _Z) / 2.0   # diag(1, 0)
-_PI_MINUS = (_I - _Z) / 2.0  # diag(0, 1)
-
 
 @dataclasses.dataclass(frozen=True)
 class SingleModeDilation:
@@ -48,27 +43,40 @@ class SingleModeDilation:
 
 def _beam_splitter(tau: float) -> np.ndarray:
     c, s = np.sqrt(tau), np.sqrt(1.0 - tau)
-    return np.block([[c * _I, s * _I], [-s * _I, c * _I]])
+    return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, s],
+                     [-s, -0.0, c, 0.0], [-0.0, -s, 0.0, c]])
 
 
+# Each matrix is written out entry by entry, bit-identical to its 2x2 block
+# form, signed zeros included: e.g. the block -s I has -0.0 off its diagonal.
 def _dilation_matrix(form: CanonicalForm) -> np.ndarray:
     tag, tau = form.tag, form.tau
     if tag is CanonicalClass.C_Att:
-        return _beam_splitter(tau)
+        return _beam_splitter(tau)  # [[c I, s I], [-s I, c I]]
     if tag is CanonicalClass.C_Amp:
+        # two-mode squeezer [[c I, s Z], [s Z, c I]]
         c, s = np.sqrt(tau), np.sqrt(tau - 1.0)
-        return np.block([[c * _I, s * _Z], [s * _Z, c * _I]])  # two-mode squeezer
+        return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, -s],
+                         [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
     if tag is CanonicalClass.D:
+        # [[c Z, s I], [-s I, -c Z]]
         c, s = np.sqrt(-tau), np.sqrt(1.0 - tau)
-        return np.block([[c * _Z, s * _I], [-s * _I, -c * _Z]])
+        return np.array([[c, 0.0, s, 0.0], [0.0, -c, 0.0, s],
+                         [-s, -0.0, -c, -0.0], [-0.0, -s, -0.0, c]])
     if tag is CanonicalClass.A1:
-        return np.block([[np.zeros((2, 2)), _I], [_I, np.zeros((2, 2))]])  # swap
+        # swap [[0, I], [I, 0]]
+        return np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     if tag is CanonicalClass.A2:
-        return np.block([[_PI_PLUS, _I], [_I, (_Z - _I) / 2.0]])
+        # [[(I + Z)/2, I], [I, (Z - I)/2]]
+        return np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                         [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     if tag is CanonicalClass.B1:
-        # the block layout with m2 = (I - Z)/2 reproduces N_c = diag(0, 1);
-        # the (I + Z)/2 placement would put the unit of noise on q instead
-        return np.block([[_I, _PI_MINUS], [_PI_PLUS, -_I]])
+        # [[I, (I - Z)/2], [(I + Z)/2, -I]]: the block layout with
+        # m2 = (I - Z)/2 reproduces N_c = diag(0, 1); the (I + Z)/2
+        # placement would put the unit of noise on q instead
+        return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                         [1.0, 0.0, -1.0, -0.0], [0.0, 0.0, -0.0, -1.0]])
     raise UnsupportedFormError(
         f"class {tag.value} has no single-mode dilation; use asymptotic_b2")
 

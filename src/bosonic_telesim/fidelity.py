@@ -1,8 +1,16 @@
 """Quantum fidelity for one- and two-mode Gaussian states, the trace-norm
 sandwich, and the closed-form fidelities used by the convergence bounds.
 
-The general fidelity is computed from symplectic invariants of the pair
-(V1, V2, delta = mean difference).  With W defined through
+One mode takes the closed form of Scutaru (J. Phys. A 31, 3659 (1998)),
+with ``Delta = det(V1 + V2)`` and ``Lambda = (det V1 - 1)(det V2 - 1)``,
+
+    F^2 = 2 / (sqrt(Delta + Lambda) - sqrt(Lambda))
+        = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta,
+
+evaluated in the second, rationalized form on plain floats.
+
+Two modes take the general fidelity, computed from symplectic invariants of
+the pair (V1, V2, delta = mean difference).  With W defined through
 
     W = Omega^T (V1 + V2)^{-1} (Omega + V2 Omega V1),
 
@@ -69,15 +77,54 @@ def _spectral_w(vaux: np.ndarray, n: int) -> np.ndarray:
     return np.maximum(moduli[::2], 1.0)
 
 
+def _scaled_det(p: float, r: float, q: float, c: float) -> tuple:
+    """``(x, e)`` with ``p q - r^2 - c = x 4^e``, on plain floats.  e is 0
+    unless a product leaves float64 range; then p, r and q are scaled by the
+    exact ``2^-e``, with ``2^e > max(|p|, |r|, |q|)``, and c by ``4^-e``."""
+    x = p * q - r * r - c
+    if math.isfinite(x):
+        return x, 0
+    e = math.frexp(max(abs(p), abs(r), abs(q)))[1]
+    p, r, q = math.ldexp(p, -e), math.ldexp(r, -e), math.ldexp(q, -e)
+    return p * q - r * r - math.ldexp(c, -2 * e), e
+
+
+def _one_mode_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
+    """F of two one-mode CMs with equal means, from the rationalized closed
+    form ``F^2 = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta``, whose
+    terms are all non-negative, with ``Lambda`` clamped at 0 per state.
+
+    Each determinant is ``x 4^e`` from :func:`_scaled_det`, so that no product
+    leaves float64 range, and ``sqrt(Lambda)`` is taken as
+    ``sqrt(det V1 - 1) sqrt(det V2 - 1)`` and ``sqrt(Delta + Lambda)`` as
+    ``hypot(sqrt(Delta), sqrt(Lambda))``, both scaled by ``2^-e`` of Delta.
+    A Delta that is not positive raises :class:`np.linalg.LinAlgError`."""
+    (p1, r1), (_, q1) = v1.tolist()
+    (p2, r2), (_, q2) = v2.tolist()
+    x, e = _scaled_det(p1 + p2, r1 + r2, q1 + q2, 0.0)  # Delta = x 4^e
+    if not 0.0 < x < math.inf:
+        half = 2.0 ** (e - 1)  # exact; overflows to inf in the product, with no warning
+        raise np.linalg.LinAlgError(
+            f"det((V1 + V2) / 2) = {x * half * half:g} is not positive")
+    x1, e1 = _scaled_det(p1, r1, q1, 1.0)
+    x2, e2 = _scaled_det(p2, r2, q2, 1.0)
+    u = math.ldexp(math.sqrt(max(x1, 0.0)) * math.sqrt(max(x2, 0.0)), e1 + e2 - e)
+    return math.sqrt(math.ldexp(2.0 * (math.hypot(math.sqrt(x), u) + u) / x, -e))
+
+
 def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """Bures fidelity ``F(rho1, rho2) = Tr sqrt(sqrt(rho2) rho1 sqrt(rho2))``
     for Gaussian states of the same mode count (1 or 2).
 
     Symmetric in its arguments, equal to 1 iff the states coincide, and
-    includes the Gaussian factor for unequal mean vectors.  When either state
-    is pure (``s1.is_pure() or s2.is_pure()``, both spectra from one stacked
-    spectral pass, s1 checked first) it is the Gaussian overlap; otherwise the
-    general formula above.
+    includes the Gaussian factor for unequal mean vectors.  One mode is the
+    closed form of the module docstring, with no spectral pass; it is exactly
+    symmetric, and CMs whose products leave float64 range are scaled by
+    exact powers of two.  For two modes, when either state is pure
+    (``s1.is_pure() or s2.is_pure()``, both spectra from one stacked
+    spectral pass, s1 checked first) it is the Gaussian overlap; otherwise
+    the general formula.  A ``det(V1 + V2)`` that is not positive raises
+    :class:`np.linalg.LinAlgError` on the closed-form and overlap routes.
     """
     if s1.modes != s2.modes:
         raise InvalidDimensionError(
@@ -86,6 +133,8 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     v1, v2 = s1.cm, s2.cm
     vsum = v1 + v2
     mean = _mean_factor(s1.mean, s2.mean, vsum)
+    if n == 1:
+        return min(_one_mode_fidelity(v1, v2) * mean, 1.0)
     if any(_purities((s1, s2))):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
         det = np.linalg.det(vsum / 2.0)

@@ -143,7 +143,10 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     tag = form.tag
     if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
         gamma = _env_gamma(xi, form.tau)
-        w = omega * np.eye(2) + gamma * np.diag([squeeze_r ** 2, squeeze_r ** -2])
+        # plain-float products, not `**` (libm pow raises OverflowError): an
+        # r out of range gives a non-finite CM, which GaussianState rejects
+        inv = 1.0 / squeeze_r
+        w = np.diag([omega + gamma * (squeeze_r * squeeze_r), omega + gamma * (inv * inv)])
     elif tag is CanonicalClass.A2:
         w = np.diag([xi * (a * a + c * c) + omega, omega])
     else:

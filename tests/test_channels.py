@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _helpers import (apply_channel_dense, conjugated_channel, random_state,
                       raw_channel_specs, sample_form)
-from bosonic_telesim import (BosonicTelesimError, CanonicalClass,
+from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              ClassificationAmbiguousError, GaussianChannel,
                              ValidationError, apply_channel, canonical_channel,
                              canonical_matrices, channel_from_dict, channel_rank,
@@ -248,6 +248,22 @@ class TestClassify:
         form = classify(GaussianChannel(np.diag([1.0, 0.0]), n))
         assert form.tag is CanonicalClass.A2
         assert form.noise_param == 0.5 * (float(np.sqrt(np.linalg.det(n))) - 1.0)
+
+    def test_noise_without_a_positive_determinant_is_not_full_rank(self):
+        # the SVD sees two singular values above 1e-10, but det N < 0 inside
+        # the physicality slack: no noise scale, so rank 1, not B2 with xi = 0
+        ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
+        assert validate_channel(ch)
+        assert classify(ch) == CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
+        assert channel_rank(ch) == 1.0
+        # det T off 1 beyond the boundary, no class with rank(N) = 1 matches
+        off = GaussianChannel(np.sqrt(1.0 + 1e-5) * I2, np.diag([1.0, -5e-10]))
+        assert validate_channel(off)
+        with pytest.raises(ClassificationAmbiguousError) as err:
+            classify(off)
+        assert err.value.diagnostics["rank_n"] == 1
+        # a positive determinant keeps the full rank
+        assert classify(GaussianChannel(I2, np.diag([1.0, 5e-10]))).tag is CanonicalClass.B2
 
     def test_roundtrip_all_classes(self, rng):
         for _ in range(30):

@@ -23,6 +23,9 @@ THERMAL3 = '{"mean": [0.0, 0.0], "cm": [[3.0, 0.0], [0.0, 3.0]]}'
 _CM = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
 _FAR = (json.dumps({"mean": [9.5e15, 0.0, 1.7e308, 8.0], "cm": _CM}),
         json.dumps({"mean": [0.0] * 4, "cm": _CM}))
+# accepted within the physicality slack of its scale, but V + vacuum is
+# indefinite: det((V1 + V2) / 2) = -6.25e306
+_INDEFINITE_SUM = {"mean": [0.0, 0.0], "cm": [[0.0, 5e153], [5e153, 1e166]]}
 
 
 def run(capsys, *argv):
@@ -157,6 +160,12 @@ class TestFidelity:
         code, out, _ = run(capsys, "fidelity", "--state1", _FAR[0], "--state2", _FAR[1])
         assert code == 0
         assert json.loads(out)["fidelity"] == 0.0
+
+    def test_indefinite_sum_is_unsupported(self, capsys):
+        code, out, err = run(capsys, "fidelity", "--state1", VACUUM,
+                             "--state2", json.dumps(_INDEFINITE_SUM))
+        assert (code, out) == (3, "")
+        assert "det((V1 + V2) / 2) = -6.25e+306 is not positive" in err
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)
@@ -664,6 +673,7 @@ def _state_pairs(draw):
 class TestFidelityFuzz:
     @given(_state_pairs())
     @example(tuple(json.loads(s) for s in _FAR))
+    @example((json.loads(VACUUM), _INDEFINITE_SUM))
     @settings(max_examples=300, deadline=None)
     def test_exit_code_and_finite_output(self, pair):
         _run_cli(["fidelity", "--state1", json.dumps(pair[0]),

@@ -41,6 +41,16 @@ class TestDecideUniform:
         assert not verdict.uniform
         assert "B1" in verdict.reason
 
+    def test_noise_without_a_positive_determinant_does_not(self):
+        # det N < 0 inside the physicality slack: B1, not B2 with xi = 0,
+        # which would claim uniform convergence with a bound of 2 at every mu
+        ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
+        verdict = decide_uniform(ch)
+        assert not verdict.uniform
+        assert verdict.reason == "B1: rank(N)=1"
+        with pytest.raises(NoUniformBoundError):
+            diamond_upper_bound(ch, 1e6)
+
     def test_verdict_matches_numeric_rank(self, rng):
         for _ in range(60):
             form = sample_form(rng)

@@ -22,7 +22,45 @@ NON_ADDITIVE = [
 ]
 
 
+def _block_matrix(form):
+    """The dilation matrix assembled from its 2x2 blocks with ``np.block``."""
+    tag, tau = form.tag, form.tau
+    pi_plus, pi_minus = (I2 + Z2) / 2.0, (I2 - Z2) / 2.0
+    if tag is CanonicalClass.C_Att:
+        c, s = np.sqrt(tau), np.sqrt(1.0 - tau)
+        return np.block([[c * I2, s * I2], [-s * I2, c * I2]])
+    if tag is CanonicalClass.C_Amp:
+        c, s = np.sqrt(tau), np.sqrt(tau - 1.0)
+        return np.block([[c * I2, s * Z2], [s * Z2, c * I2]])
+    if tag is CanonicalClass.D:
+        c, s = np.sqrt(-tau), np.sqrt(1.0 - tau)
+        return np.block([[c * Z2, s * I2], [-s * I2, -c * Z2]])
+    if tag is CanonicalClass.A1:
+        return np.block([[np.zeros((2, 2)), I2], [I2, np.zeros((2, 2))]])
+    if tag is CanonicalClass.A2:
+        return np.block([[pi_plus, I2], [I2, (Z2 - I2) / 2.0]])
+    return np.block([[I2, pi_minus], [pi_plus, -I2]])  # B1
+
+
 class TestDilationMatrices:
+    def test_entries_equal_the_block_construction(self, rng):
+        # bit for bit, signed zeros included (-s I has -0.0 off its diagonal)
+        from bosonic_telesim.dilation import _beam_splitter, _dilation_matrix
+
+        forms = list(NON_ADDITIVE)
+        for _ in range(100):
+            forms += [form_from_fields(CanonicalClass.C_Att, tau=rng.uniform(1e-9, 1 - 1e-9)),
+                      form_from_fields(CanonicalClass.C_Amp, tau=1.0 + 10 ** rng.uniform(-9, 3)),
+                      form_from_fields(CanonicalClass.D, tau=-(10 ** rng.uniform(-9, 3)))]
+        for form in forms:
+            got, want = _dilation_matrix(form), _block_matrix(form)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), form
+        for tau in (0.3, 0.999):
+            want = _block_matrix(form_from_fields(CanonicalClass.C_Att, tau=tau))
+            assert _beam_splitter(tau).tobytes() == want.tobytes()
+            assert asymptotic_b2(1.0, tau).m.s.tobytes() == want.tobytes()
+
     def test_beam_splitter(self):
         dil = dilation_of(form_from_fields(CanonicalClass.C_Att, tau=0.5))
         c = np.sqrt(0.5)

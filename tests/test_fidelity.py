@@ -256,6 +256,89 @@ class TestGaussianFidelity:
         assert got == pytest.approx(oracle, abs=1e-6)
 
 
+class TestOneModeClosedForm:
+    """One mode is ``F^2 = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta``."""
+
+    # the eigenvalue route before the closed form was off by 8.0e-15, 3.1e-11,
+    # 2.6e-5 and 9.3e-3 here
+    @pytest.mark.parametrize("squeeze,bound", [(2.0, 1e-15), (10.0, 1e-13),
+                                               (100.0, 1e-10), (1000.0, 1e-8)])
+    def test_matches_extended_precision_oracle(self, squeeze, bound):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(400):
+            v1 = random_state(1, rng, 3.0, squeeze).cm
+            v2 = random_state(1, rng, 3.0, squeeze).cm
+            want = fidelity_mp(v1, v2, dps=60)
+            got = gaussian_fidelity(GaussianState(np.zeros(2), v1),
+                                    GaussianState(np.zeros(2), v2))
+            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= bound
+
+    def test_self_fidelity_and_exact_symmetry(self, rng):
+        eps = np.finfo(float).eps
+        for k in range(2000):
+            squeeze = (2.0, 10.0, 100.0, 1000.0)[k % 4]
+            s1 = random_state(1, rng, 3.0, squeeze, displace=1.0)
+            s2 = random_state(1, rng, 3.0, squeeze, displace=1.0)
+            assert gaussian_fidelity(s1, s1) >= 1.0 - 4.0 * eps
+            assert gaussian_fidelity(s1, s2) == gaussian_fidelity(s2, s1)
+
+    def test_thermal_pairs_and_the_overlap_limit(self):
+        # Lambda = 0 for a pure state: F^2 = 2 / sqrt(Delta), the overlap
+        sq = GaussianState(np.zeros(2), np.diag([4.0, 0.25]))
+        assert gaussian_fidelity(sq, thermal_state(3.0)) == pytest.approx(
+            (np.linalg.det((sq.cm + 3.0 * I2) / 2.0)) ** -0.25, rel=1e-15)
+        for w1, w2 in ((1.0, 1.0), (3.0, 5.0), (1.0 + 1e-12, 7.0)):
+            want = 2.0 / (math.sqrt((w1 + 1) * (w2 + 1)) - math.sqrt((w1 - 1) * (w2 - 1)))
+            assert gaussian_fidelity(thermal_state(w1), thermal_state(w2)) == pytest.approx(
+                min(want, 1.0), rel=4e-16)
+
+    @pytest.mark.parametrize("cm1,cm2", [
+        (I2, 1e200 * I2),
+        (1.5 * I2, 1e300 * I2),
+        (1e100 * I2, 3e100 * I2),  # Lambda = 9e400 alone leaves float64 range
+        (1e200 * I2, 3e200 * I2),
+        ((1.0 + 1e-6) * I2, 1e200 * I2),
+        (np.array([[1e160, 3e159], [3e159, 2e160]]), np.array([[5e159, -1e159], [-1e159, 1e160]])),
+    ])
+    def test_products_beyond_float64_range_are_scaled(self, cm1, cm2):
+        want = float(fidelity_mp(cm1, cm2, dps=60))
+        s1, s2 = GaussianState(np.zeros(2), cm1), GaussianState(np.zeros(2), cm2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = gaussian_fidelity(s1, s2)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert gaussian_fidelity(s2, s1) == got
+
+    @pytest.mark.parametrize("cm,value", [
+        ([[0.0, 5e153], [5e153, 1e166]], "-6.25e+306"),
+        ([[0.0, 1e160], [1e160, 1e175]], "-inf"),  # det(V1 + V2) / 4 is -2.5e319
+    ])
+    def test_non_positive_det_raises_linalg_error(self, cm, value):
+        # accepted within the physicality slack of their scale, but V1 + V2
+        # is indefinite: no fidelity exists
+        state = GaussianState(np.zeros(2), cm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((GaussianState.vacuum(), state), (state, GaussianState.vacuum())):
+                with pytest.raises(np.linalg.LinAlgError) as err:
+                    gaussian_fidelity(*pair)
+                assert str(err.value) == f"det((V1 + V2) / 2) = {value} is not positive"
+
+    def test_no_spectral_pass(self, monkeypatch):
+        from bosonic_telesim import fidelity
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral pass on one mode")
+
+        monkeypatch.setattr(fidelity, "_purities", refuse)
+        monkeypatch.setattr(fidelity, "_spectral_w", refuse)
+        assert gaussian_fidelity(GaussianState.vacuum(), thermal_state(3.0)) == pytest.approx(
+            math.sqrt(0.5), rel=1e-15)
+
+
 class TestFuchsVdg:
     def test_endpoints(self):
         top = fuchs_vdg(1.0)

@@ -262,6 +262,33 @@ class TestTwoRoundDemo:
                 two_round_demo(ch, mu, lo_cc_squeeze=squeeze)
 
 
+    def test_one_probe_object_across_calls(self, monkeypatch):
+        from bosonic_telesim import peeling
+
+        inputs = []
+
+        def spy(channel, state, target_mode=0):
+            inputs.append(state)
+            return apply_channel(channel, state, target_mode)
+
+        monkeypatch.setattr(peeling, "apply_channel", spy)
+        for mu in (10.0, 1e3):
+            two_round_demo(attenuator(0.5, 0.5), mu)
+        probes = inputs[0::2]  # each run applies the channel to the probe, then again
+        assert len(probes) == 4 and all(p is probes[0] for p in probes)
+        assert probes[0].cm.tobytes() == tmsv_state(2.0).cm.tobytes()
+
+    @pytest.mark.parametrize("mu,bits", [
+        (10.0, ("0x1.caeffe7d4eaf0p-5", "0x1.ffd1b2a24b01bp-1", "0x1.b374464da5c29p-5")),
+        (1e3, ("0x1.2e98d74f8471ap-11", "0x1.fffffebeaaa77p-1", "0x1.1ecff87b9ed5ap-11")),
+        (1e5, ("0x1.837161d480aa9p-18", "0x1.fffffffff7c53p-1", "0x1.6f33417a5da51p-18")),
+    ])
+    def test_report_bits_kept_with_the_cached_probe(self, mu, bits):
+        # (per_use_delta, fidelity, trace_upper_bound) as before the probe was cached
+        report = two_round_demo(attenuator(0.5, 0.5), mu)
+        delta, fidelity, trace = (float.fromhex(b) for b in bits)
+        assert dataclasses.astuple(report) == (mu, delta, 2.0 * delta, fidelity, trace, True)
+
     def test_attenuator_demo_holds(self):
         report = two_round_demo(attenuator(), 1e3)
         assert report.holds

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,15 @@ class TestEnvironmentalPair:
             nu = symplectic_eigenvalues(pair.rho_e_mu.cm)[0]
             kappa = xi_of(mu) * tau_d / (1.0 - tau_d)
             assert nu >= omega - kappa - 1e-9
+
+    @pytest.mark.parametrize("r", [1e200, 1e-200, math.inf, math.nan])
+    @pytest.mark.parametrize("tau,mu", [(0.5, 10.0), (1e-300, 1e300)])  # gamma > 0, gamma = 0
+    def test_squeeze_beyond_float64_range_rejected(self, r, tau, mu):
+        form = form_from_fields(CanonicalClass.C_Att, tau=tau, nbar=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="covariance matrix is not finite"):
+                environmental_pair(form, mu, squeeze_r=r)
 
     def test_unsupported_classes(self):
         for tag in (CanonicalClass.A1, CanonicalClass.B1, CanonicalClass.B2_Id):
