@@ -176,7 +176,7 @@ def compose(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:
                            ch2.t @ ch1.d + ch2.d)
 
 
-_RANK = 1e-10  # default: singular values below 1e-10 max(s_max, 1) count as zero
+_RANK = 1e-10  # default: singular values of T, eigenvalues of N, below 1e-10 max(|.|, 1) are 0
 
 
 def _numeric_rank(m: np.ndarray, tol: float | None) -> int:
@@ -191,7 +191,8 @@ def _snap_noise(p: float) -> float:
 
 
 def channel_rank(ch: GaussianChannel, tol: float | None = None) -> float:
-    """The invariant r = rank(T) rank(N) / 2, with numeric ranks (N's from
+    """The invariant r = rank(T) rank(N) / 2, with numeric ranks: T's counts
+    its singular values above the threshold, N's its eigenvalues (see
     :func:`_noise_invariants`)."""
     _require_valid(ch, tol)
     return _numeric_rank(ch.t, tol) * _noise_invariants(ch.n, tol)[0] / 2.0
@@ -216,11 +217,18 @@ def _sqrt_det(n: np.ndarray) -> float:
 
 
 def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
-    """``(rank, sqrt(det N))`` of a noise matrix.  N counts as full rank only
-    where ``sqrt(det N) > 0``: a slightly negative eigenvalue inside the
-    physicality slack has a singular value that passes the rank threshold,
-    but N then has no noise scale, so it counts as rank 1."""
-    rank, sqrt_det = _numeric_rank(n, tol), _sqrt_det(n)
+    """``(rank, sqrt(det N))`` of a noise matrix.  The rank counts N's
+    eigenvalues ``(p + q)/2 +/- hypot((p - q)/2, r)`` (the 2x2 closed form of
+    ``symplectic._checked``, on plain floats) above ``1e-10 max(|l+|, |l-|, 1)``,
+    or ``tol`` in place of 1e-10: N is symmetric and only its positive
+    eigenvalues are noise, so a negative one inside the physicality slack,
+    whose singular value would pass, does not count.  N counts as full rank
+    only where ``sqrt(det N) > 0`` as well, so a rank-2 N has a noise scale."""
+    (p, r), (_, q) = n.tolist()
+    mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
+    hi, lo = mid + half, mid - half
+    thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), 1.0)
+    rank, sqrt_det = (hi > thr) + (lo > thr), _sqrt_det(n)
     return (1 if rank == 2 and not sqrt_det > 0.0 else rank), sqrt_det
 
 
@@ -231,8 +239,10 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     """Map a valid channel to its canonical class and invariant parameters.
 
     Decisions are made on the symplectic invariants only: tau = det T, the
-    numeric ranks of T and N, and sqrt(det N) for the noise scale.  Invariant
-    combinations matching no class row raise
+    numeric ranks of T (its singular values above the threshold) and of N
+    (its eigenvalues above it: N is symmetric, and a negative eigenvalue
+    inside the physicality slack is no noise), and sqrt(det N) for the noise
+    scale.  Invariant combinations matching no class row raise
     :class:`ClassificationAmbiguousError` with diagnostics.  ``tol`` replaces
     every default tolerance of the decision: those of :func:`validate_channel`,
     the rank threshold 1e-10 and the tau boundary 1e-9.

@@ -135,6 +135,14 @@ def symplectic_spectrum_mp(cm, dps: int = 50):
         return sorted((abs(e) for e in eigs), reverse=True)[::2]
 
 
+def symmetric_eigenvalues_mp(m, dps: int = 60):
+    """Extended-precision eigenvalues (descending) of a symmetric matrix taken
+    as exact binary values, found by ``mp.eigsy``."""
+    with mp.workdps(dps):
+        eigs = mp.eigsy(mp.matrix(np.asarray(m, dtype=float).tolist()), eigvals_only=True)
+        return sorted(eigs, reverse=True)
+
+
 def apply_channel_dense(ch, state, target_mode=0):
     """Reference channel action: T, N and d embedded at ``target_mode`` in
     dense identity, zero and zero blocks, ``V -> T_full V T_full^T + N_full``."""

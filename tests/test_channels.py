@@ -1,19 +1,21 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (apply_channel_dense, conjugated_channel, random_state,
-                      raw_channel_specs, sample_form)
+                      raw_channel_specs, sample_form, symmetric_eigenvalues_mp)
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              ClassificationAmbiguousError, GaussianChannel,
                              ValidationError, apply_channel, canonical_channel,
                              canonical_matrices, channel_from_dict, channel_rank,
                              channel_to_dict, classify, compose, form_from_fields,
                              thermal_state, tmsv_state, validate_channel)
+from bosonic_telesim.channels import _numeric_rank
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
@@ -250,8 +252,8 @@ class TestClassify:
         assert form.noise_param == 0.5 * (float(np.sqrt(np.linalg.det(n))) - 1.0)
 
     def test_noise_without_a_positive_determinant_is_not_full_rank(self):
-        # the SVD sees two singular values above 1e-10, but det N < 0 inside
-        # the physicality slack: no noise scale, so rank 1, not B2 with xi = 0
+        # an eigenvalue of N below 0 inside the physicality slack is no noise,
+        # though its singular value passes 1e-10: rank 1, not B2 with xi = 0
         ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
         assert validate_channel(ch)
         assert classify(ch) == CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
@@ -264,6 +266,14 @@ class TestClassify:
         assert err.value.diagnostics["rank_n"] == 1
         # a positive determinant keeps the full rank
         assert classify(GaussianChannel(I2, np.diag([1.0, 5e-10]))).tag is CanonicalClass.B2
+        # both eigenvalues below 0 inside the slack: det N > 0, but no noise,
+        # the identity (B2 with xi = 5e-10 by the singular values)
+        ident = GaussianChannel(I2, -5e-10 * I2)
+        assert validate_channel(ident)
+        assert classify(ident) == CanonicalForm(CanonicalClass.B2_Id, 1.0, 0, 0.0)
+        assert channel_rank(ident) == 0.0
+        # one eigenvalue of 5e-10 above the threshold, one below 0: still B1
+        assert classify(GaussianChannel(I2, np.diag([5e-10, -5e-10]))).tag is CanonicalClass.B1
 
     def test_roundtrip_all_classes(self, rng):
         for _ in range(30):
@@ -315,6 +325,34 @@ class TestChannelRank:
             while form.tag is not tag:
                 form = sample_form(rng)
             assert channel_rank(canonical_channel(form)) == 2.0
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_noise_rank_counts_eigenvalues_above_the_threshold(self, data):
+        # N = R diag(l1, l2) R^T with |l| log-uniform in [1e-14, 1e3]; a negative
+        # l is drawn inside the physicality slack, so the channel validates
+        tol = data.draw(st.one_of(st.none(), st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e)))
+        slack = 1e-9 if tol is None else tol
+        lams = []
+        for _ in range(2):
+            if data.draw(st.booleans()):
+                lams.append(10.0 ** data.draw(st.floats(-14.0, 3.0)))
+            else:
+                lams.append(-(10.0 ** data.draw(st.floats(-14.0, math.log10(0.5 * slack)))))
+        angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        ch = GaussianChannel(I2, rot @ np.diag(lams) @ rot.T)
+        assert validate_channel(ch, tol)
+        with mp.workdps(60):
+            eigs = symmetric_eigenvalues_mp(ch.n)
+            thr = (1e-10 if tol is None else tol) * max(abs(eigs[0]), abs(eigs[1]), 1)
+            assume(all(abs(lam - thr) > 0.01 * thr for lam in eigs))
+            rank = sum(1 for lam in eigs if lam > thr)
+        assert channel_rank(ch, tol) == rank  # T = I has rank 2
+        assert classify(ch, tol).r == rank
+        if min(lams) > 0.0:  # positive-semidefinite: the singular values agree
+            assert _numeric_rank(ch.n, tol) == rank
 
 
 class TestJsonSpec:

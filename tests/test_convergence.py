@@ -42,14 +42,21 @@ class TestDecideUniform:
         assert "B1" in verdict.reason
 
     def test_noise_without_a_positive_determinant_does_not(self):
-        # det N < 0 inside the physicality slack: B1, not B2 with xi = 0,
-        # which would claim uniform convergence with a bound of 2 at every mu
+        # N's eigenvalues below 0 inside the physicality slack are no noise:
+        # B2 would claim uniform convergence with a bound of 2 at every mu
         ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
         verdict = decide_uniform(ch)
         assert not verdict.uniform
         assert verdict.reason == "B1: rank(N)=1"
         with pytest.raises(NoUniformBoundError):
             diamond_upper_bound(ch, 1e6)
+        # both eigenvalues below 0 inside the slack: the identity, B2_Id
+        ident = GaussianChannel(I2, -5e-10 * I2)
+        verdict = decide_uniform(ident)
+        assert not verdict.uniform
+        assert verdict.reason == "B2_Id: rank(N)=0"
+        with pytest.raises(NoUniformBoundError):
+            diamond_upper_bound(ident, 1e6)
 
     def test_verdict_matches_numeric_rank(self, rng):
         for _ in range(60):
