@@ -223,11 +223,18 @@ def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
     or ``tol`` in place of 1e-10: N is symmetric and only its positive
     eigenvalues are noise, so a negative one inside the physicality slack,
     whose singular value would pass, does not count.  N counts as full rank
-    only where ``sqrt(det N) > 0`` as well, so a rank-2 N has a noise scale."""
+    only where ``sqrt(det N) > 0`` as well, so a rank-2 N has a noise scale.
+    Where ``l+`` overflows, both are decided on N scaled by an exact ``2^-e``,
+    with ``2^e > max|N|``, and the floor 1 scaled with them."""
     (p, r), (_, q) = n.tolist()
     mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
-    hi, lo = mid + half, mid - half
-    thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), 1.0)
+    hi, lo, floor = mid + half, mid - half, 1.0
+    if math.isinf(hi):  # rank-1 N = [[1e308, 1e308], [1e308, 1e308]]: l+ = 2e308
+        e = math.frexp(max(abs(p), abs(r), abs(q)))[1]
+        p, r, q, floor = (math.ldexp(x, -e) for x in (p, r, q, 1.0))
+        mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
+        hi, lo = mid + half, mid - half
+    thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), floor)
     rank, sqrt_det = (hi > thr) + (lo > thr), _sqrt_det(n)
     return (1 if rank == 2 and not sqrt_det > 0.0 else rank), sqrt_det
 

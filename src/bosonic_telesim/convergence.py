@@ -90,11 +90,11 @@ def _diamond_bound(form: CanonicalForm, mu: float, r: float, a: float,
         f = 1.0
     elif tag is CanonicalClass.B2:
         # exact transparency limit of the beam-splitter dilation
-        return float(2.0 * np.sqrt(_b2_infidelity(xi, form.noise_param, r)))
+        return 2.0 * math.sqrt(_b2_infidelity(xi, form.noise_param, r))
     else:
         raise NoUniformBoundError(
             f"class {tag.value} has rank-deficient noise: no uniform bound exists")
-    return float(2.0 * np.sqrt(max(1.0 - f * f, 0.0)))
+    return 2.0 * math.sqrt(max(1.0 - f * f, 0.0))
 
 
 def nonuniform_witness(mu: float, mu_tilde: float) -> float:
@@ -182,6 +182,12 @@ class ScanRow:
     xi: float
     upper_bound: float | None
     witness_lower_bound: float | None
+
+    def __init__(self, mu, mu_tilde, xi, upper_bound, witness_lower_bound):
+        # one store past the frozen __setattr__ instead of one per field
+        object.__setattr__(self, "__dict__", {
+            "mu": mu, "mu_tilde": mu_tilde, "xi": xi, "upper_bound": upper_bound,
+            "witness_lower_bound": witness_lower_bound})
 
 
 def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = None,

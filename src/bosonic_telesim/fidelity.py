@@ -125,29 +125,41 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     spectral pass, s1 checked first) it is the Gaussian overlap; otherwise
     the general formula.  A ``det(V1 + V2)`` that is not positive raises
     :class:`np.linalg.LinAlgError` on the closed-form and overlap routes.
+    Two modes have no scaling: ``det(V1 + V2)``, the auxiliary matrix or
+    the product of its spectrum beyond float64 range (``1e100 I`` against
+    ``3e100 I``) raises :class:`OverflowError`, with no RuntimeWarning.
     """
     if s1.modes != s2.modes:
         raise InvalidDimensionError(
             f"mode counts differ: {s1.modes} vs {s2.modes}")
     n = s1.modes
     v1, v2 = s1.cm, s2.cm
-    vsum = v1 + v2
-    mean = _mean_factor(s1.mean, s2.mean, vsum)
     if n == 1:
+        mean = _mean_factor(s1.mean, s2.mean, v1 + v2)
         return min(_one_mode_fidelity(v1, v2) * mean, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
+        vsum = v1 + v2
+        det = np.linalg.det(vsum / 2.0)
+    if not math.isfinite(det):
+        raise OverflowError("two-mode fidelity beyond float64 range: det((V1 + V2) / 2) overflows")
+    mean = _mean_factor(s1.mean, s2.mean, vsum)
     if any(_purities((s1, s2))):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
-        det = np.linalg.det(vsum / 2.0)
         if not det > 0.0:  # V1 + V2 singular to roundoff: a TMSV at mu >= 1e8 twice
             raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
         overlap = 1.0 / np.sqrt(det)
         return min(float(np.sqrt(overlap)) * mean, 1.0)
     omega = symplectic_form(n)
-    vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
-    w = _spectral_w(vaux, n)
-    ftot4 = np.prod((w + np.sqrt(w * w - 1.0)) ** 2)
-    f = float((ftot4 / np.linalg.det(vsum / 2.0)) ** 0.25)
-    return min(f * mean, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
+        vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
+        ftot4 = math.inf
+        if np.isfinite(vaux).all():
+            w = _spectral_w(vaux, n)
+            ftot4 = np.prod((w + np.sqrt(w * w - 1.0)) ** 2)
+    if not math.isfinite(ftot4):
+        raise OverflowError("two-mode fidelity beyond float64 range: the auxiliary "
+                            "matrix of the pair or its spectrum overflows")
+    return min(float((ftot4 / det) ** 0.25) * mean, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,6 +201,19 @@ def _check_omega_r(omega: float, r: float) -> None:
         raise DomainError(f"squeezing parameter must be positive, got {r}")
 
 
+def _sqrt_quotient(x: float, t1: float, t2: float) -> float:
+    """``min(sqrt(x) / sqrt(t1 - t2), 1)`` of the environmental fidelities,
+    on plain floats where ``t1 - t2`` is positive and finite.  Elsewhere (it
+    rounds to 0 or below from omega of about 1e8, and is inf - inf beyond
+    float64 range) the numpy expression runs: nan, or 1 where it divides by
+    0, with its RuntimeWarning (FloatingPointError under a raising
+    ``np.errstate``)."""
+    d = t1 - t2
+    if 0.0 < d < math.inf:
+        return min(math.sqrt(x) / math.sqrt(d), 1.0)
+    return min(float(np.sqrt(x) / np.sqrt(np.float64(t1) - t2)), 1.0)
+
+
 def fid_env_C(gamma: float, omega: float, r: float) -> float:
     """Environmental fidelity for the attenuator, amplifier and
     amplifier-conjugate classes: thermal state of variance omega against the
@@ -202,12 +227,12 @@ def fid_env_C(gamma: float, omega: float, r: float) -> float:
     if gamma < 0.0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
     _check_omega_r(omega, r)
-    t1 = np.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1.0)
-                 * (gamma * omega + r ** 2 * (omega ** 2 + 1.0)))
-    t2 = np.sqrt((omega ** 2 - 1.0)
-                 * (gamma * omega + gamma * r ** 4 * omega
-                    + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
-    return min(float(np.sqrt(2.0 * r) / np.sqrt(t1 - t2)), 1.0)
+    t1 = math.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1.0)
+                   * (gamma * omega + r ** 2 * (omega ** 2 + 1.0)))
+    t2 = math.sqrt((omega ** 2 - 1.0)
+                   * (gamma * omega + gamma * r ** 4 * omega
+                      + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
+    return _sqrt_quotient(2.0 * r, t1, t2)
 
 
 def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
@@ -219,9 +244,9 @@ def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
     if omega < 1.0:
         raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
     s = xi * omega * (a * a + c * c)
-    t1 = np.sqrt((omega ** 2 + 1.0) * (s + omega ** 2 + 1.0))
-    t2 = np.sqrt((omega ** 2 - 1.0) * (s + omega ** 2 - 1.0))
-    return min(float(np.sqrt(2.0) / np.sqrt(t1 - t2)), 1.0)
+    t1 = math.sqrt((omega ** 2 + 1.0) * (s + omega ** 2 + 1.0))
+    t2 = math.sqrt((omega ** 2 - 1.0) * (s + omega ** 2 - 1.0))
+    return _sqrt_quotient(2.0, t1, t2)
 
 
 def b1_gamma(a: float, c: float, xi: float) -> float:

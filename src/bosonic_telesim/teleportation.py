@@ -15,6 +15,7 @@ displacement are untouched.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -40,20 +41,26 @@ def bk_added_noise(mu: float) -> float:
 
     Evaluated as ``2 / (mu + sqrt(mu^2 - 1))`` to stay accurate at large mu.
     From mu = 2^27 on that rounds to exactly ``1 / mu``, which is used there
-    because ``mu * mu`` overflows above mu ~ 1.34e154.
+    because ``mu * mu`` overflows above mu ~ 1.34e154.  A plain ``float`` at
+    every mu (``math.sqrt`` is correctly rounded, as numpy's is).
     """
     mu = float(mu)
-    if not (np.isfinite(mu) and mu >= 1.0):
+    if not (math.isfinite(mu) and mu >= 1.0):
         raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
     if mu >= 2.0 ** 27:
         return 1.0 / mu
-    return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+    return 2.0 / (mu + math.sqrt(mu * mu - 1.0))
 
 
 def _env_gamma(xi: float, tau: float) -> float:
     """Weight ``gamma = xi |tau| / |1 - tau|`` of the squeezed noise that the
-    simulation adds to the environment of the C_Att, C_Amp and D forms."""
-    return xi * abs(tau) / abs(1.0 - tau)
+    simulation adds to the environment of the C_Att, C_Amp and D forms.  A
+    Python float overflows to inf with no warning, so ``xi |tau|`` beyond
+    float64 range (tau of about 1e308) raises :class:`OverflowError`."""
+    gamma = xi * abs(tau) / abs(1.0 - tau)
+    if gamma == math.inf:
+        raise OverflowError(f"gamma = xi |tau| / |1 - tau| overflows at tau = {tau:g}")
+    return gamma
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Shared test utilities: random symplectic, state and channel factories,
 fit helpers, the extended-precision two-mode fidelity and symplectic-spectrum
-oracles, dense reference constructions of channel action and the TMSV, and
-hypothesis strategies of raw channel and state specs."""
+oracles, the numpy-scalar oracles of the full-rank bound, dense reference
+constructions of channel action and the TMSV, and hypothesis strategies of
+raw channel and state specs."""
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              canonical_channel, form_from_fields)
+from bosonic_telesim.fidelity import _b2_infidelity
+from bosonic_telesim.teleportation import _env_gamma
 
 
 def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0):
@@ -141,6 +144,59 @@ def symmetric_eigenvalues_mp(m, dps: int = 60):
     with mp.workdps(dps):
         eigs = mp.eigsy(mp.matrix(np.asarray(m, dtype=float).tolist()), eigvals_only=True)
         return sorted(eigs, reverse=True)
+
+
+# --- numpy-scalar oracles of the full-rank bound --------------------------------
+#
+# The full-rank scan's per-row math as it was written on numpy scalars
+# (np.sqrt of Python floats, np.float64 arithmetic).  The library now takes
+# it on Python floats with math.sqrt; both square roots are correctly rounded,
+# so every value, and every RuntimeWarning where t1 - t2 is not positive and
+# finite, must match these bit for bit.
+
+def bk_added_noise_np(mu):
+    mu = float(mu)
+    if not (np.isfinite(mu) and mu >= 1.0):
+        raise ValueError(f"resource variance must be finite with mu >= 1, got {mu}")
+    if mu >= 2.0 ** 27:
+        return 1.0 / mu
+    return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+
+
+def fid_env_C_np(gamma, omega, r):
+    gamma, omega, r = float(gamma), float(omega), float(r)
+    t1 = np.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1.0)
+                 * (gamma * omega + r ** 2 * (omega ** 2 + 1.0)))
+    t2 = np.sqrt((omega ** 2 - 1.0)
+                 * (gamma * omega + gamma * r ** 4 * omega
+                    + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
+    return min(float(np.sqrt(2.0 * r) / np.sqrt(t1 - t2)), 1.0)
+
+
+def fid_env_A2_np(xi, omega, a, c):
+    xi, omega = float(xi), float(omega)
+    s = xi * omega * (a * a + c * c)
+    t1 = np.sqrt((omega ** 2 + 1.0) * (s + omega ** 2 + 1.0))
+    t2 = np.sqrt((omega ** 2 - 1.0) * (s + omega ** 2 - 1.0))
+    return min(float(np.sqrt(2.0) / np.sqrt(t1 - t2)), 1.0)
+
+
+def diamond_bound_np(form, mu, r=1.0, a=1.0, c=0.0):
+    """``convergence._diamond_bound`` on numpy scalars, full-rank classes only."""
+    xi = bk_added_noise_np(mu)
+    omega = 2.0 * form.noise_param + 1.0
+    tag = form.tag
+    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
+        f = fid_env_C_np(_env_gamma(xi, form.tau), omega, r)
+    elif tag is CanonicalClass.A2:
+        f = fid_env_A2_np(xi, omega, a, c)
+    elif tag is CanonicalClass.A1:
+        f = 1.0
+    elif tag is CanonicalClass.B2:
+        return float(2.0 * np.sqrt(_b2_infidelity(xi, form.noise_param, r)))
+    else:
+        raise ValueError(f"class {tag.value} has no uniform bound")
+    return float(2.0 * np.sqrt(max(1.0 - f * f, 0.0)))
 
 
 def apply_channel_dense(ch, state, target_mode=0):

@@ -16,6 +16,7 @@ from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              channel_to_dict, classify, compose, form_from_fields,
                              thermal_state, tmsv_state, validate_channel)
 from bosonic_telesim.channels import _numeric_rank
+from bosonic_telesim.convergence import decide_uniform
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
@@ -250,6 +251,25 @@ class TestClassify:
         form = classify(GaussianChannel(np.diag([1.0, 0.0]), n))
         assert form.tag is CanonicalClass.A2
         assert form.noise_param == 0.5 * (float(np.sqrt(np.linalg.det(n))) - 1.0)
+
+    @pytest.mark.parametrize("entry", [1e308, 9e307])
+    def test_rank_one_noise_beyond_float64_range(self, entry):
+        # N = entry [[1, 1], [1, 1]] is valid, but its eigenvalue 2 entry
+        # overflows: the ranks are decided on N scaled by 2^-1024
+        ch = GaussianChannel(I2, np.full((2, 2), entry))
+        assert validate_channel(ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                assert classify(ch) == CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
+                assert channel_rank(ch) == 1.0
+                assert decide_uniform(ch).reason == "B1: rank(N)=1"
+        # full rank with an overflowing l+ stays full rank, l- = 7e307 above
+        # the scaled threshold; a rank-1 N whose l+ fits keeps its route
+        full = GaussianChannel(I2, np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
+        assert classify(full).tag is CanonicalClass.B2
+        assert channel_rank(full) == 2.0
+        assert classify(GaussianChannel(I2, np.full((2, 2), 8e307))).tag is CanonicalClass.B1
 
     def test_noise_without_a_positive_determinant_is_not_full_rank(self):
         # an eigenvalue of N below 0 inside the physicality slack is no noise,

@@ -62,6 +62,15 @@ class TestClassify:
         assert (record["class"], record["r"]) == ("A2", 1)
         assert abs(record["noise_param"] - 7e307) <= 4 * math.ulp(7e307)
 
+    @pytest.mark.parametrize("entry", ["1e308", "9e307"])
+    def test_rank_one_noise_beyond_float64_range(self, capsys, entry):
+        n = f"[[{entry}, {entry}], [{entry}, {entry}]]"
+        code, out, _ = run(capsys, "classify", "--channel",
+                           '{"t": [[1, 0], [0, 1]], "n": %s}' % n)
+        assert code == 0
+        assert json.loads(out) == {"class": "B1", "tau": 1.0, "r": 1, "noise_param": 0.0,
+                                   "uniform_convergence": False}
+
     def test_unknown_spec_key(self, capsys):
         code, _, err = run(capsys, "classify", "--channel", '{"class": "B2", "foo": 1}')
         assert code == 2
@@ -166,6 +175,17 @@ class TestFidelity:
                              "--state2", json.dumps(_INDEFINITE_SUM))
         assert (code, out) == (3, "")
         assert "det((V1 + V2) / 2) = -6.25e+306 is not positive" in err
+
+    @pytest.mark.parametrize("scales", [(1e100, 3e100), (1.0, 1e200), (1e200, 1e200)])
+    def test_two_modes_beyond_float64_range(self, capsys, scales):
+        specs = [json.dumps({"mean": [0.0] * 4, "cm": (s * np.eye(4)).tolist()})
+                 for s in scales]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "fidelity", "--state1", specs[0], "--state2", specs[1])
+        assert (code, out) == (2, "")
+        assert "beyond float64 range" in err
+        assert caught == []
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)

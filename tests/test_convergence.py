@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -6,13 +9,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import b1_witness_mp, conjugated_channel, loglog_slope, sample_form
+from _helpers import (b1_witness_mp, bk_added_noise_np, conjugated_channel,
+                      diamond_bound_np, fid_env_A2_np, fid_env_C_np, loglog_slope,
+                      sample_form)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
-                             NoUniformBoundError, b1_gamma, b1_witness_bound,
-                             bk_added_noise, canonical_channel, convergence_scan,
-                             decide_uniform, diamond_upper_bound, fid_env_A2,
-                             fid_env_C, form_from_fields,
-                             nonuniform_witness)
+                             NoUniformBoundError, ScanRow, b1_gamma, b1_witness_bound,
+                             bk_added_noise, canonical_channel, channel_from_dict,
+                             classify, convergence_scan, decide_uniform,
+                             diamond_upper_bound, fid_env_A2, fid_env_C,
+                             form_from_fields, nonuniform_witness)
+from bosonic_telesim.convergence import _diamond_bound
 from bosonic_telesim.fidelity import _b1_witness_infidelity
 
 I2 = np.eye(2)
@@ -408,3 +414,139 @@ class TestConvergenceScan:
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
         assert convergence_scan(ch, [], {"mu": 0.5, "a": 0.0, "c": 0.0}) == []
         assert convergence_scan(GaussianChannel.identity(), np.array([]), {"mu": 0.5}) == []
+
+
+# mu on both sides of 2^27, where bk_added_noise switches to 1 / mu
+_MU = st.one_of(st.floats(1.0, 2.0 ** 27), st.floats(2.0 ** 27, 1e300),
+                st.sampled_from([1.0, 2.0 ** 27 - 1.0, 2.0 ** 27, 2.0 ** 27 + 2.0]))
+_FRAME_R = st.floats(0.5, 2.0).flatmap(lambda r: st.sampled_from([r, 1.0 / r]))
+_FULL_RANK = {CanonicalClass.C_Att: (0.002, 0.998), CanonicalClass.C_Amp: (1.002, 5.0),
+              CanonicalClass.D: (-5.0, -0.002), CanonicalClass.A2: (None, None),
+              CanonicalClass.A1: (None, None), CanonicalClass.B2: (None, None)}
+
+
+@st.composite
+def full_rank_forms(draw):
+    """Canonical forms of the six full-rank classes: nbar in [0, 5] (omega
+    from 1 to 11), and |1 - tau| >= 0.002, so gamma = xi |tau| / |1 - tau|
+    reaches 1e3 at mu = 1."""
+    tag = draw(st.sampled_from(list(_FULL_RANK)))
+    lo, hi = _FULL_RANK[tag]
+    tau = None if lo is None else draw(st.floats(lo, hi))
+    return form_from_fields(tag, tau=tau, nbar=draw(st.floats(0.0, 5.0)),
+                            xi=draw(st.floats(1e-3, 5.0)))
+
+
+class TestPlainFloatRows:
+    """The full-rank scan's per-row math runs on Python floats with ``math``:
+    bit for bit the numpy-scalar expressions kept as oracles in
+    ``_helpers``, as IEEE square roots are correctly rounded in both."""
+
+    @given(_MU)
+    @settings(max_examples=500, deadline=None)
+    def test_added_noise_is_the_numpy_value_as_a_float(self, mu):
+        got = bk_added_noise(mu)
+        assert type(got) is float
+        assert got.hex() == float(bk_added_noise_np(mu)).hex()
+        assert type(bk_added_noise(np.float64(mu))) is float
+
+    @given(gamma=st.one_of(st.floats(0.0, 1e3), st.floats(1e-300, 1e-3)),
+           omega=st.floats(1.0, 11.0), r=_FRAME_R)
+    @settings(max_examples=1000, deadline=None)
+    def test_fid_env_C_matches_numpy(self, gamma, omega, r):
+        assert fid_env_C(gamma, omega, r).hex() == fid_env_C_np(gamma, omega, r).hex()
+
+    @given(xi=st.floats(0.0, 2.0), omega=st.floats(1.0, 11.0),
+           a=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
+    @settings(max_examples=1000, deadline=None)
+    def test_fid_env_A2_matches_numpy(self, xi, omega, a, c):
+        assert fid_env_A2(xi, omega, a, c).hex() == fid_env_A2_np(xi, omega, a, c).hex()
+
+    @given(form=full_rank_forms(), mu=_MU, r=_FRAME_R,
+           a=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
+    @settings(max_examples=1000, deadline=None)
+    def test_diamond_bound_matches_numpy(self, form, mu, r, a, c):
+        got = _diamond_bound(form, mu, r, a, c)
+        assert type(got) is float
+        assert got.hex() == diamond_bound_np(form, mu, r, a, c).hex()
+
+    @pytest.mark.parametrize("cls, tau", [("C_Att", 0.5), ("C_Amp", 2.0), ("D", -1.0),
+                                          ("A2", None)])
+    @pytest.mark.parametrize("nbar", [1e8, 1e100])
+    @pytest.mark.parametrize("mu", [1.1, 10.0, 1e4, 1e9])
+    def test_no_positive_difference_keeps_the_numpy_branch(self, cls, tau, nbar, mu):
+        # t1 - t2 rounds to 0 or below at nbar = 1e8 and is inf - inf at
+        # 1e100: the same value (nan or 0) and the same RuntimeWarning
+        spec = {"class": cls, "nbar": nbar} if tau is None else {"class": cls, "tau": tau,
+                                                                 "nbar": nbar}
+        form = classify(channel_from_dict(spec))
+        results = []
+        for bound in (_diamond_bound, diamond_bound_np):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = bound(form, mu, 1.0, 1.0, 0.0)
+            results.append((value.hex(), [(w.category, str(w.message)) for w in caught]))
+        assert results[0] == results[1]
+        if nbar == 1e100 or mu >= 1e4:
+            assert results[0][1] and results[0][1][0][0] is RuntimeWarning
+            for bound in (_diamond_bound, diamond_bound_np):
+                with np.errstate(all="raise"):
+                    with pytest.raises(FloatingPointError):
+                        bound(form, mu, 1.0, 1.0, 0.0)
+
+    def test_gamma_beyond_float64_range_raises_overflow_error(self):
+        # xi |tau| overflows at tau = 1e308 and mu near 1: on numpy scalars it
+        # warned and the bound was NaN, but a Python float overflows silently
+        form = classify(channel_from_dict({"class": "C_Amp", "tau": 1e308, "nbar": 0.0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="gamma"):
+                _diamond_bound(form, 1.001, 1.0, 1.0, 0.0)
+            assert _diamond_bound(form, 1.01, 1.0, 1.0, 0.0) == diamond_bound_np(
+                form, 1.01, 1.0, 1.0, 0.0)
+
+    def test_no_positive_difference_exits_2_from_the_cli(self, capsys):
+        from bosonic_telesim.cli import main
+
+        for nbar in (1e8, 1e100):
+            config = {"channel": {"class": "C_Att", "tau": 0.5, "nbar": nbar},
+                      "grid": {"param": "mu", "start": 10.0, "stop": 1e4, "points": 2,
+                               "log": True}}
+            assert main(["convergence", "--config", json.dumps(config)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "beyond float64 range" in captured.err
+
+
+class TestScanRow:
+    ROW = dict(mu=10.0, mu_tilde=None, xi=0.1, upper_bound=0.3, witness_lower_bound=None)
+
+    def test_frozen(self):
+        row = ScanRow(**self.ROW)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.upper_bound = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.mu
+        assert row == ScanRow(**self.ROW)
+
+    def test_positional_and_keyword_rows_agree(self):
+        row = ScanRow(*self.ROW.values())
+        assert row == ScanRow(**self.ROW)
+        assert hash(row) == hash(ScanRow(**self.ROW))
+        assert dataclasses.astuple(row) == tuple(self.ROW.values())
+        assert row != ScanRow(**dict(self.ROW, xi=0.2))
+        with pytest.raises(TypeError):
+            ScanRow(10.0, None, 0.1, 0.3)
+
+    def test_replace(self):
+        row = dataclasses.replace(ScanRow(**self.ROW), upper_bound=0.5)
+        assert row == ScanRow(**dict(self.ROW, upper_bound=0.5))
+
+    def test_scan_rows_repr_with_plain_floats(self):
+        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
+        rows = convergence_scan(ch, [1.25, 2.0 ** 27 + 2.0])
+        assert [type(row.xi) for row in rows] == [float, float]
+        assert repr(rows[0]) == (f"ScanRow(mu=1.25, mu_tilde=None, xi={rows[0].xi!r}, "
+                                 f"upper_bound={rows[0].upper_bound!r}, "
+                                 "witness_lower_bound=None)")
+        assert "np.float64" not in repr(rows)

@@ -112,6 +112,39 @@ class TestGaussianFidelity:
                 assert gaussian_fidelity(far, near) == 0.0
                 assert gaussian_fidelity(near, far) == 0.0
 
+    @pytest.mark.parametrize("scale1, scale2", [
+        (1e100, 3e100),  # det((V1 + V2) / 2) = 4e400 (was NaN; true F = 0.866)
+        (1.0, 1e200),  # 6.25e798 (was a silent 0.0; true F = 2e-200)
+        (1e200, 1e200),  # 1e800 (was LinAlgError: infs or NaNs)
+        (1.7e308, 1.7e308),  # V1 + V2 itself overflows
+    ])
+    def test_two_modes_beyond_float64_range_raise_overflow_error(self, scale1, scale2):
+        s1 = GaussianState(np.zeros(4), scale1 * np.eye(4))
+        s2 = GaussianState(np.zeros(4), scale2 * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((s1, s2), (s2, s1)):
+                with pytest.raises(OverflowError, match="beyond float64 range"):
+                    gaussian_fidelity(*pair)
+                with np.errstate(all="raise"):
+                    with pytest.raises(OverflowError):
+                        gaussian_fidelity(*pair)
+
+    def test_two_mode_auxiliary_matrix_beyond_float64_range(self):
+        # det((V1 + V2) / 2) = 2.5e301 is finite, but V2 Omega V1 overflows
+        # (it warned "overflow encountered in matmul" and returned NaN)
+        s, c = 1e-5, math.sqrt(1.0 - 1e-10)
+        rot = np.array([[c, -s], [s, c]])
+        sq = rot @ np.diag([1e160, 1e140]) @ rot.T
+        sq = 0.5 * (sq + sq.T)
+        z = np.zeros((2, 2))
+        s1 = GaussianState(np.zeros(4), np.block([[2.0 * sq, z], [z, 2.0 * I2]]))
+        s2 = GaussianState(np.zeros(4), np.block([[3.0 * sq, z], [z, 2.0 * I2]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="auxiliary matrix"):
+                gaussian_fidelity(s1, s2)
+
     @pytest.mark.parametrize("mean", [[math.inf, 0.0], [math.nan, 0.0],
                                       [0.0, 1.0, -math.inf, 0.0]])
     def test_non_finite_mean_rejected(self, mean):
