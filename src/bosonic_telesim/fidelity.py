@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
-from .symplectic import GaussianState, _purities, symplectic_form
+from .symplectic import GaussianState, _certainly_mixed, _purities, symplectic_form
 from .teleportation import bk_added_noise
 
 __all__ = [
@@ -47,10 +47,12 @@ __all__ = [
 ]
 
 
-def _mean_factor(m1: np.ndarray, m2: np.ndarray, vsum: np.ndarray) -> float:
+def _mean_factor(m1: np.ndarray, m2: np.ndarray, vmean: np.ndarray) -> float:
     """``exp(-delta^T (V1 + V2)^{-1} delta / 4)`` of ``delta = m2 - m1``, 0
-    where it underflows, with no warning.  delta is formed on plain floats,
-    so a difference beyond float64 range is inf.  A quadratic form beyond
+    where it underflows, with no warning, from ``vmean = (V1 + V2) / 2``: the
+    quadratic form q in vmean is twice the one in ``V1 + V2``, exactly, so
+    the factor is ``exp(-q / 8)``.  delta is formed on plain floats, so a
+    difference beyond float64 range is inf.  A quadratic form beyond
     float64 range is taken again of ``u = 2^-e h``, with ``h = m2/2 - m1/2``
     (which cannot overflow) and ``2^e > max|h|``, and scaled back by the
     exact ``4^(e+1)``.  Where delta is finite and has no subnormal entry, h
@@ -61,13 +63,13 @@ def _mean_factor(m1: np.ndarray, m2: np.ndarray, vsum: np.ndarray) -> float:
         return 1.0
     delta = np.array(delta)
     with np.errstate(over="ignore", invalid="ignore"):
-        q = delta @ np.linalg.solve(vsum, delta)
+        q = delta @ np.linalg.solve(vmean, delta)
         if not np.isfinite(q):
             h = np.array([0.5 * y - 0.5 * x for x, y in zip(a, b)])
             e = math.frexp(float(np.max(np.abs(h))))[1]
             u = np.ldexp(h, -e)
-            q = np.ldexp(u @ np.linalg.solve(vsum, u), 2 * e + 2)
-    return float(np.exp(-0.25 * q))
+            q = np.ldexp(u @ np.linalg.solve(vmean, u), 2 * e + 2)
+    return float(np.exp(-0.125 * q))
 
 
 def _spectral_w(vaux: np.ndarray, n: int) -> np.ndarray:
@@ -98,18 +100,27 @@ def _one_mode_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
     leaves float64 range, and ``sqrt(Lambda)`` is taken as
     ``sqrt(det V1 - 1) sqrt(det V2 - 1)`` and ``sqrt(Delta + Lambda)`` as
     ``hypot(sqrt(Delta), sqrt(Lambda))``, both scaled by ``2^-e`` of Delta.
-    A Delta that is not positive raises :class:`np.linalg.LinAlgError`."""
+    Delta is ``4 det((V1 + V2) / 2)``, of each CM halved before the sum: the
+    halving is exact, so the sum cannot overflow (``1e308 I`` against
+    ``1.5e308 I``), and wherever ``V1 + V2`` is finite and no product is
+    subnormal (never, for CMs of states: ``Delta >= det V1 + det V2``) every
+    float equals that of the unhalved sum scaled by a power of two, which the
+    exponent e takes back, so F is the float it was before the halving.  A
+    Delta that is not positive raises :class:`np.linalg.LinAlgError`."""
     (p1, r1), (_, q1) = v1.tolist()
     (p2, r2), (_, q2) = v2.tolist()
-    x, e = _scaled_det(p1 + p2, r1 + r2, q1 + q2, 0.0)  # Delta = x 4^e
+    x, e = _scaled_det(0.5 * p1 + 0.5 * p2, 0.5 * r1 + 0.5 * r2, 0.5 * q1 + 0.5 * q2, 0.0)
     if not 0.0 < x < math.inf:
-        half = 2.0 ** (e - 1)  # exact; overflows to inf in the product, with no warning
+        half = 2.0 ** e  # exact; overflows to inf in the product, with no warning
         raise np.linalg.LinAlgError(
             f"det((V1 + V2) / 2) = {x * half * half:g} is not positive")
+    e += 1  # Delta = x 4^e
     x1, e1 = _scaled_det(p1, r1, q1, 1.0)
     x2, e2 = _scaled_det(p2, r2, q2, 1.0)
     u = math.ldexp(math.sqrt(max(x1, 0.0)) * math.sqrt(max(x2, 0.0)), e1 + e2 - e)
-    return math.sqrt(math.ldexp(2.0 * (math.hypot(math.sqrt(x), u) + u) / x, -e))
+    # 2^-e before the division: 2 (hypot + u) / x alone is F^2 2^e, beyond float64
+    # range for e near 1024
+    return math.sqrt(2.0 * math.ldexp(math.hypot(math.sqrt(x), u) + u, -e) / x)
 
 
 def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
@@ -121,9 +132,17 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     closed form of the module docstring, with no spectral pass; it is exactly
     symmetric, and CMs whose products leave float64 range are scaled by
     exact powers of two.  For two modes, when either state is pure
-    (``s1.is_pure() or s2.is_pure()``, both spectra from one stacked
-    spectral pass, s1 checked first) it is the Gaussian overlap; otherwise
-    the general formula.  A ``det(V1 + V2)`` that is not positive raises
+    (``s1.is_pure() or s2.is_pure()``) it is the Gaussian overlap; otherwise
+    the general formula.  Purity is first decided on plain floats: when both
+    CMs certify mixed by the invariant ``nu_1^2 + nu_2^2`` (for
+    ``max|V| <= 2^20``, see ``symplectic._certainly_mixed``) the general
+    formula runs with no spectral pass.  Otherwise both spectra come from
+    one stacked spectral pass, s1 checked first, as they always did.  The
+    certificate answers only where the spectral pass would give the same
+    answer, so the route and the float are the same either way, and the
+    ``_require_psd`` check of that pass cannot fire on a certified state,
+    whose ``lambda_min(V) >= 1 / (lambda_max(V) + e) - e`` is positive.
+    A ``det(V1 + V2)`` that is not positive raises
     :class:`np.linalg.LinAlgError` on the closed-form and overlap routes.
     Two modes have no scaling: ``det(V1 + V2)``, the auxiliary matrix or
     the product of its spectrum beyond float64 range (``1e100 I`` against
@@ -135,15 +154,16 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     n = s1.modes
     v1, v2 = s1.cm, s2.cm
     if n == 1:
-        mean = _mean_factor(s1.mean, s2.mean, v1 + v2)
+        mean = _mean_factor(s1.mean, s2.mean, 0.5 * v1 + 0.5 * v2)
         return min(_one_mode_fidelity(v1, v2) * mean, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
         vsum = v1 + v2
-        det = np.linalg.det(vsum / 2.0)
+        vmean = vsum / 2.0
+        det = np.linalg.det(vmean)
     if not math.isfinite(det):
         raise OverflowError("two-mode fidelity beyond float64 range: det((V1 + V2) / 2) overflows")
-    mean = _mean_factor(s1.mean, s2.mean, vsum)
-    if any(_purities((s1, s2))):
+    mean = _mean_factor(s1.mean, s2.mean, vmean)
+    if not (_certainly_mixed(s1) and _certainly_mixed(s2)) and any(_purities((s1, s2))):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
         if not det > 0.0:  # V1 + V2 singular to roundoff: a TMSV at mu >= 1e8 twice
             raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")

@@ -90,10 +90,12 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
 
 
+_EPS = float(np.finfo(float).eps)
+
 # roundoff of the smallest eigenvalue of M + i w Omega per unit of max|M|, with
 # margin: eigvalsh on valid inputs up to mu = 1e12 reaches about 6 eps, the
 # 2x2 closed form of _checked about 1 eps.
-_ROUNDOFF = 64.0 * np.finfo(float).eps
+_ROUNDOFF = 64.0 * _EPS
 
 
 def _self_check_tol(scale: float) -> float:
@@ -105,6 +107,64 @@ def _self_check_tol(scale: float) -> float:
 # the default tolerances of _checked: symmetry, and eigenvalue slack at unit scale
 _SYMMETRY = 1e-12
 _UNCERTAINTY = 1e-9
+
+# backward error of _cholesky_accepts per unit of the largest diagonal entry d
+# of the matrix it factors (derivation in its docstring): 14.5 eps d, rounded up
+_CHOLESKY = 16.0 * _EPS
+
+
+def _cholesky_accepts(m: np.ndarray, w: float, e: float, scale: float) -> bool:
+    """True only where the eigenvalue test of :func:`_checked` would accept
+    the symmetric 4x4 M: ``M + i w Omega`` has no eigenvalue below ``-e``.
+    False where this cannot be shown on plain floats, and then the caller's
+    ``eigvalsh`` decides.
+
+    The certificate is an unrolled, unpivoted Cholesky factorization
+    ``H = L L^H`` of ``H = M + i w Omega + (e/2) I``, in Python complex
+    arithmetic, that meets only positive pivots.  Then ``L L^H`` is positive
+    definite, and by Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.5, ``L L^H = H + dH`` with
+    ``|dH| <= g |L| |L^H|``.  The real theorem has ``g = gamma_(n+1)``; a
+    complex product has error ``sqrt(2) gamma_2 <= gamma_3`` (Higham
+    section 3.6), two roundings more than a real one, while a complex sum,
+    a division by the real pivot and each ``|l|^2 = re^2 + im^2`` cost no
+    more than their real counterparts, so ``g = gamma_(n+3) = gamma_7``.
+    With ``|L| |L^H|_ij <= ||l_i|| ||l_j||`` (Cauchy-Schwarz) and
+    ``||l_i||^2 = h_ii + dh_ii <= d / (1 - g)`` for the largest diagonal
+    entry ``d <= s + e/2``, every ``|dh_ij| <= g d / (1 - g)``, so
+    ``||dH||_2 <= 4 g d / (1 - g) < 14.01 eps d``; rounding the diagonal
+    ``m_ii + e/2`` adds ``eps d / 2``.  Hence the exact eigenvalues of
+    ``M + i w Omega`` exceed ``-e/2 - 16 eps d``.  ``eigvalsh`` finds them
+    within its roundoff, ``p(n) u ||H||_2`` (LAPACK Users' Guide, section
+    4.7), which this module takes as ``64 eps s`` everywhere (it reaches
+    about 6 eps s on valid inputs).  So the certificate applies only where
+    ``e/2 > 16 eps (s + e/2) + 64 eps s``, and there the ``eigvalsh`` test
+    would accept too.  At the default tolerances (``e = max(1e-9, 64 eps
+    s)``) that is ``s`` below about 28,150; beyond it ``e/2`` is at most the
+    eigenvalue roundoff alone, and the certificate never applies."""
+    half = 0.5 * e
+    if not (m.shape == (4, 4) and half > _CHOLESKY * (scale + half) + _ROUNDOFF * scale):
+        return False
+    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.tolist()
+    d = a00 + half
+    if not d > 0.0:
+        return False
+    l0 = math.sqrt(d)
+    l10 = complex(a01, -w) / l0  # H_10 = m_01 - i w; column 0 below it is real
+    l20, l30 = a02 / l0, a03 / l0
+    d = a11 + half - (l10.real * l10.real + l10.imag * l10.imag)
+    if not d > 0.0:
+        return False
+    l1 = math.sqrt(d)
+    c10 = l10.conjugate()
+    l21, l31 = (a12 - l20 * c10) / l1, (a13 - l30 * c10) / l1
+    d = a22 + half - l20 * l20 - (l21.real * l21.real + l21.imag * l21.imag)
+    if not d > 0.0:
+        return False
+    l32 = (complex(a23, -w) - l30 * l20 - l31 * l21.conjugate()) / math.sqrt(d)
+    d = (a33 + half - l30 * l30 - (l31.real * l31.real + l31.imag * l31.imag)
+         - (l32.real * l32.real + l32.imag * l32.imag))
+    return d > 0.0
 
 
 def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
@@ -124,10 +184,16 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
     ``eps s`` near the threshold (0.98 eps s at most against 50 digits on
     30,000 random-frame draws; eigvalsh 3.2 eps s), and the symmetrized M is
     built from the same floats, bit-identical to ``0.5 (M + M^T)`` wherever
-    that does not overflow.  Larger M take one ``eigvalsh``, since a 4x4
-    closed form would not be backward stable; they are halved before
-    ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
-    subnormal range and cannot overflow."""
+    that does not overflow.  Larger M are halved before ``M - M^T`` and
+    ``M + M^T``, which is bit-identical outside the subnormal range and
+    cannot overflow; a 4x4 closed form would not be backward stable.  A 4x4
+    M on a scale s below about 28,150 (at the default tolerances) is
+    accepted on plain floats by the Cholesky certificate of
+    :func:`_cholesky_accepts`, which accepts only what the eigenvalue test
+    would accept.  Where that certificate cannot decide (a failed pivot, or
+    beyond that scale), one ``eigvalsh`` decides as before, and its
+    eigenvalue is the one an error message reports.  The decision and the
+    returned matrix are the same either way."""
     single = m.shape == (2, 2)
     if single:
         (p, b), (c, q) = m.tolist()
@@ -152,14 +218,21 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
     else:
         m = half + half.T
     if w is not None:
+        e = max(uncertainty, _ROUNDOFF * scale)
         if single:
             lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
+        elif _cholesky_accepts(m, w, e, scale):
+            return m
         else:
             lam = np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0]
-        if not lam >= -max(uncertainty, _ROUNDOFF * scale):  # NaN fails too
+        if not lam >= -e:  # NaN fails too
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return m
+
+
+# largest eigenvalue of V for which _sqrt_form's products stay in float64 range
+_KERNEL_MAX = float(np.finfo(float).max) * (1.0 - 2.0 ** -20)
 
 
 def _sqrt_form(cms, tol: float | None):
@@ -170,6 +243,14 @@ def _sqrt_form(cms, tol: float | None):
     similar to ``Omega V``, so the Hermitian ``i K`` has eigenvalues
     ``+/- nu_k``.  Returns the stacks ``(V, lam, U, K)``, each slice
     bit-identical to a stack of one; :func:`_require_psd` checks a slice.
+    K is antisymmetrized as ``K/2 - K^T/2``, bit-identical to
+    ``(K - K^T)/2`` outside the subnormal range, so ``1.7e308 I`` has its
+    spectrum.  Every entry of ``V^{1/2}`` is at most ``sqrt(||V||_2)`` and,
+    by Cauchy-Schwarz, every partial sum of the products forming K at most
+    ``||V||_2``, both up to a few eps relative; so a largest eigenvalue of
+    V within ``2^-20`` of float64's largest value (or beyond it, inf) raises
+    :class:`OverflowError` with no RuntimeWarning, and below that nothing
+    leaves float64 range.
 
     An entry may also be a :class:`GaussianState`, whose CM is taken as it
     is: it was checked and symmetrized when the state was constructed, and
@@ -187,9 +268,11 @@ def _sqrt_form(cms, tol: float | None):
         raise InvalidDimensionError("expected at least one matrix")
     v = np.array(v)
     lam, u = np.linalg.eigh(v)
+    if not max(lam[:, -1].tolist()) <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
+        raise OverflowError("spectral kernel beyond float64 range: ||V||_2 overflows")
     r = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
     k = r @ symplectic_form(n) @ r
-    return v, lam, u, 0.5 * (k - k.transpose(0, 2, 1))
+    return v, lam, u, 0.5 * k - 0.5 * k.transpose(0, 2, 1)  # K - K^T overflows near 1e308
 
 
 def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
@@ -205,8 +288,9 @@ def _spectra(cms, tol: float | None):
     early leaves the later matrices unchecked."""
     v, lam, _, k = _sqrt_form(cms, tol)
     vals = np.linalg.eigvalsh(1j * k)
-    # ascending, so vals[:, -1 - j] and vals[:, j] are the pair +/- nu_j
-    nus = 0.5 * (vals[:, ::-1] - vals)[:, :k.shape[-1] // 2]
+    # ascending, so vals[:, -1 - j] and vals[:, j] are the pair +/- nu_j; halved
+    # first, as K is
+    nus = (0.5 * vals[:, ::-1] - 0.5 * vals)[:, :k.shape[-1] // 2]
     for vj, lamj, nu in zip(v, lam, nus):
         _require_psd(vj, lamj)
         yield nu
@@ -234,8 +318,58 @@ def _purities(states, tol: float = 1e-9):
     their CMs, checked at construction, are not checked again.  Read lazily,
     ``any(_purities((s1, s2)))`` keeps the short circuit of
     ``s1.is_pure() or s2.is_pure()``: s1's error comes first, and nothing
-    about s2 raises once s1 is pure."""
+    about s2 raises once s1 is pure.  :func:`_certainly_mixed` decides the
+    same question on plain floats for a two-mode state far enough from
+    purity, and only this spectral pass decides the others."""
     return (bool(np.max(nu) <= 1.0 + tol) for nu in _spectra(states, None))
+
+
+# largest max|V| at which _certainly_mixed decides: there a constructed CM has
+# lambda_min(V) >= 0.87 / (4 s), see its docstring
+_MIXED_SCALE = 2.0 ** 20
+
+
+def _certainly_mixed(state: GaussianState) -> bool:
+    """True only where ``state.is_pure()`` (default tolerance 1e-9) is False
+    of a two-mode state, decided on plain floats from the invariant
+    ``Delta = det A + det B + 2 det C = nu_1^2 + nu_2^2`` of its CM
+    ``V = [[A, C], [C^T, B]]``; False where this cannot be shown, and then
+    :func:`_purities` decides.
+
+    With ``s = max(1, max|V|) <= 2^20``: (i) the float Delta is within
+    ``8 gamma_4 s^2 < 16 eps s^2`` of the exact one (three 2x2 determinants
+    of terms at most ``s^2``, two more sums); (ii) the spectral pass is
+    backward stable with ``||dV||_2 <= 128 eps s`` (eigh's roundoff, 64 eps s
+    as in :func:`_checked`, and the clip of its eigenvalues at 0), and
+    ``-(||dV|| / lam_min) V <= dV <= (||dV|| / lam_min) V`` with the
+    monotonicity and homogeneity of symplectic eigenvalues (Bhatia and Jain,
+    J. Math. Phys. 56, 112201 (2015)) puts each computed nu within a
+    relative ``rho = 1024 eps s^2`` of its exact value (``588 eps s^2``, and
+    ``256 eps s`` for the ``64 eps ||K||_2`` of forming K and its
+    ``eigvalsh``).  That uses (iii): a
+    constructed state has ``V + e' I + i Omega >= 0`` with
+    ``e' <= 2 max(1e-9, 64 eps s)`` (the accepted eigenvalue and its
+    roundoff), and compressing it onto a unit eigenvector x of
+    ``lambda_min`` and ``y = Omega^T x`` gives a positive semidefinite 2x2
+    whose determinant is at least ``(x^T Omega y)^2 = 1``, so
+    ``lambda_min(V) >= 1 / (lambda_max(V) + e') - e' >= 0.87 / (4 s)`` for
+    ``s <= 2^20``.  The state is certainly mixed when
+    ``Delta - 32 eps s^2 > 2 ((1 + 1e-9) / (1 - rho))^2`` (both error
+    terms doubled to cover the float evaluation of the test itself): then
+    the exact ``nu_max >= sqrt(Delta / 2)`` exceeds ``(1 + 1e-9) / (1 - rho)``
+    and the computed one ``1 + 1e-9``.  By (iii) the ``_require_psd`` that
+    the spectral pass would run cannot fire either: the exact
+    ``lambda_min(V)`` is positive, so its computed value stays above
+    ``-64 eps s``."""
+    x = state.cm.ravel().tolist()
+    s = max(1.0, max(map(abs, x)))
+    if len(x) != 16 or s > _MIXED_SCALE:
+        return False
+    s2 = s * s
+    delta = (x[0] * x[5] - x[1] * x[1] + x[10] * x[15] - x[11] * x[11]
+             + 2.0 * (x[2] * x[7] - x[3] * x[6]))
+    nu = (1.0 + 1e-9) / (1.0 - 1024.0 * _EPS * s2)
+    return delta - 32.0 * _EPS * s2 > 2.0 * nu * nu
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,9 +377,12 @@ class GaussianState:
     """Gaussian state of ``n`` modes: mean quadrature vector and CM.
 
     Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) on the
-    scale ``s = max(1, max|V|)``, in closed form for one mode and by one
-    ``eigvalsh`` for two (see ``_checked``), at the default tolerances: V
-    symmetric within ``1e-12 s``, no eigenvalue below ``-e`` with
+    scale ``s = max(1, max|V|)``, on plain floats in closed form for one
+    mode; for two modes on plain floats by a Cholesky certificate below
+    ``s`` of about 28,150 and by one ``eigvalsh`` wherever that certificate
+    cannot decide, with the same decision either way (see ``_checked``), at
+    the default tolerances: V symmetric within ``1e-12 s``, no eigenvalue
+    below ``-e`` with
     ``e = max(1e-9, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
     thermal frame; single-mode squeezing r widens that band by at most
     ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
@@ -386,7 +523,8 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     residual must stay within ``1e-8 m`` and ``|S Omega S^T - Omega|`` within
     ``16 eps m``, never below the default 1e-10.  On 7,700 quasi-Choi states
     with mu from 10 to 1.3e8 the symplectic residual is at most ``0.56 eps m``.
-    ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`.
+    ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`,
+    and a kernel beyond float64 range raises :class:`OverflowError` there too.
     """
     cm, lam, u, k = (x[0] for x in _sqrt_form((cm,), tol))
     _require_psd(cm, lam)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import raw_channel_specs, raw_state_specs
+from _helpers import fidelity_mp, raw_channel_specs, raw_state_specs
 from bosonic_telesim import tmsv_state
 from bosonic_telesim.cli import main
 
@@ -23,6 +23,7 @@ THERMAL3 = '{"mean": [0.0, 0.0], "cm": [[3.0, 0.0], [0.0, 3.0]]}'
 _CM = [[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]]
 _FAR = (json.dumps({"mean": [9.5e15, 0.0, 1.7e308, 8.0], "cm": _CM}),
         json.dumps({"mean": [0.0] * 4, "cm": _CM}))
+TMSV2 = json.dumps({"mean": [0.0] * 4, "cm": tmsv_state(2.0).cm.tolist()})
 # accepted within the physicality slack of its scale, but V + vacuum is
 # indefinite: det((V1 + V2) / 2) = -6.25e306
 _INDEFINITE_SUM = {"mean": [0.0, 0.0], "cm": [[0.0, 5e153], [5e153, 1e166]]}
@@ -110,6 +111,14 @@ class TestApplyAndSimulate:
         code3, out3, _ = run(capsys, "simulate", "--channel", LOSS, "--mu", "3.0")
         assert out3 == out
 
+    def test_apply_to_two_mode_state_below_bona_fide(self, capsys):
+        # nu = 1 - 1e-6 on mode 1: rejected at construction, nothing on stdout
+        cm = np.diag([1.0, 1.0, 1.0 - 1e-6, 1.0 - 1e-6]).tolist()
+        state = json.dumps({"mean": [0.0] * 4, "cm": cm})
+        code, out, err = run(capsys, "apply", "--channel", LOSS, "--state", state, "--mode", "1")
+        assert (code, out) == (2, "")
+        assert "unphysical" in err
+
     def test_simulate_infinite_mu_rejected(self, capsys):
         code, out, err = run(capsys, "simulate", "--channel", LOSS, "--mu", "inf")
         assert code == 2
@@ -186,6 +195,29 @@ class TestFidelity:
         assert (code, out) == (2, "")
         assert "beyond float64 range" in err
         assert caught == []
+
+    def test_two_mode_mixed_pair(self, capsys):
+        # C_Att on mode 1 of TMSV(2), directly and through its mu = 10
+        # simulation: both outputs certify mixed, so no spectral purity pass runs
+        att = '{"class": "C_Att", "tau": 0.5, "nbar": 0.5}'
+        _, eff, _ = run(capsys, "simulate", "--channel", att, "--mu", "10")
+        states = []
+        for channel in (att, json.dumps(json.loads(eff)["effective"])):
+            code, out, _ = run(capsys, "apply", "--channel", channel, "--state", TMSV2,
+                               "--mode", "1")
+            assert code == 0
+            states.append(out)
+        code, out, _ = run(capsys, "fidelity", "--state1", states[0], "--state2", states[1])
+        assert code == 0
+        want = fidelity_mp(*(json.loads(st)["cm"] for st in states), dps=60)
+        assert abs(json.loads(out)["fidelity"] - want) <= 1e-12
+
+    def test_two_mode_pure_self_fidelity(self, capsys):
+        # the overlap route: 1 / sqrt(det V) of the float64 TMSV(2), whose LU det
+        # is 1 + 9e-16
+        code, out, _ = run(capsys, "fidelity", "--state1", TMSV2, "--state2", TMSV2)
+        assert code == 0
+        assert abs(json.loads(out)["fidelity"] - 1.0) <= 4.0 * np.finfo(float).eps
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         huge = '{"mean": [0, 0], "cm": [[1%s, 0], [0, 1]]}' % ("0" * 400)

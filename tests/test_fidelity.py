@@ -166,7 +166,8 @@ class TestGaussianFidelity:
 
     def test_mean_factor_unchanged_where_difference_is_finite(self, rng):
         # the plain numpy route: delta = m2 - m1, exp(-q / 4) of its
-        # quadratic form, bit for bit wherever q is finite
+        # quadratic form in V1 + V2, bit for bit wherever q is finite; the
+        # helper takes the exactly halved sum (V1 + V2) / 2
         from bosonic_telesim.fidelity import _mean_factor
 
         for k in range(400):
@@ -176,7 +177,7 @@ class TestGaussianFidelity:
             vsum = s1.cm + s2.cm
             delta = s2.mean - s1.mean
             want = float(np.exp(-0.25 * (delta @ np.linalg.solve(vsum, delta))))
-            assert _mean_factor(s1.mean, s2.mean, vsum) == want
+            assert _mean_factor(s1.mean, s2.mean, 0.5 * s1.cm + 0.5 * s2.cm) == want
 
     @pytest.mark.parametrize("p1,p2", FOCK_POINTS)
     def test_fock_points_match_the_checked_cm_route(self, p1, p2, monkeypatch):
@@ -360,6 +361,37 @@ class TestOneModeClosedForm:
                     gaussian_fidelity(*pair)
                 assert str(err.value) == f"det((V1 + V2) / 2) = {value} is not positive"
 
+    def test_sum_beyond_float64_range(self):
+        # V1 + V2 overflowed: 'overflow encountered in add', then LinAlgError
+        s1, s2 = GaussianState(np.zeros(2), 1e308 * I2), GaussianState(np.zeros(2), 1.5e308 * I2)
+        want = fidelity_mp(s1.cm, s2.cm, dps=60)
+        assert abs(float(want) - 2.0 * math.sqrt(1.5) / 2.5) <= 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                for pair in ((s1, s2), (s2, s1)):
+                    assert abs(gaussian_fidelity(*pair) - want) <= 1e-15
+
+    def test_halved_sum_is_bit_identical(self, rng):
+        # the unhalved route, wherever V1 + V2 is finite: states from unit scale
+        # to products far beyond float64 range
+        from bosonic_telesim.fidelity import _one_mode_fidelity, _scaled_det
+
+        def unhalved(v1, v2):
+            (p1, r1), (_, q1) = v1.tolist()
+            (p2, r2), (_, q2) = v2.tolist()
+            x, e = _scaled_det(p1 + p2, r1 + r2, q1 + q2, 0.0)
+            x1, e1 = _scaled_det(p1, r1, q1, 1.0)
+            x2, e2 = _scaled_det(p2, r2, q2, 1.0)
+            u = math.ldexp(math.sqrt(max(x1, 0.0)) * math.sqrt(max(x2, 0.0)), e1 + e2 - e)
+            return math.sqrt(math.ldexp(2.0 * (math.hypot(math.sqrt(x), u) + u) / x, -e))
+
+        for k in range(2000):
+            scale = 10.0 ** rng.uniform(0.0, 300.0) if k % 2 else 1.0
+            v1 = random_state(1, rng, 3.0, (2.0, 100.0)[k % 4 // 2]).cm * scale
+            v2 = random_state(1, rng, 3.0, 2.0).cm * scale
+            assert _one_mode_fidelity(v1, v2) == unhalved(v1, v2)
+
     def test_no_spectral_pass(self, monkeypatch):
         from bosonic_telesim import fidelity
 
@@ -370,6 +402,73 @@ class TestOneModeClosedForm:
         monkeypatch.setattr(fidelity, "_spectral_w", refuse)
         assert gaussian_fidelity(GaussianState.vacuum(), thermal_state(3.0)) == pytest.approx(
             math.sqrt(0.5), rel=1e-15)
+
+
+def _near_pure_state(rng, sign):
+    """Two-mode state with ``nu_1 = nu_2 = 1 + 1e-9 (1 + sign 2^-20)`` in a
+    random frame: within roundoff of the purity test's threshold."""
+    nu = 1.0 + 1e-9 * (1.0 + sign * 2.0 ** -20)
+    s = random_symplectic(2, rng)
+    cm = s @ (nu * np.eye(4)) @ s.T
+    return GaussianState(np.zeros(4), 0.5 * (cm + cm.T))
+
+
+class TestTwoModePurityRouting:
+    """Two modes skip the spectral purity pass when both CMs certify mixed
+    on plain floats (``_certainly_mixed``); the result must be the float of
+    the route the spectral pass picks, bit for bit, whether or not the
+    certificate decides."""
+
+    @staticmethod
+    def _spectral_route(monkeypatch, s1, s2):
+        from bosonic_telesim import fidelity
+
+        with monkeypatch.context() as m:
+            m.setattr(fidelity, "_certainly_mixed", lambda state: False)
+            return gaussian_fidelity(s1, s2)
+
+    def _check(self, monkeypatch, pairs):
+        for s1, s2 in pairs:
+            for pair in ((s1, s2), (s2, s1)):
+                want = self._spectral_route(monkeypatch, *pair)
+                assert gaussian_fidelity(*pair).hex() == want.hex()
+
+    def test_random_mixed(self, rng, monkeypatch):
+        from bosonic_telesim.symplectic import _certainly_mixed
+
+        pairs = [(random_state(2, rng, 3.0, 3.0, displace=1.0),
+                  random_state(2, rng, 3.0, 3.0, displace=1.0)) for _ in range(200)]
+        certified = sum(_certainly_mixed(s) for pair in pairs for s in pair)
+        assert certified >= 390  # the certificate decides nearly all of them
+        self._check(monkeypatch, pairs)
+
+    def test_pure(self, rng, monkeypatch):
+        from bosonic_telesim.symplectic import _certainly_mixed
+
+        pures = (tmsv_state(2.0), GaussianState.vacuum(2),
+                 tensor_states(GaussianState.vacuum(), GaussianState.vacuum()))
+        assert not any(_certainly_mixed(s) for s in pures)
+        self._check(monkeypatch, [(p, random_state(2, rng, displace=1.0)) for p in pures]
+                    + [(p, q) for p in pures for q in pures])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_pure(self, rng, monkeypatch, sign):
+        from bosonic_telesim.symplectic import _certainly_mixed
+
+        states = [_near_pure_state(rng, sign) for _ in range(50)]
+        assert not any(_certainly_mixed(s) for s in states)
+        self._check(monkeypatch, [(s, random_state(2, rng)) for s in states]
+                    + list(zip(states[::2], states[1::2])))
+
+    @pytest.mark.parametrize("factor", [2.0 ** 8, 2.0 ** 21])
+    def test_large_entries(self, rng, monkeypatch, factor):
+        # max|V| beyond 2^7, and beyond the certificate's 2^20 at the larger factor
+        def large():
+            return GaussianState(np.zeros(4), factor * random_state(2, rng, 3.0, 3.0).cm)
+
+        pairs = [(large(), large()) for _ in range(50)]
+        assert min(float(np.max(np.abs(s.cm))) for pair in pairs for s in pair) > 2.0 ** 7
+        self._check(monkeypatch, pairs + [(tmsv_state(factor), s) for s, _ in pairs])
 
 
 class TestFuchsVdg:

@@ -81,10 +81,11 @@ class TestInvalidStillRejected:
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_random_frames(self, rng, modes):
-        for _ in range(FRAMES):
-            nus = [self.NU] + list(rng.uniform(1.0, 3.0, size=modes - 1))
+        for k in range(2 * FRAMES):
+            nus = list(rng.uniform(1.0, 3.0, size=modes))
+            nus[k % modes] = self.NU  # on either mode of a two-mode state
             s = random_symplectic(modes, rng, max_squeeze=2.0)
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match="unphysical"):
                 GaussianState(*framed_state(s, nus))
 
     @pytest.mark.parametrize("cm", [
@@ -230,3 +231,80 @@ class TestClosedFormAgainstEigvalsh:
             assert not accepted
         elif lam > threshold + self.BAND * scale:
             assert accepted
+
+
+def _passive(theta1, theta2, phi):
+    """Two-mode passive symplectic: a phase rotation on each mode, then a beam
+    splitter of angle phi."""
+    c, s = np.cos(phi), np.sin(phi)
+    z = np.zeros((2, 2))
+    rotations = np.block([[_rotation(theta1), z], [z, _rotation(theta2)]])
+    return rotations @ np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+
+
+def _two_mode_frame(angles, log_r2s):
+    """Passive x single-mode squeezing ``diag(r1, 1/r1, r2, 1/r2)`` x passive
+    (the Bloch-Messiah form), with ``r_k^2 = 10^log_r2s[k]``."""
+    r1, r2 = (10.0 ** (0.5 * x) for x in log_r2s)
+    return _passive(*angles[:3]) @ np.diag([r1, 1.0 / r1, r2, 1.0 / r2]) @ _passive(*angles[3:])
+
+
+OMEGA2 = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def _eigvalsh_accepts(m):
+    """The two-mode test of ``_checked`` with one ``eigvalsh`` and no
+    certificate: symmetry within 1e-12 s, then no eigenvalue of the
+    symmetrized ``M + i Omega`` below ``-max(1e-9, 64 eps s)``."""
+    scale = max(1.0, float(np.max(np.abs(m))))
+    half = 0.5 * m
+    if 2.0 * float(np.max(np.abs(half - half.T))) > 1e-12 * scale:
+        return False
+    lam = np.linalg.eigvalsh(half + half.T + 1j * OMEGA2)[0]
+    return bool(lam >= -max(_UNCERTAINTY, 64.0 * np.finfo(float).eps * scale))
+
+
+class TestCholeskyAgainstEigvalsh:
+    """A 4x4 CM is accepted on plain floats by a Cholesky certificate below the
+    scale of about 28,150, and by ``eigvalsh`` wherever that cannot decide:
+    the decision must be exactly the ``eigvalsh`` one, with no band, since
+    the certificate accepts only where ``eigvalsh`` would.  The draws put
+    nu_1 and nu_2 at ``1 +/- 10^[-17, 0]`` in random two-mode frames, so
+    max|V| runs from about 1e-3 (nu near 0) to 1e12."""
+
+    @given(log_deltas=st.lists(st.floats(-17.0, 0.0), min_size=2, max_size=2),
+           signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
+           squeeze=st.floats(0.0, 1.0),
+           share=st.floats(0.0, 1.0),
+           angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_eigvalsh(self, log_deltas, signs, squeeze, share, angles):
+        nus = [1.0 + sign * 10.0 ** x for sign, x in zip(signs, log_deltas)]
+        total = 12.0 * squeeze  # log10 of the frame's largest r^2
+        s = _two_mode_frame(angles, (total, total * share))
+        m = s @ np.diag(np.repeat(nus, 2)) @ s.T  # asymmetric by roundoff
+        try:
+            cm = GaussianState(np.zeros(4), m).cm
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == _eigvalsh_accepts(m)
+        if accepted:
+            # 0.5 (M + M^T) outside the subnormal range, which a tiny angle reaches
+            half = 0.5 * m
+            assert cm.tobytes() == (half + half.T).tobytes()
+
+    def test_certificate_decides_below_its_scale(self, monkeypatch):
+        from bosonic_telesim import symplectic
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        certified = tmsv_state(1e4).cm  # s = 1e4
+        others = (tmsv_state(3e4).cm,  # beyond the certificate's scale
+                  np.diag([1.0 - 1e-6, 1.0 - 1e-6, 2.0, 2.0]))  # a failed pivot
+        monkeypatch.setattr(symplectic.np.linalg, "eigvalsh", refuse)
+        assert np.array_equal(GaussianState(np.zeros(4), certified).cm, certified)
+        for cm in others:
+            with pytest.raises(AssertionError, match="eigvalsh ran"):
+                GaussianState(np.zeros(4), cm)

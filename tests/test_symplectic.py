@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,28 @@ class TestPurityPass:
         assert calls == []
         symplectic_eigenvalues(s1.cm)  # a raw array is still checked
         assert len(calls) == 1
+
+    def test_kernel_near_float64_range(self):
+        # K - K^T and the spectrum's nu - (-nu) overflowed here, ending in
+        # "Eigenvalues did not converge"; both are halved first now
+        big = 1.7e308
+        state = GaussianState(np.zeros(4), big * np.eye(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert state.symplectic_spectrum() == pytest.approx([big, big], rel=1e-15)
+            assert state.is_pure() is False
+            assert williamson(state.cm).spectrum == pytest.approx((big, big), rel=1e-15)
+
+    def test_kernel_beyond_float64_range_raises_overflow_error(self):
+        # ||V||_2 = 2.25e308: V^{1/2} Omega V^{1/2} leaves float64 range
+        z = np.zeros((2, 2))
+        cm = np.block([[1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), z], [z, np.eye(2)]])
+        state = GaussianState(np.zeros(4), cm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (state.symplectic_spectrum, state.is_pure, lambda: williamson(cm)):
+                with pytest.raises(OverflowError, match="beyond float64 range"):
+                    call()
 
 
 class TestApplyAffine:
