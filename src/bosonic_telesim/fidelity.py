@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
-from .symplectic import GaussianState, _certainly_mixed, _purities, symplectic_form
+from .symplectic import GaussianState, _certainly_mixed, symplectic_form
 from .teleportation import bk_added_noise
 
 __all__ = [
@@ -127,19 +127,17 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     """Bures fidelity ``F(rho1, rho2) = Tr sqrt(sqrt(rho2) rho1 sqrt(rho2))``
     for Gaussian states of the same mode count (1 or 2).
 
-    Symmetric in its arguments, equal to 1 iff the states coincide, and
-    includes the Gaussian factor for unequal mean vectors.  One mode is the
-    closed form of the module docstring, with no spectral pass; it is exactly
-    symmetric, and CMs whose products leave float64 range are scaled by
-    exact powers of two.  For two modes, when either state is pure
-    (``s1.is_pure() or s2.is_pure()``) it is the Gaussian overlap; otherwise
-    the general formula.  Purity is first decided on plain floats: when both
-    CMs certify mixed by the invariant ``nu_1^2 + nu_2^2`` (for
-    ``max|V| <= 2^20``, see ``symplectic._certainly_mixed``) the general
-    formula runs with no spectral pass.  Otherwise both spectra come from
-    one stacked spectral pass, s1 checked first, as they always did.  The
-    certificate answers only where the spectral pass would give the same
-    answer, so the route and the float are the same either way, and the
+    Symmetric in its arguments, exactly 1 for states whose means and CMs
+    are equal entry for entry, and includes the Gaussian factor for unequal
+    mean vectors.  One mode is the closed form of the module docstring, with
+    no spectral pass; it is exactly symmetric, and CMs whose products leave
+    float64 range are scaled by exact powers of two.  For two modes, when
+    either state is pure (``s1.is_pure() or s2.is_pure()``) it is the
+    Gaussian overlap; otherwise the general formula.  A state whose CM
+    certifies mixed on plain floats by the invariant ``nu_1^2 + nu_2^2``
+    (for ``max|V| <= 2^20``, see ``symplectic._certainly_mixed``) skips its
+    spectral pass.  The certificate answers only where that pass would say
+    mixed, so the route and the float are the same either way, and the
     ``_require_psd`` check of that pass cannot fire on a certified state,
     whose ``lambda_min(V) >= 1 / (lambda_max(V) + e) - e`` is positive.
     A ``det(V1 + V2)`` that is not positive raises
@@ -153,6 +151,8 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
             f"mode counts differ: {s1.modes} vs {s2.modes}")
     n = s1.modes
     v1, v2 = s1.cm, s2.cm
+    if v1.tolist() == v2.tolist() and s1.mean.tolist() == s2.mean.tolist():
+        return 1.0  # the same state; the formulas below round to about 1
     if n == 1:
         mean = _mean_factor(s1.mean, s2.mean, 0.5 * v1 + 0.5 * v2)
         return min(_one_mode_fidelity(v1, v2) * mean, 1.0)
@@ -163,9 +163,9 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     if not math.isfinite(det):
         raise OverflowError("two-mode fidelity beyond float64 range: det((V1 + V2) / 2) overflows")
     mean = _mean_factor(s1.mean, s2.mean, vmean)
-    if not (_certainly_mixed(s1) and _certainly_mixed(s2)) and any(_purities((s1, s2))):
+    if any(not _certainly_mixed(s) and s.is_pure() for s in (s1, s2)):
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
-        if not det > 0.0:  # V1 + V2 singular to roundoff: a TMSV at mu >= 1e8 twice
+        if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
             raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
         overlap = 1.0 / np.sqrt(det)
         return min(float(np.sqrt(overlap)) * mean, 1.0)

@@ -235,44 +235,36 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
 _KERNEL_MAX = float(np.finfo(float).max) * (1.0 - 2.0 ** -20)
 
 
-def _sqrt_form(cms, tol: float | None):
-    """The one spectral kernel, on a sequence of same-size matrices (a single
-    matrix is a stack of one): each V is checked in order, then one ``eigh``
-    of the stack gives ``R = V^{1/2}`` (eigenvalues within
-    ``64 eps max(1, max|V|)`` of 0 clipped to 0) and ``K = R Omega R``,
-    similar to ``Omega V``, so the Hermitian ``i K`` has eigenvalues
-    ``+/- nu_k``.  Returns the stacks ``(V, lam, U, K)``, each slice
-    bit-identical to a stack of one; :func:`_require_psd` checks a slice.
-    K is antisymmetrized as ``K/2 - K^T/2``, bit-identical to
-    ``(K - K^T)/2`` outside the subnormal range, so ``1.7e308 I`` has its
-    spectrum.  Every entry of ``V^{1/2}`` is at most ``sqrt(||V||_2)`` and,
-    by Cauchy-Schwarz, every partial sum of the products forming K at most
-    ``||V||_2``, both up to a few eps relative; so a largest eigenvalue of
-    V within ``2^-20`` of float64's largest value (or beyond it, inf) raises
-    :class:`OverflowError` with no RuntimeWarning, and below that nothing
-    leaves float64 range.
+def _sqrt_form(cm, tol: float | None):
+    """The one spectral kernel, on a square float array (see
+    :func:`_as_matrix`): V is checked, then one ``eigh`` gives
+    ``R = V^{1/2}`` (eigenvalues within ``64 eps max(1, max|V|)`` of 0
+    clipped to 0) and ``K = R Omega R``, similar to ``Omega V``, so the
+    Hermitian ``i K`` has eigenvalues ``+/- nu_k``.  Returns ``(V, lam, U,
+    K)`` once V passes :func:`_require_psd`.  K is antisymmetrized as
+    ``K/2 - K^T/2``, bit-identical to ``(K - K^T)/2`` outside the subnormal
+    range, so ``1.7e308 I`` has its spectrum.  Every entry of ``V^{1/2}`` is
+    at most ``sqrt(||V||_2)`` and, by Cauchy-Schwarz, every partial sum of
+    the products forming K at most ``||V||_2``, both up to a few eps
+    relative; so a largest eigenvalue of V within ``2^-20`` of float64's
+    largest value (or beyond it, inf) raises :class:`OverflowError` with no
+    RuntimeWarning, and below that nothing leaves float64 range.
 
-    An entry may also be a :class:`GaussianState`, whose CM is taken as it
+    ``cm`` may also be a :class:`GaussianState`, whose CM is taken as it
     is: it was checked and symmetrized when the state was constructed, and
     symmetrizing a symmetric matrix again returns it bit for bit."""
-    v = []
-    for m in cms:
-        if isinstance(m, GaussianState):
-            n = m.modes
-            v.append(m.cm)
-            continue
-        m = _as_matrix(m)
-        n = _check_even(m.shape[0])
-        v.append(_checked(m, tol))
-    if not v:
-        raise InvalidDimensionError("expected at least one matrix")
-    v = np.array(v)
+    if isinstance(cm, GaussianState):
+        v = cm.cm
+    else:
+        _check_even(cm.shape[0])
+        v = _checked(cm, tol)
     lam, u = np.linalg.eigh(v)
-    if not max(lam[:, -1].tolist()) <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
+    if not lam[-1] <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
         raise OverflowError("spectral kernel beyond float64 range: ||V||_2 overflows")
-    r = (u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]) @ u.transpose(0, 2, 1)
-    k = r @ symplectic_form(n) @ r
-    return v, lam, u, 0.5 * k - 0.5 * k.transpose(0, 2, 1)  # K - K^T overflows near 1e308
+    _require_psd(v, lam)
+    r = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.T
+    k = r @ symplectic_form(v.shape[0] // 2) @ r
+    return v, lam, u, 0.5 * k - 0.5 * k.T  # K - K^T overflows near 1e308
 
 
 def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
@@ -281,19 +273,13 @@ def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
         raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
 
 
-def _spectra(cms, tol: float | None):
-    """The symplectic spectrum (descending) of each matrix of ``cms``, from one
-    ``_sqrt_form`` and one ``eigvalsh`` of the stacked ``i K``.  Each is yielded
-    after its own matrix passes :func:`_require_psd`, so a caller that stops
-    early leaves the later matrices unchecked."""
-    v, lam, _, k = _sqrt_form(cms, tol)
+def _spectrum(cm, tol: float | None) -> np.ndarray:
+    """The symplectic spectrum (descending) of an array or a state, from
+    :func:`_sqrt_form` and one ``eigvalsh`` of ``i K``."""
+    k = _sqrt_form(cm, tol)[3]
     vals = np.linalg.eigvalsh(1j * k)
-    # ascending, so vals[:, -1 - j] and vals[:, j] are the pair +/- nu_j; halved
-    # first, as K is
-    nus = (0.5 * vals[:, ::-1] - 0.5 * vals)[:, :k.shape[-1] // 2]
-    for vj, lamj, nu in zip(v, lam, nus):
-        _require_psd(vj, lamj)
-        yield nu
+    # ascending, so vals[-1 - j] and vals[j] are the pair +/- nu_j; halved first, as K is
+    return (0.5 * vals[::-1] - 0.5 * vals)[:k.shape[0] // 2]
 
 
 def symplectic_eigenvalues(cm, tol: float | None = None):
@@ -301,27 +287,11 @@ def symplectic_eigenvalues(cm, tol: float | None = None):
     mode in descending order: the positive eigenvalues of the Hermitian
     ``i V^{1/2} Omega V^{1/2}``, backward stable even for V singular to roundoff.
 
-    ``cm`` may also be a stack of same-size matrices, checked in stack order,
-    for one spectrum per matrix from one spectral pass; each equals the
-    spectrum of that matrix alone bit for bit.  For a valid CM the product of
-    the spectrum equals ``sqrt(det V)``.  A float ``tol`` replaces the default
-    tolerances of the check of V (see ``_checked``).
+    For a valid CM the product of the spectrum equals ``sqrt(det V)``.  A
+    float ``tol`` replaces the default tolerances of the check of V (see
+    ``_checked``).
     """
-    stack = np.ndim(cm) == 3
-    nus = list(_spectra(cm if stack else (cm,), tol))
-    return np.array(nus) if stack else nus[0]
-
-
-def _purities(states, tol: float = 1e-9):
-    """``state.is_pure(tol)`` of each state in turn, from one spectral pass
-    over the stacked CMs.  The states go to ``_sqrt_form`` as they are, so
-    their CMs, checked at construction, are not checked again.  Read lazily,
-    ``any(_purities((s1, s2)))`` keeps the short circuit of
-    ``s1.is_pure() or s2.is_pure()``: s1's error comes first, and nothing
-    about s2 raises once s1 is pure.  :func:`_certainly_mixed` decides the
-    same question on plain floats for a two-mode state far enough from
-    purity, and only this spectral pass decides the others."""
-    return (bool(np.max(nu) <= 1.0 + tol) for nu in _spectra(states, None))
+    return _spectrum(_as_matrix(cm), tol)
 
 
 # largest max|V| at which _certainly_mixed decides: there a constructed CM has
@@ -334,7 +304,7 @@ def _certainly_mixed(state: GaussianState) -> bool:
     of a two-mode state, decided on plain floats from the invariant
     ``Delta = det A + det B + 2 det C = nu_1^2 + nu_2^2`` of its CM
     ``V = [[A, C], [C^T, B]]``; False where this cannot be shown, and then
-    :func:`_purities` decides.
+    the spectral pass of ``is_pure`` decides.
 
     With ``s = max(1, max|V|) <= 2^20``: (i) the float Delta is within
     ``8 gamma_4 s^2 < 16 eps s^2`` of the exact one (three 2x2 determinants
@@ -416,10 +386,10 @@ class GaussianState:
         return cls(np.zeros(2 * n), np.eye(2 * n))
 
     def symplectic_spectrum(self):
-        return symplectic_eigenvalues(self.cm)
+        return _spectrum(self, None)  # the CM was checked at construction
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        return next(_purities((self,), tol))
+        return bool(np.max(self.symplectic_spectrum()) <= 1.0 + tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -526,8 +496,7 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`,
     and a kernel beyond float64 range raises :class:`OverflowError` there too.
     """
-    cm, lam, u, k = (x[0] for x in _sqrt_form((cm,), tol))
-    _require_psd(cm, lam)
+    cm, lam, u, k = _sqrt_form(_as_matrix(cm), tol)
     if lam[0] <= 0.0:
         raise ValidationError("matrix is not positive definite")
     n = cm.shape[0] // 2

@@ -166,13 +166,16 @@ class TestFidelity:
         assert caught == []
 
     def test_state_singular_to_roundoff_is_unsupported(self, capsys):
-        # the float64 TMSV is pure, so the overlap route meets det <= 0
+        # the float64 TMSV is pure, so the overlap route meets det <= 0 against
+        # another TMSV; against itself it is exactly 1
         for mu in (1e8, 1e10, 1e12):
-            state = tmsv_state(mu)
-            spec = json.dumps({"mean": state.mean.tolist(), "cm": state.cm.tolist()})
-            code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
+            spec, other = (json.dumps({"mean": s.mean.tolist(), "cm": s.cm.tolist()})
+                           for s in (tmsv_state(mu), tmsv_state(2.0 * mu)))
+            code, out, err = run(capsys, "fidelity", "--state1", spec, "--state2", other)
             assert (code, out) == (3, "")
             assert "float64" in err
+            code, out, _ = run(capsys, "fidelity", "--state1", spec, "--state2", spec)
+            assert (code, json.loads(out)["fidelity"]) == (0, 1.0)
 
     def test_far_apart_means(self, capsys):
         code, out, _ = run(capsys, "fidelity", "--state1", _FAR[0], "--state2", _FAR[1])
@@ -185,7 +188,7 @@ class TestFidelity:
         assert (code, out) == (3, "")
         assert "det((V1 + V2) / 2) = -6.25e+306 is not positive" in err
 
-    @pytest.mark.parametrize("scales", [(1e100, 3e100), (1.0, 1e200), (1e200, 1e200)])
+    @pytest.mark.parametrize("scales", [(1e100, 3e100), (1.0, 1e200), (1e200, 2e200)])
     def test_two_modes_beyond_float64_range(self, capsys, scales):
         specs = [json.dumps({"mean": [0.0] * 4, "cm": (s * np.eye(4)).tolist()})
                  for s in scales]

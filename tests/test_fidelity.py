@@ -61,8 +61,10 @@ def _unchecked_state(cm):
 class TestGaussianFidelity:
     def test_purity_short_circuit(self):
         # ``s1.is_pure() or s2.is_pure()``: s1's error first, and once s1 is
-        # pure nothing about s2's spectrum may raise
-        pure, not_psd = tmsv_state(2.0), _unchecked_state(np.diag([-1e-3, 5.0, 5.0, 5.0]))
+        # pure nothing about s2's spectrum may raise.  Delta = nu_1^2 + nu_2^2
+        # of not_psd is below 2, so _certainly_mixed, whose proof holds for
+        # constructed states only, leaves it to the spectral pass
+        pure, not_psd = tmsv_state(2.0), _unchecked_state(np.diag([-1e-3, 1.0, 1.0, 1.0]))
         with pytest.raises(ValidationError, match="positive semidefinite"):
             not_psd.is_pure()
         with pytest.raises(ValidationError, match="positive semidefinite"):
@@ -71,9 +73,15 @@ class TestGaussianFidelity:
         assert gaussian_fidelity(pure, not_psd) == pytest.approx(overlap, rel=1e-12)
 
     def test_identical_states(self, rng):
+        # exactly 1: the formulas gave 1 - 2.7e-15 for TMSV(5) (overlap route)
+        # and 1 - 1.2e-4 for TMSV(3e6) (general route); a TMSV at mu >= 1e8
+        # (det((V1 + V2) / 2) = 0 in float64) and CMs beyond float64 range raised
         for state in (GaussianState.vacuum(), thermal_state(2.5),
-                      tmsv_state(3.0), random_state(2, rng, displace=1.0)):
-            assert gaussian_fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
+                      tmsv_state(3.0), tmsv_state(5.0), tmsv_state(3e6), tmsv_state(1e12),
+                      random_state(2, rng, displace=1.0),
+                      GaussianState(np.zeros(4), 1e200 * np.eye(4)),
+                      GaussianState(np.zeros(4), 1.7e308 * np.eye(4))):
+            assert gaussian_fidelity(state, state) == 1.0
 
     def test_vacuum_vs_thermal_fock_oracle(self):
         oracle = fock_vacuum_thermal_fidelity(1.0)
@@ -115,8 +123,8 @@ class TestGaussianFidelity:
     @pytest.mark.parametrize("scale1, scale2", [
         (1e100, 3e100),  # det((V1 + V2) / 2) = 4e400 (was NaN; true F = 0.866)
         (1.0, 1e200),  # 6.25e798 (was a silent 0.0; true F = 2e-200)
-        (1e200, 1e200),  # 1e800 (was LinAlgError: infs or NaNs)
-        (1.7e308, 1.7e308),  # V1 + V2 itself overflows
+        (1e200, 2e200),  # 5e800 (1e200 twice was LinAlgError: infs or NaNs)
+        (1.7e308, 1.6e308),  # V1 + V2 itself overflows
     ])
     def test_two_modes_beyond_float64_range_raise_overflow_error(self, scale1, scale2):
         s1 = GaussianState(np.zeros(4), scale1 * np.eye(4))
@@ -183,7 +191,7 @@ class TestGaussianFidelity:
     def test_fock_points_match_the_checked_cm_route(self, p1, p2, monkeypatch):
         # the purity pass takes the states' CMs as constructed; handing it the
         # CMs as raw arrays, checked again, must give the same bits
-        from bosonic_telesim import fidelity, symplectic
+        from bosonic_telesim import symplectic
 
         states = [GaussianState(np.zeros(4), fock_point_cm(*p)) for p in (p1, p2)]
         states += [GaussianState.vacuum(), thermal_state(3.0)]
@@ -191,13 +199,11 @@ class TestGaussianFidelity:
         got = [gaussian_fidelity(*pair).hex() for pair in pairs]
         pure = [s.is_pure() for s in states]
 
-        def checked_route(states, tol=1e-9):
-            return (bool(np.max(nu) <= 1.0 + tol)
-                    for nu in symplectic._spectra([s.cm for s in states], None))
-
-        monkeypatch.setattr(fidelity, "_purities", checked_route)
+        real = symplectic._sqrt_form
+        monkeypatch.setattr(symplectic, "_sqrt_form",
+                            lambda cm, tol: real(getattr(cm, "cm", cm), tol))
         assert got == [gaussian_fidelity(*pair).hex() for pair in pairs]
-        assert pure == [next(checked_route((s,))) for s in states]
+        assert pure == [s.is_pure() for s in states]
         assert pure[2:] == [True, False]
 
     def test_symmetry(self, rng):
@@ -393,12 +399,12 @@ class TestOneModeClosedForm:
             assert _one_mode_fidelity(v1, v2) == unhalved(v1, v2)
 
     def test_no_spectral_pass(self, monkeypatch):
-        from bosonic_telesim import fidelity
+        from bosonic_telesim import fidelity, symplectic
 
         def refuse(*args, **kwargs):
             raise AssertionError("spectral pass on one mode")
 
-        monkeypatch.setattr(fidelity, "_purities", refuse)
+        monkeypatch.setattr(symplectic, "_sqrt_form", refuse)
         monkeypatch.setattr(fidelity, "_spectral_w", refuse)
         assert gaussian_fidelity(GaussianState.vacuum(), thermal_state(3.0)) == pytest.approx(
             math.sqrt(0.5), rel=1e-15)
@@ -469,6 +475,31 @@ class TestTwoModePurityRouting:
         pairs = [(large(), large()) for _ in range(50)]
         assert min(float(np.max(np.abs(s.cm))) for pair in pairs for s in pair) > 2.0 ** 7
         self._check(monkeypatch, pairs + [(tmsv_state(factor), s) for s, _ in pairs])
+
+    def test_spectral_passes_per_route(self, monkeypatch):
+        # one pass per state that the certificate leaves open, stopping at the
+        # first pure one; each float is pinned, so no route may move it
+        from bosonic_telesim import symplectic
+
+        mixed = GaussianState(np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
+        other = tensor_states(thermal_state(1.5), GaussianState(np.zeros(2), np.diag([4.0, 0.5])))
+        pure = tmsv_state(2.0)
+        big1, big2 = (GaussianState(np.zeros(4), 2.0 ** 21 * np.diag(d))
+                      for d in ([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]))
+        routes = [
+            ((GaussianState.vacuum(), thermal_state(3.0)), 0, "0x1.6a09e667f3bcdp-1"),
+            ((mixed, other), 0, "0x1.a6af0db60416ap-1"),  # both certified mixed
+            ((pure, mixed), 1, "0x1.f0b6848d2af1cp-2"),  # pure first
+            ((mixed, pure), 1, "0x1.f0b6848d2af1cp-2"),  # certified mixed, then pure
+            ((big1, big2), 2, "0x1.ddc4636e95752p-1"),  # max|V| > 2^20: uncertified
+        ]
+        calls, real = [], symplectic._sqrt_form
+        monkeypatch.setattr(symplectic, "_sqrt_form",
+                            lambda cm, tol: calls.append(cm) or real(cm, tol))
+        for pair, passes, want in routes:
+            calls.clear()
+            assert gaussian_fidelity(*pair).hex() == want
+            assert len(calls) == passes
 
 
 class TestFuchsVdg:

@@ -114,36 +114,11 @@ class TestSymplecticEigenvalues:
             symplectic_eigenvalues(cm)
         assert symplectic_eigenvalues(cm, 1e-6) == pytest.approx([2.0], rel=1e-15)
 
-    @given(st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_stack_is_bit_identical_to_each_matrix(self, data):
-        modes = data.draw(st.sampled_from([1, 2]))
-        cms = [data.draw(_states(modes)).cm for _ in range(data.draw(st.integers(1, 3)))]
-        stacked = symplectic_eigenvalues(np.stack(cms))
-        assert stacked.shape == (len(cms), modes)
-        for nu, cm in zip(stacked, cms):
-            assert nu.tobytes() == symplectic_eigenvalues(cm).tobytes()
-
-    def test_stack_checks_in_order(self):
-        bad_psd, asym = np.diag([4.0, -1e-3]), np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            symplectic_eigenvalues(np.stack([np.eye(2), bad_psd]))
-        with pytest.raises(ValidationError, match="symmetric"):
-            symplectic_eigenvalues(np.stack([bad_psd, asym]))
-        for shape in ((2, 2, 3), (0, 2, 2), (2, 3, 3)):
+    def test_stack_input_is_rejected(self):
+        # one matrix per call: a stack of CMs is a 3-D input
+        for shape in ((2, 2, 2), (2, 2, 3), (0, 2, 2), (2, 3, 3)):
             with pytest.raises(InvalidDimensionError):
                 symplectic_eigenvalues(np.zeros(shape))
-
-
-@st.composite
-def _states(draw, modes):
-    """Valid states of ``modes`` modes: random mixed or pure ones, and (for
-    two modes) TMSVs up to mu = 1e12, float64-singular from mu ~ 1e8."""
-    if modes == 2 and draw(st.booleans()):
-        return tmsv_state(draw(st.one_of(st.floats(1.0, 1e12), st.sampled_from([1.0, 1e8, 1e12]))))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return random_state(modes, rng, nu_max=draw(st.sampled_from([1.0, 1.5, 10.0])),
-                        max_squeeze=draw(st.sampled_from([1.5, 30.0])))
 
 
 class TestWilliamson:
@@ -284,7 +259,7 @@ class TestStates:
 
 
 class TestPurityPass:
-    """``is_pure`` and ``gaussian_fidelity`` hand the states themselves to the
+    """``is_pure`` and ``symplectic_spectrum`` hand the state itself to the
     spectral kernel, which takes a state's CM as constructed: checked and
     symmetrized once, at construction."""
 
@@ -293,8 +268,11 @@ class TestPurityPass:
 
         for n in (1, 2) * 50:
             state = random_state(n, rng, max_squeeze=3.0)
-            got = next(symplectic._spectra([state], None))
-            assert got.tobytes() == symplectic_eigenvalues(state.cm).tobytes()
+            for got, want in zip(symplectic._sqrt_form(state, None),
+                                 symplectic._sqrt_form(state.cm, None)):
+                assert got.tobytes() == want.tobytes()
+            assert state.symplectic_spectrum().tobytes() == \
+                symplectic_eigenvalues(state.cm).tobytes()
 
     def test_state_cm_is_not_checked_again(self, rng, monkeypatch):
         from bosonic_telesim import gaussian_fidelity, symplectic
@@ -304,6 +282,7 @@ class TestPurityPass:
         monkeypatch.setattr(symplectic, "_checked",
                             lambda *args: calls.append(args) or real(*args))
         assert s2.is_pure() and not s1.is_pure()
+        s1.symplectic_spectrum()
         gaussian_fidelity(s1, s2)
         assert calls == []
         symplectic_eigenvalues(s1.cm)  # a raw array is still checked
