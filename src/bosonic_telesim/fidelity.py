@@ -7,7 +7,8 @@ with ``Delta = det(V1 + V2)`` and ``Lambda = (det V1 - 1)(det V2 - 1)``,
     F^2 = 2 / (sqrt(Delta + Lambda) - sqrt(Lambda))
         = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta,
 
-evaluated in the second, rationalized form on plain floats.
+evaluated in the second, rationalized form on plain floats by one kernel,
+which the environmental fidelities of the convergence bounds share.
 
 Two modes take the general fidelity, computed from symplectic invariants of
 the pair (V1, V2, delta = mean difference).  With W defined through
@@ -91,10 +92,11 @@ def _scaled_det(p: float, r: float, q: float, c: float) -> tuple:
     return p * q - r * r - math.ldexp(c, -2 * e), e
 
 
-def _one_mode_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
-    """F of two one-mode CMs with equal means, from the rationalized closed
-    form ``F^2 = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta``, whose
-    terms are all non-negative, with ``Lambda`` clamped at 0 per state.
+def _one_mode_fidelity(p1: float, r1: float, q1: float, p2: float, r2: float, q2: float) -> float:
+    """F of one-mode CMs ``[[p1, r1], [r1, q1]]`` and ``[[p2, r2], [r2, q2]]``
+    with equal means, on plain floats, from the rationalized closed form
+    ``F^2 = 2 (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta``, whose terms are
+    all non-negative, with ``Lambda`` clamped at 0 per state.
 
     Each determinant is ``x 4^e`` from :func:`_scaled_det`, so that no product
     leaves float64 range, and ``sqrt(Lambda)`` is taken as
@@ -107,8 +109,6 @@ def _one_mode_fidelity(v1: np.ndarray, v2: np.ndarray) -> float:
     float equals that of the unhalved sum scaled by a power of two, which the
     exponent e takes back, so F is the float it was before the halving.  A
     Delta that is not positive raises :class:`np.linalg.LinAlgError`."""
-    (p1, r1), (_, q1) = v1.tolist()
-    (p2, r2), (_, q2) = v2.tolist()
     x, e = _scaled_det(0.5 * p1 + 0.5 * p2, 0.5 * r1 + 0.5 * r2, 0.5 * q1 + 0.5 * q2, 0.0)
     if not 0.0 < x < math.inf:
         half = 2.0 ** e  # exact; overflows to inf in the product, with no warning
@@ -155,7 +155,8 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
         return 1.0  # the same state; the formulas below round to about 1
     if n == 1:
         mean = _mean_factor(s1.mean, s2.mean, 0.5 * v1 + 0.5 * v2)
-        return min(_one_mode_fidelity(v1, v2) * mean, 1.0)
+        (p1, r1), (_, q1), (p2, r2), (_, q2) = v1.tolist() + v2.tolist()
+        return min(_one_mode_fidelity(p1, r1, q1, p2, r2, q2) * mean, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
         vsum = v1 + v2
         vmean = vsum / 2.0
@@ -214,59 +215,46 @@ def fid_output_identity(mu_tilde: float, mu: float) -> float:
     return float(1.0 / np.sqrt(1.0 + mu_tilde * bk_added_noise(mu) / 2.0))
 
 
-def _check_omega_r(omega: float, r: float) -> None:
-    if omega < 1.0:
+def _thermal_pair_fidelity(omega: float, p: float, q: float) -> float:
+    """:func:`gaussian_fidelity` of the thermal state ``omega I`` against
+    ``diag(p, q)``, bit for bit; an entry beyond float64 range (``r^2`` of r
+    about 1.34e154) raises :class:`OverflowError`."""
+    if not omega >= 1.0:
         raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
-    if r <= 0.0:
-        raise DomainError(f"squeezing parameter must be positive, got {r}")
-
-
-def _sqrt_quotient(x: float, t1: float, t2: float) -> float:
-    """``min(sqrt(x) / sqrt(t1 - t2), 1)`` of the environmental fidelities,
-    on plain floats where ``t1 - t2`` is positive and finite.  Elsewhere (it
-    rounds to 0 or below from omega of about 1e8, and is inf - inf beyond
-    float64 range) the numpy expression runs: nan, or 1 where it divides by
-    0, with its RuntimeWarning (FloatingPointError under a raising
-    ``np.errstate``)."""
-    d = t1 - t2
-    if 0.0 < d < math.inf:
-        return min(math.sqrt(x) / math.sqrt(d), 1.0)
-    return min(float(np.sqrt(x) / np.sqrt(np.float64(t1) - t2)), 1.0)
+    if not (p < math.inf and q < math.inf):
+        raise OverflowError(f"environmental CM diag({p:g}, {q:g}) leaves float64 range")
+    if p == omega and q == omega:
+        return 1.0
+    return min(_one_mode_fidelity(omega, 0.0, omega, p, 0.0, q), 1.0)
 
 
 def fid_env_C(gamma: float, omega: float, r: float) -> float:
     """Environmental fidelity for the attenuator, amplifier and
     amplifier-conjugate classes: thermal state of variance omega against the
-    CM ``omega I + gamma diag(r^2, 1/r^2)``.
+    CM ``omega I + gamma diag(r^2, 1/r^2)``, bit for bit the
+    :func:`gaussian_fidelity` of that ``environmental_pair``.
 
     Equals 1 at gamma = 0; the infidelity vanishes quadratically in gamma
     (the Bures metric is second order in the perturbation), so the derived
     trace-norm bound ``2 sqrt(1 - F^2)`` is linear in gamma.
     """
     gamma, omega, r = float(gamma), float(omega), float(r)
-    if gamma < 0.0:
+    if not gamma >= 0.0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
-    _check_omega_r(omega, r)
-    t1 = math.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1.0)
-                   * (gamma * omega + r ** 2 * (omega ** 2 + 1.0)))
-    t2 = math.sqrt((omega ** 2 - 1.0)
-                   * (gamma * omega + gamma * r ** 4 * omega
-                      + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
-    return _sqrt_quotient(2.0 * r, t1, t2)
+    if not r > 0.0:
+        raise DomainError(f"squeezing parameter must be positive, got {r}")
+    inv = 1.0 / r  # products, not ``**``: libm pow raises OverflowError
+    return _thermal_pair_fidelity(omega, omega + gamma * (r * r), omega + gamma * (inv * inv))
 
 
 def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
     """Environmental fidelity for the rank-one-transmission class: thermal
-    state of variance omega against ``diag(xi (a^2 + c^2) + omega, omega)``."""
-    xi, omega = float(xi), float(omega)
-    if xi < 0.0:
+    state of variance omega against ``diag(xi (a^2 + c^2) + omega, omega)``,
+    bit for bit as :func:`fid_env_C`."""
+    xi, omega, a, c = float(xi), float(omega), float(a), float(c)
+    if not xi >= 0.0:
         raise DomainError(f"xi must be non-negative, got {xi}")
-    if omega < 1.0:
-        raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
-    s = xi * omega * (a * a + c * c)
-    t1 = math.sqrt((omega ** 2 + 1.0) * (s + omega ** 2 + 1.0))
-    t2 = math.sqrt((omega ** 2 - 1.0) * (s + omega ** 2 - 1.0))
-    return _sqrt_quotient(2.0, t1, t2)
+    return _thermal_pair_fidelity(omega, xi * (a * a + c * c) + omega, omega)
 
 
 def b1_gamma(a: float, c: float, xi: float) -> float:

@@ -54,12 +54,12 @@ def bk_added_noise(mu: float) -> float:
 
 def _env_gamma(xi: float, tau: float) -> float:
     """Weight ``gamma = xi |tau| / |1 - tau|`` of the squeezed noise that the
-    simulation adds to the environment of the C_Att, C_Amp and D forms.  A
-    Python float overflows to inf with no warning, so ``xi |tau|`` beyond
-    float64 range (tau of about 1e308) raises :class:`OverflowError`."""
-    gamma = xi * abs(tau) / abs(1.0 - tau)
-    if gamma == math.inf:
-        raise OverflowError(f"gamma = xi |tau| / |1 - tau| overflows at tau = {tau:g}")
+    simulation adds to the environment of the C_Att, C_Amp and D forms.  The
+    quotient is taken first, so gamma is about xi at tau of about 1e308; a
+    gamma that is not finite raises :class:`OverflowError`."""
+    gamma = xi * (abs(tau) / abs(1.0 - tau))
+    if not gamma < math.inf:
+        raise OverflowError(f"gamma = xi |tau| / |1 - tau| is not finite at tau = {tau:g}")
     return gamma
 
 

@@ -1,8 +1,8 @@
 """Shared test utilities: random symplectic, state and channel factories,
-fit helpers, the extended-precision two-mode fidelity and symplectic-spectrum
-oracles, the numpy-scalar oracles of the full-rank bound, dense reference
-constructions of channel action and the TMSV, and hypothesis strategies of
-raw channel and state specs."""
+fit helpers, the extended-precision fidelity, symplectic-spectrum and
+full-rank-bound oracles, the numpy-scalar oracle of the added noise, dense
+reference constructions of channel action and the TMSV, and hypothesis
+strategies of raw channel and state specs."""
 
 import mpmath as mp
 import numpy as np
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              canonical_channel, form_from_fields)
-from bosonic_telesim.fidelity import _b2_infidelity
-from bosonic_telesim.teleportation import _env_gamma
 
 
 def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0):
@@ -146,13 +144,43 @@ def symmetric_eigenvalues_mp(m, dps: int = 60):
         return sorted(eigs, reverse=True)
 
 
-# --- numpy-scalar oracles of the full-rank bound --------------------------------
+def scutaru_fidelity_sq_mp(v1, v2, dps: int = 60):
+    """Extended-precision ``F^2`` of two zero-mean one-mode states from
+    Scutaru's ``F^2 = 2 / (sqrt(Delta + Lambda) - sqrt(Lambda))``, with
+    ``Delta = det(V1 + V2)`` and ``Lambda = (det V1 - 1)(det V2 - 1)``, of CMs
+    given as 2x2 rows of floats (taken as exact binary values) or mpf."""
+    with mp.workdps(dps):
+        (p1, r1), (_, q1) = ([mp.mpf(x) for x in row] for row in v1)
+        (p2, r2), (_, q2) = ([mp.mpf(x) for x in row] for row in v2)
+        delta = (p1 + p2) * (q1 + q2) - (r1 + r2) ** 2
+        lam = max((p1 * q1 - r1 * r1 - 1) * (p2 * q2 - r2 * r2 - 1), 0)
+        return 2 / (mp.sqrt(delta + lam) - mp.sqrt(lam))
+
+
+def env_bound_mp(form, mu, r=1.0, a=1.0, c=0.0, dps: int = 60):
+    """The C_Att, C_Amp, D or A2 diamond bound ``2 sqrt(1 - F^2)`` at ``dps``
+    digits, F the fidelity of the environmental pair of
+    ``teleportation.environmental_pair``, with the form's fields, mu, r, a
+    and c taken as exact binary values."""
+    with mp.workdps(dps):
+        mu, omega = mp.mpf(mu), 2 * mp.mpf(form.noise_param) + 1
+        xi = 2 / (mu + mp.sqrt(mu * mu - 1))
+        if form.tag is CanonicalClass.A2:
+            p, q = xi * (mp.mpf(a) ** 2 + mp.mpf(c) ** 2) + omega, omega
+        else:
+            tau, r = mp.mpf(form.tau), mp.mpf(r)
+            gamma = xi * abs(tau) / abs(1 - tau)
+            p, q = omega + gamma * r * r, omega + gamma / (r * r)
+        f2 = scutaru_fidelity_sq_mp([[omega, 0], [0, omega]], [[p, 0], [0, q]], dps)
+        return 2 * mp.sqrt(1 - f2)
+
+
+# --- numpy-scalar oracle of the added noise ----------------------------------------
 #
-# The full-rank scan's per-row math as it was written on numpy scalars
-# (np.sqrt of Python floats, np.float64 arithmetic).  The library now takes
-# it on Python floats with math.sqrt; both square roots are correctly rounded,
-# so every value, and every RuntimeWarning where t1 - t2 is not positive and
-# finite, must match these bit for bit.
+# bk_added_noise as it was written on numpy scalars (np.sqrt of Python
+# floats, np.float64 arithmetic).  The library takes it on Python floats with
+# math.sqrt; both square roots are correctly rounded, so every value must
+# match this bit for bit.
 
 def bk_added_noise_np(mu):
     mu = float(mu)
@@ -161,42 +189,6 @@ def bk_added_noise_np(mu):
     if mu >= 2.0 ** 27:
         return 1.0 / mu
     return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
-
-
-def fid_env_C_np(gamma, omega, r):
-    gamma, omega, r = float(gamma), float(omega), float(r)
-    t1 = np.sqrt((gamma * r ** 2 * omega + omega ** 2 + 1.0)
-                 * (gamma * omega + r ** 2 * (omega ** 2 + 1.0)))
-    t2 = np.sqrt((omega ** 2 - 1.0)
-                 * (gamma * omega + gamma * r ** 4 * omega
-                    + r ** 2 * (gamma ** 2 + omega ** 2 - 1.0)))
-    return min(float(np.sqrt(2.0 * r) / np.sqrt(t1 - t2)), 1.0)
-
-
-def fid_env_A2_np(xi, omega, a, c):
-    xi, omega = float(xi), float(omega)
-    s = xi * omega * (a * a + c * c)
-    t1 = np.sqrt((omega ** 2 + 1.0) * (s + omega ** 2 + 1.0))
-    t2 = np.sqrt((omega ** 2 - 1.0) * (s + omega ** 2 - 1.0))
-    return min(float(np.sqrt(2.0) / np.sqrt(t1 - t2)), 1.0)
-
-
-def diamond_bound_np(form, mu, r=1.0, a=1.0, c=0.0):
-    """``convergence._diamond_bound`` on numpy scalars, full-rank classes only."""
-    xi = bk_added_noise_np(mu)
-    omega = 2.0 * form.noise_param + 1.0
-    tag = form.tag
-    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
-        f = fid_env_C_np(_env_gamma(xi, form.tau), omega, r)
-    elif tag is CanonicalClass.A2:
-        f = fid_env_A2_np(xi, omega, a, c)
-    elif tag is CanonicalClass.A1:
-        f = 1.0
-    elif tag is CanonicalClass.B2:
-        return float(2.0 * np.sqrt(_b2_infidelity(xi, form.noise_param, r)))
-    else:
-        raise ValueError(f"class {tag.value} has no uniform bound")
-    return float(2.0 * np.sqrt(max(1.0 - f * f, 0.0)))
 
 
 def apply_channel_dense(ch, state, target_mode=0):

@@ -19,18 +19,18 @@ import pytest
 
 from _helpers import (conjugated_channel, loglog_slope, random_state, random_symplectic,
                       sample_form)
-from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
-                             apply_affine, apply_channel, apply_via_dilation,
-                             asymptotic_b2, b1_gamma, b1_witness_bound, bk_added_noise,
-                             c_epsilon, canonical_channel, canonical_matrices, classify,
+from bosonic_telesim import (CanonicalClass, GaussianChannel, apply_affine,
+                             apply_channel, apply_via_dilation, asymptotic_b2, b1_gamma,
+                             b1_witness_bound, bk_added_noise, c_epsilon,
+                             canonical_channel, canonical_matrices, classify,
                              decide_uniform, diamond_upper_bound, dilation_of,
                              environmental_pair, fid_env_A2, fid_env_C,
                              fid_output_identity, form_from_fields, fuchs_vdg,
                              gaussian_fidelity, nonuniform_witness, partial_trace,
                              peel_bound, phi_amp, phi_loss, simulate_channel,
                              strong_converse_bound, symplectic_eigenvalues,
-                             symplectic_form, tensor_states, thermal_state, tmsv_state,
-                             two_round_demo, williamson)
+                             symplectic_form, tensor_states, tmsv_state, two_round_demo,
+                             williamson)
 
 I2 = np.eye(2)
 
@@ -104,20 +104,20 @@ def test_02_dilation_equivalence():
 def test_03_closed_form_fidelity_agreement():
     with criterion("03 closed-form fidelities", 10.0):
         rng = np.random.default_rng(33)
-        zero = np.zeros(2)
         for _ in range(200):
-            gamma, omega, r = rng.uniform(0, 3), rng.uniform(1, 6), rng.uniform(0.5, 2)
-            w = omega * I2 + gamma * np.diag([r * r, r ** -2])
-            assert fid_env_C(gamma, omega, r) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), GaussianState(zero, w)), abs=1e-9)
-            kappa = -rng.uniform(0, 3)
-            w = omega * I2 - kappa * np.diag([r * r, r ** -2])
-            assert fid_env_C(-kappa, omega, r) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), GaussianState(zero, w)), abs=1e-9)
-            xi, a, c = rng.uniform(0, 2), rng.normal(), rng.normal()
-            w = np.diag([xi * (a * a + c * c) + omega, omega])
-            assert fid_env_A2(xi, omega, a, c) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), GaussianState(zero, w)), abs=1e-9)
+            # the environmental pairs of C_Att, C_Amp, D and A2: bit for bit
+            nbar, mu, r = rng.uniform(0, 2.5), rng.uniform(1, 10), rng.uniform(0.5, 2)
+            xi, omega = bk_added_noise(mu), 2.0 * nbar + 1.0
+            a, c = rng.normal(), rng.normal()
+            for tag, tau in ((CanonicalClass.C_Att, rng.uniform(0.05, 0.95)),
+                             (CanonicalClass.C_Amp, rng.uniform(1.05, 4)),
+                             (CanonicalClass.D, -rng.uniform(0.05, 4)),
+                             (CanonicalClass.A2, None)):
+                form = form_from_fields(tag, tau=tau, nbar=nbar)
+                closed = (fid_env_A2(xi, omega, a, c) if tau is None
+                          else fid_env_C(xi * (abs(tau) / abs(1.0 - tau)), omega, r))
+                pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
+                assert closed == gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
             mu, mu_tilde = rng.uniform(1, 100), rng.uniform(1, 10)
             ideal = tmsv_state(mu_tilde)
             out = apply_channel(simulate_channel(

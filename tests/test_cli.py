@@ -406,10 +406,13 @@ class TestPeel:
         argv = ("peel", "--n", "1", "--channel", spec, "--mu", "10")
         _, out, _ = run(capsys, *argv)
         default = json.loads(out)["per_use_delta"]
+        # 60-digit values of the two bounds of this channel: the C_Att one is
+        # 4.4e-8 below the B2 one, so each is pinned to 1e-12 relative
         assert default == diamond_upper_bound(ch, 10.0)
-        assert default == pytest.approx(0.667534, abs=1e-6)
+        assert default == pytest.approx(0.66778238933479016, rel=1e-12)
         loose = diamond_upper_bound(ch, 10.0, tol=1e-6)
-        assert loose == pytest.approx(0.667782, abs=1e-6)
+        assert loose == pytest.approx(0.66778243381619934, rel=1e-12)
+        assert loose != default
         _, out, _ = run(capsys, *argv, "--tol", "1e-6")
         assert json.loads(out)["per_use_delta"] == loose
         monkeypatch.setenv("BOSONIC_TELESIM_TOL", "1e-6")
@@ -625,7 +628,7 @@ def scan_configs(draw):
 
 class TestConvergenceFuzz:
     @given(scan_configs())
-    @example({"channel": _CLASS_SPECS[0],  # r ** 2 in fid_env_C overflows: exit 2
+    @example({"channel": _CLASS_SPECS[0],  # r * r in fid_env_C overflows: exit 2
               "grid": {"param": "mu", "start": 2.0, "stop": 10.0, "points": 3},
               "witness": {"r": 1.3407807929942597e154}, "output": {"format": "csv"}})
     @settings(max_examples=300, deadline=None)

@@ -10,16 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (b1_witness_mp, bk_added_noise_np, conjugated_channel,
-                      diamond_bound_np, fid_env_A2_np, fid_env_C_np, loglog_slope,
-                      sample_form)
+                      env_bound_mp, loglog_slope, sample_form, scutaru_fidelity_sq_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, ScanRow, b1_gamma, b1_witness_bound,
                              bk_added_noise, canonical_channel, channel_from_dict,
                              classify, convergence_scan, decide_uniform,
-                             diamond_upper_bound, fid_env_A2, fid_env_C,
-                             form_from_fields, nonuniform_witness)
+                             diamond_upper_bound, environmental_pair, fid_env_A2,
+                             fid_env_C, form_from_fields, gaussian_fidelity,
+                             nonuniform_witness)
 from bosonic_telesim.convergence import _diamond_bound
 from bosonic_telesim.fidelity import _b1_witness_infidelity
+from bosonic_telesim.teleportation import _env_gamma
 
 I2 = np.eye(2)
 
@@ -420,27 +421,27 @@ class TestConvergenceScan:
 _MU = st.one_of(st.floats(1.0, 2.0 ** 27), st.floats(2.0 ** 27, 1e300),
                 st.sampled_from([1.0, 2.0 ** 27 - 1.0, 2.0 ** 27, 2.0 ** 27 + 2.0]))
 _FRAME_R = st.floats(0.5, 2.0).flatmap(lambda r: st.sampled_from([r, 1.0 / r]))
-_FULL_RANK = {CanonicalClass.C_Att: (0.002, 0.998), CanonicalClass.C_Amp: (1.002, 5.0),
-              CanonicalClass.D: (-5.0, -0.002), CanonicalClass.A2: (None, None),
-              CanonicalClass.A1: (None, None), CanonicalClass.B2: (None, None)}
+_ENV_TAU = {CanonicalClass.C_Att: (0.002, 0.998), CanonicalClass.C_Amp: (1.002, 5.0),
+            CanonicalClass.D: (-5.0, -0.002), CanonicalClass.A2: None}
 
 
 @st.composite
-def full_rank_forms(draw):
-    """Canonical forms of the six full-rank classes: nbar in [0, 5] (omega
-    from 1 to 11), and |1 - tau| >= 0.002, so gamma = xi |tau| / |1 - tau|
-    reaches 1e3 at mu = 1."""
-    tag = draw(st.sampled_from(list(_FULL_RANK)))
-    lo, hi = _FULL_RANK[tag]
-    tau = None if lo is None else draw(st.floats(lo, hi))
-    return form_from_fields(tag, tau=tau, nbar=draw(st.floats(0.0, 5.0)),
-                            xi=draw(st.floats(1e-3, 5.0)))
+def env_forms(draw):
+    """Canonical forms of the classes with an environmental pair (C_Att,
+    C_Amp, D and A2): nbar in [0, 5] (omega from 1 to 11) or up to 1e100, and
+    |1 - tau| >= 0.002, so gamma = xi |tau| / |1 - tau| reaches 1e3 at mu = 1."""
+    tag = draw(st.sampled_from(list(_ENV_TAU)))
+    tau = None if _ENV_TAU[tag] is None else draw(st.floats(*_ENV_TAU[tag]))
+    nbar = draw(st.one_of(st.floats(0.0, 5.0), st.floats(5.0, 1e100)))
+    return form_from_fields(tag, tau=tau, nbar=nbar)
 
 
 class TestPlainFloatRows:
     """The full-rank scan's per-row math runs on Python floats with ``math``:
-    bit for bit the numpy-scalar expressions kept as oracles in
-    ``_helpers``, as IEEE square roots are correctly rounded in both."""
+    the added noise is its numpy-scalar oracle in ``_helpers`` bit for bit, as
+    IEEE square roots are correctly rounded in both, and the environmental
+    fidelities are ``gaussian_fidelity`` of ``environmental_pair``'s states,
+    from the one one-mode kernel."""
 
     @given(_MU)
     @settings(max_examples=500, deadline=None)
@@ -450,72 +451,92 @@ class TestPlainFloatRows:
         assert got.hex() == float(bk_added_noise_np(mu)).hex()
         assert type(bk_added_noise(np.float64(mu))) is float
 
-    @given(gamma=st.one_of(st.floats(0.0, 1e3), st.floats(1e-300, 1e-3)),
-           omega=st.floats(1.0, 11.0), r=_FRAME_R)
-    @settings(max_examples=1000, deadline=None)
-    def test_fid_env_C_matches_numpy(self, gamma, omega, r):
-        assert fid_env_C(gamma, omega, r).hex() == fid_env_C_np(gamma, omega, r).hex()
-
-    @given(xi=st.floats(0.0, 2.0), omega=st.floats(1.0, 11.0),
+    @given(form=env_forms(), mu=_MU, r=st.one_of(_FRAME_R, st.floats(1e-3, 1e3)),
            a=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
     @settings(max_examples=1000, deadline=None)
-    def test_fid_env_A2_matches_numpy(self, xi, omega, a, c):
-        assert fid_env_A2(xi, omega, a, c).hex() == fid_env_A2_np(xi, omega, a, c).hex()
+    def test_environmental_fidelity_is_gaussian_fidelity_of_the_pair(self, form, mu, r, a, c):
+        pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
+        want = gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
+        xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
+        got = (fid_env_A2(xi, omega, a, c) if form.tag is CanonicalClass.A2
+               else fid_env_C(_env_gamma(xi, form.tau), omega, r))
+        assert got.hex() == want.hex()
+        bound = _diamond_bound(form, mu, r, a, c)
+        assert type(bound) is float
+        assert bound == 2.0 * math.sqrt(max(1.0 - want * want, 0.0))
 
-    @given(form=full_rank_forms(), mu=_MU, r=_FRAME_R,
-           a=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
+    # gamma (A2: xi (a^2 + c^2)) from 1e-14 to 1e3, omega = 1 or 1 + [1e-6, 1e6]
+    _WEIGHT = st.floats(-14.0, 3.0).map(lambda e: 10.0 ** e)
+    _OMEGA = st.one_of(st.just(1.0), st.floats(-6.0, 6.0).map(lambda e: 1.0 + 10.0 ** e))
+
+    @given(weight=_WEIGHT, omega=_OMEGA, r=st.floats(0.5, 2.0), a=st.floats(-3.0, 3.0),
+           c=st.floats(-3.0, 3.0), rank_one=st.booleans())
     @settings(max_examples=1000, deadline=None)
-    def test_diamond_bound_matches_numpy(self, form, mu, r, a, c):
-        got = _diamond_bound(form, mu, r, a, c)
-        assert type(got) is float
-        assert got.hex() == diamond_bound_np(form, mu, r, a, c).hex()
+    def test_fidelity_squared_matches_extended_precision(self, weight, omega, r, a, c,
+                                                         rank_one):
+        # Scutaru's form in 60 digits of the CM entries the kernel is given
+        if rank_one:
+            xi = weight / max(a * a + c * c, 1e-3)
+            f = fid_env_A2(xi, omega, a, c)
+            p, q = xi * (a * a + c * c) + omega, omega
+        else:
+            f = fid_env_C(weight, omega, r)
+            inv = 1.0 / r
+            p, q = omega + weight * (r * r), omega + weight * (inv * inv)
+        want = scutaru_fidelity_sq_mp([[omega, 0.0], [0.0, omega]], [[p, 0.0], [0.0, q]])
+        assert abs(f * f - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("cls, tau", [("C_Att", 0.5), ("C_Amp", 2.0), ("D", -1.0),
                                           ("A2", None)])
     @pytest.mark.parametrize("nbar", [1e8, 1e100])
     @pytest.mark.parametrize("mu", [1.1, 10.0, 1e4, 1e9])
-    def test_no_positive_difference_keeps_the_numpy_branch(self, cls, tau, nbar, mu):
-        # t1 - t2 rounds to 0 or below at nbar = 1e8 and is inf - inf at
-        # 1e100: the same value (nan or 0) and the same RuntimeWarning
+    def test_large_thermal_variance_gives_a_finite_bound(self, cls, tau, nbar, mu):
+        # omega^2 of 4e16 and 4e200: the kernel scales its products, so the
+        # bound is finite with no warning (1 - F^2 still cancels, see below)
         spec = {"class": cls, "nbar": nbar} if tau is None else {"class": cls, "tau": tau,
                                                                  "nbar": nbar}
         form = classify(channel_from_dict(spec))
-        results = []
-        for bound in (_diamond_bound, diamond_bound_np):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = bound(form, mu, 1.0, 1.0, 0.0)
-            results.append((value.hex(), [(w.category, str(w.message)) for w in caught]))
-        assert results[0] == results[1]
-        if nbar == 1e100 or mu >= 1e4:
-            assert results[0][1] and results[0][1][0][0] is RuntimeWarning
-            for bound in (_diamond_bound, diamond_bound_np):
-                with np.errstate(all="raise"):
-                    with pytest.raises(FloatingPointError):
-                        bound(form, mu, 1.0, 1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                value = _diamond_bound(form, mu, 1.0, 1.0, 0.0)
+        assert type(value) is float and 0.0 <= value <= 2.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 1 - F^2 cancels to 0 at "
+                                           "large thermal variance")
+    def test_large_thermal_variance_bound_is_sound(self):
+        form = form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=1e8)
+        want = env_bound_mp(form, 1.1)
+        assert abs(float(want) - 6.4e-9) <= 0.1e-9
+        assert _diamond_bound(form, 1.1, 1.0, 1.0, 0.0) >= want
 
     def test_gamma_beyond_float64_range_raises_overflow_error(self):
-        # xi |tau| overflows at tau = 1e308 and mu near 1: on numpy scalars it
-        # warned and the bound was NaN, but a Python float overflows silently
+        # gamma = xi (|tau| / |1 - tau|) is about xi at tau = 1e308: the
+        # quotient first, so xi |tau| does not overflow
         form = classify(channel_from_dict({"class": "C_Amp", "tau": 1e308, "nbar": 0.0}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match="gamma"):
-                _diamond_bound(form, 1.001, 1.0, 1.0, 0.0)
-            assert _diamond_bound(form, 1.01, 1.0, 1.0, 0.0) == diamond_bound_np(
-                form, 1.01, 1.0, 1.0, 0.0)
+            for mu in (1.001, 1.01):
+                got = _diamond_bound(form, mu, 1.0, 1.0, 0.0)
+                assert got == pytest.approx(float(env_bound_mp(form, mu)), rel=1e-15)
+            assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745308
+            for xi, tau in ((math.inf, 0.5), (1.0, math.inf), (1e308, 0.75)):
+                with pytest.raises(OverflowError, match="gamma"):
+                    _env_gamma(xi, tau)
 
-    def test_no_positive_difference_exits_2_from_the_cli(self, capsys):
+    def test_large_thermal_variance_exits_0_from_the_cli(self, capsys):
         from bosonic_telesim.cli import main
 
         for nbar in (1e8, 1e100):
             config = {"channel": {"class": "C_Att", "tau": 0.5, "nbar": nbar},
                       "grid": {"param": "mu", "start": 10.0, "stop": 1e4, "points": 2,
                                "log": True}}
-            assert main(["convergence", "--config", json.dumps(config)]) == 2
+            assert main(["convergence", "--config", json.dumps(config)]) == 0
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "beyond float64 range" in captured.err
+            assert captured.err == ""
+            rows = captured.out.strip().splitlines()[1:]
+            assert len(rows) == 2
+            assert all(0.0 <= float(row.split(",")[3]) <= 2.0 for row in rows)
 
 
 class TestScanRow:

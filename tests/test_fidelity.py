@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _helpers import fidelity_mp, loglog_slope, random_state, random_symplectic
-from bosonic_telesim import (DomainError, GaussianState, InvalidDimensionError,
-                             SingularCoefficientError, ValidationError, apply_affine,
-                             apply_channel, b1_gamma, bk_added_noise, bk_channel,
+from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
+                             InvalidDimensionError, SingularCoefficientError,
+                             ValidationError, apply_affine, apply_channel, b1_gamma,
+                             bk_added_noise, bk_channel, environmental_pair,
                              fid_b2_asymptotic, fid_env_A2, fid_env_C,
-                             fid_output_identity, fuchs_vdg, gaussian_fidelity,
-                             partial_trace, tensor_states, thermal_state, tmsv_state)
+                             fid_output_identity, form_from_fields, fuchs_vdg,
+                             gaussian_fidelity, partial_trace, tensor_states,
+                             thermal_state, tmsv_state)
+from bosonic_telesim.teleportation import _env_gamma
 
 I2 = np.eye(2)
 
@@ -383,9 +386,7 @@ class TestOneModeClosedForm:
         # to products far beyond float64 range
         from bosonic_telesim.fidelity import _one_mode_fidelity, _scaled_det
 
-        def unhalved(v1, v2):
-            (p1, r1), (_, q1) = v1.tolist()
-            (p2, r2), (_, q2) = v2.tolist()
+        def unhalved(p1, r1, q1, p2, r2, q2):
             x, e = _scaled_det(p1 + p2, r1 + r2, q1 + q2, 0.0)
             x1, e1 = _scaled_det(p1, r1, q1, 1.0)
             x2, e2 = _scaled_det(p2, r2, q2, 1.0)
@@ -396,7 +397,10 @@ class TestOneModeClosedForm:
             scale = 10.0 ** rng.uniform(0.0, 300.0) if k % 2 else 1.0
             v1 = random_state(1, rng, 3.0, (2.0, 100.0)[k % 4 // 2]).cm * scale
             v2 = random_state(1, rng, 3.0, 2.0).cm * scale
-            assert _one_mode_fidelity(v1, v2) == unhalved(v1, v2)
+            (p1, r1), (_, q1) = v1.tolist()
+            (p2, r2), (_, q2) = v2.tolist()
+            args = (p1, r1, q1, p2, r2, q2)
+            assert _one_mode_fidelity(*args) == unhalved(*args)
 
     def test_no_spectral_pass(self, monkeypatch):
         from bosonic_telesim import fidelity, symplectic
@@ -564,8 +568,14 @@ class TestOutputIdentityFidelity:
             fid_output_identity(mu_tilde, 2.0)
 
 
-def _env_state(cm):
-    return GaussianState(np.zeros(2), cm)
+def _env_fidelities(form, mu, r=1.0, a=1.0, c=0.0):
+    """The closed form of ``form``'s class and ``gaussian_fidelity`` of its
+    environmental pair at resource mu and frame r (C, D) or (a, c) (A2)."""
+    pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
+    xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
+    closed = (fid_env_A2(xi, omega, a, c) if form.tag is CanonicalClass.A2
+              else fid_env_C(_env_gamma(xi, form.tau), omega, r))
+    return closed, gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
 
 
 class TestEnvClosedForms:
@@ -582,12 +592,11 @@ class TestEnvClosedForms:
 
     def test_attenuator_against_general(self, rng):
         for _ in range(60):
-            gamma = rng.uniform(0.0, 3.0)
-            omega = rng.uniform(1.0, 6.0)
-            r = rng.uniform(0.5, 2.0)
-            w = omega * I2 + gamma * np.diag([r * r, r ** -2])
-            assert fid_env_C(gamma, omega, r) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), _env_state(w)), abs=1e-9)
+            form = form_from_fields(CanonicalClass.C_Att, tau=rng.uniform(0.05, 0.95),
+                                    nbar=rng.uniform(0.0, 2.5))
+            closed, general = _env_fidelities(form, rng.uniform(1.0, 10.0),
+                                              rng.uniform(0.5, 2.0))
+            assert closed == general
 
     def test_attenuator_domains(self):
         with pytest.raises(DomainError):
@@ -598,6 +607,24 @@ class TestEnvClosedForms:
             fid_env_C(0.5, 2.0, 0.0)
         with pytest.raises(DomainError):
             fid_env_A2(-0.5, 2.0, 1.0, 0.0)
+        for args in ((math.nan, 2.0, 1.0), (0.5, math.nan, 1.0), (0.5, 2.0, math.nan)):
+            with pytest.raises(DomainError, match="nan"):
+                fid_env_C(*args)
+        for args in ((math.nan, 2.0), (0.5, math.nan)):
+            with pytest.raises(DomainError, match="nan"):
+                fid_env_A2(*args, 1.0, 0.0)
+
+    def test_entries_beyond_float64_range_raise_overflow_error(self):
+        # r^2, 1/r^2 or xi (a^2 + c^2) beyond float64 range, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in ((0.5, 2.0, 1e155), (0.5, 2.0, 1e-160), (0.0, 2.0, 1e200)):
+                with pytest.raises(OverflowError, match="float64 range"):
+                    fid_env_C(*args)
+            with pytest.raises(OverflowError, match="float64 range"):
+                fid_env_A2(1.0, 2.0, 1e200, 0.0)
+        # a large thermal variance is in range: the kernel scales its products
+        assert 0.0 < fid_env_C(1e300, 1e300, 1.0) < 1.0
 
     def test_unit_noise_point(self):
         # gamma = omega = r = 1: thermal vacuum against 2I
@@ -607,29 +634,29 @@ class TestEnvClosedForms:
     # kappa = xi tau / (1 - tau) <= 0
     def test_conjugate_class_against_general(self, rng):
         for _ in range(60):
-            kappa = -rng.uniform(0.0, 3.0)
-            omega = rng.uniform(1.0, 6.0)
-            r = rng.uniform(0.5, 2.0)
-            w = omega * I2 - kappa * np.diag([r * r, r ** -2])
-            assert fid_env_C(-kappa, omega, r) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), _env_state(w)), abs=1e-9)
+            form = form_from_fields(CanonicalClass.D, tau=-rng.uniform(0.05, 4.0),
+                                    nbar=rng.uniform(0.0, 2.5))
+            closed, general = _env_fidelities(form, rng.uniform(1.0, 10.0),
+                                              rng.uniform(0.5, 2.0))
+            assert closed == general
 
     def test_conjugate_at_zero(self):
         assert fid_env_C(0.0, 4.0, 1.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_conjugate_spot_value(self):
-        w = 3.0 * I2 + 0.5 * np.diag([4.0, 0.25])
-        assert fid_env_C(0.5, 3.0, 2.0) == pytest.approx(
-            gaussian_fidelity(thermal_state(3.0), _env_state(w)), abs=1e-9)
+        # tau = -1 at mu = 1.25 (xi = 1): gamma = 0.5, so V2 = 3 I + 0.5 diag(4, 1/4)
+        form = form_from_fields(CanonicalClass.D, tau=-1.0, nbar=1.0)
+        closed, general = _env_fidelities(form, 1.25, 2.0)
+        assert closed == general == fid_env_C(0.5, 3.0, 2.0)
+        assert general == gaussian_fidelity(
+            thermal_state(3.0), GaussianState(np.zeros(2), np.diag([5.0, 3.125])))
 
     def test_rank_one_transmission_against_general(self, rng):
         for _ in range(60):
-            xi = rng.uniform(0.0, 2.0)
-            omega = rng.uniform(1.0, 6.0)
-            a, c = rng.normal(), rng.normal()
-            w = np.diag([xi * (a * a + c * c) + omega, omega])
-            assert fid_env_A2(xi, omega, a, c) == pytest.approx(
-                gaussian_fidelity(thermal_state(omega), _env_state(w)), abs=1e-9)
+            form = form_from_fields(CanonicalClass.A2, nbar=rng.uniform(0.0, 2.5))
+            closed, general = _env_fidelities(form, rng.uniform(1.0, 10.0),
+                                              a=rng.normal(), c=rng.normal())
+            assert closed == general
 
     def test_rank_one_transmission_at_zero(self):
         assert fid_env_A2(0.0, 5.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
