@@ -224,6 +224,8 @@ def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
     eigenvalues are noise, so a negative one inside the physicality slack,
     whose singular value would pass, does not count.  N counts as full rank
     only where ``sqrt(det N) > 0`` as well, so a rank-2 N has a noise scale.
+    Below two counted eigenvalues N has no noise scale and ``sqrt(det N)`` is
+    None: no class reads it, so its ``det`` is not taken.
     Where ``l+`` overflows, both are decided on N scaled by an exact ``2^-e``,
     with ``2^e > max|N|``, and the floor 1 scaled with them."""
     (p, r), (_, q) = n.tolist()
@@ -235,8 +237,11 @@ def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
         mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
         hi, lo = mid + half, mid - half
     thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), floor)
-    rank, sqrt_det = (hi > thr) + (lo > thr), _sqrt_det(n)
-    return (1 if rank == 2 and not sqrt_det > 0.0 else rank), sqrt_det
+    rank = (hi > thr) + (lo > thr)
+    if rank != 2:
+        return rank, None
+    sqrt_det = _sqrt_det(n)
+    return (2 if sqrt_det > 0.0 else 1), sqrt_det
 
 
 _TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is tau = 1
@@ -259,10 +264,11 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     tau = float(np.linalg.det(ch.t))
     rank_t = _numeric_rank(ch.t, tol)
     rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
-    diag = {"tau": tau, "rank_t": rank_t, "rank_n": rank_n, "sqrt_det_n": sqrt_det_n}
 
     def ambiguous(msg):
-        raise ClassificationAmbiguousError(msg, diag)
+        raise ClassificationAmbiguousError(msg, {
+            "tau": tau, "rank_t": rank_t, "rank_n": rank_n,
+            "sqrt_det_n": _sqrt_det(ch.n) if sqrt_det_n is None else sqrt_det_n})
 
     if abs(tau) <= boundary:
         if rank_n != 2:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -134,37 +135,47 @@ def _witness_column(mu: float, grid, row: tuple | None = None):
     one-point evaluation bit for bit.  The error raised is the one the rows
     would raise checked one after another: for each row its conversion by
     ``float`` and its ``mu_tilde >= 1``, then (at the first row) the row
-    ``(a, c)`` and mu, then its witness.  An empty grid checks nothing.
+    ``(a, c)`` and mu, then its witness.  An empty grid checks nothing.  A
+    1-D float64 array (``np.geomspace``, ``np.linspace``) holds the floats
+    already and converts as one ``tolist``.
     """
-    mu_tilde, unconverted = [], None
-    try:
-        for x in grid:
-            mu_tilde.append(float(x))
-    except (TypeError, ValueError, OverflowError) as exc:
-        unconverted = exc
-    m = np.array(mu_tilde)
-    valid = np.isfinite(m) & (m >= 1.0)
-    n_valid = int(np.argmin(valid)) if not valid.all() else len(mu_tilde)
-    witness, xi = [], None
-    if n_valid:
-        if row is not None:
-            a, c = row
-            if not (math.isfinite(a) and math.isfinite(c)):
-                raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
-            if a == 0.0 and c == 0.0:
-                raise DomainError("(a, c) = (0, 0) is outside the witness family")
-        xi = bk_added_noise(mu)
-        with np.errstate(all="ignore"):  # a non-finite B1 row is rejected below
+    unconverted = None
+    if type(grid) is np.ndarray and grid.dtype == np.float64 and grid.ndim == 1:
+        m, mu_tilde = grid, grid.tolist()
+    else:
+        mu_tilde = []
+        try:
+            for x in grid:
+                mu_tilde.append(float(x))
+        except (TypeError, ValueError, OverflowError) as exc:
+            unconverted = exc
+        m = np.array(mu_tilde)
+    n_valid, witness, xi = len(mu_tilde), [], None
+    with np.errstate(all="ignore"):  # a NaN row or a non-finite B1 row is rejected below
+        # min and max propagate NaN: both pass only when every row is finite and >= 1
+        if n_valid and not (m.min() >= 1.0 and m.max() < math.inf):
+            n_valid = int(np.argmin(np.isfinite(m) & (m >= 1.0)))
+            m = m[:n_valid]
+        if n_valid:
+            if row is not None:
+                a, c = row
+                if not (math.isfinite(a) and math.isfinite(c)):
+                    raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
+                if a == 0.0 and c == 0.0:
+                    raise DomainError("(a, c) = (0, 0) is outside the witness family")
+            xi = bk_added_noise(mu)
             if row is None:
-                witness = _identity_witness(m[:n_valid], float(xi))
+                witness = _identity_witness(m, float(xi))
             else:
-                infidelity, f2 = _b1_witness_infidelity(m[:n_valid], float(xi), a, c)
-                if not (np.isfinite(infidelity).all() and np.isfinite(f2).all()):
+                infidelity, f2 = _b1_witness_infidelity(m, float(xi), a, c)
+                # both are sums of positive terms, >= 0 or NaN, so their
+                # difference is finite exactly where both are
+                if not np.isfinite(infidelity - f2).all():
                     raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
                                       "completion S overflows float64")
                 witness = np.minimum(
                     2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
-        witness = witness.tolist()
+            witness = witness.tolist()
     if n_valid < len(mu_tilde):
         raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde[n_valid]}")
     if unconverted is not None:
@@ -206,17 +217,28 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     params = dict(witness_params or {})
     form = classify(ch, tol)
     verdict = decide_uniform(ch, tol=tol)
-    rows = []
     if verdict.uniform:
         r = params.get("r", 1.0)
         a, c = params.get("a", 1.0), params.get("c", 0.0)
-        for mu in grid:
-            rows.append(ScanRow(float(mu), None, bk_added_noise(mu),
-                                diamond_upper_bound(ch, mu, r=r, a=a, c=c, tol=tol),
-                                None))
-        return rows
+        return _scan_rows((float(mu), None, bk_added_noise(mu),
+                           diamond_upper_bound(ch, mu, r=r, a=a, c=c, tol=tol), None)
+                          for mu in grid)
     mu = float(params.get("mu", 5.0))
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
     mu_tilde, witness, xi = _witness_column(mu, grid, row)
-    return [ScanRow(mu, m, xi, None, w) for m, w in zip(mu_tilde, witness)]
+    return _scan_rows(zip(repeat(mu), mu_tilde, repeat(xi), repeat(None), witness))
+
+
+def _scan_rows(values) -> list:
+    """``[ScanRow(*v) for v in values]``, each row made by the one ``__dict__``
+    store of ``ScanRow.__init__`` without calling it; ``values`` is consumed
+    row by row, so a row's values are evaluated after the rows before it."""
+    new, store, rows = object.__new__, object.__setattr__, []
+    for mu, mu_tilde, xi, upper_bound, witness_lower_bound in values:
+        row = new(ScanRow)
+        store(row, "__dict__", {
+            "mu": mu, "mu_tilde": mu_tilde, "xi": xi, "upper_bound": upper_bound,
+            "witness_lower_bound": witness_lower_bound})
+        rows.append(row)
+    return rows

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (apply_channel_dense, conjugated_channel, random_state,
-                      raw_channel_specs, sample_form, symmetric_eigenvalues_mp)
+                      random_symplectic, raw_channel_specs, sample_form,
+                      symmetric_eigenvalues_mp)
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              ClassificationAmbiguousError, GaussianChannel,
                              ValidationError, apply_channel, canonical_channel,
@@ -313,6 +314,63 @@ class TestClassify:
             assert back.tau == pytest.approx(form.tau, rel=1e-8, abs=1e-8)
             assert back.r == form.r
             assert back.noise_param == pytest.approx(form.noise_param, rel=1e-7, abs=1e-7)
+
+
+class TestNoiseDeterminant:
+    """sqrt(det N) is a noise scale only at full rank: below it no class reads
+    it, so classify takes no determinant, and a raised ambiguity computes it
+    for its diagnostics."""
+
+    def test_rank_deficient_noise_takes_no_determinant(self, rng, monkeypatch):
+        from bosonic_telesim import channels
+
+        def refuse(n):
+            raise AssertionError("det N taken below full rank")
+
+        monkeypatch.setattr(channels, "_sqrt_det", refuse)
+        b1 = CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
+        identity = CanonicalForm(CanonicalClass.B2_Id, 1.0, 0, 0.0)
+        for _ in range(300):
+            s_a, s_b = random_symplectic(1, rng), random_symplectic(1, rng)
+            scale = 10.0 ** rng.uniform(-3.0, 300.0)
+            unit = GaussianChannel(s_b @ s_a, scale * (s_b @ np.diag([1.0, 0.0]) @ s_b.T))
+            assert classify(unit) == b1
+            assert channel_rank(unit) == 1.0
+            assert decide_uniform(unit).reason == "B1: rank(N)=1"
+            for n in (np.zeros((2, 2)), -5e-10 * I2,
+                      1e-12 * (s_b @ np.diag([1.0, 0.3]) @ s_b.T)):
+                none = GaussianChannel(s_b @ s_a, n)
+                assert classify(none) == identity
+                assert channel_rank(none) == 0.0
+
+    def test_full_rank_noise_takes_one_determinant(self, monkeypatch):
+        from bosonic_telesim import channels
+
+        calls, real = [], channels._sqrt_det
+        monkeypatch.setattr(channels, "_sqrt_det", lambda n: calls.append(n) or real(n))
+        for ch in (GaussianChannel(I2, 0.1 * I2), loss_channel(0.5, 0.5)):
+            calls.clear()
+            classify(ch)
+            assert len(calls) == 1
+        assert classify(GaussianChannel(I2, 0.1 * I2)).noise_param == real(0.1 * I2)
+
+    @pytest.mark.parametrize("t, n, tol, scale", [
+        # tau = 0 with a rank-1 N, physical inside the slack of tol = 1e-2
+        (np.diag([1.0, 0.0]), np.diag([1e3, 1e-3]), 1e-2, 1.0),
+        # tau = 1 + 1e-5 with N's eigenvalue 5e-11 below the rank threshold
+        (math.sqrt(1.0 + 1e-5) * I2, np.diag([1.0, 5e-11]), None, math.sqrt(5e-11)),
+    ])
+    def test_ambiguous_rank_one_noise_reports_its_scale(self, t, n, tol, scale):
+        c, s = math.cos(0.7), math.sin(0.7)
+        frame = np.array([[c, -s], [s, c]])
+        ch = GaussianChannel(t, frame @ n @ frame.T)
+        with pytest.raises(ClassificationAmbiguousError) as err:
+            classify(ch, tol)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["rank_n"] == 1
+        assert diagnostics["sqrt_det_n"] == math.sqrt(max(np.linalg.det(ch.n), 0.0))
+        assert diagnostics["sqrt_det_n"] == pytest.approx(scale, rel=1e-4)
+        assert list(diagnostics) == ["tau", "rank_t", "rank_n", "sqrt_det_n"]
 
 
 class TestCanonicalMatrices:

@@ -320,18 +320,42 @@ def witness_grids(draw):
     return grid
 
 
+def _grid_as(grid, container):
+    """``grid`` as a list, a tuple, or a float64 or float32 array."""
+    if container == "list":
+        return list(grid)
+    if container == "tuple":
+        return tuple(grid)
+    with np.errstate(over="ignore"):  # float32 holds 1e300 as inf
+        return np.array(grid, dtype=np.float64 if container == "float64" else np.float32)
+
+
 class TestWitnessColumn:
     """The witness column of a rank-deficient scan is one array pass; every
     row must equal the public scalar function at its point bit for bit, and
-    a bad grid must raise what a row-by-row loop over that function raises."""
+    a bad grid must raise what a row-by-row loop over that function raises.
+    A 1-D float64 array converts in one step, every other grid row by row."""
 
-    @given(grid=witness_grids(), as_array=st.booleans(),
+    @given(grid=witness_grids(),
+           container=st.sampled_from(["list", "tuple", "float64", "float32"]),
            mu=st.one_of(st.floats(min_value=1.0, max_value=1e12),
                         st.sampled_from([1.0, 1e300, 0.5])),
            a=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=3.0)),
            c=st.floats(min_value=-3.0, max_value=3.0), unit_rank=st.booleans())
+    # NaN and inf inside a float64 array: NaN must fail the array's check as
+    # inf does, not reach the witness (Python's min and max would skip it)
+    @example(grid=[1.0, math.nan], container="float64", mu=5.0, a=1.0, c=0.0,
+             unit_rank=True)
+    @example(grid=[1.0, math.nan], container="float64", mu=5.0, a=1.0, c=0.0,
+             unit_rank=False)
+    @example(grid=[2.0, math.inf, 3.0], container="float64", mu=5.0, a=1.0, c=0.0,
+             unit_rank=True)
+    @example(grid=[3.0, -math.inf], container="float64", mu=5.0, a=1.0, c=0.0,
+             unit_rank=False)
+    @example(grid=[1e300, 2.0], container="float32", mu=5.0, a=1.0, c=0.0,
+             unit_rank=False)
     @settings(max_examples=400, deadline=None)
-    def test_rows_match_scalar_functions(self, grid, as_array, mu, a, c, unit_rank):
+    def test_rows_match_scalar_functions(self, grid, container, mu, a, c, unit_rank):
         if unit_rank:
             ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": mu, "a": a, "c": c}
             def witness(m):
@@ -340,14 +364,15 @@ class TestWitnessColumn:
             ch, params = GaussianChannel.identity(), {"mu": mu}
             def witness(m):
                 return nonuniform_witness(mu, m)
+        grid = _grid_as(grid, container)
         try:
             expected = [(float(m).hex(), witness(m).hex()) for m in grid]
         except DomainError as exc:
             with pytest.raises(DomainError) as info:
-                convergence_scan(ch, np.array(grid) if as_array else grid, params)
+                convergence_scan(ch, grid, params)
             assert str(info.value) == str(exc)
             return
-        rows = convergence_scan(ch, np.array(grid) if as_array else grid, params)
+        rows = convergence_scan(ch, grid, params)
         assert [(r.mu_tilde.hex(), r.witness_lower_bound.hex()) for r in rows] == expected
         assert all((r.mu, r.xi, r.upper_bound) == (mu, bk_added_noise(mu), None)
                    for r in rows)
@@ -358,10 +383,31 @@ class TestWitnessColumn:
         ([2.0, None], TypeError),
         ([2.0, 10 ** 400], OverflowError),
         (5.0, TypeError),  # not iterable
+        (("x", math.nan), ValueError),
+        ((math.nan, "x"), DomainError),
+        ((2.0, None), TypeError),
+        (np.array(5.0), TypeError),  # a 0-d array is not iterable
+        (np.ones((2, 2)), TypeError),  # a row of a 2-D array is no float
+        (np.array([2, 0]), DomainError),  # int array: 0 < 1
+        (np.array([2.0, 0.5], dtype=np.float32), DomainError),
+        (np.array([2.0, math.nan]), DomainError),
+        (np.array([math.inf, 2.0]), DomainError),
     ])
     def test_first_bad_row_decides_the_error(self, grid, error):
         with pytest.raises(error):
             convergence_scan(GaussianChannel.identity(), grid, {"mu": 5.0})
+
+    def test_other_arrays_convert_row_by_row(self):
+        ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": 5.0, "a": 1.3, "c": -0.4}
+        dense = np.geomspace(1.0, 1e9, 7)
+        for grid, floats in [
+                (np.array([1, 10, 10 ** 9]), [1.0, 10.0, 1e9]),
+                (dense[::2], dense[::2].tolist()),  # strided view
+                (dense.astype(">f8"), dense.tolist())]:  # non-native byte order
+            rows = convergence_scan(ch, grid, params)
+            assert rows == convergence_scan(ch, floats, params)
+            assert [type(r.mu_tilde) for r in rows] == [float] * len(floats)
+            assert [r.mu_tilde for r in rows] == floats
 
     def test_row_checks_follow_a_valid_first_row(self):
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
@@ -562,6 +608,42 @@ class TestScanRow:
     def test_replace(self):
         row = dataclasses.replace(ScanRow(**self.ROW), upper_bound=0.5)
         assert row == ScanRow(**dict(self.ROW, upper_bound=0.5))
+
+    @pytest.mark.parametrize("channel, grid, params", [
+        (canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5)),
+         [1.25, 10.0], None),
+        (GaussianChannel(I2, np.diag([0.0, 1.0])), np.geomspace(1.0, 1e9, 3),
+         {"mu": 5.0, "a": 1.3, "c": -0.4}),
+        (GaussianChannel.identity(), (1.0, 1e6), {"mu": 5.0}),
+    ])
+    def test_scan_rows_are_constructed_rows(self, channel, grid, params):
+        rows = convergence_scan(channel, grid, params)
+        assert len(rows) == len(grid)
+        for row in rows:
+            fields = {f.name: getattr(row, f.name) for f in dataclasses.fields(ScanRow)}
+            twin = ScanRow(**fields)
+            assert type(row) is ScanRow
+            assert row == twin and hash(row) == hash(twin) and repr(row) == repr(twin)
+            assert list(vars(row).items()) == list(vars(twin).items())
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                row.mu = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del row.xi
+            assert dataclasses.replace(row, xi=0.5) == ScanRow(**dict(fields, xi=0.5))
+            assert dataclasses.replace(row) == row
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (0.5, DomainError, "resource variance"),
+        (math.nan, DomainError, "resource variance"),
+        ("x", ValueError, "could not convert"),
+        (None, TypeError, None),
+    ])
+    def test_bad_full_rank_row_after_good_ones(self, bad, error, match, classify_calls):
+        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
+        with pytest.raises(error, match=match):
+            convergence_scan(ch, [1.25, 10.0, bad, 2.0])
+        # the scan's two calls, then one per row: the two rows before the bad one
+        assert len(classify_calls) == 4
 
     def test_scan_rows_repr_with_plain_floats(self):
         ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
