@@ -33,8 +33,8 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
-from .symplectic import GaussianState, _certainly_mixed, symplectic_form
-from .teleportation import bk_added_noise
+from .symplectic import GaussianState, symplectic_form
+from .teleportation import _frame_r, _frame_row, bk_added_noise
 
 __all__ = [
     "BoundsPair",
@@ -133,13 +133,8 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     no spectral pass; it is exactly symmetric, and CMs whose products leave
     float64 range are scaled by exact powers of two.  For two modes, when
     either state is pure (``s1.is_pure() or s2.is_pure()``) it is the
-    Gaussian overlap; otherwise the general formula.  A state whose CM
-    certifies mixed on plain floats by the invariant ``nu_1^2 + nu_2^2``
-    (for ``max|V| <= 2^20``, see ``symplectic._certainly_mixed``) skips its
-    spectral pass.  The certificate answers only where that pass would say
-    mixed, so the route and the float are the same either way, and the
-    ``_require_psd`` check of that pass cannot fire on a certified state,
-    whose ``lambda_min(V) >= 1 / (lambda_max(V) + e) - e`` is positive.
+    Gaussian overlap (``is_pure`` skips the spectral pass of a state that
+    certifies mixed on plain floats); otherwise the general formula.
     A ``det(V1 + V2)`` that is not positive raises
     :class:`np.linalg.LinAlgError` on the closed-form and overlap routes.
     Two modes have no scaling: ``det(V1 + V2)``, the auxiliary matrix or
@@ -164,7 +159,7 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
     if not math.isfinite(det):
         raise OverflowError("two-mode fidelity beyond float64 range: det((V1 + V2) / 2) overflows")
     mean = _mean_factor(s1.mean, s2.mean, vmean)
-    if any(not _certainly_mixed(s) and s.is_pure() for s in (s1, s2)):
+    if s1.is_pure() or s2.is_pure():
         # overlap route: F^2 = Tr(rho sigma) when one state is pure
         if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
             raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
@@ -241,8 +236,7 @@ def fid_env_C(gamma: float, omega: float, r: float) -> float:
     gamma, omega, r = float(gamma), float(omega), float(r)
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
-    if not r > 0.0:
-        raise DomainError(f"squeezing parameter must be positive, got {r}")
+    _frame_r(r)
     inv = 1.0 / r  # products, not ``**``: libm pow raises OverflowError
     return _thermal_pair_fidelity(omega, omega + gamma * (r * r), omega + gamma * (inv * inv))
 
@@ -254,6 +248,7 @@ def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
     xi, omega, a, c = float(xi), float(omega), float(a), float(c)
     if not xi >= 0.0:
         raise DomainError(f"xi must be non-negative, got {xi}")
+    _frame_row(a, c)
     return _thermal_pair_fidelity(omega, xi * (a * a + c * c) + omega, omega)
 
 
@@ -270,13 +265,12 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     approaches it with a relative correction O(1/mu_tilde).
     """
     a, c, xi = float(a), float(c), float(xi)
-    if xi < 0.0:
-        raise DomainError(f"xi must be non-negative, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise DomainError(f"xi must be finite and non-negative, got {xi}")
     if xi == 0.0:
         raise SingularCoefficientError("gamma diverges at xi = 0 (exact simulation)")
+    _frame_row(a, c)
     s = a * a + c * c
-    if s == 0.0:
-        raise DomainError("(a, c) = (0, 0) is outside the witness family")
     return 2.0 * (s + xi) / (xi * (s + 0.5 * xi) ** 2)
 
 
@@ -304,8 +298,7 @@ def _b2_infidelity(xi: float, xi_prime: float, r: float) -> float:
     sums of positive terms: no cancellation at any xi and no overflow at any
     r.  The result is rounded up by 2^-45 relative and capped at 1.
     """
-    if not r > 0.0:
-        raise DomainError(f"squeezing parameter must be positive, got {r}")
+    _frame_r(r)
     q = min(r, 1.0 / r) ** 2  # F is symmetric under r -> 1/r
     u = q / (1.0 + q * q)
     d = 2.0 * xi * xi_prime + u * (xi * xi + 4.0 * xi_prime * xi_prime)
@@ -327,17 +320,9 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     quadratically as xi -> 0, making the trace-norm bound linear in xi.
     """
     xi, xi_prime, r = float(xi), float(xi_prime), float(r)
-    if xi <= 0.0 or xi_prime <= 0.0:
-        raise DomainError("both noise parameters must be positive")
+    if not (0.0 < xi < math.inf and 0.0 < xi_prime < math.inf):
+        raise DomainError("both noise parameters must be positive and finite")
     return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, r)))
-
-
-# Inward rounding of the witnesses, B1's ``2 (1 - F^2) / (1 + F)`` and the
-# identity's ``2 (1 - F)``, so that a lower bound never exceeds the exact
-# value.  2^-45 relative exceeds the float64 rounding of the ~60 operations
-# on positive terms below; unrounded, the B1 witness was measured at most
-# 1.1e-15 relative off the exact value for mu and mu_tilde up to 1e300.
-_B1_ROUND_DOWN = 1.0 - 2.0 ** -45
 
 
 def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
@@ -382,13 +367,3 @@ def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
     scaled = np.sqrt(2.0 * v) * ss
     infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled))
     return infidelity, scaled / dd
-
-
-def _identity_witness(mu_tilde, xi):
-    """``2 (1 - F)`` for the F of :func:`fid_output_identity`, rounded down
-    by 2^-45 relative.  With ``x = mu_tilde xi / 2`` and ``s = sqrt(1 + x)``,
-    ``1 - F = 1 - 1/s = x / (s (1 + s))``: every term is positive, and
-    ``x <= mu_tilde`` cannot overflow.  Elementwise on arrays."""
-    x = mu_tilde * (0.5 * xi)
-    s = np.sqrt(1.0 + x)
-    return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN

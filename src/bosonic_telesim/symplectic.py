@@ -389,6 +389,9 @@ class GaussianState:
         return _spectrum(self, None)  # the CM was checked at construction
 
     def is_pure(self, tol: float = 1e-9) -> bool:
+        """``nu_max <= 1 + tol``, with no spectral pass where ``_certainly_mixed`` decides."""
+        if tol <= 1e-9 and _certainly_mixed(self):
+            return False
         return bool(np.max(self.symplectic_spectrum()) <= 1.0 + tol)
 
 

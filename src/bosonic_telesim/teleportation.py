@@ -63,6 +63,20 @@ def _env_gamma(xi: float, tau: float) -> float:
     return gamma
 
 
+def _frame_r(r) -> None:
+    """Input-frame squeezing of the C, D and additive classes: r > 0, not NaN."""
+    if not r > 0.0:
+        raise DomainError(f"squeezing parameter must be positive, got {r}")
+
+
+def _frame_row(a, c) -> None:
+    """Input-frame row of the A2 and unit-rank classes: finite, not (0, 0)."""
+    if not (math.isfinite(a) and math.isfinite(c)):
+        raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
+    if a == 0.0 and c == 0.0:
+        raise DomainError("(a, c) = (0, 0) is outside the witness family")
+
+
 @dataclasses.dataclass(frozen=True)
 class BKParameters:
     """Resource variance mu >= 1 and the derived added noise xi(mu)."""
@@ -143,8 +157,7 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     ``a, c`` are its first-row entries for A2.  The defaults reproduce the
     canonical-form simulation (no input-frame conjugation).
     """
-    if squeeze_r <= 0.0:
-        raise DomainError(f"squeeze_r must be positive, got {squeeze_r}")
+    _frame_r(squeeze_r)
     xi = bk_added_noise(mu)
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag
@@ -155,6 +168,7 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
         inv = 1.0 / squeeze_r
         w = np.diag([omega + gamma * (squeeze_r * squeeze_r), omega + gamma * (inv * inv)])
     elif tag is CanonicalClass.A2:
+        _frame_row(a, c)
         w = np.diag([xi * (a * a + c * c) + omega, omega])
     else:
         raise UnsupportedFormError(

@@ -1,6 +1,7 @@
 """The package's declared public surface, and the README's quick tour run as
 code."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -48,3 +49,82 @@ class TestReadme:
         exec(compile(code, str(README), "exec"), namespace)
         # the tau printed in the comment is the one classify returns
         assert f"tau={bt.classify(namespace['loss']).tau!r}" in code
+
+
+PACKAGE = pathlib.Path(bt.__file__).resolve().parent
+
+# module: the (module, name) pairs of private helpers it takes from other modules
+# of the package.  Each rule has one owner; a new entry is a decision to share a
+# helper, made here, not a second copy of the rule.
+PRIVATE_IMPORTS = {
+    "capacity": {("convergence", "_diamond_bound"), ("peeling", "_protocol_form")},
+    "channels": {("symplectic", "_checked"), ("symplectic", "_readonly")},
+    "convergence": {("fidelity", "_b1_witness_infidelity"), ("fidelity", "_b2_infidelity"),
+                    ("teleportation", "_env_gamma"), ("teleportation", "_frame_row")},
+    "dilation": {("symplectic", "_self_check_tol")},
+    "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
+    "peeling": {("convergence", "_diamond_bound"), ("convergence", "_noise_rank"),
+                ("symplectic", "_self_check_tol")},
+    "teleportation": {("symplectic", "_self_check_tol")},
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_imports(source):
+    """The (module, name) pairs of private names that ``source`` takes from
+    the package's modules: ``from .mod import _name`` (or
+    ``bosonic_telesim.mod``), and ``mod._name`` of a module bound by
+    ``from . import mod``."""
+    found, modules = set(), {}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module
+        if not node.level:
+            package, _, module = (module or "").partition(".")
+            if package != "bosonic_telesim":
+                continue
+        for alias in node.names:
+            if module:
+                if _private(alias.name):
+                    found.add((module, alias.name))
+            elif _private(alias.name):
+                found.add(("__init__", alias.name))
+            else:
+                modules[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.add((modules[node.value.id], node.attr))
+    return found
+
+
+class TestPrivateImports:
+    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+    def test_private_imports_are_listed(self, path):
+        assert _private_imports(path.read_text(encoding="utf-8")) == PRIVATE_IMPORTS.get(
+            path.stem, set())
+
+    def test_every_listed_module_exists(self):
+        assert set(PRIVATE_IMPORTS) <= {p.stem for p in PACKAGE.glob("*.py")}
+
+    def test_rules_have_one_owner(self):
+        taken = set().union(*PRIVATE_IMPORTS.values())
+        # purity is decided by GaussianState.is_pure, witness rounding by convergence
+        assert ("symplectic", "_certainly_mixed") not in taken
+        assert not {name for _, name in taken} & {"_B1_ROUND_DOWN", "_identity_witness"}
+        assert hasattr(convergence, "_B1_ROUND_DOWN") and not hasattr(fidelity, "_B1_ROUND_DOWN")
+        assert not hasattr(fidelity, "_identity_witness")
+
+    def test_walker_sees_each_form_of_import(self):
+        source = ("from .fidelity import _new, fid_env_C\n"
+                  "from bosonic_telesim.channels import _physical\n"
+                  "from numpy import _private_of_numpy\n"
+                  "from . import symplectic as sp, __version__\n"
+                  "x = sp._certainly_mixed(state)\n")
+        assert _private_imports(source) == {("fidelity", "_new"), ("channels", "_physical"),
+                                            ("symplectic", "_certainly_mixed")}

@@ -6,7 +6,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import (b1_witness_mp, bk_added_noise_np, conjugated_channel,
@@ -501,6 +501,7 @@ class TestPlainFloatRows:
            a=st.floats(-3.0, 3.0), c=st.floats(-3.0, 3.0))
     @settings(max_examples=1000, deadline=None)
     def test_environmental_fidelity_is_gaussian_fidelity_of_the_pair(self, form, mu, r, a, c):
+        assume(a != 0.0 or c != 0.0)  # the row (0, 0) is no input frame
         pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
         want = gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
         xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
@@ -521,6 +522,7 @@ class TestPlainFloatRows:
     def test_fidelity_squared_matches_extended_precision(self, weight, omega, r, a, c,
                                                          rank_one):
         # Scutaru's form in 60 digits of the CM entries the kernel is given
+        assume(a != 0.0 or c != 0.0)  # the row (0, 0) is no input frame
         if rank_one:
             xi = weight / max(a * a + c * c, 1e-3)
             f = fid_env_A2(xi, omega, a, c)

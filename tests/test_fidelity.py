@@ -424,17 +424,17 @@ def _near_pure_state(rng, sign):
 
 
 class TestTwoModePurityRouting:
-    """Two modes skip the spectral purity pass when both CMs certify mixed
-    on plain floats (``_certainly_mixed``); the result must be the float of
-    the route the spectral pass picks, bit for bit, whether or not the
-    certificate decides."""
+    """``is_pure`` skips the spectral purity pass of a two-mode CM that
+    certifies mixed on plain floats (``_certainly_mixed``); the fidelity must
+    be the float of the route the spectral pass picks, bit for bit, whether
+    or not the certificate decides."""
 
     @staticmethod
     def _spectral_route(monkeypatch, s1, s2):
-        from bosonic_telesim import fidelity
+        from bosonic_telesim import symplectic
 
         with monkeypatch.context() as m:
-            m.setattr(fidelity, "_certainly_mixed", lambda state: False)
+            m.setattr(symplectic, "_certainly_mixed", lambda state: False)
             return gaussian_fidelity(s1, s2)
 
     def _check(self, monkeypatch, pairs):
@@ -504,6 +504,20 @@ class TestTwoModePurityRouting:
             calls.clear()
             assert gaussian_fidelity(*pair).hex() == want
             assert len(calls) == passes
+
+    def test_certified_mixed_is_pure_takes_no_spectral_pass(self, monkeypatch):
+        from bosonic_telesim import symplectic
+
+        mixed = GaussianState(np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
+        assert symplectic._certainly_mixed(mixed)
+        calls, real = [], symplectic._sqrt_form
+        monkeypatch.setattr(symplectic, "_sqrt_form",
+                            lambda cm, tol: calls.append(cm) or real(cm, tol))
+        assert not mixed.is_pure() and not mixed.is_pure(1e-12)
+        assert calls == []
+        # the certificate holds for tol <= 1e-9 only: a wider tolerance takes the pass
+        assert mixed.is_pure(2.5)  # nu_max = 3
+        assert len(calls) == 1
 
 
 class TestFuchsVdg:
@@ -683,10 +697,19 @@ class TestB1Gamma:
     def test_singular_at_zero_noise(self):
         with pytest.raises(SingularCoefficientError):
             b1_gamma(1.0, 0.0, 0.0)
+        with pytest.raises(SingularCoefficientError):  # xi = 0 is checked before the row
+            b1_gamma(math.nan, 0.0, 0.0)
 
     def test_rejects_zero_row(self):
         with pytest.raises(DomainError):
             b1_gamma(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("a, c, xi", [(1.0, 0.0, math.nan), (math.nan, 0.0, 0.5),
+                                          (1.0, math.inf, 0.5), (1.0, 0.0, math.inf)])
+    def test_rejects_non_finite_arguments(self, a, c, xi):
+        # a non-finite argument is a DomainError, never a nan coefficient
+        with pytest.raises(DomainError):
+            b1_gamma(a, c, xi)
 
 
 class TestB2Asymptotic:
@@ -743,3 +766,11 @@ class TestB2Asymptotic:
             fid_b2_asymptotic(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             fid_b2_asymptotic(0.1, -1.0, 1.0)
+        # non-finite noise is a DomainError, never a nan fidelity
+        for xi, xi_prime in [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan),
+                             (0.5, math.inf)]:
+            with pytest.raises(DomainError):
+                fid_b2_asymptotic(xi, xi_prime, 1.0)
+        for r in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                fid_b2_asymptotic(0.5, 0.5, r)

@@ -216,7 +216,7 @@ class TestEnvironmentalPair:
             kappa = xi_of(mu) * tau_d / (1.0 - tau_d)
             assert nu >= omega - kappa - 1e-9
 
-    @pytest.mark.parametrize("r", [1e200, 1e-200, math.inf, math.nan])
+    @pytest.mark.parametrize("r", [1e200, 1e-200, math.inf])
     @pytest.mark.parametrize("tau,mu", [(0.5, 10.0), (1e-300, 1e300)])  # gamma > 0, gamma = 0
     def test_squeeze_beyond_float64_range_rejected(self, r, tau, mu):
         form = form_from_fields(CanonicalClass.C_Att, tau=tau, nbar=0.5)
@@ -224,6 +224,13 @@ class TestEnvironmentalPair:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="covariance matrix is not finite"):
                 environmental_pair(form, mu, squeeze_r=r)
+
+    @pytest.mark.parametrize("tau,mu", [(0.5, 10.0), (1e-300, 1e300)])
+    def test_nan_squeeze_is_no_input_frame(self, tau, mu):
+        # rejected by the frame check, as fid_env_C rejects it, before any CM is formed
+        form = form_from_fields(CanonicalClass.C_Att, tau=tau, nbar=0.5)
+        with pytest.raises(DomainError, match="squeezing parameter must be positive"):
+            environmental_pair(form, mu, squeeze_r=math.nan)
 
     def test_unsupported_classes(self):
         for tag in (CanonicalClass.A1, CanonicalClass.B1, CanonicalClass.B2_Id):
