@@ -180,8 +180,11 @@ _RANK = 1e-10  # default: singular values of T, eigenvalues of N, below 1e-10 ma
 
 
 def _numeric_rank(m: np.ndarray, tol: float | None) -> int:
-    sv = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(sv > (_RANK if tol is None else tol) * max(float(sv[0]), 1.0)))
+    """Singular values of the 2x2 m above ``1e-10 max(s1, 1)``, or ``tol`` in
+    place of 1e-10, counted on plain floats."""
+    s1, s2 = np.linalg.svd(m, compute_uv=False).tolist()
+    thr = (_RANK if tol is None else tol) * max(s1, 1.0)
+    return (s1 > thr) + (s2 > thr)
 
 
 def _snap_noise(p: float) -> float:

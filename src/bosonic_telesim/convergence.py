@@ -171,7 +171,7 @@ def _witness_column(mu: float, grid, row: tuple | None = None):
     with np.errstate(all="ignore"):  # a NaN row or a non-finite B1 row is rejected below
         # min and max propagate NaN: both pass only when every row is finite and >= 1
         if n_valid and not (m.min() >= 1.0 and m.max() < math.inf):
-            n_valid = int(np.argmin(np.isfinite(m) & (m >= 1.0)))
+            n_valid = int((np.isfinite(m) & (m >= 1.0)).argmin())
             m = m[:n_valid]
         if n_valid:
             if row is not None:

@@ -91,13 +91,13 @@ def dilation_of(form: CanonicalForm) -> SingleModeDilation:
     ``max|N_c|`` beyond.
     """
     m = _dilation_matrix(form)
-    sym = SymplecticMatrix(m, tol=_self_check_tol(np.max(np.abs(m)) ** 2))
+    sym = SymplecticMatrix(m, tol=_self_check_tol(np.abs(m).max() ** 2))
     dil = SingleModeDilation(sym, thermal_state(2.0 * form.noise_param + 1.0))
     t_c, n_c = canonical_matrices(form)
     omega_env = dil.env.cm[0, 0]
-    if (np.max(np.abs(dil.m1.T - t_c)) > _self_check_tol(np.max(np.abs(t_c)))
-            or np.max(np.abs(dil.m2 @ dil.m2.T * omega_env - n_c))
-            > _self_check_tol(np.max(np.abs(n_c)))):
+    if (np.abs(dil.m1.T - t_c).max() > _self_check_tol(np.abs(t_c).max())
+            or np.abs(dil.m2 @ dil.m2.T * omega_env - n_c).max()
+            > _self_check_tol(np.abs(n_c).max())):
         raise UnsupportedFormError(
             f"dilation blocks inconsistent with canonical matrices for {form.tag.value}")
     return dil

@@ -67,14 +67,15 @@ def _mean_factor(m1: np.ndarray, m2: np.ndarray, vmean: np.ndarray) -> float:
         q = delta @ np.linalg.solve(vmean, delta)
         if not np.isfinite(q):
             h = np.array([0.5 * y - 0.5 * x for x, y in zip(a, b)])
-            e = math.frexp(float(np.max(np.abs(h))))[1]
+            e = math.frexp(float(np.abs(h).max()))[1]
             u = np.ldexp(h, -e)
             q = np.ldexp(u @ np.linalg.solve(vmean, u), 2 * e + 2)
     return float(np.exp(-0.125 * q))
 
 
 def _spectral_w(vaux: np.ndarray, n: int) -> np.ndarray:
-    moduli = np.sort(np.abs(np.linalg.eigvals(vaux @ symplectic_form(n))))
+    moduli = np.abs(np.linalg.eigvals(vaux @ symplectic_form(n)))
+    moduli.sort()
     # clamp at 1: exact purity produces w = 1 and roundoff must not push the
     # sqrt argument negative
     return np.maximum(moduli[::2], 1.0)
@@ -171,7 +172,7 @@ def gaussian_fidelity(s1: GaussianState, s2: GaussianState) -> float:
         ftot4 = math.inf
         if np.isfinite(vaux).all():
             w = _spectral_w(vaux, n)
-            ftot4 = np.prod((w + np.sqrt(w * w - 1.0)) ** 2)
+            ftot4 = ((w + np.sqrt(w * w - 1.0)) ** 2).prod()
     if not math.isfinite(ftot4):
         raise OverflowError("two-mode fidelity beyond float64 range: the auxiliary "
                             "matrix of the pair or its spectrum overflows")
@@ -263,6 +264,13 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     where (a, c) is the first row of the input-frame symplectic and xi the
     teleporter's added noise; ``F^4 mu_tilde`` of the witness closed form
     approaches it with a relative correction O(1/mu_tilde).
+
+    ``a^2 + c^2`` (of the row scaled by ``2^-k``, ``2^k > max(|a|, |c|)``)
+    and xi are brought to a common exponent e, the larger in ``[1/4, 2)``;
+    the xi of the denominator is its mantissa, and squares are products.  The
+    quotient is scaled back by the exact ``2^-(e + e_xi)``, so no intermediate
+    leaves float64 range: a gamma below it rounds to a subnormal or 0, and
+    one beyond it raises :class:`OverflowError`.
     """
     a, c, xi = float(a), float(c), float(xi)
     if not 0.0 <= xi < math.inf:
@@ -270,8 +278,16 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     if xi == 0.0:
         raise SingularCoefficientError("gamma diverges at xi = 0 (exact simulation)")
     _frame_row(a, c)
-    s = a * a + c * c
-    return 2.0 * (s + xi) / (xi * (s + 0.5 * xi) ** 2)
+    k = math.frexp(max(abs(a), abs(c)))[1]
+    a, c = math.ldexp(a, -k), math.ldexp(c, -k)
+    m_xi, e_xi = math.frexp(xi)
+    e = max(2 * k, e_xi)
+    s, x = math.ldexp(a * a + c * c, 2 * k - e), math.ldexp(m_xi, e_xi - e)
+    d = s + 0.5 * x
+    try:
+        return math.ldexp(2.0 * (s + x) / (m_xi * (d * d)), -e - e_xi)
+    except OverflowError:
+        raise OverflowError(f"gamma beyond float64 range at xi = {xi:g}") from None
 
 
 # Outward rounding of the B2 infidelity, so that the bound 2 sqrt(1 - F^2)

@@ -148,7 +148,7 @@ def _two_mode_squeezer(s: float) -> SymplecticMatrix:
     z = np.diag([1.0, -1.0])
     ch_, sh_ = np.cosh(s), np.sinh(s)
     m = np.block([[ch_ * np.eye(2), sh_ * z], [sh_ * z, ch_ * np.eye(2)]])
-    return SymplecticMatrix(m, tol=_self_check_tol(np.max(np.abs(m)) ** 2))
+    return SymplecticMatrix(m, tol=_self_check_tol(np.abs(m).max() ** 2))
 
 
 @functools.lru_cache(maxsize=None)

@@ -87,7 +87,7 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     if tol is None:
         tol = _SYMPLECTIC
     omega = symplectic_form(n)
-    return bool(np.max(np.abs(m @ omega @ m.T - omega)) <= tol)
+    return bool(np.abs(m @ omega @ m.T - omega).max() <= tol)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -392,7 +392,7 @@ class GaussianState:
         """``nu_max <= 1 + tol``, with no spectral pass where ``_certainly_mixed`` decides."""
         if tol <= 1e-9 and _certainly_mixed(self):
             return False
-        return bool(np.max(self.symplectic_spectrum()) <= 1.0 + tol)
+        return bool(self.symplectic_spectrum().max() <= 1.0 + tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -422,7 +422,7 @@ class WilliamsonDecomposition:
     spectrum: tuple
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(np.repeat(self.spectrum, 2))
+        return np.diag(np.array(self.spectrum).repeat(2))
 
 
 def tmsv_state(mu: float) -> GaussianState:
@@ -507,18 +507,18 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     pairs = np.empty((2 * n, 2 * n))
     pairs[:, 0::2], pairs[:, 1::2] = vecs.imag, vecs.real
     q = np.linalg.qr(pairs)[0]
-    nus = np.sum(q[:, 0::2] * (k @ q[:, 1::2]), axis=0)  # Rayleigh quotients
+    nus = (q[:, 0::2] * (k @ q[:, 1::2])).sum(axis=0)  # Rayleigh quotients
     # largest nu first; a pair with a negative quotient is swapped
-    order = np.argsort(-np.abs(nus))
+    order = (-np.abs(nus)).argsort()
     perm = [j for i in order
             for j in ((2 * i, 2 * i + 1) if nus[i] > 0.0 else (2 * i + 1, 2 * i))]
     nus = np.abs(nus[order])
-    s = np.repeat(np.sqrt(nus), 2)[:, None] * (q[:, perm].T @ (u / np.sqrt(lam)) @ u.T)
+    s = np.sqrt(nus).repeat(2)[:, None] * (q[:, perm].T @ (u / np.sqrt(lam)) @ u.T)
     spectrum = tuple(float(x) for x in nus)
 
-    scale = max(1.0, float(np.max(np.abs(cm))))
-    target = np.diag(np.repeat(spectrum, 2))
-    resid = np.max(np.abs(s @ cm @ s.T - target))
+    scale = max(1.0, float(np.abs(cm).max()))
+    target = np.diag(nus.repeat(2))
+    resid = np.abs(s @ cm @ s.T - target).max()
     if resid > 1e-8 * scale:
         raise ValidationError(f"Williamson reconstruction residual too large: {resid:g}")
     sym_tol = max(_SYMPLECTIC, 16.0 * np.finfo(float).eps * scale)

@@ -116,8 +116,8 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite N is rejected
         effective = compose(base, bk_channel(mu))
     expected_n = base.n + params.xi * base.t @ base.t.T
-    deviation = np.max(np.abs(effective.n - expected_n))
-    if deviation > _self_check_tol(np.max(np.abs(expected_n))):
+    deviation = np.abs(effective.n - expected_n).max()
+    if deviation > _self_check_tol(np.abs(expected_n).max()):
         raise ValidationError("composed noise matrix deviates from N + xi T T^T")
     return SimulatedChannel(base=base, params=params, effective=effective)
 

@@ -1,6 +1,7 @@
 """Shared test utilities: random symplectic, state and channel factories,
 fit helpers, the extended-precision fidelity, symplectic-spectrum and
-full-rank-bound oracles, the numpy-scalar oracle of the added noise, dense
+full-rank-bound oracles, the numpy oracles of the added noise and the
+numeric rank, dense
 reference constructions of channel action and the TMSV, and hypothesis
 strategies of raw channel and state specs."""
 
@@ -189,6 +190,15 @@ def bk_added_noise_np(mu):
     if mu >= 2.0 ** 27:
         return 1.0 / mu
     return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+
+
+# channels._numeric_rank as it was written on numpy arrays (np.sum of the
+# comparison array).  The library compares the two singular values of the same
+# SVD on plain floats, so every count must match this one.
+
+def numeric_rank_np(m, tol):
+    sv = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(sv > (1e-10 if tol is None else tol) * max(float(sv[0]), 1.0)))
 
 
 def apply_channel_dense(ch, state, target_mode=0):

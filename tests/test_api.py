@@ -103,6 +103,39 @@ def _private_imports(source):
     return found
 
 
+# numpy's fromnumeric functions: each runs an ndarray method (mostly a ufunc
+# reduction) behind Python-level wrapper frames, which cost more than the
+# reduction on the 2x2 and 4x4 arrays of src/, so src/ calls the method.  The
+# list is fixed, not introspected, so that numpy 1.24 and 2.x hold the same one.
+FROMNUMERIC = frozenset({
+    "all", "amax", "amin", "any", "argmax", "argmin", "argsort", "clip", "cumprod",
+    "cumsum", "max", "mean", "min", "nonzero", "prod", "ptp", "ravel", "repeat",
+    "reshape", "round", "sort", "squeeze", "std", "sum", "swapaxes", "take", "trace",
+    "transpose", "var"})
+
+
+def _wrapper_calls(source):
+    """``(line, name)`` of each ``np.<name>(...)`` call in source with a name in
+    :data:`FROMNUMERIC`."""
+    return sorted((node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                  and node.func.attr in FROMNUMERIC)
+
+
+class TestNoNumpyWrapperCalls:
+    @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+    def test_reductions_call_the_array_method(self, path):
+        assert _wrapper_calls(path.read_text(encoding="utf-8")) == []
+
+    def test_walker_sees_each_wrapper_call(self):
+        source = ("x = np.max(np.abs(m))\n"
+                  "y = np.abs(m).max() + np.linalg.det(m) + np.maximum(m, 1.0)\n"
+                  "z = np.sum(\n    m, axis=0)\n"
+                  "w = f(np.sort, numpy.sum(m))\n")
+        assert _wrapper_calls(source) == [(1, "max"), (3, "sum")]
+
+
 class TestPrivateImports:
     @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
     def test_private_imports_are_listed(self, path):

@@ -4,11 +4,11 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import (apply_channel_dense, conjugated_channel, random_state,
-                      random_symplectic, raw_channel_specs, sample_form,
+from _helpers import (apply_channel_dense, conjugated_channel, numeric_rank_np,
+                      random_state, random_symplectic, raw_channel_specs, sample_form,
                       symmetric_eigenvalues_mp)
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              ClassificationAmbiguousError, GaussianChannel,
@@ -431,6 +431,46 @@ class TestChannelRank:
         assert classify(ch, tol).r == rank
         if min(lams) > 0.0:  # positive-semidefinite: the singular values agree
             assert _numeric_rank(ch.n, tol) == rank
+
+
+@st.composite
+def _ranked_matrices(draw):
+    """``(T, tol)``: T = scale R(alpha) diag(1, s2) R(beta), optionally reflected,
+    at scales 1e-300 to 1e300, with s2 giving rank 0, 1 or 2, or a second
+    singular value at ``thr (1 +/- 1e-12)`` of the rank threshold."""
+    tol = draw(st.sampled_from([None, 1e-12, 1e-6]))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    kind = draw(st.sampled_from(["rank 0", "rank 1", "rank 2", "at threshold"]))
+    s1 = 0.0 if kind == "rank 0" else scale
+    if kind == "rank 2":
+        s2 = s1 * 10.0 ** draw(st.floats(-20.0, 0.0))
+    elif kind == "at threshold":
+        s2 = (1e-10 if tol is None else tol) * max(s1, 1.0) * draw(
+            st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12]))
+    else:
+        s2 = 0.0
+
+    def rot(angle):
+        return np.array([[math.cos(angle), -math.sin(angle)],
+                         [math.sin(angle), math.cos(angle)]])
+    flip = np.diag([1.0, draw(st.sampled_from([1.0, -1.0]))])
+    t = (rot(draw(st.floats(0.0, 2.0 * math.pi))) @ np.diag([s1, s2]) @ flip
+         @ rot(draw(st.floats(0.0, 2.0 * math.pi))))
+    return t, tol
+
+
+class TestNumericRank:
+    @given(_ranked_matrices())
+    @example((np.zeros((2, 2)), None))
+    @example((np.diag([1.0, 5e-11]), None))
+    @example((np.diag([1.0, 2e-10]), None))
+    @example((np.diag([1.0, 5e-11]), 1e-12))
+    @settings(max_examples=1000, deadline=None)
+    def test_counts_like_the_array_expression(self, drawn):
+        t, tol = drawn
+        rank = _numeric_rank(t, tol)
+        assert type(rank) is int
+        assert rank == numeric_rank_np(t, tol)
 
 
 class TestJsonSpec:

@@ -1,9 +1,10 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _helpers import fidelity_mp, loglog_slope, random_state, random_symplectic
@@ -710,6 +711,47 @@ class TestB1Gamma:
         # a non-finite argument is a DomainError, never a nan coefficient
         with pytest.raises(DomainError):
             b1_gamma(a, c, xi)
+
+    @staticmethod
+    def _check_against_40_digits(a, c, xi):
+        # within 2 ulp of 40 digits, or of the smallest subnormal below float64's
+        # normal range; a gamma beyond float64 range raises OverflowError
+        import mpmath as mp
+        with mp.workdps(40):
+            s = mp.mpf(a) ** 2 + mp.mpf(c) ** 2
+            ref = 2 * (s + xi) / (xi * (s + mp.mpf(xi) / 2) ** 2)
+            if ref > (1 - 2.0 ** -50) * sys.float_info.max:
+                try:
+                    value = b1_gamma(a, c, xi)
+                except OverflowError:
+                    return
+                assert ref < sys.float_info.max, (a, c, xi, value)
+            else:
+                value = b1_gamma(a, c, xi)
+            assert abs(value - ref) <= max(2.0 ** -51 * ref, 2.0 ** -1074), (a, c, xi, value)
+
+    # a^2 + c^2 beyond float64 range (4e-200 raised OverflowError in pow, 4e-310 was nan),
+    # 1e200 whose gamma 4e-400 rounds to 0, a subnormal xi or row, and rows in range
+    @pytest.mark.parametrize("a, c, xi", [
+        (1e100, 0.0, 0.5), (1e155, 0.0, 0.5), (1e200, 0.0, 0.5), (1e200, -1e200, 1e300),
+        (1e-170, 1e-170, 1.0), (1e-320, 0.0, 1e-300), (3.0, 1e-200, 1e-300), (1.0, 0.0, 1.0),
+        (1.0, 1.0, 1.0), (1.3, -0.4, 0.2)])
+    def test_in_range_at_any_scale(self, a, c, xi):
+        self._check_against_40_digits(a, c, xi)
+
+    @pytest.mark.parametrize("a, c, xi", [(1.0, 0.0, 1e-310), (1e-170, 0.0, 1e-170)])
+    def test_beyond_float64_range_overflows(self, a, c, xi):
+        # gamma = 2e310 (was inf) and 8e340 (was ZeroDivisionError)
+        with pytest.raises(OverflowError):
+            b1_gamma(a, c, xi)
+
+    @given(st.floats(-320.0, 308.0), st.floats(-320.0, 308.0), st.booleans(),
+           st.floats(-320.0, 308.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_40_digits(self, log_a, log_c, negative, log_xi):
+        a, c, xi = 10.0 ** log_a, 10.0 ** log_c, 10.0 ** log_xi
+        assume(xi > 0.0 and (a, c) != (0.0, 0.0))
+        self._check_against_40_digits(-a if negative else a, c, xi)
 
 
 class TestB2Asymptotic:
