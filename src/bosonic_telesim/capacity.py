@@ -1,16 +1,19 @@
 """Secret-key capacity upper bounds for phase-insensitive Gaussian channels.
 
-The weak-converse bounds (bits per channel use):
+The weak-converse bounds (bits per channel use) of thermal loss and of the
+amplifier are one function of the thermal number n and a threshold t,
 
-    thermal loss, tau in [0, 1]:  -log2[(1 - tau) tau^nbar] - h(nbar)
-                                  for nbar < tau / (1 - tau), else 0
-    amplifier, tau > 1:           log2[tau^(nbar + 1) / (tau - 1)] - h(nbar)
-                                  for nbar < 1 / (tau - 1), else 0
-    additive noise:               (xi - 1)/ln 2 - log2 xi for xi < 1, else 0
+    g(t, n) = (n + 1) log2[(t + 1)/(n + 1)] - n log2(t/n)  for n < t, else 0,
 
-with the entropic function h(x) = (x + 1) log2(x + 1) - x log2 x.  At nbar=0
-the loss bound reduces to -log2(1 - tau).  The finite-size strong-converse
-refinement adds sqrt(V / (n (1 - eps))) + C(eps)/n with
+with t = tau/(1 - tau) for loss (tau in [0, 1]) and t = 1/(tau - 1) for the
+amplifier (tau > 1); g(t, 0) = log2(t + 1).  Additive noise gives
+(xi - 1)/ln 2 - log2 xi for xi < 1, else 0, the limit of g(t, xi t) as
+t -> infinity.  Each bound is decided at the exact rational gap d = t - n
+(d = 1 - xi for additive noise), formed from the integer ratios of the
+float inputs, so "below threshold" is exactly d > 0, and is rounded up, so
+the float is never below the bound (see :func:`_phi`).
+The finite-size strong-converse refinement adds
+sqrt(V / (n (1 - eps))) + C(eps)/n with
 C(eps) = log2 6 + 2 log2[(1 + eps)/(1 - eps)]; the teleportation-simulation
 infidelity eps_TP <= n delta / 2 enters through the combined error
 min{1, (sqrt(eps) + sqrt(eps_TP))^2}.
@@ -24,7 +27,7 @@ import math
 from .channels import CanonicalClass, GaussianChannel, classify
 from .convergence import _diamond_bound
 from .errors import DomainError, UnsupportedFormError
-from .peeling import _protocol_form
+from .peeling import _check_count, _protocol_form
 
 __all__ = [
     "BoundReport",
@@ -39,6 +42,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_EPS = 2.0 ** -52
+_ATANH = tuple(1.0 / k for k in range(35, 1, -2))  # 1/35, ..., 1/3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,54 +72,95 @@ def entropic_h(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
+def _m(x: float) -> float:
+    """``x - log1p(x)`` on [-1/2, 1] without cancellation: with u = x/(2 + x),
+    log1p(x) = 2 atanh(u), so m = u^2 (2 + x - 2u sum_k u^(2k)/(2k + 3)), and
+    |u| <= 1/3 needs 17 terms (measured within 2.7 eps of 60 digits)."""
+    u = x / (2.0 + x)
+    v = u * u
+    s = 0.0
+    for c in _ATANH:
+        s = s * v + c
+    return v * (2.0 + x - 2.0 * u * s)
+
+
+def _phi(formula: str, inputs: dict, num: int, den: int, n: float | None) -> BoundReport:
+    """Phi at the exact gap d = num/den (den > 0) to its threshold, rounded
+    up; 0 with ``threshold_active`` for d <= 0.  Loss and amplifier pass their
+    thermal number ``n``: with x = fl(d), Phi ln 2 is
+    n m(x/n) - (n + 1) m(x/(n + 1)) for x <= n, else
+    (n + 1) log1p(x/(n + 1)) - n log1p(x/n), whose second term is dropped
+    (raising Phi) where x/n could overflow.  Additive noise passes n = None
+    and d = 1 - xi: Phi ln 2 is m(xi - 1), with xi - 1 = -x exact, for
+    xi >= 1/2, else -x - log xi.
+
+    Error (eps = 2^-52): each term is within 6 eps (correctly rounded
+    quotients; m and log1p at most double an argument's error) and at most
+    7.2 (n + 2) times Phi (the supremum, just past x = n); with 2 eps for the
+    subtraction and ln 2, Phi is within (44 (n + 2) + 2) eps < 64 (n + 2) eps,
+    the margin of the factor below, which also keeps it positive.
+    """
+    if num <= 0:
+        return BoundReport(0.0, formula, inputs, threshold_active=True)
+    x = num / den
+    if n is None:
+        nats = _m(-x) if x <= 0.5 else -x - math.log((den - num) / den)
+        n = 0.0
+    elif x <= n:
+        nats = n * _m(x / n) - (n + 1.0) * _m(x / (n + 1.0))
+    else:
+        nats = (n + 1.0) * math.log1p(x / (n + 1.0))
+        if n > x * 2.0 ** -1000:
+            nats -= n * math.log1p(x / n)
+    return BoundReport(nats / _LN2 * (1.0 + 64.0 * (n + 2.0) * _EPS), formula, inputs)
+
+
 def phi_loss(tau: float, nbar: float) -> BoundReport:
     """Key-capacity upper bound of the thermal-loss channel.
 
-    Zero once nbar reaches tau / (1 - tau); the threshold itself counts as
-    zero, matching the strict inequality in the defining formula.  At
-    tau = 1 the channel is lossless and the bound is unbounded.
+    Zero once nbar reaches tau / (1 - tau), decided in exact rationals; the
+    threshold itself counts as zero, matching the strict inequality in the
+    defining formula.  At tau = 1 the channel is lossless and the bound is
+    unbounded.
     """
     tau, nbar = float(tau), float(nbar)
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"loss transmissivity must lie in [0, 1], got {tau}")
-    if nbar < 0.0:
-        raise DomainError(f"thermal number must be non-negative, got {nbar}")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError(f"thermal number must be finite and non-negative, got {nbar}")
     inputs = {"tau": tau, "nbar": nbar}
     if tau == 1.0:
         return BoundReport(0.0, "loss", inputs, unbounded=True)
-    if not nbar < tau / (1.0 - tau):
-        return BoundReport(0.0, "loss", inputs, threshold_active=True)
-    value = -math.log2((1.0 - tau) * tau ** nbar) - entropic_h(nbar)
-    return BoundReport(value, "loss", inputs)
+    (a, b), (p, q) = tau.as_integer_ratio(), nbar.as_integer_ratio()
+    # tau = a/b and nbar = p/q, so t - nbar = a/(b - a) - p/q
+    return _phi("loss", inputs, a * q - p * (b - a), (b - a) * q, nbar)
 
 
 def phi_amp(tau: float, nbar: float) -> BoundReport:
     """Key-capacity upper bound of the noisy amplifier (gain tau > 1);
-    zero once nbar reaches 1 / (tau - 1)."""
+    zero once nbar reaches 1 / (tau - 1), decided in exact rationals."""
     tau, nbar = float(tau), float(nbar)
-    if tau <= 1.0:
-        raise DomainError(f"amplifier gain must exceed 1, got {tau}")
-    if nbar < 0.0:
-        raise DomainError(f"thermal number must be non-negative, got {nbar}")
+    if not 1.0 < tau < math.inf:
+        raise DomainError(f"amplifier gain must be finite and exceed 1, got {tau}")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError(f"thermal number must be finite and non-negative, got {nbar}")
     inputs = {"tau": tau, "nbar": nbar}
-    if not nbar < 1.0 / (tau - 1.0):
-        return BoundReport(0.0, "amplifier", inputs, threshold_active=True)
-    value = math.log2(tau ** (nbar + 1.0) / (tau - 1.0)) - entropic_h(nbar)
-    return BoundReport(value, "amplifier", inputs)
+    (a, b), (p, q) = tau.as_integer_ratio(), nbar.as_integer_ratio()
+    # tau = a/b and nbar = p/q, so t - nbar = b/(a - b) - p/q
+    return _phi("amplifier", inputs, b * q - p * (a - b), (a - b) * q, nbar)
 
 
 def phi_add(xi: float) -> BoundReport:
     """Key-capacity upper bound of the additive-noise channel; zero for
     xi >= 1, unbounded at xi = 0 (noiseless)."""
     xi = float(xi)
-    if xi < 0.0:
-        raise DomainError(f"added noise must be non-negative, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise DomainError(f"added noise must be finite and non-negative, got {xi}")
     inputs = {"xi": xi}
     if xi == 0.0:
         return BoundReport(0.0, "additive", inputs, unbounded=True)
-    if not xi < 1.0:
-        return BoundReport(0.0, "additive", inputs, threshold_active=True)
-    return BoundReport((xi - 1.0) / _LN2 - math.log2(xi), "additive", inputs)
+    a, b = xi.as_integer_ratio()
+    return _phi("additive", inputs, b - a, b, None)  # xi = a/b, d = 1 - xi
 
 
 def c_epsilon(eps: float) -> float:
@@ -140,12 +186,16 @@ def strong_converse_bound(phi: float, v: float, n: int, eps: float) -> float:
 
     V is the caller-supplied variance parameter of the finite-size expansion
     (no closed form is implemented here); V = 0 reproduces the pure-loss and
-    quantum-limited-amplifier form ``phi + C(eps)/n``.
+    quantum-limited-amplifier form ``phi + C(eps)/n``.  Checked in order: an
+    integer n >= 1, a finite phi, a finite V >= 0 and eps in (0, 1).
     """
-    if n < 1:
-        raise DomainError(f"channel uses must be >= 1, got {n}")
+    _check_count(n, "channel uses")
+    if not math.isfinite(phi):
+        raise DomainError(f"key-capacity term must be finite, got {phi}")
     if v < 0.0:
         raise DomainError(f"variance parameter must be non-negative, got {v}")
+    if not math.isfinite(v):
+        raise DomainError(f"variance parameter must be finite, got {v}")
     if not 0.0 < eps < 1.0:
         raise DomainError(f"security parameter must lie in (0, 1), got {eps}")
     return float(phi) + math.sqrt(v / (n * (1.0 - eps))) + c_epsilon(eps) / n
@@ -179,7 +229,7 @@ def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
 
     The channel is classified once under ``tol``, and that form serves the
     capacity formula, the uniform-topology check and the diamond bound;
-    eps_TP equals ``epsilon_tp_bound(n, mu, ch, "uniform", {"r": r}, tol=tol)``.
+    eps_TP is ``min(1, epsilon_tp_bound(n, mu, ch, "uniform", {"r": r}, tol=tol))``.
     Errors come in order: the classification, an unsupported class, then
     those of :func:`epsilon_tp_bound`, :func:`overall_error` and
     :func:`strong_converse_bound`.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 TOPOLOGIES = ("bounded_uniform", "uniform", "strong")
+_PARAMS = frozenset({"energy_bound", "r", "a", "c"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,11 +61,19 @@ class AdaptiveProtocolSpec:
                        self.tol)
 
 
+def _check_count(n, name: str) -> None:
+    """A count of rounds or channel uses: an int or numpy integer (not a
+    bool), at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+
+
 def _check_schedule(rounds: int, topology: str) -> None:
     """The round count, then the topology: the first checks of both
     :func:`_protocol_form` and :func:`peel_bound`."""
-    if rounds < 1:
-        raise DomainError(f"round count must be >= 1, got {rounds}")
+    _check_count(rounds, "round count")
     if topology not in TOPOLOGIES:
         raise DomainError(f"topology must be one of {TOPOLOGIES}, got {topology!r}")
 
@@ -72,14 +82,18 @@ def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound
                    tol: float | None,
                    form: CanonicalForm | None = None) -> CanonicalForm | None:
     """The checks of :class:`AdaptiveProtocolSpec`, in order: the round count,
-    the topology, the energy bound of the bounded-uniform topology, then the
-    rank criterion of the uniform topology.  The criterion reads ``form``, or
-    classifies ``ch`` under ``tol`` once the earlier checks pass.  Returns the
-    form, or None when it was neither given nor needed."""
+    the topology, the energy bound of the bounded-uniform topology (a finite
+    real, then >= 0), then the rank criterion of the uniform topology.  The
+    criterion reads ``form``, or classifies ``ch`` under ``tol`` once the
+    earlier checks pass.  Returns the form, or None when it was neither given
+    nor needed."""
     _check_schedule(rounds, topology)
-    if topology == "bounded_uniform" and (
-            energy_bound is None or not np.isfinite(energy_bound)):
-        raise DomainError("bounded_uniform topology requires a finite energy bound")
+    if topology == "bounded_uniform":
+        if (isinstance(energy_bound, bool) or not isinstance(energy_bound, numbers.Real)
+                or not math.isfinite(energy_bound)):
+            raise DomainError("bounded_uniform topology requires a finite energy bound")
+        if energy_bound < 0:
+            raise DomainError(f"energy bound must be >= 0, got {energy_bound}")
     if topology == "uniform":
         if form is None:
             form = classify(ch, tol)
@@ -120,10 +134,14 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     again for the strong topology, where it dominates the error of every
     state the protocol actually produces rather than a true supremum.  ``tol``
     reaches the one classification, which serves both the topology check and
-    the diamond bound.  The checks and their errors are those of
+    the diamond bound.  The checks and their errors are, in order: a
+    ``params`` key outside energy_bound, r, a and c, those of
     :class:`AdaptiveProtocolSpec`, then those of :func:`diamond_upper_bound`.
     """
     params = dict(params or {})
+    if params.keys() - _PARAMS:
+        raise DomainError(f"unknown params {sorted(params.keys() - _PARAMS)}; "
+                          f"expected a subset of {sorted(_PARAMS)}")
     form = _protocol_form(n, ch, topology, params.get("energy_bound"), tol)
     if form is None:
         form = classify(ch, tol)

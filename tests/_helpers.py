@@ -1,6 +1,6 @@
 """Shared test utilities: random symplectic, state and channel factories,
-fit helpers, the extended-precision fidelity, symplectic-spectrum and
-full-rank-bound oracles, the numpy oracles of the added noise and the
+fit helpers, the extended-precision fidelity, symplectic-spectrum,
+full-rank-bound and key-capacity oracles, the numpy oracles of the added noise and the
 numeric rank, dense
 reference constructions of channel action and the TMSV, and hypothesis
 strategies of raw channel and state specs."""
@@ -174,6 +174,26 @@ def env_bound_mp(form, mu, r=1.0, a=1.0, c=0.0, dps: int = 60):
             p, q = omega + gamma * r * r, omega + gamma / (r * r)
         f2 = scutaru_fidelity_sq_mp([[omega, 0], [0, omega]], [[p, 0], [0, q]], dps)
         return 2 * mp.sqrt(1 - f2)
+
+
+def phi_mp(formula, *args, dps: int = 60):
+    """The weak-converse key-capacity bound ``phi_loss(tau, nbar)``,
+    ``phi_amp(tau, nbar)`` or ``phi_add(xi)`` (by its report's ``formula``)
+    at ``dps`` digits from the PLOB formulas, with the inputs taken as exact
+    binary values; 0 past the threshold."""
+    with mp.workdps(dps):
+        if formula == "additive":
+            xi = mp.mpf(args[0])
+            return (xi - 1 - mp.log(xi)) / mp.log(2) if xi < 1 else mp.mpf(0)
+        tau, n = (mp.mpf(x) for x in args)
+        if formula == "loss":
+            value = -mp.log((1 - tau) * tau ** n, 2)
+            t = tau / (1 - tau)
+        else:
+            value = mp.log(tau ** (n + 1) / (tau - 1), 2)
+            t = 1 / (tau - 1)
+        h = (n + 1) * mp.log(n + 1, 2) - (n * mp.log(n, 2) if n else 0)
+        return value - h if n < t else mp.mpf(0)
 
 
 # --- numpy-scalar oracle of the added noise ----------------------------------------

@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,13 +174,19 @@ def test_08a_pure_loss_identity():
 
 
 def test_08b_threshold_zeros_exact():
+    """At nbar = fl(t), the threshold t rounded to a float, the bound is zero
+    and threshold-active exactly when the rational gap t - nbar is <= 0;
+    where fl(t) falls below t it is positive and, a double root, below 1e-30."""
     with criterion("08b threshold zeros", 1.0):
-        for tau in np.linspace(0.1, 0.9, 17):
-            report = phi_loss(tau, tau / (1.0 - tau))
-            assert report.value == 0.0 and report.threshold_active
-        for tau in np.linspace(1.1, 4.0, 17):
-            report = phi_amp(tau, 1.0 / (tau - 1.0))
-            assert report.value == 0.0 and report.threshold_active
+        cases = ([(phi_loss, tau, Fraction(tau) / (1 - Fraction(tau)))
+                  for tau in np.linspace(0.1, 0.9, 17)]
+                 + [(phi_amp, tau, 1 / (Fraction(tau) - 1)) for tau in np.linspace(1.1, 4.0, 17)])
+        for phi, tau, t in cases:
+            report = phi(tau, float(t))
+            if t <= Fraction(float(t)):
+                assert report.value == 0.0 and report.threshold_active
+            else:
+                assert 0.0 < report.value <= 1e-30 and not report.threshold_active
 
 
 def test_08c_strong_converse_limit():

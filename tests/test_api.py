@@ -57,7 +57,8 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 # of the package.  Each rule has one owner; a new entry is a decision to share a
 # helper, made here, not a second copy of the rule.
 PRIVATE_IMPORTS = {
-    "capacity": {("convergence", "_diamond_bound"), ("peeling", "_protocol_form")},
+    "capacity": {("convergence", "_diamond_bound"), ("peeling", "_check_count"),
+                 ("peeling", "_protocol_form")},
     "channels": {("symplectic", "_checked"), ("symplectic", "_readonly")},
     "convergence": {("fidelity", "_b1_witness_infidelity"), ("fidelity", "_b2_infidelity"),
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_row")},

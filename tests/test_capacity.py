@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _helpers import phi_mp
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, UnsupportedFormError,
                              ValidationError,
@@ -112,6 +114,82 @@ class TestPhiAdd:
             phi_add(-0.1)
 
 
+EPS = 2.0 ** -52
+C_ROUND = 64  # the factor 1 + c (n + 2) eps of capacity._phi
+
+
+def _gap(formula, *args):
+    """The exact rational gap d to the threshold: t - nbar, or 1 - xi."""
+    if formula == "additive":
+        return 1 - Fraction(args[0])
+    tau, nbar = (Fraction(x) for x in args)
+    return (tau / (1 - tau) if formula == "loss" else 1 / (tau - 1)) - nbar
+
+
+def _near(phi, formula, tau, rel):
+    """The case (phi, (tau, nbar)) with nbar at relative distance rel below
+    the threshold of tau (above it for rel < 0)."""
+    return phi, (tau, float(_gap(formula, tau, 0.0) * (1 - Fraction(rel))))
+
+
+_REL = st.builds(lambda s, e: s * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                 st.floats(-15.0, -1.0))
+_NBAR = st.one_of(st.just(0.0), st.floats(0.0, 5.0), st.floats(0.0, 1e6),
+                  st.builds(lambda e: 10.0 ** e, st.floats(-15.0, 6.0)))
+
+
+_THRESHOLD_T = st.builds(lambda e: 10.0 ** e, st.floats(-15.0, 6.0))
+PHI_CASES = st.one_of(
+    st.builds(lambda t, rel: _near(phi_loss, "loss", t / (1.0 + t), rel), _THRESHOLD_T, _REL),
+    st.builds(lambda t, rel: _near(phi_amp, "amplifier", 1.0 + 1.0 / t, rel), _THRESHOLD_T,
+              _REL),
+    st.tuples(st.just(phi_loss), st.tuples(
+        st.one_of(st.just(1e-15), st.just(1.0 - 1e-15), st.floats(1e-15, 1.0 - 1e-15)),
+        _NBAR)),
+    st.tuples(st.just(phi_amp), st.tuples(
+        st.builds(lambda e: 1.0 + 10.0 ** e, st.floats(-15.0, 3.0)), _NBAR)),
+    st.tuples(st.just(phi_add), st.tuples(st.one_of(
+        st.builds(lambda e: 10.0 ** e, st.floats(-300.0, 0.0)),
+        st.builds(lambda e: 1.0 - 10.0 ** e, st.floats(-16.0, -1.0)),
+        st.builds(lambda e: 1.0 + 10.0 ** e, st.floats(-15.0, -1.0))))))
+
+
+class TestPhiDirection:
+    """Phi is an upper bound: never below the 60-digit PLOB value, never
+    negative, at most 2c (n + 2) eps above it, and zero with
+    ``threshold_active`` exactly when the rational gap is <= 0."""
+
+    @given(PHI_CASES)
+    @example((phi_loss, (0.0005, 0.0005 / (1.0 - 0.0005))))
+    @example((phi_loss, (1e-12, 0.0)))
+    @example((phi_add, (1e-300,)))
+    @example((phi_add, (1.0 - 2.0 ** -53,)))
+    @settings(max_examples=400, deadline=None)
+    def test_never_below_the_reference(self, case):
+        phi, args = case
+        report = phi(*args)
+        want = phi_mp(report.formula, *args)
+        n = args[1] if len(args) == 2 else 0.0
+        assert report.threshold_active == (_gap(report.formula, *args) <= 0)
+        assert report.value >= 0.0 and report.value >= want
+        if want == 0:
+            assert report.value == 0.0
+        else:
+            assert report.value <= want * (1 + 2 * C_ROUND * (n + 2) * EPS)
+
+    def test_small_transmissivity(self):
+        # log2(1 - tau) formed directly lost 2.2e-5 of the value here
+        want = 1.4426950408896846e-12
+        assert want <= phi_loss(1e-12, 0.0).value <= want * (1 + 2 * C_ROUND * 2 * EPS)
+
+    @pytest.mark.parametrize("phi, args", [
+        (phi_loss, (0.5, math.nan)), (phi_loss, (0.5, math.inf)), (phi_amp, (math.nan, 0.0)),
+        (phi_amp, (math.inf, 0.0)), (phi_add, (math.nan,)), (phi_add, (math.inf,))])
+    def test_non_finite_inputs_rejected(self, phi, args):
+        with pytest.raises(DomainError):
+            phi(*args)
+
+
 class TestCEpsilon:
     def test_small_eps_limit(self):
         assert c_epsilon(1e-12) == pytest.approx(math.log2(6.0), abs=1e-9)
@@ -163,12 +241,27 @@ class TestStrongConverseBound:
             assert strong_converse_bound(0.7, 0.2, n, 0.3) >= 0.7
 
     def test_domains(self):
-        with pytest.raises(DomainError):
-            strong_converse_bound(1.0, 0.0, 0, 0.1)
-        with pytest.raises(DomainError):
-            strong_converse_bound(1.0, -1.0, 10, 0.1)
-        with pytest.raises(DomainError):
-            strong_converse_bound(1.0, 0.0, 10, 1.0)
+        cases = [
+            ((1.0, 0.0, 0, 0.1), "channel uses must be >= 1, got 0"),
+            ((1.0, -1.0, 10, 0.1), "variance parameter must be non-negative, got -1.0"),
+            ((1.0, 0.0, 10, 1.0), "security parameter must lie in (0, 1), got 1.0"),
+            ((1.0, 0.0, 2.5, 0.1), "channel uses must be an integer, got 2.5"),
+            ((1.0, 0.0, True, 0.1), "channel uses must be an integer, got True"),
+            ((1.0, 0.0, math.nan, 0.1), "channel uses must be an integer, got nan"),
+            ((math.nan, 0.0, 10, 0.1), "key-capacity term must be finite, got nan"),
+            ((math.inf, 0.0, 10, 0.1), "key-capacity term must be finite, got inf"),
+            ((1.0, math.nan, 10, 0.1), "variance parameter must be finite, got nan"),
+            ((1.0, math.inf, 10, 0.1), "variance parameter must be finite, got inf"),
+            ((1.0, -math.inf, 10, 0.1), "variance parameter must be non-negative, got -inf"),
+            ((1.0, 0.0, 10, math.nan), "security parameter must lie in (0, 1), got nan")]
+        for args, msg in cases:
+            with pytest.raises(DomainError) as info:
+                strong_converse_bound(*args)
+            assert str(info.value) == msg
+
+    def test_numpy_integer_uses(self):
+        assert strong_converse_bound(1.0, 0.0, np.int64(10), 0.1) == strong_converse_bound(
+            1.0, 0.0, 10, 0.1)
 
 
 def attenuator(tau=0.5, nbar=0.0):
@@ -195,6 +288,8 @@ KEY_ERRORS = [
      UnsupportedFormError, _unsupported("A1")),
     ((canonical_channel(form_from_fields(CanonicalClass.D, tau=-0.5, nbar=0.5)),
       0, 1.5, 0.5, -1.0), UnsupportedFormError, _unsupported("D")),
+    ((GaussianChannel.identity(), 0.5, 1.5, 0.5, -1.0), DomainError,
+     "round count must be an integer, got 0.5"),
     ((GaussianChannel.identity(), 0, 1.5, 0.5, -1.0), DomainError,
      "round count must be >= 1, got 0"),
     ((GaussianChannel.identity(), 3, 1.5, 0.5, -1.0), NoUniformBoundError,
@@ -204,6 +299,10 @@ KEY_ERRORS = [
     ((attenuator(), 3, 1.5, 20.0, -1.0), DomainError, "both error terms must lie in [0, 1]"),
     ((attenuator(), 3, 0.1, 20.0, -1.0), DomainError,
      "variance parameter must be non-negative, got -1.0"),
+    ((attenuator(), 3, 0.1, 20.0, math.nan), DomainError,
+     "variance parameter must be finite, got nan"),
+    ((attenuator(), 3, 0.1, 20.0, math.inf), DomainError,
+     "variance parameter must be finite, got inf"),
 ]
 
 

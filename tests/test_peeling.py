@@ -32,6 +32,7 @@ TOPOLOGY_MSG = "topology must be one of ('bounded_uniform', 'uniform', 'strong')
 ENERGY_MSG = "bounded_uniform topology requires a finite energy bound"
 UNIFORM_RANK_MSG = "uniform topology requires a full-rank noise matrix"
 MU_MSG = "resource variance must be finite with mu >= 1, got 0.5"
+PARAMS_MSG = "unknown params ['R']; expected a subset of ['a', 'c', 'energy_bound', 'r']"
 
 
 class TestPeelBound:
@@ -64,6 +65,8 @@ class TestPeelBound:
             peel_bound(2, 0.1, "weak")
 
     @pytest.mark.parametrize("n, delta, topology, msg", [
+        (2.5, 0.1, "weak", "round count must be an integer, got 2.5"),
+        (True, 0.1, "weak", "round count must be an integer, got True"),
         (0, 0.1, "weak", ROUNDS_MSG),
         (3, 2.5, "weak", TOPOLOGY_MSG),
         (3, 2.5, "uniform", "per-use trace-distance error must lie in [0, 2], got 2.5"),
@@ -84,12 +87,20 @@ class TestAdaptiveProtocolSpec:
     def test_bounded_uniform_requires_energy(self):
         with pytest.raises(DomainError):
             AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="bounded_uniform")
+        for bad in (-5.0, "5", True, math.nan):
+            with pytest.raises(DomainError):
+                AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="bounded_uniform",
+                                     energy_bound=bad)
         spec = AdaptiveProtocolSpec(rounds=2, channel=attenuator(),
                                     topology="bounded_uniform", energy_bound=10.0)
         assert spec.energy_bound == 10.0
 
     def test_strong_is_unrestricted(self):
         spec = AdaptiveProtocolSpec(rounds=3, channel=attenuator(), topology="strong")
+        assert spec.rounds == 3
+
+    def test_numpy_integer_rounds(self):
+        spec = AdaptiveProtocolSpec(rounds=np.int64(3), channel=attenuator(), topology="strong")
         assert spec.rounds == 3
 
 
@@ -136,12 +147,18 @@ class TestEpsilonTpBound:
 
 # (n, mu, channel, topology, params) and the error epsilon_tp_bound raises;
 # each input also fails every check after the one it is listed for, so the
-# table pins the order: round count, topology, energy bound, classification,
-# the uniform rank criterion, mu, and the rank-deficient class of the bound
+# table pins the order: an unknown params key, round count, topology, energy
+# bound, classification, the uniform rank criterion, mu, and the
+# rank-deficient class of the bound
 EPS_TP_ERRORS = [
+    ((0.5, 0.5, UNPHYSICAL, "weak", {"R": 3.0}), DomainError, PARAMS_MSG),
+    ((0.5, 0.5, UNPHYSICAL, "weak", {}), DomainError, "round count must be an integer, got 0.5"),
     ((0, 0.5, UNPHYSICAL, "weak", {}), DomainError, ROUNDS_MSG),
     ((3, 0.5, UNPHYSICAL, "weak", {}), DomainError, TOPOLOGY_MSG),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {}), DomainError, ENERGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": "5"}), DomainError, ENERGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": -5.0}), DomainError,
+     "energy bound must be >= 0, got -5.0"),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": 4.0}), ValidationError,
      UNPHYSICAL_MSG),
     ((3, 0.5, UNPHYSICAL, "uniform", {}), ValidationError, UNPHYSICAL_MSG),
