@@ -31,7 +31,6 @@ from .peeling import _check_count, _protocol_form
 
 __all__ = [
     "BoundReport",
-    "entropic_h",
     "phi_loss",
     "phi_amp",
     "phi_add",
@@ -60,16 +59,6 @@ class BoundReport:
     inputs: dict
     threshold_active: bool = False
     unbounded: bool = False
-
-
-def entropic_h(x: float) -> float:
-    """``h(x) = (x + 1) log2(x + 1) - x log2 x``, with h(0) = 0 by limit."""
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"entropic function requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
 def _m(x: float) -> float:
@@ -174,11 +163,21 @@ def c_epsilon(eps: float) -> float:
 
 def overall_error(eps: float, eps_tp: float) -> float:
     """Combined security-plus-simulation error
-    ``min{1, (sqrt(eps) + sqrt(eps_tp))^2}``."""
+    ``min{1, (sqrt(eps) + sqrt(eps_tp))^2}``, rounded up; eps itself at
+    eps_tp = 0.  With u = 2^-53, the roots, their sum and the square leave
+    the square within ``(1 -/+ u)^5`` of the exact value, so a factor
+    ``1 + c 2^-52`` rounded by u lifts it above once
+    ``(1 - u)^6 (1 + 2c u) > 1``: c = 4, with an excess below ``8 * 2^-52``.
+    The added 2^-1072 covers a subnormal square's 2^-1075 absolute rounding
+    and is lost above 2^-1019.
+    """
     eps, eps_tp = float(eps), float(eps_tp)
     if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_tp <= 1.0:
         raise DomainError("both error terms must lie in [0, 1]")
-    return min(1.0, (math.sqrt(eps) + math.sqrt(eps_tp)) ** 2)
+    if eps_tp == 0.0:
+        return eps
+    root = math.sqrt(eps) + math.sqrt(eps_tp)
+    return min(1.0, root * root * (1.0 + 4.0 * _EPS) + 2.0 ** -1072)
 
 
 def strong_converse_bound(phi: float, v: float, n: int, eps: float) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "canonical_matrices",
     "canonical_channel",
     "form_from_fields",
-    "channel_rank",
     "channel_from_dict",
     "channel_to_dict",
 ]
@@ -193,14 +192,6 @@ def _snap_noise(p: float) -> float:
     return 0.0 if p < 1e-11 else p
 
 
-def channel_rank(ch: GaussianChannel, tol: float | None = None) -> float:
-    """The invariant r = rank(T) rank(N) / 2, with numeric ranks: T's counts
-    its singular values above the threshold, N's its eigenvalues (see
-    :func:`_noise_invariants`)."""
-    _require_valid(ch, tol)
-    return _numeric_rank(ch.t, tol) * _noise_invariants(ch.n, tol)[0] / 2.0
-
-
 def _sqrt_det(n: np.ndarray) -> float:
     """``sqrt(max(det N, 0))`` of a finite symmetric 2x2 N, from numpy's
     ``det``.  Up to ``max|N| = 2^511``, ``|det N| <= 2 max|N|^2`` cannot
@@ -264,7 +255,7 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     """
     _require_valid(ch, tol)
     boundary = _TAU_BOUNDARY if tol is None else tol
-    tau = float(np.linalg.det(ch.t))
+    tau = ch.tau
     rank_t = _numeric_rank(ch.t, tol)
     rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
 

@@ -19,8 +19,7 @@ Scan config    {"channel": ..., "grid": {"param": "mu"|"mu_tilde", "start": ...,
 
 classify, convergence, peel and capacity take a --tol flag: one number that
 replaces every default tolerance of the classification (symmetry 1e-12,
-physicality 1e-9, rank 1e-10, tau boundary 1e-9).  The environment variable
-BOSONIC_TELESIM_TOL does the same when --tol is absent.  apply, simulate and
+physicality 1e-9, rank 1e-10, tau boundary 1e-9).  apply, simulate and
 fidelity use none.
 """
 
@@ -31,7 +30,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -127,18 +125,9 @@ def _state_to_dict(state: GaussianState) -> dict:
 
 
 def _tolerances(args) -> float | None:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        env = os.environ.get("BOSONIC_TELESIM_TOL")
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise _CliInputError(
-                    f"BOSONIC_TELESIM_TOL is not a number: {env!r}") from None
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise _CliInputError(f"tolerance must be positive and finite, got {tol}")
-    return tol
+    if args.tol is not None and not 0.0 < args.tol < math.inf:
+        raise _CliInputError(f"tolerance must be positive and finite, got {args.tol}")
+    return args.tol
 
 
 def _cmd_classify(args) -> int:
@@ -299,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
-                        help="one tolerance for every classification check "
-                             "(takes precedence over BOSONIC_TELESIM_TOL)")
+                        help="one tolerance for every classification check")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", parents=[common],

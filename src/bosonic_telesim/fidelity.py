@@ -265,12 +265,11 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     teleporter's added noise; ``F^4 mu_tilde`` of the witness closed form
     approaches it with a relative correction O(1/mu_tilde).
 
-    ``a^2 + c^2`` (of the row scaled by ``2^-k``, ``2^k > max(|a|, |c|)``)
-    and xi are brought to a common exponent e, the larger in ``[1/4, 2)``;
-    the xi of the denominator is its mantissa, and squares are products.  The
-    quotient is scaled back by the exact ``2^-(e + e_xi)``, so no intermediate
-    leaves float64 range: a gamma below it rounds to a subnormal or 0, and
-    one beyond it raises :class:`OverflowError`.
+    In integers from the exact ratios ``a = n_a/d_a``, ``c = n_c/d_c`` and
+    ``xi = p/q``, with ``a^2 + c^2 = num/den``, gamma is
+    ``8 (num q + p den) den q^2 / [p (2 num q + p den)^2]``, rounded once by
+    the correctly rounded ``int / int``: a gamma below float64 range rounds
+    to a subnormal or 0, and one beyond it raises :class:`OverflowError`.
     """
     a, c, xi = float(a), float(c), float(xi)
     if not 0.0 <= xi < math.inf:
@@ -278,14 +277,11 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     if xi == 0.0:
         raise SingularCoefficientError("gamma diverges at xi = 0 (exact simulation)")
     _frame_row(a, c)
-    k = math.frexp(max(abs(a), abs(c)))[1]
-    a, c = math.ldexp(a, -k), math.ldexp(c, -k)
-    m_xi, e_xi = math.frexp(xi)
-    e = max(2 * k, e_xi)
-    s, x = math.ldexp(a * a + c * c, 2 * k - e), math.ldexp(m_xi, e_xi - e)
-    d = s + 0.5 * x
+    (n_a, d_a), (n_c, d_c), (p, q) = (a.as_integer_ratio(), c.as_integer_ratio(),
+                                      xi.as_integer_ratio())
+    num, den = (n_a * d_c) ** 2 + (n_c * d_a) ** 2, (d_a * d_c) ** 2
     try:
-        return math.ldexp(2.0 * (s + x) / (m_xi * (d * d)), -e - e_xi)
+        return 8 * (num * q + p * den) * den * q * q / (p * (2 * num * q + p * den) ** 2)
     except OverflowError:
         raise OverflowError(f"gamma beyond float64 range at xi = {xi:g}") from None
 

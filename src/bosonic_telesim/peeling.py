@@ -29,7 +29,6 @@ from .teleportation import simulate_channel
 
 __all__ = [
     "TOPOLOGIES",
-    "AdaptiveProtocolSpec",
     "PeelingBound",
     "TwoRoundReport",
     "peel_bound",
@@ -39,26 +38,6 @@ __all__ = [
 
 TOPOLOGIES = ("bounded_uniform", "uniform", "strong")
 _PARAMS = frozenset({"energy_bound", "r", "a", "c"})
-
-
-@dataclasses.dataclass(frozen=True)
-class AdaptiveProtocolSpec:
-    """Validated description of an n-round adaptive protocol over a channel.
-
-    The uniform topology demands a full-rank noise matrix (otherwise no
-    energy-independent bound exists); the bounded-uniform topology demands a
-    finite energy bound on the input alphabet.  ``tol`` decides the rank.
-    """
-
-    rounds: int
-    channel: GaussianChannel
-    topology: str
-    energy_bound: float | None = None
-    tol: float | None = None
-
-    def __post_init__(self):
-        _protocol_form(self.rounds, self.channel, self.topology, self.energy_bound,
-                       self.tol)
 
 
 def _check_count(n, name: str) -> None:
@@ -80,13 +59,13 @@ def _check_schedule(rounds: int, topology: str) -> None:
 
 def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound,
                    tol: float | None,
-                   form: CanonicalForm | None = None) -> CanonicalForm | None:
-    """The checks of :class:`AdaptiveProtocolSpec`, in order: the round count,
-    the topology, the energy bound of the bounded-uniform topology (a finite
-    real, then >= 0), then the rank criterion of the uniform topology.  The
-    criterion reads ``form``, or classifies ``ch`` under ``tol`` once the
-    earlier checks pass.  Returns the form, or None when it was neither given
-    nor needed."""
+                   form: CanonicalForm | None = None) -> CanonicalForm:
+    """The checks of an n-round adaptive protocol over ``ch``, in order: the
+    round count, the topology, the energy bound of the bounded-uniform
+    topology (a finite real, then >= 0), then the rank criterion of the
+    uniform topology, which demands a full-rank noise matrix (otherwise no
+    energy-independent bound exists).  Returns ``form``, or ``ch`` classified
+    under ``tol`` once the earlier checks pass."""
     _check_schedule(rounds, topology)
     if topology == "bounded_uniform":
         if (isinstance(energy_bound, bool) or not isinstance(energy_bound, numbers.Real)
@@ -94,12 +73,10 @@ def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound
             raise DomainError("bounded_uniform topology requires a finite energy bound")
         if energy_bound < 0:
             raise DomainError(f"energy bound must be >= 0, got {energy_bound}")
-    if topology == "uniform":
-        if form is None:
-            form = classify(ch, tol)
-        if _noise_rank(form) != 2:
-            raise NoUniformBoundError(
-                "uniform topology requires a full-rank noise matrix")
+    if form is None:
+        form = classify(ch, tol)
+    if topology == "uniform" and _noise_rank(form) != 2:
+        raise NoUniformBoundError("uniform topology requires a full-rank noise matrix")
     return form
 
 
@@ -136,15 +113,13 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     reaches the one classification, which serves both the topology check and
     the diamond bound.  The checks and their errors are, in order: a
     ``params`` key outside energy_bound, r, a and c, those of
-    :class:`AdaptiveProtocolSpec`, then those of :func:`diamond_upper_bound`.
+    :func:`_protocol_form`, then those of :func:`diamond_upper_bound`.
     """
     params = dict(params or {})
     if params.keys() - _PARAMS:
         raise DomainError(f"unknown params {sorted(params.keys() - _PARAMS)}; "
                           f"expected a subset of {sorted(_PARAMS)}")
     form = _protocol_form(n, ch, topology, params.get("energy_bound"), tol)
-    if form is None:
-        form = classify(ch, tol)
     delta = _diamond_bound(form, mu, params.get("r", 1.0), params.get("a", 1.0),
                            params.get("c", 0.0))
     return n * delta / 2.0

@@ -30,10 +30,13 @@ class TestExports:
         declared = set().union(*(mod.__all__ for mod in LAYERS))
         assert exported == declared | _classes(errors)
 
-    # names that only tests used; the generators now live in tests/_helpers.py
+    # names that only tests used: the generators now live in tests/_helpers.py;
+    # the protocol checks are epsilon_tp_bound's, the rank r is classify's, and
+    # capacity._phi evaluates the key capacity without the entropic h
     @pytest.mark.parametrize("name", ["bloch_messiah_2x2", "BlochMessiah2x2",
                                       "bures_distance", "random_symplectic",
-                                      "random_state"])
+                                      "random_state", "AdaptiveProtocolSpec",
+                                      "entropic_h", "channel_rank"])
     def test_test_only_names_not_exported(self, name):
         with pytest.raises(ImportError):
             exec(f"from bosonic_telesim import {name}", {})

@@ -9,32 +9,11 @@ from hypothesis import strategies as st
 from _helpers import phi_mp
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, UnsupportedFormError,
-                             ValidationError,
+                             ValidationError, capacity,
                              c_epsilon, canonical_channel, corrected_key_bound,
-                             diamond_upper_bound, entropic_h, epsilon_tp_bound,
+                             diamond_upper_bound, epsilon_tp_bound,
                              form_from_fields, overall_error, phi_add, phi_amp,
                              phi_loss, strong_converse_bound)
-
-
-class TestEntropicH:
-    def test_zero(self):
-        assert entropic_h(0.0) == 0.0
-
-    def test_unit(self):
-        assert entropic_h(1.0) == pytest.approx(2.0, abs=1e-15)
-
-    def test_three(self):
-        assert entropic_h(3.0) == pytest.approx(8.0 - 3.0 * math.log2(3.0), abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            entropic_h(-0.1)
-
-    @given(st.floats(min_value=0.0, max_value=1e3),
-           st.floats(min_value=1e-3, max_value=10.0))
-    @settings(max_examples=200, deadline=None)
-    def test_increasing(self, x, step):
-        assert entropic_h(x + step) > entropic_h(x)
 
 
 class TestPhiLoss:
@@ -221,6 +200,27 @@ class TestOverallError:
         with pytest.raises(DomainError):
             overall_error(1.5, 0.0)
 
+    def test_no_simulation_error_is_eps_exactly(self):
+        # sqrt(eps) ** 2 fell below eps for 518 of these
+        for eps in np.linspace(0.01, 0.5, 2000).tolist():
+            assert overall_error(eps, 0.0) == eps, eps
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(0.2, 1e-300)
+    @example(3 * 2.0 ** -1074, 2.0 ** -1074)  # a subnormal square: (sqrt(3) + 1)^2 2^-1074
+    @example(0.25, 0.25)
+    @settings(max_examples=300, deadline=None)
+    def test_rounded_up_against_60_digits(self, eps, eps_tp):
+        # never below the exact value, and at most 2c eps = 8 eps relative
+        # above it (or 2^-1071 absolute, below float64's normal range)
+        import mpmath as mp
+        value = overall_error(eps, eps_tp)
+        with mp.workdps(60):
+            exact = (mp.mpf(eps) if eps_tp == 0.0 else
+                     min(1, (mp.sqrt(eps) + mp.sqrt(eps_tp)) ** 2))
+            assert exact <= value <= exact * (1 + 8 * 2.0 ** -52) + 2.0 ** -1071, (
+                eps, eps_tp, value)
+
 
 class TestStrongConverseBound:
     def test_pure_loss_arithmetic(self):
@@ -387,6 +387,23 @@ class TestCorrectedKeyBound:
             ch = canonical_channel(form_from_fields(tag, **kwargs))
             with pytest.raises(UnsupportedFormError):
                 corrected_key_bound(ch, 10, 0.1, 100.0)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.06882941470735367])
+    @pytest.mark.parametrize("mu", [1e6, 1e9])
+    def test_never_below_clean_bound(self, eps, mu):
+        # at mu = 1e9 the diamond bound cancels to eps_tp = 0.0, where
+        # sqrt(eps) ** 2 gave eps_overall 0.19999999999999998, and for
+        # 0.06882941470735367 an excess over the clean bound of -2.8e-17
+        report = corrected_key_bound(attenuator(0.5, 0.5), 100, eps, mu)
+        assert report.inputs["eps_overall"] >= eps
+        assert report.inputs["excess_over_clean"] >= 0.0
+
+    def test_zero_simulation_error_gives_the_clean_bound(self, monkeypatch):
+        monkeypatch.setattr(capacity, "_diamond_bound", lambda *args: 0.0)
+        report = corrected_key_bound(attenuator(0.5, 0.5), 100, 0.2, 1e6)
+        assert report.inputs["eps_tp"] == 0.0 and report.inputs["eps_overall"] == 0.2
+        assert report.value == report.inputs["clean_bound"]
+        assert report.inputs["excess_over_clean"] == 0.0
 
     def test_variance_term_propagates(self):
         with_v = corrected_key_bound(attenuator(), 100, 0.1, 1e8, v=1.0)

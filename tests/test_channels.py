@@ -13,8 +13,8 @@ from _helpers import (apply_channel_dense, conjugated_channel, numeric_rank_np,
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              ClassificationAmbiguousError, GaussianChannel,
                              ValidationError, apply_channel, canonical_channel,
-                             canonical_matrices, channel_from_dict, channel_rank,
-                             channel_to_dict, classify, compose, form_from_fields,
+                             canonical_matrices, channel_from_dict, channel_to_dict,
+                             classify, compose, form_from_fields,
                              thermal_state, tmsv_state, validate_channel)
 from bosonic_telesim.channels import _numeric_rank
 from bosonic_telesim.convergence import decide_uniform
@@ -65,7 +65,7 @@ class TestCheckOnce:
         messages = set()
         for _ in range(3):
             assert not validate_channel(ch)
-            for use in (classify, channel_rank, lambda c: apply_channel(c, thermal_state(1.0)),
+            for use in (classify, lambda c: apply_channel(c, thermal_state(1.0)),
                         lambda c: compose(c, GaussianChannel.identity()),
                         lambda c: compose(GaussianChannel.identity(), c)):
                 with pytest.raises(ValidationError) as info:
@@ -263,13 +263,13 @@ class TestClassify:
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 assert classify(ch) == CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
-                assert channel_rank(ch) == 1.0
+                assert classify(ch).r == 1
                 assert decide_uniform(ch).reason == "B1: rank(N)=1"
         # full rank with an overflowing l+ stays full rank, l- = 7e307 above
         # the scaled threshold; a rank-1 N whose l+ fits keeps its route
         full = GaussianChannel(I2, np.array([[1.7e308, 1e308], [1e308, 1.7e308]]))
         assert classify(full).tag is CanonicalClass.B2
-        assert channel_rank(full) == 2.0
+        assert classify(full).r == 2
         assert classify(GaussianChannel(I2, np.full((2, 2), 8e307))).tag is CanonicalClass.B1
 
     def test_noise_without_a_positive_determinant_is_not_full_rank(self):
@@ -278,7 +278,7 @@ class TestClassify:
         ch = GaussianChannel(I2, np.diag([1.0, -5e-10]))
         assert validate_channel(ch)
         assert classify(ch) == CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
-        assert channel_rank(ch) == 1.0
+        assert classify(ch).r == 1
         # det T off 1 beyond the boundary, no class with rank(N) = 1 matches
         off = GaussianChannel(np.sqrt(1.0 + 1e-5) * I2, np.diag([1.0, -5e-10]))
         assert validate_channel(off)
@@ -292,7 +292,7 @@ class TestClassify:
         ident = GaussianChannel(I2, -5e-10 * I2)
         assert validate_channel(ident)
         assert classify(ident) == CanonicalForm(CanonicalClass.B2_Id, 1.0, 0, 0.0)
-        assert channel_rank(ident) == 0.0
+        assert classify(ident).r == 0
         # one eigenvalue of 5e-10 above the threshold, one below 0: still B1
         assert classify(GaussianChannel(I2, np.diag([5e-10, -5e-10]))).tag is CanonicalClass.B1
 
@@ -335,13 +335,13 @@ class TestNoiseDeterminant:
             scale = 10.0 ** rng.uniform(-3.0, 300.0)
             unit = GaussianChannel(s_b @ s_a, scale * (s_b @ np.diag([1.0, 0.0]) @ s_b.T))
             assert classify(unit) == b1
-            assert channel_rank(unit) == 1.0
+            assert classify(unit).r == 1
             assert decide_uniform(unit).reason == "B1: rank(N)=1"
             for n in (np.zeros((2, 2)), -5e-10 * I2,
                       1e-12 * (s_b @ np.diag([1.0, 0.3]) @ s_b.T)):
                 none = GaussianChannel(s_b @ s_a, n)
                 assert classify(none) == identity
-                assert channel_rank(none) == 0.0
+                assert classify(none).r == 0
 
     def test_full_rank_noise_takes_one_determinant(self, monkeypatch):
         from bosonic_telesim import channels
@@ -392,17 +392,17 @@ class TestCanonicalMatrices:
 
 class TestChannelRank:
     def test_identity(self):
-        assert channel_rank(GaussianChannel.identity()) == 0.0
+        assert classify(GaussianChannel.identity()).r == 0
 
     def test_unit_rank(self):
-        assert channel_rank(GaussianChannel(I2, np.diag([0.0, 1.0]))) == 1.0
+        assert classify(GaussianChannel(I2, np.diag([0.0, 1.0]))).r == 1
 
     def test_full_rank_classes(self, rng):
         for tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
             form = sample_form(rng)
             while form.tag is not tag:
                 form = sample_form(rng)
-            assert channel_rank(canonical_channel(form)) == 2.0
+            assert classify(canonical_channel(form)).r == 2
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -427,8 +427,7 @@ class TestChannelRank:
             thr = (1e-10 if tol is None else tol) * max(abs(eigs[0]), abs(eigs[1]), 1)
             assume(all(abs(lam - thr) > 0.01 * thr for lam in eigs))
             rank = sum(1 for lam in eigs if lam > thr)
-        assert channel_rank(ch, tol) == rank  # T = I has rank 2
-        assert classify(ch, tol).r == rank
+        assert classify(ch, tol).r == rank  # T = I has rank 2
         if min(lams) > 0.0:  # positive-semidefinite: the singular values agree
             assert _numeric_rank(ch.n, tol) == rank
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import fidelity_mp, loglog_slope, random_state, random_symplectic
@@ -745,8 +745,13 @@ class TestB1Gamma:
         with pytest.raises(OverflowError):
             b1_gamma(a, c, xi)
 
+    # (a, c, xi) = (1, 1e-9, 2.154434690031884) and
+    # (1e-9, 0.03162277660168379, 0.9999999999999994) were 2.8 and 4.15 ulp
+    # off, beyond 2^-51 relative, when gamma took about six float roundings
     @given(st.floats(-320.0, 308.0), st.floats(-320.0, 308.0), st.booleans(),
            st.floats(-320.0, 308.0))
+    @example(0.0, -9.0, False, 1.0 / 3.0)
+    @example(-9.0, -1.5, False, -2.4108186663832183e-16)
     @settings(max_examples=300, deadline=None)
     def test_matches_40_digits(self, log_a, log_c, negative, log_xi):
         a, c, xi = 10.0 ** log_a, 10.0 ** log_c, 10.0 ** log_xi

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bosonic_telesim import (AdaptiveProtocolSpec, CanonicalClass, DomainError,
-                             GaussianChannel, NoUniformBoundError,
+from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel, NoUniformBoundError,
                              ValidationError, apply_affine, apply_channel,
                              canonical_channel, diamond_upper_bound,
                              epsilon_tp_bound, form_from_fields, gaussian_fidelity,
@@ -78,32 +77,6 @@ class TestPeelBound:
         assert type(info.value) is DomainError and str(info.value) == msg
 
 
-class TestAdaptiveProtocolSpec:
-    def test_uniform_requires_full_rank_noise(self):
-        with pytest.raises(NoUniformBoundError):
-            AdaptiveProtocolSpec(rounds=2, channel=GaussianChannel.identity(),
-                                 topology="uniform")
-
-    def test_bounded_uniform_requires_energy(self):
-        with pytest.raises(DomainError):
-            AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="bounded_uniform")
-        for bad in (-5.0, "5", True, math.nan):
-            with pytest.raises(DomainError):
-                AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="bounded_uniform",
-                                     energy_bound=bad)
-        spec = AdaptiveProtocolSpec(rounds=2, channel=attenuator(),
-                                    topology="bounded_uniform", energy_bound=10.0)
-        assert spec.energy_bound == 10.0
-
-    def test_strong_is_unrestricted(self):
-        spec = AdaptiveProtocolSpec(rounds=3, channel=attenuator(), topology="strong")
-        assert spec.rounds == 3
-
-    def test_numpy_integer_rounds(self):
-        spec = AdaptiveProtocolSpec(rounds=np.int64(3), channel=attenuator(), topology="strong")
-        assert spec.rounds == 3
-
-
 class TestEpsilonTpBound:
     def test_vanishes_with_resource(self):
         values = [epsilon_tp_bound(10, mu, attenuator(), "uniform") for mu in
@@ -114,6 +87,10 @@ class TestEpsilonTpBound:
     def test_linear_in_rounds(self):
         one = epsilon_tp_bound(1, 100.0, attenuator(), "uniform")
         assert epsilon_tp_bound(2, 100.0, attenuator(), "uniform") == pytest.approx(2 * one)
+
+    def test_numpy_integer_rounds(self):
+        assert epsilon_tp_bound(np.int64(3), 20.0, attenuator(), "strong") == epsilon_tp_bound(
+            3, 20.0, attenuator(), "strong")
 
     def test_is_half_the_peel_total(self):
         mu = 50.0
@@ -157,6 +134,9 @@ EPS_TP_ERRORS = [
     ((3, 0.5, UNPHYSICAL, "weak", {}), DomainError, TOPOLOGY_MSG),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {}), DomainError, ENERGY_MSG),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": "5"}), DomainError, ENERGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": True}), DomainError, ENERGY_MSG),
+    ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": math.nan}), DomainError,
+     ENERGY_MSG),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": -5.0}), DomainError,
      "energy bound must be >= 0, got -5.0"),
     ((3, 0.5, UNPHYSICAL, "bounded_uniform", {"energy_bound": 4.0}), ValidationError,
@@ -199,12 +179,6 @@ class TestSingleClassification:
                 epsilon_tp_bound(2, 10.0, ch, topology, params, tol=tol)
         else:
             epsilon_tp_bound(2, 10.0, ch, topology, params, tol=tol)
-        assert len(classify_calls) == 1
-
-    def test_spec_classifies_only_for_the_uniform_topology(self, classify_calls):
-        AdaptiveProtocolSpec(rounds=2, channel=UNPHYSICAL, topology="strong")
-        assert classify_calls == []
-        AdaptiveProtocolSpec(rounds=2, channel=attenuator(), topology="uniform")
         assert len(classify_calls) == 1
 
 
