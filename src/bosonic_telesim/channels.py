@@ -5,19 +5,23 @@ A channel is the triple (T, N, d) acting on first and second moments as
 ``mean -> T mean + d`` and ``V -> T V T^T + N``.  It is physical iff
 ``N + i (1 - det T) Omega >= 0``, i.e. N >= 0 and ``det N >= (det T - 1)^2``.
 Up to input/output Gaussian unitaries every such channel reduces to one of
-eight canonical classes, uniquely fixed by the invariants ``tau = det T`` and
-the channel rank ``r = rank(T) rank(N) / 2``:
+eight canonical classes, uniquely fixed by the invariants ``tau = det T``,
+rank(T) and rank(N), with channel rank ``r = rank(T) rank(N) / 2``:
 
-    tau     r   class   T_c             N_c
-    0       0   A1      0               (2 nbar + 1) I
-    0       1   A2      (I + Z)/2       (2 nbar + 1) I
-    1       1   B1      I               (I - Z)/2
-    1       2   B2      I               xi I
-    1       0   B2_Id   I               0
-    (0,1)   2   C_Att   sqrt(tau) I     (1 - tau)(2 nbar + 1) I
-    > 1     2   C_Amp   sqrt(tau) I     (tau - 1)(2 nbar + 1) I
-    < 0     2   D       sqrt(-tau) Z    (1 - tau)(2 nbar + 1) I
+    tau         r   class   T_c             N_c
+    = 0         0   A1      0               (2 nbar + 1) I
+    = 0         1   A2      (I + Z)/2       (2 nbar + 1) I
+    = 1         1   B1      I               (I - Z)/2
+    = 1         2   B2      I               xi I
+    = 1         0   B2_Id   I               0
+    in (0, 1)   2   C_Att   sqrt(tau) I     (1 - tau)(2 nbar + 1) I
+    > 1         2   C_Amp   sqrt(tau) I     (tau - 1)(2 nbar + 1) I
+    < 0         2   D       sqrt(-tau) Z    (1 - tau)(2 nbar + 1) I
 
+The table is the classifier.  Each :class:`CanonicalClass` member carries its
+row (tau, rank T, rank N and its spec fields); :func:`classify` is one lookup
+of ``(tau, rank T, rank N)``, and a canonical spec or :func:`form_from_fields`
+takes exactly the row's fields (a free tau, nbar or xi) and rejects any other.
 Displacements are carried along but never affect classification.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import numbers
 
 import numpy as np
 
@@ -53,14 +58,43 @@ _Z = np.diag([1.0, -1.0])
 
 
 class CanonicalClass(str, enum.Enum):
-    A1 = "A1"
-    A2 = "A2"
-    B1 = "B1"
-    B2_Id = "B2_Id"
-    B2 = "B2"
-    C_Att = "C_Att"
-    C_Amp = "C_Amp"
-    D = "D"
+    """A canonical class, carrying its row of the module's table: ``region``,
+    the tau column ("= 0" and "= 1" fix tau to ``fixed_tau``, the other
+    regions leave it free and ``fixed_tau`` None), ``rank_t``, ``rank_n``,
+    ``r = rank_t rank_n / 2`` and ``fields``, the keys of its canonical spec
+    besides "class"."""
+
+    #        tag        tau           rank T  rank N  spec fields
+    A1 =    ("A1",      "= 0",        0,      2,      ("nbar",))
+    A2 =    ("A2",      "= 0",        1,      2,      ("nbar",))
+    B1 =    ("B1",      "= 1",        2,      1,      ())
+    B2_Id = ("B2_Id",   "= 1",        2,      0,      ())
+    B2 =    ("B2",      "= 1",        2,      2,      ("xi",))
+    C_Att = ("C_Att",   "in (0, 1)",  2,      2,      ("tau", "nbar"))
+    C_Amp = ("C_Amp",   "> 1",        2,      2,      ("tau", "nbar"))
+    D =     ("D",       "< 0",        2,      2,      ("tau", "nbar"))
+
+    def __new__(cls, tag, region, rank_t, rank_n, fields):
+        member = str.__new__(cls, tag)
+        member._value_ = tag
+        member.region, member.rank_t, member.rank_n = region, rank_t, rank_n
+        member.fields = fields
+        member.fixed_tau = {"= 0": 0.0, "= 1": 1.0}.get(region)
+        member.r = rank_t * rank_n // 2
+        return member
+
+
+def _tau_region(tau: float, boundary: float) -> str:
+    """The tau column of the class table that tau falls in: "= 0" or "= 1"
+    within ``boundary`` of it, else "< 0", "in (0, 1)" or "> 1" (NaN too)."""
+    if abs(tau) <= boundary:
+        return "= 0"
+    if abs(tau - 1.0) <= boundary:
+        return "= 1"
+    return "< 0" if tau < 0.0 else "in (0, 1)" if tau < 1.0 else "> 1"
+
+
+_BY_INVARIANTS = {(c.region, c.rank_t, c.rank_n): c for c in CanonicalClass}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,47 +282,31 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     numeric ranks of T (its singular values above the threshold) and of N
     (its eigenvalues above it: N is symmetric, and a negative eigenvalue
     inside the physicality slack is no noise), and sqrt(det N) for the noise
-    scale.  Invariant combinations matching no class row raise
-    :class:`ClassificationAmbiguousError` with diagnostics.  ``tol`` replaces
-    every default tolerance of the decision: those of :func:`validate_channel`,
-    the rank threshold 1e-10 and the tau boundary 1e-9.
+    scale.  The class is the table row of ``(tau region, rank T, rank N)``; a
+    combination that no row has raises :class:`ClassificationAmbiguousError`
+    with diagnostics.  A class with a fixed tau reports it exactly.  ``tol``
+    replaces every default tolerance of the decision: those of
+    :func:`validate_channel`, the rank threshold 1e-10 and the tau boundary
+    1e-9.
     """
     _require_valid(ch, tol)
-    boundary = _TAU_BOUNDARY if tol is None else tol
     tau = ch.tau
     rank_t = _numeric_rank(ch.t, tol)
     rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
-
-    def ambiguous(msg):
-        raise ClassificationAmbiguousError(msg, {
-            "tau": tau, "rank_t": rank_t, "rank_n": rank_n,
-            "sqrt_det_n": _sqrt_det(ch.n) if sqrt_det_n is None else sqrt_det_n})
-
-    if abs(tau) <= boundary:
-        if rank_n != 2:
-            ambiguous("tau = 0 requires a full-rank noise matrix")
-        nbar = _snap_noise(max(0.5 * (sqrt_det_n - 1.0), 0.0))
-        if rank_t == 0:
-            return CanonicalForm(CanonicalClass.A1, 0.0, 0, nbar)
-        if rank_t == 1:
-            return CanonicalForm(CanonicalClass.A2, 0.0, 1, nbar)
-        ambiguous("det T = 0 but T has numeric rank 2")
-    if abs(tau - 1.0) <= boundary:
-        if rank_t != 2:
-            ambiguous("tau = 1 requires an invertible T")
-        if rank_n == 0:
-            return CanonicalForm(CanonicalClass.B2_Id, 1.0, 0, 0.0)
-        if rank_n == 1:
-            return CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
-        return CanonicalForm(CanonicalClass.B2, 1.0, 2, sqrt_det_n)
-    if rank_t != 2 or rank_n != 2:
-        ambiguous("tau not in {0, 1} requires full-rank T and N")
-    nbar = _snap_noise(max(0.5 * (sqrt_det_n / abs(1.0 - tau) - 1.0), 0.0))
-    if tau < 0.0:
-        return CanonicalForm(CanonicalClass.D, tau, 2, nbar)
-    if tau < 1.0:
-        return CanonicalForm(CanonicalClass.C_Att, tau, 2, nbar)
-    return CanonicalForm(CanonicalClass.C_Amp, tau, 2, nbar)
+    region = _tau_region(tau, _TAU_BOUNDARY if tol is None else tol)
+    tag = _BY_INVARIANTS.get((region, rank_t, rank_n))
+    if tag is None:
+        raise ClassificationAmbiguousError(
+            f"no canonical class has tau {region}, rank(T) = {rank_t} and rank(N) = {rank_n}",
+            {"tau": tau, "rank_t": rank_t, "rank_n": rank_n,
+             "sqrt_det_n": _sqrt_det(ch.n) if sqrt_det_n is None else sqrt_det_n})
+    if tag.fixed_tau is not None:
+        tau = tag.fixed_tau
+    if "nbar" in tag.fields:
+        noise = _snap_noise(max(0.5 * (sqrt_det_n / abs(1.0 - tau) - 1.0), 0.0))
+    else:
+        noise = sqrt_det_n if "xi" in tag.fields else 0.0
+    return CanonicalForm(tag, tau, tag.r, noise)
 
 
 def canonical_matrices(form: CanonicalForm):
@@ -320,74 +338,56 @@ def canonical_channel(form: CanonicalForm) -> GaussianChannel:
 # --- JSON-facing channel spec -------------------------------------------------
 #
 # Raw form:        {"t": [[..], [..]], "n": [[..], [..]], "d": [..]}
-# Canonical form:  {"class": "C_Att", "tau": 0.5, "nbar": 0.0}
-#                  {"class": "C_Amp", "tau": 2.0, "nbar": 0.0}
-#                  {"class": "D", "tau": -1.0, "nbar": 0.0}
-#                  {"class": "A1", "nbar": 0.0} / {"class": "A2", "nbar": 0.0}
-#                  {"class": "B2", "xi": 0.1}
-#                  {"class": "B1"} / {"class": "B2_Id"}
-
-_CANONICAL_KEYS = {
-    CanonicalClass.A1: {"nbar"},
-    CanonicalClass.A2: {"nbar"},
-    CanonicalClass.B1: set(),
-    CanonicalClass.B2_Id: set(),
-    CanonicalClass.B2: {"xi"},
-    CanonicalClass.C_Att: {"tau", "nbar"},
-    CanonicalClass.C_Amp: {"tau", "nbar"},
-    CanonicalClass.D: {"tau", "nbar"},
-}
-
-_FIXED_TAU = {CanonicalClass.A1: 0.0, CanonicalClass.A2: 0.0,
-              CanonicalClass.B1: 1.0, CanonicalClass.B2_Id: 1.0,
-              CanonicalClass.B2: 1.0}
-_FIXED_RANK = {CanonicalClass.A1: 0, CanonicalClass.A2: 1, CanonicalClass.B1: 1,
-               CanonicalClass.B2_Id: 0, CanonicalClass.B2: 2,
-               CanonicalClass.C_Att: 2, CanonicalClass.C_Amp: 2, CanonicalClass.D: 2}
+# Canonical form:  {"class": tag, ...the fields of its row}, such as
+#                  {"class": "C_Att", "tau": 0.5, "nbar": 0.0} or {"class": "B1"}
 
 
 def form_from_fields(tag: CanonicalClass, tau: float | None = None,
                      nbar: float = 0.0, xi: float = 0.0) -> CanonicalForm:
-    """Build a CanonicalForm from user-facing fields, with domain checks."""
-    if tag in _FIXED_TAU:
-        tau = _FIXED_TAU[tag]
+    """Build a CanonicalForm from user-facing fields, checked against the
+    class's row before any array is formed.  Each field must be a real
+    number, not a bool (so a JSON string or null is an input error); a field
+    outside the row must keep its default (tau None, nbar and xi 0.0); a free
+    tau must be given, finite and in the row's region (the rule of
+    :func:`classify` at boundary 0); nbar and xi must be finite and
+    non-negative.  Each check raises :class:`DomainError`."""
+    for name, value in (("tau", 0.0 if tau is None else tau), ("nbar", nbar), ("xi", xi)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+    given = {"tau": tau is not None, "nbar": nbar != 0.0, "xi": xi != 0.0}
+    stray = [name for name in given if given[name] and name not in tag.fields]
+    if stray:
+        raise DomainError(f"class {tag.value} has no field {', '.join(stray)}")
+    if tag.fixed_tau is not None:
+        tau = tag.fixed_tau
     elif tau is None:
         raise DomainError(f"class {tag.value} requires a tau value")
     tau = float(tau)
-    if tag is CanonicalClass.C_Att and not 0.0 < tau < 1.0:
-        raise DomainError(f"C_Att requires tau in (0, 1), got {tau}")
-    if tag is CanonicalClass.C_Amp and not tau > 1.0:
-        raise DomainError(f"C_Amp requires tau > 1, got {tau}")
-    if tag is CanonicalClass.D and not tau < 0.0:
-        raise DomainError(f"D requires tau < 0, got {tau}")
-    if nbar < 0.0:
-        raise DomainError(f"nbar must be non-negative, got {nbar}")
-    if xi < 0.0:
-        raise DomainError(f"xi must be non-negative, got {xi}")
-    noise = float(xi) if tag is CanonicalClass.B2 else float(nbar)
-    if tag in (CanonicalClass.B1, CanonicalClass.B2_Id):
-        noise = 0.0
-    return CanonicalForm(tag, tau, _FIXED_RANK[tag], noise)
+    if not (math.isfinite(tau) and _tau_region(tau, 0.0) == tag.region):
+        raise DomainError(f"class {tag.value} requires a finite tau {tag.region}, got {tau}")
+    for name, value in (("nbar", nbar), ("xi", xi)):
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"{name} must be finite and non-negative, got {value}")
+    noise = float(xi) if "xi" in tag.fields else float(nbar) if "nbar" in tag.fields else 0.0
+    return CanonicalForm(tag, tau, tag.r, noise)
 
 
 def channel_from_dict(spec: dict) -> GaussianChannel:
-    """Parse the JSON-facing channel spec (raw or canonical, strict keys)."""
+    """Parse the JSON-facing channel spec (raw or canonical, strict keys: a
+    canonical spec has "class" and its row's fields, nothing else)."""
     if not isinstance(spec, dict):
         raise ValidationError("channel spec must be a JSON object")
     if "class" in spec:
-        extra = set(spec) - {"class", "tau", "nbar", "xi"}
-        if extra:
-            raise ValidationError(f"unknown channel spec keys: {sorted(extra)}")
         try:
             tag = CanonicalClass(spec["class"])
         except ValueError:
             raise ValidationError(f"unknown canonical class {spec['class']!r}") from None
-        stray = set(spec) - {"class", "tau"} - _CANONICAL_KEYS[tag]
+        stray = set(spec) - {"class", *tag.fields}
         if stray:
             raise ValidationError(
                 f"keys {sorted(stray)} not allowed for class {tag.value}")
-        return canonical_channel(form_from_fields(
-            tag, spec.get("tau"), spec.get("nbar", 0.0), spec.get("xi", 0.0)))
+        return canonical_channel(form_from_fields(tag, **{k: spec[k] for k in tag.fields
+                                                          if k in spec}))
     extra = set(spec) - {"t", "n", "d"}
     if extra:
         raise ValidationError(f"unknown channel spec keys: {sorted(extra)}")

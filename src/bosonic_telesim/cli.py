@@ -134,10 +134,9 @@ def _cmd_classify(args) -> int:
     tol = _tolerances(args)
     ch = channel_from_dict(_load_json_arg(args.channel))
     form = classify(ch, tol)
-    verdict = decide_uniform(ch, tol=tol)
     print(_emit_json({"class": form.tag.value, "tau": form.tau, "r": form.r,
                       "noise_param": form.noise_param,
-                      "uniform_convergence": verdict.uniform}))
+                      "uniform_convergence": form.tag.rank_n == 2}))
     return EXIT_OK
 
 

@@ -40,23 +40,16 @@ class ConvergenceVerdict:
     reason: str
 
 
-def _noise_rank(form: CanonicalForm) -> int:
-    """rank(N) of a canonical form: 0 for the identity, 1 for B1, else 2."""
-    return {CanonicalClass.B2_Id: 0, CanonicalClass.B1: 1}.get(form.tag, 2)
-
-
 def decide_uniform(ch: GaussianChannel,
                    tol: float | None = None) -> ConvergenceVerdict:
     """Uniform convergence holds iff rank(N) = 2.
 
-    The verdict is decided symbolically from the classification;
+    The verdict is read from the rank(N) of the channel's class row;
     :func:`convergence_scan` samples the upper-bound curve over a grid.
     """
-    form = classify(ch, tol)
-    rank_n = _noise_rank(form)
-    uniform = rank_n == 2
-    reason = f"{form.tag.value}: rank(N)={rank_n}"
-    return ConvergenceVerdict(uniform=uniform, reason=reason)
+    tag = classify(ch, tol).tag
+    return ConvergenceVerdict(uniform=tag.rank_n == 2,
+                              reason=f"{tag.value}: rank(N)={tag.rank_n}")
 
 
 def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,

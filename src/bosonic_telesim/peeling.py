@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 
 from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
-from .convergence import _diamond_bound, _noise_rank, diamond_upper_bound
+from .convergence import _diamond_bound, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
 from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, apply_affine,
@@ -75,7 +75,7 @@ def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound
             raise DomainError(f"energy bound must be >= 0, got {energy_bound}")
     if form is None:
         form = classify(ch, tol)
-    if topology == "uniform" and _noise_rank(form) != 2:
+    if topology == "uniform" and form.tag.rank_n != 2:
         raise NoUniformBoundError("uniform topology requires a full-rank noise matrix")
     return form
 

@@ -67,8 +67,7 @@ PRIVATE_IMPORTS = {
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_row")},
     "dilation": {("symplectic", "_self_check_tol")},
     "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
-    "peeling": {("convergence", "_diamond_bound"), ("convergence", "_noise_rank"),
-                ("symplectic", "_self_check_tol")},
+    "peeling": {("convergence", "_diamond_bound"), ("symplectic", "_self_check_tol")},
     "teleportation": {("symplectic", "_self_check_tol")},
 }
 
@@ -156,6 +155,11 @@ class TestPrivateImports:
         assert not {name for _, name in taken} & {"_B1_ROUND_DOWN", "_identity_witness"}
         assert hasattr(convergence, "_B1_ROUND_DOWN") and not hasattr(fidelity, "_B1_ROUND_DOWN")
         assert not hasattr(fidelity, "_identity_witness")
+        # the class table is owned by the CanonicalClass rows: no side table
+        # of fixed tau, rank or spec keys, and no second rank(N) map
+        for name in ("_FIXED_TAU", "_FIXED_RANK", "_CANONICAL_KEYS"):
+            assert not hasattr(channels, name)
+        assert not hasattr(convergence, "_noise_rank")
 
     def test_walker_sees_each_form_of_import(self):
         source = ("from .fidelity import _new, fid_env_C\n"

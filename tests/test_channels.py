@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -11,7 +12,7 @@ from _helpers import (apply_channel_dense, conjugated_channel, numeric_rank_np,
                       random_state, random_symplectic, raw_channel_specs, sample_form,
                       symmetric_eigenvalues_mp)
 from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
-                             ClassificationAmbiguousError, GaussianChannel,
+                             ClassificationAmbiguousError, DomainError, GaussianChannel,
                              ValidationError, apply_channel, canonical_channel,
                              canonical_matrices, channel_from_dict, channel_to_dict,
                              classify, compose, form_from_fields,
@@ -470,6 +471,132 @@ class TestNumericRank:
         rank = _numeric_rank(t, tol)
         assert type(rank) is int
         assert rank == numeric_rank_np(t, tol)
+
+
+# the paper's table, written out independently of CanonicalClass:
+# tag: (tau, rank T, rank N, r, spec fields, a valid set of fields)
+CLASS_TABLE = {
+    "A1": ("= 0", 0, 2, 0, ("nbar",), {"nbar": 0.3}),
+    "A2": ("= 0", 1, 2, 1, ("nbar",), {"nbar": 0.3}),
+    "B1": ("= 1", 2, 1, 1, (), {}),
+    "B2_Id": ("= 1", 2, 0, 0, (), {}),
+    "B2": ("= 1", 2, 2, 2, ("xi",), {"xi": 0.2}),
+    "C_Att": ("in (0, 1)", 2, 2, 2, ("tau", "nbar"), {"tau": 0.4, "nbar": 0.3}),
+    "C_Amp": ("> 1", 2, 2, 2, ("tau", "nbar"), {"tau": 2.5, "nbar": 0.3}),
+    "D": ("< 0", 2, 2, 2, ("tau", "nbar"), {"tau": -1.5, "nbar": 0.3}),
+}
+
+
+class TestClassTable:
+    def test_eight_distinct_rows(self):
+        assert {tag.value for tag in CanonicalClass} == set(CLASS_TABLE)
+        keys = {(tag.region, tag.rank_t, tag.rank_n) for tag in CanonicalClass}
+        assert len(keys) == 8
+
+    @pytest.mark.parametrize("name", list(CLASS_TABLE))
+    def test_row(self, name):
+        region, rank_t, rank_n, r, fields, _ = CLASS_TABLE[name]
+        tag = CanonicalClass(name)
+        assert (tag.region, tag.rank_t, tag.rank_n, tag.r, tag.fields) == (
+            region, rank_t, rank_n, r, fields)
+        assert tag.r == rank_t * rank_n / 2
+        assert tag.fixed_tau == {"= 0": 0.0, "= 1": 1.0}.get(region)
+        assert ("tau" in tag.fields) is (tag.fixed_tau is None)
+
+    @pytest.mark.parametrize("name", list(CLASS_TABLE))
+    def test_classify_reads_the_row(self, name):
+        *_, fields = CLASS_TABLE[name]
+        tag = CanonicalClass(name)
+        ch = canonical_channel(form_from_fields(tag, **fields))
+        form = classify(ch)
+        assert (form.tag, form.r) == (tag, tag.r)
+        # a fixed tau is reported exactly, a free one within roundoff of sqrt(tau)^2
+        assert form.tau == pytest.approx(fields.get("tau", tag.fixed_tau), rel=1e-15)
+        assert tag.fixed_tau is None or form.tau == tag.fixed_tau
+        assert decide_uniform(ch).uniform is (tag.rank_n == 2)
+        assert channel_from_dict({"class": name, **fields}).t.tolist() == ch.t.tolist()
+
+    @pytest.mark.parametrize("t, n, message", [
+        (np.diag([1e-6, 1e-6]), 2.0 * I2, "tau = 0, rank(T) = 2 and rank(N) = 2"),
+        (np.sqrt(1.0 + 1e-5) * I2, np.diag([1.0, -5e-10]),
+         "tau > 1, rank(T) = 2 and rank(N) = 1"),
+    ])
+    def test_a_key_no_row_has_is_ambiguous(self, t, n, message):
+        with pytest.raises(ClassificationAmbiguousError, match=re.escape(message)) as err:
+            classify(GaussianChannel(t, n))
+        assert list(err.value.diagnostics) == ["tau", "rank_t", "rank_n", "sqrt_det_n"]
+
+
+class TestFormFromFields:
+    @pytest.mark.parametrize("tag, fields", [
+        (CanonicalClass.A1, {"tau": 0.7}),
+        (CanonicalClass.A2, {"tau": 0.3}),
+        (CanonicalClass.A2, {"xi": 0.1}),
+        (CanonicalClass.B1, {"nbar": 3.0, "xi": 2.0}),
+        (CanonicalClass.B1, {"xi": 2.0}),
+        (CanonicalClass.B2_Id, {"nbar": 1.0}),
+        (CanonicalClass.B2, {"tau": 5.0, "xi": 0.1}),
+        (CanonicalClass.B2, {"nbar": 0.5, "xi": 0.1}),
+        (CanonicalClass.C_Att, {"tau": 0.5, "xi": 0.1}),
+        (CanonicalClass.D, {"tau": -1.0, "xi": 0.1}),
+    ])
+    def test_a_field_outside_the_row_raises(self, tag, fields):
+        with pytest.raises(DomainError, match=f"class {tag.value} has no field"):
+            form_from_fields(tag, **fields)
+        spec = {"class": tag.value, **fields}
+        with pytest.raises(ValidationError, match=f"not allowed for class {tag.value}"):
+            channel_from_dict(spec)
+
+    @pytest.mark.parametrize("tag", list(CanonicalClass))
+    def test_defaults_of_absent_fields_are_accepted(self, tag):
+        # the defaults stand for an absent field, as callers pass them
+        form = form_from_fields(tag, **{"tau": None, "nbar": 0.0, "xi": 0.0,
+                                        **CLASS_TABLE[tag.value][5]})
+        assert form.tag is tag
+
+    @pytest.mark.parametrize("tag, fields", [
+        (CanonicalClass.A1, {"nbar": math.nan}),
+        (CanonicalClass.A2, {"nbar": math.inf}),
+        (CanonicalClass.B2, {"xi": math.nan}),
+        (CanonicalClass.B2, {"xi": math.inf}),
+        (CanonicalClass.C_Att, {"tau": 0.5, "nbar": math.nan}),
+        (CanonicalClass.C_Att, {"tau": math.nan}),
+        (CanonicalClass.C_Amp, {"tau": math.inf}),
+        (CanonicalClass.C_Amp, {"tau": math.nan}),
+        (CanonicalClass.D, {"tau": -math.inf}),
+        (CanonicalClass.D, {"tau": -1.0, "nbar": math.inf}),
+    ])
+    def test_non_finite_fields_raise_before_any_array(self, tag, fields):
+        # no form is returned, so canonical_channel never multiplies a NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                form_from_fields(tag, **fields)
+
+    @pytest.mark.parametrize("tag, fields", [
+        (CanonicalClass.A1, {"nbar": "0.5"}),
+        (CanonicalClass.A1, {"nbar": None}),
+        (CanonicalClass.B2, {"xi": True}),
+        (CanonicalClass.C_Att, {"tau": "0.5"}),
+        (CanonicalClass.B1, {"xi": [1.0]}),
+    ])
+    def test_non_real_fields_raise(self, tag, fields):
+        with pytest.raises(DomainError, match="must be a real number"):
+            form_from_fields(tag, **fields)
+
+    @pytest.mark.parametrize("tag, tau", [
+        (CanonicalClass.C_Att, 0.0), (CanonicalClass.C_Att, 1.0), (CanonicalClass.C_Amp, 1.0),
+        (CanonicalClass.C_Amp, 0.5), (CanonicalClass.D, 0.0), (CanonicalClass.D, -0.0),
+    ])
+    def test_tau_outside_the_region_raises(self, tag, tau):
+        with pytest.raises(DomainError, match=f"class {tag.value} requires a finite tau"):
+            form_from_fields(tag, tau=tau)
+
+    @pytest.mark.parametrize("tag", [CanonicalClass.C_Att, CanonicalClass.C_Amp,
+                                     CanonicalClass.D])
+    def test_a_free_tau_is_required(self, tag):
+        with pytest.raises(DomainError, match="requires a tau value"):
+            form_from_fields(tag)
 
 
 class TestJsonSpec:

@@ -72,9 +72,41 @@ class TestClassify:
         assert json.loads(out) == {"class": "B1", "tau": 1.0, "r": 1, "noise_param": 0.0,
                                    "uniform_convergence": False}
 
-    def test_unknown_spec_key(self, capsys):
-        code, _, err = run(capsys, "classify", "--channel", '{"class": "B2", "foo": 1}')
+    # a key outside the class's row, unknown anywhere or another class's field
+    @pytest.mark.parametrize("spec", ['{"class": "B2", "foo": 1}',
+                                      '{"class": "A1", "tau": 0.7}',
+                                      '{"class": "B2", "tau": 5.0, "xi": 0.1}',
+                                      '{"class": "B1", "nbar": 3.0}'])
+    def test_unknown_spec_key(self, capsys, spec):
+        code, out, err = run(capsys, "classify", "--channel", spec)
         assert code == 2
+        assert out == ""
+        assert "not allowed for class" in err
+
+    @pytest.mark.parametrize("spec", ['{"class": "A1", "nbar": "0.5"}',
+                                      '{"class": "A2", "nbar": null}',
+                                      '{"class": "C_Att", "tau": "0.5", "nbar": 0}'])
+    def test_non_numeric_field_rejected(self, capsys, spec):
+        code, out, err = run(capsys, "classify", "--channel", spec)
+        assert code == 2
+        assert out == ""
+        assert "must be a real number" in err
+
+    @pytest.mark.parametrize("spec, row", [
+        ('{"class": "A1", "nbar": 0.5}', ("A1", 0, True)),
+        ('{"class": "A2", "nbar": 0.5}', ("A2", 1, True)),
+        ('{"class": "B1"}', ("B1", 1, False)),
+        ('{"class": "B2_Id"}', ("B2_Id", 0, False)),
+        ('{"class": "B2", "xi": 0.1}', ("B2", 2, True)),
+        ('{"class": "C_Att", "tau": 0.5, "nbar": 0.5}', ("C_Att", 2, True)),
+        ('{"class": "C_Amp", "tau": 2.0, "nbar": 0.5}', ("C_Amp", 2, True)),
+        ('{"class": "D", "tau": -1.0, "nbar": 0.5}', ("D", 2, True)),
+    ])
+    def test_canonical_specs_print_their_row(self, capsys, spec, row):
+        code, out, _ = run(capsys, "classify", "--channel", spec)
+        assert code == 0
+        record = json.loads(out)
+        assert (record["class"], record["r"], record["uniform_convergence"]) == row
 
     @pytest.mark.parametrize("spec", ['{"class": "C_Att", "tau": 0.5, "nbar": NaN}',
                                       '{"class": "B2", "xi": Infinity}'])
