@@ -290,7 +290,7 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     1e-9.
     """
     _require_valid(ch, tol)
-    tau = ch.tau
+    tol, tau = None if tol is None else float(tol), ch.tau  # a numpy tol counts ranks as np.bool_
     rank_t = _numeric_rank(ch.t, tol)
     rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
     region = _tau_region(tau, _TAU_BOUNDARY if tol is None else tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Mapping
 from itertools import repeat
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import _b1_witness_infidelity, _b2_infidelity, fid_env_A2, fid_env_C
+from .symplectic import _real
 from .teleportation import _env_gamma, _frame_row, bk_added_noise
 
 __all__ = [
@@ -100,7 +102,7 @@ def nonuniform_witness(mu: float, mu_tilde: float) -> float:
     ``1 - F`` (see :func:`_identity_witness`), rounded down by 2^-45
     relative so that it never exceeds the exact value.
     """
-    return _witness_column(mu, (mu_tilde,))[1][0]
+    return _witness_column(mu, _as_grid((mu_tilde,)))[0][0]
 
 
 def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
@@ -114,7 +116,7 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
     form, rounded down by 2^-45 relative so that it never exceeds the exact
     value.
     """
-    return _witness_column(mu, (mu_tilde,), (a, c))[1][0]
+    return _witness_column(mu, _as_grid((mu_tilde,)), (a, c))[0][0]
 
 
 # Inward rounding of the witnesses, B1's ``2 (1 - F^2) / (1 + F)`` and the
@@ -135,59 +137,44 @@ def _identity_witness(mu_tilde, xi):
     return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN
 
 
-def _witness_column(mu: float, grid, row: tuple | None = None):
-    """``(mu_tilde, witness, xi)``: float lists over the mu_tilde of ``grid``
-    at resource mu, in one array pass, and the ``xi = bk_added_noise(mu)``
-    they used (None when no row is valid): the B1 witness of the input-frame
-    row ``row = (a, c)``, or the identity witness for ``row=None``.
+def _as_grid(grid) -> np.ndarray:
+    """``grid`` converted once by ``np.asarray(grid, dtype=float)``; a grid
+    that does not convert, or is not 1-D, raises :class:`DomainError`."""
+    try:
+        m = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"grid does not convert to floats: {exc}") from None
+    if m.ndim != 1:
+        raise DomainError(f"grid must be one-dimensional, got shape {m.shape}")
+    return m
 
-    The closed forms use only + - * / and sqrt, so each element equals the
-    one-point evaluation bit for bit.  The error raised is the one the rows
-    would raise checked one after another: for each row its conversion by
-    ``float`` and its ``mu_tilde >= 1``, then (at the first row) the row
-    ``(a, c)`` and mu, then its witness.  An empty grid checks nothing.  A
-    1-D float64 array (``np.geomspace``, ``np.linspace``) holds the floats
-    already and converts as one ``tolist``.
-    """
-    unconverted = None
-    if type(grid) is np.ndarray and grid.dtype == np.float64 and grid.ndim == 1:
-        m, mu_tilde = grid, grid.tolist()
-    else:
-        mu_tilde = []
-        try:
-            for x in grid:
-                mu_tilde.append(float(x))
-        except (TypeError, ValueError, OverflowError) as exc:
-            unconverted = exc
-        m = np.array(mu_tilde)
-    n_valid, witness, xi = len(mu_tilde), [], None
-    with np.errstate(all="ignore"):  # a NaN row or a non-finite B1 row is rejected below
-        # min and max propagate NaN: both pass only when every row is finite and >= 1
-        if n_valid and not (m.min() >= 1.0 and m.max() < math.inf):
-            n_valid = int((np.isfinite(m) & (m >= 1.0)).argmin())
-            m = m[:n_valid]
-        if n_valid:
-            if row is not None:
-                a, c = row
-                _frame_row(a, c)
-            xi = bk_added_noise(mu)
-            if row is None:
-                witness = _identity_witness(m, float(xi))
-            else:
-                infidelity, f2 = _b1_witness_infidelity(m, float(xi), a, c)
-                # both are sums of positive terms, >= 0 or NaN, so their
-                # difference is finite exactly where both are
-                if not np.isfinite(infidelity - f2).all():
-                    raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
-                                      "completion S overflows float64")
-                witness = np.minimum(
-                    2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
-            witness = witness.tolist()
-    if n_valid < len(mu_tilde):
-        raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde[n_valid]}")
-    if unconverted is not None:
-        raise unconverted
-    return mu_tilde, witness, xi
+
+def _witness_column(mu: float, m: np.ndarray, row: tuple | None = None):
+    """``(witness, xi)``: the B1 witness of the input-frame row ``(a, c)``
+    (the identity witness for ``row=None``) at resource mu over the 1-D
+    float array ``m`` of mu_tilde, as a float list from one array pass, and
+    the ``xi = bk_added_noise(mu)`` it used.  Only + - * / and sqrt touch
+    ``m``, so each element equals the one-point evaluation bit for bit.
+    Checked in order: the row, mu, then the whole column (finite, >= 1),
+    whose first bad entry the error names."""
+    if row is not None:
+        a, c = _frame_row(*row)
+    xi = bk_added_noise(mu)
+    with np.errstate(all="ignore"):  # a NaN entry or a non-finite B1 row is rejected below
+        # min and max propagate NaN: both pass only when every entry is finite and >= 1
+        if m.size and not (m.min() >= 1.0 and m.max() < math.inf):
+            bad = m[(np.isfinite(m) & (m >= 1.0)).argmin()]
+            raise DomainError(f"mu_tilde must be finite and >= 1, got {bad}")
+        if row is None:
+            return _identity_witness(m, xi).tolist(), xi
+        infidelity, f2 = _b1_witness_infidelity(m, xi, a, c)
+        # both are sums of positive terms, >= 0 or NaN, so their difference
+        # is finite exactly where both are
+        if not np.isfinite(infidelity - f2).all():
+            raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
+                              "completion S overflows float64")
+        witness = np.minimum(2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
+    return witness.tolist(), xi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,6 +189,22 @@ class ScanRow:
     witness_lower_bound: float | None
 
 
+_WITNESS_PARAMS = frozenset({"mu", "a", "c", "r"})
+
+
+def _known_params(params, known: frozenset) -> dict:
+    """A dict copy of the mapping ``params`` (None: empty) whose keys lie in
+    ``known``; anything else raises :class:`DomainError`."""
+    if params is None:
+        return {}
+    if not isinstance(params, (dict, Mapping)):  # dict first: no ABC check
+        raise DomainError(f"params must be a mapping, got {type(params).__name__}")
+    if not params.keys() <= known:
+        raise DomainError(f"unknown params {sorted(params.keys() - known, key=str)}; "
+                          f"expected a subset of {sorted(known)}")
+    return dict(params)
+
+
 def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = None,
                      tol: float | None = None):
     """Tabulate the convergence diagnostics of a channel over a grid.
@@ -210,25 +213,26 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     the rows carry the diamond upper bound.  For rank-deficient channels the
     grid sweeps the witness energy mu_tilde at fixed mu (``witness_params``:
     mu, and a, c for the unit-rank class; r for the dilation frame) and the
-    rows carry the witness lower bound.  The witness column is one array pass
-    over the grid, each row bit-identical to :func:`b1_witness_bound` or
-    :func:`nonuniform_witness` at its point, and a bad row raises what those
-    would raise for the first bad row.  An empty grid yields an empty table.
+    rows carry the witness lower bound.  Checked in order: the keys of
+    ``witness_params`` and their values (real, not bool), the grid
+    (converted once to a 1-D float array), the classification under ``tol``,
+    then each full-rank row in turn, or the witness column in one pass, each
+    row bit-identical to :func:`b1_witness_bound` or :func:`nonuniform_witness`.
     """
-    params = dict(witness_params or {})
+    params = {key: _real(x, f"witness param {key!r}")
+              for key, x in _known_params(witness_params, _WITNESS_PARAMS).items()}
+    m = _as_grid(grid)
     form = classify(ch, tol)
-    verdict = decide_uniform(ch, tol=tol)
-    if verdict.uniform:
-        r = params.get("r", 1.0)
-        a, c = params.get("a", 1.0), params.get("c", 0.0)
-        return _scan_rows((float(mu), None, bk_added_noise(mu),
+    if decide_uniform(ch, tol=tol).uniform:
+        r, a, c = params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0)
+        return _scan_rows((mu, None, bk_added_noise(mu),
                            diamond_upper_bound(ch, mu, r=r, a=a, c=c, tol=tol), None)
-                          for mu in grid)
-    mu = float(params.get("mu", 5.0))
+                          for mu in m.tolist())
+    mu = params.get("mu", 5.0)
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
-    mu_tilde, witness, xi = _witness_column(mu, grid, row)
-    return _scan_rows(zip(repeat(mu), mu_tilde, repeat(xi), repeat(None), witness))
+    witness, xi = _witness_column(mu, m, row)
+    return _scan_rows(zip(repeat(mu), m.tolist(), repeat(xi), repeat(None), witness))
 
 
 def _scan_rows(values) -> list:

@@ -234,10 +234,10 @@ def fid_env_C(gamma: float, omega: float, r: float) -> float:
     (the Bures metric is second order in the perturbation), so the derived
     trace-norm bound ``2 sqrt(1 - F^2)`` is linear in gamma.
     """
-    gamma, omega, r = float(gamma), float(omega), float(r)
+    gamma, omega = float(gamma), float(omega)
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
-    _frame_r(r)
+    r = _frame_r(r)
     inv = 1.0 / r  # products, not ``**``: libm pow raises OverflowError
     return _thermal_pair_fidelity(omega, omega + gamma * (r * r), omega + gamma * (inv * inv))
 
@@ -246,10 +246,10 @@ def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
     """Environmental fidelity for the rank-one-transmission class: thermal
     state of variance omega against ``diag(xi (a^2 + c^2) + omega, omega)``,
     bit for bit as :func:`fid_env_C`."""
-    xi, omega, a, c = float(xi), float(omega), float(a), float(c)
+    xi, omega = float(xi), float(omega)
     if not xi >= 0.0:
         raise DomainError(f"xi must be non-negative, got {xi}")
-    _frame_row(a, c)
+    a, c = _frame_row(a, c)
     return _thermal_pair_fidelity(omega, xi * (a * a + c * c) + omega, omega)
 
 
@@ -271,12 +271,12 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     the correctly rounded ``int / int``: a gamma below float64 range rounds
     to a subnormal or 0, and one beyond it raises :class:`OverflowError`.
     """
-    a, c, xi = float(a), float(c), float(xi)
+    xi = float(xi)
     if not 0.0 <= xi < math.inf:
         raise DomainError(f"xi must be finite and non-negative, got {xi}")
     if xi == 0.0:
         raise SingularCoefficientError("gamma diverges at xi = 0 (exact simulation)")
-    _frame_row(a, c)
+    a, c = _frame_row(a, c)
     (n_a, d_a), (n_c, d_c), (p, q) = (a.as_integer_ratio(), c.as_integer_ratio(),
                                       xi.as_integer_ratio())
     num, den = (n_a * d_c) ** 2 + (n_c * d_a) ** 2, (d_a * d_c) ** 2
@@ -310,7 +310,7 @@ def _b2_infidelity(xi: float, xi_prime: float, r: float) -> float:
     sums of positive terms: no cancellation at any xi and no overflow at any
     r.  The result is rounded up by 2^-45 relative and capped at 1.
     """
-    _frame_r(r)
+    r = _frame_r(r)
     q = min(r, 1.0 / r) ** 2  # F is symmetric under r -> 1/r
     u = q / (1.0 + q * q)
     d = 2.0 * xi * xi_prime + u * (xi * xi + 4.0 * xi_prime * xi_prime)
@@ -331,7 +331,7 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     ``den = 2 a + r^2 (xi^2 + 4 xi'^2)``.  The infidelity vanishes
     quadratically as xi -> 0, making the trace-norm bound linear in xi.
     """
-    xi, xi_prime, r = float(xi), float(xi_prime), float(r)
+    xi, xi_prime = float(xi), float(xi_prime)
     if not (0.0 < xi < math.inf and 0.0 < xi_prime < math.inf):
         raise DomainError("both noise parameters must be positive and finite")
     return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, r)))

@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 
 from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
-from .convergence import _diamond_bound, diamond_upper_bound
+from .convergence import _diamond_bound, _known_params, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
 from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, apply_affine,
@@ -115,10 +115,7 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     ``params`` key outside energy_bound, r, a and c, those of
     :func:`_protocol_form`, then those of :func:`diamond_upper_bound`.
     """
-    params = dict(params or {})
-    if params.keys() - _PARAMS:
-        raise DomainError(f"unknown params {sorted(params.keys() - _PARAMS)}; "
-                          f"expected a subset of {sorted(_PARAMS)}")
+    params = _known_params(params, _PARAMS)
     form = _protocol_form(n, ch, topology, params.get("energy_bound"), tol)
     delta = _diamond_bound(form, mu, params.get("r", 1.0), params.get("a", 1.0),
                            params.get("c", 0.0))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -38,6 +39,13 @@ def _as_matrix(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _real(x, what: str) -> float:
+    """``float(x)`` of a real number that is not a bool, else :class:`DomainError`."""
+    if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):  # float: no ABC check
+        raise DomainError(f"{what} must be a real number, got {x!r}")
+    return float(x)
 
 
 def _check_even(dim: int) -> int:
@@ -193,7 +201,13 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
     would accept.  Where that certificate cannot decide (a failed pivot, or
     beyond that scale), one ``eigvalsh`` decides as before, and its
     eigenvalue is the one an error message reports.  The decision and the
-    returned matrix are the same either way."""
+    returned matrix are the same either way.
+
+    Every ``tol`` consumer meets ``tol`` here first, so this is its one
+    check: None, or a real non-bool in ``[0, 0.5)``; at 0.5 the tau = 0 and
+    tau = 1 bands of ``channels._tau_region`` meet."""
+    if tol is not None and not 0.0 <= _real(tol, "tolerance") < 0.5:  # NaN fails too
+        raise DomainError(f"tolerance must be None or a real number in [0, 0.5), got {tol!r}")
     single = m.shape == (2, 2)
     if single:
         (p, b), (c, q) = m.tolist()

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import (CanonicalClass, CanonicalForm, GaussianChannel,
                        apply_channel, compose)
 from .errors import DomainError, UnsupportedFormError, ValidationError
-from .symplectic import GaussianState, _self_check_tol, thermal_state, tmsv_state
+from .symplectic import GaussianState, _real, _self_check_tol, thermal_state, tmsv_state
 
 __all__ = [
     "BKParameters",
@@ -63,18 +63,22 @@ def _env_gamma(xi: float, tau: float) -> float:
     return gamma
 
 
-def _frame_r(r) -> None:
-    """Input-frame squeezing of the C, D and additive classes: r > 0, not NaN."""
+def _frame_r(r) -> float:
+    """Input-frame squeezing of the C, D and additive classes: real, > 0, not NaN."""
+    r = _real(r, "squeezing parameter")
     if not r > 0.0:
         raise DomainError(f"squeezing parameter must be positive, got {r}")
+    return r
 
 
-def _frame_row(a, c) -> None:
-    """Input-frame row of the A2 and unit-rank classes: finite, not (0, 0)."""
+def _frame_row(a, c) -> tuple:
+    """Input-frame row of the A2 and unit-rank classes: real, finite, not (0, 0)."""
+    a, c = _real(a, "witness row entry a"), _real(c, "witness row entry c")
     if not (math.isfinite(a) and math.isfinite(c)):
         raise DomainError(f"witness row (a, c) must be finite, got ({a}, {c})")
     if a == 0.0 and c == 0.0:
         raise DomainError("(a, c) = (0, 0) is outside the witness family")
+    return a, c
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +161,7 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     ``a, c`` are its first-row entries for A2.  The defaults reproduce the
     canonical-form simulation (no input-frame conjugation).
     """
-    _frame_r(squeeze_r)
+    squeeze_r = _frame_r(squeeze_r)
     xi = bk_added_noise(mu)
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag
@@ -168,7 +172,7 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
         inv = 1.0 / squeeze_r
         w = np.diag([omega + gamma * (squeeze_r * squeeze_r), omega + gamma * (inv * inv)])
     elif tag is CanonicalClass.A2:
-        _frame_row(a, c)
+        a, c = _frame_row(a, c)
         w = np.diag([xi * (a * a + c * c) + omega, omega])
     else:
         raise UnsupportedFormError(

@@ -64,11 +64,13 @@ PRIVATE_IMPORTS = {
                  ("peeling", "_protocol_form")},
     "channels": {("symplectic", "_checked"), ("symplectic", "_readonly")},
     "convergence": {("fidelity", "_b1_witness_infidelity"), ("fidelity", "_b2_infidelity"),
-                    ("teleportation", "_env_gamma"), ("teleportation", "_frame_row")},
+                    ("symplectic", "_real"), ("teleportation", "_env_gamma"),
+                    ("teleportation", "_frame_row")},
     "dilation": {("symplectic", "_self_check_tol")},
     "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
-    "peeling": {("convergence", "_diamond_bound"), ("symplectic", "_self_check_tol")},
-    "teleportation": {("symplectic", "_self_check_tol")},
+    "peeling": {("convergence", "_diamond_bound"), ("convergence", "_known_params"),
+                ("symplectic", "_self_check_tol")},
+    "teleportation": {("symplectic", "_real"), ("symplectic", "_self_check_tol")},
 }
 
 

@@ -349,15 +349,22 @@ class TestConvergence:
         assert out == ""
         assert "error" in err
 
-    @pytest.mark.parametrize("channel, grid, witness", [
-        ({"class": "B1"}, {"start": 1.0}, {"mu": 5, "a": "x"}),
-        ({"class": "B2_Id"}, {"start": 1.0}, {"mu": "x"}),
-        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": "x"}, {}),
-        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 1.1}, {"r": "x"}),
-        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": True}, {}),
-        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 10 ** 400}, {}),
+    # the grid is the CLI's to build; the witness params go to the library
+    @pytest.mark.parametrize("channel, grid, witness, message", [
+        ({"class": "B1"}, {"start": 1.0}, {"mu": 5, "a": "x"},
+         "witness param 'a' must be a real number"),
+        ({"class": "B2_Id"}, {"start": 1.0}, {"mu": "x"},
+         "witness param 'mu' must be a real number"),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": "x"}, {},
+         "must be a finite number"),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 1.1}, {"r": "x"},
+         "witness param 'r' must be a real number"),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": True}, {},
+         "must be a finite number"),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"start": 10 ** 400}, {},
+         "beyond float range"),
     ])
-    def test_non_numeric_field_rejected(self, capsys, channel, grid, witness):
+    def test_non_numeric_field_rejected(self, capsys, channel, grid, witness, message):
         param = "mu" if channel["class"] == "C_Att" else "mu_tilde"
         config = json.dumps({
             "channel": channel, "witness": witness,
@@ -365,7 +372,22 @@ class TestConvergence:
         code, out, err = run(capsys, "convergence", "--config", config)
         assert code == 2
         assert out == ""
-        assert "must be a finite number" in err or "beyond float range" in err
+        assert message in err
+
+    @pytest.mark.parametrize("channel, witness, message", [
+        ({"class": "B1"}, {"mu": 5.0, "typo": 1.0}, "unknown params ['typo']"),
+        ({"class": "C_Att", "tau": 0.5, "nbar": 0.0}, {"R": 1.0}, "unknown params ['R']"),
+        ({"class": "B2_Id"}, [5.0], "params must be a mapping, got list"),
+        ({"class": "B1"}, {"mu": True}, "witness param 'mu' must be a real number"),
+    ])
+    def test_witness_params_checked_by_the_library(self, capsys, channel, witness, message):
+        param = "mu" if channel["class"] == "C_Att" else "mu_tilde"
+        config = json.dumps({"channel": channel, "witness": witness,
+                             "grid": {"param": param, "start": 1.1, "stop": 10.0,
+                                      "points": 3}})
+        code, out, err = run(capsys, "convergence", "--config", config)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_csv_floats_roundtrip(self, capsys):
         from bosonic_telesim import channel_from_dict, convergence_scan
@@ -409,6 +431,19 @@ class TestPeel:
     def test_missing_arguments(self, capsys):
         code, _, _ = run(capsys, "peel", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ("--channel", '{"class": "B1"}', "--mu", "10"),  # B1 has no uniform bound
+        ("--channel", LOSS, "--mu", "10"),
+        ("--channel", LOSS),
+        ("--mu", "-5"),
+        ("--tol", "nan"),
+        ("--tol", "1e-6"),
+    ])
+    def test_delta_excludes_channel_mu_and_tol(self, capsys, extra):
+        code, out, err = run(capsys, "peel", "--n", "3", "--delta", "0.1", *extra)
+        assert (code, out) == (2, "")
+        assert "--delta excludes --channel, --mu and --tol" in err
 
     def test_identity_under_uniform(self, capsys):
         code, _, _ = run(capsys, "peel", "--n", "2", "--channel", IDENTITY,
@@ -511,10 +546,41 @@ class TestInfrastructure:
         code, out, _ = run(capsys, "classify", "--channel", near_identity)
         assert code == 0 and json.loads(out)["class"] == "C_Att"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_non_finite_or_non_positive_tolerance_rejected(self, capsys, tol):
-        code, out, _ = run(capsys, "classify", "--channel", LOSS, "--tol", tol)
+    # the library owns the rule: a real number in [0, 0.5)
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-300", "0.5", "0.7"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--channel", LOSS),
+        ("convergence", "--config", json.dumps({
+            "channel": json.loads(LOSS),
+            "grid": {"param": "mu", "start": 1.1, "stop": 10.0, "points": 3}})),
+        ("peel", "--n", "3", "--channel", LOSS, "--mu", "10"),
+        ("capacity", "--channel", LOSS, "--n", "100", "--eps", "0.1", "--mu", "1e3"),
+    ])
+    def test_non_finite_or_non_positive_tolerance_rejected(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
         assert (code, out) == (2, "")
+        assert "tolerance must be None or a real number in [0, 0.5)" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        # as classify(ch, 0.0): every check exact; 1e-11 of noise counts
+        code, out, _ = run(capsys, "classify", "--tol", "0", "--channel",
+                           '{"class": "C_Att", "tau": 0.5, "nbar": 0.5}')
+        assert code == 0 and json.loads(out)["class"] == "C_Att"
+        spec = '{"t": [[1, 0], [0, 1]], "n": [[0.1, 0], [0, 1e-11]]}'
+        assert json.loads(run(capsys, "classify", "--channel", spec)[1])["class"] == "B1"
+        code, out, _ = run(capsys, "classify", "--tol", "0", "--channel", spec)
+        assert code == 0 and json.loads(out)["class"] == "B2"
+
+    def test_tolerance_where_the_tau_bands_meet_rejected(self, capsys):
+        # from 0.5 up the tau = 0 and tau = 1 bands overlap: det T = 0.6 printed A2, tau 0.0
+        spec = '{"t": [[1, 0], [0, 0.6]], "n": [[2, 0], [0, 2]]}'
+        assert json.loads(run(capsys, "classify", "--channel", spec)[1])["class"] == "C_Att"
+        assert run(capsys, "classify", "--tol", "0.7", "--channel", spec)[:2] == (2, "")
+        code, out, _ = run(capsys, "classify", "--tol", "0.3", "--channel", spec)
+        assert code == 0 and json.loads(out)["class"] == "C_Att"
+        # below 0.5 a band can still swallow tau: |0.6 - 1| <= 0.49 is tau = 1
+        code, out, _ = run(capsys, "classify", "--tol", "0.49", "--channel", spec)
+        assert code == 0 and json.loads(out)["class"] == "B2"
 
     @pytest.mark.parametrize("argv", [
         ("apply", "--channel", LOSS, "--state", VACUUM),

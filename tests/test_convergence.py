@@ -20,7 +20,7 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              nonuniform_witness)
 from bosonic_telesim.convergence import _diamond_bound
 from bosonic_telesim.fidelity import _b1_witness_infidelity
-from bosonic_telesim.teleportation import _env_gamma
+from bosonic_telesim.teleportation import _env_gamma, _frame_row
 
 I2 = np.eye(2)
 
@@ -331,10 +331,12 @@ def _grid_as(grid, container):
 
 
 class TestWitnessColumn:
-    """The witness column of a rank-deficient scan is one array pass; every
-    row must equal the public scalar function at its point bit for bit, and
-    a bad grid must raise what a row-by-row loop over that function raises.
-    A 1-D float64 array converts in one step, every other grid row by row."""
+    """The witness column of a rank-deficient scan is one array pass over the
+    grid converted once by ``np.asarray(grid, dtype=float)``; every row must
+    equal the public scalar function at its point bit for bit, and a bad
+    grid, row (a, c) or mu must raise the error that function raises for the
+    row, then mu, then the first bad mu_tilde, an empty grid included; an
+    overflowing row is found where the witnesses are evaluated."""
 
     @given(grid=witness_grids(),
            container=st.sampled_from(["list", "tuple", "float64", "float32"]),
@@ -354,6 +356,11 @@ class TestWitnessColumn:
              unit_rank=False)
     @example(grid=[1e300, 2.0], container="float32", mu=5.0, a=1.0, c=0.0,
              unit_rank=False)
+    # an overflowing row is found after the column's NaN, and after its row
+    # and mu checks where the grid is empty
+    @example(grid=[2.0, math.nan], container="list", mu=5.0, a=0.0, c=1e-200,
+             unit_rank=True)
+    @example(grid=[], container="list", mu=0.5, a=0.0, c=0.0, unit_rank=True)
     @settings(max_examples=400, deadline=None)
     def test_rows_match_scalar_functions(self, grid, container, mu, a, c, unit_rank):
         if unit_rank:
@@ -366,6 +373,13 @@ class TestWitnessColumn:
                 return nonuniform_witness(mu, m)
         grid = _grid_as(grid, container)
         try:
+            # the row (a, c), mu, then the first bad mu_tilde, for any grid (an
+            # empty one too); then the witnesses, where a row may overflow
+            if unit_rank:
+                _frame_row(a, c)
+            bk_added_noise(mu)
+            for m in [m for m in grid if not 1.0 <= m < math.inf][:1]:
+                witness(m)
             expected = [(float(m).hex(), witness(m).hex()) for m in grid]
         except DomainError as exc:
             with pytest.raises(DomainError) as info:
@@ -377,27 +391,29 @@ class TestWitnessColumn:
         assert all((r.mu, r.xi, r.upper_bound) == (mu, bk_added_noise(mu), None)
                    for r in rows)
 
-    @pytest.mark.parametrize("grid, error", [
-        (["x", math.nan], ValueError),  # row 0 fails first: its conversion
-        ([math.nan, "x"], DomainError),  # row 0 fails first: mu_tilde
-        ([2.0, None], TypeError),
-        ([2.0, 10 ** 400], OverflowError),
-        (5.0, TypeError),  # not iterable
-        (("x", math.nan), ValueError),
-        ((math.nan, "x"), DomainError),
-        ((2.0, None), TypeError),
-        (np.array(5.0), TypeError),  # a 0-d array is not iterable
-        (np.ones((2, 2)), TypeError),  # a row of a 2-D array is no float
-        (np.array([2, 0]), DomainError),  # int array: 0 < 1
-        (np.array([2.0, 0.5], dtype=np.float32), DomainError),
-        (np.array([2.0, math.nan]), DomainError),
-        (np.array([math.inf, 2.0]), DomainError),
+    @pytest.mark.parametrize("grid, match", [
+        # the conversion fails before any entry is checked
+        (["x", math.nan], "does not convert"),
+        ([math.nan, "x"], "does not convert"),
+        ([2.0, 10 ** 400], "does not convert"),
+        (("x", math.nan), "does not convert"),
+        ([[2.0], [3.0, 4.0]], "does not convert"),  # ragged
+        (5.0, r"one-dimensional, got shape \(\)"),
+        (np.array(5.0), r"one-dimensional, got shape \(\)"),
+        (np.ones((2, 2)), r"one-dimensional, got shape \(2, 2\)"),
+        # numpy converts None to NaN: the first bad entry is named
+        ([2.0, None], "got nan"),
+        ((math.nan, "1.5"), "got nan"),
+        (np.array([2, 0]), "got 0.0"),  # int array: 0 < 1
+        (np.array([2.0, 0.5, 0.25], dtype=np.float32), "got 0.5"),
+        (np.array([2.0, math.nan, 0.5]), "got nan"),
+        (np.array([math.inf, 2.0]), "got inf"),
     ])
-    def test_first_bad_row_decides_the_error(self, grid, error):
-        with pytest.raises(error):
+    def test_first_bad_row_decides_the_error(self, grid, match):
+        with pytest.raises(DomainError, match=match):
             convergence_scan(GaussianChannel.identity(), grid, {"mu": 5.0})
 
-    def test_other_arrays_convert_row_by_row(self):
+    def test_other_arrays_convert_to_the_same_rows(self):
         ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": 5.0, "a": 1.3, "c": -0.4}
         dense = np.geomspace(1.0, 1e9, 7)
         for grid, floats in [
@@ -409,14 +425,14 @@ class TestWitnessColumn:
             assert [type(r.mu_tilde) for r in rows] == [float] * len(floats)
             assert [r.mu_tilde for r in rows] == floats
 
-    def test_row_checks_follow_a_valid_first_row(self):
+    def test_row_then_mu_then_column(self):
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
-        with pytest.raises(DomainError, match="resource variance"):
-            convergence_scan(ch, [2.0, 0.5], {"mu": 0.5})
         with pytest.raises(DomainError, match=r"\(0, 0\)"):
-            convergence_scan(ch, [2.0, 0.5], {"mu": 5.0, "a": 0.0, "c": 0.0})
-        with pytest.raises(DomainError, match="mu_tilde must be finite"):
             convergence_scan(ch, [0.5, 2.0], {"mu": 0.5, "a": 0.0, "c": 0.0})
+        with pytest.raises(DomainError, match="resource variance"):
+            convergence_scan(ch, [0.5, 2.0], {"mu": 0.5})
+        with pytest.raises(DomainError, match="mu_tilde must be finite and >= 1, got 0.5"):
+            convergence_scan(ch, [2.0, 0.5, math.nan], {"mu": 5.0})
 
 
 class TestConvergenceScan:
@@ -457,10 +473,33 @@ class TestConvergenceScan:
 
     def test_empty_grid(self):
         assert convergence_scan(GaussianChannel.identity(), [], {"mu": 2.0}) == []
-        # with no row, neither mu nor the row (a, c) is checked
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
-        assert convergence_scan(ch, [], {"mu": 0.5, "a": 0.0, "c": 0.0}) == []
-        assert convergence_scan(GaussianChannel.identity(), np.array([]), {"mu": 0.5}) == []
+        assert convergence_scan(ch, np.array([]), {"mu": 2.0, "a": 0.0, "c": 1.0}) == []
+        # with no row, mu and the row (a, c) are checked all the same
+        with pytest.raises(DomainError, match=r"\(0, 0\)"):
+            convergence_scan(ch, [], {"mu": 0.5, "a": 0.0, "c": 0.0})
+        with pytest.raises(DomainError, match="resource variance"):
+            convergence_scan(GaussianChannel.identity(), np.array([]), {"mu": 0.5})
+
+    @pytest.mark.parametrize("params, match", [
+        ({"typo": 1.0}, r"unknown params \['typo'\]; expected a subset of \['a', 'c', 'mu', 'r'\]"),
+        ({"mu": 5.0, "MU": 5.0}, r"unknown params \['MU'\]"),
+        ({"energy_bound": 1.0}, r"unknown params \['energy_bound'\]"),
+        ({1: 2.0, "x": 3.0}, r"unknown params \[1, 'x'\]"),
+        ([("mu", 5.0)], "params must be a mapping, got list"),
+        ("mu", "params must be a mapping, got str"),
+        # a value the scan does not read is checked all the same
+        ({"mu": True}, "witness param 'mu' must be a real number"),
+        ({"r": "x"}, "witness param 'r' must be a real number"),
+        ({"a": None}, "witness param 'a' must be a real number"),
+    ])
+    @pytest.mark.parametrize("channel", [
+        canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5)),
+        GaussianChannel(I2, np.diag([0.0, 1.0])), GaussianChannel.identity()])
+    def test_bad_witness_params(self, channel, params, match, classify_calls):
+        with pytest.raises(DomainError, match=match):
+            convergence_scan(channel, [2.0, 10.0], params)
+        assert classify_calls == []  # checked before the channel is classified
 
 
 # mu on both sides of 2^27, where bk_added_noise switches to 1 / mu
@@ -634,18 +673,19 @@ class TestScanRow:
             assert dataclasses.replace(row, xi=0.5) == ScanRow(**dict(fields, xi=0.5))
             assert dataclasses.replace(row) == row
 
-    @pytest.mark.parametrize("bad, error, match", [
-        (0.5, DomainError, "resource variance"),
-        (math.nan, DomainError, "resource variance"),
-        ("x", ValueError, "could not convert"),
-        (None, TypeError, None),
-    ])
-    def test_bad_full_rank_row_after_good_ones(self, bad, error, match, classify_calls):
-        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
-        with pytest.raises(error, match=match):
-            convergence_scan(ch, [1.25, 10.0, bad, 2.0])
+    @pytest.mark.parametrize("bad, match, calls", [
         # the scan's two calls, then one per row: the two rows before the bad one
-        assert len(classify_calls) == 4
+        (0.5, "resource variance", 4),
+        (math.nan, "resource variance", 4),
+        (None, "resource variance", 4),  # numpy converts None to NaN
+        # a grid that does not convert fails before the channel is classified
+        ("x", "does not convert", 0),
+    ])
+    def test_bad_full_rank_row_after_good_ones(self, bad, match, calls, classify_calls):
+        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
+        with pytest.raises(DomainError, match=match):
+            convergence_scan(ch, [1.25, 10.0, bad, 2.0])
+        assert len(classify_calls) == calls
 
     def test_scan_rows_repr_with_plain_floats(self):
         ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonic_telesim import (CanonicalClass, DomainError, b1_witness_bound, bk_added_noise,
-                             canonical_channel, classify, convergence_scan, diamond_upper_bound,
-                             environmental_pair, epsilon_tp_bound, fid_env_A2, fid_env_C,
-                             form_from_fields, gaussian_fidelity, nonuniform_witness)
+from bosonic_telesim import (CanonicalClass, DomainError, b1_gamma, b1_witness_bound,
+                             bk_added_noise, canonical_channel, classify, convergence_scan,
+                             diamond_upper_bound, environmental_pair, epsilon_tp_bound,
+                             fid_b2_asymptotic, fid_env_A2, fid_env_C, form_from_fields,
+                             gaussian_fidelity, nonuniform_witness)
 from bosonic_telesim.convergence import _B1_ROUND_DOWN
 from bosonic_telesim.fidelity import _b1_witness_infidelity, _b2_infidelity
 from bosonic_telesim.teleportation import _env_gamma
@@ -179,3 +180,33 @@ class TestFrameReaders:
         # (0, 0) is no input frame, so its bound is an error, not 0.0 (an exact simulation)
         with pytest.raises(DomainError, match=r"\(a, c\) = \(0, 0\)"):
             READERS[reader][1](_form("A2"), 10.0, 1.0, 0.0, 0.0)
+
+
+_C_ATT, _A2, _B2 = _form("C_Att"), _form("A2"), _form("B2")
+
+
+# each returned a number (the r = 1 or r = 2 bound) or raised a bare TypeError
+# before the frame checks saw the caller's value instead of its float()
+@pytest.mark.parametrize("call", [
+    lambda: diamond_upper_bound(canonical_channel(_C_ATT), 10.0, r=True),
+    lambda: diamond_upper_bound(canonical_channel(_C_ATT), 10.0, r="2"),
+    lambda: diamond_upper_bound(canonical_channel(_B2), 10.0, r="2"),
+    lambda: diamond_upper_bound(canonical_channel(_A2), 10.0, a="1", c=0),
+    lambda: diamond_upper_bound(canonical_channel(_A2), 10.0, a=1.0, c=False),
+    lambda: epsilon_tp_bound(2, 10.0, canonical_channel(_C_ATT), "uniform", {"r": "2"}),
+    lambda: epsilon_tp_bound(2, 10.0, canonical_channel(_A2), "uniform", {"a": None}),
+    lambda: b1_witness_bound(5.0, 10.0, "1", 0),
+    lambda: b1_witness_bound(5.0, 10.0, 1.0, True),
+    lambda: environmental_pair(_C_ATT, 10.0, squeeze_r="2"),
+    lambda: environmental_pair(_A2, 10.0, a=1j, c=0.0),
+    lambda: fid_env_C(0.1, 1.0, True),
+    lambda: fid_env_A2(0.1, 1.0, "1", 0.0),
+    lambda: b1_gamma(True, 0.0, 0.5),
+    lambda: fid_b2_asymptotic(0.1, 0.2, "2"),
+], ids=["C_Att-r-bool", "C_Att-r-str", "B2-r-str", "A2-a-str", "A2-c-bool",
+        "eps_tp-r-str", "eps_tp-a-None", "b1-a-str", "b1-c-bool", "env-r-str",
+        "env-a-complex", "fid_env_C-r-bool", "fid_env_A2-a-str", "b1_gamma-a-bool",
+        "fid_b2-r-str"])
+def test_non_real_frame_rejected(call):
+    with pytest.raises(DomainError, match="must be a real number"):
+        call()
