@@ -19,9 +19,9 @@ import numpy as np
 
 from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
-from .fidelity import _b1_witness_infidelity, _b2_infidelity, fid_env_A2, fid_env_C
+from .fidelity import _b1_witness_infidelity, _b2_infidelity, _env_root_infidelity
 from .symplectic import _real
-from .teleportation import _env_gamma, _frame_row, bk_added_noise
+from .teleportation import _env_gamma, _frame_r, _frame_row, bk_added_noise
 
 __all__ = [
     "ConvergenceVerdict",
@@ -65,31 +65,62 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
     defaults describe a channel already in canonical form.  Channels with
     rank-deficient noise have no such bound and raise
     :class:`NoUniformBoundError`.
+
+    The bound is rounded up, never down.  For A2, C_Att, C_Amp and D,
+    ``sqrt(1 - F^2)`` comes from F's closed form rationalized so that
+    nothing cancels (:func:`fidelity._env_root_infidelity`), and for B2
+    ``1 - F^2`` likewise (:func:`fidelity._b2_infidelity`), each rounded up
+    by 2^-45 relative.  The bound is then never below its exact value at
+    the given mu and frame, and at most 2^-44 (5.7e-14) relative above it,
+    for mu >= 1.1; nearer mu = 1, ``bk_added_noise`` forms ``mu^2 - 1``
+    with a relative error that the rounding does not cover.
     """
     return _diamond_bound(classify(ch, tol), mu, r, a, c)
 
 
+_C_FORMS = (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D)
+
+
 def _diamond_bound(form: CanonicalForm, mu: float, r: float, a: float,
                    c: float) -> float:
-    """:func:`diamond_upper_bound` of a channel already classified as ``form``."""
+    """:func:`diamond_upper_bound` of a channel already classified as
+    ``form``, rounded up as there.  Checked in order: mu, the frame the
+    class reads (r, or the row (a, c)), then the bound, which raises
+    :class:`NoUniformBoundError` for rank-deficient noise."""
     xi = bk_added_noise(mu)
-    omega = 2.0 * form.noise_param + 1.0
+    return _bound(form, xi, _frame(form, r, a, c))
+
+
+def _frame(form: CanonicalForm, r, a, c):
+    """The checked input frame that the bound of ``form`` reads: r for the
+    C, D and B2 forms, ``a^2 + c^2`` of the row for A2, else None."""
+    if form.tag in _C_FORMS or form.tag is CanonicalClass.B2:
+        return _frame_r(r)
+    if form.tag is CanonicalClass.A2:
+        a, c = _frame_row(a, c)
+        return a * a + c * c
+    return None
+
+
+def _bound(form: CanonicalForm, xi: float, frame) -> float:
+    """The diamond bound of ``form`` at added noise xi in the checked
+    ``frame`` of :func:`_frame`: ``2 sqrt(1 - F^2)``, rounded up."""
     tag = form.tag
-    if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
-        f = fid_env_C(_env_gamma(xi, form.tau), omega, r)
-    elif tag is CanonicalClass.A2:
-        f = fid_env_A2(xi, omega, a, c)
-    elif tag is CanonicalClass.A1:
+    if tag in _C_FORMS:
+        gamma, inv = _env_gamma(xi, form.tau), 1.0 / frame
+        return 2.0 * _env_root_infidelity(gamma * (frame * frame), gamma * (inv * inv),
+                                          form.noise_param)
+    if tag is CanonicalClass.A2:
+        return 2.0 * _env_root_infidelity(xi * frame, 0.0, form.noise_param)
+    if tag is CanonicalClass.A1:
         # T = 0 blocks the teleporter's noise entirely: N + xi T T^T = N, so
         # the simulation is exact for any mu
-        f = 1.0
-    elif tag is CanonicalClass.B2:
+        return 0.0
+    if tag is CanonicalClass.B2:
         # exact transparency limit of the beam-splitter dilation
-        return 2.0 * math.sqrt(_b2_infidelity(xi, form.noise_param, r))
-    else:
-        raise NoUniformBoundError(
-            f"class {tag.value} has rank-deficient noise: no uniform bound exists")
-    return 2.0 * math.sqrt(max(1.0 - f * f, 0.0))
+        return 2.0 * math.sqrt(_b2_infidelity(xi, form.noise_param, frame))
+    raise NoUniformBoundError(
+        f"class {tag.value} has rank-deficient noise: no uniform bound exists")
 
 
 def nonuniform_witness(mu: float, mu_tilde: float) -> float:
@@ -139,11 +170,14 @@ def _identity_witness(mu_tilde, xi):
 
 def _as_grid(grid) -> np.ndarray:
     """``grid`` converted once by ``np.asarray(grid, dtype=float)``; a grid
-    that does not convert, or is not 1-D, raises :class:`DomainError`."""
+    that does not convert, is complex (the cast would drop its imaginary
+    parts) or is not 1-D raises :class:`DomainError`."""
     try:
-        m = np.asarray(grid, dtype=float)
+        m = None if np.iscomplexobj(grid) else np.asarray(grid, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"grid does not convert to floats: {exc}") from None
+    if m is None:
+        raise DomainError("grid must be real, got a complex grid")
     if m.ndim != 1:
         raise DomainError(f"grid must be one-dimensional, got shape {m.shape}")
     return m
@@ -215,19 +249,22 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     mu, and a, c for the unit-rank class; r for the dilation frame) and the
     rows carry the witness lower bound.  Checked in order: the keys of
     ``witness_params`` and their values (real, not bool), the grid
-    (converted once to a 1-D float array), the classification under ``tol``,
-    then each full-rank row in turn, or the witness column in one pass, each
-    row bit-identical to :func:`b1_witness_bound` or :func:`nonuniform_witness`.
+    (converted once to a 1-D float array), the one classification under
+    ``tol``, then the input frame the bound reads, each mu in turn and each
+    bound in turn, or the witness column in one pass.  Each row is bit-identical to
+    :func:`diamond_upper_bound`, :func:`b1_witness_bound` or
+    :func:`nonuniform_witness`.
     """
     params = {key: _real(x, f"witness param {key!r}")
               for key, x in _known_params(witness_params, _WITNESS_PARAMS).items()}
     m = _as_grid(grid)
     form = classify(ch, tol)
-    if decide_uniform(ch, tol=tol).uniform:
-        r, a, c = params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0)
-        return _scan_rows((mu, None, bk_added_noise(mu),
-                           diamond_upper_bound(ch, mu, r=r, a=a, c=c, tol=tol), None)
-                          for mu in m.tolist())
+    if form.tag.rank_n == 2:
+        frame = _frame(form, params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0))
+        mus = m.tolist()
+        xis = [bk_added_noise(mu) for mu in mus]
+        bounds = [_bound(form, xi, frame) for xi in xis]
+        return _scan_rows(zip(mus, repeat(None), xis, bounds, repeat(None)))
     mu = params.get("mu", 5.0)
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
@@ -237,8 +274,7 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
 
 def _scan_rows(values) -> list:
     """``[ScanRow(*v) for v in values]`` by one ``__dict__`` store per row past
-    the frozen ``__setattr__``; ``values`` is consumed row by row, so a row's
-    values are evaluated after the rows before it."""
+    the frozen ``__setattr__``."""
     new, store, rows = object.__new__, object.__setattr__, []
     for mu, mu_tilde, xi, upper_bound, witness_lower_bound in values:
         row = new(ScanRow)

@@ -286,12 +286,19 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
         raise OverflowError(f"gamma beyond float64 range at xi = {xi:g}") from None
 
 
-# Outward rounding of the B2 infidelity, so that the bound 2 sqrt(1 - F^2)
-# never falls under the exact limit.  2^-45 relative exceeds the float64
-# rounding of the ~35 operations on positive terms below and of the final
-# square root; unrounded, the bound was measured at most 8e-16 relative off
-# the exact limit for mu in (1, 1e150].
-_B2_ROUND_UP = 1.0 + 2.0 ** -45
+# Outward rounding of the B2 infidelity and of the environmental
+# ``sqrt(1 - F^2)``, so that a bound ``2 sqrt(1 - F^2)`` never falls under the
+# exact value.  2^-45 = 256u (u = 2^-53) exceeds the float64 rounding of
+# either kernel, whose operations all act on positive terms: the ~35
+# operations of _b2_infidelity and the final square root; for
+# _env_root_infidelity, about 80u in 1 - F^2 from its ~40 operations and
+# 30u from its inputs (xi within 7u of exact for mu >= 1.1, then gamma and
+# r^2, their errors at most doubled in 1 - F^2), halved by the square root.
+# Unrounded, the B2 bound was measured at most 8e-16 relative off the exact
+# limit for mu in (1, 1e150], and the environmental bound at most 6.6e-16
+# off 60 digits in 5,000 draws (mu in [1.1, 1e150], nbar in [0, 5], 1e8 or
+# 1e100, all four classes).
+_ROUND_UP = 1.0 + 2.0 ** -45
 
 
 def _b2_infidelity(xi: float, xi_prime: float, r: float) -> float:
@@ -308,16 +315,66 @@ def _b2_infidelity(xi: float, xi_prime: float, r: float) -> float:
         N = xi' sqrt(u (xi xi' + u (xi^2 + xi'^2))),
 
     sums of positive terms: no cancellation at any xi and no overflow at any
-    r.  The result is rounded up by 2^-45 relative and capped at 1.
+    r.  The result is rounded up by 2^-45 relative and capped at 1.  ``r``
+    is the checked frame of :func:`teleportation._frame_r`.
     """
-    r = _frame_r(r)
     q = min(r, 1.0 / r) ** 2  # F is symmetric under r -> 1/r
     u = q / (1.0 + q * q)
     d = 2.0 * xi * xi_prime + u * (xi * xi + 4.0 * xi_prime * xi_prime)
     n = xi_prime * np.sqrt(u * (xi * xi_prime + u * (xi * xi + xi_prime * xi_prime)))
     top = xi * xi * (4.0 * xi_prime * xi_prime * (1.0 - 2.0 * u * u)
                      + u * (4.0 * xi * xi_prime + u * xi * xi))
-    return min(float(top / (d * (d + 4.0 * n))) * _B2_ROUND_UP, 1.0)
+    return min(float(top / (d * (d + 4.0 * n))) * _ROUND_UP, 1.0)
+
+
+def _env_root_infidelity(alpha: float, beta: float, nbar: float) -> float:
+    """``sqrt(1 - F^2)``, rounded up by 2^-45 relative, for F the fidelity of
+    the thermal state ``omega I``, ``omega = 2 nbar + 1``, against
+    ``diag(omega + alpha, omega + beta)`` with alpha, beta >= 0: the
+    environmental pair of the C_Att, C_Amp and D forms (``gamma r^2`` and
+    ``gamma / r^2``) and of A2 (``xi (a^2 + c^2)`` and 0).
+
+    Scutaru's ``F^2 = 2 / (P - L)`` of the module docstring, with
+    ``P = sqrt(Delta + Lambda)`` and ``L = sqrt(Lambda)``, gives
+    ``1 - F^2 = (P - L - 2) / (P - L)``; rationalized twice, with
+    ``a = omega^2 - 1`` (Banchi, Braunstein & Pirandola, PRL 115, 260501
+    (2015), for the fidelity; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 1, for the rationalization),
+
+        1 - F^2 = num (P + L) / [(Delta - 4 + 4 L) (P + L + 2) Delta],
+        num = 4 omega^2 (alpha^2 + beta^2)
+              + alpha beta (8 + 4 omega (alpha + beta) + alpha beta),
+        Delta - 4 = 4 a + 2 omega (alpha + beta) + alpha beta,
+        Lambda = a (a + omega (alpha + beta) + alpha beta),
+
+    sums of positive terms: nothing cancels.  All is divided by omega^4,
+    with ``p, q = alpha / omega, beta / omega``, ``w = omega^-2`` and
+    ``a / omega^2 = (2 nbar / omega) ((2 nbar + 2) / omega)`` (from nbar,
+    which a rounded omega loses below 1e-16), so nothing overflows at
+    nbar = 1e100.  The root is ``sqrt(s) sqrt(rest)`` of ``s = p + q``, so
+    that a 1 - F^2 below float64's normal range (a bound under 3e-154)
+    does not underflow.  The three factors of ``rest`` are at most 1/2, 3/2
+    and 1, so ``1 - F^2 <= 3 s / 4``: where s underflows to 0 the result is
+    2^-537 (0 for equal states).  Where a product leaves float64 range
+    (F^2 < 1e-38, e.g. ``r^2`` beyond 1e308) it is 1, its upper limit.
+    """
+    omega = 2.0 * nbar + 1.0
+    v = 1.0 / omega
+    w = v * v
+    a = (2.0 * nbar * v) * ((2.0 * nbar + 2.0) * v)
+    p, q = alpha / omega, beta / omega
+    s, pq = p + q, p * q
+    if not s > 0.0:  # p + q below 2^-1074, and 1 - F^2 <= 3 s / 4
+        return 0.0 if alpha + beta == 0.0 else 2.0 ** -537
+    ps, qs = p / s, q / s
+    delta = 4.0 + 2.0 * s + pq
+    lam = a * (a + s + pq)
+    root_lam = math.sqrt(lam)
+    big = math.sqrt(w * delta + lam) + root_lam
+    num = 4.0 * (ps * ps + qs * qs) + ps * qs * (8.0 * w + pq + 4.0 * s)
+    rest = s / (4.0 * a + 2.0 * s + pq + 4.0 * root_lam) * (num / delta) * (big / (big + 2.0 * w))
+    root = math.sqrt(s) * math.sqrt(rest) * _ROUND_UP
+    return root if root < 1.0 else 1.0  # NaN, too
 
 
 def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
@@ -334,7 +391,7 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     xi, xi_prime = float(xi), float(xi_prime)
     if not (0.0 < xi < math.inf and 0.0 < xi_prime < math.inf):
         raise DomainError("both noise parameters must be positive and finite")
-    return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, r)))
+    return float(np.sqrt(1.0 - _b2_infidelity(xi, xi_prime, _frame_r(r))))
 
 
 def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:

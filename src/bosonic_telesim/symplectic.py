@@ -403,7 +403,12 @@ class GaussianState:
         return _spectrum(self, None)  # the CM was checked at construction
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        """``nu_max <= 1 + tol``, with no spectral pass where ``_certainly_mixed`` decides."""
+        """``nu_max <= 1 + tol``, with no spectral pass where ``_certainly_mixed``
+        decides.  A tol that is not a real number >= 0 (NaN, a bool) raises
+        :class:`DomainError`."""
+        tol = _real(tol, "purity tolerance")
+        if not tol >= 0.0:
+            raise DomainError(f"purity tolerance must be >= 0, got {tol}")
         if tol <= 1e-9 and _certainly_mixed(self):
             return False
         return bool(self.symplectic_spectrum().max() <= 1.0 + tol)

@@ -42,9 +42,10 @@ def bk_added_noise(mu: float) -> float:
     Evaluated as ``2 / (mu + sqrt(mu^2 - 1))`` to stay accurate at large mu.
     From mu = 2^27 on that rounds to exactly ``1 / mu``, which is used there
     because ``mu * mu`` overflows above mu ~ 1.34e154.  A plain ``float`` at
-    every mu (``math.sqrt`` is correctly rounded, as numpy's is).
+    every mu (``math.sqrt`` is correctly rounded, as numpy's is).  A mu that
+    is not a real number, or is a bool, raises :class:`DomainError`.
     """
-    mu = float(mu)
+    mu = _real(mu, "resource variance")
     if not (math.isfinite(mu) and mu >= 1.0):
         raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
     if mu >= 2.0 ** 27:
@@ -89,7 +90,9 @@ class BKParameters:
     xi: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", bk_added_noise(self.mu))
+        xi = bk_added_noise(self.mu)  # which rejects a mu that float() would take
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "xi", xi)
 
 
 def bk_channel(mu: float) -> GaussianChannel:

@@ -64,7 +64,8 @@ PRIVATE_IMPORTS = {
                  ("peeling", "_protocol_form")},
     "channels": {("symplectic", "_checked"), ("symplectic", "_readonly")},
     "convergence": {("fidelity", "_b1_witness_infidelity"), ("fidelity", "_b2_infidelity"),
-                    ("symplectic", "_real"), ("teleportation", "_env_gamma"),
+                    ("fidelity", "_env_root_infidelity"), ("symplectic", "_real"),
+                    ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
                     ("teleportation", "_frame_row")},
     "dilation": {("symplectic", "_self_check_tol")},
     "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},

@@ -19,7 +19,7 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              fid_env_C, form_from_fields, gaussian_fidelity,
                              nonuniform_witness)
 from bosonic_telesim.convergence import _diamond_bound
-from bosonic_telesim.fidelity import _b1_witness_infidelity
+from bosonic_telesim.fidelity import _b1_witness_infidelity, _env_root_infidelity
 from bosonic_telesim.teleportation import _env_gamma, _frame_row
 
 I2 = np.eye(2)
@@ -172,6 +172,11 @@ class TestNonuniformWitness:
     def test_domain(self):
         with pytest.raises(DomainError):
             nonuniform_witness(0.5, 10.0)
+
+    def test_bool_resource_rejected(self):
+        # True was taken as mu = 1, giving the witness 1.397
+        with pytest.raises(DomainError, match="must be a real number"):
+            nonuniform_witness(True, 10.0)
 
     @given(mu=st.floats(min_value=1.1, max_value=1e150),
            mu_tilde=st.floats(min_value=1.0, max_value=1e300))
@@ -413,6 +418,23 @@ class TestWitnessColumn:
         with pytest.raises(DomainError, match=match):
             convergence_scan(GaussianChannel.identity(), grid, {"mu": 5.0})
 
+    @pytest.mark.parametrize("grid, match", [
+        # the cast to float dropped the imaginary parts, with a ComplexWarning
+        (np.array([2 + 5j, 10 + 0j]), "must be real"),
+        (np.array([2.0, 10.0], dtype=complex), "must be real"),
+        ([np.complex128(2 + 5j), 10.0], "must be real"),
+        ([2 + 5j, 10.0], "must be real"),
+    ])
+    def test_complex_grid_rejected(self, grid, match, classify_calls):
+        for ch, params in ((GaussianChannel.identity(), {"mu": 5.0}),
+                           (canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5)),
+                            None)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match=match):
+                    convergence_scan(ch, grid, params)
+        assert classify_calls == []  # checked before the channel is classified
+
     def test_other_arrays_convert_to_the_same_rows(self):
         ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": 5.0, "a": 1.3, "c": -0.4}
         dense = np.geomspace(1.0, 1e9, 7)
@@ -521,6 +543,47 @@ def env_forms(draw):
     return form_from_fields(tag, tau=tau, nbar=nbar)
 
 
+# mu log-uniform in [1.1, 1e150], with the 2^27 switch of bk_added_noise;
+# row entries 0 or of magnitude 1e-3 to 3
+_DIRECTION_MU = st.one_of(st.floats(math.log10(1.1), 150.0).map(lambda e: 10.0 ** e),
+                          st.sampled_from([1.1, 2.0 ** 27, 1e150]))
+_DIRECTION_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+_DIRECTION_ROW = st.tuples(_DIRECTION_ENTRY, _DIRECTION_ENTRY).filter(lambda ac: ac != (0.0, 0.0))
+
+
+class TestBoundDirection:
+    """The A2, C_Att, C_Amp and D bounds of :func:`diamond_upper_bound` are
+    upper bounds: never below the 60-digit ``2 sqrt(1 - F^2)`` of their
+    environmental pair and at most 1e-12 relative above it, for mu in
+    [1.1, 1e150], nbar in [0, 5] or up to 1e100, and frames r and (a, c).
+    A float64 ``1 - F^2`` gave 0.0 from mu = 1e8 at nbar = 0.5, and at
+    nbar = 1e8 from mu = 1.1."""
+
+    @given(form=env_forms(), mu=_DIRECTION_MU, r=_FRAME_R, row=_DIRECTION_ROW)
+    @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=1e8), mu=1.1, r=1.0,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5), mu=1e8, r=1.0,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5), mu=1e10, r=1.0,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.C_Amp, tau=2.0, nbar=0.0), mu=1e9, r=0.5,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.D, tau=-5.0, nbar=1e100), mu=1e150, r=2.0,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.A2, nbar=1e100), mu=1e150, r=1.0,
+             row=(1e-3, -3.0))
+    @settings(max_examples=400, deadline=None)
+    def test_never_below_the_reference(self, form, mu, r, row):
+        ch = canonical_channel(form)
+        form, (a, c) = classify(ch), row
+        got = diamond_upper_bound(ch, mu, r=r, a=a, c=c)
+        # 1 - F^2 is about (xi / omega)^2: the reference cancels that many digits
+        lost = 2.0 * math.log10(mu) + 4.0 * math.log10(2.0 * form.noise_param + 1.0)
+        want = env_bound_mp(form, mu, r, a, c, dps=60 + int(lost))
+        assert type(got) is float and 0.0 < got < math.inf
+        assert want <= got <= want * (1 + 1e-12)
+
+
 class TestPlainFloatRows:
     """The full-rank scan's per-row math runs on Python floats with ``math``:
     the added noise is its numpy-scalar oracle in ``_helpers`` bit for bit, as
@@ -544,12 +607,21 @@ class TestPlainFloatRows:
         pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
         want = gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
         xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
-        got = (fid_env_A2(xi, omega, a, c) if form.tag is CanonicalClass.A2
-               else fid_env_C(_env_gamma(xi, form.tau), omega, r))
+        if form.tag is CanonicalClass.A2:
+            got, added = fid_env_A2(xi, omega, a, c), (xi * (a * a + c * c), 0.0)
+        else:
+            gamma, inv = _env_gamma(xi, form.tau), 1.0 / r
+            got, added = fid_env_C(gamma, omega, r), (gamma * (r * r), gamma * (inv * inv))
         assert got.hex() == want.hex()
         bound = _diamond_bound(form, mu, r, a, c)
         assert type(bound) is float
-        assert bound == 2.0 * math.sqrt(max(1.0 - want * want, 0.0))
+        # the bound reads the variances the pair adds, through the
+        # cancellation-free kernel (TestBoundDirection holds it to 60 digits)
+        assert bound == 2.0 * _env_root_infidelity(*added, form.noise_param)
+        if (omega - 1.0) / 2.0 == form.noise_param:  # the pair's omega is exact
+            # its 1 - F^2, rounded up by 2^-44 at most, is that of the
+            # pair's fidelity to the roundoff of F^2
+            assert abs(bound * bound / 4.0 - (1.0 - want * want)) <= 2.0 ** -43
 
     # gamma (A2: xi (a^2 + c^2)) from 1e-14 to 1e3, omega = 1 or 1 + [1e-6, 1e6]
     _WEIGHT = st.floats(-14.0, 3.0).map(lambda e: 10.0 ** e)
@@ -579,7 +651,7 @@ class TestPlainFloatRows:
     @pytest.mark.parametrize("mu", [1.1, 10.0, 1e4, 1e9])
     def test_large_thermal_variance_gives_a_finite_bound(self, cls, tau, nbar, mu):
         # omega^2 of 4e16 and 4e200: the kernel scales its products, so the
-        # bound is finite with no warning (1 - F^2 still cancels, see below)
+        # bound is finite with no warning (and sound, see below)
         spec = {"class": cls, "nbar": nbar} if tau is None else {"class": cls, "tau": tau,
                                                                  "nbar": nbar}
         form = classify(channel_from_dict(spec))
@@ -589,8 +661,6 @@ class TestPlainFloatRows:
                 value = _diamond_bound(form, mu, 1.0, 1.0, 0.0)
         assert type(value) is float and 0.0 <= value <= 2.0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: 1 - F^2 cancels to 0 at "
-                                           "large thermal variance")
     def test_large_thermal_variance_bound_is_sound(self):
         form = form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=1e8)
         want = env_bound_mp(form, 1.1)
@@ -604,9 +674,10 @@ class TestPlainFloatRows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for mu in (1.001, 1.01):
-                got = _diamond_bound(form, mu, 1.0, 1.0, 0.0)
-                assert got == pytest.approx(float(env_bound_mp(form, mu)), rel=1e-15)
-            assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745308
+                got, want = _diamond_bound(form, mu, 1.0, 1.0, 0.0), env_bound_mp(form, mu)
+                # rounded up by 2^-45 relative: never below, at most 2^-44 above
+                assert want <= got <= want * (1 + 2.0 ** -44)
+            assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745706
             for xi, tau in ((math.inf, 0.5), (1.0, math.inf), (1e308, 0.75)):
                 with pytest.raises(OverflowError, match="gamma"):
                     _env_gamma(xi, tau)
@@ -674,10 +745,10 @@ class TestScanRow:
             assert dataclasses.replace(row) == row
 
     @pytest.mark.parametrize("bad, match, calls", [
-        # the scan's two calls, then one per row: the two rows before the bad one
-        (0.5, "resource variance", 4),
-        (math.nan, "resource variance", 4),
-        (None, "resource variance", 4),  # numpy converts None to NaN
+        # the scan's one call, made before any row
+        (0.5, "resource variance", 1),
+        (math.nan, "resource variance", 1),
+        (None, "resource variance", 1),  # numpy converts None to NaN
         # a grid that does not convert fails before the channel is classified
         ("x", "does not convert", 0),
     ])

@@ -270,14 +270,15 @@ class TestTwoRoundDemo:
         assert probes[0].cm.tobytes() == tmsv_state(2.0).cm.tobytes()
 
     @pytest.mark.parametrize("mu,bits", [
-        (10.0, ("0x1.caeffe7d4eaf0p-5", "0x1.ffd1b2a24b01bp-1", "0x1.b374464da5c29p-5")),
-        (1e3, ("0x1.2e98d74f8471ap-11", "0x1.fffffebeaaa77p-1", "0x1.1ecff87b9ed5ap-11")),
-        (1e5, ("0x1.837558b5d7fe6p-18", "0x1.fffffffff7c53p-1", "0x1.6f33417a5da51p-18")),
+        (10.0, ("0x1.caeffe7d4eafcp-5", "0x1.ffd1b2a24b01bp-1", "0x1.b374464da5c29p-5")),
+        (1e3, ("0x1.2e98d75f05225p-11", "0x1.fffffebeaaa77p-1", "0x1.1ecff87b9ed5ap-11")),
+        (1e5, ("0x1.8373b0bb42c40p-18", "0x1.fffffffff7c53p-1", "0x1.6f33417a5da51p-18")),
     ])
     def test_report_bits_kept_with_the_cached_probe(self, mu, bits):
         # (per_use_delta, fidelity, trace_upper_bound) as before the probe was
-        # cached; the mu = 1e5 delta is the one of the shared one-mode kernel,
-        # 1.7e-5 off its 60-digit value as 1 - F^2 cancels (2.3e-5 before)
+        # cached; each delta is the cancellation-free bound, 2.85e-14 above its
+        # 60-digit value (rounded up), where the float64 1 - F^2 was 2.7e-14
+        # high at mu = 10, 3.1e-9 low at 1e3 and 1.7e-5 high at 1e5
         report = two_round_demo(attenuator(0.5, 0.5), mu)
         delta, fidelity, trace = (float.fromhex(b) for b in bits)
         assert dataclasses.astuple(report) == (mu, delta, 2.0 * delta, fidelity, trace, True)

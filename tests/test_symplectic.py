@@ -18,6 +18,21 @@ OMEGA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 EPS = np.finfo(float).eps
 
 
+class TestIsPureTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, -1.0, "1e-9", True, 1j, None])
+    def test_bad_tolerance_rejected(self, tol):
+        # thermal_state(1.0) is the vacuum: a NaN or negative tol made it mixed
+        with pytest.raises(DomainError, match="purity tolerance"):
+            thermal_state(1.0).is_pure(tol=tol)
+
+    def test_real_tolerances_decide(self):
+        vacuum = thermal_state(1.0)
+        assert vacuum.is_pure() and vacuum.is_pure(tol=1e-12) and vacuum.is_pure(tol=1)
+        assert thermal_state(1.05).is_pure(tol=np.float64(0.1))
+        assert not thermal_state(1.05).is_pure(tol=0.01)
+        assert tmsv_state(2.0).is_pure(tol=1e-12)
+
+
 class TestSymplecticForm:
     def test_one_mode(self):
         assert np.array_equal(symplectic_form(1), OMEGA1)

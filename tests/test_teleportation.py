@@ -72,6 +72,23 @@ class TestAddedNoise:
         params = BKParameters(1.25)
         assert params.xi == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mu", ["x", "10", True, 1j, None])
+    def test_non_real_rejected(self, mu):
+        # float() took them: "10" simulated at mu = 10, True at mu = 1, and
+        # "x" raised a bare ValueError
+        with pytest.raises(DomainError, match="must be a real number"):
+            bk_added_noise(mu)
+        with pytest.raises(DomainError, match="must be a real number"):
+            simulate_channel(GaussianChannel.identity(), mu)
+
+    def test_params_store_a_float(self):
+        # simulate_channel(ch, "10") stored the string "10" as params.mu
+        for mu in (np.float64(1.25), 5, np.int64(5)):
+            params = BKParameters(mu)
+            assert type(params.mu) is float and params.mu == mu
+            assert params.xi == bk_added_noise(float(mu))
+        assert simulate_channel(GaussianChannel.identity(), 5).params.mu == 5.0
+
 
 class TestBkChannel:
     def test_is_additive_class(self):
