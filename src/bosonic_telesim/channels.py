@@ -23,20 +23,28 @@ row (tau, rank T, rank N and its spec fields); :func:`classify` is one lookup
 of ``(tau, rank T, rank N)``, and a canonical spec or :func:`form_from_fields`
 takes exactly the row's fields (a free tau, nbar or xi) and rejects any other.
 Displacements are carried along but never affect classification.
+
+The layer runs on plain floats and imports no numpy: a channel holds the
+floats of T, N and d, and builds its read-only arrays when first read.  The
+invariants are 2x2 closed forms.  ``tau = a d - b c`` of ``T = [[a, b], [c, d]]``
+is formed exactly from the integer ratios of the floats and rounded once;
+rank T counts the singular values
+``s1 = (hypot(a + d, c - b) + hypot(a - d, c + b))/2`` and ``s2 = |tau|/s1``;
+rank N counts N's eigenvalues ``l+-``, and ``sqrt(det N)`` is taken of the exact
+``p q - r^2`` of ``N = [[p, r], [r, q]]``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import numbers
 
-import numpy as np
-
+from ._floats import _checked2
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
-from .symplectic import GaussianState, _checked, _readonly
 
 __all__ = [
     "GaussianChannel",
@@ -52,10 +60,6 @@ __all__ = [
     "channel_from_dict",
     "channel_to_dict",
 ]
-
-_I = np.eye(2)
-_Z = np.diag([1.0, -1.0])
-
 
 class CanonicalClass(str, enum.Enum):
     """A canonical class, carrying its row of the module's table: ``region``,
@@ -97,41 +101,101 @@ def _tau_region(tau: float, boundary: float) -> str:
 _BY_INVARIANTS = {(c.region, c.rank_t, c.rank_n): c for c in CanonicalClass}
 
 
-@dataclasses.dataclass(frozen=True)
+def _flat(x) -> tuple:
+    """``(shape, entries)`` of a nested sequence of real numbers (an array by
+    its ``tolist()``), row-major, each entry converted by ``float``: the
+    array ``np.asarray(x, dtype=float)`` reads.  A ragged nesting has the
+    shape None."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    if not isinstance(x, (list, tuple)):
+        return (), (float(x),)
+    parts = [_flat(e) for e in x]
+    shapes = {shape for shape, _ in parts}
+    inner = shapes.pop() if len(shapes) == 1 and None not in shapes else None
+    shape = None if parts and inner is None else (len(x),) + (inner or ())
+    return shape, tuple(f for _, entries in parts for f in entries)
+
+
+def _array(rows):
+    """A read-only float array of ``rows``: the array layer, so numpy is
+    loaded where a channel's matrices are first read as arrays."""
+    from .symplectic import _readonly
+    return _readonly(rows)
+
+
+def _det(a: float, b: float, c: float, d: float) -> float:
+    """``a d - b c``, rounded once from its exact value, which is formed from
+    the integer ratios of the floats (as ``capacity._phi`` forms its gap).  A
+    value beyond float64 range is the inf of its sign; a non-finite entry
+    gives the float expression's inf or NaN."""
+    if not all(map(math.isfinite, (a, b, c, d))):
+        return a * d - b * c
+    (na, da), (nb, db), (nc, dc), (nd, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
+    num = na * nd * db * dc - nb * nc * da * dd
+    try:
+        return num / (da * dd * db * dc)  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 class GaussianChannel:
     """Raw (T, N, d) representation of a single-mode Gaussian channel.
 
-    Construction only enforces shapes and a finite N, symmetrized exactly; the
-    physical bona-fide condition is checked by :func:`validate_channel` so
-    that unphysical triples can still be represented and interrogated.
+    Construction only enforces shapes (d may be any nesting of two entries),
+    real entries and a finite N, symmetrized exactly; the physical bona-fide
+    condition is checked by :func:`validate_channel` so that unphysical
+    triples can still be represented and interrogated.  The channel holds the
+    plain floats of T, N and d; ``t``, ``n`` and ``d`` are read-only arrays
+    built from them when first read, and ``tau`` is :func:`_det` of T.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
     failed one is not, and raises again on every use).
     """
 
-    t: np.ndarray
-    n: np.ndarray
-    d: np.ndarray = None
-    _physical = False  # not a field: set on the instance by a passed default check
+    _physical = False  # set on the instance by a passed default check
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        n = np.asarray(self.n, dtype=float)
-        d = np.zeros(2) if self.d is None else np.asarray(self.d, dtype=float).reshape(-1)
-        if t.shape != (2, 2) or n.shape != (2, 2) or d.shape != (2,):
-            raise InvalidDimensionError(
-                f"expected 2x2 T, 2x2 N and length-2 d, got {t.shape}, {n.shape}, {d.shape}")
-        n = _checked(n, None, what="noise matrix")
-        for name, a in (("t", t), ("n", n), ("d", d)):
-            object.__setattr__(self, name, _readonly(a))
+    def __init__(self, t, n, d=None):
+        try:
+            (t_shape, t), (n_shape, n) = _flat(t), _flat(n)
+            d = (0.0, 0.0) if d is None else _flat(d)[1]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"channel entries must be real numbers: {exc}") from None
+        if t_shape != (2, 2) or n_shape != (2, 2) or len(d) != 2:
+            raise InvalidDimensionError(f"expected 2x2 T, 2x2 N and length-2 d, "
+                                        f"got {t_shape}, {n_shape}, ({len(d)},)")
+        for name, value in (("_t", t), ("_n", _checked2(n, None, what="noise matrix")),
+                            ("_d", d)):
+            object.__setattr__(self, name, value)  # past the frozen __setattr__
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        (a, b, c, d), (p, r, q) = self._t, self._n
+        return f"GaussianChannel(t={[[a, b], [c, d]]}, n={[[p, r], [r, q]]}, d={list(self._d)})"
 
     @classmethod
     def identity(cls) -> "GaussianChannel":
-        return cls(_I, np.zeros((2, 2)))
+        return cls(((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
 
-    @property
+    @functools.cached_property
+    def t(self):
+        a, b, c, d = self._t
+        return _array(((a, b), (c, d)))
+
+    @functools.cached_property
+    def n(self):
+        p, r, q = self._n
+        return _array(((p, r), (r, q)))
+
+    @functools.cached_property
+    def d(self):
+        return _array(self._d)
+
+    @functools.cached_property
     def tau(self) -> float:
-        return float(np.linalg.det(self.t))
+        """det T, exact and rounded once (:func:`_det`)."""
+        return _det(*self._t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,10 +213,11 @@ def validate_channel(ch: GaussianChannel, tol: float | None = None) -> bool:
     """True iff ``N + i (1 - det T) Omega >= 0`` (Holevo-Werner) on the scale
     ``s = max(1, max|N|)``: N symmetric within ``1e-12 s``, no eigenvalue
     below ``-max(1e-9, 64 eps s)``, a float ``tol`` replacing both 1e-12 and
-    1e-9 (see ``symplectic._checked``).  The eigenvalue is
+    1e-9 (see ``_floats._checked2``).  The eigenvalue is
     the 2x2 closed form ``(p + q)/2 - hypot((p - q)/2, r, 1 - det T)``, within
     about ``eps s`` of the exact one near the threshold, on plain floats with
-    ``det T = a d - b c``, so a non-finite entry anywhere gives False.
+    ``det T`` the channel's exact ``tau``, so a non-finite entry anywhere, or a
+    det T beyond float64 range, gives False.
     An output frame of single-mode squeezing r widens the accepted band below
     the boundary by at most ``(r^2 + r^-2) / 2``.  The default-tolerance
     answer True is remembered on the channel; a float ``tol`` (0.0 included)
@@ -170,14 +235,13 @@ def _require_valid(ch: GaussianChannel, tol: float | None = None) -> None:
     channel, so it runs once per channel; a failed one is not remembered."""
     if tol is None and ch._physical:
         return
-    (a, b), (c, d) = ch.t.tolist()  # plain floats: no numpy call, no warning on NaN
-    _checked(ch.n, tol, 1.0 - (a * d - b * c), "channel noise matrix")
+    p, r, q = ch._n
+    _checked2((p, r, r, q), tol, 1.0 - ch.tau, "channel noise matrix")
     if tol is None:
         object.__setattr__(ch, "_physical", True)  # past the frozen __setattr__
 
 
-def apply_channel(ch: GaussianChannel, state: GaussianState,
-                  target_mode: int = 0) -> GaussianState:
+def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     """Apply the channel to one mode of a one- or two-mode state, acting as
     the identity elsewhere: ``mean -> T_full mean + d_full`` and
     ``V -> T_full V T_full^T + N_full``, with (T, N, d) embedded at the target
@@ -185,6 +249,10 @@ def apply_channel(ch: GaussianChannel, state: GaussianState,
     change, so only they are computed, from the two rows of ``T_full`` at the
     target mode: each is the same length-2n dot product that the dense
     embedding forms."""
+    import numpy as np
+
+    from .symplectic import GaussianState
+
     _require_valid(ch)
     n_modes = state.modes
     if target_mode not in range(n_modes):
@@ -200,23 +268,49 @@ def apply_channel(ch: GaussianChannel, state: GaussianState,
     return GaussianState(mean, cm)
 
 
+def _pairs(m: tuple) -> tuple:
+    """Rows ``((a, b), (c, d))`` of a row-major 2x2 tuple."""
+    return m[:2], m[2:]
+
+
+def _product(x: tuple, y: tuple) -> tuple:
+    """The 2x2 product of row-major ``(a, b, c, d)`` tuples."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
 def compose(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:
-    """Composite channel ch2 o ch1 (ch1 acts first)."""
+    """Composite channel ch2 o ch1 (ch1 acts first), on plain floats:
+    ``T2 T1``, ``(T2 N1) T2^T + N2`` and ``T2 d1 + d2``."""
     _require_valid(ch1)
     _require_valid(ch2)
-    return GaussianChannel(ch2.t @ ch1.t,
-                           ch2.t @ ch1.n @ ch2.t.T + ch2.n,
-                           ch2.t @ ch1.d + ch2.d)
+    t2, (p, r, q), (x, y) = ch2._t, ch1._n, ch1._d
+    a, b, c, d = _product(_product(t2, (p, r, r, q)), (t2[0], t2[2], t2[1], t2[3]))
+    p2, r2, q2 = ch2._n
+    return GaussianChannel(_pairs(_product(t2, ch1._t)), _pairs((a + p2, b + r2, c + r2, d + q2)),
+                           (t2[0] * x + t2[1] * y + ch2._d[0], t2[2] * x + t2[3] * y + ch2._d[1]))
 
 
 _RANK = 1e-10  # default: singular values of T, eigenvalues of N, below 1e-10 max(|.|, 1) are 0
 
 
-def _numeric_rank(m: np.ndarray, tol: float | None) -> int:
-    """Singular values of the 2x2 m above ``1e-10 max(s1, 1)``, or ``tol`` in
-    place of 1e-10, counted on plain floats."""
-    s1, s2 = np.linalg.svd(m, compute_uv=False).tolist()
-    thr = (_RANK if tol is None else tol) * max(s1, 1.0)
+def _numeric_rank(t: tuple, tau: float, tol: float | None) -> int:
+    """Rank of ``T = [[a, b], [c, d]]``, given as ``t = (a, b, c, d)`` with
+    its finite ``tau = det T`` (a valid channel's): its singular values above ``1e-10 max(s1, 1)``, or
+    ``tol`` in place of 1e-10, from the closed forms
+    ``s1 = (hypot(a + d, c - b) + hypot(a - d, c + b))/2`` and
+    ``s2 = |tau|/s1`` (0 for T = 0), on plain floats.  Where s1 leaves
+    float64 range, s1 is taken of T scaled by an exact ``2^-e``, with
+    ``2^e > max|T|``, and s2 and the floor 1 are scaled to match."""
+    a, b, c, d = t
+    s1, floor = 0.5 * math.hypot(a + d, c - b) + 0.5 * math.hypot(a - d, c + b), 1.0
+    if math.isinf(s1):  # T = [[1e308, 1e308], [1e308, 1e308]]: s1 = 2e308
+        e = math.frexp(max(map(abs, t)))[1]
+        a, b, c, d, floor = (math.ldexp(x, -e) for x in (a, b, c, d, 1.0))
+        s1 = 0.5 * math.hypot(a + d, c - b) + 0.5 * math.hypot(a - d, c + b)
+        tau = math.ldexp(tau, -2 * e)  # det of the scaled T
+    s2 = abs(tau) / s1 if s1 > 0.0 else 0.0
+    thr = (_RANK if tol is None else tol) * max(s1, floor)
     return (s1 > thr) + (s2 > thr)
 
 
@@ -226,50 +320,33 @@ def _snap_noise(p: float) -> float:
     return 0.0 if p < 1e-11 else p
 
 
-def _sqrt_det(n: np.ndarray) -> float:
-    """``sqrt(max(det N, 0))`` of a finite symmetric 2x2 N, from numpy's
-    ``det``.  Up to ``max|N| = 2^511``, ``|det N| <= 2 max|N|^2`` cannot
-    overflow; beyond, a ``det`` that overflows is taken of N scaled by an
-    exact power of two."""
-    (p, b), (_, q) = n.tolist()  # plain floats: the range test dispatches no ufunc
-    big = max(abs(p), abs(b), abs(q))
-    if big <= 2.0 ** 511:
-        det = np.linalg.det(n)
-    else:
-        with np.errstate(over="ignore"):
-            det = np.linalg.det(n)
-        if math.isinf(det):
-            e = math.frexp(big)[1]
-            return math.ldexp(math.sqrt(max(np.linalg.det(np.ldexp(n, -e)), 0.0)), e)
-    return float(np.sqrt(max(det, 0.0)))
-
-
-def _noise_invariants(n: np.ndarray, tol: float | None) -> tuple:
-    """``(rank, sqrt(det N))`` of a noise matrix.  The rank counts N's
-    eigenvalues ``(p + q)/2 +/- hypot((p - q)/2, r)`` (the 2x2 closed form of
-    ``symplectic._checked``, on plain floats) above ``1e-10 max(|l+|, |l-|, 1)``,
-    or ``tol`` in place of 1e-10: N is symmetric and only its positive
-    eigenvalues are noise, so a negative one inside the physicality slack,
-    whose singular value would pass, does not count.  N counts as full rank
-    only where ``sqrt(det N) > 0`` as well, so a rank-2 N has a noise scale.
-    Below two counted eigenvalues N has no noise scale and ``sqrt(det N)`` is
-    None: no class reads it, so its ``det`` is not taken.
-    Where ``l+`` overflows, both are decided on N scaled by an exact ``2^-e``,
-    with ``2^e > max|N|``, and the floor 1 scaled with them."""
-    (p, r), (_, q) = n.tolist()
+def _noise_invariants(n: tuple, tol: float | None) -> tuple:
+    """``(rank, sqrt(det N))`` of the noise matrix ``[[p, r], [r, q]]``, given
+    as ``n = (p, r, q)``.  The rank counts N's eigenvalues
+    ``l+- = (p + q)/2 +/- hypot((p - q)/2, r)`` (the 2x2 closed form of
+    ``_floats._checked2``, on plain floats) above
+    ``1e-10 max(|l+|, |l-|, 1)``, or ``tol`` in place of 1e-10: N is
+    symmetric and only its positive eigenvalues are noise, so a negative one
+    inside the physicality slack, whose singular value would pass, does not
+    count.  ``sqrt(det N) = sqrt(l+ l-)`` is taken of the exact
+    ``det N = p q - r^2`` (:func:`_det`), rounded once, not of the product
+    of the rounded eigenvalues, whose ``l-`` cancels near a rank boundary;
+    N counts as full rank only where it is positive as well, so a rank-2 N
+    has a noise scale.  Up to ``max|N| = 2^511`` nothing overflows
+    (``|det N| <= 2 max|N|^2``); beyond, both are decided on N scaled by an
+    exact ``2^-e``, with ``2^e > max|N|``, the floor 1 scaled with them and
+    ``sqrt(det N)`` scaled back by ``2^e``."""
+    (p, r, q), e = n, 0
+    big = max(abs(p), abs(r), abs(q))
+    if big > 2.0 ** 511:  # N = 7e307 I: det N = 4.9e615
+        e = math.frexp(big)[1]
+        p, r, q = (math.ldexp(x, -e) for x in n)
     mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
-    hi, lo, floor = mid + half, mid - half, 1.0
-    if math.isinf(hi):  # rank-1 N = [[1e308, 1e308], [1e308, 1e308]]: l+ = 2e308
-        e = math.frexp(max(abs(p), abs(r), abs(q)))[1]
-        p, r, q, floor = (math.ldexp(x, -e) for x in (p, r, q, 1.0))
-        mid, half = 0.5 * p + 0.5 * q, math.hypot(0.5 * p - 0.5 * q, r)
-        hi, lo = mid + half, mid - half
-    thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), floor)
+    hi, lo = mid + half, mid - half
+    thr = (_RANK if tol is None else tol) * max(abs(hi), abs(lo), math.ldexp(1.0, -e))
+    sqrt_det = math.ldexp(math.sqrt(max(_det(p, r, r, q), 0.0)), e)
     rank = (hi > thr) + (lo > thr)
-    if rank != 2:
-        return rank, None
-    sqrt_det = _sqrt_det(n)
-    return (2 if sqrt_det > 0.0 else 1), sqrt_det
+    return (1 if rank == 2 and not sqrt_det > 0.0 else rank), sqrt_det
 
 
 _TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is tau = 1
@@ -278,28 +355,30 @@ _TAU_BOUNDARY = 1e-9  # default: |tau| <= 1e-9 is tau = 0, |tau - 1| <= 1e-9 is 
 def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     """Map a valid channel to its canonical class and invariant parameters.
 
-    Decisions are made on the symplectic invariants only: tau = det T, the
-    numeric ranks of T (its singular values above the threshold) and of N
-    (its eigenvalues above it: N is symmetric, and a negative eigenvalue
-    inside the physicality slack is no noise), and sqrt(det N) for the noise
-    scale.  The class is the table row of ``(tau region, rank T, rank N)``; a
-    combination that no row has raises :class:`ClassificationAmbiguousError`
-    with diagnostics.  A class with a fixed tau reports it exactly.  ``tol``
-    replaces every default tolerance of the decision: those of
-    :func:`validate_channel`, the rank threshold 1e-10 and the tau boundary
-    1e-9.
+    Decisions are made on the symplectic invariants only, each a 2x2 closed
+    form on plain floats: tau = det T, exact and rounded once, so the class
+    boundaries tau = 0 and tau = 1 are decided on the exact determinant; the
+    numeric rank of T, its closed-form singular values above the threshold
+    (:func:`_numeric_rank`); that of N, its eigenvalues above it (N is
+    symmetric, and a negative eigenvalue inside the physicality slack is no
+    noise); and ``sqrt(det N)``, of the exact determinant, for the noise
+    scale (:func:`_noise_invariants`).  The class is the table row of
+    ``(tau region, rank T, rank N)``; a combination that no row has raises
+    :class:`ClassificationAmbiguousError` with diagnostics.  A class with a
+    fixed tau reports it exactly.  ``tol`` replaces every default tolerance
+    of the decision: those of :func:`validate_channel`, the rank threshold
+    1e-10 and the tau boundary 1e-9.
     """
     _require_valid(ch, tol)
     tol, tau = None if tol is None else float(tol), ch.tau  # a numpy tol counts ranks as np.bool_
-    rank_t = _numeric_rank(ch.t, tol)
-    rank_n, sqrt_det_n = _noise_invariants(ch.n, tol)
+    rank_t = _numeric_rank(ch._t, tau, tol)
+    rank_n, sqrt_det_n = _noise_invariants(ch._n, tol)
     region = _tau_region(tau, _TAU_BOUNDARY if tol is None else tol)
     tag = _BY_INVARIANTS.get((region, rank_t, rank_n))
     if tag is None:
         raise ClassificationAmbiguousError(
             f"no canonical class has tau {region}, rank(T) = {rank_t} and rank(N) = {rank_n}",
-            {"tau": tau, "rank_t": rank_t, "rank_n": rank_n,
-             "sqrt_det_n": _sqrt_det(ch.n) if sqrt_det_n is None else sqrt_det_n})
+            {"tau": tau, "rank_t": rank_t, "rank_n": rank_n, "sqrt_det_n": sqrt_det_n})
     if tag.fixed_tau is not None:
         tau = tag.fixed_tau
     if "nbar" in tag.fields:
@@ -309,30 +388,38 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
     return CanonicalForm(tag, tau, tag.r, noise)
 
 
-def canonical_matrices(form: CanonicalForm):
-    """The diagonal (T_c, N_c) pair of a canonical form."""
+def _canonical(form: CanonicalForm) -> tuple:
+    """The diagonal ``(T_c, N_c)`` of a canonical form as row tuples of floats."""
     tag, tau, p = form.tag, form.tau, form.noise_param
     if tag is CanonicalClass.A1:
-        return np.zeros((2, 2)), (2.0 * p + 1.0) * _I
-    if tag is CanonicalClass.A2:
-        return (_I + _Z) / 2.0, (2.0 * p + 1.0) * _I
-    if tag is CanonicalClass.B1:
-        return _I.copy(), (_I - _Z) / 2.0
-    if tag is CanonicalClass.B2_Id:
-        return _I.copy(), np.zeros((2, 2))
-    if tag is CanonicalClass.B2:
-        return _I.copy(), p * _I
-    if tag is CanonicalClass.C_Att or tag is CanonicalClass.C_Amp:
-        return np.sqrt(tau) * _I, abs(1.0 - tau) * (2.0 * p + 1.0) * _I
-    if tag is CanonicalClass.D:
-        return np.sqrt(-tau) * _Z, (1.0 - tau) * (2.0 * p + 1.0) * _I
-    raise DomainError(f"unknown canonical class {tag!r}")
+        t, n = (0.0, 0.0), (2.0 * p + 1.0,) * 2
+    elif tag is CanonicalClass.A2:
+        t, n = (1.0, 0.0), (2.0 * p + 1.0,) * 2
+    elif tag is CanonicalClass.B1:
+        t, n = (1.0, 1.0), (0.0, 1.0)
+    elif tag is CanonicalClass.B2_Id:
+        t, n = (1.0, 1.0), (0.0, 0.0)
+    elif tag is CanonicalClass.B2:
+        t, n = (1.0, 1.0), (p, p)
+    elif tag is CanonicalClass.C_Att or tag is CanonicalClass.C_Amp:
+        t, n = (math.sqrt(tau),) * 2, (abs(1.0 - tau) * (2.0 * p + 1.0),) * 2
+    elif tag is CanonicalClass.D:
+        s = math.sqrt(-tau)
+        t, n = (s, -s), ((1.0 - tau) * (2.0 * p + 1.0),) * 2
+    else:
+        raise DomainError(f"unknown canonical class {tag!r}")
+    return tuple(((x, 0.0), (0.0, y)) for x, y in (t, n))
+
+
+def canonical_matrices(form: CanonicalForm):
+    """The diagonal (T_c, N_c) pair of a canonical form, as read-only arrays."""
+    t_c, n_c = _canonical(form)
+    return _array(t_c), _array(n_c)
 
 
 def canonical_channel(form: CanonicalForm) -> GaussianChannel:
-    """The zero-displacement channel built from canonical_matrices."""
-    t_c, n_c = canonical_matrices(form)
-    return GaussianChannel(t_c, n_c)
+    """The zero-displacement channel of the canonical pair (T_c, N_c)."""
+    return GaussianChannel(*_canonical(form))
 
 
 # --- JSON-facing channel spec -------------------------------------------------
@@ -393,11 +480,10 @@ def channel_from_dict(spec: dict) -> GaussianChannel:
         raise ValidationError(f"unknown channel spec keys: {sorted(extra)}")
     if "t" not in spec or "n" not in spec:
         raise ValidationError("raw channel spec requires 't' and 'n'")
-    return GaussianChannel(np.asarray(spec["t"], dtype=float),
-                           np.asarray(spec["n"], dtype=float),
-                           np.asarray(spec.get("d", [0.0, 0.0]), dtype=float))
+    return GaussianChannel(spec["t"], spec["n"], spec.get("d"))
 
 
 def channel_to_dict(ch: GaussianChannel) -> dict:
     """Row-major raw representation, suitable for JSON round-trips."""
-    return {"t": ch.t.tolist(), "n": ch.n.tolist(), "d": ch.d.tolist()}
+    (a, b, c, d), (p, r, q) = ch._t, ch._n
+    return {"t": [[a, b], [c, d]], "n": [[p, r], [r, q]], "d": list(ch._d)}

@@ -23,30 +23,25 @@ classify, convergence, peel and capacity take a --tol flag: one number in
 library checks it, so 0 is valid and NaN, inf, a negative value or one from
 0.5 up exit 2.  apply, simulate and fidelity use none.  peel takes --delta,
 or --channel with --mu; --delta excludes --channel, --mu and --tol.
+
+Each command imports the layers it uses.  classify, simulate, convergence
+(full-rank scans), peel and capacity run on plain floats and never import
+numpy; apply and fidelity, which act on states, and witness scans do.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .capacity import corrected_key_bound
-from .channels import (apply_channel, channel_from_dict, channel_to_dict,
-                       classify)
-from .convergence import convergence_scan, decide_uniform, diamond_upper_bound
 from .errors import (BosonicTelesimError, DomainError, NoUniformBoundError,
                      UnsupportedFormError, ValidationError)
-from .fidelity import fuchs_vdg, gaussian_fidelity
-from .peeling import TOPOLOGIES, peel_bound
-from .symplectic import GaussianState
-from .teleportation import simulate_channel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,18 +110,40 @@ def _float_range_int(text: str) -> int:
     return x
 
 
-def _state_from_dict(spec) -> GaussianState:
+def _array_command(cmd):
+    """An array command: numpy's floating-point errors raise (and exit 2),
+    and a matrix that float64 cannot resolve (numpy's ``LinAlgError``) exits 3."""
+    @functools.wraps(cmd)
+    def run(args):
+        import numpy as np
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return cmd(args)
+        except np.linalg.LinAlgError as exc:
+            # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
+            print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
+    return run
+
+
+def _state_from_dict(spec):
+    import numpy as np
+
+    from .symplectic import GaussianState
+
     if not isinstance(spec, dict) or set(spec) != {"mean", "cm"}:
         raise _CliInputError('state spec must be {"mean": [...], "cm": [[...]]}')
     return GaussianState(np.asarray(spec["mean"], dtype=float),
                          np.asarray(spec["cm"], dtype=float))
 
 
-def _state_to_dict(state: GaussianState) -> dict:
+def _state_to_dict(state) -> dict:
     return {"mean": state.mean.tolist(), "cm": state.cm.tolist()}
 
 
 def _cmd_classify(args) -> int:
+    from .channels import channel_from_dict, classify
+
     ch = channel_from_dict(_load_json_arg(args.channel))
     form = classify(ch, args.tol)
     print(_emit_json({"class": form.tag.value, "tau": form.tau, "r": form.r,
@@ -135,7 +152,10 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+@_array_command
 def _cmd_apply(args) -> int:
+    from .channels import apply_channel, channel_from_dict
+
     ch = channel_from_dict(_load_json_arg(args.channel))
     state = _state_from_dict(_load_json_arg(args.state))
     out = apply_channel(ch, state, target_mode=args.mode)
@@ -144,6 +164,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .channels import channel_from_dict, channel_to_dict
+    from .teleportation import simulate_channel
+
     ch = channel_from_dict(_load_json_arg(args.channel))
     sim = simulate_channel(ch, args.mu)
     print(_emit_json({"mu": sim.params.mu, "xi": sim.params.xi,
@@ -152,7 +175,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@_array_command
 def _cmd_fidelity(args) -> int:
+    from .fidelity import fuchs_vdg, gaussian_fidelity
+
     s1 = _state_from_dict(_load_json_arg(args.state1))
     s2 = _state_from_dict(_load_json_arg(args.state2))
     f = gaussian_fidelity(s1, s2)
@@ -166,6 +192,30 @@ _GRID_KEYS = {"param", "start", "stop", "points", "log"}
 _MAX_POINTS = 10 ** 6
 _OUTPUT_KEYS = {"format", "path"}
 _SCAN_COLUMNS = ("mu", "mu_tilde", "xi", "upper_bound", "witness_lower_bound")
+
+
+def _linspace(start: float, stop: float, points: int) -> list:
+    """``np.linspace(start, stop, points)`` bit for bit, on plain floats:
+    ``start + i step`` with ``step = (stop - start) / (points - 1)`` (with
+    numpy's ``(i / div) delta`` where the step underflows to 0), and stop
+    exactly; one point is ``0 (stop - start) + start``."""
+    delta, div = stop - start, points - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    grid = ([i * step + start for i in range(div)] if step != 0.0
+            else [i / div * delta + start for i in range(div)])
+    return grid + [stop]
+
+
+def _geomspace(start: float, stop: float, points: int) -> list:
+    """A log-spaced grid from positive start to stop with the exact
+    endpoints of ``np.geomspace``: ``10 ** (log10 start + i step)`` between
+    them, on plain floats.  numpy's SIMD ``power`` and ``log10`` can differ
+    from libm's in the last bit, so an interior point may be an ulp off
+    numpy's."""
+    exponents = _linspace(math.log10(start), math.log10(stop), points)
+    return [start] + [10.0 ** y for y in exponents[1:-1]] + [stop][:points - 1]
 
 
 def _parse_scan_config(spec: dict):
@@ -197,9 +247,9 @@ def _parse_scan_config(spec: dict):
     if grid_spec.get("log", False):
         if start <= 0.0 or stop <= 0.0:
             raise _CliInputError("log-spaced grids require positive endpoints")
-        grid = np.geomspace(start, stop, points)
+        grid = _geomspace(start, stop, points)
     else:
-        grid = np.linspace(start, stop, points)
+        grid = _linspace(start, stop, points)
     output = spec.get("output", {"format": "csv", "path": None})
     if not isinstance(output, dict) or set(output) - _OUTPUT_KEYS:
         raise _CliInputError(f"output keys must be a subset of {sorted(_OUTPUT_KEYS)}")
@@ -210,13 +260,17 @@ def _parse_scan_config(spec: dict):
 
 
 def _cmd_convergence(args) -> int:
+    from .channels import channel_from_dict, classify
+    from .convergence import _scan
+
     channel_spec, param, grid, witness, fmt, path = _parse_scan_config(
         _load_json_arg(args.config))
     ch = channel_from_dict(channel_spec)
-    if param != ("mu" if decide_uniform(ch, tol=args.tol).uniform else "mu_tilde"):
+    form = classify(ch, args.tol)  # the one classification: the check and the scan read it
+    if param != ("mu" if form.tag.rank_n == 2 else "mu_tilde"):
         raise _CliInputError("full-rank-noise channels scan over 'mu' (upper-bound column), "
                              "rank-deficient ones over 'mu_tilde' (witness column)")
-    rows = convergence_scan(ch, grid, witness, tol=args.tol)
+    rows = _scan(ch, grid, witness, args.tol, form)
     records = [{col: getattr(row, col) for col in _SCAN_COLUMNS} for row in rows]
     if fmt == "json":
         text = _emit_json(records) + "\n"
@@ -237,6 +291,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_peel(args) -> int:
+    from .peeling import peel_bound
+
     if args.delta is not None:
         if (args.channel, args.mu, args.tol) != (None, None, None):
             raise _CliInputError("--delta excludes --channel, --mu and --tol")
@@ -244,6 +300,9 @@ def _cmd_peel(args) -> int:
     elif args.channel is None or args.mu is None:
         raise _CliInputError("peel requires either --delta or --channel with --mu")
     else:
+        from .channels import channel_from_dict
+        from .convergence import diamond_upper_bound
+
         ch = channel_from_dict(_load_json_arg(args.channel))
         delta = diamond_upper_bound(ch, args.mu, tol=args.tol)
     bound = peel_bound(args.n, delta, args.topology)
@@ -254,6 +313,9 @@ def _cmd_peel(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    from .capacity import corrected_key_bound
+    from .channels import channel_from_dict
+
     ch = channel_from_dict(_load_json_arg(args.channel))
     report = corrected_key_bound(ch, args.n, args.eps, args.mu, args.V, tol=args.tol)
     print(_emit_json({"value": report.value, "formula": report.formula,
@@ -263,6 +325,8 @@ def _cmd_capacity(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .peeling import TOPOLOGIES
+
     parser = argparse.ArgumentParser(
         prog="bosonic-telesim",
         description="Gaussian-channel teleportation simulation: classification, "
@@ -329,14 +393,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except (UnsupportedFormError, NoUniformBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except np.linalg.LinAlgError as exc:
-        # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
-        print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (FloatingPointError, OverflowError) as exc:
         # finite input whose arithmetic leaves float64 range, e.g. T ~ 1e300

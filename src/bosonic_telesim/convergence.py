@@ -15,12 +15,10 @@ import math
 from collections.abc import Mapping
 from itertools import repeat
 
-import numpy as np
-
+from ._floats import _real
 from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
-from .fidelity import _b1_witness_infidelity, _b2_infidelity, _env_root_infidelity
-from .symplectic import _real
+from .fidelity import _b1_witness_infidelity, _b2_root_infidelity, _env_root_infidelity
 from .teleportation import _env_gamma, _frame_r, _frame_row, bk_added_noise
 
 __all__ = [
@@ -69,8 +67,8 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
     The bound is rounded up, never down.  For A2, C_Att, C_Amp and D,
     ``sqrt(1 - F^2)`` comes from F's closed form rationalized so that
     nothing cancels (:func:`fidelity._env_root_infidelity`), and for B2
-    ``1 - F^2`` likewise (:func:`fidelity._b2_infidelity`), each rounded up
-    by 2^-45 relative.  The bound is then never below its exact value at
+    likewise (:func:`fidelity._b2_root_infidelity`), each rounded up by
+    2^-45 relative.  The bound is then never below its exact value at
     the given mu and frame, and at most 2^-44 (5.7e-14) relative above it,
     for mu >= 1.1; nearer mu = 1, ``bk_added_noise`` forms ``mu^2 - 1``
     with a relative error that the rounding does not cover.
@@ -118,7 +116,7 @@ def _bound(form: CanonicalForm, xi: float, frame) -> float:
         return 0.0
     if tag is CanonicalClass.B2:
         # exact transparency limit of the beam-splitter dilation
-        return 2.0 * math.sqrt(_b2_infidelity(xi, form.noise_param, frame))
+        return 2.0 * _b2_root_infidelity(xi, form.noise_param, frame)
     raise NoUniformBoundError(
         f"class {tag.value} has rank-deficient noise: no uniform bound exists")
 
@@ -163,15 +161,23 @@ def _identity_witness(mu_tilde, xi):
     down by 2^-45 relative.  With ``x = mu_tilde xi / 2`` and
     ``s = sqrt(1 + x)``, ``1 - F = 1 - 1/s = x / (s (1 + s))``: every term is
     positive, and ``x <= mu_tilde`` cannot overflow.  Elementwise on arrays."""
+    import numpy as np
+
     x = mu_tilde * (0.5 * xi)
     s = np.sqrt(1.0 + x)
     return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN
 
 
-def _as_grid(grid) -> np.ndarray:
-    """``grid`` converted once by ``np.asarray(grid, dtype=float)``; a grid
-    that does not convert, is complex (the cast would drop its imaginary
-    parts) or is not 1-D raises :class:`DomainError`."""
+def _as_grid(grid) -> list:
+    """``grid`` as a list of floats, converted once by
+    ``np.asarray(grid, dtype=float)``; a grid that does not convert, is
+    complex (the cast would drop its imaginary parts) or is not 1-D raises
+    :class:`DomainError`.  A list of floats is that conversion already, and
+    is taken as it is, with no numpy."""
+    if type(grid) is list and all(type(x) is float for x in grid):
+        return grid
+    import numpy as np
+
     try:
         m = None if np.iscomplexobj(grid) else np.asarray(grid, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -180,20 +186,23 @@ def _as_grid(grid) -> np.ndarray:
         raise DomainError("grid must be real, got a complex grid")
     if m.ndim != 1:
         raise DomainError(f"grid must be one-dimensional, got shape {m.shape}")
-    return m
+    return m.tolist()
 
 
-def _witness_column(mu: float, m: np.ndarray, row: tuple | None = None):
+def _witness_column(mu: float, grid: list, row: tuple | None = None):
     """``(witness, xi)``: the B1 witness of the input-frame row ``(a, c)``
-    (the identity witness for ``row=None``) at resource mu over the 1-D
-    float array ``m`` of mu_tilde, as a float list from one array pass, and
+    (the identity witness for ``row=None``) at resource mu over the float
+    list ``grid`` of mu_tilde, as a float list from one array pass, and
     the ``xi = bk_added_noise(mu)`` it used.  Only + - * / and sqrt touch
     ``m``, so each element equals the one-point evaluation bit for bit.
     Checked in order: the row, mu, then the whole column (finite, >= 1),
     whose first bad entry the error names."""
+    import numpy as np
+
     if row is not None:
         a, c = _frame_row(*row)
     xi = bk_added_noise(mu)
+    m = np.array(grid, dtype=float)
     with np.errstate(all="ignore"):  # a NaN entry or a non-finite B1 row is rejected below
         # min and max propagate NaN: both pass only when every entry is finite and >= 1
         if m.size and not (m.min() >= 1.0 and m.max() < math.inf):
@@ -253,23 +262,31 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     ``tol``, then the input frame the bound reads, each mu in turn and each
     bound in turn, or the witness column in one pass.  Each row is bit-identical to
     :func:`diamond_upper_bound`, :func:`b1_witness_bound` or
-    :func:`nonuniform_witness`.
+    :func:`nonuniform_witness`.  The full-rank rows run on plain floats, and
+    a grid given as a list of floats loads no numpy for them.
     """
+    return _scan(ch, grid, witness_params, tol)
+
+
+def _scan(ch: GaussianChannel, grid, witness_params, tol: float | None,
+          form: CanonicalForm | None = None) -> list:
+    """:func:`convergence_scan` of ``form``, or of ``ch`` classified under
+    ``tol`` once the witness params and the grid pass their checks."""
     params = {key: _real(x, f"witness param {key!r}")
               for key, x in _known_params(witness_params, _WITNESS_PARAMS).items()}
-    m = _as_grid(grid)
-    form = classify(ch, tol)
+    mus = _as_grid(grid)
+    if form is None:
+        form = classify(ch, tol)
     if form.tag.rank_n == 2:
         frame = _frame(form, params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0))
-        mus = m.tolist()
         xis = [bk_added_noise(mu) for mu in mus]
         bounds = [_bound(form, xi, frame) for xi in xis]
         return _scan_rows(zip(mus, repeat(None), xis, bounds, repeat(None)))
     mu = params.get("mu", 5.0)
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
-    witness, xi = _witness_column(mu, m, row)
-    return _scan_rows(zip(repeat(mu), m.tolist(), repeat(xi), repeat(None), witness))
+    witness, xi = _witness_column(mu, mus, row)
+    return _scan_rows(zip(repeat(mu), mus, repeat(xi), repeat(None), witness))
 
 
 def _scan_rows(values) -> list:

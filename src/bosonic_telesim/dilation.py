@@ -17,10 +17,10 @@ import dataclasses
 
 import numpy as np
 
+from ._floats import _self_check_tol
 from .channels import CanonicalClass, CanonicalForm, canonical_matrices
 from .errors import DomainError, InvalidDimensionError, UnsupportedFormError
-from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, tensor_states,
-                         thermal_state)
+from .symplectic import GaussianState, SymplecticMatrix, tensor_states, thermal_state
 
 __all__ = ["SingleModeDilation", "dilation_of", "apply_via_dilation", "asymptotic_b2"]
 

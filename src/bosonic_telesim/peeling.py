@@ -17,14 +17,11 @@ import functools
 import math
 import numbers
 
-import numpy as np
-
+from ._floats import _self_check_tol
 from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
 from .convergence import _diamond_bound, _known_params, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
-from .symplectic import (GaussianState, SymplecticMatrix, _self_check_tol, apply_affine,
-                         tmsv_state)
 from .teleportation import simulate_channel
 
 __all__ = [
@@ -41,9 +38,9 @@ _PARAMS = frozenset({"energy_bound", "r", "a", "c"})
 
 
 def _check_count(n, name: str) -> None:
-    """A count of rounds or channel uses: an int or numpy integer (not a
-    bool), at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    """A count of rounds or channel uses: an integer (int, a numpy integer or
+    any other ``numbers.Integral``) that is not a bool, at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, numbers.Integral)):  # int: no ABC check
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")
@@ -123,7 +120,7 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
 
 
 @functools.lru_cache(maxsize=8)
-def _two_mode_squeezer(s: float) -> SymplecticMatrix:
+def _two_mode_squeezer(s: float):
     """The validated (immutable) two-mode squeezer of parameter s.  Its
     symplectic check runs at the roundoff of ``S Omega S^T``, whose entries
     reach ``cosh^2 s``; an s whose ``cosh^2`` leaves float64 range (or NaN)
@@ -135,6 +132,10 @@ def _two_mode_squeezer(s: float) -> SymplecticMatrix:
     if not finite:
         raise DomainError(
             f"two-mode squeezing must be finite with cosh^2 s in float64 range, got {s}")
+    import numpy as np
+
+    from .symplectic import SymplecticMatrix
+
     z = np.diag([1.0, -1.0])
     ch_, sh_ = np.cosh(s), np.sinh(s)
     m = np.block([[ch_ * np.eye(2), sh_ * z], [sh_ * z, ch_ * np.eye(2)]])
@@ -142,9 +143,10 @@ def _two_mode_squeezer(s: float) -> SymplecticMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _probe() -> GaussianState:
+def _probe():
     """The (immutable) probe of :func:`two_round_demo`, ``tmsv_state(2.0)``,
     built and checked once."""
+    from .symplectic import tmsv_state
     return tmsv_state(2.0)
 
 
@@ -178,6 +180,8 @@ def two_round_demo(ch: GaussianChannel, mu: float,
     once per parameter and cached.  A squeeze whose ``cosh^2`` leaves float64
     range, or NaN, raises :class:`DomainError`.
     """
+    from .symplectic import apply_affine
+
     delta = diamond_upper_bound(ch, mu)
     effective = simulate_channel(ch, mu).effective
     locc = _two_mode_squeezer(lo_cc_squeeze)

@@ -12,10 +12,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
+import sys
 
 import numpy as np
 
+from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _real,
+                      _require_eigenvalue)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -39,13 +41,6 @@ def _as_matrix(m) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _real(x, what: str) -> float:
-    """``float(x)`` of a real number that is not a bool, else :class:`DomainError`."""
-    if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):  # float: no ABC check
-        raise DomainError(f"{what} must be a real number, got {x!r}")
-    return float(x)
 
 
 def _check_even(dim: int) -> int:
@@ -97,24 +92,6 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     omega = symplectic_form(n)
     return bool(np.abs(m @ omega @ m.T - omega).max() <= tol)
 
-
-_EPS = float(np.finfo(float).eps)
-
-# roundoff of the smallest eigenvalue of M + i w Omega per unit of max|M|, with
-# margin: eigvalsh on valid inputs up to mu = 1e12 reaches about 6 eps, the
-# 2x2 closed form of _checked about 1 eps.
-_ROUNDOFF = 64.0 * _EPS
-
-
-def _self_check_tol(scale: float) -> float:
-    """Threshold of an absolute self-check on a quantity of magnitude
-    ``scale``: 1e-12 at unit scale, float64 roundoff ``64 eps scale`` beyond."""
-    return max(1e-12, _ROUNDOFF * float(scale))
-
-
-# the default tolerances of _checked: symmetry, and eigenvalue slack at unit scale
-_SYMMETRY = 1e-12
-_UNCERTAINTY = 1e-9
 
 # backward error of _cholesky_accepts per unit of the largest diagonal entry d
 # of the matrix it factors (derivation in its docstring): 14.5 eps d, rounded up
@@ -186,17 +163,13 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
     ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
     ``(r^2 + r^-2) / 2``.  Returns the symmetrized M.
 
-    A 2x2 M is decided on plain floats: the smallest eigenvalue of the
-    Hermitian ``[[p, r + i w], [r - i w, q]]`` is
-    ``(p + q)/2 - hypot((p - q)/2, r, w)``, in error by at most about
-    ``eps s`` near the threshold (0.98 eps s at most against 50 digits on
-    30,000 random-frame draws; eigvalsh 3.2 eps s), and the symmetrized M is
-    built from the same floats, bit-identical to ``0.5 (M + M^T)`` wherever
-    that does not overflow.  Larger M are halved before ``M - M^T`` and
-    ``M + M^T``, which is bit-identical outside the subnormal range and
-    cannot overflow; a 4x4 closed form would not be backward stable.  A 4x4
-    M on a scale s below about 28,150 (at the default tolerances) is
-    accepted on plain floats by the Cholesky certificate of
+    A 2x2 M is decided on plain floats by :func:`_floats._checked2`, and the
+    symmetrized M is built from the same floats, bit-identical to
+    ``0.5 (M + M^T)`` wherever that does not overflow.  Larger M are halved
+    before ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
+    subnormal range and cannot overflow; a 4x4 closed form would not be
+    backward stable.  A 4x4 M on a scale s below about 28,150 (at the default
+    tolerances) is accepted on plain floats by the Cholesky certificate of
     :func:`_cholesky_accepts`, which accepts only what the eigenvalue test
     would accept.  Where that certificate cannot decide (a failed pivot, or
     beyond that scale), one ``eigvalsh`` decides as before, and its
@@ -204,49 +177,31 @@ def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
     returned matrix are the same either way.
 
     Every ``tol`` consumer meets ``tol`` here first, so this is its one
-    check: None, or a real non-bool in ``[0, 0.5)``; at 0.5 the tau = 0 and
-    tau = 1 bands of ``channels._tau_region`` meet."""
-    if tol is not None and not 0.0 <= _real(tol, "tolerance") < 0.5:  # NaN fails too
-        raise DomainError(f"tolerance must be None or a real number in [0, 0.5), got {tol!r}")
-    single = m.shape == (2, 2)
-    if single:
-        (p, b), (c, q) = m.tolist()
-        finite = all(map(math.isfinite, (p, b, c, q)))  # entry by entry: max() drops NaN
-        scale = max(abs(p), abs(b), abs(c), abs(q)) if finite else math.nan
-    else:
-        scale = float(abs(m).max())
-        half = 0.5 * m  # halved first: M +/- M^T overflows for entries near 1e308
+    check (:func:`_floats._check_tol`)."""
+    if m.shape == (2, 2):
+        p, r, q = _checked2(tuple(m.ravel().tolist()), tol, w, what)
+        return np.array(((p, r), (r, q)))
+    _check_tol(tol)
+    scale = float(abs(m).max())
+    half = 0.5 * m  # halved first: M +/- M^T overflows for entries near 1e308
     if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
     scale = max(1.0, scale)
     symmetry, uncertainty = (_SYMMETRY, _UNCERTAINTY) if tol is None else (tol, tol)
-    if (abs(b - c) if single
-            else 2.0 * float(abs(half - half.T).max())) > symmetry * scale:
+    if 2.0 * float(abs(half - half.T).max()) > symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{symmetry:g} max(1, max|M|)")
-    if single:
-        r = 0.5 * (b + c)
-        if math.isinf(r):  # b + c beyond float64 range
-            r = 0.5 * b + 0.5 * c
-        m = np.array(((p, r), (r, q)))
-    else:
-        m = half + half.T
+    m = half + half.T
     if w is not None:
         e = max(uncertainty, _ROUNDOFF * scale)
-        if single:
-            lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
-        elif _cholesky_accepts(m, w, e, scale):
+        if _cholesky_accepts(m, w, e, scale):
             return m
-        else:
-            lam = np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0]
-        if not lam >= -e:  # NaN fails too
-            raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
-                                  f"eigenvalue {lam:.12g} < 0")
+        _require_eigenvalue(np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0], e, w, what)
     return m
 
 
 # largest eigenvalue of V for which _sqrt_form's products stay in float64 range
-_KERNEL_MAX = float(np.finfo(float).max) * (1.0 - 2.0 ** -20)
+_KERNEL_MAX = sys.float_info.max * (1.0 - 2.0 ** -20)
 
 
 def _sqrt_form(cm, tol: float | None):
@@ -540,5 +495,5 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     resid = np.abs(s @ cm @ s.T - target).max()
     if resid > 1e-8 * scale:
         raise ValidationError(f"Williamson reconstruction residual too large: {resid:g}")
-    sym_tol = max(_SYMPLECTIC, 16.0 * np.finfo(float).eps * scale)
+    sym_tol = max(_SYMPLECTIC, 16.0 * _EPS * scale)
     return WilliamsonDecomposition(SymplecticMatrix(s, sym_tol), spectrum)

@@ -10,6 +10,9 @@ which ranges over (0, 2] and vanishes like 1/mu.  Feeding a channel E with
 that teleporter output yields the simulated channel E o I_mu, whose noise
 matrix is the original one plus ``xi T T^T``; the transmission matrix and
 displacement are untouched.
+
+The channel side runs on plain floats; the states (``GaussianState`` in the
+annotations) come from the array layer, imported where they are built.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
+from ._floats import _real, _self_check_tol
 from .channels import (CanonicalClass, CanonicalForm, GaussianChannel,
-                       apply_channel, compose)
+                       apply_channel, channel_to_dict, compose)
 from .errors import DomainError, UnsupportedFormError, ValidationError
-from .symplectic import GaussianState, _real, _self_check_tol, thermal_state, tmsv_state
 
 __all__ = [
     "BKParameters",
@@ -97,7 +98,8 @@ class BKParameters:
 
 def bk_channel(mu: float) -> GaussianChannel:
     """The teleportation channel itself: additive noise xi(mu) I, identity T."""
-    return GaussianChannel(np.eye(2), bk_added_noise(mu) * np.eye(2))
+    xi = bk_added_noise(mu)
+    return GaussianChannel(((1.0, 0.0), (0.0, 1.0)), ((xi, 0.0), (0.0, xi)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,17 +116,20 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
     """Compose the base channel with the finite-energy teleporter.
 
     The composed noise matrix is verified against ``N + xi T T^T`` to 1e-12
-    at unit scale and to float64 roundoff of its largest entry beyond; a
-    mismatch would indicate a broken composition rule, not bad input.  A
-    composed noise matrix beyond float64 range (T of order 1e155) raises
-    :class:`ValidationError`.
+    at unit scale and to float64 roundoff of its largest entry beyond, on
+    plain floats; a mismatch would indicate a broken composition rule, not
+    bad input.  A composed noise matrix beyond float64 range (T of order
+    1e155) raises :class:`ValidationError`.
     """
     params = BKParameters(mu)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite N is rejected
-        effective = compose(base, bk_channel(mu))
-    expected_n = base.n + params.xi * base.t @ base.t.T
-    deviation = np.abs(effective.n - expected_n).max()
-    if deviation > _self_check_tol(np.abs(expected_n).max()):
+    effective = compose(base, bk_channel(mu))  # a non-finite N is rejected
+    (a, b), (c, d) = channel_to_dict(base)["t"]
+    (p, r), (_, q) = channel_to_dict(base)["n"]
+    (p2, r2), (_, q2) = channel_to_dict(effective)["n"]
+    xi = params.xi
+    expected = (p + xi * (a * a + b * b), r + xi * (a * c + b * d), q + xi * (c * c + d * d))
+    deviation = max(abs(x - y) for x, y in zip((p2, r2, q2), expected))
+    if deviation > _self_check_tol(max(map(abs, expected))):
         raise ValidationError("composed noise matrix deviates from N + xi T T^T")
     return SimulatedChannel(base=base, params=params, effective=effective)
 
@@ -132,6 +137,7 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
 def quasi_choi(base: GaussianChannel, mu: float) -> GaussianState:
     """Finite-energy stand-in for the Choi state: the channel applied to the
     second mode of a two-mode squeezed vacuum of variance mu."""
+    from .symplectic import tmsv_state
     return apply_channel(base, tmsv_state(mu), target_mode=1)
 
 
@@ -173,13 +179,14 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
         # plain-float products, not `**` (libm pow raises OverflowError): an
         # r out of range gives a non-finite CM, which GaussianState rejects
         inv = 1.0 / squeeze_r
-        w = np.diag([omega + gamma * (squeeze_r * squeeze_r), omega + gamma * (inv * inv)])
+        w = ((omega + gamma * (squeeze_r * squeeze_r), 0.0), (0.0, omega + gamma * (inv * inv)))
     elif tag is CanonicalClass.A2:
         a, c = _frame_row(a, c)
-        w = np.diag([xi * (a * a + c * c) + omega, omega])
+        w = ((xi * (a * a + c * c) + omega, 0.0), (0.0, omega))
     else:
         raise UnsupportedFormError(
             f"no environmental pair for class {tag.value}; supported: A2, C_Att, C_Amp, D")
+    from .symplectic import GaussianState, thermal_state
     return EnvironmentalPair(rho_e=thermal_state(omega),
-                             rho_e_mu=GaussianState(np.zeros(2), w),
+                             rho_e_mu=GaussianState((0.0, 0.0), w),
                              dilation_class=tag)

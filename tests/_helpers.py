@@ -176,6 +176,20 @@ def env_bound_mp(form, mu, r=1.0, a=1.0, c=0.0, dps: int = 60):
         return 2 * mp.sqrt(1 - f2)
 
 
+def b2_bound_mp(xi_prime, mu, r=1.0, dps: int = 60):
+    """The B2 diamond bound ``2 sqrt(1 - F^2)`` at ``dps`` digits, F the exact
+    tau -> 1 limit of :func:`fidelity.fid_b2_asymptotic`, with xi' (the
+    form's noise_param), mu and r taken as exact binary values.  ``1 - F^2``
+    is about ``xi^2``, so dps should exceed ``2 log10(mu)``."""
+    with mp.workdps(dps):
+        m, xp, rr = mp.mpf(mu), mp.mpf(xi_prime), mp.mpf(r)
+        xi = 2 / (m + mp.sqrt(m * m - 1))
+        a = xi * xp * (1 + rr ** 4)
+        num = rr * xp * mp.sqrt(a + rr ** 2 * (xi ** 2 + xp ** 2))
+        den = 2 * a + rr ** 2 * (xi ** 2 + 4 * xp ** 2)
+        return 2 * mp.sqrt(1 - 4 * num / den)
+
+
 def phi_mp(formula, *args, dps: int = 60):
     """The weak-converse key-capacity bound ``phi_loss(tau, nbar)``,
     ``phi_amp(tau, nbar)`` or ``phi_add(xi)`` (by its report's ``formula``)

@@ -25,10 +25,16 @@ def _classes(mod):
 
 class TestExports:
     def test_package_exports_the_layers_declared_names(self):
-        exported = {name for name, obj in vars(bt).items()
-                    if not name.startswith("_") and not inspect.ismodule(obj)}
+        # the package binds its names lazily (PEP 562): they are read as dir()
+        # and getattr() see them, and each is the identical object of its layer
+        exported = {name for name in dir(bt)
+                    if not name.startswith("_") and not inspect.ismodule(getattr(bt, name))}
         declared = set().union(*(mod.__all__ for mod in LAYERS))
         assert exported == declared | _classes(errors)
+        assert set(bt.__all__) == exported
+        for mod in (*LAYERS, errors):
+            for name in getattr(mod, "__all__", _classes(mod)):
+                assert getattr(bt, name) is getattr(mod, name)
 
     # names that only tests used: the generators now live in tests/_helpers.py;
     # the protocol checks are epsilon_tp_bound's, the rank r is classify's, and
@@ -62,16 +68,22 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 PRIVATE_IMPORTS = {
     "capacity": {("convergence", "_diamond_bound"), ("peeling", "_check_count"),
                  ("peeling", "_protocol_form")},
-    "channels": {("symplectic", "_checked"), ("symplectic", "_readonly")},
-    "convergence": {("fidelity", "_b1_witness_infidelity"), ("fidelity", "_b2_infidelity"),
-                    ("fidelity", "_env_root_infidelity"), ("symplectic", "_real"),
+    "channels": {("_floats", "_checked2"), ("symplectic", "_readonly")},
+    "cli": {("convergence", "_scan")},
+    "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
+                    ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
                     ("teleportation", "_frame_row")},
-    "dilation": {("symplectic", "_self_check_tol")},
+    "dilation": {("_floats", "_self_check_tol")},
     "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
-    "peeling": {("convergence", "_diamond_bound"), ("convergence", "_known_params"),
-                ("symplectic", "_self_check_tol")},
-    "teleportation": {("symplectic", "_real"), ("symplectic", "_self_check_tol")},
+    "peeling": {("_floats", "_self_check_tol"), ("convergence", "_diamond_bound"),
+                ("convergence", "_known_params")},
+    # the plain-float rules of _floats: the state layer's CM test shares them
+    "symplectic": {("_floats", "_EPS"), ("_floats", "_ROUNDOFF"), ("_floats", "_SYMMETRY"),
+                   ("_floats", "_UNCERTAINTY"), ("_floats", "_check_tol"),
+                   ("_floats", "_checked2"), ("_floats", "_real"),
+                   ("_floats", "_require_eigenvalue")},
+    "teleportation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
 }
 
 
@@ -163,6 +175,9 @@ class TestPrivateImports:
         for name in ("_FIXED_TAU", "_FIXED_RANK", "_CANONICAL_KEYS"):
             assert not hasattr(channels, name)
         assert not hasattr(convergence, "_noise_rank")
+        # det T and det N have one exact kernel, channels._det: no numpy det
+        # or second determinant of N
+        assert not hasattr(channels, "_sqrt_det") and "linalg" not in inspect.getsource(channels)
 
     def test_walker_sees_each_form_of_import(self):
         source = ("from .fidelity import _new, fid_env_C\n"

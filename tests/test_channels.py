@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,7 @@ from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              canonical_matrices, channel_from_dict, channel_to_dict,
                              classify, compose, form_from_fields,
                              thermal_state, tmsv_state, validate_channel)
-from bosonic_telesim.channels import _numeric_rank
+from bosonic_telesim.channels import _noise_invariants, _numeric_rank
 from bosonic_telesim.convergence import decide_uniform
 
 I2 = np.eye(2)
@@ -51,14 +52,14 @@ class TestCheckOnce:
     def physicality_checks(self, monkeypatch):
         from bosonic_telesim import channels
 
-        calls, real = [], channels._checked
+        calls, real = [], channels._checked2
 
         def counted(m, tol, w=None, what="covariance matrix"):
             if what == "channel noise matrix":
                 calls.append(tol)
             return real(m, tol, w, what)
 
-        monkeypatch.setattr(channels, "_checked", counted)
+        monkeypatch.setattr(channels, "_checked2", counted)
         return calls
 
     def test_failed_check_raises_the_same_error_on_every_use(self):
@@ -100,12 +101,12 @@ class TestCheckOnce:
         assert physicality_checks == [None, 1e-9, 1e-9]
 
     def test_the_remembered_check_is_not_a_field(self):
-        import dataclasses
+        import inspect
 
         ch = loss_channel(0.5)
         classify(ch)
-        assert [f.name for f in dataclasses.fields(ch)] == ["t", "n", "d"]
-        assert dataclasses.replace(ch, n=2.0 * ch.n)._physical is False
+        assert list(inspect.signature(GaussianChannel).parameters) == ["t", "n", "d"]
+        assert GaussianChannel(ch.t, 2.0 * ch.n)._physical is False
 
     def test_a_composite_is_checked_on_its_own_first_use(self, physicality_checks):
         ch = loss_channel(0.5)
@@ -235,7 +236,7 @@ class TestClassify:
         ch = GaussianChannel(I2, np.diag([0.1, 1e-11]))
         assert classify(ch).tag is CanonicalClass.B1
         assert classify(ch, 0.0).tag is CanonicalClass.B2
-        assert classify(ch, 0.0).noise_param == float(np.sqrt(np.linalg.det(ch.n)))
+        assert classify(ch, 0.0).noise_param == math.sqrt(0.1 * 1e-11)  # det N rounded once
 
     def test_huge_noise_matrix_does_not_overflow(self):
         # det N = 1.96e616 is beyond float64; N is scaled by 2^-1024 first
@@ -247,12 +248,18 @@ class TestClassify:
         assert form.tag is CanonicalClass.A2
         assert abs(form.noise_param - 7e307) <= 4 * math.ulp(7e307)
 
-    def test_huge_noise_matrix_with_finite_det_keeps_numpy_det(self):
-        # max|N| beyond 2^511 but det N = 1e308 finite: numpy's det, unscaled
+    def test_huge_noise_matrix_with_finite_det(self):
+        # max|N| beyond 2^511, det N = 1e308 finite: the exact det of N scaled
+        # by 2^-e, 2^e > max|N|, rounded once, its root scaled back by 2^e
         n = np.diag([1e158, 1e150])
         form = classify(GaussianChannel(np.diag([1.0, 0.0]), n))
         assert form.tag is CanonicalClass.A2
-        assert form.noise_param == 0.5 * (float(np.sqrt(np.linalg.det(n))) - 1.0)
+        e = math.frexp(1e158)[1]
+        root = math.ldexp(math.sqrt(math.ldexp(1e158, -e) * math.ldexp(1e150, -e)), e)
+        assert form.noise_param == 0.5 * (root - 1.0)
+        with mp.workdps(60):
+            want = (mp.sqrt(mp.mpf(1e158) * mp.mpf(1e150)) - 1) / 2
+            assert abs(form.noise_param - want) <= 2 * math.ulp(form.noise_param)
 
     @pytest.mark.parametrize("entry", [1e308, 9e307])
     def test_rank_one_noise_beyond_float64_range(self, entry):
@@ -317,18 +324,23 @@ class TestClassify:
             assert back.noise_param == pytest.approx(form.noise_param, rel=1e-7, abs=1e-7)
 
 
+def exact_det(m) -> float:
+    """det of the float 2x2 m from its exact rational entries, rounded once;
+    beyond float64 range the inf of its sign."""
+    (a, b), (c, d) = (map(Fraction, row) for row in np.asarray(m, dtype=float).tolist())
+    exact = a * d - b * c
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 class TestNoiseDeterminant:
     """sqrt(det N) is a noise scale only at full rank: below it no class reads
-    it, so classify takes no determinant, and a raised ambiguity computes it
-    for its diagnostics."""
+    it, so classify reports none, and a raised ambiguity carries it in its
+    diagnostics.  It is the root of the exact det N, rounded once."""
 
-    def test_rank_deficient_noise_takes_no_determinant(self, rng, monkeypatch):
-        from bosonic_telesim import channels
-
-        def refuse(n):
-            raise AssertionError("det N taken below full rank")
-
-        monkeypatch.setattr(channels, "_sqrt_det", refuse)
+    def test_rank_deficient_noise_has_no_noise_scale(self, rng):
         b1 = CanonicalForm(CanonicalClass.B1, 1.0, 1, 0.0)
         identity = CanonicalForm(CanonicalClass.B2_Id, 1.0, 0, 0.0)
         for _ in range(300):
@@ -344,16 +356,16 @@ class TestNoiseDeterminant:
                 assert classify(none) == identity
                 assert classify(none).r == 0
 
-    def test_full_rank_noise_takes_one_determinant(self, monkeypatch):
-        from bosonic_telesim import channels
-
-        calls, real = [], channels._sqrt_det
-        monkeypatch.setattr(channels, "_sqrt_det", lambda n: calls.append(n) or real(n))
+    def test_full_rank_noise_scale_is_the_exact_determinant(self, rng):
         for ch in (GaussianChannel(I2, 0.1 * I2), loss_channel(0.5, 0.5)):
-            calls.clear()
-            classify(ch)
-            assert len(calls) == 1
-        assert classify(GaussianChannel(I2, 0.1 * I2)).noise_param == real(0.1 * I2)
+            assert classify(ch).noise_param == (
+                math.sqrt(exact_det(ch.n)) if classify(ch).tag is CanonicalClass.B2
+                else 0.5 * (math.sqrt(exact_det(ch.n)) / abs(1.0 - ch.tau) - 1.0))
+        for _ in range(300):
+            s_b = random_symplectic(1, rng)
+            n = s_b @ np.diag(10.0 ** rng.uniform(-9.0, 3.0, 2)) @ s_b.T
+            ch = GaussianChannel(I2, n)
+            assert classify(ch, 0.0).noise_param == math.sqrt(exact_det(ch.n))
 
     @pytest.mark.parametrize("t, n, tol, scale", [
         # tau = 0 with a rank-1 N, physical inside the slack of tol = 1e-2
@@ -369,7 +381,7 @@ class TestNoiseDeterminant:
             classify(ch, tol)
         diagnostics = err.value.diagnostics
         assert diagnostics["rank_n"] == 1
-        assert diagnostics["sqrt_det_n"] == math.sqrt(max(np.linalg.det(ch.n), 0.0))
+        assert diagnostics["sqrt_det_n"] == math.sqrt(max(exact_det(ch.n), 0.0))
         assert diagnostics["sqrt_det_n"] == pytest.approx(scale, rel=1e-4)
         assert list(diagnostics) == ["tau", "rank_t", "rank_n", "sqrt_det_n"]
 
@@ -430,7 +442,7 @@ class TestChannelRank:
             rank = sum(1 for lam in eigs if lam > thr)
         assert classify(ch, tol).r == rank  # T = I has rank 2
         if min(lams) > 0.0:  # positive-semidefinite: the singular values agree
-            assert _numeric_rank(ch.n, tol) == rank
+            assert _numeric_rank(tuple(ch.n.ravel().tolist()), exact_det(ch.n), tol) == rank
 
 
 @st.composite
@@ -460,17 +472,108 @@ def _ranked_matrices(draw):
 
 
 class TestNumericRank:
+    """rank T from the closed-form singular values: numpy's SVD count, and
+    the 60-digit count, wherever no singular value is at the threshold."""
+
     @given(_ranked_matrices())
     @example((np.zeros((2, 2)), None))
     @example((np.diag([1.0, 5e-11]), None))
     @example((np.diag([1.0, 2e-10]), None))
     @example((np.diag([1.0, 5e-11]), 1e-12))
     @settings(max_examples=1000, deadline=None)
-    def test_counts_like_the_array_expression(self, drawn):
+    def test_counts_like_numpy_svd_away_from_the_threshold(self, drawn):
         t, tol = drawn
-        rank = _numeric_rank(t, tol)
+        assume(math.isfinite(exact_det(t)))  # as for every valid channel
+        rank = _numeric_rank(tuple(t.ravel().tolist()), exact_det(t), tol)
         assert type(rank) is int
+        with mp.workdps(60):
+            sv = mp.svd_r(mp.matrix(t.tolist()), compute_uv=False)
+            thr = (1e-10 if tol is None else tol) * max(sv[0], 1)
+            # numpy's SVD is within about eps s1 of each singular value
+            assume(all(abs(x - thr) > 1e-3 * thr + 1e-13 * max(sv[0], 1) for x in sv))
+            assert rank == sum(1 for x in sv if x > thr)
         assert rank == numeric_rank_np(t, tol)
+
+    def test_singular_value_beyond_float64_range(self):
+        # s1 = 2e308 overflows: decided on T scaled by 2^-1024, rank 1 (tau = 0)
+        t = (1e308, 1e308, 1e308, 1e308)
+        assert _numeric_rank(t, 0.0, None) == 1
+        assert _numeric_rank(t, 0.0, 0.0) == 1
+
+
+class TestExactDeterminant:
+    """tau = det T is ``a d - b c`` correctly rounded from its exact value."""
+
+    @given(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                              st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=4, max_size=4))
+    @example([1.0, 0.0, 0.0, 5e-11])
+    @example([1.0, 0.0, 0.0, 1e100])
+    @example([1.0, 0.0, 0.0, 1e-100])
+    @example([1.0, 0.0, 0.0, 1e-300])
+    @example([0.1, 0.3, 0.7, 2.1])  # a d and b c round to the same float
+    @settings(max_examples=1000, deadline=None)
+    def test_tau_is_correctly_rounded(self, entries):
+        a, b, c, d = entries
+        tau = GaussianChannel([[a, b], [c, d]], I2).tau
+        assert type(tau) is float and tau == exact_det([[a, b], [c, d]])
+
+    @pytest.mark.parametrize("d, numpy_ulps", [(5e-11, 10), (1e100, 57), (1e-100, 87),
+                                               (1e-300, 143)])
+    def test_diagonal_tau_is_the_product(self, d, numpy_ulps):
+        # numpy's det, sign * exp(logdet), was that many ulp off these products
+        assert GaussianChannel(np.diag([1.0, d]), I2).tau == d
+        assert abs(float(np.linalg.det(np.diag([1.0, d]))) - d) <= numpy_ulps * math.ulp(d)
+
+    def test_classify_reports_the_channel_tau(self, rng):
+        for _ in range(100):
+            form = sample_form(rng)
+            ch = conjugated_channel(form, rng)
+            back = classify(ch)
+            assert back.tau == (ch.tau if back.tag.fixed_tau is None else back.tag.fixed_tau)
+
+
+class TestNoiseRankBoundary:
+    """Near every rank boundary of N, N counts as full rank exactly when its
+    noise scale sqrt(det N) is positive: a rank-2 N always has one, and an N
+    whose 60-digit eigenvalues both clear the threshold is rank 2."""
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_full_rank_exactly_with_a_positive_noise_scale(self, data):
+        tol = data.draw(st.sampled_from([None, 0.0, 1e-12, 1e-6]))
+        base = 1e-10 if tol is None else tol
+        big = 10.0 ** data.draw(st.floats(-3.0, 300.0))
+        kind = data.draw(st.sampled_from(["threshold", "zero", "tiny", "negative"]))
+        if kind == "threshold":
+            small = base * max(big, 1.0) * (1.0 + data.draw(st.floats(-1e-6, 1e-6)))
+        elif kind == "zero":
+            small = data.draw(st.sampled_from([0.0, 5e-324, -5e-324]))
+        elif kind == "tiny":
+            small = 10.0 ** data.draw(st.floats(-320.0, -12.0))
+        else:
+            small = -(10.0 ** data.draw(st.floats(-14.0, -9.5)))
+        angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        ch = GaussianChannel(I2, rot @ np.diag([big, small]) @ rot.T)
+        assume(validate_channel(ch, tol))
+        (p, r), (_, q) = ch.n.tolist()
+        rank, sqrt_det = _noise_invariants((p, r, q), tol)
+        assert sqrt_det == math.sqrt(max(exact_det(ch.n), 0.0)) or big > 2.0 ** 511
+        if rank == 2:
+            assert sqrt_det > 0.0 and exact_det(ch.n) > 0.0
+        if sqrt_det == 0.0:
+            assert rank < 2
+        with mp.workdps(60):
+            eigs = symmetric_eigenvalues_mp(ch.n)
+            thr = base * max(abs(eigs[0]), abs(eigs[1]), 1)
+            if all(lam > thr * (1 + 1e-3) + 1e-13 * max(abs(eigs[0]), 1) for lam in eigs):
+                assert rank == 2 and sqrt_det > 0.0
+        form = classify(ch, tol)  # T = I: B2 carries the scale, B1 and B2_Id none
+        assert (form.tag is CanonicalClass.B2) == (rank == 2)
+        assert form.noise_param == (sqrt_det if rank == 2 else 0.0)
 
 
 # the paper's table, written out independently of CanonicalClass:

@@ -616,6 +616,65 @@ class TestInfrastructure:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
+    # the single-mode channel commands, for canonical and raw 2x2 specs
+    _RAW_LOSS = '{"t": [[0.7071067811865476, 0], [0, 0.7071067811865476]], "n": [[0.5, 0], [0, 0.5]]}'
+    _SCAN = ('{"channel": %s, "grid": {"param": "mu", "start": 1.1, "stop": 1e10, '
+             '"points": 20, "log": true}}')
+    CHANNEL_COMMANDS = [
+        ["classify", "--channel", LOSS],
+        ["classify", "--channel", _RAW_LOSS],
+        ["convergence", "--config", _SCAN % LOSS],
+        ["convergence", "--config", _SCAN % _RAW_LOSS],
+        ["peel", "--n", "10", "--channel", LOSS, "--mu", "1e8"],
+        ["peel", "--n", "10", "--channel", _RAW_LOSS, "--mu", "1e8"],
+        ["capacity", "--channel", LOSS, "--n", "100", "--eps", "0.1", "--mu", "1e8"],
+        ["capacity", "--channel", _RAW_LOSS, "--n", "100", "--eps", "0.1", "--mu", "1e8"],
+        ["simulate", "--channel", _RAW_LOSS, "--mu", "10"],
+    ]
+
+    @pytest.mark.parametrize("argv", CHANNEL_COMMANDS, ids=lambda a: f"{a[0]}-{a[2][:8]}")
+    def test_channel_commands_leave_numpy_unloaded(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from bosonic_telesim.cli import main; code = main(sys.argv[1:]); "
+             "print('numpy' in sys.modules, code, file=sys.stderr)", *argv],
+            capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout
+        assert proc.stderr.strip() == "False 0"
+
+    def test_convergence_classifies_once(self, capsys, classify_calls):
+        for argv in (self.CHANNEL_COMMANDS[2], self.CHANNEL_COMMANDS[3]):
+            classify_calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert len(classify_calls) == 1
+        classify_calls.clear()
+        config = json.dumps({"channel": {"class": "B1"}, "grid": {
+            "param": "mu_tilde", "start": 1, "stop": 1e6, "points": 3, "log": True}})
+        assert run(capsys, "convergence", "--config", config)[0] == 0
+        assert len(classify_calls) == 1
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.integers(1, 200))
+    @example(1.1, 1e10, 20)
+    @example(0.0, 5e-324, 7)  # the step underflows to 0
+    @settings(max_examples=500, deadline=None)
+    def test_linear_grid_is_numpy_linspace(self, start, stop, points):
+        from bosonic_telesim.cli import _linspace
+        with np.errstate(all="ignore"):
+            want = np.linspace(start, stop, points).tolist()
+        assert [x.hex() for x in _linspace(start, stop, points)] == [x.hex() for x in want]
+
+    @given(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0), st.integers(1, 200))
+    @example(math.log10(1.1), 10.0, 20)
+    @settings(max_examples=500, deadline=None)
+    def test_log_grid_is_numpy_geomspace_to_an_ulp(self, log_start, log_stop, points):
+        from bosonic_telesim.cli import _geomspace
+        start, stop = 10.0 ** log_start, 10.0 ** log_stop
+        got, want = _geomspace(start, stop, points), np.geomspace(start, stop, points).tolist()
+        assert len(got) == points and got[0] == start and got[-1] == (stop if points > 1 else start)
+        # libm's pow and log10 against numpy's SIMD ones: at most a few ulp apart
+        assert all(abs(x - y) <= 4 * math.ulp(y) * abs(math.log(y)) + math.ulp(y)
+                   for x, y in zip(got, want))
+
     def test_non_finite_result_rejected(self):
         # V = inf makes the clean bound infinite; JSON has no infinity
         proc = subprocess.run(

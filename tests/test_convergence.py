@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import (b1_witness_mp, bk_added_noise_np, conjugated_channel,
+from _helpers import (b1_witness_mp, b2_bound_mp, bk_added_noise_np, conjugated_channel,
                       env_bound_mp, loglog_slope, sample_form, scutaru_fidelity_sq_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, ScanRow, b1_gamma, b1_witness_bound,
@@ -557,7 +557,26 @@ class TestBoundDirection:
     environmental pair and at most 1e-12 relative above it, for mu in
     [1.1, 1e150], nbar in [0, 5] or up to 1e100, and frames r and (a, c).
     A float64 ``1 - F^2`` gave 0.0 from mu = 1e8 at nbar = 0.5, and at
-    nbar = 1e8 from mu = 1.1."""
+    nbar = 1e8 from mu = 1.1.  The B2 bound is held the same way against its
+    exact tau -> 1 limit for mu in [1.1, 1e300]: its ``xi^2`` underflowed
+    from mu of about 1e154, and it read 5.6e-6 low at mu = 1e160 and 0.0
+    from mu = 1e200."""
+
+    @given(mu=st.one_of(st.floats(math.log10(1.1), 300.0).map(lambda e: 10.0 ** e),
+                        st.floats(150.0, 300.0).map(lambda e: 10.0 ** e)),
+           xi_prime=st.floats(0.05, 2.0), r=_FRAME_R)
+    @example(mu=1e160, xi_prime=0.5, r=1.0)
+    @example(mu=1e200, xi_prime=0.5, r=1.0)
+    @example(mu=1e300, xi_prime=0.5, r=1.0)
+    @example(mu=2.0 ** 27, xi_prime=2.0, r=0.5)
+    @settings(max_examples=300, deadline=None)
+    def test_b2_never_below_the_reference(self, mu, xi_prime, r):
+        ch = canonical_channel(form_from_fields(CanonicalClass.B2, xi=xi_prime))
+        got = diamond_upper_bound(ch, mu, r=r)
+        # 1 - F^2 is about xi^2: the reference cancels that many digits
+        want = b2_bound_mp(classify(ch).noise_param, mu, r, dps=60 + int(2 * math.log10(mu)))
+        assert type(got) is float and 0.0 < got < math.inf
+        assert want <= got <= want * (1 + 1e-12)
 
     @given(form=env_forms(), mu=_DIRECTION_MU, r=_FRAME_R, row=_DIRECTION_ROW)
     @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=1e8), mu=1.1, r=1.0,

@@ -17,7 +17,8 @@ from bosonic_telesim import (CanonicalClass, DomainError, b1_gamma, b1_witness_b
                              fid_b2_asymptotic, fid_env_A2, fid_env_C, form_from_fields,
                              gaussian_fidelity, nonuniform_witness)
 from bosonic_telesim.convergence import _B1_ROUND_DOWN
-from bosonic_telesim.fidelity import _b1_witness_infidelity, _b2_infidelity, _env_root_infidelity
+from bosonic_telesim.fidelity import (_b1_witness_infidelity, _b2_root_infidelity,
+                                      _env_root_infidelity)
 from bosonic_telesim.teleportation import _env_gamma
 
 FIELDS = {"A1": {"nbar": 0.3}, "A2": {"nbar": 0.4}, "C_Att": {"tau": 0.6, "nbar": 0.5},
@@ -95,7 +96,7 @@ def _expected(reader, form, mu, r, a, c):
     if cls == "A1":
         return 0.0
     if cls == "B2":
-        return 2.0 * math.sqrt(_b2_infidelity(xi, form.noise_param, r))
+        return 2.0 * _b2_root_infidelity(xi, form.noise_param, r)
     if cls == "B2_Id":
         return nonuniform_witness(mu, MU_TILDE)
     infidelity, f2 = _b1_witness_infidelity(MU_TILDE, xi, a, c)
@@ -150,7 +151,11 @@ class TestFrameReaders:
     # The A2, C_Amp, C_Att and D bounds are those of the cancellation-free
     # kernel, 2.8e-14 relative above 60 digits (rounded up); the float64
     # 1 - F^2 they replaced was 6e-16 to 1.5e-14 off, the A2 (0.7, 1.3, -0.4)
-    # one 2.0e-15 below
+    # one 2.0e-15 below.  Restated since: the D bounds, for the exact det T
+    # that classify now reports (tau = -0.7999999999999999; 0x...9d8p-4 and
+    # 0x...53c8p-4 before, each still 2.8e-14 above 60 digits), and the B2
+    # bounds, for the root kernel that no longer underflows (0x...0332ep-2
+    # and 0x...0364bp-1 before, 1.4e-14 above 60 digits; now 2.85e-14 above)
     PINNED = {
         ("A1", 0.7, 1.3, -0.4): ("0x0.0p+0",),
         ("A1", 1.9, 0.0, 2.1): ("0x0.0p+0",),
@@ -160,10 +165,10 @@ class TestFrameReaders:
         ("C_Att", 1.9, 0.0, 2.1): ("0x1.9d7b0dd5b2f7dp-2", "0x1.f574dc4e6efa0p-1"),
         ("C_Amp", 0.7, 1.3, -0.4): ("0x1.23a9bdcf0d32dp-1", "0x1.eacad9cb95ca6p-1"),
         ("C_Amp", 1.9, 0.0, 2.1): ("0x1.7aa44a5fb513ap-1", "0x1.dbb630cb34901p-1"),
-        ("D", 0.7, 1.3, -0.4): ("0x1.36ab84a1309d8p-4", "0x1.ffa1b65b6d47dp-1"),
-        ("D", 1.9, 0.0, 2.1): ("0x1.f7221da7c53c8p-4", "0x1.ff088e6fa4f8bp-1"),
-        ("B2", 0.7, 1.3, -0.4): ("0x1.691646650332ep-2",),
-        ("B2", 1.9, 0.0, 2.1): ("0x1.077dedda0364bp-1",),
+        ("D", 0.7, 1.3, -0.4): ("0x1.36ab84a1309d6p-4", "0x1.ffa1b65b6d47dp-1"),
+        ("D", 1.9, 0.0, 2.1): ("0x1.f7221da7c53c6p-4", "0x1.ff088e6fa4f8bp-1"),
+        ("B2", 0.7, 1.3, -0.4): ("0x1.6916466503388p-2",),
+        ("B2", 1.9, 0.0, 2.1): ("0x1.077dedda0368dp-1",),
         ("B1", 0.7, 1.3, -0.4): ("0x1.d0b136eae09a2p-1",),
         ("B1", 1.9, 0.0, 2.1): ("0x1.1bb381e2cf08bp+0",),
         ("B2_Id", 0.7, 1.3, -0.4): ("0x1.374c867f05a02p+0",),
