@@ -296,8 +296,9 @@ _RANK = 1e-10  # default: singular values of T, eigenvalues of N, below 1e-10 ma
 
 def _numeric_rank(t: tuple, tau: float, tol: float | None) -> int:
     """Rank of ``T = [[a, b], [c, d]]``, given as ``t = (a, b, c, d)`` with
-    its finite ``tau = det T`` (a valid channel's): its singular values above ``1e-10 max(s1, 1)``, or
-    ``tol`` in place of 1e-10, from the closed forms
+    its finite ``tau = det T`` (a valid channel's): its singular values
+    above ``1e-10 max(s1, 1)``, or ``tol`` in place of 1e-10, from the
+    closed forms
     ``s1 = (hypot(a + d, c - b) + hypot(a - d, c + b))/2`` and
     ``s2 = |tau|/s1`` (0 for T = 0), on plain floats.  Where s1 leaves
     float64 range, s1 is taken of T scaled by an exact ``2^-e``, with
@@ -328,7 +329,7 @@ def _noise_invariants(n: tuple, tol: float | None) -> tuple:
     ``1e-10 max(|l+|, |l-|, 1)``, or ``tol`` in place of 1e-10: N is
     symmetric and only its positive eigenvalues are noise, so a negative one
     inside the physicality slack, whose singular value would pass, does not
-    count.  ``sqrt(det N) = sqrt(l+ l-)`` is taken of the exact
+    count.  ``sqrt(det N) = sqrt(l+ l-)`` is the root of the exact
     ``det N = p q - r^2`` (:func:`_det`), rounded once, not of the product
     of the rounded eigenvalues, whose ``l-`` cancels near a rank boundary;
     N counts as full rank only where it is positive as well, so a rank-2 N

@@ -324,9 +324,20 @@ def _cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .peeling import TOPOLOGIES
+class _Topologies:
+    """peel's ``--topology`` choices, the library's ``TOPOLOGIES``, read only
+    when argparse checks a value or lists them in an error, so that the
+    other commands do not import the peeling layer."""
 
+    def __iter__(self):
+        from .peeling import TOPOLOGIES
+        return iter(TOPOLOGIES)
+
+    def __contains__(self, value) -> bool:
+        return value in tuple(self)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bosonic-telesim",
         description="Gaussian-channel teleportation simulation: classification, "
@@ -374,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-use error (otherwise computed from --channel/--mu)")
     p.add_argument("--channel", default=None)
     p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--topology", choices=TOPOLOGIES, default="uniform")
+    p.add_argument("--topology", choices=_Topologies(), default="uniform", metavar="TOPOLOGY",
+                   help="one of the library's TOPOLOGIES (default uniform)")
     p.set_defaults(func=_cmd_peel)
 
     p = sub.add_parser("capacity", parents=[common],
