@@ -10,6 +10,7 @@ imports the layer that defines it on first use, so a process loads only the
 layers it calls, and numpy only with the state layer.
 """
 
+import sys as _sys
 from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
@@ -40,7 +41,7 @@ _LAYERS = {
                       "bk_added_noise", "bk_channel", "environmental_pair", "quasi_choi",
                       "simulate_channel"),
 }
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+_LAYER_OF = {name: f"{__name__}.{layer}" for layer, names in _LAYERS.items() for name in names}
 __all__ = sorted(_LAYER_OF)
 
 
@@ -49,7 +50,8 @@ def __getattr__(name):
     the layer is seen here too), or a layer module itself."""
     layer = _LAYER_OF.get(name)
     if layer is not None:
-        return getattr(_import_module(f"{__name__}.{layer}"), name)
+        module = _sys.modules.get(layer)
+        return getattr(module if module is not None else _import_module(layer), name)
     if name in _LAYERS:
         return _import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

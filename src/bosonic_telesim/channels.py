@@ -101,26 +101,34 @@ def _tau_region(tau: float, boundary: float) -> str:
 _BY_INVARIANTS = {(c.region, c.rank_t, c.rank_n): c for c in CanonicalClass}
 
 
-def _flat(x) -> tuple:
-    """``(shape, entries)`` of a nested sequence of real numbers (an array by
-    its ``tolist()``), row-major, each entry converted by ``float``: the
-    array ``np.asarray(x, dtype=float)`` reads.  A ragged nesting has the
-    shape None."""
+def _matrix(x, name: str) -> tuple:
+    """The four floats of the 2x2 ``name``, row-major, given as nested
+    sequences or as an array (read by ``tolist()``): the entries of
+    ``np.asarray(x, dtype=float)``."""
+    try:
+        (a, b), (c, d) = x.tolist() if hasattr(x, "tolist") else x
+    except (TypeError, ValueError):
+        raise InvalidDimensionError(f"{name} must be a 2x2 matrix") from None
+    try:
+        return float(a), float(b), float(c), float(d)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must hold real numbers: {exc}") from None
+
+
+def _ravel(x) -> list:
+    """The entries of a nested sequence or an array, row-major (numpy's ``ravel``)."""
     x = x.tolist() if hasattr(x, "tolist") else x
-    if not isinstance(x, (list, tuple)):
-        return (), (float(x),)
-    parts = [_flat(e) for e in x]
-    shapes = {shape for shape, _ in parts}
-    inner = shapes.pop() if len(shapes) == 1 and None not in shapes else None
-    shape = None if parts and inner is None else (len(x),) + (inner or ())
-    return shape, tuple(f for _, entries in parts for f in entries)
+    return [f for e in x for f in _ravel(e)] if isinstance(x, (list, tuple)) else [x]
 
 
 def _array(rows):
-    """A read-only float array of ``rows``: the array layer, so numpy is
-    loaded where a channel's matrices are first read as arrays."""
-    from .symplectic import _readonly
-    return _readonly(rows)
+    """A read-only float array of ``rows``: numpy is loaded where a
+    channel's matrices are first read as arrays."""
+    import numpy as np
+
+    a = np.array(rows, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _det(a: float, b: float, c: float, d: float) -> float:
@@ -145,8 +153,8 @@ class GaussianChannel:
     real entries and a finite N, symmetrized exactly; the physical bona-fide
     condition is checked by :func:`validate_channel` so that unphysical
     triples can still be represented and interrogated.  The channel holds the
-    plain floats of T, N and d; ``t``, ``n`` and ``d`` are read-only arrays
-    built from them when first read, and ``tau`` is :func:`_det` of T.
+    plain floats of T, N and d and ``tau``, the :func:`_det` of T; ``t``,
+    ``n`` and ``d`` are read-only arrays built from them on first read.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
     failed one is not, and raises again on every use).
@@ -155,16 +163,15 @@ class GaussianChannel:
     _physical = False  # set on the instance by a passed default check
 
     def __init__(self, t, n, d=None):
+        t, n = _matrix(t, "T"), _matrix(n, "N")
         try:
-            (t_shape, t), (n_shape, n) = _flat(t), _flat(n)
-            d = (0.0, 0.0) if d is None else _flat(d)[1]
+            d = (0.0, 0.0) if d is None else tuple(float(x) for x in _ravel(d))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"channel entries must be real numbers: {exc}") from None
-        if t_shape != (2, 2) or n_shape != (2, 2) or len(d) != 2:
-            raise InvalidDimensionError(f"expected 2x2 T, 2x2 N and length-2 d, "
-                                        f"got {t_shape}, {n_shape}, ({len(d)},)")
+            raise ValidationError(f"d must hold real numbers: {exc}") from None
+        if len(d) != 2:
+            raise InvalidDimensionError(f"d must have 2 entries, got {len(d)}")
         for name, value in (("_t", t), ("_n", _checked2(n, None, what="noise matrix")),
-                            ("_d", d)):
+                            ("_d", d), ("tau", _det(*t))):
             object.__setattr__(self, name, value)  # past the frozen __setattr__
 
     def __setattr__(self, name, value):
@@ -191,11 +198,6 @@ class GaussianChannel:
     @functools.cached_property
     def d(self):
         return _array(self._d)
-
-    @functools.cached_property
-    def tau(self) -> float:
-        """det T, exact and rounded once (:func:`_det`)."""
-        return _det(*self._t)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -251,8 +253,6 @@ def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     embedding forms."""
     import numpy as np
 
-    from .symplectic import GaussianState
-
     _require_valid(ch)
     n_modes = state.modes
     if target_mode not in range(n_modes):
@@ -265,7 +265,7 @@ def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     cm[sl] = rows @ state.cm
     cm[:, sl] = cm @ rows.T
     cm[sl, sl] += ch.n
-    return GaussianState(mean, cm)
+    return type(state)(mean, cm)  # a GaussianState: the array layer, not imported here
 
 
 def _pairs(m: tuple) -> tuple:

@@ -59,12 +59,12 @@ def _mean_factor(m1, m2, vmean) -> float:
     (which cannot overflow) and ``2^e > max|h|``, and scaled back by the
     exact ``4^(e+1)``.  Where delta is finite and has no subnormal entry, h
     is delta/2 exactly, so u is ``2^-(e+1) delta`` bit for bit."""
-    import numpy as np
-
     a, b = m1.tolist(), m2.tolist()
     delta = [y - x for x, y in zip(a, b)]
     if not any(delta):
         return 1.0
+    import numpy as np
+
     delta = np.array(delta)
     with np.errstate(over="ignore", invalid="ignore"):
         q = delta @ np.linalg.solve(vmean, delta)
@@ -76,12 +76,10 @@ def _mean_factor(m1, m2, vmean) -> float:
     return float(np.exp(-0.125 * q))
 
 
-def _spectral_w(vaux, n: int):
+def _spectral_w(vaux, omega):
     import numpy as np
 
-    from .symplectic import symplectic_form
-
-    moduli = np.abs(np.linalg.eigvals(vaux @ symplectic_form(n)))
+    moduli = np.abs(np.linalg.eigvals(vaux @ omega))
     moduli.sort()
     # clamp at 1: exact purity produces w = 1 and roundoff must not push the
     # sqrt argument negative
@@ -151,10 +149,6 @@ def gaussian_fidelity(s1, s2) -> float:
     the product of its spectrum beyond float64 range (``1e100 I`` against
     ``3e100 I``) raises :class:`OverflowError`, with no RuntimeWarning.
     """
-    import numpy as np
-
-    from .symplectic import symplectic_form
-
     if s1.modes != s2.modes:
         raise InvalidDimensionError(
             f"mode counts differ: {s1.modes} vs {s2.modes}")
@@ -166,6 +160,10 @@ def gaussian_fidelity(s1, s2) -> float:
         mean = _mean_factor(s1.mean, s2.mean, 0.5 * v1 + 0.5 * v2)
         (p1, r1), (_, q1), (p2, r2), (_, q2) = v1.tolist() + v2.tolist()
         return min(_one_mode_fidelity(p1, r1, q1, p2, r2, q2) * mean, 1.0)
+    import numpy as np
+
+    from .symplectic import symplectic_form
+
     with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
         vsum = v1 + v2
         vmean = vsum / 2.0
@@ -184,7 +182,7 @@ def gaussian_fidelity(s1, s2) -> float:
         vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
         ftot4 = math.inf
         if np.isfinite(vaux).all():
-            w = _spectral_w(vaux, n)
+            w = _spectral_w(vaux, omega)
             ftot4 = ((w + np.sqrt(w * w - 1.0)) ** 2).prod()
     if not math.isfinite(ftot4):
         raise OverflowError("two-mode fidelity beyond float64 range: the auxiliary "

@@ -68,7 +68,7 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 PRIVATE_IMPORTS = {
     "capacity": {("convergence", "_diamond_bound"), ("peeling", "_check_count"),
                  ("peeling", "_protocol_form")},
-    "channels": {("_floats", "_checked2"), ("symplectic", "_readonly")},
+    "channels": {("_floats", "_checked2")},
     "cli": {("convergence", "_scan")},
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
