@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 import numbers
 
@@ -153,14 +152,14 @@ class GaussianChannel:
     real entries and a finite N, symmetrized exactly; the physical bona-fide
     condition is checked by :func:`validate_channel` so that unphysical
     triples can still be represented and interrogated.  The channel holds the
-    plain floats of T, N and d and ``tau``, the :func:`_det` of T; ``t``,
-    ``n`` and ``d`` are read-only arrays built from them on first read.
+    plain floats of T, N and d and ``tau``, the :func:`_det` of T, in slots;
+    ``t``, ``n`` and ``d`` are read-only arrays built from them on first read.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
     failed one is not, and raises again on every use).
     """
 
-    _physical = False  # set on the instance by a passed default check
+    __slots__ = ("_t", "_n", "_d", "tau", "_physical", "_arrays")
 
     def __init__(self, t, n, d=None):
         t, n = _matrix(t, "T"), _matrix(n, "N")
@@ -170,9 +169,11 @@ class GaussianChannel:
             raise ValidationError(f"d must hold real numbers: {exc}") from None
         if len(d) != 2:
             raise InvalidDimensionError(f"d must have 2 entries, got {len(d)}")
+        # past the frozen __setattr__; _physical is set by a passed default check
         for name, value in (("_t", t), ("_n", _checked2(n, None, what="noise matrix")),
-                            ("_d", d), ("tau", _det(*t))):
-            object.__setattr__(self, name, value)  # past the frozen __setattr__
+                            ("_d", d), ("tau", _det(*t)), ("_physical", False),
+                            ("_arrays", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -185,19 +186,17 @@ class GaussianChannel:
     def identity(cls) -> "GaussianChannel":
         return cls(((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
 
-    @functools.cached_property
-    def t(self):
-        a, b, c, d = self._t
-        return _array(((a, b), (c, d)))
+    def _array(self, k: int):
+        """The k-th of the arrays ``(t, n, d)``, all three built on the first read."""
+        if self._arrays is None:
+            (a, b, c, d), (p, r, q) = self._t, self._n
+            object.__setattr__(self, "_arrays", tuple(
+                _array(x) for x in (((a, b), (c, d)), ((p, r), (r, q)), self._d)))
+        return self._arrays[k]
 
-    @functools.cached_property
-    def n(self):
-        p, r, q = self._n
-        return _array(((p, r), (r, q)))
-
-    @functools.cached_property
-    def d(self):
-        return _array(self._d)
+    t = property(lambda self: self._array(0), doc="T as a read-only 2x2 array.")
+    n = property(lambda self: self._array(1), doc="N as a read-only 2x2 array.")
+    d = property(lambda self: self._array(2), doc="d as a read-only length-2 array.")
 
 
 @dataclasses.dataclass(frozen=True)
