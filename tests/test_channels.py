@@ -519,12 +519,10 @@ class TestExactDeterminant:
         tau = GaussianChannel([[a, b], [c, d]], I2).tau
         assert type(tau) is float and tau == exact_det([[a, b], [c, d]])
 
-    @pytest.mark.parametrize("d, numpy_ulps", [(5e-11, 10), (1e100, 57), (1e-100, 87),
-                                               (1e-300, 143)])
-    def test_diagonal_tau_is_the_product(self, d, numpy_ulps):
-        # numpy's det, sign * exp(logdet), was that many ulp off these products
+    @pytest.mark.parametrize("d", [5e-11, 1e100, 1e-100, 1e-300])
+    def test_diagonal_tau_is_the_product(self, d):
+        # numpy's det, sign * exp(logdet), was 10, 57, 87 and 143 ulp off
         assert GaussianChannel(np.diag([1.0, d]), I2).tau == d
-        assert abs(float(np.linalg.det(np.diag([1.0, d]))) - d) <= numpy_ulps * math.ulp(d)
 
     def test_classify_reports_the_channel_tau(self, rng):
         for _ in range(100):
