@@ -186,7 +186,7 @@ class GaussianChannel:
     def identity(cls) -> "GaussianChannel":
         return cls(((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
 
-    def _array(self, k: int):
+    def _read(self, k: int):
         """The k-th of the arrays ``(t, n, d)``, all three built on the first read."""
         if self._arrays is None:
             (a, b, c, d), (p, r, q) = self._t, self._n
@@ -194,9 +194,9 @@ class GaussianChannel:
                 _array(x) for x in (((a, b), (c, d)), ((p, r), (r, q)), self._d)))
         return self._arrays[k]
 
-    t = property(lambda self: self._array(0), doc="T as a read-only 2x2 array.")
-    n = property(lambda self: self._array(1), doc="N as a read-only 2x2 array.")
-    d = property(lambda self: self._array(2), doc="d as a read-only length-2 array.")
+    t = property(lambda self: self._read(0), doc="T as a read-only 2x2 array.")
+    n = property(lambda self: self._read(1), doc="N as a read-only 2x2 array.")
+    d = property(lambda self: self._read(2), doc="d as a read-only length-2 array.")
 
 
 @dataclasses.dataclass(frozen=True)
