@@ -1,7 +1,7 @@
-"""Plain-float rules shared by the state and channel layers: the real-number
-and tolerance input rules, the self-check threshold and the 2x2 symmetry and
-physicality test.  Nothing here imports numpy, so the single-mode channel
-layer runs on these alone.
+"""Plain-float rules shared by the state and channel layers: the real-number,
+entry and tolerance input rules, the self-check threshold and the 2x2
+symmetry and physicality test.  Nothing here imports numpy, so the
+single-mode channel and state layers run on these alone.
 """
 
 from __future__ import annotations
@@ -30,6 +30,26 @@ def _real(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):  # float: no ABC check
         raise DomainError(f"{what} must be a real number, got {x!r}")
     return float(x)
+
+
+def _entries(x, what: str) -> list:
+    """The floats of the entries of a nested sequence or an array, row-major
+    (those of numpy's ``asarray(x, dtype=float).ravel()``); an entry that is
+    not a real number raises :class:`ValidationError`."""
+    try:
+        return [float(e) for e in _ravel(x)]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must hold real numbers: {exc}") from None
+
+
+def _ravel(x) -> list:
+    """The entries of a nested sequence or an array, row-major (numpy's ``ravel``)."""
+    x = x.tolist() if hasattr(x, "tolist") else x
+    if not isinstance(x, (list, tuple)):
+        return [x]
+    if all(isinstance(e, float) for e in x):  # flat already, as the package's own are
+        return list(x)
+    return [f for e in x for f in _ravel(e)]
 
 
 def _self_check_tol(scale: float) -> float:

@@ -41,7 +41,7 @@ import enum
 import math
 import numbers
 
-from ._floats import _checked2
+from ._floats import _checked2, _entries
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
 
@@ -114,12 +114,6 @@ def _matrix(x, name: str) -> tuple:
         raise ValidationError(f"{name} must hold real numbers: {exc}") from None
 
 
-def _ravel(x) -> list:
-    """The entries of a nested sequence or an array, row-major (numpy's ``ravel``)."""
-    x = x.tolist() if hasattr(x, "tolist") else x
-    return [f for e in x for f in _ravel(e)] if isinstance(x, (list, tuple)) else [x]
-
-
 def _array(rows):
     """A read-only float array of ``rows``: numpy is loaded where a
     channel's matrices are first read as arrays."""
@@ -163,10 +157,7 @@ class GaussianChannel:
 
     def __init__(self, t, n, d=None):
         t, n = _matrix(t, "T"), _matrix(n, "N")
-        try:
-            d = (0.0, 0.0) if d is None else tuple(float(x) for x in _ravel(d))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"d must hold real numbers: {exc}") from None
+        d = (0.0, 0.0) if d is None else tuple(_entries(d, "d"))
         if len(d) != 2:
             raise InvalidDimensionError(f"d must have 2 entries, got {len(d)}")
         # past the frozen __setattr__; _physical is set by a passed default check
@@ -246,25 +237,31 @@ def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     """Apply the channel to one mode of a one- or two-mode state, acting as
     the identity elsewhere: ``mean -> T_full mean + d_full`` and
     ``V -> T_full V T_full^T + N_full``, with (T, N, d) embedded at the target
-    mode.  The channel is validated first.  Only the target mode's entries
-    change, so only they are computed, from the two rows of ``T_full`` at the
-    target mode: each is the same length-2n dot product that the dense
-    embedding forms."""
-    import numpy as np
-
+    mode.  The channel is validated first.  Only the target mode's rows and
+    columns change, so only they are computed, on the plain floats of the
+    state (its ``_mean`` and row-major ``_cm``): the rows become T times
+    them, then the columns those times ``T^T``, and N is added to the
+    target block; each entry is a two-term dot product of the entries the
+    dense embedding multiplies by nonzero ones."""
     _require_valid(ch)
     n_modes = state.modes
     if target_mode not in range(n_modes):
         raise DomainError(f"target_mode {target_mode} out of range for {n_modes} modes")
-    sl = slice(2 * target_mode, 2 * target_mode + 2)
-    rows = np.zeros((2, 2 * n_modes))
-    rows[:, sl] = ch.t
-    mean, cm = state.mean.copy(), state.cm.copy()
-    mean[sl] = rows @ state.mean + ch.d
-    cm[sl] = rows @ state.cm
-    cm[:, sl] = cm @ rows.T
-    cm[sl, sl] += ch.n
-    return type(state)(mean, cm)  # a GaussianState: the array layer, not imported here
+    (a, b, c, d), (p, r, q), dim, k = ch._t, ch._n, 2 * n_modes, 2 * target_mode
+    mean, v = list(state._mean), list(state._cm)
+    x, y = mean[k:k + 2]
+    mean[k:k + 2] = a * x + b * y + ch._d[0], c * x + d * y + ch._d[1]
+    for i, j in zip(range(k * dim, (k + 1) * dim), range((k + 1) * dim, (k + 2) * dim)):
+        x, y = v[i], v[j]  # rows k and k + 1
+        v[i], v[j] = a * x + b * y, c * x + d * y
+    for i in range(k, dim * dim, dim):
+        x, y = v[i], v[i + 1]  # columns k and k + 1
+        v[i], v[i + 1] = x * a + y * b, x * c + y * d
+    i = k * dim + k  # the target block: v[i], v[i + 1], v[i + dim] and v[i + dim + 1]
+    for j, n in zip((i, i + 1, i + dim, i + dim + 1), (p, r, r, q)):
+        v[j] += n
+    # a GaussianState: the state layer, not imported here
+    return type(state)(mean, [v[i:i + dim] for i in range(0, dim * dim, dim)])
 
 
 def _pairs(m: tuple) -> tuple:

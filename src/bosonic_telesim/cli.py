@@ -26,12 +26,16 @@ or --channel with --mu; --delta excludes --channel, --mu and --tol.
 
 Each command imports the layers it uses.  classify, simulate, convergence
 (full-rank scans), peel and capacity run on plain floats and never import
-numpy; apply and fidelity, which act on states, and witness scans do.
+numpy, and neither do apply and fidelity on one-mode states; two-mode
+states and witness scans do.  Where a command's states have two modes,
+numpy's floating-point errors raise (exit 2); a matrix that float64 cannot
+resolve (numpy's ``LinAlgError``) exits 3 wherever numpy is in use.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -110,35 +114,45 @@ def _float_range_int(text: str) -> int:
     return x
 
 
-def _array_command(cmd):
-    """An array command: numpy's floating-point errors raise (and exit 2),
-    and a matrix that float64 cannot resolve (numpy's ``LinAlgError``) exits 3."""
+def _state_command(cmd):
+    """A state command: a matrix that float64 cannot resolve (numpy's
+    ``LinAlgError``, raised only where numpy is loaded) exits 3."""
     @functools.wraps(cmd)
     def run(args):
-        import numpy as np
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return cmd(args)
-        except np.linalg.LinAlgError as exc:
+            return cmd(args)
+        except Exception as exc:
+            np = sys.modules.get("numpy")
+            if np is None or not isinstance(exc, np.linalg.LinAlgError):
+                raise
             # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
             print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED
     return run
 
 
-def _state_from_dict(spec):
+def _numpy_errors(*states):
+    """Where a state has two modes, whose arithmetic is numpy's, a context in
+    which numpy's floating-point errors raise (and exit 2); one-mode states
+    run on plain floats, with no numpy."""
+    if all(state.modes == 1 for state in states):
+        return contextlib.nullcontext()
     import numpy as np
+    return np.errstate(over="raise", divide="raise", invalid="raise")
 
+
+def _state_from_dict(spec):
     from .symplectic import GaussianState
 
     if not isinstance(spec, dict) or set(spec) != {"mean", "cm"}:
         raise _CliInputError('state spec must be {"mean": [...], "cm": [[...]]}')
-    return GaussianState(np.asarray(spec["mean"], dtype=float),
-                         np.asarray(spec["cm"], dtype=float))
+    return GaussianState(spec["mean"], spec["cm"])
 
 
 def _state_to_dict(state) -> dict:
-    return {"mean": state.mean.tolist(), "cm": state.cm.tolist()}
+    dim = len(state._mean)
+    return {"mean": list(state._mean),
+            "cm": [list(state._cm[i:i + dim]) for i in range(0, dim * dim, dim)]}
 
 
 def _cmd_classify(args) -> int:
@@ -152,13 +166,14 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-@_array_command
+@_state_command
 def _cmd_apply(args) -> int:
     from .channels import apply_channel, channel_from_dict
 
     ch = channel_from_dict(_load_json_arg(args.channel))
     state = _state_from_dict(_load_json_arg(args.state))
-    out = apply_channel(ch, state, target_mode=args.mode)
+    with _numpy_errors(state):
+        out = apply_channel(ch, state, target_mode=args.mode)
     print(_emit_json(_state_to_dict(out)))
     return EXIT_OK
 
@@ -175,13 +190,14 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-@_array_command
+@_state_command
 def _cmd_fidelity(args) -> int:
     from .fidelity import fuchs_vdg, gaussian_fidelity
 
     s1 = _state_from_dict(_load_json_arg(args.state1))
     s2 = _state_from_dict(_load_json_arg(args.state2))
-    f = gaussian_fidelity(s1, s2)
+    with _numpy_errors(s1, s2):
+        f = gaussian_fidelity(s1, s2)
     sandwich = fuchs_vdg(f)
     print(_emit_json({"fidelity": f, "trace_lower": sandwich.lower,
                       "trace_upper": sandwich.upper}))

@@ -22,6 +22,7 @@ from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
 from .convergence import _diamond_bound, _known_params, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import fuchs_vdg, gaussian_fidelity
+from .symplectic import SymplecticMatrix, apply_affine, tmsv_state
 from .teleportation import simulate_channel
 
 __all__ = [
@@ -134,8 +135,6 @@ def _two_mode_squeezer(s: float):
             f"two-mode squeezing must be finite with cosh^2 s in float64 range, got {s}")
     import numpy as np
 
-    from .symplectic import SymplecticMatrix
-
     z = np.diag([1.0, -1.0])
     ch_, sh_ = np.cosh(s), np.sinh(s)
     m = np.block([[ch_ * np.eye(2), sh_ * z], [sh_ * z, ch_ * np.eye(2)]])
@@ -146,7 +145,6 @@ def _two_mode_squeezer(s: float):
 def _probe():
     """The (immutable) probe of :func:`two_round_demo`, ``tmsv_state(2.0)``,
     built and checked once."""
-    from .symplectic import tmsv_state
     return tmsv_state(2.0)
 
 
@@ -180,8 +178,6 @@ def two_round_demo(ch: GaussianChannel, mu: float,
     once per parameter and cached.  A squeeze whose ``cosh^2`` leaves float64
     range, or NaN, raises :class:`DomainError`.
     """
-    from .symplectic import apply_affine
-
     delta = diamond_upper_bound(ch, mu)
     effective = simulate_channel(ch, mu).effective
     locc = _two_mode_squeezer(lo_cc_squeeze)

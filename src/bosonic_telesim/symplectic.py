@@ -5,6 +5,11 @@ Conventions used throughout the package: quadratures are ordered
 the vacuum covariance matrix (CM) is the identity.  A CM ``V`` describes a
 physical state iff ``V + i Omega >= 0``, equivalently all symplectic
 eigenvalues satisfy ``nu_k >= 1`` with ``V > 0``.
+
+A :class:`GaussianState` holds plain floats, and its CM test runs on them;
+numpy is imported only by the functions that build or take arrays (the
+arrays of a state, the spectral kernel, symplectic matrices), so one-mode
+states, their channel action and their fidelity load no numpy.
 """
 
 from __future__ import annotations
@@ -12,12 +17,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import sys
 
-import numpy as np
-
-from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _real,
-                      _require_eigenvalue)
+from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _entries,
+                      _real, _require_eigenvalue)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -36,11 +40,26 @@ __all__ = [
 ]
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m):
+    import numpy as np
+
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _square(m) -> tuple:
+    """``(dim, entries)`` of a square matrix given as rows of numbers or as an
+    array: its dimension and row-major floats, those of :func:`_as_matrix`."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    if not (isinstance(rows, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
+        raise InvalidDimensionError("expected a square matrix of rows of numbers")
+    try:
+        return len(rows), [float(e) for row in rows for e in row]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"covariance matrix must hold real numbers: {exc}") from None
 
 
 def _check_even(dim: int) -> int:
@@ -49,7 +68,9 @@ def _check_even(dim: int) -> int:
     return dim // 2
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a):
+    import numpy as np
+
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -57,13 +78,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def symplectic_form(n: int):
     """Read-only 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise InvalidDimensionError(f"mode count must be a positive integer, got {n!r}")
     return _omega(int(n))
 
 
 @functools.lru_cache(maxsize=None)
-def _omega(n: int) -> np.ndarray:
+def _omega(n: int):
+    import numpy as np
+
     omega = np.zeros((2 * n, 2 * n))
     for k in range(n):
         omega[2 * k, 2 * k + 1] = 1.0
@@ -73,7 +96,7 @@ def _omega(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _i_omega(n: int) -> np.ndarray:
+def _i_omega(n: int):
     """Read-only ``i Omega`` of n modes."""
     i_omega = 1j * _omega(n)
     i_omega.setflags(write=False)
@@ -85,6 +108,8 @@ _SYMPLECTIC = 1e-10
 
 def is_symplectic(m, tol: float | None = None) -> bool:
     """True iff ``max|M Omega M^T - Omega| <= tol`` (default 1e-10)."""
+    import numpy as np
+
     m = _as_matrix(m)
     n = _check_even(m.shape[0])
     if tol is None:
@@ -98,9 +123,10 @@ def is_symplectic(m, tol: float | None = None) -> bool:
 _CHOLESKY = 16.0 * _EPS
 
 
-def _cholesky_accepts(m: np.ndarray, w: float, e: float, scale: float) -> bool:
+def _cholesky_accepts(m: list, w: float, e: float, scale: float) -> bool:
     """True only where the eigenvalue test of :func:`_checked` would accept
-    the symmetric 4x4 M: ``M + i w Omega`` has no eigenvalue below ``-e``.
+    the symmetric 4x4 M, given as its 16 row-major floats: ``M + i w Omega``
+    has no eigenvalue below ``-e``.
     False where this cannot be shown on plain floats, and then the caller's
     ``eigvalsh`` decides.
 
@@ -128,9 +154,9 @@ def _cholesky_accepts(m: np.ndarray, w: float, e: float, scale: float) -> bool:
     s)``) that is ``s`` below about 28,150; beyond it ``e/2`` is at most the
     eigenvalue roundoff alone, and the certificate never applies."""
     half = 0.5 * e
-    if not (m.shape == (4, 4) and half > _CHOLESKY * (scale + half) + _ROUNDOFF * scale):
+    if not (len(m) == 16 and half > _CHOLESKY * (scale + half) + _ROUNDOFF * scale):
         return False
-    (a00, a01, a02, a03), (_, a11, a12, a13), (_, _, a22, a23), (_, _, _, a33) = m.tolist()
+    a00, a01, a02, a03, _, a11, a12, a13, _, _, a22, a23, _, _, _, a33 = m
     d = a00 + half
     if not d > 0.0:
         return False
@@ -152,51 +178,55 @@ def _cholesky_accepts(m: np.ndarray, w: float, e: float, scale: float) -> bool:
     return d > 0.0
 
 
-def _checked(m: np.ndarray, tol: float | None, w: float | None = None,
-             what: str = "covariance matrix") -> np.ndarray:
-    """The one symmetry and physicality test, on the scale
+def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
+             what: str = "covariance matrix") -> list:
+    """The one symmetry and physicality test of the dim x dim M, given as its
+    row-major floats and decided on them, on the scale
     ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  M
     must be symmetric within ``1e-12 s``, and ``M + i w Omega`` must have no
     eigenvalue below ``-e`` with ``e = max(1e-9, 64 eps s)``: the tolerance at
     unit scale, the eigenvalue's roundoff beyond.  A float ``tol`` replaces
     both 1e-12 and 1e-9.  In a CM's thermal frame the band is
     ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
-    ``(r^2 + r^-2) / 2``.  Returns the symmetrized M.
+    ``(r^2 + r^-2) / 2``.  Returns the row-major floats of the symmetrized M.
 
-    A 2x2 M is decided on plain floats by :func:`_floats._checked2`, and the
-    symmetrized M is built from the same floats, bit-identical to
-    ``0.5 (M + M^T)`` wherever that does not overflow.  Larger M are halved
-    before ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
+    A 2x2 M is decided by :func:`_floats._checked2`, and the symmetrized M
+    is built from the same floats, bit-identical to ``0.5 (M + M^T)``
+    wherever that does not overflow.  Larger M are halved before
+    ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
     subnormal range and cannot overflow; a 4x4 closed form would not be
     backward stable.  A 4x4 M on a scale s below about 28,150 (at the default
-    tolerances) is accepted on plain floats by the Cholesky certificate of
+    tolerances) is accepted by the Cholesky certificate of
     :func:`_cholesky_accepts`, which accepts only what the eigenvalue test
     would accept.  Where that certificate cannot decide (a failed pivot, or
-    beyond that scale), one ``eigvalsh`` decides as before, and its
-    eigenvalue is the one an error message reports.  The decision and the
-    returned matrix are the same either way.
+    beyond that scale), one numpy ``eigvalsh`` decides, and its eigenvalue
+    is the one an error message reports.  The decision and the returned
+    matrix are the same either way, and are those of the same steps on a
+    numpy array: each is an elementwise IEEE operation.
 
     Every ``tol`` consumer meets ``tol`` here first, so this is its one
     check (:func:`_floats._check_tol`)."""
-    if m.shape == (2, 2):
-        p, r, q = _checked2(tuple(m.ravel().tolist()), tol, w, what)
-        return np.array(((p, r), (r, q)))
+    if dim == 2:
+        p, r, q = _checked2(tuple(m), tol, w, what)
+        return [p, r, r, q]
     _check_tol(tol)
-    scale = float(abs(m).max())
-    half = 0.5 * m  # halved first: M +/- M^T overflows for entries near 1e308
-    if not (math.isfinite(scale) and math.isfinite(0.0 if w is None else w)):
+    if not (all(map(math.isfinite, m)) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
-    scale = max(1.0, scale)
+    scale = max(1.0, max(map(abs, m)))
+    half = [0.5 * x for x in m]  # halved first: M +/- M^T overflows for entries near 1e308
+    half_t = [x for j in range(dim) for x in half[j::dim]]  # the columns, row-major
     symmetry, uncertainty = (_SYMMETRY, _UNCERTAINTY) if tol is None else (tol, tol)
-    if 2.0 * float(abs(half - half.T).max()) > symmetry * scale:
+    if 2.0 * max(abs(x - y) for x, y in zip(half, half_t)) > symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{symmetry:g} max(1, max|M|)")
-    m = half + half.T
+    m = [x + y for x, y in zip(half, half_t)]
     if w is not None:
         e = max(uncertainty, _ROUNDOFF * scale)
-        if _cholesky_accepts(m, w, e, scale):
-            return m
-        _require_eigenvalue(np.linalg.eigvalsh(m + w * _i_omega(m.shape[0] // 2))[0], e, w, what)
+        if not _cholesky_accepts(m, w, e, scale):
+            import numpy as np
+
+            lam = np.linalg.eigvalsh(np.array(m).reshape(dim, dim) + w * _i_omega(dim // 2))[0]
+            _require_eigenvalue(lam, e, w, what)
     return m
 
 
@@ -222,11 +252,14 @@ def _sqrt_form(cm, tol: float | None):
     ``cm`` may also be a :class:`GaussianState`, whose CM is taken as it
     is: it was checked and symmetrized when the state was constructed, and
     symmetrizing a symmetric matrix again returns it bit for bit."""
+    import numpy as np
+
     if isinstance(cm, GaussianState):
         v = cm.cm
     else:
-        _check_even(cm.shape[0])
-        v = _checked(cm, tol)
+        dim = cm.shape[0]
+        _check_even(dim)
+        v = np.array(_checked(cm.ravel().tolist(), dim, tol)).reshape(dim, dim)
     lam, u = np.linalg.eigh(v)
     if not lam[-1] <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
         raise OverflowError("spectral kernel beyond float64 range: ||V||_2 overflows")
@@ -236,15 +269,17 @@ def _sqrt_form(cm, tol: float | None):
     return v, lam, u, 0.5 * k - 0.5 * k.T  # K - K^T overflows near 1e308
 
 
-def _require_psd(v: np.ndarray, lam: np.ndarray) -> None:
+def _require_psd(v, lam) -> None:
     """V (with ascending eigenvalues lam) has none below ``-64 eps max(1, max|V|)``."""
     if lam[0] < -_ROUNDOFF * max(1.0, float(abs(v).max())):
         raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
 
 
-def _spectrum(cm, tol: float | None) -> np.ndarray:
+def _spectrum(cm, tol: float | None):
     """The symplectic spectrum (descending) of an array or a state, from
     :func:`_sqrt_form` and one ``eigvalsh`` of ``i K``."""
+    import numpy as np
+
     k = _sqrt_form(cm, tol)[3]
     vals = np.linalg.eigvalsh(1j * k)
     # ascending, so vals[-1 - j] and vals[j] are the pair +/- nu_j; halved first, as K is
@@ -300,7 +335,7 @@ def _certainly_mixed(state: GaussianState) -> bool:
     the spectral pass would run cannot fire either: the exact
     ``lambda_min(V)`` is positive, so its computed value stays above
     ``-64 eps s``."""
-    x = state.cm.ravel().tolist()
+    x = state._cm
     s = max(1.0, max(map(abs, x)))
     if len(x) != 16 or s > _MIXED_SCALE:
         return False
@@ -311,48 +346,69 @@ def _certainly_mixed(state: GaussianState) -> bool:
     return delta - 32.0 * _EPS * s2 > 2.0 * nu * nu
 
 
-@dataclasses.dataclass(frozen=True)
 class GaussianState:
     """Gaussian state of ``n`` modes: mean quadrature vector and CM.
 
     Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) on the
-    scale ``s = max(1, max|V|)``, on plain floats in closed form for one
-    mode; for two modes on plain floats by a Cholesky certificate below
-    ``s`` of about 28,150 and by one ``eigvalsh`` wherever that certificate
-    cannot decide, with the same decision either way (see ``_checked``), at
+    scale ``s = max(1, max|V|)``, on plain floats: in closed form for one
+    mode; for two modes by a Cholesky certificate below ``s`` of about
+    28,150 and by one numpy ``eigvalsh`` wherever that certificate cannot
+    decide, with the same decision either way (see ``_checked``), at
     the default tolerances: V symmetric within ``1e-12 s``, no eigenvalue
     below ``-e`` with
     ``e = max(1e-9, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
     thermal frame; single-mode squeezing r widens that band by at most
     ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
     singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.  The
-    mean must be finite.  Instances are immutable; the arrays are read-only.
+    mean must be finite.
+
+    The state holds the floats of its mean and of its symmetrized CM,
+    row-major, in the slots ``_mean`` and ``_cm``, which the package's float
+    routes read; ``mean`` and ``cm`` are read-only arrays built from them on
+    first read.  Instances are immutable.
     """
 
-    mean: np.ndarray
-    cm: np.ndarray
+    __slots__ = ("_mean", "_cm", "_arrays")
 
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cm = _as_matrix(self.cm)
-        n = _check_even(cm.shape[0])
-        if mean.shape[0] != 2 * n:
-            raise InvalidDimensionError(
-                f"mean has length {mean.shape[0]}, CM is {2 * n} x {2 * n}")
-        cm = _checked(cm, None, 1.0)  # a fresh array: frozen, not copied
-        if not all(map(math.isfinite, mean.tolist())):  # plain floats: no ufunc
+    def __init__(self, mean, cm):
+        mean = _entries(mean, "mean")
+        dim, x = _square(cm)
+        _check_even(dim)
+        if len(mean) != dim:
+            raise InvalidDimensionError(f"mean has length {len(mean)}, CM is {dim} x {dim}")
+        x = _checked(x, dim, None, 1.0)
+        if not all(map(math.isfinite, mean)):
             raise ValidationError("mean is not finite")
-        cm.setflags(write=False)
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "cm", cm)
+        # past the frozen __setattr__
+        for name, value in (("_mean", tuple(mean)), ("_cm", tuple(x)), ("_arrays", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        dim = len(self._mean)
+        rows = [list(self._cm[i:i + dim]) for i in range(0, dim * dim, dim)]
+        return f"GaussianState(mean={list(self._mean)}, cm={rows})"
+
+    def _read(self, k: int):
+        """The k-th of the arrays ``(mean, cm)``, both built on the first read."""
+        if self._arrays is None:
+            dim = len(self._mean)
+            object.__setattr__(self, "_arrays", (
+                _readonly(self._mean), _readonly(self._cm).reshape(dim, dim)))
+        return self._arrays[k]
+
+    mean = property(lambda self: self._read(0), doc="The mean as a read-only array.")
+    cm = property(lambda self: self._read(1), doc="The CM as a read-only square array.")
 
     @property
     def modes(self) -> int:
-        return self.cm.shape[0] // 2
+        return len(self._mean) // 2
 
     @classmethod
     def vacuum(cls, n: int = 1) -> "GaussianState":
-        return cls(np.zeros(2 * n), np.eye(2 * n))
+        return cls((0.0,) * (2 * n), [[float(i == j) for j in range(2 * n)] for i in range(2 * n)])
 
     def symplectic_spectrum(self):
         return _spectrum(self, None)  # the CM was checked at construction
@@ -395,7 +451,9 @@ class WilliamsonDecomposition:
     s: SymplecticMatrix
     spectrum: tuple
 
-    def diagonal(self) -> np.ndarray:
+    def diagonal(self):
+        import numpy as np
+
         return np.diag(np.array(self.spectrum).repeat(2))
 
 
@@ -409,9 +467,9 @@ def tmsv_state(mu: float) -> GaussianState:
     mu = float(mu)
     if mu < 1.0:
         raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
-    s = np.sqrt(mu * mu - 1.0)
-    return GaussianState(np.zeros(4), np.array([[mu, 0.0, s, 0.0], [0.0, mu, 0.0, -s],
-                                                [s, 0.0, mu, 0.0], [0.0, -s, 0.0, mu]]))
+    s = math.sqrt(mu * mu - 1.0)
+    return GaussianState((0.0,) * 4, ((mu, 0.0, s, 0.0), (0.0, mu, 0.0, -s),
+                                      (s, 0.0, mu, 0.0), (0.0, -s, 0.0, mu)))
 
 
 def thermal_state(omega: float) -> GaussianState:
@@ -419,11 +477,13 @@ def thermal_state(omega: float) -> GaussianState:
     omega = float(omega)
     if omega < 1.0:
         raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
-    return GaussianState(np.zeros(2), omega * np.eye(2))
+    return GaussianState((0.0, 0.0), ((omega, 0.0), (0.0, omega)))
 
 
 def apply_affine(state: GaussianState, s, d=None) -> GaussianState:
     """Affine phase-space map: mean -> S mean + d, CM -> S CM S^T."""
+    import numpy as np
+
     mat = s.s if isinstance(s, SymplecticMatrix) else SymplecticMatrix(s).s
     if mat.shape[0] != state.cm.shape[0]:
         raise InvalidDimensionError(
@@ -442,17 +502,16 @@ def partial_trace(state: GaussianState, keep: int) -> GaussianState:
         raise InvalidDimensionError("partial_trace expects a two-mode state")
     if keep not in (0, 1):
         raise DomainError(f"keep must be 0 or 1, got {keep!r}")
-    sl = slice(2 * keep, 2 * keep + 2)
-    return GaussianState(state.mean[sl], state.cm[sl, sl])
+    k, x = 2 * keep, state._cm  # row-major 4x4: entry (i, j) is x[4 i + j]
+    return GaussianState(state._mean[k:k + 2], (x[5 * k:5 * k + 2], x[5 * k + 4:5 * k + 6]))
 
 
 def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     """Product state: concatenated means, block-diagonal CM."""
     na, nb = 2 * a.modes, 2 * b.modes
-    cm = np.zeros((na + nb, na + nb))
-    cm[:na, :na] = a.cm
-    cm[na:, na:] = b.cm
-    return GaussianState(np.concatenate([a.mean, b.mean]), cm)
+    rows = ([list(a._cm[i:i + na]) + [0.0] * nb for i in range(0, na * na, na)]
+            + [[0.0] * na + list(b._cm[i:i + nb]) for i in range(0, nb * nb, nb)])
+    return GaussianState(a._mean + b._mean, rows)
 
 
 def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
@@ -473,6 +532,8 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`,
     and a kernel beyond float64 range raises :class:`OverflowError` there too.
     """
+    import numpy as np
+
     cm, lam, u, k = _sqrt_form(_as_matrix(cm), tol)
     if lam[0] <= 0.0:
         raise ValidationError("matrix is not positive definite")

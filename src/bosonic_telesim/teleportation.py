@@ -11,8 +11,8 @@ that teleporter output yields the simulated channel E o I_mu, whose noise
 matrix is the original one plus ``xi T T^T``; the transmission matrix and
 displacement are untouched.
 
-The channel side runs on plain floats; the states (``GaussianState`` in the
-annotations) come from the array layer, imported where they are built.
+The channel side and the states hold plain floats (see
+``symplectic.GaussianState``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from ._floats import _real, _self_check_tol
 from .channels import (CanonicalClass, CanonicalForm, GaussianChannel,
                        apply_channel, channel_to_dict, compose)
 from .errors import DomainError, UnsupportedFormError, ValidationError
+from .symplectic import GaussianState, thermal_state, tmsv_state
 
 __all__ = [
     "BKParameters",
@@ -137,7 +138,6 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
 def quasi_choi(base: GaussianChannel, mu: float) -> GaussianState:
     """Finite-energy stand-in for the Choi state: the channel applied to the
     second mode of a two-mode squeezed vacuum of variance mu."""
-    from .symplectic import tmsv_state
     return apply_channel(base, tmsv_state(mu), target_mode=1)
 
 
@@ -186,7 +186,6 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     else:
         raise UnsupportedFormError(
             f"no environmental pair for class {tag.value}; supported: A2, C_Att, C_Amp, D")
-    from .symplectic import GaussianState, thermal_state
     return EnvironmentalPair(rho_e=thermal_state(omega),
                              rho_e_mu=GaussianState((0.0, 0.0), w),
                              dilation_class=tag)

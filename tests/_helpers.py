@@ -1,9 +1,10 @@
 """Shared test utilities: random symplectic, state and channel factories,
 fit helpers, the extended-precision fidelity, symplectic-spectrum,
 full-rank-bound and key-capacity oracles, the numpy oracles of the added noise and the
-numeric rank, dense
-reference constructions of channel action and the TMSV, and hypothesis
-strategies of raw channel and state specs."""
+numeric rank, the exact dense channel action, the reference TMSV
+construction, and hypothesis strategies of raw channel and state specs."""
+
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -235,15 +236,27 @@ def numeric_rank_np(m, tol):
     return int(np.sum(sv > (1e-10 if tol is None else tol) * max(float(sv[0]), 1.0)))
 
 
-def apply_channel_dense(ch, state, target_mode=0):
-    """Reference channel action: T, N and d embedded at ``target_mode`` in
-    dense identity, zero and zero blocks, ``V -> T_full V T_full^T + N_full``."""
-    dim = 2 * state.modes
-    t_full, n_full, d_full = np.eye(dim), np.zeros((dim, dim)), np.zeros(dim)
-    sl = slice(2 * target_mode, 2 * target_mode + 2)
-    t_full[sl, sl], n_full[sl, sl], d_full[sl] = ch.t, ch.n, ch.d
-    return GaussianState(t_full @ state.mean + d_full,
-                         t_full @ state.cm @ t_full.T + n_full)
+def apply_channel_dense(ch, state, target_mode=0, entry=Fraction):
+    """Reference channel action, exact: T, N and d embedded at ``target_mode``
+    in dense identity, zero and zero blocks, ``(T_full m + d_full,
+    T_full V T_full^T + N_full)`` as lists of Fractions, with ``entry``
+    applied to each float of the channel and the state first.  With
+    ``entry = lambda x: abs(Fraction(x))`` it is ``(|T_full| |m| + |d_full|,
+    |T_full| |V| |T_full|^T + |N_full|)``, the scale of a float route's error."""
+    dim, k = 2 * state.modes, 2 * target_mode
+    t = [[Fraction(i == j) for j in range(dim)] for i in range(dim)]
+    n = [[Fraction(0)] * dim for _ in range(dim)]
+    d = [Fraction(0)] * dim
+    for i in range(2):
+        d[k + i] = entry(float(ch.d[i]))
+        for j in range(2):
+            t[k + i][k + j], n[k + i][k + j] = entry(float(ch.t[i, j])), entry(float(ch.n[i, j]))
+    v = [[entry(x) for x in row] for row in state.cm.tolist()]
+    tv = [[sum(t[i][l] * v[l][j] for l in range(dim)) for j in range(dim)] for i in range(dim)]
+    mean = [sum(t[i][l] * entry(x) for l, x in enumerate(state.mean.tolist())) + d[i]
+            for i in range(dim)]
+    return mean, [[sum(tv[i][l] * t[j][l] for l in range(dim)) + n[i][j] for j in range(dim)]
+                  for i in range(dim)]
 
 
 def tmsv_cm_blocks(mu):

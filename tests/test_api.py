@@ -68,7 +68,7 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 PRIVATE_IMPORTS = {
     "capacity": {("convergence", "_diamond_bound"), ("peeling", "_check_count"),
                  ("peeling", "_protocol_form")},
-    "channels": {("_floats", "_checked2")},
+    "channels": {("_floats", "_checked2"), ("_floats", "_entries")},
     "cli": {("convergence", "_scan")},
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
@@ -81,7 +81,7 @@ PRIVATE_IMPORTS = {
     # the plain-float rules of _floats: the state layer's CM test shares them
     "symplectic": {("_floats", "_EPS"), ("_floats", "_ROUNDOFF"), ("_floats", "_SYMMETRY"),
                    ("_floats", "_UNCERTAINTY"), ("_floats", "_check_tol"),
-                   ("_floats", "_checked2"), ("_floats", "_real"),
+                   ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_real"),
                    ("_floats", "_require_eigenvalue")},
     "teleportation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
 }

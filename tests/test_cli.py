@@ -616,7 +616,9 @@ class TestInfrastructure:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
-    # the single-mode channel commands, for canonical and raw 2x2 specs
+    # the single-mode channel commands, for canonical and raw 2x2 specs, and
+    # the commands on one-mode states
+    _STATE = '{"mean": [0.3, -0.2], "cm": [[2.0, 0.1], [0.1, 1.5]]}'
     _RAW_LOSS = '{"t": [[0.7071067811865476, 0], [0, 0.7071067811865476]], "n": [[0.5, 0], [0, 0.5]]}'
     _SCAN = ('{"channel": %s, "grid": {"param": "mu", "start": 1.1, "stop": 1e10, '
              '"points": 20, "log": true}}')
@@ -630,6 +632,10 @@ class TestInfrastructure:
         ["capacity", "--channel", LOSS, "--n", "100", "--eps", "0.1", "--mu", "1e8"],
         ["capacity", "--channel", _RAW_LOSS, "--n", "100", "--eps", "0.1", "--mu", "1e8"],
         ["simulate", "--channel", _RAW_LOSS, "--mu", "10"],
+        # one-mode states: a displaced, squeezed and rotated thermal state
+        ["apply", "--channel", LOSS, "--state", _STATE],
+        ["apply", "--channel", _RAW_LOSS, "--state", _STATE],
+        ["fidelity", "--state1", _STATE, "--state2", VACUUM],
     ]
 
     @pytest.mark.parametrize("argv", CHANNEL_COMMANDS, ids=lambda a: f"{a[0]}-{a[2][:8]}")

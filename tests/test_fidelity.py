@@ -57,8 +57,10 @@ def fock_point_cm(nbar1, nbar2, z, theta):
 def _unchecked_state(cm):
     """A GaussianState holding ``cm`` without its construction checks."""
     state = object.__new__(GaussianState)
-    object.__setattr__(state, "mean", np.zeros(len(cm)))
-    object.__setattr__(state, "cm", np.asarray(cm, dtype=float))
+    for name, value in (("_mean", (0.0,) * len(cm)),
+                        ("_cm", tuple(np.asarray(cm, dtype=float).ravel().tolist())),
+                        ("_arrays", None)):
+        object.__setattr__(state, name, value)
     return state
 
 
@@ -413,6 +415,73 @@ class TestOneModeClosedForm:
         monkeypatch.setattr(fidelity, "_spectral_w", refuse)
         assert gaussian_fidelity(GaussianState.vacuum(), thermal_state(3.0)) == pytest.approx(
             math.sqrt(0.5), rel=1e-15)
+
+
+@st.composite
+def _framed_one_mode_states(draw):
+    """Two one-mode states: thermal nu in [1, 3], squeezed by a factor up to
+    50 and rotated, with mean entries of 0, of order 1 or of magnitude up to
+    1e308; in one pair in four the second mean is the first one moved by a
+    relative 1e-6 at most, so that m2 - m1 cancels."""
+    entry = st.one_of(st.just(0.0), st.floats(-10.0, 10.0),
+                      st.builds(lambda sign, x: sign * 10.0 ** x,
+                                st.sampled_from([1.0, -1.0]), st.floats(-3.0, 308.0)))
+    states = []
+    for _ in range(2):
+        theta, squeeze = draw(st.floats(0.0, 2.0 * math.pi)), draw(st.floats(1.0, 50.0))
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        frame = rot @ np.diag([squeeze, 1.0 / squeeze])
+        cm = draw(st.floats(1.0, 3.0)) * frame @ frame.T
+        states.append(GaussianState([draw(entry), draw(entry)], 0.5 * (cm + cm.T)))
+    if draw(st.integers(0, 3)) == 0:
+        shift = 1.0 + draw(st.floats(-1e-6, 1e-6))
+        states[1] = GaussianState([x * shift for x in states[0].mean.tolist()], states[1].cm)
+    return states
+
+
+class TestOneModeMeanFactor:
+    """The one-mode Gaussian factor ``exp(-delta^T (V1 + V2)^-1 delta / 4)``
+    on plain floats, from its exact quadratic form."""
+
+    @staticmethod
+    def _mp(s1, s2):
+        import mpmath as mp
+        with mp.workdps(60):
+            d0, d1 = (mp.mpf(y) - x for x, y in zip(s1.mean.tolist(), s2.mean.tolist()))
+            (p, r), (_, q) = s1.cm.tolist()
+            (p2, r2), (_, q2) = s2.cm.tolist()
+            p, r, q = mp.mpf(p) + p2, mp.mpf(r) + r2, mp.mpf(q) + q2
+            return mp.exp(-(q * d0 * d0 - 2 * r * d0 * d1 + p * d1 * d1) / (p * q - r * r) / 4)
+
+    @given(_framed_one_mode_states())
+    # the pairs of test_opposite_means_near_float64_range: m2 - m1 overflows and
+    # the factor underflows to 0; equal states have the factor 1
+    @example([GaussianState([1e308, 0.0], I2), GaussianState([-1e308, 0.0], I2)])
+    @example([GaussianState([-1e308, 0.0], I2), GaussianState([1e308, 0.0], I2)])
+    @example([GaussianState([1e308, 0.0], I2), GaussianState([1e308, 0.0], I2)])
+    @example([GaussianState([100.0, 0.0], I2), GaussianState.vacuum()])  # exp(-2500)
+    @example([GaussianState([76.9, 0.0], I2), GaussianState.vacuum()])  # a subnormal factor
+    @settings(max_examples=1000, deadline=None)
+    def test_within_1e_12_of_60_digits(self, states):
+        # 1e-12 relative, or a subnormal spacing where the factor underflows
+        from bosonic_telesim.fidelity import _one_mode_mean_factor
+
+        s1, s2 = states
+        got = _one_mode_mean_factor(s1._mean, s2._mean, s1._cm, s2._cm)
+        want = self._mp(s1, s2)
+        assert abs(got - want) <= 1e-12 * want + 2.0 ** -1074
+        assert _one_mode_mean_factor(s2._mean, s1._mean, s2._cm, s1._cm) == got
+
+    def test_is_the_fidelity_factor(self, rng):
+        # gaussian_fidelity of one mode is the closed form times this factor
+        from bosonic_telesim.fidelity import _one_mode_fidelity, _one_mode_mean_factor
+
+        for _ in range(200):
+            s1, s2 = (random_state(1, rng, displace=1.0) for _ in range(2))
+            (p1, r1, _, q1), (p2, r2, _, q2) = s1._cm, s2._cm
+            want = _one_mode_fidelity(p1, r1, q1, p2, r2, q2) * _one_mode_mean_factor(
+                s1._mean, s2._mean, s1._cm, s2._cm)
+            assert gaussian_fidelity(s1, s2) == min(want, 1.0)
 
 
 def _near_pure_state(rng, sign):

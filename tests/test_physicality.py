@@ -303,7 +303,7 @@ class TestCholeskyAgainstEigvalsh:
         certified = tmsv_state(1e4).cm  # s = 1e4
         others = (tmsv_state(3e4).cm,  # beyond the certificate's scale
                   np.diag([1.0 - 1e-6, 1.0 - 1e-6, 2.0, 2.0]))  # a failed pivot
-        monkeypatch.setattr(symplectic.np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)  # symplectic imports it on use
         assert np.array_equal(GaussianState(np.zeros(4), certified).cm, certified)
         for cm in others:
             with pytest.raises(AssertionError, match="eigvalsh ran"):
