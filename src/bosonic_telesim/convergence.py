@@ -19,7 +19,7 @@ from ._floats import _real
 from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
 from .errors import DomainError, NoUniformBoundError
 from .fidelity import _b1_witness_infidelity, _b2_root_infidelity, _env_root_infidelity
-from .teleportation import _env_gamma, _frame_r, _frame_row, bk_added_noise
+from .teleportation import _env_gamma, _frame_r, _frame_row, _xi_column, bk_added_noise
 
 __all__ = [
     "ConvergenceVerdict",
@@ -82,11 +82,12 @@ _C_FORMS = (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D)
 def _diamond_bound(form: CanonicalForm, mu: float, r: float, a: float,
                    c: float) -> float:
     """:func:`diamond_upper_bound` of a channel already classified as
-    ``form``, rounded up as there.  Checked in order: mu, the frame the
-    class reads (r, or the row (a, c)), then the bound, which raises
-    :class:`NoUniformBoundError` for rank-deficient noise."""
-    xi = bk_added_noise(mu)
-    return _bound(form, xi, _frame(form, r, a, c))
+    ``form``, rounded up as there: the bound column at one point.  Checked
+    in order: mu, the frame the class reads (r, or the row (a, c)), then the
+    bound, which raises :class:`NoUniformBoundError` for rank-deficient
+    noise."""
+    xis = _xi_column([_real(mu, "resource variance")])
+    return _bound_column(form, xis, _frame(form, r, a, c))[0]
 
 
 def _frame(form: CanonicalForm, r, a, c):
@@ -100,25 +101,28 @@ def _frame(form: CanonicalForm, r, a, c):
     return None
 
 
-def _bound(form: CanonicalForm, xi: float, frame) -> float:
-    """The diamond bound of ``form`` at added noise xi in the checked
-    ``frame`` of :func:`_frame`: ``2 sqrt(1 - F^2)``, rounded up."""
+def _bound_column(form: CanonicalForm, xis: list, frame) -> list:
+    """The diamond bounds of ``form``, one per added noise xi of the float
+    list ``xis``, in the checked ``frame`` of :func:`_frame`:
+    ``2 sqrt(1 - F^2)``, rounded up, from one kernel pass over the column."""
     tag = form.tag
     if tag in _C_FORMS:
-        gamma, inv = _env_gamma(xi, form.tau), 1.0 / frame
-        return 2.0 * _env_root_infidelity(gamma * (frame * frame), gamma * (inv * inv),
-                                          form.noise_param)
-    if tag is CanonicalClass.A2:
-        return 2.0 * _env_root_infidelity(xi * frame, 0.0, form.noise_param)
-    if tag is CanonicalClass.A1:
+        inv = 1.0 / frame
+        roots = _env_root_infidelity(_env_gamma(xis, form.tau), frame * frame, inv * inv,
+                                     form.noise_param)
+    elif tag is CanonicalClass.A2:
+        roots = _env_root_infidelity(xis, frame, 0.0, form.noise_param)
+    elif tag is CanonicalClass.A1:
         # T = 0 blocks the teleporter's noise entirely: N + xi T T^T = N, so
         # the simulation is exact for any mu
-        return 0.0
-    if tag is CanonicalClass.B2:
+        return [0.0] * len(xis)
+    elif tag is CanonicalClass.B2:
         # exact transparency limit of the beam-splitter dilation
-        return 2.0 * _b2_root_infidelity(xi, form.noise_param, frame)
-    raise NoUniformBoundError(
-        f"class {tag.value} has rank-deficient noise: no uniform bound exists")
+        roots = _b2_root_infidelity(xis, form.noise_param, frame)
+    else:
+        raise NoUniformBoundError(
+            f"class {tag.value} has rank-deficient noise: no uniform bound exists")
+    return [2.0 * root for root in roots]
 
 
 def nonuniform_witness(mu: float, mu_tilde: float) -> float:
@@ -279,9 +283,9 @@ def _scan(ch: GaussianChannel, grid, witness_params, tol: float | None,
         form = classify(ch, tol)
     if form.tag.rank_n == 2:
         frame = _frame(form, params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0))
-        xis = [bk_added_noise(mu) for mu in mus]
-        bounds = [_bound(form, xi, frame) for xi in xis]
-        return _scan_rows(zip(mus, repeat(None), xis, bounds, repeat(None)))
+        xis = _xi_column(mus)
+        return _scan_rows(zip(mus, repeat(None), xis, _bound_column(form, xis, frame),
+                              repeat(None)))
     mu = params.get("mu", 5.0)
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)

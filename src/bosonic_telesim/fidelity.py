@@ -350,9 +350,10 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
 _ROUND_UP = 1.0 + 2.0 ** -45
 
 
-def _b2_root_infidelity(xi: float, xi_prime: float, r: float) -> float:
+def _b2_root_infidelity(xis: list, xi_prime: float, r: float) -> list:
     """``sqrt(1 - F^2)`` for the additive-noise class in the transparency
-    limit tau -> 1, with F the fidelity of :func:`fid_b2_asymptotic`.
+    limit tau -> 1, one per added noise xi of ``xis``, with F the fidelity of
+    :func:`fid_b2_asymptotic`.
 
     With ``F^2 = 4 num / den``, ``den - 4 num`` is rationalized to
     ``(den^2 - 16 num^2) / (den + 4 num)``.  Dividing num and den by
@@ -368,29 +369,35 @@ def _b2_root_infidelity(xi: float, xi_prime: float, r: float) -> float:
     ``hypot`` of ``2 y sqrt(1 - 2 u^2)``, ``2 sqrt(u x y)`` and ``u x``, so
     that the ``xi^2`` and ``xi xi'`` of the unscaled form, which underflow
     from mu of about 1e154, are never formed: a term that underflows is never
-    the largest of its sum, and ``D >= 2 x y`` is positive.  The result is
+    the largest of its sum, and ``D >= 2 x y`` is positive.  Each root is
     rounded up by 2^-45 relative and capped at 1.  ``r`` is the checked frame
-    of :func:`teleportation._frame_r`.
+    of :func:`teleportation._frame_r`; u and its roots are formed once.
     """
+    sqrt, hypot = math.sqrt, math.hypot
     m = min(r, 1.0 / r)  # F is symmetric under r -> 1/r
     q = m * m
     u = q / (1.0 + q * q)
-    k = max(xi, xi_prime)
-    x, y = xi / k, xi_prime / k
-    d = 2.0 * x * y + u * (x * x + 4.0 * y * y)
-    n = y * math.sqrt(u) * math.sqrt(x * y + u * (x * x + y * y))
-    top = math.hypot(2.0 * y * math.sqrt(1.0 - 2.0 * u * u),
-                     2.0 * math.sqrt(u) * math.sqrt(x) * math.sqrt(y), u * x)
-    root = x * top / math.sqrt(d) / math.sqrt(d + 4.0 * n) * _ROUND_UP
-    return root if root < 1.0 else 1.0
+    root_u, root_v = sqrt(u), sqrt(1.0 - 2.0 * u * u)
+    roots = []
+    for xi in xis:
+        k = max(xi, xi_prime)
+        x, y = xi / k, xi_prime / k
+        d = 2.0 * x * y + u * (x * x + 4.0 * y * y)
+        n = y * root_u * sqrt(x * y + u * (x * x + y * y))
+        top = hypot(2.0 * y * root_v, 2.0 * root_u * sqrt(x) * sqrt(y), u * x)
+        root = x * top / sqrt(d) / sqrt(d + 4.0 * n) * _ROUND_UP
+        roots.append(root if root < 1.0 else 1.0)
+    return roots
 
 
-def _env_root_infidelity(alpha: float, beta: float, nbar: float) -> float:
-    """``sqrt(1 - F^2)``, rounded up by 2^-45 relative, for F the fidelity of
-    the thermal state ``omega I``, ``omega = 2 nbar + 1``, against
-    ``diag(omega + alpha, omega + beta)`` with alpha, beta >= 0: the
-    environmental pair of the C_Att, C_Amp and D forms (``gamma r^2`` and
-    ``gamma / r^2``) and of A2 (``xi (a^2 + c^2)`` and 0).
+def _env_root_infidelity(weights: list, k_alpha: float, k_beta: float,
+                         nbar: float) -> list:
+    """``sqrt(1 - F^2)``, rounded up by 2^-45 relative, one per weight g of
+    ``weights``, for F the fidelity of the thermal state ``omega I``,
+    ``omega = 2 nbar + 1``, against ``diag(omega + alpha, omega + beta)`` with
+    ``alpha, beta = g k_alpha, g k_beta >= 0``: the environmental pair of the
+    C_Att, C_Amp and D forms (g = gamma, k = ``r^2`` and ``1 / r^2``) and of
+    A2 (g = xi, k = ``a^2 + c^2`` and 0).
 
     Scutaru's ``F^2 = 2 / (P - L)`` of the module docstring, with
     ``P = sqrt(Delta + Lambda)`` and ``L = sqrt(Lambda)``, gives
@@ -409,30 +416,38 @@ def _env_root_infidelity(alpha: float, beta: float, nbar: float) -> float:
     with ``p, q = alpha / omega, beta / omega``, ``w = omega^-2`` and
     ``a / omega^2 = (2 nbar / omega) ((2 nbar + 2) / omega)`` (from nbar,
     which a rounded omega loses below 1e-16), so nothing overflows at
-    nbar = 1e100.  The root is ``sqrt(s) sqrt(rest)`` of ``s = p + q``, so
-    that a 1 - F^2 below float64's normal range (a bound under 3e-154)
-    does not underflow.  The three factors of ``rest`` are at most 1/2, 3/2
-    and 1, so ``1 - F^2 <= 3 s / 4``: where s underflows to 0 the result is
-    2^-537 (0 for equal states).  Where a product leaves float64 range
+    nbar = 1e100; omega, w and ``a / omega^2`` are formed once.  The root is
+    ``sqrt(s) sqrt(rest)`` of ``s = p + q``, so that a 1 - F^2 below
+    float64's normal range (a bound under 3e-154) does not underflow.  The
+    three factors of ``rest`` are at most 1/2, 3/2 and 1, so
+    ``1 - F^2 <= 3 s / 4``: where s underflows to 0 the result is 2^-537
+    (0 for equal states).  Where a product leaves float64 range
     (F^2 < 1e-38, e.g. ``r^2`` beyond 1e308) it is 1, its upper limit.
     """
+    sqrt = math.sqrt
     omega = 2.0 * nbar + 1.0
     v = 1.0 / omega
     w = v * v
     a = (2.0 * nbar * v) * ((2.0 * nbar + 2.0) * v)
-    p, q = alpha / omega, beta / omega
-    s, pq = p + q, p * q
-    if not s > 0.0:  # p + q below 2^-1074, and 1 - F^2 <= 3 s / 4
-        return 0.0 if alpha + beta == 0.0 else 2.0 ** -537
-    ps, qs = p / s, q / s
-    delta = 4.0 + 2.0 * s + pq
-    lam = a * (a + s + pq)
-    root_lam = math.sqrt(lam)
-    big = math.sqrt(w * delta + lam) + root_lam
-    num = 4.0 * (ps * ps + qs * qs) + ps * qs * (8.0 * w + pq + 4.0 * s)
-    rest = s / (4.0 * a + 2.0 * s + pq + 4.0 * root_lam) * (num / delta) * (big / (big + 2.0 * w))
-    root = math.sqrt(s) * math.sqrt(rest) * _ROUND_UP
-    return root if root < 1.0 else 1.0  # NaN, too
+    a4, w2, w8 = 4.0 * a, 2.0 * w, 8.0 * w
+    roots = []
+    for g in weights:
+        alpha, beta = g * k_alpha, g * k_beta
+        p, q = alpha / omega, beta / omega
+        s, pq = p + q, p * q
+        if not s > 0.0:  # p + q below 2^-1074, and 1 - F^2 <= 3 s / 4
+            roots.append(0.0 if alpha + beta == 0.0 else 2.0 ** -537)
+            continue
+        ps, qs = p / s, q / s
+        delta = 4.0 + 2.0 * s + pq
+        lam = a * (a + s + pq)
+        root_lam = sqrt(lam)
+        big = sqrt(w * delta + lam) + root_lam
+        num = 4.0 * (ps * ps + qs * qs) + ps * qs * (w8 + pq + 4.0 * s)
+        rest = s / (a4 + 2.0 * s + pq + 4.0 * root_lam) * (num / delta) * (big / (big + w2))
+        root = sqrt(s) * sqrt(rest) * _ROUND_UP
+        roots.append(root if root < 1.0 else 1.0)  # NaN, too
+    return roots
 
 
 def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
@@ -449,7 +464,7 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     xi, xi_prime = float(xi), float(xi_prime)
     if not (0.0 < xi < math.inf and 0.0 < xi_prime < math.inf):
         raise DomainError("both noise parameters must be positive and finite")
-    root = _b2_root_infidelity(xi, xi_prime, _frame_r(r))
+    root = _b2_root_infidelity([xi], xi_prime, _frame_r(r))[0]
     return math.sqrt((1.0 - root) * (1.0 + root))
 
 

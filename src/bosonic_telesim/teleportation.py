@@ -47,23 +47,34 @@ def bk_added_noise(mu: float) -> float:
     every mu (``math.sqrt`` is correctly rounded, as numpy's is).  A mu that
     is not a real number, or is a bool, raises :class:`DomainError`.
     """
-    mu = _real(mu, "resource variance")
-    if not (math.isfinite(mu) and mu >= 1.0):
-        raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
-    if mu >= 2.0 ** 27:
-        return 1.0 / mu
-    return 2.0 / (mu + math.sqrt(mu * mu - 1.0))
+    return _xi_column([_real(mu, "resource variance")])[0]
 
 
-def _env_gamma(xi: float, tau: float) -> float:
-    """Weight ``gamma = xi |tau| / |1 - tau|`` of the squeezed noise that the
-    simulation adds to the environment of the C_Att, C_Amp and D forms.  The
-    quotient is taken first, so gamma is about xi at tau of about 1e308; a
-    gamma that is not finite raises :class:`OverflowError`."""
-    gamma = xi * (abs(tau) / abs(1.0 - tau))
-    if not gamma < math.inf:
-        raise OverflowError(f"gamma = xi |tau| / |1 - tau| is not finite at tau = {tau:g}")
-    return gamma
+def _xi_column(mus: list) -> list:
+    """:func:`bk_added_noise` of each float of ``mus``, as a float list.  Each
+    mu is checked in turn (finite, >= 1): the first bad one raises
+    :class:`DomainError`."""
+    sqrt, inf, xis = math.sqrt, math.inf, []
+    for mu in mus:
+        if not 1.0 <= mu < inf:  # NaN fails too
+            raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
+        xis.append(1.0 / mu if mu >= 2.0 ** 27 else 2.0 / (mu + sqrt(mu * mu - 1.0)))
+    return xis
+
+
+def _env_gamma(xis: list, tau: float) -> list:
+    """Weights ``gamma = xi |tau| / |1 - tau|``, one per float of ``xis``, of
+    the squeezed noise that the simulation adds to the environment of the
+    C_Att, C_Amp and D forms.  The quotient is taken first, so gamma is about
+    xi at tau of about 1e308; the first gamma that is not finite raises
+    :class:`OverflowError`."""
+    ratio, inf, gammas = abs(tau) / abs(1.0 - tau), math.inf, []
+    for xi in xis:
+        gamma = xi * ratio
+        if not gamma < inf:
+            raise OverflowError(f"gamma = xi |tau| / |1 - tau| is not finite at tau = {tau:g}")
+        gammas.append(gamma)
+    return gammas
 
 
 def _frame_r(r) -> float:
@@ -175,7 +186,7 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
     omega = 2.0 * form.noise_param + 1.0
     tag = form.tag
     if tag in (CanonicalClass.C_Att, CanonicalClass.C_Amp, CanonicalClass.D):
-        gamma = _env_gamma(xi, form.tau)
+        gamma = _env_gamma([xi], form.tau)[0]
         # plain-float products, not `**` (libm pow raises OverflowError): an
         # r out of range gives a non-finite CM, which GaussianState rejects
         inv = 1.0 / squeeze_r

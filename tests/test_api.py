@@ -73,7 +73,7 @@ PRIVATE_IMPORTS = {
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
-                    ("teleportation", "_frame_row")},
+                    ("teleportation", "_frame_row"), ("teleportation", "_xi_column")},
     "dilation": {("_floats", "_self_check_tol")},
     "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
     "peeling": {("_floats", "_self_check_tol"), ("convergence", "_diamond_bound"),

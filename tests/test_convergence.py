@@ -18,9 +18,9 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              diamond_upper_bound, environmental_pair, fid_env_A2,
                              fid_env_C, form_from_fields, gaussian_fidelity,
                              nonuniform_witness)
-from bosonic_telesim.convergence import _diamond_bound
+from bosonic_telesim.convergence import _bound_column, _diamond_bound
 from bosonic_telesim.fidelity import _b1_witness_infidelity, _env_root_infidelity
-from bosonic_telesim.teleportation import _env_gamma, _frame_row
+from bosonic_telesim.teleportation import _env_gamma, _frame_row, _xi_column
 
 I2 = np.eye(2)
 
@@ -627,16 +627,17 @@ class TestPlainFloatRows:
         want = gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
         xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
         if form.tag is CanonicalClass.A2:
-            got, added = fid_env_A2(xi, omega, a, c), (xi * (a * a + c * c), 0.0)
+            got, weight, ks = fid_env_A2(xi, omega, a, c), xi, (a * a + c * c, 0.0)
         else:
-            gamma, inv = _env_gamma(xi, form.tau), 1.0 / r
-            got, added = fid_env_C(gamma, omega, r), (gamma * (r * r), gamma * (inv * inv))
+            gamma, inv = _env_gamma([xi], form.tau)[0], 1.0 / r
+            got, weight, ks = fid_env_C(gamma, omega, r), gamma, (r * r, inv * inv)
         assert got.hex() == want.hex()
         bound = _diamond_bound(form, mu, r, a, c)
         assert type(bound) is float
-        # the bound reads the variances the pair adds, through the
-        # cancellation-free kernel (TestBoundDirection holds it to 60 digits)
-        assert bound == 2.0 * _env_root_infidelity(*added, form.noise_param)
+        # the bound reads the variances the pair adds, weight * ks, through
+        # the cancellation-free column kernel at one point (TestBoundDirection
+        # holds it to 60 digits)
+        assert bound == 2.0 * _env_root_infidelity([weight], *ks, form.noise_param)[0]
         if (omega - 1.0) / 2.0 == form.noise_param:  # the pair's omega is exact
             # its 1 - F^2, rounded up by 2^-44 at most, is that of the
             # pair's fidelity to the roundoff of F^2
@@ -699,7 +700,7 @@ class TestPlainFloatRows:
             assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745706
             for xi, tau in ((math.inf, 0.5), (1.0, math.inf), (1e308, 0.75)):
                 with pytest.raises(OverflowError, match="gamma"):
-                    _env_gamma(xi, tau)
+                    _env_gamma([xi], tau)
 
     def test_large_thermal_variance_exits_0_from_the_cli(self, capsys):
         from bosonic_telesim.cli import main
@@ -714,6 +715,72 @@ class TestPlainFloatRows:
             rows = captured.out.strip().splitlines()[1:]
             assert len(rows) == 2
             assert all(0.0 <= float(row.split(",")[3]) <= 2.0 for row in rows)
+
+
+# mu log-uniform over [1, 1e300] or uniform near 1, with 1.0 and 2^27 and its
+# neighbouring floats, where bk_added_noise switches to 1 / mu
+_SCAN_MU = st.one_of(st.floats(0.0, 300.0).map(lambda e: 10.0 ** e), st.floats(1.0, 1.1),
+                     st.sampled_from([1.0, math.nextafter(2.0 ** 27, 0.0), 2.0 ** 27,
+                                      math.nextafter(2.0 ** 27, math.inf)]))
+_BAD_MU = st.sampled_from([math.nextafter(1.0, 0.0), 0.5, -1.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def full_rank_forms(draw):
+    """Canonical forms of every full-rank class: env_forms, and A1 and B2."""
+    tag = draw(st.sampled_from([CanonicalClass.A1, CanonicalClass.B2, None]))
+    if tag is CanonicalClass.A1:
+        return form_from_fields(tag, nbar=draw(st.floats(0.0, 5.0)))
+    if tag is CanonicalClass.B2:
+        return form_from_fields(tag, xi=draw(st.floats(0.05, 2.0)))
+    return draw(env_forms())
+
+
+class TestScanParity:
+    """A full-rank ``convergence_scan`` evaluates its xi and bound columns in
+    one pass each; every row is the one-point :func:`bk_added_noise` and
+    :func:`diamond_upper_bound` at its mu, bit for bit, and a bad mu or an
+    overflowing gamma raises what the one-point call raises, in the same
+    order."""
+
+    @given(form=full_rank_forms(), mus=st.lists(_SCAN_MU, max_size=12), r=_FRAME_R,
+           row=_DIRECTION_ROW)
+    @example(form=form_from_fields(CanonicalClass.C_Amp, tau=1e308, nbar=0.0),
+             mus=[1.0, 1.001, 2.0 ** 27, 1e300], r=1.0, row=(1.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_the_one_point_values(self, form, mus, r, row):
+        ch = canonical_channel(form)
+        (a, c), params = row, {"r": r, "a": row[0], "c": row[1]}
+        rows = convergence_scan(ch, mus, params)
+        assert [x.mu for x in rows] == mus
+        assert [x.xi.hex() for x in rows] == [bk_added_noise(mu).hex() for mu in mus]
+        assert ([x.upper_bound.hex() for x in rows]
+                == [diamond_upper_bound(ch, mu, r=r, a=a, c=c).hex() for mu in mus])
+
+    @given(form=full_rank_forms(), mus=st.lists(_SCAN_MU, max_size=8), bad=_BAD_MU,
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_mu_raises_the_one_point_error(self, form, mus, bad, data):
+        k = data.draw(st.integers(0, len(mus)))
+        with pytest.raises(DomainError) as want:
+            bk_added_noise(bad)
+        with pytest.raises(DomainError) as got:
+            convergence_scan(canonical_channel(form), mus[:k] + [bad] + mus[k:])
+        assert str(got.value) == str(want.value)
+
+    def test_gamma_overflow_keeps_its_order(self):
+        # C_Amp at tau = 1e308 has a finite gamma of about xi; the first
+        # overflowing gamma of a column raises, after every mu is checked
+        form = classify(channel_from_dict({"class": "C_Amp", "tau": 1e308, "nbar": 0.0}))
+        mus = [1.001, 1.01, 10.0]
+        assert ([b.hex() for b in _bound_column(form, _xi_column(mus), 1.0)]
+                == [_diamond_bound(form, mu, 1.0, 1.0, 0.0).hex() for mu in mus])
+        for xis, tau in (([1.0, math.inf, 2.0], 0.5), ([1.0, 2.0], math.inf),
+                         ([0.5, 1e308], 0.75)):
+            with pytest.raises(OverflowError, match=f"not finite at tau = {tau:g}"):
+                _env_gamma(xis, tau)
+        with pytest.raises(DomainError, match="resource variance"):
+            convergence_scan(canonical_channel(form), [2.0, 0.5])
 
 
 class TestScanRow:

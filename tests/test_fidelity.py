@@ -658,7 +658,7 @@ def _env_fidelities(form, mu, r=1.0, a=1.0, c=0.0):
     pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
     xi, omega = bk_added_noise(mu), 2.0 * form.noise_param + 1.0
     closed = (fid_env_A2(xi, omega, a, c) if form.tag is CanonicalClass.A2
-              else fid_env_C(_env_gamma(xi, form.tau), omega, r))
+              else fid_env_C(_env_gamma([xi], form.tau)[0], omega, r))
     return closed, gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
 
 

@@ -50,7 +50,7 @@ def _env_cm(form, mu, r, a, c):
 READERS = {
     "environmental_pair": (ENV, _env_cm),
     "fid_env_C": (("C_Att", "C_Amp", "D"), lambda form, mu, r, a, c: fid_env_C(
-        _env_gamma(bk_added_noise(mu), form.tau), 2.0 * form.noise_param + 1.0, r)),
+        _env_gamma([bk_added_noise(mu)], form.tau)[0], 2.0 * form.noise_param + 1.0, r)),
     "fid_env_A2": (("A2",), lambda form, mu, r, a, c: fid_env_A2(
         bk_added_noise(mu), 2.0 * form.noise_param + 1.0, a, c)),
     "diamond_upper_bound": (FULL_RANK, lambda form, mu, r, a, c: diamond_upper_bound(
@@ -83,20 +83,20 @@ def _expected(reader, form, mu, r, a, c):
     if reader == "environmental_pair":
         if cls == "A2":
             return [xi * (a * a + c * c) + omega, 0.0, 0.0, omega]
-        gamma, inv = _env_gamma(xi, form.tau), 1.0 / r
+        gamma, inv = _env_gamma([xi], form.tau)[0], 1.0 / r
         return [omega + gamma * (r * r), 0.0, 0.0, omega + gamma * (inv * inv)]
     if cls in ENV and reader.startswith("fid_env"):
         pair = environmental_pair(form, mu, squeeze_r=r, a=a, c=c)
         return gaussian_fidelity(pair.rho_e, pair.rho_e_mu)
     if cls == "A2":
-        return 2.0 * _env_root_infidelity(xi * (a * a + c * c), 0.0, form.noise_param)
+        return 2.0 * _env_root_infidelity([xi], a * a + c * c, 0.0, form.noise_param)[0]
     if cls in ENV:
-        gamma, inv = _env_gamma(xi, form.tau), 1.0 / r
-        return 2.0 * _env_root_infidelity(gamma * (r * r), gamma * (inv * inv), form.noise_param)
+        gamma, inv = _env_gamma([xi], form.tau)[0], 1.0 / r
+        return 2.0 * _env_root_infidelity([gamma], r * r, inv * inv, form.noise_param)[0]
     if cls == "A1":
         return 0.0
     if cls == "B2":
-        return 2.0 * _b2_root_infidelity(xi, form.noise_param, r)
+        return 2.0 * _b2_root_infidelity([xi], form.noise_param, r)[0]
     if cls == "B2_Id":
         return nonuniform_witness(mu, MU_TILDE)
     infidelity, f2 = _b1_witness_infidelity(MU_TILDE, xi, a, c)
