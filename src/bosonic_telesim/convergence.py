@@ -70,8 +70,8 @@ def diamond_upper_bound(ch: GaussianChannel, mu: float, *, r: float = 1.0,
     likewise (:func:`fidelity._b2_root_infidelity`), each rounded up by
     2^-45 relative.  The bound is then never below its exact value at
     the given mu and frame, and at most 2^-44 (5.7e-14) relative above it,
-    for mu >= 1.1; nearer mu = 1, ``bk_added_noise`` forms ``mu^2 - 1``
-    with a relative error that the rounding does not cover.
+    at every mu >= 1 (``bk_added_noise`` forms ``mu^2 - 1`` as
+    ``(mu - 1)(mu + 1)``, which does not cancel near mu = 1).
     """
     return _diamond_bound(classify(ch, tol), mu, r, a, c)
 

@@ -340,7 +340,7 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
 # either kernel, whose operations all act on positive terms: the ~25
 # operations of _b2_root_infidelity; for
 # _env_root_infidelity, about 80u in 1 - F^2 from its ~40 operations and
-# 30u from its inputs (xi within 7u of exact for mu >= 1.1, then gamma and
+# 30u from its inputs (xi within 4u of exact at every mu >= 1, then gamma and
 # r^2, their errors at most doubled in 1 - F^2), halved by the square root.
 # Unrounded, the B2 bound was measured at most 7.2e-16 relative off the exact
 # limit in 3,000 draws (mu in [1.1, 1e300], xi' in [0.05, 2], r in [0.5, 2]),

@@ -41,11 +41,14 @@ __all__ = [
 def bk_added_noise(mu: float) -> float:
     """Added noise xi of the finite-energy teleportation channel.
 
-    Evaluated as ``2 / (mu + sqrt(mu^2 - 1))`` to stay accurate at large mu.
-    From mu = 2^27 on that rounds to exactly ``1 / mu``, which is used there
-    because ``mu * mu`` overflows above mu ~ 1.34e154.  A plain ``float`` at
-    every mu (``math.sqrt`` is correctly rounded, as numpy's is).  A mu that
-    is not a real number, or is a bool, raises :class:`DomainError`.
+    Evaluated as ``2 / (mu + sqrt((mu - 1)(mu + 1)))`` to stay accurate at
+    large mu and near mu = 1: ``mu - 1`` and ``mu + 1`` are exact, so
+    ``mu^2 - 1`` is rounded once where ``mu * mu - 1`` would cancel, and xi
+    is within 4u (u = 2^-53) relative of exact at every mu.  From mu = 2^27
+    on that rounds to exactly ``1 / mu``, which is used there because the
+    product overflows above mu ~ 1.34e154.  A plain ``float`` at every mu
+    (``math.sqrt`` is correctly rounded, as numpy's is).  A mu that is not a
+    real number, or is a bool, raises :class:`DomainError`.
     """
     return _xi_column([_real(mu, "resource variance")])[0]
 
@@ -58,7 +61,7 @@ def _xi_column(mus: list) -> list:
     for mu in mus:
         if not 1.0 <= mu < inf:  # NaN fails too
             raise DomainError(f"resource variance must be finite with mu >= 1, got {mu}")
-        xis.append(1.0 / mu if mu >= 2.0 ** 27 else 2.0 / (mu + sqrt(mu * mu - 1.0)))
+        xis.append(1.0 / mu if mu >= 2.0 ** 27 else 2.0 / (mu + sqrt((mu - 1.0) * (mu + 1.0))))
     return xis
 
 

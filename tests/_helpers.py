@@ -213,10 +213,10 @@ def phi_mp(formula, *args, dps: int = 60):
 
 # --- numpy-scalar oracle of the added noise ----------------------------------------
 #
-# bk_added_noise as it was written on numpy scalars (np.sqrt of Python
-# floats, np.float64 arithmetic).  The library takes it on Python floats with
-# math.sqrt; both square roots are correctly rounded, so every value must
-# match this bit for bit.
+# bk_added_noise on numpy scalars (np.sqrt of Python floats, np.float64
+# arithmetic), with mu^2 - 1 formed as (mu - 1)(mu + 1) as the library forms
+# it.  The library takes it on Python floats with math.sqrt; both square roots
+# are correctly rounded, so every value must match this bit for bit.
 
 def bk_added_noise_np(mu):
     mu = float(mu)
@@ -224,7 +224,7 @@ def bk_added_noise_np(mu):
         raise ValueError(f"resource variance must be finite with mu >= 1, got {mu}")
     if mu >= 2.0 ** 27:
         return 1.0 / mu
-    return 2.0 / (mu + np.sqrt(mu * mu - 1.0))
+    return 2.0 / (mu + np.sqrt((mu - 1.0) * (mu + 1.0)))
 
 
 # channels._numeric_rank as it was written on numpy arrays (np.sum of the

@@ -543,10 +543,13 @@ def env_forms(draw):
     return form_from_fields(tag, tau=tau, nbar=nbar)
 
 
-# mu log-uniform in [1.1, 1e150], with the 2^27 switch of bk_added_noise;
-# row entries 0 or of magnitude 1e-3 to 3
+# mu near 1: uniform in [1, 1.1], or 1 + 10^[-15, -1], where mu * mu - 1 cancels
+_NEAR_ONE_MU = st.one_of(st.floats(1.0, 1.1), st.floats(-15.0, -1.0).map(lambda e: 1.0 + 10.0 ** e),
+                         st.sampled_from([1.0, 1.000000011]))
+# mu log-uniform in [1.1, 1e150] or near 1, with the 2^27 switch of
+# bk_added_noise; row entries 0 or of magnitude 1e-3 to 3
 _DIRECTION_MU = st.one_of(st.floats(math.log10(1.1), 150.0).map(lambda e: 10.0 ** e),
-                          st.sampled_from([1.1, 2.0 ** 27, 1e150]))
+                          _NEAR_ONE_MU, st.sampled_from([1.1, 2.0 ** 27, 1e150]))
 _DIRECTION_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
 _DIRECTION_ROW = st.tuples(_DIRECTION_ENTRY, _DIRECTION_ENTRY).filter(lambda ac: ac != (0.0, 0.0))
 
@@ -555,16 +558,19 @@ class TestBoundDirection:
     """The A2, C_Att, C_Amp and D bounds of :func:`diamond_upper_bound` are
     upper bounds: never below the 60-digit ``2 sqrt(1 - F^2)`` of their
     environmental pair and at most 1e-12 relative above it, for mu in
-    [1.1, 1e150], nbar in [0, 5] or up to 1e100, and frames r and (a, c).
+    [1, 1e150], nbar in [0, 5] or up to 1e100, and frames r and (a, c).
     A float64 ``1 - F^2`` gave 0.0 from mu = 1e8 at nbar = 0.5, and at
     nbar = 1e8 from mu = 1.1.  The B2 bound is held the same way against its
-    exact tau -> 1 limit for mu in [1.1, 1e300]: its ``xi^2`` underflowed
+    exact tau -> 1 limit for mu in [1, 1e300]: its ``xi^2`` underflowed
     from mu of about 1e154, and it read 5.6e-6 low at mu = 1e160 and 0.0
-    from mu = 1e200."""
+    from mu = 1e200.  Near mu = 1, xi from ``mu * mu - 1`` put bounds up to
+    1.4e-13 relative below 60 digits (C_Att (0.5, 0.5) at mu = 1.000000011
+    read 1.87e-13 low)."""
 
     @given(mu=st.one_of(st.floats(math.log10(1.1), 300.0).map(lambda e: 10.0 ** e),
-                        st.floats(150.0, 300.0).map(lambda e: 10.0 ** e)),
+                        st.floats(150.0, 300.0).map(lambda e: 10.0 ** e), _NEAR_ONE_MU),
            xi_prime=st.floats(0.05, 2.0), r=_FRAME_R)
+    @example(mu=1.000000011, xi_prime=0.5, r=1.0)
     @example(mu=1e160, xi_prime=0.5, r=1.0)
     @example(mu=1e200, xi_prime=0.5, r=1.0)
     @example(mu=1e300, xi_prime=0.5, r=1.0)
@@ -580,6 +586,10 @@ class TestBoundDirection:
 
     @given(form=env_forms(), mu=_DIRECTION_MU, r=_FRAME_R, row=_DIRECTION_ROW)
     @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=1e8), mu=1.1, r=1.0,
+             row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5), mu=1.000000011,
+             r=1.0, row=(1.0, 0.0))
+    @example(form=form_from_fields(CanonicalClass.A2, nbar=0.0), mu=1.000000011, r=1.0,
              row=(1.0, 0.0))
     @example(form=form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5), mu=1e8, r=1.0,
              row=(1.0, 0.0))
@@ -697,7 +707,8 @@ class TestPlainFloatRows:
                 got, want = _diamond_bound(form, mu, 1.0, 1.0, 0.0), env_bound_mp(form, mu)
                 # rounded up by 2^-45 relative: never below, at most 2^-44 above
                 assert want <= got <= want * (1 + 2.0 ** -44)
-            assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745706
+            # 1.3983167797745706 while xi formed mu * mu - 1, each 2.85e-14 above
+            assert _diamond_bound(form, 1.001, 1.0, 1.0, 0.0) == 1.3983167797745704
             for xi, tau in ((math.inf, 0.5), (1.0, math.inf), (1e308, 0.75)):
                 with pytest.raises(OverflowError, match="gamma"):
                     _env_gamma([xi], tau)
