@@ -263,11 +263,13 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     rows carry the witness lower bound.  Checked in order: the keys of
     ``witness_params`` and their values (real, not bool), the grid
     (converted once to a 1-D float array), the one classification under
-    ``tol``, then the input frame the bound reads, each mu in turn and each
-    bound in turn, or the witness column in one pass.  Each row is bit-identical to
-    :func:`diamond_upper_bound`, :func:`b1_witness_bound` or
-    :func:`nonuniform_witness`.  The full-rank rows run on plain floats, and
-    a grid given as a list of floats loads no numpy for them.
+    ``tol``, then the input frame the bound reads, each mu in turn, and the
+    bound column in one pass of its closed form, or the witness column in
+    one pass.  Each row is bit-identical to :func:`bk_added_noise` and
+    :func:`diamond_upper_bound`, or to :func:`b1_witness_bound` or
+    :func:`nonuniform_witness`, at its point.  The full-rank rows run on
+    plain floats, and a grid given as a list of floats loads no numpy for
+    them.
     """
     return _scan(ch, grid, witness_params, tol)
 
@@ -275,7 +277,9 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
 def _scan(ch: GaussianChannel, grid, witness_params, tol: float | None,
           form: CanonicalForm | None = None) -> list:
     """:func:`convergence_scan` of ``form``, or of ``ch`` classified under
-    ``tol`` once the witness params and the grid pass their checks."""
+    ``tol`` once the witness params and the grid pass their checks.  A
+    full-rank scan checks the frame, then the xi column (each mu in turn),
+    then forms the bound column from it."""
     params = {key: _real(x, f"witness param {key!r}")
               for key, x in _known_params(witness_params, _WITNESS_PARAMS).items()}
     mus = _as_grid(grid)
