@@ -26,10 +26,14 @@ _UNCERTAINTY = 1e-9
 
 
 def _real(x, what: str) -> float:
-    """``float(x)`` of a real number that is not a bool, else :class:`DomainError`."""
+    """``float(x)`` of a real number that is not a bool, else :class:`DomainError`,
+    which a real beyond float64 range (an int of 10**400) raises too."""
     if isinstance(x, bool) or not isinstance(x, (float, numbers.Real)):  # float: no ABC check
         raise DomainError(f"{what} must be a real number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as exc:  # no repr: a long int's may exceed the digit limit
+        raise DomainError(f"{what} must lie within float64 range: {exc}") from None
 
 
 def _entries(x, what: str) -> list:

@@ -25,9 +25,9 @@ library checks it, so 0 is valid and NaN, inf, a negative value or one from
 or --channel with --mu; --delta excludes --channel, --mu and --tol.
 
 Each command imports the layers it uses.  classify, simulate, convergence
-(full-rank scans), peel and capacity run on plain floats and never import
-numpy, and neither do apply and fidelity on one-mode states; two-mode
-states and witness scans do.  Where a command's states have two modes,
+(full-rank and witness scans), peel and capacity run on plain floats and
+never import numpy, and neither do apply and fidelity on one-mode states;
+two-mode states do.  Where a command's states have two modes,
 numpy's floating-point errors raise (exit 2); a matrix that float64 cannot
 resolve (numpy's ``LinAlgError``) exits 3 wherever numpy is in use.
 """

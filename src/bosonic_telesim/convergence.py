@@ -135,7 +135,7 @@ def nonuniform_witness(mu: float, mu_tilde: float) -> float:
     ``1 - F`` (see :func:`_identity_witness`), rounded down by 2^-45
     relative so that it never exceeds the exact value.
     """
-    return _witness_column(mu, _as_grid((mu_tilde,)))[0][0]
+    return _witness_column(mu, [_real(mu_tilde, "mu_tilde")])[0][0]
 
 
 def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
@@ -149,7 +149,7 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
     form, rounded down by 2^-45 relative so that it never exceeds the exact
     value.
     """
-    return _witness_column(mu, _as_grid((mu_tilde,)), (a, c))[0][0]
+    return _witness_column(mu, [_real(mu_tilde, "mu_tilde")], (a, c))[0][0]
 
 
 # Inward rounding of the witnesses, B1's ``2 (1 - F^2) / (1 + F)`` and the
@@ -160,68 +160,58 @@ def b1_witness_bound(mu: float, mu_tilde: float, a: float = 1.0,
 _B1_ROUND_DOWN = 1.0 - 2.0 ** -45
 
 
-def _identity_witness(mu_tilde, xi):
+def _identity_witness(mu_tildes: list, xi: float) -> list:
     """``2 (1 - F)`` for the F of :func:`fidelity.fid_output_identity`, rounded
-    down by 2^-45 relative.  With ``x = mu_tilde xi / 2`` and
-    ``s = sqrt(1 + x)``, ``1 - F = 1 - 1/s = x / (s (1 + s))``: every term is
-    positive, and ``x <= mu_tilde`` cannot overflow.  Elementwise on arrays."""
-    import numpy as np
-
-    x = mu_tilde * (0.5 * xi)
-    s = np.sqrt(1.0 + x)
-    return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN
+    down by 2^-45 relative, one per mu_tilde of the float list ``mu_tildes``.
+    With ``x = mu_tilde xi / 2`` and ``s = sqrt(1 + x)``,
+    ``1 - F = 1 - 1/s = x / (s (1 + s))``: every term is positive, and
+    ``x <= mu_tilde`` cannot overflow."""
+    sqrt, half, witness = math.sqrt, 0.5 * xi, []
+    for m in mu_tildes:
+        x = m * half
+        s = sqrt(1.0 + x)
+        witness.append(2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN)
+    return witness
 
 
 def _as_grid(grid) -> list:
-    """``grid`` as a list of floats, converted once by
-    ``np.asarray(grid, dtype=float)``; a grid that does not convert, is
-    complex (the cast would drop its imaginary parts) or is not 1-D raises
-    :class:`DomainError`.  A list of floats is that conversion already, and
-    is taken as it is, with no numpy."""
-    if type(grid) is list and all(type(x) is float for x in grid):
-        return grid
-    import numpy as np
-
-    try:
-        m = None if np.iscomplexobj(grid) else np.asarray(grid, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"grid does not convert to floats: {exc}") from None
-    if m is None:
-        raise DomainError("grid must be real, got a complex grid")
-    if m.ndim != 1:
-        raise DomainError(f"grid must be one-dimensional, got shape {m.shape}")
-    return m.tolist()
+    """``grid`` as a list of floats: the entries of an array's ``tolist()``,
+    a list, a tuple or a range, each a real number by :func:`_floats._real`
+    (a list of floats is taken as it is).  Anything else, or a nested entry
+    (not one-dimensional), raises :class:`DomainError`."""
+    entries = grid.tolist() if hasattr(grid, "tolist") else grid
+    if type(entries) is list and all(type(x) is float for x in entries):
+        return entries
+    if not isinstance(entries, (list, tuple, range)):
+        raise DomainError("grid must be a one-dimensional list, tuple, range or "
+                          f"array, got {type(grid).__name__}")
+    return [_real(x, "grid entry") for x in entries]
 
 
 def _witness_column(mu: float, grid: list, row: tuple | None = None):
     """``(witness, xi)``: the B1 witness of the input-frame row ``(a, c)``
     (the identity witness for ``row=None``) at resource mu over the float
-    list ``grid`` of mu_tilde, as a float list from one array pass, and
-    the ``xi = bk_added_noise(mu)`` it used.  Only + - * / and sqrt touch
-    ``m``, so each element equals the one-point evaluation bit for bit.
-    Checked in order: the row, mu, then the whole column (finite, >= 1),
-    whose first bad entry the error names."""
-    import numpy as np
-
+    list ``grid`` of mu_tilde, as a float list from one kernel pass, and
+    the ``xi = bk_added_noise(mu)`` it used.  Checked in order: the row, mu,
+    each mu_tilde in turn (finite, >= 1; the first bad one raises), then the
+    column, where an overflowing row raises."""
     if row is not None:
         a, c = _frame_row(*row)
     xi = bk_added_noise(mu)
-    m = np.array(grid, dtype=float)
-    with np.errstate(all="ignore"):  # a NaN entry or a non-finite B1 row is rejected below
-        # min and max propagate NaN: both pass only when every entry is finite and >= 1
-        if m.size and not (m.min() >= 1.0 and m.max() < math.inf):
-            bad = m[(np.isfinite(m) & (m >= 1.0)).argmin()]
-            raise DomainError(f"mu_tilde must be finite and >= 1, got {bad}")
-        if row is None:
-            return _identity_witness(m, xi).tolist(), xi
-        infidelity, f2 = _b1_witness_infidelity(m, xi, a, c)
+    for m in grid:
+        if not 1.0 <= m < math.inf:  # NaN fails too
+            raise DomainError(f"mu_tilde must be finite and >= 1, got {m}")
+    if row is None:
+        return _identity_witness(grid, xi), xi
+    sqrt, witness = math.sqrt, []
+    for infidelity, f2 in _b1_witness_infidelity(grid, xi, a, c):
         # both are sums of positive terms, >= 0 or NaN, so their difference
         # is finite exactly where both are
-        if not np.isfinite(infidelity - f2).all():
+        if not math.isfinite(infidelity - f2):
             raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
                               "completion S overflows float64")
-        witness = np.minimum(2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
-    return witness.tolist(), xi
+        witness.append(min(2.0 * infidelity / (1.0 + sqrt(f2)) * _B1_ROUND_DOWN, 2.0))
+    return witness, xi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -261,15 +251,14 @@ def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = No
     grid sweeps the witness energy mu_tilde at fixed mu (``witness_params``:
     mu, and a, c for the unit-rank class; r for the dilation frame) and the
     rows carry the witness lower bound.  Checked in order: the keys of
-    ``witness_params`` and their values (real, not bool), the grid
-    (converted once to a 1-D float array), the one classification under
-    ``tol``, then the input frame the bound reads, each mu in turn, and the
-    bound column in one pass of its closed form, or the witness column in
-    one pass.  Each row is bit-identical to :func:`bk_added_noise` and
-    :func:`diamond_upper_bound`, or to :func:`b1_witness_bound` or
-    :func:`nonuniform_witness`, at its point.  The full-rank rows run on
-    plain floats, and a grid given as a list of floats loads no numpy for
-    them.
+    ``witness_params`` and their values, then the entries of the grid (a
+    list, a tuple or a 1-D array), each a real number, not a bool, the one
+    classification under ``tol``, then the input frame the bound reads, each
+    mu in turn, and the bound column in one pass of its closed form, or each
+    mu_tilde in turn and the witness column in one pass.  Each row is
+    bit-identical to :func:`bk_added_noise` and :func:`diamond_upper_bound`,
+    or to :func:`b1_witness_bound` or :func:`nonuniform_witness`, at its
+    point.  Every row runs on plain floats: no scan imports numpy.
     """
     return _scan(ch, grid, witness_params, tol)
 

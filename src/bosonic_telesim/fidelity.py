@@ -24,10 +24,10 @@ When either state is pure this reduces to the Gaussian overlap
 ``F^2 = Tr(rho sigma)``, which is evaluated directly for accuracy.  All
 closed forms below are validated against this general routine in the tests.
 
-The closed forms and the one-mode state fidelity run on plain floats; the
-two-mode state fidelity and the witness columns use numpy, imported where
-they run, so the bounds of the channel layer and one-mode states load no
-numpy.
+The closed forms, the witness columns and the one-mode state fidelity run
+on plain floats; only the two-mode state fidelity uses numpy, imported where
+it runs, so the bounds and witnesses of the channel layer and one-mode
+states load no numpy.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import dataclasses
 import math
 import sys
 
+from ._floats import _real
 from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
 from .symplectic import symplectic_form
 from .teleportation import _frame_r, _frame_row, bk_added_noise
@@ -254,7 +255,7 @@ def fid_output_identity(mu_tilde: float, mu: float) -> float:
     by xi.  Scales as O(mu_tilde^{-1/2}) at fixed mu and as 1 - O(1/mu) at
     fixed mu_tilde: the two iterated limits disagree.
     """
-    mu_tilde = float(mu_tilde)
+    mu_tilde = _real(mu_tilde, "mu_tilde")
     if not (math.isfinite(mu_tilde) and mu_tilde >= 1.0):
         raise DomainError(f"mu_tilde must be finite and >= 1, got {mu_tilde}")
     return 1.0 / math.sqrt(1.0 + mu_tilde * bk_added_noise(mu) / 2.0)
@@ -468,8 +469,9 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     return math.sqrt((1.0 - root) * (1.0 + root))
 
 
-def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
-    """``(1 - F^2, F^2)`` for the unit-rank-noise witness: F is the fidelity
+def _b1_witness_infidelity(mu_tildes: list, xi: float, a: float, c: float) -> list:
+    """``(1 - F^2, F^2)`` for the unit-rank-noise witness, one pair per
+    mu_tilde of the float list ``mu_tildes``: F is the fidelity
     of ``V1 = TMSV(m) + diag(0, 0, 0, 1)`` and ``V2 = V1 + xi (0 + S S^T)``,
     the outputs of the channel and of its simulation, with ``m = mu_tilde``,
     S the determinant-one completion of the row (a, c) (second row
@@ -484,31 +486,34 @@ def _b1_witness_infidelity(mu_tilde, xi: float, a: float, c: float) -> tuple:
     ``S^2 >= 32``: nothing cancels.  They are evaluated as dd, pp, qq and rr,
     divided by ``m^2 s``, ``m^3 s``, ``m^3 s`` and ``m^4 s`` with
     ``s = xi + 1/m``, so that none overflows or underflows at any mu_tilde
-    and xi.  Elementwise on an array of mu_tilde: only + - * / and sqrt
-    touch it, so each element equals the scalar evaluation bit for bit.
+    and xi.  S S^T and the sums that do not depend on m are formed once.
     Squares are products, never a ``**`` (libm ``pow`` misrounds some and
     raises ``OverflowError`` on Python floats): an overflowing row gives a
-    non-finite result, which the caller rejects.
+    non-finite pair, which the caller rejects.
     """
-    import numpy as np
-
+    sqrt = math.sqrt
     d, b = (0.0, 1.0 / a) if a != 0.0 else (-1.0 / c, 0.0)
     p, q, t = a * a + c * c, a * d + c * b, d * d + b * b
-    u = 1.0 / mu_tilde
-    g = (mu_tilde - 1.0) * u
-    s = xi + u
-    x, v = xi / s, u / s
-    u2, u4 = 2.0 * u, 4.0 * u
     w = 2.0 * p + xi
-    xp = x * (p + xi)
-    dd = x * w + v * (2.0 * xi * (p + t) + 4.0 + u4)
-    pp = xp + v * (2.0 * xi * (w + t) + 2.0
-                   + u * (xi * (5.0 * p + xi + 4.0 * t) + 8.0 + u * (2.0 * p * xi + 8.0)))
-    qq = xp + v * (2.0 * t * xi + 2.0 + u * xi * (p + xi + u2 * p))
-    rr = x * (w * w) + v * (4.0 * xi * (p + t) * w
-                            + u4 * xi * (p * p + t * t + 2.0 * (g + q * q))
-                            + 8.0 * p * g * (1.0 + u) * (1.0 + u2))
-    ss = np.sqrt(pp) + np.sqrt(qq)
-    scaled = np.sqrt(2.0 * v) * ss
-    infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled))
-    return infidelity, scaled / dd
+    pxi, ww, p8, qsq = p + xi, w * w, 8.0 * p, q * q
+    k_dd, k_qq = 2.0 * xi * (p + t) + 4.0, 2.0 * t * xi + 2.0
+    k_pp, k_pu = 2.0 * xi * (w + t) + 2.0, xi * (5.0 * p + xi + 4.0 * t) + 8.0
+    k_puu, k_rr, k_ru = 2.0 * p * xi + 8.0, 4.0 * xi * (p + t) * w, p * p + t * t
+    pairs = []
+    for m in mu_tildes:
+        u = 1.0 / m
+        g = (m - 1.0) * u
+        s = xi + u
+        x, v = xi / s, u / s
+        u2, u4 = 2.0 * u, 4.0 * u
+        xp = x * pxi
+        dd = x * w + v * (k_dd + u4)
+        pp = xp + v * (k_pp + u * (k_pu + u * k_puu))
+        qq = xp + v * (k_qq + u * xi * (pxi + u2 * p))
+        rr = x * ww + v * (k_rr + u4 * xi * (k_ru + 2.0 * (g + qsq))
+                           + p8 * g * (1.0 + u) * (1.0 + u2))
+        ss = sqrt(pp) + sqrt(qq)
+        scaled = sqrt(2.0 * v) * ss
+        pairs.append((x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled)),
+                      scaled / dd))
+    return pairs

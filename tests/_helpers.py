@@ -1,8 +1,9 @@
 """Shared test utilities: random symplectic, state and channel factories,
 fit helpers, the extended-precision fidelity, symplectic-spectrum,
-full-rank-bound and key-capacity oracles, the numpy oracles of the added noise and the
-numeric rank, the exact dense channel action, the reference TMSV
-construction, and hypothesis strategies of raw channel and state specs."""
+full-rank-bound and key-capacity oracles, the numpy oracles of the added
+noise, the witness kernels and the numeric rank, the exact dense channel
+action, the reference TMSV construction, and hypothesis strategies of raw
+channel and state specs."""
 
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bosonic_telesim import (CanonicalClass, GaussianChannel, GaussianState,
                              canonical_channel, form_from_fields)
+from bosonic_telesim.convergence import _B1_ROUND_DOWN
 
 
 def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0):
@@ -225,6 +227,42 @@ def bk_added_noise_np(mu):
     if mu >= 2.0 ** 27:
         return 1.0 / mu
     return 2.0 / (mu + np.sqrt((mu - 1.0) * (mu + 1.0)))
+
+
+# The witness kernels as they were written on numpy arrays: the identity's
+# 2 (1 - F) rounded down, and B1's (1 - F^2, F^2), one elementwise pass over an
+# array of mu_tilde.  The library runs the same + - * / and sqrt in the same
+# order per float, with the sums that do not depend on mu_tilde formed once,
+# so every row must match these bit for bit.  Call them under np.errstate:
+# an overflowing row (a, c) gives inf and NaN.
+
+def identity_witness_np(mu_tilde, xi):
+    x = mu_tilde * (0.5 * xi)
+    s = np.sqrt(1.0 + x)
+    return 2.0 * (x / (s * (1.0 + s))) * _B1_ROUND_DOWN
+
+
+def b1_witness_infidelity_np(mu_tilde, xi, a, c):
+    d, b = (0.0, 1.0 / a) if a != 0.0 else (-1.0 / c, 0.0)
+    p, q, t = a * a + c * c, a * d + c * b, d * d + b * b
+    u = 1.0 / mu_tilde
+    g = (mu_tilde - 1.0) * u
+    s = xi + u
+    x, v = xi / s, u / s
+    u2, u4 = 2.0 * u, 4.0 * u
+    w = 2.0 * p + xi
+    xp = x * (p + xi)
+    dd = x * w + v * (2.0 * xi * (p + t) + 4.0 + u4)
+    pp = xp + v * (2.0 * xi * (w + t) + 2.0
+                   + u * (xi * (5.0 * p + xi + 4.0 * t) + 8.0 + u * (2.0 * p * xi + 8.0)))
+    qq = xp + v * (2.0 * t * xi + 2.0 + u * xi * (p + xi + u2 * p))
+    rr = x * (w * w) + v * (4.0 * xi * (p + t) * w
+                            + u4 * xi * (p * p + t * t + 2.0 * (g + q * q))
+                            + 8.0 * p * g * (1.0 + u) * (1.0 + u2))
+    ss = np.sqrt(pp) + np.sqrt(qq)
+    scaled = np.sqrt(2.0 * v) * ss
+    infidelity = x * rr / (dd * (1.0 - 8.0 * u * u * v / (ss * ss)) * (dd + scaled))
+    return infidelity, scaled / dd
 
 
 # channels._numeric_rank as it was written on numpy arrays (np.sum of the

@@ -75,7 +75,8 @@ PRIVATE_IMPORTS = {
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
                     ("teleportation", "_frame_row"), ("teleportation", "_xi_column")},
     "dilation": {("_floats", "_self_check_tol")},
-    "fidelity": {("teleportation", "_frame_r"), ("teleportation", "_frame_row")},
+    "fidelity": {("_floats", "_real"), ("teleportation", "_frame_r"),
+                 ("teleportation", "_frame_row")},
     "peeling": {("_floats", "_self_check_tol"), ("convergence", "_diamond_bound"),
                 ("convergence", "_known_params")},
     # the plain-float rules of _floats: the state layer's CM test shares them

@@ -616,12 +616,14 @@ class TestInfrastructure:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
 
-    # the single-mode channel commands, for canonical and raw 2x2 specs, and
-    # the commands on one-mode states
+    # the single-mode channel commands, for canonical and raw 2x2 specs, the
+    # witness scans, and the commands on one-mode states
     _STATE = '{"mean": [0.3, -0.2], "cm": [[2.0, 0.1], [0.1, 1.5]]}'
     _RAW_LOSS = '{"t": [[0.7071067811865476, 0], [0, 0.7071067811865476]], "n": [[0.5, 0], [0, 0.5]]}'
     _SCAN = ('{"channel": %s, "grid": {"param": "mu", "start": 1.1, "stop": 1e10, '
              '"points": 20, "log": true}}')
+    _WITNESS = ('{"channel": %s, "grid": {"param": "mu_tilde", "start": 1, "stop": 1e9, '
+                '"points": 30, "log": true}, "witness": {%s}, "output": {"format": "%s"}}')
     CHANNEL_COMMANDS = [
         ["classify", "--channel", LOSS],
         ["classify", "--channel", _RAW_LOSS],
@@ -636,6 +638,9 @@ class TestInfrastructure:
         ["apply", "--channel", LOSS, "--state", _STATE],
         ["apply", "--channel", _RAW_LOSS, "--state", _STATE],
         ["fidelity", "--state1", _STATE, "--state2", VACUUM],
+        # witness scans: B1 in CSV, B2_Id in JSON
+        ["convergence", "--config", _WITNESS % ('{"class": "B1"}', '"a": 1.3, "c": -0.4', "csv")],
+        ["convergence", "--config", _WITNESS % ('{"class": "B2_Id"}', '"mu": 5.0', "json")],
     ]
 
     @pytest.mark.parametrize("argv", CHANNEL_COMMANDS, ids=lambda a: f"{a[0]}-{a[2][:8]}")

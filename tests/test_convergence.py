@@ -9,16 +9,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import (b1_witness_mp, b2_bound_mp, bk_added_noise_np, conjugated_channel,
-                      env_bound_mp, loglog_slope, sample_form, scutaru_fidelity_sq_mp)
+from _helpers import (b1_witness_infidelity_np, b1_witness_mp, b2_bound_mp, bk_added_noise_np,
+                      conjugated_channel, env_bound_mp, identity_witness_np, loglog_slope,
+                      sample_form, scutaru_fidelity_sq_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, ScanRow, b1_gamma, b1_witness_bound,
                              bk_added_noise, canonical_channel, channel_from_dict,
                              classify, convergence_scan, decide_uniform,
                              diamond_upper_bound, environmental_pair, fid_env_A2,
-                             fid_env_C, form_from_fields, gaussian_fidelity,
-                             nonuniform_witness)
-from bosonic_telesim.convergence import _diamond_bound
+                             fid_env_C, fid_output_identity, form_from_fields,
+                             gaussian_fidelity, nonuniform_witness)
+from bosonic_telesim.convergence import _B1_ROUND_DOWN, _diamond_bound
 from bosonic_telesim.fidelity import _b1_witness_infidelity, _env_root_infidelity
 from bosonic_telesim.teleportation import _env_gamma, _frame_row
 
@@ -274,9 +275,8 @@ class TestB1Witness:
     def test_kernel_squares_by_product(self):
         # a Python float ``**`` raised OverflowError for this row; the product
         # gives inf, which _witness_column rejects as a DomainError
-        with np.errstate(all="ignore"):
-            infidelity, f2 = _b1_witness_infidelity(np.array([1.0, 1e6]), 0.2, 1e150, 0.0)
-        assert not (np.isfinite(infidelity).all() and np.isfinite(f2).all())
+        pairs = _b1_witness_infidelity([1.0, 1e6], 0.2, 1e150, 0.0)
+        assert not all(math.isfinite(x) for pair in pairs for x in pair)
 
     def test_large_resource_at_unit_energy(self):
         # F = 1 - 3.4e-17, below float64's resolution of F near 1: the
@@ -291,7 +291,7 @@ class TestB1Witness:
     def test_leading_coefficient_rate(self, mu, a, c, mu_tilde):
         # F^4 mu_tilde -> b1_gamma with an O(1/mu_tilde) relative correction
         xi = bk_added_noise(mu)
-        _, f2 = _b1_witness_infidelity(mu_tilde, xi, a, c)
+        [(_, f2)] = _b1_witness_infidelity([mu_tilde], xi, a, c)
         ratio = f2 * f2 * mu_tilde / b1_gamma(a, c, xi)
         assert abs(ratio - 1.0) <= 10.0 / mu_tilde + 1e-12
 
@@ -336,12 +336,13 @@ def _grid_as(grid, container):
 
 
 class TestWitnessColumn:
-    """The witness column of a rank-deficient scan is one array pass over the
-    grid converted once by ``np.asarray(grid, dtype=float)``; every row must
-    equal the public scalar function at its point bit for bit, and a bad
-    grid, row (a, c) or mu must raise the error that function raises for the
-    row, then mu, then the first bad mu_tilde, an empty grid included; an
-    overflowing row is found where the witnesses are evaluated."""
+    """The witness column of a rank-deficient scan is one kernel pass over the
+    grid's floats, each entry a real number by ``_floats._real``; every row
+    must equal the public scalar function at its point bit for bit, and the
+    numpy-array kernels of ``_helpers`` too, and a bad grid, row (a, c) or mu
+    must raise the error that function raises for the row, then mu, then the
+    first bad mu_tilde, an empty grid included; an overflowing row is found
+    where the witnesses are evaluated."""
 
     @given(grid=witness_grids(),
            container=st.sampled_from(["list", "tuple", "float64", "float32"]),
@@ -396,34 +397,42 @@ class TestWitnessColumn:
         assert all((r.mu, r.xi, r.upper_bound) == (mu, bk_added_noise(mu), None)
                    for r in rows)
 
-    @pytest.mark.parametrize("grid, match", [
-        # the conversion fails before any entry is checked
-        (["x", math.nan], "does not convert"),
-        ([math.nan, "x"], "does not convert"),
-        ([2.0, 10 ** 400], "does not convert"),
-        (("x", math.nan), "does not convert"),
-        ([[2.0], [3.0, 4.0]], "does not convert"),  # ragged
-        (5.0, r"one-dimensional, got shape \(\)"),
-        (np.array(5.0), r"one-dimensional, got shape \(\)"),
-        (np.ones((2, 2)), r"one-dimensional, got shape \(2, 2\)"),
-        # numpy converts None to NaN: the first bad entry is named
-        ([2.0, None], "got nan"),
-        ((math.nan, "1.5"), "got nan"),
-        (np.array([2, 0]), "got 0.0"),  # int array: 0 < 1
-        (np.array([2.0, 0.5, 0.25], dtype=np.float32), "got 0.5"),
-        (np.array([2.0, math.nan, 0.5]), "got nan"),
-        (np.array([math.inf, 2.0]), "got inf"),
+    @pytest.mark.parametrize("grid, match, calls", [
+        # an entry that is no real number (by _floats._real) fails before the
+        # channel is classified, and before a bad real one that precedes it
+        (["x", math.nan], "grid entry must be a real number, got 'x'", 0),
+        ([math.nan, "x"], "grid entry must be a real number, got 'x'", 0),
+        ([2.0, 10 ** 400], "grid entry must lie within float64 range", 0),
+        (("x", math.nan), "grid entry must be a real number, got 'x'", 0),
+        ([2.0, None], "grid entry must be a real number, got None", 0),
+        ((math.nan, "1.5"), "grid entry must be a real number, got '1.5'", 0),
+        ([2.0, True], "grid entry must be a real number, got True", 0),
+        # nested entries and scalars are not one-dimensional
+        ([[2.0], [3.0, 4.0]], r"grid entry must be a real number, got \[2.0\]", 0),
+        (np.ones((2, 2)), r"grid entry must be a real number, got \[1.0, 1.0\]", 0),
+        (5.0, "grid must be a one-dimensional list, .* got float", 0),
+        pytest.param(10 ** 5000, "grid must be a one-dimensional list, .* got int", 0,
+                     id="int-1e5000"),
+        (np.array(5.0), "grid must be a one-dimensional list, .* got ndarray", 0),
+        ("25", "grid must be a one-dimensional list, .* got str", 0),
+        # the first bad real entry is named, after the one classification
+        (np.array([2, 0]), "got 0.0", 1),  # int array: 0 < 1
+        (np.array([2.0, 0.5, 0.25], dtype=np.float32), "got 0.5", 1),
+        (np.array([2.0, math.nan, 0.5]), "got nan", 1),
+        (np.array([math.inf, 2.0]), "got inf", 1),
     ])
-    def test_first_bad_row_decides_the_error(self, grid, match):
+    def test_first_bad_row_decides_the_error(self, grid, match, calls, classify_calls):
         with pytest.raises(DomainError, match=match):
             convergence_scan(GaussianChannel.identity(), grid, {"mu": 5.0})
+        assert len(classify_calls) == calls
 
     @pytest.mark.parametrize("grid, match", [
-        # the cast to float dropped the imaginary parts, with a ComplexWarning
-        (np.array([2 + 5j, 10 + 0j]), "must be real"),
-        (np.array([2.0, 10.0], dtype=complex), "must be real"),
-        ([np.complex128(2 + 5j), 10.0], "must be real"),
-        ([2 + 5j, 10.0], "must be real"),
+        # a complex entry is no real number (a float cast would drop its imaginary
+        # part); the first is named, as np.complex128(...) under numpy 2
+        (np.array([2 + 5j, 10 + 0j]), r"must be a real number, got \(2\+5j\)"),
+        (np.array([2.0, 10.0], dtype=complex), r"must be a real number, got \(2\+0j\)"),
+        ([np.complex128(2 + 5j), 10.0], r"must be a real number, got .*2\+5j"),
+        ([2 + 5j, 10.0], r"must be a real number, got \(2\+5j\)"),
     ])
     def test_complex_grid_rejected(self, grid, match, classify_calls):
         for ch, params in ((GaussianChannel.identity(), {"mu": 5.0}),
@@ -441,7 +450,8 @@ class TestWitnessColumn:
         for grid, floats in [
                 (np.array([1, 10, 10 ** 9]), [1.0, 10.0, 1e9]),
                 (dense[::2], dense[::2].tolist()),  # strided view
-                (dense.astype(">f8"), dense.tolist())]:  # non-native byte order
+                (dense.astype(">f8"), dense.tolist()),  # non-native byte order
+                (range(1, 4), [1.0, 2.0, 3.0])]:
             rows = convergence_scan(ch, grid, params)
             assert rows == convergence_scan(ch, floats, params)
             assert [type(r.mu_tilde) for r in rows] == [float] * len(floats)
@@ -455,6 +465,92 @@ class TestWitnessColumn:
             convergence_scan(ch, [0.5, 2.0], {"mu": 0.5})
         with pytest.raises(DomainError, match="mu_tilde must be finite and >= 1, got 0.5"):
             convergence_scan(ch, [2.0, 0.5, math.nan], {"mu": 5.0})
+
+    @given(grid=st.lists(st.one_of(st.sampled_from([1.0, 1e300]),
+                                   st.floats(0.0, 300.0).map(lambda e: 10.0 ** e)),
+                         max_size=12),
+           bad=st.one_of(st.none(), st.sampled_from([math.nan, math.inf, -math.inf, 0.5])),
+           mu=st.one_of(st.floats(min_value=1.0, max_value=1e12),
+                        st.sampled_from([1.0, 2.0 ** 27, 1e300])),
+           row=st.one_of(st.tuples(st.just(0.0), st.floats(0.1, 3.0)),
+                         st.tuples(st.floats(-3.0, -0.1), st.just(0.0)),
+                         st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                         st.just((1e200, 0.0))).filter(lambda ac: ac != (0.0, 0.0)),
+           k=st.integers(0, 12), unit_rank=st.booleans(), array=st.booleans())
+    @example(grid=[1.0, 1e300], bad=None, mu=5.0, row=(1e200, 0.0), k=0, unit_rank=True,
+             array=False)
+    @example(grid=[1.0, 1e300], bad=math.nan, mu=5.0, row=(0.0, 1.0), k=1, unit_rank=True,
+             array=True)
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_the_numpy_kernels(self, grid, bad, mu, row, k, unit_rank, array):
+        # the column kernels on plain floats against their numpy-array forms,
+        # by .hex(); a bad entry at position k is named, an overflowing row
+        # (1e200, 0) raises, each with the message of the numpy column
+        if bad is not None:
+            grid = grid[:k] + [bad] + grid[k:]
+        (a, c), xi = row, bk_added_noise(mu)
+        m = np.array(grid, dtype=float)
+        with np.errstate(all="ignore"):
+            if unit_rank:
+                infidelity, f2 = b1_witness_infidelity_np(m, xi, a, c)
+                want = np.minimum(2.0 * infidelity / (1.0 + np.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
+                overflows = not np.isfinite(infidelity - f2).all()
+            else:
+                want, overflows = identity_witness_np(m, xi), False
+        if unit_rank:
+            ch, params = GaussianChannel(I2, np.diag([0.0, 1.0])), {"mu": mu, "a": a, "c": c}
+        else:
+            ch, params = GaussianChannel.identity(), {"mu": mu}
+        given = m if array else grid
+        if bad is not None:
+            with pytest.raises(DomainError, match=f">= 1, got {bad}$"):
+                convergence_scan(ch, given, params)
+        elif overflows:
+            with pytest.raises(DomainError, match=r"its completion S overflows float64"):
+                convergence_scan(ch, given, params)
+        else:
+            rows = convergence_scan(ch, given, params)
+            assert [r.witness_lower_bound.hex() for r in rows] == [x.hex() for x in want.tolist()]
+            assert [r.mu_tilde.hex() for r in rows] == [x.hex() for x in grid]
+
+
+@pytest.mark.parametrize("bad", ["5", True, None])
+@pytest.mark.parametrize("call", [
+    lambda x: fid_output_identity(x, 5.0),
+    lambda x: nonuniform_witness(5.0, x),
+    lambda x: b1_witness_bound(5.0, x, 1.3, -0.4),
+    lambda x: convergence_scan(GaussianChannel.identity(), [2.0, x], {"mu": 5.0}),
+    lambda x: convergence_scan(GaussianChannel(I2, np.diag([0.0, 1.0])), (2.0, x),
+                               {"mu": 5.0}),
+], ids=["fid_output_identity", "nonuniform_witness", "b1_witness_bound", "scan-B2_Id",
+        "scan-B1"])
+def test_non_real_mu_tilde_rejected(call, bad):
+    # numpy's cast took "5" as 5.0 and True as 1.0 (the mu_tilde = 1 witness 0.0940),
+    # and float() did in fid_output_identity
+    with pytest.raises(DomainError, match=r"must be a real number, got " + repr(bad)):
+        call(bad)
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400, 10 ** 5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+@pytest.mark.parametrize("call, what", [
+    (lambda x: bk_added_noise(x), "resource variance"),
+    (lambda x: diamond_upper_bound(
+        canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5)), 2.0, r=x),
+     "squeezing parameter"),
+    (lambda x: convergence_scan(GaussianChannel.identity(), [2.0], {"mu": x}),
+     "witness param 'mu'"),
+    (lambda x: convergence_scan(GaussianChannel.identity(), [2.0, x], {"mu": 5.0}),
+     "grid entry"),
+    (lambda x: nonuniform_witness(5.0, x), "mu_tilde"),
+    (lambda x: fid_output_identity(x, 5.0), "mu_tilde"),
+], ids=["bk_added_noise", "diamond_upper_bound-r", "witness-mu", "grid", "nonuniform_witness",
+        "fid_output_identity"])
+def test_int_beyond_float64_range_rejected(call, what, huge):
+    # float() of such an int raised a bare OverflowError; 10**5000 has no
+    # repr under the default digit limit, so the message names the input only
+    with pytest.raises(DomainError, match=f"^{what} must lie within float64 range"):
+        call(huge)
 
 
 class TestConvergenceScan:
@@ -837,9 +933,9 @@ class TestScanRow:
         # the scan's one call, made before any row
         (0.5, "resource variance", 1),
         (math.nan, "resource variance", 1),
-        (None, "resource variance", 1),  # numpy converts None to NaN
-        # a grid that does not convert fails before the channel is classified
-        ("x", "does not convert", 0),
+        # an entry that is no real number fails before the channel is classified
+        (None, "grid entry must be a real number, got None", 0),
+        ("x", "grid entry must be a real number, got 'x'", 0),
     ])
     def test_bad_full_rank_row_after_good_ones(self, bad, match, calls, classify_calls):
         ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))

@@ -99,7 +99,7 @@ def _expected(reader, form, mu, r, a, c):
         return 2.0 * _b2_root_infidelity([xi], form.noise_param, r)[0]
     if cls == "B2_Id":
         return nonuniform_witness(mu, MU_TILDE)
-    infidelity, f2 = _b1_witness_infidelity(MU_TILDE, xi, a, c)
+    [(infidelity, f2)] = _b1_witness_infidelity([MU_TILDE], xi, a, c)
     return min(2.0 * infidelity / (1.0 + math.sqrt(f2)) * _B1_ROUND_DOWN, 2.0)
 
 
