@@ -23,8 +23,9 @@ _LAYERS = {
                  "canonical_channel", "canonical_matrices", "channel_from_dict",
                  "channel_to_dict", "classify", "compose", "form_from_fields",
                  "validate_channel"),
-    "convergence": ("ConvergenceVerdict", "ScanRow", "b1_witness_bound", "convergence_scan",
-                    "decide_uniform", "diamond_upper_bound", "nonuniform_witness"),
+    "convergence": ("ConvergenceVerdict", "ScanRow", "ScanTable", "b1_witness_bound",
+                    "convergence_scan", "decide_uniform", "diamond_upper_bound",
+                    "nonuniform_witness"),
     "dilation": ("SingleModeDilation", "apply_via_dilation", "asymptotic_b2", "dilation_of"),
     "errors": ("BosonicTelesimError", "ClassificationAmbiguousError", "DomainError",
                "InvalidDimensionError", "NoUniformBoundError", "SingularCoefficientError",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from ._floats import _real
 from .channels import CanonicalClass, GaussianChannel, classify
 from .convergence import _diamond_bound
 from .errors import DomainError, UnsupportedFormError
@@ -112,7 +113,7 @@ def phi_loss(tau: float, nbar: float) -> BoundReport:
     defining formula.  At tau = 1 the channel is lossless and the bound is
     unbounded.
     """
-    tau, nbar = float(tau), float(nbar)
+    tau, nbar = _real(tau, "loss transmissivity"), _real(nbar, "thermal number")
     if not 0.0 <= tau <= 1.0:
         raise DomainError(f"loss transmissivity must lie in [0, 1], got {tau}")
     if not 0.0 <= nbar < math.inf:
@@ -128,7 +129,7 @@ def phi_loss(tau: float, nbar: float) -> BoundReport:
 def phi_amp(tau: float, nbar: float) -> BoundReport:
     """Key-capacity upper bound of the noisy amplifier (gain tau > 1);
     zero once nbar reaches 1 / (tau - 1), decided in exact rationals."""
-    tau, nbar = float(tau), float(nbar)
+    tau, nbar = _real(tau, "amplifier gain"), _real(nbar, "thermal number")
     if not 1.0 < tau < math.inf:
         raise DomainError(f"amplifier gain must be finite and exceed 1, got {tau}")
     if not 0.0 <= nbar < math.inf:
@@ -142,7 +143,7 @@ def phi_amp(tau: float, nbar: float) -> BoundReport:
 def phi_add(xi: float) -> BoundReport:
     """Key-capacity upper bound of the additive-noise channel; zero for
     xi >= 1, unbounded at xi = 0 (noiseless)."""
-    xi = float(xi)
+    xi = _real(xi, "added noise")
     if not 0.0 <= xi < math.inf:
         raise DomainError(f"added noise must be finite and non-negative, got {xi}")
     inputs = {"xi": xi}
@@ -155,7 +156,7 @@ def phi_add(xi: float) -> BoundReport:
 def c_epsilon(eps: float) -> float:
     """Finite-size penalty ``log2 6 + 2 log2[(1 + eps)/(1 - eps)]`` for an
     eps-secure key; finite on (0, 1) and divergent at the right endpoint."""
-    eps = float(eps)
+    eps = _real(eps, "security parameter")
     if not 0.0 < eps < 1.0:
         raise DomainError(f"security parameter must lie in (0, 1), got {eps}")
     return math.log2(6.0) + 2.0 * math.log2((1.0 + eps) / (1.0 - eps))
@@ -171,7 +172,7 @@ def overall_error(eps: float, eps_tp: float) -> float:
     The added 2^-1072 covers a subnormal square's 2^-1075 absolute rounding
     and is lost above 2^-1019.
     """
-    eps, eps_tp = float(eps), float(eps_tp)
+    eps, eps_tp = _real(eps, "security parameter"), _real(eps_tp, "simulation error")
     if not 0.0 <= eps <= 1.0 or not 0.0 <= eps_tp <= 1.0:
         raise DomainError("both error terms must lie in [0, 1]")
     if eps_tp == 0.0:

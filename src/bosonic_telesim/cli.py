@@ -286,17 +286,16 @@ def _cmd_convergence(args) -> int:
     if param != ("mu" if form.tag.rank_n == 2 else "mu_tilde"):
         raise _CliInputError("full-rank-noise channels scan over 'mu' (upper-bound column), "
                              "rank-deficient ones over 'mu_tilde' (witness column)")
-    rows = _scan(ch, grid, witness, args.tol, form)
-    records = [{col: getattr(row, col) for col in _SCAN_COLUMNS} for row in rows]
+    table = _scan(ch, grid, witness, args.tol, form)
+    columns = [getattr(table, col) for col in _SCAN_COLUMNS]
     if fmt == "json":
-        text = _emit_json(records) + "\n"
+        text = _emit_json([dict(zip(_SCAN_COLUMNS, row)) for row in zip(*columns)]) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_SCAN_COLUMNS)
-        for rec in records:
-            writer.writerow(["" if rec[col] is None else _csv_float(rec[col])
-                             for col in _SCAN_COLUMNS])
+        writer.writerows(zip(*[["" if x is None else _csv_float(x) for x in column]
+                               for column in columns]))
         text = buf.getvalue()
     if path:
         with open(path, "w", encoding="utf-8") as fh:

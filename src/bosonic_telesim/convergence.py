@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
-from itertools import repeat
+from collections.abc import Mapping, Sequence
 
 from ._floats import _real
 from .channels import CanonicalClass, CanonicalForm, GaussianChannel, classify
@@ -24,6 +23,7 @@ from .teleportation import _env_gamma, _frame_r, _frame_row, _xi_column, bk_adde
 __all__ = [
     "ConvergenceVerdict",
     "ScanRow",
+    "ScanTable",
     "decide_uniform",
     "diamond_upper_bound",
     "nonuniform_witness",
@@ -180,7 +180,7 @@ def _as_grid(grid) -> list:
     (a list of floats is taken as it is).  Anything else, or a nested entry
     (not one-dimensional), raises :class:`DomainError`."""
     entries = grid.tolist() if hasattr(grid, "tolist") else grid
-    if type(entries) is list and all(type(x) is float for x in entries):
+    if type(entries) is list and {*map(type, entries)} == {float}:
         return entries
     if not isinstance(entries, (list, tuple, range)):
         raise DomainError("grid must be a one-dimensional list, tuple, range or "
@@ -226,6 +226,50 @@ class ScanRow:
     witness_lower_bound: float | None
 
 
+@dataclasses.dataclass(frozen=True)
+class ScanTable(Sequence):
+    """A convergence scan as five tuple columns of equal length, one entry per
+    grid point, named as the fields of :class:`ScanRow`.  A full-rank scan
+    fills ``upper_bound`` and a rank-deficient one ``witness_lower_bound``;
+    the other column, and ``mu_tilde`` of a full-rank scan, hold None.
+
+    It is a sequence of :class:`ScanRow`, built on access: iteration yields
+    one row per point, an int index (negative too) builds one, and a slice
+    returns a list of them.  The scan itself builds none."""
+
+    mu: tuple
+    mu_tilde: tuple
+    xi: tuple
+    upper_bound: tuple
+    witness_lower_bound: tuple
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def _columns(self) -> tuple:
+        return self.mu, self.mu_tilde, self.xi, self.upper_bound, self.witness_lower_bound
+
+    def __iter__(self):
+        return _scan_rows(zip(*self._columns()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(_scan_rows(zip(*(column[index] for column in self._columns()))))
+        return ScanRow(*(column[index] for column in self._columns()))
+
+
+def _scan_rows(values):
+    """``ScanRow(*v)`` for each ``v`` of ``values``, lazily, by one ``__dict__``
+    store per row past the frozen ``__setattr__``."""
+    new, store = object.__new__, object.__setattr__
+    for mu, mu_tilde, xi, upper_bound, witness_lower_bound in values:
+        row = new(ScanRow)
+        store(row, "__dict__", {
+            "mu": mu, "mu_tilde": mu_tilde, "xi": xi, "upper_bound": upper_bound,
+            "witness_lower_bound": witness_lower_bound})
+        yield row
+
+
 _WITNESS_PARAMS = frozenset({"mu", "a", "c", "r"})
 
 
@@ -244,27 +288,31 @@ def _known_params(params, known: frozenset) -> dict:
 
 def convergence_scan(ch: GaussianChannel, grid, witness_params: dict | None = None,
                      tol: float | None = None):
-    """Tabulate the convergence diagnostics of a channel over a grid.
+    """Tabulate the convergence diagnostics of a channel over a grid, as a
+    :class:`ScanTable` of five tuple columns, one entry per grid point.
 
     For full-rank-noise channels the grid sweeps the resource variance mu and
-    the rows carry the diamond upper bound.  For rank-deficient channels the
-    grid sweeps the witness energy mu_tilde at fixed mu (``witness_params``:
-    mu, and a, c for the unit-rank class; r for the dilation frame) and the
-    rows carry the witness lower bound.  Checked in order: the keys of
-    ``witness_params`` and their values, then the entries of the grid (a
-    list, a tuple or a 1-D array), each a real number, not a bool, the one
-    classification under ``tol``, then the input frame the bound reads, each
-    mu in turn, and the bound column in one pass of its closed form, or each
-    mu_tilde in turn and the witness column in one pass.  Each row is
-    bit-identical to :func:`bk_added_noise` and :func:`diamond_upper_bound`,
-    or to :func:`b1_witness_bound` or :func:`nonuniform_witness`, at its
-    point.  Every row runs on plain floats: no scan imports numpy.
+    the ``upper_bound`` column carries the diamond upper bound.  For
+    rank-deficient channels the grid sweeps the witness energy mu_tilde at
+    fixed mu (``witness_params``: mu, and a, c for the unit-rank class; r for
+    the dilation frame) and the ``witness_lower_bound`` column carries the
+    witness lower bound.  Checked in order: the keys of ``witness_params``
+    and their values, then the entries of the grid (a list, a tuple or a 1-D
+    array), each a real number, not a bool, the one classification under
+    ``tol``, then the input frame the bound reads, each mu in turn, and the
+    bound column in one pass of its closed form, or each mu_tilde in turn
+    and the witness column in one pass.  Each entry is bit-identical to
+    :func:`bk_added_noise` and :func:`diamond_upper_bound`, or to
+    :func:`b1_witness_bound` or :func:`nonuniform_witness`, at its point.
+    The table is a sequence of :class:`ScanRow`, built on access (iteration,
+    an index or a slice); the scan builds no row.  Every column runs on
+    plain floats: no scan imports numpy.
     """
     return _scan(ch, grid, witness_params, tol)
 
 
 def _scan(ch: GaussianChannel, grid, witness_params, tol: float | None,
-          form: CanonicalForm | None = None) -> list:
+          form: CanonicalForm | None = None) -> ScanTable:
     """:func:`convergence_scan` of ``form``, or of ``ch`` classified under
     ``tol`` once the witness params and the grid pass their checks.  A
     full-rank scan checks the frame, then the xi column (each mu in turn),
@@ -274,26 +322,14 @@ def _scan(ch: GaussianChannel, grid, witness_params, tol: float | None,
     mus = _as_grid(grid)
     if form is None:
         form = classify(ch, tol)
+    none = (None,) * len(mus)
     if form.tag.rank_n == 2:
         frame = _frame(form, params.get("r", 1.0), params.get("a", 1.0), params.get("c", 0.0))
         xis = _xi_column(mus)
-        return _scan_rows(zip(mus, repeat(None), xis, _bound_column(form, xis, frame),
-                              repeat(None)))
+        return ScanTable(tuple(mus), none, tuple(xis), tuple(_bound_column(form, xis, frame)),
+                         none)
     mu = params.get("mu", 5.0)
     row = ((params.get("a", 1.0), params.get("c", 0.0))
            if form.tag is CanonicalClass.B1 else None)
     witness, xi = _witness_column(mu, mus, row)
-    return _scan_rows(zip(repeat(mu), mus, repeat(xi), repeat(None), witness))
-
-
-def _scan_rows(values) -> list:
-    """``[ScanRow(*v) for v in values]`` by one ``__dict__`` store per row past
-    the frozen ``__setattr__``."""
-    new, store, rows = object.__new__, object.__setattr__, []
-    for mu, mu_tilde, xi, upper_bound, witness_lower_bound in values:
-        row = new(ScanRow)
-        store(row, "__dict__", {
-            "mu": mu, "mu_tilde": mu_tilde, "xi": xi, "upper_bound": upper_bound,
-            "witness_lower_bound": witness_lower_bound})
-        rows.append(row)
-    return rows
+    return ScanTable((mu,) * len(mus), tuple(mus), (xi,) * len(mus), none, tuple(witness))

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from ._floats import _self_check_tol
+from ._floats import _real, _self_check_tol
 from .channels import CanonicalClass, CanonicalForm, canonical_matrices
 from .errors import DomainError, InvalidDimensionError, UnsupportedFormError
 from .symplectic import GaussianState, SymplecticMatrix, tensor_states, thermal_state
@@ -125,8 +125,7 @@ def asymptotic_b2(xi_prime: float, tau: float) -> SingleModeDilation:
     ``T = sqrt(tau) I`` and ``N = xi_prime I`` exactly, so its deviation from
     the additive form is O(1 - tau) on any fixed input.
     """
-    xi_prime = float(xi_prime)
-    tau = float(tau)
+    xi_prime, tau = _real(xi_prime, "added noise"), _real(tau, "tau")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"asymptotic_b2 requires tau in (0, 1), got {tau}")
     if xi_prime <= 0.0:

@@ -240,7 +240,7 @@ class BoundsPair:
 
 def fuchs_vdg(f: float) -> BoundsPair:
     """Trace-distance bounds implied by a fidelity value."""
-    f = float(f)
+    f = _real(f, "fidelity")
     if not 0.0 <= f <= 1.0:
         raise DomainError(f"fidelity must lie in [0, 1], got {f}")
     return BoundsPair(lower=2.0 * (1.0 - f), upper=2.0 * math.sqrt(max(1.0 - f * f, 0.0)))
@@ -284,7 +284,7 @@ def fid_env_C(gamma: float, omega: float, r: float) -> float:
     (the Bures metric is second order in the perturbation), so the derived
     trace-norm bound ``2 sqrt(1 - F^2)`` is linear in gamma.
     """
-    gamma, omega = float(gamma), float(omega)
+    gamma, omega = _real(gamma, "gamma"), _real(omega, "thermal variance")
     if not gamma >= 0.0:
         raise DomainError(f"gamma must be non-negative, got {gamma}")
     r = _frame_r(r)
@@ -296,7 +296,7 @@ def fid_env_A2(xi: float, omega: float, a: float, c: float) -> float:
     """Environmental fidelity for the rank-one-transmission class: thermal
     state of variance omega against ``diag(xi (a^2 + c^2) + omega, omega)``,
     bit for bit as :func:`fid_env_C`."""
-    xi, omega = float(xi), float(omega)
+    xi, omega = _real(xi, "xi"), _real(omega, "thermal variance")
     if not xi >= 0.0:
         raise DomainError(f"xi must be non-negative, got {xi}")
     a, c = _frame_row(a, c)
@@ -321,7 +321,7 @@ def b1_gamma(a: float, c: float, xi: float) -> float:
     the correctly rounded ``int / int``: a gamma below float64 range rounds
     to a subnormal or 0, and one beyond it raises :class:`OverflowError`.
     """
-    xi = float(xi)
+    xi = _real(xi, "xi")
     if not 0.0 <= xi < math.inf:
         raise DomainError(f"xi must be finite and non-negative, got {xi}")
     if xi == 0.0:
@@ -462,7 +462,7 @@ def fid_b2_asymptotic(xi: float, xi_prime: float, r: float) -> float:
     ``den = 2 a + r^2 (xi^2 + 4 xi'^2)``.  The infidelity vanishes
     quadratically as xi -> 0, making the trace-norm bound linear in xi.
     """
-    xi, xi_prime = float(xi), float(xi_prime)
+    xi, xi_prime = _real(xi, "xi"), _real(xi_prime, "xi_prime")
     if not (0.0 < xi < math.inf and 0.0 < xi_prime < math.inf):
         raise DomainError("both noise parameters must be positive and finite")
     root = _b2_root_infidelity([xi], xi_prime, _frame_r(r))[0]

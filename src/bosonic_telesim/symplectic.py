@@ -464,7 +464,7 @@ def tmsv_state(mu: float) -> GaussianState:
     the state is pure and reduces to a thermal state of variance ``mu`` on
     either mode.
     """
-    mu = float(mu)
+    mu = _real(mu, "TMSV variance parameter")
     if mu < 1.0:
         raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
     s = math.sqrt(mu * mu - 1.0)
@@ -474,7 +474,7 @@ def tmsv_state(mu: float) -> GaussianState:
 
 def thermal_state(omega: float) -> GaussianState:
     """Single-mode thermal state with CM ``omega I``; ``omega = 2 nbar + 1``."""
-    omega = float(omega)
+    omega = _real(omega, "thermal variance")
     if omega < 1.0:
         raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
     return GaussianState((0.0, 0.0), ((omega, 0.0), (0.0, omega)))

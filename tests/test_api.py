@@ -66,15 +66,15 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 # of the package.  Each rule has one owner; a new entry is a decision to share a
 # helper, made here, not a second copy of the rule.
 PRIVATE_IMPORTS = {
-    "capacity": {("convergence", "_diamond_bound"), ("peeling", "_check_count"),
-                 ("peeling", "_protocol_form")},
+    "capacity": {("_floats", "_real"), ("convergence", "_diamond_bound"),
+                 ("peeling", "_check_count"), ("peeling", "_protocol_form")},
     "channels": {("_floats", "_checked2"), ("_floats", "_entries")},
     "cli": {("convergence", "_scan")},
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
                     ("teleportation", "_frame_row"), ("teleportation", "_xi_column")},
-    "dilation": {("_floats", "_self_check_tol")},
+    "dilation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
     "fidelity": {("_floats", "_real"), ("teleportation", "_frame_r"),
                  ("teleportation", "_frame_row")},
     "peeling": {("_floats", "_self_check_tol"), ("convergence", "_diamond_bound"),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _helpers import fidelity_mp, raw_channel_specs, raw_state_specs
-from bosonic_telesim import tmsv_state
-from bosonic_telesim.cli import main
+from bosonic_telesim import ScanTable, tmsv_state
+from bosonic_telesim.cli import _SCAN_COLUMNS, main
 
 LOSS = '{"class": "C_Att", "tau": 0.5, "nbar": 0.0}'
 IDENTITY = '{"t": [[1.0, 0.0], [0.0, 1.0]], "n": [[0.0, 0.0], [0.0, 0.0]], "d": [0.0, 0.0]}'
@@ -413,6 +414,42 @@ class TestConvergence:
         assert code == 0
         rows = json.loads(path.read_text())
         assert len(rows) == 3 and rows[0]["upper_bound"] > rows[-1]["upper_bound"]
+
+    def test_columns_are_the_table_fields(self):
+        assert _SCAN_COLUMNS == tuple(f.name for f in dataclasses.fields(ScanTable))
+
+    def test_b1_csv_scan_pinned(self, capsys):
+        # written from the table's columns, byte for byte the row-by-row output
+        config = json.dumps({
+            "channel": {"class": "B1"},
+            "grid": {"param": "mu_tilde", "start": 1, "stop": 1e9, "points": 4, "log": True},
+            "witness": {"mu": 5.0, "a": 1.3, "c": -0.4},
+        })
+        code, out, _ = run(capsys, "convergence", "--config", config)
+        assert code == 0
+        assert out == ("mu,mu_tilde,xi,upper_bound,witness_lower_bound\n"
+                       "5.0,1.0,0.20204102886728761,,0.018128987632376744\n"
+                       "5.0,1000.0,0.20204102886728761,,1.460161108917434\n"
+                       "5.0,1000000.0,0.20204102886728761,,1.9038736143710417\n"
+                       "5.0,1000000000.0,0.20204102886728761,,1.9829060199344801\n")
+
+    def test_c_att_json_scan_pinned(self, capsys):
+        config = json.dumps({
+            "channel": {"class": "C_Att", "tau": 0.5, "nbar": 0.5},
+            "grid": {"param": "mu", "start": 1.1, "stop": 1e10, "points": 3, "log": True},
+            "witness": {"r": 1.2},
+            "output": {"format": "json"},
+        })
+        code, out, _ = run(capsys, "convergence", "--config", config)
+        assert code == 0
+        rows = [(1.1, 1.2834848610088319, 0.5573755948687633),
+                (104880.88481701519, 9.534625892672616e-06, 6.086079590236876e-06),
+                (10000000000.0, 1e-10, 6.383158138078444e-11)]
+        records = ",\n".join(
+            f'  {{\n    "mu": {mu!r},\n    "mu_tilde": null,\n    "xi": {xi!r},\n'
+            f'    "upper_bound": {bound!r},\n    "witness_lower_bound": null\n  }}'
+            for mu, xi, bound in rows)
+        assert out == f"[\n{records}\n]\n"
 
 
 class TestPeel:

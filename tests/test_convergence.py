@@ -13,7 +13,7 @@ from _helpers import (b1_witness_infidelity_np, b1_witness_mp, b2_bound_mp, bk_a
                       conjugated_channel, env_bound_mp, identity_witness_np, loglog_slope,
                       sample_form, scutaru_fidelity_sq_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
-                             NoUniformBoundError, ScanRow, b1_gamma, b1_witness_bound,
+                             NoUniformBoundError, ScanRow, ScanTable, b1_gamma, b1_witness_bound,
                              bk_added_noise, canonical_channel, channel_from_dict,
                              classify, convergence_scan, decide_uniform,
                              diamond_upper_bound, environmental_pair, fid_env_A2,
@@ -590,9 +590,9 @@ class TestConvergenceScan:
         assert all(row.xi is rows[0].xi == bk_added_noise(5.0) for row in rows)
 
     def test_empty_grid(self):
-        assert convergence_scan(GaussianChannel.identity(), [], {"mu": 2.0}) == []
+        assert len(convergence_scan(GaussianChannel.identity(), [], {"mu": 2.0})) == 0
         ch = GaussianChannel(I2, np.diag([0.0, 1.0]))
-        assert convergence_scan(ch, np.array([]), {"mu": 2.0, "a": 0.0, "c": 1.0}) == []
+        assert len(convergence_scan(ch, np.array([]), {"mu": 2.0, "a": 0.0, "c": 1.0})) == 0
         # with no row, mu and the row (a, c) are checked all the same
         with pytest.raises(DomainError, match=r"\(0, 0\)"):
             convergence_scan(ch, [], {"mu": 0.5, "a": 0.0, "c": 0.0})
@@ -951,3 +951,103 @@ class TestScanRow:
                                  f"upper_bound={rows[0].upper_bound!r}, "
                                  "witness_lower_bound=None)")
         assert "np.float64" not in repr(rows)
+
+
+_ATT = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.5))
+_UNIT_RANK = GaussianChannel(I2, np.diag([0.0, 1.0]))
+_TABLE_SCANS = [
+    (_ATT, np.geomspace(1.1, 1e10, 7), {"r": 1.2}),
+    (_ATT, [1.25], None),
+    (_UNIT_RANK, np.geomspace(1.0, 1e9, 5), {"mu": 5.0, "a": 1.3, "c": -0.4}),
+    (GaussianChannel.identity(), (1.0, 30.0, 1e6), {"mu": 2.5}),
+]
+
+
+def _one_point_rows(channel, grid, params):
+    """The rows of a scan as ``ScanRow``s built from the one-point functions,
+    to which each row is bit-identical (``TestScanParity``)."""
+    params = params or {}
+    if classify(channel).tag.rank_n == 2:
+        return [ScanRow(mu, None, bk_added_noise(mu),
+                        diamond_upper_bound(channel, mu, r=params.get("r", 1.0)), None)
+                for mu in map(float, grid)]
+    mu = params["mu"]
+    if "a" in params:
+        witness = [b1_witness_bound(mu, m, params["a"], params["c"]) for m in map(float, grid)]
+    else:
+        witness = [nonuniform_witness(mu, m) for m in map(float, grid)]
+    return [ScanRow(mu, m, bk_added_noise(mu), None, w) for m, w in zip(map(float, grid), witness)]
+
+
+def _hex(row):
+    return tuple(None if x is None else x.hex() for x in dataclasses.astuple(row))
+
+
+class TestScanTable:
+    """``convergence_scan`` returns a frozen :class:`ScanTable` of tuple
+    columns, a sequence whose rows are built on access."""
+
+    @pytest.mark.parametrize("channel, grid, params", _TABLE_SCANS)
+    def test_columns_are_tuples_of_floats_or_none(self, channel, grid, params):
+        table = convergence_scan(channel, grid, params)
+        assert type(table) is ScanTable
+        columns = [getattr(table, f.name) for f in dataclasses.fields(ScanTable)]
+        assert [f.name for f in dataclasses.fields(ScanTable)] == [
+            f.name for f in dataclasses.fields(ScanRow)]
+        for column in columns:
+            assert type(column) is tuple and len(column) == len(grid) == len(table)
+            kinds = {type(x) for x in column}
+            assert kinds in ({float}, {type(None)})
+        full_rank = classify(channel).tag.rank_n == 2
+        assert (table.upper_bound[0] is None) is not full_rank
+        assert (table.mu_tilde[0] is None) is full_rank
+        assert (table.witness_lower_bound[0] is None) is full_rank
+
+    @pytest.mark.parametrize("channel, grid, params", _TABLE_SCANS)
+    def test_rows_on_access_equal_the_one_point_rows(self, channel, grid, params):
+        table = convergence_scan(channel, grid, params)
+        want = [_hex(row) for row in _one_point_rows(channel, grid, params)]
+        rows = list(table)
+        assert all(type(row) is ScanRow for row in rows)
+        assert [_hex(row) for row in rows] == want
+        assert [_hex(row) for row in table] == want
+        for k in range(len(table)):
+            assert type(table[k]) is ScanRow and type(table[k - len(table)]) is ScanRow
+            assert _hex(table[k]) == _hex(table[k - len(table)]) == want[k]
+            assert list(vars(table[k]).items()) == list(vars(rows[k]).items())
+        for part in (slice(None), slice(1, None), slice(None, -1), slice(None, None, -2),
+                     slice(5, 9)):
+            got = table[part]
+            assert type(got) is list and all(type(row) is ScanRow for row in got)
+            assert [_hex(row) for row in got] == want[part]
+        assert table[-1] == rows[-1] and table[-1] in table
+        with pytest.raises(IndexError):
+            table[len(table)]
+        with pytest.raises(IndexError):
+            table[-len(table) - 1]
+
+    def test_frozen(self):
+        table = convergence_scan(*_TABLE_SCANS[0])
+        for f in dataclasses.fields(ScanTable):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, f.name, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del table.mu
+        # the caller's grid list is copied, not shared
+        grid = [1.25, 10.0]
+        table = convergence_scan(_ATT, grid)
+        grid[0] = 3.0
+        assert table.mu == (1.25, 10.0)
+
+    @pytest.mark.parametrize("channel, grid, params", _TABLE_SCANS)
+    def test_equal_scans_give_equal_tables(self, channel, grid, params):
+        one, two = convergence_scan(channel, grid, params), convergence_scan(channel, grid, params)
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert one != convergence_scan(channel, list(grid)[:-1], params)
+        assert one != list(one)
+
+    def test_empty_grid(self):
+        for table in (convergence_scan(_ATT, []), convergence_scan(_UNIT_RANK, np.array([]),
+                                                                     {"mu": 2.0})):
+            assert len(table) == 0 and list(table) == [] and table[:] == []
+            assert dataclasses.astuple(table) == ((),) * 5

@@ -1,0 +1,65 @@
+"""The one real-number rule, ``_floats._real``, at the float inputs of the
+public closed forms and state builders: a str, a bool, None or an int beyond
+float64 range raises :class:`DomainError` (``float()`` took the first three,
+reading a bool as 0 or 1, and raised a bare ``OverflowError`` on the last),
+and a valid input gives the same floats, bit for bit."""
+
+import numpy as np
+import pytest
+
+import bosonic_telesim as bt
+from bosonic_telesim import DomainError
+
+# function: (valid arguments, the .hex() of its floats there)
+CASES = {
+    "fuchs_vdg": (bt.fuchs_vdg, (0.9,), ["0x1.9999999999998p-3", "0x1.be59eba3a1659p-1"]),
+    "fid_env_C": (bt.fid_env_C, (0.1, 2.0, 1.3), ["0x1.ffb5d5dd66e68p-1"]),
+    "fid_env_A2": (bt.fid_env_A2, (0.1, 2.0, 1.1, 0.3), ["0x1.ffdd7edd4a1aep-1"]),
+    "fid_b2_asymptotic": (bt.fid_b2_asymptotic, (0.1, 0.5, 1.2), ["0x1.fd6bdd570a8b6p-1"]),
+    "b1_gamma": (bt.b1_gamma, (1.3, -0.4, 0.5), ["0x1.10d59fa31ec43p+1"]),
+    "phi_loss": (bt.phi_loss, (0.5, 0.2), ["0x1.ae0d6d4018f51p-2"]),
+    "phi_amp": (bt.phi_amp, (2.0, 0.3), ["0x1.25bac049f9bd3p-2"]),
+    "phi_add": (bt.phi_add, (0.5,), ["0x1.1d57135a8fa92p-2"]),
+    "c_epsilon": (bt.c_epsilon, (0.1,), ["0x1.94fd2829d1e67p+1"]),
+    "overall_error": (bt.overall_error, (0.1, 0.01), ["0x1.62ce90897cb55p-3"]),
+    "asymptotic_b2": (bt.asymptotic_b2, (0.5, 0.9),
+                      ["0x1.e5b9d136c6d96p-1", "0x0.0p+0", "0x1.43d136248490ep-2", "0x0.0p+0",
+                       "0x1.4000000000001p+2", "0x0.0p+0"]),
+    "tmsv_state": (bt.tmsv_state, (5.0,),
+                   ["0x1.4000000000000p+2", "0x0.0p+0", "0x1.3988e1409212ep+2", "0x0.0p+0"]),
+    "thermal_state": (bt.thermal_state, (2.0,), ["0x1.0000000000000p+1", "0x0.0p+0"]),
+}
+BAD = ["0.5", True, None, 10 ** 400]
+
+
+def _floats(out) -> list:
+    """The floats a result carries: its value, the pair, or the first CM row
+    of a state (after the first row of a dilation's symplectic)."""
+    if isinstance(out, float):
+        return [out]
+    if isinstance(out, bt.BoundsPair):
+        return [out.lower, out.upper]
+    if isinstance(out, bt.BoundReport):
+        return [out.value]
+    if isinstance(out, bt.GaussianState):
+        return out.cm[0].tolist()
+    return out.m.s[0].tolist() + _floats(out.env)
+
+
+@pytest.mark.parametrize("bad", BAD, ids=lambda x: type(x).__name__)
+@pytest.mark.parametrize("name, position", [(name, k) for name, (_, args, _) in CASES.items()
+                                            for k in range(len(args))])
+def test_non_real_input_raises_domain_error(name, position, bad):
+    f, args, _ = CASES[name]
+    args = list(args)
+    args[position] = bad
+    with pytest.raises(DomainError, match="must be a real number|must lie within float64 range"):
+        f(*args)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_valid_input_keeps_its_floats(name):
+    f, args, want = CASES[name]
+    assert [x.hex() for x in _floats(f(*args))] == want
+    # numpy scalars are real numbers too
+    assert [x.hex() for x in _floats(f(*map(np.float64, args)))] == want
