@@ -197,20 +197,21 @@ def _witness_column(mu: float, grid: list, row: tuple | None = None):
     column, where an overflowing row raises."""
     if row is not None:
         a, c = _frame_row(*row)
-    xi = bk_added_noise(mu)
+    xi, inf = bk_added_noise(mu), math.inf
     for m in grid:
-        if not 1.0 <= m < math.inf:  # NaN fails too
+        if not 1.0 <= m < inf:  # NaN fails too
             raise DomainError(f"mu_tilde must be finite and >= 1, got {m}")
     if row is None:
         return _identity_witness(grid, xi), xi
-    sqrt, witness = math.sqrt, []
+    sqrt, isfinite, witness = math.sqrt, math.isfinite, []
     for infidelity, f2 in _b1_witness_infidelity(grid, xi, a, c):
         # both are sums of positive terms, >= 0 or NaN, so their difference
         # is finite exactly where both are
-        if not math.isfinite(infidelity - f2):
+        if not isfinite(infidelity - f2):
             raise DomainError(f"witness row (a, c) = ({a}, {c}): its "
                               "completion S overflows float64")
-        witness.append(min(2.0 * infidelity / (1.0 + sqrt(f2)) * _B1_ROUND_DOWN, 2.0))
+        w = 2.0 * infidelity / (1.0 + sqrt(f2)) * _B1_ROUND_DOWN
+        witness.append(w if w < 2.0 else 2.0)
     return witness, xi
 
 
