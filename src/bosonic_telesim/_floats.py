@@ -14,9 +14,10 @@ from .errors import DomainError, ValidationError
 
 _EPS = sys.float_info.epsilon
 
-# roundoff of the smallest eigenvalue of M + i w Omega per unit of max|M|, with
-# margin: eigvalsh on valid inputs up to mu = 1e12 reaches about 6 eps, the
-# 2x2 closed form of _checked2 about 1 eps.
+# slack of the physicality test per unit of max|M|, with margin over the
+# roundoff of its backward stable deciders: the 2x2 closed form of _checked2
+# errs by about 1 eps, and the 4x4 Cholesky pivots of symplectic._checked are
+# exact outside 16 eps (s + e); also eigh's roundoff in the spectral kernel.
 _ROUNDOFF = 64.0 * _EPS
 
 # the default tolerances of the physicality test: symmetry, and eigenvalue
@@ -70,14 +71,6 @@ def _check_tol(tol) -> None:
         raise DomainError(f"tolerance must be None or a real number in [0, 0.5), got {tol!r}")
 
 
-def _require_eigenvalue(lam: float, e: float, w: float, what: str) -> None:
-    """Raise :class:`ValidationError` unless the smallest eigenvalue ``lam`` of
-    ``M + i w Omega`` is at least ``-e``."""
-    if not lam >= -e:  # NaN fails too
-        raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
-                              f"eigenvalue {lam:.12g} < 0")
-
-
 def _checked2(m: tuple, tol: float | None, w: float | None = None,
               what: str = "covariance matrix") -> tuple:
     """The test of ``symplectic._checked`` for the 2x2 ``M = [[p, b], [c, q]]``
@@ -105,5 +98,7 @@ def _checked2(m: tuple, tol: float | None, w: float | None = None,
         r = 0.5 * b + 0.5 * c
     if w is not None:
         lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
-        _require_eigenvalue(lam, max(uncertainty, _ROUNDOFF * scale), w, what)
+        if not lam >= -max(uncertainty, _ROUNDOFF * scale):  # NaN fails too
+            raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
+                                  f"eigenvalue {lam:.12g} < 0")
     return p, r, q

@@ -25,11 +25,10 @@ library checks it, so 0 is valid and NaN, inf, a negative value or one from
 or --channel with --mu; --delta excludes --channel, --mu and --tol.
 
 Each command imports the layers it uses.  classify, simulate, convergence
-(full-rank and witness scans), peel and capacity run on plain floats and
-never import numpy, and neither do apply and fidelity on one-mode states;
-two-mode states do.  Where a command's states have two modes,
-numpy's floating-point errors raise (exit 2); a matrix that float64 cannot
-resolve (numpy's ``LinAlgError``) exits 3 wherever numpy is in use.
+(full-rank and witness scans), peel, capacity and apply run on plain floats
+and never import numpy, and neither does fidelity on one-mode states; the
+two-mode fidelity does.  There numpy's floating-point errors raise (exit 2),
+and a matrix that float64 cannot resolve (numpy's ``LinAlgError``) exits 3.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def _float_range_int(text: str) -> int:
 
 
 def _state_command(cmd):
-    """A state command: a matrix that float64 cannot resolve (numpy's
+    """The fidelity command: a matrix that float64 cannot resolve (numpy's
     ``LinAlgError``, raised only where numpy is loaded) exits 3."""
     @functools.wraps(cmd)
     def run(args):
@@ -132,7 +131,7 @@ def _state_command(cmd):
 
 
 def _numpy_errors(*states):
-    """Where a state has two modes, whose arithmetic is numpy's, a context in
+    """Where a state has two modes, whose fidelity is numpy's, a context in
     which numpy's floating-point errors raise (and exit 2); one-mode states
     run on plain floats, with no numpy."""
     if all(state.modes == 1 for state in states):
@@ -166,14 +165,12 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-@_state_command
 def _cmd_apply(args) -> int:
     from .channels import apply_channel, channel_from_dict
 
     ch = channel_from_dict(_load_json_arg(args.channel))
     state = _state_from_dict(_load_json_arg(args.state))
-    with _numpy_errors(state):
-        out = apply_channel(ch, state, target_mode=args.mode)
+    out = apply_channel(ch, state, target_mode=args.mode)
     print(_emit_json(_state_to_dict(out)))
     return EXIT_OK
 

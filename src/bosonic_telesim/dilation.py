@@ -14,6 +14,7 @@ a beam splitter whose environment variance diverges as ``xi / (1 - tau)``.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -128,8 +129,8 @@ def asymptotic_b2(xi_prime: float, tau: float) -> SingleModeDilation:
     xi_prime, tau = _real(xi_prime, "added noise"), _real(tau, "tau")
     if not 0.0 < tau < 1.0:
         raise DomainError(f"asymptotic_b2 requires tau in (0, 1), got {tau}")
-    if xi_prime <= 0.0:
-        raise DomainError(f"added noise must be positive, got {xi_prime}")
+    if not 0.0 < xi_prime < math.inf:
+        raise DomainError(f"added noise must be finite and positive, got {xi_prime}")
     omega = xi_prime / (1.0 - tau)
     if omega < 1.0 - 1e-9:
         raise DomainError(

@@ -8,8 +8,10 @@ eigenvalues satisfy ``nu_k >= 1`` with ``V > 0``.
 
 A :class:`GaussianState` holds plain floats, and its CM test runs on them;
 numpy is imported only by the functions that build or take arrays (the
-arrays of a state, the spectral kernel, symplectic matrices), so one-mode
-states, their channel action and their fidelity load no numpy.
+arrays of a state, the spectral kernel, symplectic matrices), so states of
+one or two modes and their channel action load no numpy at any scale, and
+neither does the fidelity of one-mode states.  The spectral functions take
+arrays of any number of modes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numbers
 import sys
 
 from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _entries,
-                      _real, _require_eigenvalue)
+                      _real)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -95,14 +97,6 @@ def _omega(n: int):
     return omega
 
 
-@functools.lru_cache(maxsize=None)
-def _i_omega(n: int):
-    """Read-only ``i Omega`` of n modes."""
-    i_omega = 1j * _omega(n)
-    i_omega.setflags(write=False)
-    return i_omega
-
-
 _SYMPLECTIC = 1e-10
 
 
@@ -118,62 +112,49 @@ def is_symplectic(m, tol: float | None = None) -> bool:
     return bool(np.abs(m @ omega @ m.T - omega).max() <= tol)
 
 
-# backward error of _cholesky_accepts per unit of the largest diagonal entry d
-# of the matrix it factors (derivation in its docstring): 14.5 eps d, rounded up
-_CHOLESKY = 16.0 * _EPS
+def _cholesky_accepts(m: list, w: float, e: float) -> bool:
+    """True iff the unrolled, unpivoted Cholesky factorization of
+    ``H = M + e I + i w Omega``, for the symmetric 4x4 M given as its 16
+    row-major floats, meets only positive pivots.  It runs in Python complex
+    arithmetic on ``H / 4``, whose factor is ``L / 2`` bit for bit outside
+    the subnormal range, so no diagonal entry overflows; a later overflow
+    makes a pivot -inf or NaN, which fails.
 
-
-def _cholesky_accepts(m: list, w: float, e: float, scale: float) -> bool:
-    """True only where the eigenvalue test of :func:`_checked` would accept
-    the symmetric 4x4 M, given as its 16 row-major floats: ``M + i w Omega``
-    has no eigenvalue below ``-e``.
-    False where this cannot be shown on plain floats, and then the caller's
-    ``eigvalsh`` decides.
-
-    The certificate is an unrolled, unpivoted Cholesky factorization
-    ``H = L L^H`` of ``H = M + i w Omega + (e/2) I``, in Python complex
-    arithmetic, that meets only positive pivots.  Then ``L L^H`` is positive
-    definite, and by Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., Thm 10.5, ``L L^H = H + dH`` with
-    ``|dH| <= g |L| |L^H|``.  The real theorem has ``g = gamma_(n+1)``; a
-    complex product has error ``sqrt(2) gamma_2 <= gamma_3`` (Higham
-    section 3.6), two roundings more than a real one, while a complex sum,
-    a division by the real pivot and each ``|l|^2 = re^2 + im^2`` cost no
-    more than their real counterparts, so ``g = gamma_(n+3) = gamma_7``.
-    With ``|L| |L^H|_ij <= ||l_i|| ||l_j||`` (Cauchy-Schwarz) and
-    ``||l_i||^2 = h_ii + dh_ii <= d / (1 - g)`` for the largest diagonal
-    entry ``d <= s + e/2``, every ``|dh_ij| <= g d / (1 - g)``, so
-    ``||dH||_2 <= 4 g d / (1 - g) < 14.01 eps d``; rounding the diagonal
-    ``m_ii + e/2`` adds ``eps d / 2``.  Hence the exact eigenvalues of
-    ``M + i w Omega`` exceed ``-e/2 - 16 eps d``.  ``eigvalsh`` finds them
-    within its roundoff, ``p(n) u ||H||_2`` (LAPACK Users' Guide, section
-    4.7), which this module takes as ``64 eps s`` everywhere (it reaches
-    about 6 eps s on valid inputs).  So the certificate applies only where
-    ``e/2 > 16 eps (s + e/2) + 64 eps s``, and there the ``eigvalsh`` test
-    would accept too.  At the default tolerances (``e = max(1e-9, 64 eps
-    s)``) that is ``s`` below about 28,150; beyond it ``e/2`` is at most the
-    eigenvalue roundoff alone, and the certificate never applies."""
-    half = 0.5 * e
-    if not (len(m) == 16 and half > _CHOLESKY * (scale + half) + _ROUNDOFF * scale):
-        return False
+    Outside ``16 eps (s + e)`` on either side of ``-e``, s = max(1, max|M|),
+    this decides ``lambda_min(M + i w Omega) >= -e`` exactly.  Take Higham's
+    bounds (*Accuracy and Stability of Numerical Algorithms*, 2nd ed.) with
+    ``g = gamma_(n+3) = gamma_7`` for the real ``gamma_(n+1)``: a complex
+    product costs two roundings more (``sqrt(2) gamma_2 <= gamma_3``,
+    section 3.6), and a complex sum, a division by the real pivot and
+    ``|l|^2 = re^2 + im^2`` no more than real ones.  Let d be the largest
+    diagonal entry of the float H.  Accept: a completed factorization has
+    ``L L^H = H + dH``, ``|dH| <= g |L| |L^H|`` (Thm 10.5), and
+    Cauchy-Schwarz with ``||l_i||^2 <= h_ii / (1 - g)`` gives ``||dH||_2 <=
+    4 g d / (1 - g) < 14.01 eps d``, so ``lambda_min(H) > -14.01 eps d``.
+    Reject: the factorization completes wherever ``lambda_min(D^-1 H D^-1)
+    > 4 g / (1 - g)``, ``D^2 = diag(H)`` (Thm 10.7, Demmel), so wherever
+    ``lambda_min(H) > 14.01 eps d``.  Rounding ``m_ii + e`` moves H by at
+    most ``eps d / 2``, and ``d <= (s + e)(1 + eps)``; underflow's absolute
+    errors hide in the rounding up to 16."""
     a00, a01, a02, a03, _, a11, a12, a13, _, _, a22, a23, _, _, _, a33 = m
-    d = a00 + half
+    e, w = 0.25 * e, 0.25 * w  # each entry of M is quartered where it is read
+    d = 0.25 * a00 + e
     if not d > 0.0:
         return False
     l0 = math.sqrt(d)
-    l10 = complex(a01, -w) / l0  # H_10 = m_01 - i w; column 0 below it is real
-    l20, l30 = a02 / l0, a03 / l0
-    d = a11 + half - (l10.real * l10.real + l10.imag * l10.imag)
+    l10 = complex(0.25 * a01, -w) / l0  # H_10 = m_01 - i w; column 0 below it is real
+    l20, l30 = 0.25 * a02 / l0, 0.25 * a03 / l0
+    d = 0.25 * a11 + e - (l10.real * l10.real + l10.imag * l10.imag)
     if not d > 0.0:
         return False
     l1 = math.sqrt(d)
     c10 = l10.conjugate()
-    l21, l31 = (a12 - l20 * c10) / l1, (a13 - l30 * c10) / l1
-    d = a22 + half - l20 * l20 - (l21.real * l21.real + l21.imag * l21.imag)
+    l21, l31 = (0.25 * a12 - l20 * c10) / l1, (0.25 * a13 - l30 * c10) / l1
+    d = 0.25 * a22 + e - l20 * l20 - (l21.real * l21.real + l21.imag * l21.imag)
     if not d > 0.0:
         return False
-    l32 = (complex(a23, -w) - l30 * l20 - l31 * l21.conjugate()) / math.sqrt(d)
-    d = (a33 + half - l30 * l30 - (l31.real * l31.real + l31.imag * l31.imag)
+    l32 = (complex(0.25 * a23, -w) - l30 * l20 - l31 * l21.conjugate()) / math.sqrt(d)
+    d = (0.25 * a33 + e - l30 * l30 - (l31.real * l31.real + l31.imag * l31.imag)
          - (l32.real * l32.real + l32.imag * l32.imag))
     return d > 0.0
 
@@ -185,24 +166,19 @@ def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
     ``s = max(1, max|M|)``; w = 1 for a CM, ``1 - det T`` for a channel.  M
     must be symmetric within ``1e-12 s``, and ``M + i w Omega`` must have no
     eigenvalue below ``-e`` with ``e = max(1e-9, 64 eps s)``: the tolerance at
-    unit scale, the eigenvalue's roundoff beyond.  A float ``tol`` replaces
-    both 1e-12 and 1e-9.  In a CM's thermal frame the band is
-    ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
+    unit scale, the roundoff of a backward stable test beyond.  A float
+    ``tol`` replaces both 1e-12 and 1e-9.  In a CM's thermal frame the band
+    is ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
     ``(r^2 + r^-2) / 2``.  Returns the row-major floats of the symmetrized M.
 
     A 2x2 M is decided by :func:`_floats._checked2`, and the symmetrized M
     is built from the same floats, bit-identical to ``0.5 (M + M^T)``
     wherever that does not overflow.  Larger M are halved before
     ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
-    subnormal range and cannot overflow; a 4x4 closed form would not be
-    backward stable.  A 4x4 M on a scale s below about 28,150 (at the default
-    tolerances) is accepted by the Cholesky certificate of
-    :func:`_cholesky_accepts`, which accepts only what the eigenvalue test
-    would accept.  Where that certificate cannot decide (a failed pivot, or
-    beyond that scale), one numpy ``eigvalsh`` decides, and its eigenvalue
-    is the one an error message reports.  The decision and the returned
-    matrix are the same either way, and are those of the same steps on a
-    numpy array: each is an elementwise IEEE operation.
+    subnormal range and cannot overflow; with w given a larger M is 4x4, a
+    two-mode CM, and the Cholesky pivots of :func:`_cholesky_accepts`
+    decide it at every scale, exactly outside a band of ``16 eps (s + e)``
+    around ``-e`` (a 4x4 closed form would not be backward stable).
 
     Every ``tol`` consumer meets ``tol`` here first, so this is its one
     check (:func:`_floats._check_tol`)."""
@@ -222,11 +198,9 @@ def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
     m = [x + y for x, y in zip(half, half_t)]
     if w is not None:
         e = max(uncertainty, _ROUNDOFF * scale)
-        if not _cholesky_accepts(m, w, e, scale):
-            import numpy as np
-
-            lam = np.linalg.eigvalsh(np.array(m).reshape(dim, dim) + w * _i_omega(dim // 2))[0]
-            _require_eigenvalue(lam, e, w, what)
+        if not _cholesky_accepts(m, w, e):
+            raise ValidationError(f"{what} is unphysical: M + {e:.3g} I + i {w:.12g} Omega "
+                                  f"has a Cholesky pivot that is not positive")
     return m
 
 
@@ -314,7 +288,7 @@ def _certainly_mixed(state: GaussianState) -> bool:
     ``8 gamma_4 s^2 < 16 eps s^2`` of the exact one (three 2x2 determinants
     of terms at most ``s^2``, two more sums); (ii) the spectral pass is
     backward stable with ``||dV||_2 <= 128 eps s`` (eigh's roundoff, 64 eps s
-    as in :func:`_checked`, and the clip of its eigenvalues at 0), and
+    as in :func:`_require_psd`, and the clip of its eigenvalues at 0), and
     ``-(||dV|| / lam_min) V <= dV <= (||dV|| / lam_min) V`` with the
     monotonicity and homogeneity of symplectic eigenvalues (Bhatia and Jain,
     J. Math. Phys. 56, 112201 (2015)) puts each computed nu within a
@@ -322,8 +296,8 @@ def _certainly_mixed(state: GaussianState) -> bool:
     ``256 eps s`` for the ``64 eps ||K||_2`` of forming K and its
     ``eigvalsh``).  That uses (iii): a
     constructed state has ``V + e' I + i Omega >= 0`` with
-    ``e' <= 2 max(1e-9, 64 eps s)`` (the accepted eigenvalue and its
-    roundoff), and compressing it onto a unit eigenvector x of
+    ``e' <= 2 max(1e-9, 64 eps s)`` (the threshold and the band of
+    :func:`_cholesky_accepts`), and compressing it onto a unit eigenvector x of
     ``lambda_min`` and ``y = Omega^T x`` gives a positive semidefinite 2x2
     whose determinant is at least ``(x^T Omega y)^2 = 1``, so
     ``lambda_min(V) >= 1 / (lambda_max(V) + e') - e' >= 0.87 / (4 s)`` for
@@ -347,20 +321,18 @@ def _certainly_mixed(state: GaussianState) -> bool:
 
 
 class GaussianState:
-    """Gaussian state of ``n`` modes: mean quadrature vector and CM.
+    """Gaussian state of one or two modes: mean quadrature vector and CM.
 
     Construction checks ``V + i Omega >= 0`` (Simon, Mukunda and Dutta) on the
     scale ``s = max(1, max|V|)``, on plain floats: in closed form for one
-    mode; for two modes by a Cholesky certificate below ``s`` of about
-    28,150 and by one numpy ``eigvalsh`` wherever that certificate cannot
-    decide, with the same decision either way (see ``_checked``), at
-    the default tolerances: V symmetric within ``1e-12 s``, no eigenvalue
-    below ``-e`` with
-    ``e = max(1e-9, 64 eps s)``, i.e. ``nu_min >= 1 - e`` in the
-    thermal frame; single-mode squeezing r widens that band by at most
-    ``(r^2 + r^-2) / 2``.  V itself has no eigenvalue below ``-e``, so a CM
-    singular to roundoff (a TMSV at mu >= 1e8 in float64) constructs.  The
-    mean must be finite.
+    mode, by the Cholesky pivots of ``V + e I + i Omega`` for two (see
+    ``_checked``), at the default tolerances: V symmetric within
+    ``1e-12 s``, no eigenvalue below ``-e`` with ``e = max(1e-9, 64 eps
+    s)``, i.e. ``nu_min >= 1 - e`` in the thermal frame; single-mode
+    squeezing r widens that band by at most ``(r^2 + r^-2) / 2``.  V itself
+    has no eigenvalue below ``-e``, so a CM singular to roundoff (a TMSV at
+    mu >= 1e8 in float64) constructs.  The mean must be finite.  More than
+    two modes raise :class:`InvalidDimensionError`.
 
     The state holds the floats of its mean and of its symmetrized CM,
     row-major, in the slots ``_mean`` and ``_cm``, which the package's float
@@ -373,7 +345,8 @@ class GaussianState:
     def __init__(self, mean, cm):
         mean = _entries(mean, "mean")
         dim, x = _square(cm)
-        _check_even(dim)
+        if _check_even(dim) > 2:
+            raise InvalidDimensionError(f"a GaussianState has one or two modes, got {dim // 2}")
         if len(mean) != dim:
             raise InvalidDimensionError(f"mean has length {len(mean)}, CM is {dim} x {dim}")
         x = _checked(x, dim, None, 1.0)
@@ -465,8 +438,8 @@ def tmsv_state(mu: float) -> GaussianState:
     either mode.
     """
     mu = _real(mu, "TMSV variance parameter")
-    if mu < 1.0:
-        raise DomainError(f"TMSV variance parameter must satisfy mu >= 1, got {mu}")
+    if not 1.0 <= mu < math.inf:
+        raise DomainError(f"TMSV variance parameter must be finite with mu >= 1, got {mu}")
     s = math.sqrt(mu * mu - 1.0)
     return GaussianState((0.0,) * 4, ((mu, 0.0, s, 0.0), (0.0, mu, 0.0, -s),
                                       (s, 0.0, mu, 0.0), (0.0, -s, 0.0, mu)))
@@ -475,8 +448,8 @@ def tmsv_state(mu: float) -> GaussianState:
 def thermal_state(omega: float) -> GaussianState:
     """Single-mode thermal state with CM ``omega I``; ``omega = 2 nbar + 1``."""
     omega = _real(omega, "thermal variance")
-    if omega < 1.0:
-        raise DomainError(f"thermal variance must satisfy omega >= 1, got {omega}")
+    if not 1.0 <= omega < math.inf:
+        raise DomainError(f"thermal variance must be finite with omega >= 1, got {omega}")
     return GaussianState((0.0, 0.0), ((omega, 0.0), (0.0, omega)))
 
 

@@ -37,14 +37,23 @@ def random_symplectic(n: int, rng: np.random.Generator, max_squeeze: float = 2.0
     return _orthogonal_symplectic() @ sq @ _orthogonal_symplectic()
 
 
-def random_state(n: int, rng: np.random.Generator, nu_max: float = 3.0,
-                 max_squeeze: float = 2.0, displace: float = 0.0) -> GaussianState:
-    """Random valid Gaussian state: a symplectic congruence of a thermal CM."""
+def random_cm(n: int, rng: np.random.Generator, nu_max: float = 3.0,
+              max_squeeze: float = 2.0):
+    """Random valid CM of n modes, an array: a symplectic congruence of a
+    thermal CM, symmetrized."""
     s = random_symplectic(n, rng, max_squeeze)
     nus = rng.uniform(1.0, nu_max, size=n)
     cm = s @ np.diag(np.repeat(nus, 2)) @ s.T
+    return 0.5 * (cm + cm.T)
+
+
+def random_state(n: int, rng: np.random.Generator, nu_max: float = 3.0,
+                 max_squeeze: float = 2.0, displace: float = 0.0) -> GaussianState:
+    """Random valid Gaussian state of one or two modes, with the CM of
+    :func:`random_cm`."""
+    cm = random_cm(n, rng, nu_max, max_squeeze)
     mean = displace * rng.normal(size=2 * n) if displace else np.zeros(2 * n)
-    return GaussianState(mean, 0.5 * (cm + cm.T))
+    return GaussianState(mean, cm)
 
 
 def sample_form(rng):

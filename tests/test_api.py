@@ -82,8 +82,7 @@ PRIVATE_IMPORTS = {
     # the plain-float rules of _floats: the state layer's CM test shares them
     "symplectic": {("_floats", "_EPS"), ("_floats", "_ROUNDOFF"), ("_floats", "_SYMMETRY"),
                    ("_floats", "_UNCERTAINTY"), ("_floats", "_check_tol"),
-                   ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_real"),
-                   ("_floats", "_require_eigenvalue")},
+                   ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_real")},
     "teleportation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
 }
 

@@ -654,8 +654,9 @@ class TestInfrastructure:
         assert proc.stdout.strip() == "False"
 
     # the single-mode channel commands, for canonical and raw 2x2 specs, the
-    # witness scans, and the commands on one-mode states
+    # witness scans, the commands on one-mode states and a two-mode apply
     _STATE = '{"mean": [0.3, -0.2], "cm": [[2.0, 0.1], [0.1, 1.5]]}'
+    _TMSV6 = json.dumps({"mean": [0.0] * 4, "cm": tmsv_state(1e6).cm.tolist()})
     _RAW_LOSS = '{"t": [[0.7071067811865476, 0], [0, 0.7071067811865476]], "n": [[0.5, 0], [0, 0.5]]}'
     _SCAN = ('{"channel": %s, "grid": {"param": "mu", "start": 1.1, "stop": 1e10, '
              '"points": 20, "log": true}}')
@@ -678,6 +679,8 @@ class TestInfrastructure:
         # witness scans: B1 in CSV, B2_Id in JSON
         ["convergence", "--config", _WITNESS % ('{"class": "B1"}', '"a": 1.3, "c": -0.4', "csv")],
         ["convergence", "--config", _WITNESS % ('{"class": "B2_Id"}', '"mu": 5.0', "json")],
+        # C_Att on mode 1 of TMSV(1e6): two-mode states construct on plain floats
+        ["apply", "--channel", LOSS, "--state", _TMSV6, "--mode", "1"],
     ]
 
     @pytest.mark.parametrize("argv", CHANNEL_COMMANDS, ids=lambda a: f"{a[0]}-{a[2][:8]}")

@@ -6,6 +6,7 @@ States are physical iff ``V + i Omega >= 0`` and channels iff
 inputs a relative 1e-6 beyond the boundary are still rejected.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +96,7 @@ class TestInvalidStillRejected:
         np.diag([1.0, 1.0, 1e6, 0.5e-6]),  # nu = 0.71, squeezed by 1e6
     ])
     def test_large_scale(self, cm):
-        # the eigenvalue slack grows with the scale only as eigvalsh's roundoff
+        # the eigenvalue slack grows with the scale only as the test's roundoff
         with pytest.raises(ValidationError):
             GaussianState(np.zeros(len(cm)), cm)
 
@@ -252,25 +253,27 @@ def _two_mode_frame(angles, log_r2s):
 OMEGA2 = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
-def _eigvalsh_accepts(m):
-    """The two-mode test of ``_checked`` with one ``eigvalsh`` and no
-    certificate: symmetry within 1e-12 s, then no eigenvalue of the
-    symmetrized ``M + i Omega`` below ``-max(1e-9, 64 eps s)``."""
-    scale = max(1.0, float(np.max(np.abs(m))))
-    half = 0.5 * m
-    if 2.0 * float(np.max(np.abs(half - half.T))) > 1e-12 * scale:
-        return False
-    lam = np.linalg.eigvalsh(half + half.T + 1j * OMEGA2)[0]
-    return bool(lam >= -max(_UNCERTAINTY, 64.0 * np.finfo(float).eps * scale))
+def _min_eigenvalue_mp(sym):
+    """The smallest eigenvalue of the Hermitian ``sym + i Omega`` at 60 digits,
+    the float entries of sym taken exactly."""
+    with mp.workdps(60):
+        h = mp.matrix(4, 4)
+        for i in range(4):
+            for j in range(4):
+                h[i, j] = mp.mpc(float(sym[i, j]), float(OMEGA2[i, j]))
+        return min(mp.eighe(h, eigvals_only=True))
 
 
-class TestCholeskyAgainstEigvalsh:
-    """A 4x4 CM is accepted on plain floats by a Cholesky certificate below the
-    scale of about 28,150, and by ``eigvalsh`` wherever that cannot decide:
-    the decision must be exactly the ``eigvalsh`` one, with no band, since
-    the certificate accepts only where ``eigvalsh`` would.  The draws put
-    nu_1 and nu_2 at ``1 +/- 10^[-17, 0]`` in random two-mode frames, so
-    max|V| runs from about 1e-3 (nu near 0) to 1e12."""
+class TestCholeskyAgainstOracle:
+    """A 4x4 CM is decided by the Cholesky pivots of ``V + e I + i Omega`` at
+    every scale.  Outside the band ``16 eps (s + e)`` around the threshold
+    ``-e = -max(1e-9, 64 eps s)`` that ``_cholesky_accepts`` proves, the
+    decision must be that of a 60-digit ``eighe`` of the symmetrized
+    ``V + i Omega``.  The draws put nu_1 and nu_2 at ``1 +/- 10^[-17, 0]``
+    in random two-mode frames, so max|V| runs from about 1e-3 (nu near 0)
+    to 1e12."""
+
+    BAND = 16.0 * np.finfo(float).eps
 
     @given(log_deltas=st.lists(st.floats(-17.0, 0.0), min_size=2, max_size=2),
            signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2, max_size=2),
@@ -278,7 +281,7 @@ class TestCholeskyAgainstEigvalsh:
            share=st.floats(0.0, 1.0),
            angles=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=6, max_size=6))
     @settings(max_examples=1500, deadline=None)
-    def test_matches_eigvalsh(self, log_deltas, signs, squeeze, share, angles):
+    def test_matches_oracle(self, log_deltas, signs, squeeze, share, angles):
         nus = [1.0 + sign * 10.0 ** x for sign, x in zip(signs, log_deltas)]
         total = 12.0 * squeeze  # log10 of the frame's largest r^2
         s = _two_mode_frame(angles, (total, total * share))
@@ -288,23 +291,30 @@ class TestCholeskyAgainstEigvalsh:
             accepted = True
         except ValidationError:
             accepted = False
-        assert accepted == _eigvalsh_accepts(m)
+        # 0.5 (M + M^T) outside the subnormal range, which a tiny angle reaches
+        half = 0.5 * m
+        sym = half + half.T
         if accepted:
-            # 0.5 (M + M^T) outside the subnormal range, which a tiny angle reaches
-            half = 0.5 * m
-            assert cm.tobytes() == (half + half.T).tobytes()
+            assert cm.tobytes() == sym.tobytes()
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if 2.0 * float(np.max(np.abs(half - half.T))) > 1e-12 * scale:
+            assert not accepted
+            return
+        e = max(_UNCERTAINTY, 64.0 * np.finfo(float).eps * scale)
+        lam = _min_eigenvalue_mp(sym)
+        if lam < -e - self.BAND * (scale + e):
+            assert not accepted
+        elif lam > -e + self.BAND * (scale + e):
+            assert accepted
 
-    def test_certificate_decides_below_its_scale(self, monkeypatch):
-        from bosonic_telesim import symplectic
-
+    def test_construction_never_calls_eigvalsh(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh ran")
 
-        certified = tmsv_state(1e4).cm  # s = 1e4
-        others = (tmsv_state(3e4).cm,  # beyond the certificate's scale
-                  np.diag([1.0 - 1e-6, 1.0 - 1e-6, 2.0, 2.0]))  # a failed pivot
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)  # symplectic imports it on use
-        assert np.array_equal(GaussianState(np.zeros(4), certified).cm, certified)
-        for cm in others:
-            with pytest.raises(AssertionError, match="eigvalsh ran"):
-                GaussianState(np.zeros(4), cm)
+        ch = canonical_channel(form_from_fields(CanonicalClass.C_Att, tau=0.5, nbar=0.3))
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)  # where the fallback called it
+        for mu in (1e4, 3e4, 1e12):  # on either side of the former fallback's scale
+            assert tmsv_state(mu).modes == 2
+        assert quasi_choi(ch, 1e9).modes == 2
+        with pytest.raises(ValidationError, match="unphysical"):  # a failed pivot
+            GaussianState(np.zeros(4), np.diag([1.0 - 1e-6, 1.0 - 1e-6, 2.0, 2.0]))

@@ -2,7 +2,11 @@
 public closed forms and state builders: a str, a bool, None or an int beyond
 float64 range raises :class:`DomainError` (``float()`` took the first three,
 reading a bool as 0 or 1, and raised a bare ``OverflowError`` on the last),
-and a valid input gives the same floats, bit for bit."""
+and a valid input gives the same floats, bit for bit.  So does NaN or an
+infinity where a range check bounds the input (they raised a
+``ValidationError`` on the CM they made)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +58,21 @@ def test_non_real_input_raises_domain_error(name, position, bad):
     args = list(args)
     args[position] = bad
     with pytest.raises(DomainError, match="must be a real number|must lie within float64 range"):
+        f(*args)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("name, position, what", [
+    ("tmsv_state", 0, "TMSV variance parameter"),
+    ("thermal_state", 0, "thermal variance"),
+    ("asymptotic_b2", 0, "added noise"),
+    ("asymptotic_b2", 1, "tau"),
+])
+def test_non_finite_input_raises_domain_error(name, position, what, bad):
+    f, args, _ = CASES[name]
+    args = list(args)
+    args[position] = bad
+    with pytest.raises(DomainError, match=what):
         f(*args)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import (random_state, random_symplectic, symplectic_spectrum_mp,
+from _helpers import (random_cm, random_state, random_symplectic, symplectic_spectrum_mp,
                       tmsv_cm_blocks)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              InvalidDimensionError, SymplecticMatrix, ValidationError,
@@ -106,7 +106,7 @@ class TestSymplecticEigenvalues:
         # backward stable: the relative error stays within a few eps times
         # the condition number max|V| max|V^-1| (measured at most 2.5)
         for _ in range(20):
-            cm = random_state(n, rng, nu_max=10.0, max_squeeze=1e3).cm
+            cm = random_cm(n, rng, nu_max=10.0, max_squeeze=1e3)
             cond = np.max(np.abs(cm)) * np.max(np.abs(np.linalg.inv(cm)))
             oracle = np.array([float(x) for x in symplectic_spectrum_mp(cm)])
             got = symplectic_eigenvalues(cm)
@@ -189,7 +189,7 @@ class TestWilliamson:
 
     def test_three_modes(self, rng):
         for _ in range(10):
-            cm = random_state(3, rng).cm
+            cm = random_cm(3, rng)
             dec = williamson(cm)
             assert np.max(np.abs(dec.s.s @ cm @ dec.s.s.T - dec.diagonal())) <= 1e-11
             assert is_symplectic(dec.s.s, 1e-12)
@@ -198,7 +198,7 @@ class TestWilliamson:
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_extended_precision_oracle(self, rng, n):
         for _ in range(10):
-            cm = random_state(n, rng, nu_max=10.0, max_squeeze=4.0).cm
+            cm = random_cm(n, rng, nu_max=10.0, max_squeeze=4.0)
             oracle = symplectic_spectrum_mp(cm)
             for got, want in zip(williamson(cm).spectrum, oracle):
                 assert abs(got - want) <= 1e-12 * want
@@ -258,6 +258,14 @@ class TestStates:
             GaussianState(np.zeros(2), 0.5 * np.eye(2))  # below vacuum noise
         with pytest.raises(InvalidDimensionError):
             GaussianState(np.zeros(3), np.eye(2))
+
+    def test_more_than_two_modes_rejected(self):
+        with pytest.raises(InvalidDimensionError, match="one or two modes"):
+            GaussianState(np.zeros(6), np.eye(6))
+        with pytest.raises(InvalidDimensionError, match="one or two modes"):
+            GaussianState.vacuum(3)
+        with pytest.raises(InvalidDimensionError, match="one or two modes"):
+            tensor_states(tmsv_state(2.0), thermal_state(3.0))
 
     def test_state_immutable(self):
         state = thermal_state(2.0)
