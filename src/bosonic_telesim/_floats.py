@@ -1,7 +1,9 @@
 """Plain-float rules shared by the state and channel layers: the real-number,
-entry and tolerance input rules, the self-check threshold and the 2x2
-symmetry and physicality test.  Nothing here imports numpy, so the
-single-mode channel and state layers run on these alone.
+integer, entry and tolerance input rules, the self-check threshold, the 2x2
+symmetry and physicality test, and the exact integer ratios of floats that
+determinants and symplectic spectra are rounded once from.  Nothing here
+imports numpy, so the single-mode channel and state layers and two-mode
+purity run on these alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ _EPS = sys.float_info.epsilon
 # slack of the physicality test per unit of max|M|, with margin over the
 # roundoff of its backward stable deciders: the 2x2 closed form of _checked2
 # errs by about 1 eps, and the 4x4 Cholesky pivots of symplectic._checked are
-# exact outside 16 eps (s + e); also eigh's roundoff in the spectral kernel.
+# exact outside 16 eps (s + e); also eigh's roundoff in symplectic.williamson.
 _ROUNDOFF = 64.0 * _EPS
 
 # the default tolerances of the physicality test: symmetry, and eigenvalue
@@ -35,6 +37,13 @@ def _real(x, what: str) -> float:
         return float(x)
     except OverflowError as exc:  # no repr: a long int's may exceed the digit limit
         raise DomainError(f"{what} must lie within float64 range: {exc}") from None
+
+
+def _integral(n) -> bool:
+    """True iff n is an integer (int, a numpy integer or any other
+    ``numbers.Integral``) that is not a bool: the rule of every count and
+    index; each caller raises its own error type."""
+    return not isinstance(n, bool) and isinstance(n, (int, numbers.Integral))  # int: no ABC check
 
 
 def _entries(x, what: str) -> list:
@@ -102,3 +111,85 @@ def _checked2(m: tuple, tol: float | None, w: float | None = None,
             raise ValidationError(f"{what} is unphysical: M + i {w:.12g} Omega has "
                                   f"eigenvalue {lam:.12g} < 0")
     return p, r, q
+
+
+def _det(a: float, b: float, c: float, d: float) -> float:
+    """``a d - b c``, rounded once from its exact value, which is formed from
+    the integer ratios of the floats (as ``capacity._phi`` forms its gap).  A
+    value beyond float64 range is the inf of its sign; a non-finite entry
+    gives the float expression's inf or NaN."""
+    if not all(map(math.isfinite, (a, b, c, d))):
+        return a * d - b * c
+    (na, da), (nb, db), (nc, dc), (nd, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
+    num = na * nd * db * dc - nb * nc * da * dd
+    try:
+        return num / (da * dd * db * dc)  # int / int is correctly rounded
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _integers(xs) -> tuple:
+    """``(ints, m)`` with each finite float of xs equal to ``int / 2^m``
+    exactly: the integer ratios over their common denominator, the largest
+    one, since each is a power of 2."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    k = max(den for _, den in ratios)
+    return [num * (k // den) for num, den in ratios], k.bit_length() - 1
+
+
+def _quotient(num: int, shift: int) -> float:
+    """``num / 2^shift``, rounded once: ``int / int`` and int-to-float
+    conversion are correctly rounded."""
+    return num / (1 << shift) if shift >= 0 else float(num << -shift)
+
+
+def _scaled(num: int, shift: int, p: int) -> tuple:
+    """``(y, e)`` with ``num / 2^shift = y 2^(p e)`` and y rounded once, for
+    ``num >= 0``: e brings a positive y into ``[2^-p, 2)``, so no value beyond
+    or below float64 range is rounded."""
+    e = (num.bit_length() - shift) // p
+    return _quotient(num, shift + p * e), e
+
+
+def _nus(x) -> tuple:
+    """The symplectic spectrum ``(nu_1, ..., nu_n)``, descending, of the
+    symmetric 2x2 or 4x4 V given as its row-major finite floats (the upper
+    triangle is read), from invariants of those floats formed exactly in
+    integers (:func:`_integers`) and each rounded once (:func:`_scaled`).
+
+    One mode has ``nu = sqrt(det V)``.  Two modes, ``V = [[A, C], [C^T, B]]``,
+    have ``Delta = det A + det B + 2 det C = nu_1^2 + nu_2^2`` and
+    ``det V = nu_1^2 nu_2^2`` (Serafini, Illuminati and De Siena, J. Phys. B
+    37, L21 (2004)), so ``nu_1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2`` and
+    ``nu_2 = sqrt(det V) / nu_1``: sums and products of non-negative terms,
+    nothing cancels, and each nu is within a few eps relative of that of the
+    floats.  The discriminant and det V, exact, are negative only for a V
+    that is not positive semidefinite, within the slack of the physicality
+    test; they are clamped at 0, a Delta that is not positive gives
+    ``(0, 0)``, and nu_2 is capped at nu_1.  Delta and det V are scaled by
+    ``4^e`` and ``16^f`` into float64 range and the spectrum scaled back, so
+    a nu beyond that range raises :class:`OverflowError` and nothing warns.
+    """
+    if len(x) == 4:
+        (p, r, q), m = _integers(x[:2] + x[3:])
+        y, e = _scaled(max(p * q - r * r, 0), 2 * m, 2)
+        return (math.ldexp(math.sqrt(y), e),)
+    (a, b, c, d, f, g, h, i, j, l), m = _integers(x[:4] + x[5:8] + x[10:12] + x[15:])
+    # 2x2 minors of rows 0, 1 (s) and of rows 2, 3 (t), by their column pairs
+    s01, s02, s03, s12, s13, s23 = (a * f - b * b, a * g - c * b, a * h - d * b,
+                                    b * g - c * f, b * h - d * f, c * h - d * g)
+    t02, t03, t12, t13, t23 = (c * j - i * d, c * l - j * d, g * j - i * h, g * l - j * h,
+                               i * l - j * j)
+    det = s01 * t23 - s02 * t13 + s03 * t12 + s12 * t03 - s13 * t02 + s23 * s23  # Laplace
+    delta = s01 + t23 + 2 * s23  # det A + det B + 2 det C; C's minor is s23
+    if delta <= 0:
+        return 0.0, 0.0
+    y, e = _scaled(delta, 2 * m, 2)
+    disc = _quotient(max(delta * delta - 4 * det, 0), 4 * (m + e))  # 16^-e, as Delta's 4^-e
+    hi = math.sqrt(0.5 * (y + math.sqrt(disc)))  # nu_1 2^-e
+    z, k = _scaled(max(det, 0), 4 * m, 4)
+    try:
+        nu = math.ldexp(hi, e)
+        return nu, min(math.ldexp(math.sqrt(z) / hi, 2 * k - e), nu)
+    except OverflowError:
+        raise OverflowError("symplectic spectrum beyond float64 range") from None

@@ -41,7 +41,7 @@ import enum
 import math
 import numbers
 
-from ._floats import _checked2, _entries
+from ._floats import _checked2, _det, _entries
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
 
@@ -124,21 +124,6 @@ def _array(rows):
     return a
 
 
-def _det(a: float, b: float, c: float, d: float) -> float:
-    """``a d - b c``, rounded once from its exact value, which is formed from
-    the integer ratios of the floats (as ``capacity._phi`` forms its gap).  A
-    value beyond float64 range is the inf of its sign; a non-finite entry
-    gives the float expression's inf or NaN."""
-    if not all(map(math.isfinite, (a, b, c, d))):
-        return a * d - b * c
-    (na, da), (nb, db), (nc, dc), (nd, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
-    num = na * nd * db * dc - nb * nc * da * dd
-    try:
-        return num / (da * dd * db * dc)  # int / int is correctly rounded
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 class GaussianChannel:
     """Raw (T, N, d) representation of a single-mode Gaussian channel.
 
@@ -146,8 +131,9 @@ class GaussianChannel:
     real entries and a finite N, symmetrized exactly; the physical bona-fide
     condition is checked by :func:`validate_channel` so that unphysical
     triples can still be represented and interrogated.  The channel holds the
-    plain floats of T, N and d and ``tau``, the :func:`_det` of T, in slots;
-    ``t``, ``n`` and ``d`` are read-only arrays built from them on first read.
+    plain floats of T, N and d and ``tau``, the :func:`_floats._det` of T, in
+    slots; ``t``, ``n`` and ``d`` are read-only arrays built from them on
+    first read.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
     failed one is not, and raises again on every use).
@@ -326,7 +312,7 @@ def _noise_invariants(n: tuple, tol: float | None) -> tuple:
     symmetric and only its positive eigenvalues are noise, so a negative one
     inside the physicality slack, whose singular value would pass, does not
     count.  ``sqrt(det N) = sqrt(l+ l-)`` is the root of the exact
-    ``det N = p q - r^2`` (:func:`_det`), rounded once, not of the product
+    ``det N = p q - r^2`` (:func:`_floats._det`), rounded once, not of the product
     of the rounded eigenvalues, whose ``l-`` cancels near a rank boundary;
     N counts as full rank only where it is positive as well, so a rank-2 N
     has a noise scale.  Up to ``max|N| = 2^511`` nothing overflows

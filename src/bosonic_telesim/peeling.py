@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 
-from ._floats import _self_check_tol
+from ._floats import _integral, _self_check_tol
 from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
 from .convergence import _diamond_bound, _known_params, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
@@ -39,9 +39,9 @@ _PARAMS = frozenset({"energy_bound", "r", "a", "c"})
 
 
 def _check_count(n, name: str) -> None:
-    """A count of rounds or channel uses: an integer (int, a numpy integer or
-    any other ``numbers.Integral``) that is not a bool, at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, numbers.Integral)):  # int: no ABC check
+    """A count of rounds or channel uses: an integer that is not a bool
+    (``_floats._integral``), at least 1."""
+    if not _integral(n):
         raise DomainError(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"{name} must be >= 1, got {n}")

@@ -6,12 +6,14 @@ the vacuum covariance matrix (CM) is the identity.  A CM ``V`` describes a
 physical state iff ``V + i Omega >= 0``, equivalently all symplectic
 eigenvalues satisfy ``nu_k >= 1`` with ``V > 0``.
 
-A :class:`GaussianState` holds plain floats, and its CM test runs on them;
-numpy is imported only by the functions that build or take arrays (the
-arrays of a state, the spectral kernel, symplectic matrices), so states of
-one or two modes and their channel action load no numpy at any scale, and
-neither does the fidelity of one-mode states.  The spectral functions take
-arrays of any number of modes.
+A :class:`GaussianState` holds plain floats, and its CM test, its purity
+and its symplectic spectrum run on them, the spectrum from exact invariants
+(``_floats._nus``); numpy is imported only by the functions that build or
+take arrays (the arrays of a state and of a spectrum, symplectic matrices,
+:func:`williamson`), so states of one or two modes, their purity and their
+channel action load no numpy at any scale, and neither does the fidelity of
+one-mode states.  :func:`symplectic_eigenvalues` takes one or two modes, as
+a state has; :func:`williamson` takes arrays of any number of modes.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import sys
 
 from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _entries,
-                      _real)
+                      _integral, _nus, _real)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -61,6 +62,8 @@ def _square(m) -> tuple:
     try:
         return len(rows), [float(e) for row in rows for e in row]
     except (TypeError, ValueError, OverflowError) as exc:
+        if any(isinstance(e, (list, tuple)) for row in rows for e in row):  # a stack
+            raise InvalidDimensionError("expected a square matrix of rows of numbers") from None
         raise ValidationError(f"covariance matrix must hold real numbers: {exc}") from None
 
 
@@ -80,7 +83,7 @@ def _readonly(a):
 
 def symplectic_form(n: int):
     """Read-only 2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
-    if not isinstance(n, numbers.Integral) or n < 1:
+    if not _integral(n) or n < 1:
         raise InvalidDimensionError(f"mode count must be a positive integer, got {n!r}")
     return _omega(int(n))
 
@@ -204,120 +207,25 @@ def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
     return m
 
 
-# largest eigenvalue of V for which _sqrt_form's products stay in float64 range
-_KERNEL_MAX = sys.float_info.max * (1.0 - 2.0 ** -20)
-
-
-def _sqrt_form(cm, tol: float | None):
-    """The one spectral kernel, on a square float array (see
-    :func:`_as_matrix`): V is checked, then one ``eigh`` gives
-    ``R = V^{1/2}`` (eigenvalues within ``64 eps max(1, max|V|)`` of 0
-    clipped to 0) and ``K = R Omega R``, similar to ``Omega V``, so the
-    Hermitian ``i K`` has eigenvalues ``+/- nu_k``.  Returns ``(V, lam, U,
-    K)`` once V passes :func:`_require_psd`.  K is antisymmetrized as
-    ``K/2 - K^T/2``, bit-identical to ``(K - K^T)/2`` outside the subnormal
-    range, so ``1.7e308 I`` has its spectrum.  Every entry of ``V^{1/2}`` is
-    at most ``sqrt(||V||_2)`` and, by Cauchy-Schwarz, every partial sum of
-    the products forming K at most ``||V||_2``, both up to a few eps
-    relative; so a largest eigenvalue of V within ``2^-20`` of float64's
-    largest value (or beyond it, inf) raises :class:`OverflowError` with no
-    RuntimeWarning, and below that nothing leaves float64 range.
-
-    ``cm`` may also be a :class:`GaussianState`, whose CM is taken as it
-    is: it was checked and symmetrized when the state was constructed, and
-    symmetrizing a symmetric matrix again returns it bit for bit."""
-    import numpy as np
-
-    if isinstance(cm, GaussianState):
-        v = cm.cm
-    else:
-        dim = cm.shape[0]
-        _check_even(dim)
-        v = np.array(_checked(cm.ravel().tolist(), dim, tol)).reshape(dim, dim)
-    lam, u = np.linalg.eigh(v)
-    if not lam[-1] <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
-        raise OverflowError("spectral kernel beyond float64 range: ||V||_2 overflows")
-    _require_psd(v, lam)
-    r = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.T
-    k = r @ symplectic_form(v.shape[0] // 2) @ r
-    return v, lam, u, 0.5 * k - 0.5 * k.T  # K - K^T overflows near 1e308
-
-
-def _require_psd(v, lam) -> None:
-    """V (with ascending eigenvalues lam) has none below ``-64 eps max(1, max|V|)``."""
-    if lam[0] < -_ROUNDOFF * max(1.0, float(abs(v).max())):
-        raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
-
-
-def _spectrum(cm, tol: float | None):
-    """The symplectic spectrum (descending) of an array or a state, from
-    :func:`_sqrt_form` and one ``eigvalsh`` of ``i K``."""
-    import numpy as np
-
-    k = _sqrt_form(cm, tol)[3]
-    vals = np.linalg.eigvalsh(1j * k)
-    # ascending, so vals[-1 - j] and vals[j] are the pair +/- nu_j; halved first, as K is
-    return (0.5 * vals[::-1] - 0.5 * vals)[:k.shape[0] // 2]
-
-
 def symplectic_eigenvalues(cm, tol: float | None = None):
-    """Symplectic spectrum of a symmetric positive-semidefinite V, one nu per
-    mode in descending order: the positive eigenvalues of the Hermitian
-    ``i V^{1/2} Omega V^{1/2}``, backward stable even for V singular to roundoff.
+    """Symplectic spectrum of a symmetric positive-semidefinite V of one or
+    two modes, one nu per mode in descending order, as an array: the floats of
+    ``_floats._nus``, rounded once from exact invariants of V, so a V
+    singular to roundoff keeps its spectrum.  More modes raise
+    :class:`InvalidDimensionError`.
 
-    For a valid CM the product of the spectrum equals ``sqrt(det V)``.  A
-    float ``tol`` replaces the default tolerances of the check of V (see
-    ``_checked``).
+    V is checked by ``_checked`` with ``w = 0``: symmetric within
+    ``1e-12 s``, and no eigenvalue below ``-max(1e-9, 64 eps s)``, on the
+    scale ``s = max(1, max|V|)``.  A float ``tol`` replaces both 1e-12 and
+    1e-9.  For a valid CM the product of the spectrum equals ``sqrt(det V)``.
     """
-    return _spectrum(_as_matrix(cm), tol)
+    import numpy as np
 
-
-# largest max|V| at which _certainly_mixed decides: there a constructed CM has
-# lambda_min(V) >= 0.87 / (4 s), see its docstring
-_MIXED_SCALE = 2.0 ** 20
-
-
-def _certainly_mixed(state: GaussianState) -> bool:
-    """True only where ``state.is_pure()`` (default tolerance 1e-9) is False
-    of a two-mode state, decided on plain floats from the invariant
-    ``Delta = det A + det B + 2 det C = nu_1^2 + nu_2^2`` of its CM
-    ``V = [[A, C], [C^T, B]]``; False where this cannot be shown, and then
-    the spectral pass of ``is_pure`` decides.
-
-    With ``s = max(1, max|V|) <= 2^20``: (i) the float Delta is within
-    ``8 gamma_4 s^2 < 16 eps s^2`` of the exact one (three 2x2 determinants
-    of terms at most ``s^2``, two more sums); (ii) the spectral pass is
-    backward stable with ``||dV||_2 <= 128 eps s`` (eigh's roundoff, 64 eps s
-    as in :func:`_require_psd`, and the clip of its eigenvalues at 0), and
-    ``-(||dV|| / lam_min) V <= dV <= (||dV|| / lam_min) V`` with the
-    monotonicity and homogeneity of symplectic eigenvalues (Bhatia and Jain,
-    J. Math. Phys. 56, 112201 (2015)) puts each computed nu within a
-    relative ``rho = 1024 eps s^2`` of its exact value (``588 eps s^2``, and
-    ``256 eps s`` for the ``64 eps ||K||_2`` of forming K and its
-    ``eigvalsh``).  That uses (iii): a
-    constructed state has ``V + e' I + i Omega >= 0`` with
-    ``e' <= 2 max(1e-9, 64 eps s)`` (the threshold and the band of
-    :func:`_cholesky_accepts`), and compressing it onto a unit eigenvector x of
-    ``lambda_min`` and ``y = Omega^T x`` gives a positive semidefinite 2x2
-    whose determinant is at least ``(x^T Omega y)^2 = 1``, so
-    ``lambda_min(V) >= 1 / (lambda_max(V) + e') - e' >= 0.87 / (4 s)`` for
-    ``s <= 2^20``.  The state is certainly mixed when
-    ``Delta - 32 eps s^2 > 2 ((1 + 1e-9) / (1 - rho))^2`` (both error
-    terms doubled to cover the float evaluation of the test itself): then
-    the exact ``nu_max >= sqrt(Delta / 2)`` exceeds ``(1 + 1e-9) / (1 - rho)``
-    and the computed one ``1 + 1e-9``.  By (iii) the ``_require_psd`` that
-    the spectral pass would run cannot fire either: the exact
-    ``lambda_min(V)`` is positive, so its computed value stays above
-    ``-64 eps s``."""
-    x = state._cm
-    s = max(1.0, max(map(abs, x)))
-    if len(x) != 16 or s > _MIXED_SCALE:
-        return False
-    s2 = s * s
-    delta = (x[0] * x[5] - x[1] * x[1] + x[10] * x[15] - x[11] * x[11]
-             + 2.0 * (x[2] * x[7] - x[3] * x[6]))
-    nu = (1.0 + 1e-9) / (1.0 - 1024.0 * _EPS * s2)
-    return delta - 32.0 * _EPS * s2 > 2.0 * nu * nu
+    dim, x = _square(cm)
+    if _check_even(dim) > 2:
+        raise InvalidDimensionError(f"symplectic_eigenvalues takes one or two modes, "
+                                    f"got {dim // 2}")
+    return np.array(_nus(_checked(x, dim, tol, 0.0)))
 
 
 class GaussianState:
@@ -381,21 +289,26 @@ class GaussianState:
 
     @classmethod
     def vacuum(cls, n: int = 1) -> "GaussianState":
+        if not _integral(n):
+            raise InvalidDimensionError(f"mode count must be an integer, got {n!r}")
         return cls((0.0,) * (2 * n), [[float(i == j) for j in range(2 * n)] for i in range(2 * n)])
 
     def symplectic_spectrum(self):
-        return _spectrum(self, None)  # the CM was checked at construction
+        """The spectrum of :func:`symplectic_eigenvalues`, of the CM as
+        constructed: it was checked and symmetrized then."""
+        import numpy as np
+
+        return np.array(_nus(self._cm))
 
     def is_pure(self, tol: float = 1e-9) -> bool:
-        """``nu_max <= 1 + tol``, with no spectral pass where ``_certainly_mixed``
-        decides.  A tol that is not a real number >= 0 (NaN, a bool) raises
+        """``nu_max <= 1 + tol``, with nu_max from the exact invariants of the
+        CM's floats (``_floats._nus``), on plain floats at every tol.  A tol
+        that is not a real number >= 0 (NaN, a bool) raises
         :class:`DomainError`."""
         tol = _real(tol, "purity tolerance")
         if not tol >= 0.0:
             raise DomainError(f"purity tolerance must be >= 0, got {tol}")
-        if tol <= 1e-9 and _certainly_mixed(self):
-            return False
-        return bool(self.symplectic_spectrum().max() <= 1.0 + tol)
+        return _nus(self._cm)[0] <= 1.0 + tol
 
 
 @dataclasses.dataclass(frozen=True)
@@ -473,9 +386,9 @@ def partial_trace(state: GaussianState, keep: int) -> GaussianState:
     rows and columns of the other mode."""
     if state.modes != 2:
         raise InvalidDimensionError("partial_trace expects a two-mode state")
-    if keep not in (0, 1):
+    if not _integral(keep) or keep not in (0, 1):
         raise DomainError(f"keep must be 0 or 1, got {keep!r}")
-    k, x = 2 * keep, state._cm  # row-major 4x4: entry (i, j) is x[4 i + j]
+    k, x = 2 * int(keep), state._cm  # row-major 4x4: entry (i, j) is x[4 i + j]
     return GaussianState(state._mean[k:k + 2], (x[5 * k:5 * k + 2], x[5 * k + 4:5 * k + 6]))
 
 
@@ -487,27 +400,50 @@ def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     return GaussianState(a._mean + b._mean, rows)
 
 
+# largest eigenvalue of V for which williamson's products stay in float64 range
+_KERNEL_MAX = sys.float_info.max * (1.0 - 2.0 ** -20)
+
+
 def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     """Williamson decomposition of a positive-definite symmetric matrix.
 
     Returns ``(S, spectrum)`` with ``S V S^T = diag(nu_1, nu_1, ...)`` and the
-    spectrum sorted in descending order.  The Hermitian ``i K`` of the spectral
-    kernel, ``K = V^{1/2} Omega V^{1/2}``, has eigenvalues ``+/- nu_k``; each
+    spectrum sorted in descending order.  V, of any number of modes, must be
+    symmetric (``_checked`` with no w: within ``1e-12 m``, or a float ``tol``)
+    and positive definite.  One ``eigh`` gives ``R = V^{1/2}`` and the
+    Hermitian ``i K``, ``K = R Omega R``, has eigenvalues ``+/- nu_k``; each
     eigenvector ``x_k`` of ``+nu_k`` gives the column pair ``(Im x_k, Re x_k)``.
     A QR step re-orthonormalizes the pairs into Q, each ``nu_k`` is the
     Rayleigh quotient ``q_2k^T K q_2k+1`` and ``S = sqrt(nu) Q^T V^{-1/2}``;
     ``eigh``'s orthonormal eigenbasis needs no special case for degeneracy.
+    K is antisymmetrized as ``K/2 - K^T/2``, bit-identical to
+    ``(K - K^T)/2`` outside the subnormal range, so ``1.7e308 I`` decomposes.
+    Every entry of R is at most ``sqrt(||V||_2)`` and, by Cauchy-Schwarz,
+    every partial sum of the products forming K at most ``||V||_2``, both up
+    to a few eps relative; so a largest eigenvalue of V within ``2^-20`` of
+    float64's largest value (or beyond it, inf) raises
+    :class:`OverflowError` with no RuntimeWarning.
 
     Both self-checks scale with ``m = max(1, max|V|)``: the reconstruction
     residual must stay within ``1e-8 m`` and ``|S Omega S^T - Omega|`` within
     ``16 eps m``, never below the default 1e-10.  On 7,700 quasi-Choi states
     with mu from 10 to 1.3e8 the symplectic residual is at most ``0.56 eps m``.
-    ``tol`` reaches only the check of V, as in :func:`symplectic_eigenvalues`,
-    and a kernel beyond float64 range raises :class:`OverflowError` there too.
     """
     import numpy as np
 
-    cm, lam, u, k = _sqrt_form(_as_matrix(cm), tol)
+    cm = _as_matrix(cm)
+    dim = cm.shape[0]
+    _check_even(dim)
+    cm = np.array(_checked(cm.ravel().tolist(), dim, tol)).reshape(dim, dim)
+    scale = max(1.0, float(np.abs(cm).max()))
+    lam, u = np.linalg.eigh(cm)
+    if not lam[-1] <= _KERNEL_MAX:  # eigh's are ascending; inf fails too
+        raise OverflowError("spectral kernel beyond float64 range: ||V||_2 overflows")
+    if lam[0] < -_ROUNDOFF * scale:  # eigh's roundoff
+        raise ValidationError(f"matrix is not positive semidefinite: {lam[0]:.12g}")
+    r = (u * np.sqrt(np.maximum(lam, 0.0))) @ u.T
+    k = r @ symplectic_form(dim // 2) @ r
+    k = 0.5 * k - 0.5 * k.T  # K - K^T overflows near 1e308
     if lam[0] <= 0.0:
         raise ValidationError("matrix is not positive definite")
     n = cm.shape[0] // 2
@@ -524,7 +460,6 @@ def williamson(cm, tol: float | None = None) -> WilliamsonDecomposition:
     s = np.sqrt(nus).repeat(2)[:, None] * (q[:, perm].T @ (u / np.sqrt(lam)) @ u.T)
     spectrum = tuple(float(x) for x in nus)
 
-    scale = max(1.0, float(np.abs(cm).max()))
     target = np.diag(nus.repeat(2))
     resid = np.abs(s @ cm @ s.T - target).max()
     if resid > 1e-8 * scale:

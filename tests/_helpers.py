@@ -1,9 +1,9 @@
 """Shared test utilities: random symplectic, state and channel factories,
-fit helpers, the extended-precision fidelity, symplectic-spectrum,
-full-rank-bound and key-capacity oracles, the numpy oracles of the added
-noise, the witness kernels and the numeric rank, the exact dense channel
-action, the reference TMSV construction, and hypothesis strategies of raw
-channel and state specs."""
+fit helpers, the extended-precision fidelity, symplectic-spectrum (by
+eigenvalues and by exact invariants), full-rank-bound and key-capacity
+oracles, the numpy oracles of the added noise, the witness kernels and the
+numeric rank, the exact dense channel action, the reference TMSV
+construction, and hypothesis strategies of raw channel and state specs."""
 
 from fractions import Fraction
 
@@ -147,6 +147,37 @@ def symplectic_spectrum_mp(cm, dps: int = 50):
             omega[2 * k + 1, 2 * k] = -1
         eigs = mp.eig(omega * v, left=False, right=False)
         return sorted((abs(e) for e in eigs), reverse=True)[::2]
+
+
+def _det_exact(m):
+    """Exact determinant of a square matrix of Fractions (Laplace expansion)."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det_exact([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def symplectic_invariants_mp(cm, dps: int = 80):
+    """Symplectic spectrum (descending) of a one- or two-mode CM taken as
+    exact binary values, from its invariants formed exactly in rationals:
+    ``nu = sqrt(det V)`` for one mode; for two, with ``V = [[A, C], [C^T, B]]``
+    and ``Delta = det A + det B + 2 det C``,
+    ``nu_1^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2`` and
+    ``nu_2 = sqrt(det V) / nu_1``, the roots taken at ``dps`` digits."""
+    v = [[Fraction(x) for x in row] for row in np.asarray(cm, dtype=float).tolist()]
+    det = _det_exact(v)
+    with mp.workdps(dps):
+        def root(q):
+            return mp.sqrt(mp.mpf(q.numerator) / q.denominator) if q > 0 else mp.mpf(0)
+
+        if len(v) == 2:
+            return [root(det)]
+        a, b, c = (_det_exact([row[j:j + 2] for row in v[i:i + 2]])
+                   for i, j in ((0, 0), (2, 2), (0, 2)))
+        delta = a + b + 2 * c
+        hi = mp.sqrt((mp.mpf(delta.numerator) / delta.denominator
+                      + root(delta * delta - 4 * det)) / 2)
+        return [hi, root(det) / hi if hi else hi]
 
 
 def symmetric_eigenvalues_mp(m, dps: int = 60):

@@ -68,21 +68,23 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 PRIVATE_IMPORTS = {
     "capacity": {("_floats", "_real"), ("convergence", "_diamond_bound"),
                  ("peeling", "_check_count"), ("peeling", "_protocol_form")},
-    "channels": {("_floats", "_checked2"), ("_floats", "_entries")},
+    "channels": {("_floats", "_checked2"), ("_floats", "_det"), ("_floats", "_entries")},
     "cli": {("convergence", "_scan")},
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
                     ("teleportation", "_env_gamma"), ("teleportation", "_frame_r"),
                     ("teleportation", "_frame_row"), ("teleportation", "_xi_column")},
     "dilation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
-    "fidelity": {("_floats", "_real"), ("teleportation", "_frame_r"),
+    "fidelity": {("_floats", "_integers"), ("_floats", "_real"), ("teleportation", "_frame_r"),
                  ("teleportation", "_frame_row")},
-    "peeling": {("_floats", "_self_check_tol"), ("convergence", "_diamond_bound"),
-                ("convergence", "_known_params")},
-    # the plain-float rules of _floats: the state layer's CM test shares them
+    "peeling": {("_floats", "_integral"), ("_floats", "_self_check_tol"),
+                ("convergence", "_diamond_bound"), ("convergence", "_known_params")},
+    # the plain-float rules of _floats: the state layer's CM test, integer rule
+    # and invariant spectrum share them
     "symplectic": {("_floats", "_EPS"), ("_floats", "_ROUNDOFF"), ("_floats", "_SYMMETRY"),
                    ("_floats", "_UNCERTAINTY"), ("_floats", "_check_tol"),
-                   ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_real")},
+                   ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_integral"),
+                   ("_floats", "_nus"), ("_floats", "_real")},
     "teleportation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
 }
 
@@ -165,8 +167,13 @@ class TestPrivateImports:
 
     def test_rules_have_one_owner(self):
         taken = set().union(*PRIVATE_IMPORTS.values())
-        # purity is decided by GaussianState.is_pure, witness rounding by convergence
-        assert ("symplectic", "_certainly_mixed") not in taken
+        # purity is decided by GaussianState.is_pure from the one invariant
+        # kernel, with no certificate or second spectral route; witness
+        # rounding by convergence
+        assert not {name for _, name in taken} & {"is_pure", "_spectrum", "_sqrt_form"}
+        for name in ("_certainly_mixed", "_MIXED_SCALE", "_spectrum", "_sqrt_form"):
+            assert not hasattr(symplectic, name)
+        assert not hasattr(fidelity, "_one_mode_mean_factor")
         assert not {name for _, name in taken} & {"_B1_ROUND_DOWN", "_identity_witness"}
         assert hasattr(convergence, "_B1_ROUND_DOWN") and not hasattr(fidelity, "_B1_ROUND_DOWN")
         assert not hasattr(fidelity, "_identity_witness")
@@ -175,9 +182,11 @@ class TestPrivateImports:
         for name in ("_FIXED_TAU", "_FIXED_RANK", "_CANONICAL_KEYS"):
             assert not hasattr(channels, name)
         assert not hasattr(convergence, "_noise_rank")
-        # det T and det N have one exact kernel, channels._det: no numpy det
-        # or second determinant of N
+        # det T and det N have one exact kernel, _floats._det: no numpy det
+        # or second determinant of N; the integer rule of counts is _floats' too
         assert not hasattr(channels, "_sqrt_det") and "linalg" not in inspect.getsource(channels)
+        assert not any(re.search(r"def _det\(|numbers\.Integral", inspect.getsource(mod))
+                       for mod in LAYERS)
 
     def test_walker_sees_each_form_of_import(self):
         source = ("from .fidelity import _new, fid_env_C\n"

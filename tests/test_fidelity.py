@@ -1,13 +1,15 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _helpers import fidelity_mp, loglog_slope, random_state, random_symplectic
+from _helpers import (fidelity_mp, loglog_slope, random_state, random_symplectic,
+                      symplectic_invariants_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              InvalidDimensionError, SingularCoefficientError,
                              ValidationError, apply_affine, apply_channel, b1_gamma,
@@ -19,6 +21,7 @@ from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
 from bosonic_telesim.teleportation import _env_gamma
 
 I2 = np.eye(2)
+EPS = np.finfo(float).eps
 
 
 def fock_vacuum_thermal_fidelity(nbar, cutoff=200):
@@ -65,18 +68,22 @@ def _unchecked_state(cm):
 
 
 class TestGaussianFidelity:
-    def test_purity_short_circuit(self):
-        # ``s1.is_pure() or s2.is_pure()``: s1's error first, and once s1 is
-        # pure nothing about s2's spectrum may raise.  Delta = nu_1^2 + nu_2^2
-        # of not_psd is below 2, so _certainly_mixed, whose proof holds for
-        # constructed states only, leaves it to the spectral pass
+    def test_purity_short_circuit(self, monkeypatch):
+        # ``s1.is_pure() or s2.is_pure()``: s1 is decided first, and once s1 is
+        # pure s2's spectrum is not read.  An unchecked CM that is not positive
+        # semidefinite is read too: the kernel clamps its det V = -1e-3 at 0,
+        # so nu = (sqrt(0.999), 0), pure (the spectral pass raised here)
+        from bosonic_telesim import symplectic
+
         pure, not_psd = tmsv_state(2.0), _unchecked_state(np.diag([-1e-3, 1.0, 1.0, 1.0]))
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            not_psd.is_pure()
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            gaussian_fidelity(not_psd, pure)
+        calls, real = [], symplectic._nus
+        monkeypatch.setattr(symplectic, "_nus", lambda x: calls.append(x) or real(x))
+        assert not_psd.is_pure()
         overlap = np.linalg.det((pure.cm + not_psd.cm) / 2.0) ** -0.25
-        assert gaussian_fidelity(pure, not_psd) == pytest.approx(overlap, rel=1e-12)
+        for pair in ((pure, not_psd), (not_psd, pure)):
+            calls.clear()
+            assert gaussian_fidelity(*pair) == pytest.approx(overlap, rel=1e-12)
+            assert calls == [pair[0]._cm]
 
     def test_identical_states(self, rng):
         # exactly 1: the formulas gave 1 - 2.7e-15 for TMSV(5) (overlap route)
@@ -178,20 +185,61 @@ class TestGaussianFidelity:
                 assert gaussian_fidelity(other, far) == 0.0
                 assert gaussian_fidelity(far, far) == 1.0
 
-    def test_mean_factor_unchanged_where_difference_is_finite(self, rng):
-        # the plain numpy route: delta = m2 - m1, exp(-q / 4) of its
-        # quadratic form in V1 + V2, bit for bit wherever q is finite; the
-        # helper takes the exactly halved sum (V1 + V2) / 2
+    def test_mean_factor_rounds_the_exact_form_once(self, rng):
+        # exp(-Q / 4) of the correctly rounded Q = delta^T (V1 + V2)^-1 delta of
+        # the floats, for one and two modes, bit for bit; Q here is solved
+        # exactly in rationals by Gauss-Jordan elimination
         from bosonic_telesim.fidelity import _mean_factor
+
+        def exact_form(s1, s2):
+            n = len(s1._mean)
+            delta = [Fraction(y) - Fraction(x) for x, y in zip(s1._mean, s2._mean)]
+            a = [[Fraction(s1._cm[i * n + j]) + Fraction(s2._cm[i * n + j]) for j in range(n)]
+                 + [delta[i]] for i in range(n)]
+            for k in range(n):
+                a[k] = [x / a[k][k] for x in a[k]]  # V1 + V2 is positive definite
+                for i in range(n):
+                    if i != k:
+                        a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+            return sum(d * row[n] for d, row in zip(delta, a))
 
         for k in range(400):
             n = 1 + k % 2
             s1 = random_state(n, rng, displace=10.0 ** rng.uniform(-3, 3))
             s2 = random_state(n, rng, displace=10.0 ** rng.uniform(-3, 3))
-            vsum = s1.cm + s2.cm
-            delta = s2.mean - s1.mean
-            want = float(np.exp(-0.25 * (delta @ np.linalg.solve(vsum, delta))))
-            assert _mean_factor(s1.mean, s2.mean, 0.5 * s1.cm + 0.5 * s2.cm) == want
+            want = math.exp(-0.25 * float(exact_form(s1, s2)))
+            assert _mean_factor(s1._mean, s2._mean, s1._cm, s2._cm) == want
+
+    def test_mean_factor_pivots_and_rejects_a_singular_sum(self):
+        # outside the fidelity's domain: V1 + V2 = [[0, 1], [1, 0]] (+ I) needs a
+        # row swap, and a singular V1 + V2 raises
+        from bosonic_telesim.fidelity import _mean_factor
+
+        swap = (0.0, 0.5, 0.5, 0.0)
+        assert _mean_factor((0.0, 0.0), (1.0, 1.0), swap, swap) == math.exp(-0.5)
+        swap2 = (0.0, 0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5)
+        assert _mean_factor((0.0,) * 4, (1.0, 1.0, 1.0, 0.0), swap2, swap2) == math.exp(-0.75)
+        for n in (2, 4):
+            singular = tuple(float(i == j == 0) for i in range(n) for j in range(n))
+            with pytest.raises(np.linalg.LinAlgError, match=r"= 0 is not positive"):
+                _mean_factor((0.0,) * n, (1.0,) * n, singular, singular)
+
+    def test_two_mode_mean_factor_within_1e_13_of_60_digits(self):
+        # numpy's solve of (V1 + V2) was up to 4.4e-12 off on these pairs
+        import mpmath as mp
+
+        from bosonic_telesim.fidelity import _mean_factor
+
+        rng, worst = np.random.default_rng(11), 0.0
+        for _ in range(300):
+            s1, s2 = (random_state(2, rng, 3.0, 50.0, displace=1.0) for _ in range(2))
+            with mp.workdps(60):
+                vsum = mp.matrix(s1.cm.tolist()) + mp.matrix(s2.cm.tolist())
+                delta = mp.matrix([mp.mpf(y) - x for x, y in zip(s1._mean, s2._mean)])
+                want = mp.exp(-(delta.T * mp.lu_solve(vsum, delta))[0] / 4)
+            got = _mean_factor(s1._mean, s2._mean, s1._cm, s2._cm)
+            worst = max(worst, float(abs(got - want) / want))
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize("p1,p2", FOCK_POINTS)
     def test_fock_points_match_the_checked_cm_route(self, p1, p2, monkeypatch):
@@ -205,9 +253,9 @@ class TestGaussianFidelity:
         got = [gaussian_fidelity(*pair).hex() for pair in pairs]
         pure = [s.is_pure() for s in states]
 
-        real = symplectic._sqrt_form
-        monkeypatch.setattr(symplectic, "_sqrt_form",
-                            lambda cm, tol: real(getattr(cm, "cm", cm), tol))
+        real = symplectic._nus
+        monkeypatch.setattr(symplectic, "_nus", lambda x: real(
+            symplectic._checked(list(x), math.isqrt(len(x)), None, 0.0)))
         assert got == [gaussian_fidelity(*pair).hex() for pair in pairs]
         assert pure == [s.is_pure() for s in states]
         assert pure[2:] == [True, False]
@@ -411,7 +459,7 @@ class TestOneModeClosedForm:
         def refuse(*args, **kwargs):
             raise AssertionError("spectral pass on one mode")
 
-        monkeypatch.setattr(symplectic, "_sqrt_form", refuse)
+        monkeypatch.setattr(symplectic, "_nus", refuse)
         monkeypatch.setattr(fidelity, "_spectral_w", refuse)
         assert gaussian_fidelity(GaussianState.vacuum(), thermal_state(3.0)) == pytest.approx(
             math.sqrt(0.5), rel=1e-15)
@@ -464,22 +512,22 @@ class TestOneModeMeanFactor:
     @settings(max_examples=1000, deadline=None)
     def test_within_1e_12_of_60_digits(self, states):
         # 1e-12 relative, or a subnormal spacing where the factor underflows
-        from bosonic_telesim.fidelity import _one_mode_mean_factor
+        from bosonic_telesim.fidelity import _mean_factor
 
         s1, s2 = states
-        got = _one_mode_mean_factor(s1._mean, s2._mean, s1._cm, s2._cm)
+        got = _mean_factor(s1._mean, s2._mean, s1._cm, s2._cm)
         want = self._mp(s1, s2)
         assert abs(got - want) <= 1e-12 * want + 2.0 ** -1074
-        assert _one_mode_mean_factor(s2._mean, s1._mean, s2._cm, s1._cm) == got
+        assert _mean_factor(s2._mean, s1._mean, s2._cm, s1._cm) == got
 
     def test_is_the_fidelity_factor(self, rng):
         # gaussian_fidelity of one mode is the closed form times this factor
-        from bosonic_telesim.fidelity import _one_mode_fidelity, _one_mode_mean_factor
+        from bosonic_telesim.fidelity import _mean_factor, _one_mode_fidelity
 
         for _ in range(200):
             s1, s2 = (random_state(1, rng, displace=1.0) for _ in range(2))
             (p1, r1, _, q1), (p2, r2, _, q2) = s1._cm, s2._cm
-            want = _one_mode_fidelity(p1, r1, q1, p2, r2, q2) * _one_mode_mean_factor(
+            want = _one_mode_fidelity(p1, r1, q1, p2, r2, q2) * _mean_factor(
                 s1._mean, s2._mean, s1._cm, s2._cm)
             assert gaussian_fidelity(s1, s2) == min(want, 1.0)
 
@@ -493,66 +541,89 @@ def _near_pure_state(rng, sign):
     return GaussianState(np.zeros(4), 0.5 * (cm + cm.T))
 
 
+def _pure_mp(state, tol=1e-9):
+    """``is_pure`` of the 80-digit spectrum of the state's floats: True or
+    False, or None within 4 eps of the threshold ``1 + tol``."""
+    nu, threshold = symplectic_invariants_mp(state.cm)[0], 1.0 + tol
+    if abs(nu - threshold) <= 4.0 * EPS * threshold:
+        return None
+    return bool(nu <= threshold)
+
+
 class TestTwoModePurityRouting:
-    """``is_pure`` skips the spectral purity pass of a two-mode CM that
-    certifies mixed on plain floats (``_certainly_mixed``); the fidelity must
-    be the float of the route the spectral pass picks, bit for bit, whether
-    or not the certificate decides."""
+    """``is_pure`` decides two-mode purity on plain floats from exact
+    invariants of the CM (``_floats._nus``), with no spectral pass: outside
+    4 eps of the threshold the decision is that of the 80-digit spectrum of
+    the same floats, and the fidelity is the float of the route that decision
+    picks, bit for bit."""
 
     @staticmethod
-    def _spectral_route(monkeypatch, s1, s2):
-        from bosonic_telesim import symplectic
-
+    def _oracle_route(monkeypatch, s1, s2):
         with monkeypatch.context() as m:
-            m.setattr(symplectic, "_certainly_mixed", lambda state: False)
+            m.setattr(GaussianState, "is_pure", lambda state, tol=1e-9: _pure_mp(state, tol))
             return gaussian_fidelity(s1, s2)
 
-    def _check(self, monkeypatch, pairs):
+    def _check(self, monkeypatch, pairs) -> int:
+        """The number of pairs whose two decisions the oracle makes."""
+        decided = 0
         for s1, s2 in pairs:
+            want = [_pure_mp(s) for s in (s1, s2)]
+            assert [s.is_pure() for s, w in zip((s1, s2), want) if w is not None] == \
+                [w for w in want if w is not None]
+            if None in want:
+                continue
+            decided += 1
             for pair in ((s1, s2), (s2, s1)):
-                want = self._spectral_route(monkeypatch, *pair)
-                assert gaussian_fidelity(*pair).hex() == want.hex()
+                assert gaussian_fidelity(*pair).hex() == \
+                    self._oracle_route(monkeypatch, *pair).hex()
+        return decided
 
     def test_random_mixed(self, rng, monkeypatch):
-        from bosonic_telesim.symplectic import _certainly_mixed
-
         pairs = [(random_state(2, rng, 3.0, 3.0, displace=1.0),
                   random_state(2, rng, 3.0, 3.0, displace=1.0)) for _ in range(200)]
-        certified = sum(_certainly_mixed(s) for pair in pairs for s in pair)
-        assert certified >= 390  # the certificate decides nearly all of them
-        self._check(monkeypatch, pairs)
+        assert self._check(monkeypatch, pairs) == len(pairs)
+        assert not any(s.is_pure() for pair in pairs for s in pair)
 
     def test_pure(self, rng, monkeypatch):
-        from bosonic_telesim.symplectic import _certainly_mixed
-
         pures = (tmsv_state(2.0), GaussianState.vacuum(2),
                  tensor_states(GaussianState.vacuum(), GaussianState.vacuum()))
-        assert not any(_certainly_mixed(s) for s in pures)
-        self._check(monkeypatch, [(p, random_state(2, rng, displace=1.0)) for p in pures]
-                    + [(p, q) for p in pures for q in pures])
+        assert all(s.is_pure() for s in pures)
+        pairs = [(p, random_state(2, rng, displace=1.0)) for p in pures] + \
+            [(p, q) for p in pures for q in pures]
+        assert self._check(monkeypatch, pairs) == len(pairs)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_near_pure(self, rng, monkeypatch, sign):
-        from bosonic_telesim.symplectic import _certainly_mixed
-
+        # nu within about 4 eps of the threshold before the CM is rounded: the
+        # oracle decides about half of them
         states = [_near_pure_state(rng, sign) for _ in range(50)]
-        assert not any(_certainly_mixed(s) for s in states)
-        self._check(monkeypatch, [(s, random_state(2, rng)) for s in states]
-                    + list(zip(states[::2], states[1::2])))
+        pairs = [(s, random_state(2, rng)) for s in states] + list(zip(states[::2], states[1::2]))
+        assert self._check(monkeypatch, pairs) >= 20
 
     @pytest.mark.parametrize("factor", [2.0 ** 8, 2.0 ** 21])
     def test_large_entries(self, rng, monkeypatch, factor):
-        # max|V| beyond 2^7, and beyond the certificate's 2^20 at the larger factor
         def large():
             return GaussianState(np.zeros(4), factor * random_state(2, rng, 3.0, 3.0).cm)
 
         pairs = [(large(), large()) for _ in range(50)]
         assert min(float(np.max(np.abs(s.cm))) for pair in pairs for s in pair) > 2.0 ** 7
-        self._check(monkeypatch, pairs + [(tmsv_state(factor), s) for s, _ in pairs])
+        pairs += [(tmsv_state(factor), s) for s, _ in pairs]
+        assert self._check(monkeypatch, pairs) == len(pairs)
+
+    @staticmethod
+    def _spectral_calls(monkeypatch):
+        """Every ``eigh`` and ``eigvalsh`` call from here on, as a list."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, real=real, **k:
+                                calls.append(real) or real(*a, **k))
+        return calls
 
     def test_spectral_passes_per_route(self, monkeypatch):
-        # one pass per state that the certificate leaves open, stopping at the
-        # first pure one; each float is pinned, so no route may move it
+        # one purity decision per two-mode state, stopping at the first pure
+        # one, and no spectral pass on any route; each float is pinned, so no
+        # route may move it
         from bosonic_telesim import symplectic
 
         mixed = GaussianState(np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
@@ -562,32 +633,27 @@ class TestTwoModePurityRouting:
                       for d in ([1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]))
         routes = [
             ((GaussianState.vacuum(), thermal_state(3.0)), 0, "0x1.6a09e667f3bcdp-1"),
-            ((mixed, other), 0, "0x1.a6af0db60416ap-1"),  # both certified mixed
+            ((mixed, other), 2, "0x1.a6af0db60416ap-1"),  # both mixed
             ((pure, mixed), 1, "0x1.f0b6848d2af1cp-2"),  # pure first
-            ((mixed, pure), 1, "0x1.f0b6848d2af1cp-2"),  # certified mixed, then pure
-            ((big1, big2), 2, "0x1.ddc4636e95752p-1"),  # max|V| > 2^20: uncertified
+            ((mixed, pure), 2, "0x1.f0b6848d2af1cp-2"),  # mixed, then pure
+            ((big1, big2), 2, "0x1.ddc4636e95752p-1"),  # max|V| > 2^20
         ]
-        calls, real = [], symplectic._sqrt_form
-        monkeypatch.setattr(symplectic, "_sqrt_form",
-                            lambda cm, tol: calls.append(cm) or real(cm, tol))
-        for pair, passes, want in routes:
-            calls.clear()
+        spectral = self._spectral_calls(monkeypatch)
+        decisions, real = [], symplectic._nus
+        monkeypatch.setattr(symplectic, "_nus", lambda x: decisions.append(x) or real(x))
+        for pair, count, want in routes:
+            decisions.clear()
             assert gaussian_fidelity(*pair).hex() == want
-            assert len(calls) == passes
+            assert len(decisions) == count
+        assert spectral == []
 
-    def test_certified_mixed_is_pure_takes_no_spectral_pass(self, monkeypatch):
-        from bosonic_telesim import symplectic
-
+    def test_is_pure_takes_no_spectral_pass_at_any_tol(self, monkeypatch):
         mixed = GaussianState(np.zeros(4), np.diag([3.0, 3.0, 2.0, 2.0]))
-        assert symplectic._certainly_mixed(mixed)
-        calls, real = [], symplectic._sqrt_form
-        monkeypatch.setattr(symplectic, "_sqrt_form",
-                            lambda cm, tol: calls.append(cm) or real(cm, tol))
+        spectral = self._spectral_calls(monkeypatch)
         assert not mixed.is_pure() and not mixed.is_pure(1e-12)
-        assert calls == []
-        # the certificate holds for tol <= 1e-9 only: a wider tolerance takes the pass
         assert mixed.is_pure(2.5)  # nu_max = 3
-        assert len(calls) == 1
+        assert not mixed.is_pure(1.5)
+        assert spectral == []
 
 
 class TestFuchsVdg:

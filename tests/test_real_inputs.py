@@ -4,7 +4,12 @@ float64 range raises :class:`DomainError` (``float()`` took the first three,
 reading a bool as 0 or 1, and raised a bare ``OverflowError`` on the last),
 and a valid input gives the same floats, bit for bit.  So does NaN or an
 infinity where a range check bounds the input (they raised a
-``ValidationError`` on the CM they made)."""
+``ValidationError`` on the CM they made).
+
+The one integer rule, ``_floats._integral``, at the mode counts and indices
+of the state layer: a float, a bool or a str raises the error type of the
+function's out-of-range values (a float raised a bare ``TypeError``, and a
+bool was read as 0 or 1), and a numpy integer is an integer."""
 
 import math
 
@@ -82,3 +87,28 @@ def test_valid_input_keeps_its_floats(name):
     assert [x.hex() for x in _floats(f(*args))] == want
     # numpy scalars are real numbers too
     assert [x.hex() for x in _floats(f(*map(np.float64, args)))] == want
+
+
+# function of a count or index: (its call, the error of an out-of-range value, a valid value)
+INTEGER_CASES = {
+    "partial_trace": (lambda k: bt.partial_trace(bt.tmsv_state(2.0), k), DomainError, 1),
+    "vacuum": (bt.GaussianState.vacuum, bt.InvalidDimensionError, 2),
+    "symplectic_form": (bt.symplectic_form, bt.InvalidDimensionError, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, False, "1"], ids=repr)
+@pytest.mark.parametrize("name", sorted(INTEGER_CASES))
+def test_non_integer_count_or_index_raises(name, bad):
+    f, error, _ = INTEGER_CASES[name]
+    with pytest.raises(error, match="integer|must be 0 or 1"):
+        f(bad)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CASES))
+def test_numpy_integer_is_an_integer(name):
+    f, _, valid = INTEGER_CASES[name]
+    got, want = f(np.int64(valid)), f(valid)
+    if isinstance(want, bt.GaussianState):
+        got, want = got.cm, want.cm
+    assert np.array_equal(got, want)

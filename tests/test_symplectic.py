@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -5,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import (random_cm, random_state, random_symplectic, symplectic_spectrum_mp,
-                      tmsv_cm_blocks)
+from _helpers import (random_cm, random_state, random_symplectic, symplectic_invariants_mp,
+                      symplectic_spectrum_mp, tmsv_cm_blocks)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              InvalidDimensionError, SymplecticMatrix, ValidationError,
                              apply_affine, canonical_channel, form_from_fields,
@@ -101,10 +103,10 @@ class TestSymplecticEigenvalues:
             nus = symplectic_eigenvalues(cm)
             assert np.prod(nus) == pytest.approx(np.sqrt(np.linalg.det(cm)), rel=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
     def test_matches_extended_precision_oracle(self, rng, n):
-        # backward stable: the relative error stays within a few eps times
-        # the condition number max|V| max|V^-1| (measured at most 2.5)
+        # the eigenvalue oracle (mp.eig of Omega V): within a few eps times
+        # the condition number max|V| max|V^-1|
         for _ in range(20):
             cm = random_cm(n, rng, nu_max=10.0, max_squeeze=1e3)
             cond = np.max(np.abs(cm)) * np.max(np.abs(np.linalg.inv(cm)))
@@ -112,11 +114,16 @@ class TestSymplecticEigenvalues:
             got = symplectic_eigenvalues(cm)
             assert np.max(np.abs(got - oracle) / oracle) <= 16.0 * EPS * cond
 
+    def test_three_modes_rejected(self, rng):
+        with pytest.raises(InvalidDimensionError, match="one or two modes"):
+            symplectic_eigenvalues(random_cm(3, rng))
+
     def test_cm_singular_to_roundoff(self):
-        # the float64 TMSV CMs themselves: 60 digits give nu = 0.8631674575 at
-        # mu = 5e7 and about 0 at mu = 1e12 (not 1: the rounded entries)
+        # the float64 TMSV CMs themselves: 60 digits give nu = 0.86316745750310973884
+        # (twice, to 22 digits) at mu = 5e7 and 0 at mu = 1e12 (not 1: the rounded
+        # entries); eigh gave 0.86316745351
         assert symplectic_eigenvalues(tmsv_state(5e7).cm) == pytest.approx(
-            [0.8631674575] * 2, rel=1e-6)
+            [0.86316745750310973884] * 2, rel=1e-13)
         assert symplectic_eigenvalues(tmsv_state(1e12).cm)[0] <= 1e-3
 
     def test_negative_eigenvalue_rejected(self):
@@ -282,18 +289,13 @@ class TestStates:
 
 
 class TestPurityPass:
-    """``is_pure`` and ``symplectic_spectrum`` hand the state itself to the
-    spectral kernel, which takes a state's CM as constructed: checked and
+    """``is_pure`` and ``symplectic_spectrum`` read the invariant kernel
+    ``_floats._nus`` on the state's CM as constructed: checked and
     symmetrized once, at construction."""
 
     def test_spectrum_equals_the_checked_cm_route(self, rng):
-        from bosonic_telesim import symplectic
-
         for n in (1, 2) * 50:
             state = random_state(n, rng, max_squeeze=3.0)
-            for got, want in zip(symplectic._sqrt_form(state, None),
-                                 symplectic._sqrt_form(state.cm, None)):
-                assert got.tobytes() == want.tobytes()
             assert state.symplectic_spectrum().tobytes() == \
                 symplectic_eigenvalues(state.cm).tobytes()
 
@@ -312,8 +314,8 @@ class TestPurityPass:
         assert len(calls) == 1
 
     def test_kernel_near_float64_range(self):
-        # K - K^T and the spectrum's nu - (-nu) overflowed here, ending in
-        # "Eigenvalues did not converge"; both are halved first now
+        # williamson's K - K^T overflowed here, ending in "Eigenvalues did not
+        # converge"; it is halved first now, and the invariants are scaled
         big = 1.7e308
         state = GaussianState(np.zeros(4), big * np.eye(4))
         with warnings.catch_warnings():
@@ -323,15 +325,91 @@ class TestPurityPass:
             assert williamson(state.cm).spectrum == pytest.approx((big, big), rel=1e-15)
 
     def test_kernel_beyond_float64_range_raises_overflow_error(self):
-        # ||V||_2 = 2.25e308: V^{1/2} Omega V^{1/2} leaves float64 range
+        # ||V||_2 = 2.25e308: williamson's V^{1/2} Omega V^{1/2} leaves float64
+        # range; the spectrum, nu = (1.5e308 sqrt(3) / 2, 1), does not
         z = np.zeros((2, 2))
         cm = np.block([[1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]]), z], [z, np.eye(2)]])
         state = GaussianState(np.zeros(4), cm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (state.symplectic_spectrum, state.is_pure, lambda: williamson(cm)):
+            assert state.symplectic_spectrum().tolist() == pytest.approx(
+                [0.75e308 * 3 ** 0.5, 1.0], rel=1e-15)
+            assert state.is_pure() is False
+            with pytest.raises(OverflowError, match="beyond float64 range"):
+                williamson(cm)
+
+    def test_spectrum_beyond_float64_range_raises_overflow_error(self):
+        # nu_1 = 2 max|V| of a CM inside the physicality slack at its scale
+        a = 1.7e308
+        state = GaussianState(np.zeros(4), [[a, 0, a, 0], [0, a, 0, a], [a, 0, a, 0], [0, a, 0, a]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (state.symplectic_spectrum, state.is_pure):
                 with pytest.raises(OverflowError, match="beyond float64 range"):
                     call()
+
+
+class TestInvariantKernel:
+    """``_floats._nus``: the spectrum from det V and ``Delta = det A + det B +
+    2 det C`` of the CM's floats, formed exactly and rounded once."""
+
+    @staticmethod
+    def _worst(states):
+        return max(float(abs(got - want) / want) for s in states
+                   for got, want in zip(s.symplectic_spectrum(), symplectic_invariants_mp(s.cm)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_random_states_within_1e_15_of_80_digits(self, rng, n):
+        states = [random_state(n, rng, nu_max=10.0, max_squeeze=10.0) for _ in range(200)]
+        assert self._worst(states) <= 1e-15
+
+    @pytest.mark.parametrize("cls, fields", [
+        ("A1", {"nbar": 0.5}), ("A2", {"nbar": 0.5}), ("C_Att", {"tau": 0.5, "nbar": 0.5}),
+        ("C_Amp", {"tau": 2.0, "nbar": 0.5}), ("D", {"tau": -1.0, "nbar": 0.5}),
+        ("B2", {"xi": 0.1})])
+    def test_quasi_choi_states_within_1e_15_of_80_digits(self, cls, fields):
+        ch = canonical_channel(form_from_fields(CanonicalClass(cls), **fields))
+        states = [quasi_choi(ch, float(mu)) for mu in np.geomspace(1.5, 1e15, 40)]
+        assert self._worst(states) <= 1e-15
+
+    def test_agrees_with_the_eigenvalue_oracle(self, rng):
+        for _ in range(20):
+            cm = random_cm(2, rng, nu_max=10.0, max_squeeze=4.0)
+            for got, want in zip(symplectic_invariants_mp(cm, 50), symplectic_spectrum_mp(cm)):
+                assert abs(got - want) <= 1e-40 * want
+
+    def test_degenerate_spectrum_stays_descending(self, rng):
+        # nu_2 = sqrt(det V) / nu_1 rounds above nu_1 = nu_2 for about one
+        # state in twenty of these without its cap at nu_1
+        cms = []
+        for _ in range(300):
+            s = random_symplectic(2, rng)
+            cm = s @ (rng.uniform(1.0, 5.0) * np.eye(4)) @ s.T
+            cms.append(0.5 * (cm + cm.T))
+        cms += [tmsv_state(float(mu)).cm for mu in np.geomspace(1.0, 1e7, 100)]
+        for cm in cms:
+            nu_1, nu_2 = GaussianState(np.zeros(4), cm).symplectic_spectrum()
+            assert nu_1 >= nu_2
+
+    def test_mode_of_huge_condition_keeps_its_spectrum(self):
+        # eigh read nu = [1, 0] here, and is_pure True
+        state = GaussianState(np.zeros(4), np.diag([1e308, 1e-300, 1.0, 1.0]))
+        got = state.symplectic_spectrum().tolist()
+        assert got == pytest.approx([1e4, 1.0], rel=1e-15)
+        assert got == pytest.approx([float(x) for x in symplectic_invariants_mp(state.cm)],
+                                    rel=1e-15)
+        assert state.is_pure() is False
+
+    def test_is_pure_runs_without_numpy(self):
+        code = ("import sys; sys.modules['numpy'] = None; import bosonic_telesim as bt\n"
+                "ch = bt.canonical_channel(bt.form_from_fields(bt.CanonicalClass.C_Att, "
+                "tau=0.5, nbar=0.5))\n"
+                "big = [[1e308, 0, 0, 0], [0, 1e-300, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]\n"
+                "print(bt.tmsv_state(2.0).is_pure(), bt.quasi_choi(ch, 1e9).is_pure(), "
+                "bt.GaussianState([0] * 4, big).is_pure())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False", "False"]
 
 
 class TestApplyAffine:
