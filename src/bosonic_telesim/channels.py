@@ -136,7 +136,8 @@ class GaussianChannel:
     first read.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
-    failed one is not, and raises again on every use).
+    failed one is not, and raises again on every use).  A copy or an unpickled
+    channel is built again by the constructor and remembers no check.
     """
 
     __slots__ = ("_t", "_n", "_d", "tau", "_physical", "_arrays")
@@ -154,6 +155,10 @@ class GaussianChannel:
 
     def __setattr__(self, name, value):
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        (a, b, c, d), (p, r, q) = self._t, self._n
+        return type(self), (((a, b), (c, d)), ((p, r), (r, q)), self._d)
 
     def __repr__(self) -> str:
         (a, b, c, d), (p, r, q) = self._t, self._n
@@ -246,8 +251,8 @@ def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     i = k * dim + k  # the target block: v[i], v[i + 1], v[i + dim] and v[i + dim + 1]
     for j, n in zip((i, i + 1, i + dim, i + dim + 1), (p, r, r, q)):
         v[j] += n
-    # a GaussianState: the state layer, not imported here
-    return type(state)(mean, [v[i:i + dim] for i in range(0, dim * dim, dim)])
+    # a GaussianState, from its floats: the state layer, not imported here
+    return type(state)._of(mean, v)
 
 
 def _pairs(m: tuple) -> tuple:

@@ -170,6 +170,10 @@ def gaussian_fidelity(s1, s2) -> float:
     Two modes have no scaling: ``det(V1 + V2)``, the auxiliary matrix or
     the product of its spectrum beyond float64 range (``1e100 I`` against
     ``3e100 I``) raises :class:`OverflowError`, with no RuntimeWarning.
+    Its floats are numpy's, call for call (``det``, ``solve``, ``V2 Omega
+    V1``, ``eigvals``, the product over w): OpenBLAS's dgemm fuses multiply
+    and add, so plain-float products round differently, and which inputs of
+    ``two_round_demo`` raise hangs on these bits (see ``apply_affine``).
     """
     if s1.modes != s2.modes:
         raise InvalidDimensionError(
@@ -183,21 +187,20 @@ def gaussian_fidelity(s1, s2) -> float:
         return min(_one_mode_fidelity(p1, r1, q1, p2, r2, q2) * mean, 1.0)
     import numpy as np
 
-    v1, v2 = s1.cm, s2.cm
+    v1, v2 = np.array(s1._cm + s2._cm).reshape(2, 4, 4)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
         vsum = v1 + v2
-        vmean = vsum / 2.0
-        det = np.linalg.det(vmean)
-    if not math.isfinite(det):
-        raise OverflowError("two-mode fidelity beyond float64 range: det((V1 + V2) / 2) overflows")
-    if s1.is_pure() or s2.is_pure():
-        # overlap route: F^2 = Tr(rho sigma) when one state is pure
-        if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
-            raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
-        overlap = 1.0 / np.sqrt(det)
-        return min(float(np.sqrt(overlap)) * mean, 1.0)
-    omega = symplectic_form(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range raises below
+        det = np.linalg.det(vsum / 2.0)
+        if not math.isfinite(det):
+            raise OverflowError("two-mode fidelity beyond float64 range: "
+                                "det((V1 + V2) / 2) overflows")
+        if s1.is_pure() or s2.is_pure():
+            # overlap route: F^2 = Tr(rho sigma) when one state is pure
+            if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
+                raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
+            overlap = 1.0 / np.sqrt(det)
+            return min(float(np.sqrt(overlap)) * mean, 1.0)
+        omega = symplectic_form(n)
         vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
         ftot4 = math.inf
         if np.isfinite(vaux).all():

@@ -21,8 +21,7 @@ import dataclasses
 import math
 
 from ._floats import _real, _self_check_tol
-from .channels import (CanonicalClass, CanonicalForm, GaussianChannel,
-                       apply_channel, channel_to_dict, compose)
+from .channels import CanonicalClass, CanonicalForm, GaussianChannel, apply_channel, compose
 from .errors import DomainError, UnsupportedFormError, ValidationError
 from .symplectic import GaussianState, thermal_state, tmsv_state
 
@@ -138,9 +137,7 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
     """
     params = BKParameters(mu)
     effective = compose(base, bk_channel(mu))  # a non-finite N is rejected
-    (a, b), (c, d) = channel_to_dict(base)["t"]
-    (p, r), (_, q) = channel_to_dict(base)["n"]
-    (p2, r2), (_, q2) = channel_to_dict(effective)["n"]
+    (a, b, c, d), (p, r, q), (p2, r2, q2) = base._t, base._n, effective._n
     xi = params.xi
     expected = (p + xi * (a * a + b * b), r + xi * (a * c + b * d), q + xi * (c * c + d * d))
     deviation = max(abs(x - y) for x, y in zip((p2, r2, q2), expected))
@@ -193,13 +190,13 @@ def environmental_pair(form: CanonicalForm, mu: float, squeeze_r: float = 1.0,
         # plain-float products, not `**` (libm pow raises OverflowError): an
         # r out of range gives a non-finite CM, which GaussianState rejects
         inv = 1.0 / squeeze_r
-        w = ((omega + gamma * (squeeze_r * squeeze_r), 0.0), (0.0, omega + gamma * (inv * inv)))
+        w = (omega + gamma * (squeeze_r * squeeze_r), 0.0, 0.0, omega + gamma * (inv * inv))
     elif tag is CanonicalClass.A2:
         a, c = _frame_row(a, c)
-        w = ((xi * (a * a + c * c) + omega, 0.0), (0.0, omega))
+        w = (xi * (a * a + c * c) + omega, 0.0, 0.0, omega)
     else:
         raise UnsupportedFormError(
             f"no environmental pair for class {tag.value}; supported: A2, C_Att, C_Amp, D")
     return EnvironmentalPair(rho_e=thermal_state(omega),
-                             rho_e_mu=GaussianState((0.0, 0.0), w),
+                             rho_e_mu=GaussianState._of((0.0, 0.0), w),
                              dilation_class=tag)

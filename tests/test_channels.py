@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 from fractions import Fraction
@@ -107,6 +109,22 @@ class TestCheckOnce:
         classify(ch)
         assert list(inspect.signature(GaussianChannel).parameters) == ["t", "n", "d"]
         assert GaussianChannel(ch.t, 2.0 * ch.n)._physical is False
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_is_built_again_and_checked_on_its_own_use(self, copier, physicality_checks):
+        # the copy goes through the constructor: the same floats, signed zeros
+        # too, and no remembered check
+        ch = GaussianChannel([[0.5, -0.0], [0.25, -1.5]], [[2.0, -0.0], [-0.0, 3.0]],
+                             [1e-300, -0.0])
+        classify(ch)
+        twin = copier(ch)
+        assert type(twin) is GaussianChannel and twin is not ch
+        assert [x.hex() for x in twin._t + twin._n + twin._d + (twin.tau,)] == \
+            [x.hex() for x in ch._t + ch._n + ch._d + (ch.tau,)]
+        assert ch._physical and not twin._physical
+        assert classify(twin) == classify(ch) and physicality_checks == [None, None]
 
     def test_a_composite_is_checked_on_its_own_first_use(self, physicality_checks):
         ch = loss_channel(0.5)

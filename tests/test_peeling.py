@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -182,6 +183,36 @@ class TestSingleClassification:
         assert len(classify_calls) == 1
 
 
+# (fidelity, trace_upper_bound) as hex, or the ArithmeticError message, of
+# TestTwoRoundDemo::test_rounding_chain_outcomes_are_pinned
+TWO_ROUND_PINS = [
+    ("0x1.ffffffe5b9d01p-1", "0x1.480da7e92d573p-13"),
+    ("0x1.ffffffedb6fdep-1", "0x1.11abec8f86df9p-13"),
+    ("0x1.fffffffffffeap-1", "0x1.2c2fc595456a7p-23"),
+    ("0x1.fffffffffffebp-1", "0x1.2548eb9151e85p-23"),
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    'two-round trace bound 5.96046e-08 exceeds peeling total 1.87728e-09',
+    ("0x1.ffd38b59d01b1p-1", "0x1.aaaf2f70c3eadp-5"),
+    ("0x1.ffffedc06a699p-1", "0x1.11655afe28d7bp-9"),
+    'two-round trace bound 1.90828e-07 exceeds peeling total 1.391e-07',
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    'two-round trace bound 2.73143e-07 exceeds peeling total 4.26966e-08',
+    ("0x1.ffffe25347c04p-1", "0x1.5ca2f69d9729cp-9"),
+    ("0x1.fffffff57f0fbp-1", "0x1.9ed6fe974d3fcp-14"),
+    ("0x1.ffffffffffffap-1", "0x1.3988e1409212ep-24"),
+    'two-round trace bound 2.98023e-08 exceeds peeling total 4.44332e-09',
+    'two-round trace bound 5.96046e-08 exceeds peeling total 2.8713e-09',
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.fffffbd4abfdfp-1", "0x1.055c22764bb09p-10"),
+    ("0x1.ffffffe6620ebp-1", "0x1.43ecac10c38b1p-13"),
+    ("0x1.ffffffffffe8ep-1", "0x1.33c42213ee0c9p-21"),
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    ("0x1.0000000000000p+0", "0x0.0p+0"),
+    'two-round trace bound 3.05383e-07 exceeds peeling total 7.60585e-08',
+]
+
+
 def _two_round_rebuilt(ch, mu, lo_cc_squeeze):
     """two_round_demo with the probe and the LOCC squeezer rebuilt for every
     run, as separate uncached objects."""
@@ -282,6 +313,31 @@ class TestTwoRoundDemo:
         report = two_round_demo(attenuator(0.5, 0.5), mu)
         delta, fidelity, trace = (float.fromhex(b) for b in bits)
         assert dataclasses.astuple(report) == (mu, delta, 2.0 * delta, fidelity, trace, True)
+
+    def test_rounding_chain_outcomes_are_pinned(self):
+        # Which inputs raise hangs on the last bits of the two-round fidelity:
+        # numpy's matrix products (dgemm fuses multiply and add), det, solve
+        # and eigvals.  Each outcome is pinned, on 24 seeded inputs over the
+        # four full-rank classes with mu stratified over [10, 1e9], denser
+        # near the top where the rounding decides; 6 of them raise.
+        rng, edges, got = random.Random(37), (1.0, 3.0, 5.0, 7.0, 8.0, 8.5, 9.0), []
+        for cls in ("C_Att", "C_Amp", "D", "B2"):
+            for lo, hi in zip(edges, edges[1:]):
+                mu = 10.0 ** (lo + (hi - lo) * rng.random())
+                if cls == "B2":
+                    fields = {"xi": rng.uniform(0.05, 2.0)}
+                else:
+                    tau = {"C_Att": rng.uniform(0.05, 0.95), "C_Amp": rng.uniform(1.1, 4.0),
+                           "D": -rng.uniform(0.1, 3.0)}[cls]
+                    fields = {"tau": tau, "nbar": rng.uniform(0.0, 2.0)}
+                ch = canonical_channel(form_from_fields(CanonicalClass(cls), **fields))
+                try:
+                    report = two_round_demo(ch, mu)
+                except ArithmeticError as exc:
+                    got.append(str(exc))
+                else:
+                    got.append((report.fidelity.hex(), report.trace_upper_bound.hex()))
+        assert got == TWO_ROUND_PINS
 
     def test_attenuator_demo_holds(self):
         report = two_round_demo(attenuator(), 1e3)

@@ -1,3 +1,6 @@
+import copy
+import math
+import pickle
 import subprocess
 import sys
 import warnings
@@ -347,6 +350,128 @@ class TestPurityPass:
             for call in (state.symplectic_spectrum, state.is_pure):
                 with pytest.raises(OverflowError, match="beyond float64 range"):
                     call()
+
+
+def _outcome(build):
+    """The hex floats of a built state's mean and CM, or the type and message
+    of what building it raised."""
+    try:
+        state = build()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return [x.hex() for x in state._mean], [x.hex() for x in state._cm]
+
+
+def _both_routes(mean: list, x: list) -> tuple:
+    """The outcomes of the public constructor and of ``GaussianState._of``,
+    the entry of the states the package derives, on the same floats."""
+    dim = len(mean)
+    rows = [x[i:i + dim] for i in range(0, dim * dim, dim)]
+    return (_outcome(lambda: GaussianState(mean, rows)),
+            _outcome(lambda: GaussianState._of(mean, x)))
+
+
+_BIG = 1.7e308
+_COUPLED = [1.5e308, 0.75e308, 0, 0, 0.75e308, 1.5e308, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]
+
+
+def _eye4(**entries) -> list:
+    x = [float(i == j) for i in range(4) for j in range(4)]
+    for key, value in entries.items():
+        x[int(key[1:])] = value
+    return x
+
+
+class TestConstructionCore:
+    """The derived route, ``GaussianState._of`` on row-major floats, and the
+    public constructor end in one core: the same floats bit for bit, or the
+    same exception and message."""
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.floats(-1.0, 307.5),
+           st.sampled_from([0.0, 1e-13, 1e-11]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_derived_route_equals_the_constructor(self, seed, n, log_scale, skew, signed):
+        rng = np.random.default_rng(seed)
+        dim, scale = 2 * n, 10.0 ** log_scale
+        noise = rng.normal(size=(dim, dim))
+        # Python floats: a product beyond float64 range is inf, with no warning
+        x = [v * scale + skew * scale * e
+             for v, e in zip(random_cm(n, rng).ravel().tolist(), noise.ravel().tolist())]
+        mean = rng.normal(size=dim).tolist()
+        if signed:  # signed zeros off the diagonal and in the mean
+            x[1] = x[dim] = -0.0
+            mean[0] = -0.0
+        public, derived = _both_routes(mean, x)
+        assert derived == public
+        if isinstance(public[0], list):
+            # the symmetrized CM is 0.5 m_ij + 0.5 m_ji, term for term
+            want = [0.5 * x[i * dim + j] + 0.5 * x[j * dim + i]
+                    for i in range(dim) for j in range(dim)]
+            assert public[1] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("mean, x, want", [
+        *[([0.0] * 4, _eye4(**{f"e{k}": bad}), "covariance matrix is not finite")
+          for k in range(16) for bad in (math.nan, math.inf, -math.inf)],
+        # each off-diagonal entry 1e-11 from its mirror, at unit scale
+        *[([0.0] * 4, _eye4(**{f"e{4 * i + j}": 1e-11}), "not symmetric within tolerance")
+          for i in range(4) for j in range(4) if i != j],
+        ([0.0] * 4, _eye4(e1=_BIG, e4=-_BIG), "not symmetric"),  # at the largest scale
+        ([0.0] * 4, [0.5 * v for v in _eye4()], "unphysical"),  # below vacuum noise
+        ([0.0] * 4, _eye4(e10=1 - 1e-6, e15=1 - 1e-6), "unphysical"),  # nu = 1 - 1e-6
+        ([0.0] * 4, _COUPLED[:1] + [_BIG] + _COUPLED[2:4] + [_BIG] + _COUPLED[5:],
+         "unphysical"),  # not PSD at the largest scale
+        ([0.0] * 4, [_BIG * v for v in _eye4()], None),  # valid at the largest scale
+        ([0.0] * 4, _COUPLED, None),  # valid, M + M^T beyond float64 range
+        ([0.0, math.nan, 0.0, 0.0], _eye4(), "mean is not finite"),
+        ([0.0, 0.0], [1.0, 1e-11, 0.0, 1.0], "not symmetric"),  # one mode
+        ([math.inf, 0.0], [1.0, 0.0, 0.0, 1.0], "mean is not finite"),
+    ])
+    def test_same_floats_or_same_error(self, mean, x, want):
+        public, derived = _both_routes(mean, x)
+        assert derived == public
+        if want is None:
+            assert public == ([v.hex() for v in mean], [float(v).hex() for v in x])
+        else:
+            assert public[0] is ValidationError and want in public[1]
+
+    def test_messages_are_the_constructors(self):
+        public, derived = _both_routes([0.0] * 4, _eye4(e1=_BIG, e4=-_BIG))
+        assert derived == public == (ValidationError, "covariance matrix is not symmetric "
+                                                      "within tolerance 1e-12 max(1, max|M|)")
+
+
+class TestCopyAndPickle:
+    """A copy or an unpickled state is built again by the constructor: its
+    floats come back bit for bit, signed zeros too (these have no subnormal
+    entries), and its CM is checked."""
+
+    STATES = [
+        lambda: tmsv_state(1.0),  # -0.0 in the off-diagonal blocks
+        lambda: GaussianState([-0.0, 1.5], [[2.0, -0.0], [-0.0, 3.0]]),
+        lambda: GaussianState([0.25, -0.0, 1e-300, -2.5], tmsv_state(7.0).cm),
+        lambda: apply_affine(tmsv_state(3.0), random_symplectic(2, np.random.default_rng(7))),
+    ]
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda x: pickle.loads(pickle.dumps(x))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("make", STATES)
+    def test_round_trip_keeps_every_bit(self, copier, make):
+        state = make()
+        state.cm  # noqa: B018  the cached arrays are not carried over
+        twin = copier(state)
+        assert type(twin) is GaussianState and twin is not state
+        assert [x.hex() for x in twin._mean + twin._cm] == \
+            [x.hex() for x in state._mean + state._cm]
+        assert np.array_equal(twin.cm, state.cm) and not twin.cm.flags.writeable
+
+    def test_unpickled_cm_is_checked_again(self):
+        class Forged:
+            def __reduce__(self):
+                return GaussianState, ((0.0, 0.0), [(0.5, 0.0), (0.0, 0.5)])
+
+        with pytest.raises(ValidationError, match="unphysical"):
+            pickle.loads(pickle.dumps(Forged()))
 
 
 class TestInvariantKernel:
