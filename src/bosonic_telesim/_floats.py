@@ -1,9 +1,10 @@
 """Plain-float rules shared by the state and channel layers: the real-number,
 integer, entry and tolerance input rules, the self-check threshold, the 2x2
-symmetry and physicality test, and the exact integer ratios of floats that
-determinants and symplectic spectra are rounded once from.  Nothing here
-imports numpy, so the single-mode channel and state layers and two-mode
-purity run on these alone.
+symmetry and physicality test with the one symmetrization rule, the exact
+integer ratios of floats that determinants and symplectic spectra are rounded
+once from, and the read-only array views of states and channels.  Only
+:func:`_readonly` imports numpy, when called, so the single-mode channel and
+state layers and two-mode purity run on these alone.
 """
 
 from __future__ import annotations
@@ -72,6 +73,25 @@ def _self_check_tol(scale: float) -> float:
     return max(1e-12, _ROUNDOFF * float(scale))
 
 
+def _readonly(x, dim: int | None = None):
+    """A fresh read-only float array of x, dim x dim where dim is given."""
+    import numpy as np
+
+    a = np.array(x, dtype=float)
+    if dim is not None:
+        a = a.reshape(dim, dim)
+    a.setflags(write=False)
+    return a
+
+
+def _mid(x: float, y: float) -> float:
+    """The one symmetrization rule: ``0.5 (x + y)``, or ``0.5 x + 0.5 y`` where
+    ``x + y`` leaves float64 range; exact where x = y, subnormals too, so a
+    symmetrized matrix is kept bit for bit by a copy."""
+    m = 0.5 * (x + y)
+    return 0.5 * x + 0.5 * y if math.isinf(m) else m
+
+
 def _check_tol(tol) -> None:
     """The one rule for ``tol``: None, or a real non-bool in ``[0, 0.5)``; at
     0.5 the tau = 0 and tau = 1 bands of ``channels._tau_region`` meet.  Every
@@ -84,12 +104,12 @@ def _checked2(m: tuple, tol: float | None, w: float | None = None,
               what: str = "covariance matrix") -> tuple:
     """The test of ``symplectic._checked`` for the 2x2 ``M = [[p, b], [c, q]]``
     given as the plain floats ``m = (p, b, c, q)``; returns ``(p, r, q)`` of
-    the symmetrized M, ``r = (b + c)/2`` (``b/2 + c/2`` where the sum leaves
-    float64 range).  On the scale ``s = max(1, max|M|)``, M must be finite
-    and symmetric within ``1e-12 s``, and with w given the smallest
-    eigenvalue of the Hermitian ``[[p, r + i w], [r - i w, q]]``,
-    ``(p + q)/2 - hypot((p - q)/2, r, w)``, must be at least
-    ``-max(1e-9, 64 eps s)``; a float ``tol`` replaces both 1e-12 and 1e-9.
+    the symmetrized M, ``r = (b + c)/2`` by :func:`_mid`.  On the scale
+    ``s = max(1, max|M|)``, M must be finite and symmetric within ``1e-12 s``,
+    and with w given the smallest eigenvalue of the Hermitian
+    ``[[p, r + i w], [r - i w, q]]``, ``(p + q)/2 - hypot((p - q)/2, r, w)``,
+    must be at least ``-max(1e-9, 64 eps s)``; a float ``tol`` replaces both
+    1e-12 and 1e-9.
     That closed form is in error by at most about ``eps s`` near the
     threshold (0.98 eps s at most against 50 digits on 30,000 random-frame
     draws; eigvalsh 3.2 eps s)."""
@@ -102,9 +122,7 @@ def _checked2(m: tuple, tol: float | None, w: float | None = None,
     if abs(b - c) > symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{symmetry:g} max(1, max|M|)")
-    r = 0.5 * (b + c)
-    if math.isinf(r):  # b + c beyond float64 range
-        r = 0.5 * b + 0.5 * c
+    r = _mid(b, c)
     if w is not None:
         lam = 0.5 * p + 0.5 * q - math.hypot(0.5 * p - 0.5 * q, r, w)
         if not lam >= -max(uncertainty, _ROUNDOFF * scale):  # NaN fails too

@@ -25,7 +25,7 @@ takes exactly the row's fields (a free tau, nbar or xi) and rejects any other.
 Displacements are carried along but never affect classification.
 
 The layer runs on plain floats and imports no numpy: a channel holds the
-floats of T, N and d, and builds its read-only arrays when first read.  The
+floats of T, N and d, and builds its read-only arrays on each read.  The
 invariants are 2x2 closed forms.  ``tau = a d - b c`` of ``T = [[a, b], [c, d]]``
 is formed exactly from the integer ratios of the floats and rounded once;
 rank T counts the singular values
@@ -41,7 +41,7 @@ import enum
 import math
 import numbers
 
-from ._floats import _checked2, _det, _entries
+from ._floats import _checked2, _det, _entries, _readonly
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
 
@@ -114,71 +114,62 @@ def _matrix(x, name: str) -> tuple:
         raise ValidationError(f"{name} must hold real numbers: {exc}") from None
 
 
-def _array(rows):
-    """A read-only float array of ``rows``: numpy is loaded where a
-    channel's matrices are first read as arrays."""
-    import numpy as np
-
-    a = np.array(rows, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 class GaussianChannel:
     """Raw (T, N, d) representation of a single-mode Gaussian channel.
 
     Construction only enforces shapes (d may be any nesting of two entries),
     real entries and a finite N, symmetrized exactly; the physical bona-fide
     condition is checked by :func:`validate_channel` so that unphysical
-    triples can still be represented and interrogated.  The channel holds the
-    plain floats of T, N and d and ``tau``, the :func:`_floats._det` of T, in
-    slots; ``t``, ``n`` and ``d`` are read-only arrays built from them on
-    first read.
+    triples can still be represented and interrogated.  The channel holds only
+    the plain floats of T, N and d and ``tau``, the :func:`_floats._det` of T,
+    in slots; ``t``, ``n`` and ``d`` are fresh read-only arrays built from
+    them on each read.
     Instances are immutable, so a passed check at the default tolerances is
     a fact of the channel: it runs on the first use and is remembered (a
     failed one is not, and raises again on every use).  A copy or an unpickled
     channel is built again by the constructor and remembers no check.
     """
 
-    __slots__ = ("_t", "_n", "_d", "tau", "_physical", "_arrays")
+    __slots__ = ("_t", "_n", "_d", "tau", "_physical")
 
     def __init__(self, t, n, d=None):
         t, n = _matrix(t, "T"), _matrix(n, "N")
         d = (0.0, 0.0) if d is None else tuple(_entries(d, "d"))
         if len(d) != 2:
             raise InvalidDimensionError(f"d must have 2 entries, got {len(d)}")
+        self._build(t, n, d)
+
+    @classmethod
+    def _of(cls, t: tuple, n: tuple, d: tuple) -> "GaussianChannel":
+        """The channel of the row-major floats of T, N and d: the constructor's core."""
+        ch = object.__new__(cls)
+        ch._build(t, n, d)
+        return ch
+
+    def _build(self, t: tuple, n: tuple, d: tuple) -> None:
+        """The one construction core: the N test of ``_checked2``, then tau."""
         # past the frozen __setattr__; _physical is set by a passed default check
         for name, value in (("_t", t), ("_n", _checked2(n, None, what="noise matrix")),
-                            ("_d", d), ("tau", _det(*t)), ("_physical", False),
-                            ("_arrays", None)):
+                            ("_d", d), ("tau", _det(*t)), ("_physical", False)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        (a, b, c, d), (p, r, q) = self._t, self._n
-        return type(self), (((a, b), (c, d)), ((p, r), (r, q)), self._d)
+        return type(self), tuple(channel_to_dict(self).values())  # (t, n, d)
 
     def __repr__(self) -> str:
-        (a, b, c, d), (p, r, q) = self._t, self._n
-        return f"GaussianChannel(t={[[a, b], [c, d]]}, n={[[p, r], [r, q]]}, d={list(self._d)})"
+        return "GaussianChannel(t={t}, n={n}, d={d})".format(**channel_to_dict(self))
 
     @classmethod
     def identity(cls) -> "GaussianChannel":
-        return cls(((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (0.0, 0.0)))
+        return cls._of((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.0))
 
-    def _read(self, k: int):
-        """The k-th of the arrays ``(t, n, d)``, all three built on the first read."""
-        if self._arrays is None:
-            (a, b, c, d), (p, r, q) = self._t, self._n
-            object.__setattr__(self, "_arrays", tuple(
-                _array(x) for x in (((a, b), (c, d)), ((p, r), (r, q)), self._d)))
-        return self._arrays[k]
-
-    t = property(lambda self: self._read(0), doc="T as a read-only 2x2 array.")
-    n = property(lambda self: self._read(1), doc="N as a read-only 2x2 array.")
-    d = property(lambda self: self._read(2), doc="d as a read-only length-2 array.")
+    t = property(lambda self: _readonly(self._t, 2), doc="T as a read-only 2x2 array.")
+    n = property(lambda self: _readonly(self._n[:2] + self._n[1:], 2),  # (p, r) + (r, q)
+                 doc="N as a read-only 2x2 array.")
+    d = property(lambda self: _readonly(self._d), doc="d as a read-only length-2 array.")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,11 +246,6 @@ def apply_channel(ch: GaussianChannel, state, target_mode: int = 0):
     return type(state)._of(mean, v)
 
 
-def _pairs(m: tuple) -> tuple:
-    """Rows ``((a, b), (c, d))`` of a row-major 2x2 tuple."""
-    return m[:2], m[2:]
-
-
 def _product(x: tuple, y: tuple) -> tuple:
     """The 2x2 product of row-major ``(a, b, c, d)`` tuples."""
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
@@ -274,8 +260,8 @@ def compose(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:
     t2, (p, r, q), (x, y) = ch2._t, ch1._n, ch1._d
     a, b, c, d = _product(_product(t2, (p, r, r, q)), (t2[0], t2[2], t2[1], t2[3]))
     p2, r2, q2 = ch2._n
-    return GaussianChannel(_pairs(_product(t2, ch1._t)), _pairs((a + p2, b + r2, c + r2, d + q2)),
-                           (t2[0] * x + t2[1] * y + ch2._d[0], t2[2] * x + t2[3] * y + ch2._d[1]))
+    d2 = (t2[0] * x + t2[1] * y + ch2._d[0], t2[2] * x + t2[3] * y + ch2._d[1])
+    return GaussianChannel._of(_product(t2, ch1._t), (a + p2, b + r2, c + r2, d + q2), d2)
 
 
 _RANK = 1e-10  # default: singular values of T, eigenvalues of N, below 1e-10 max(|.|, 1) are 0
@@ -377,7 +363,7 @@ def classify(ch: GaussianChannel, tol: float | None = None) -> CanonicalForm:
 
 
 def _canonical(form: CanonicalForm) -> tuple:
-    """The diagonal ``(T_c, N_c)`` of a canonical form as row tuples of floats."""
+    """The diagonal ``(T_c, N_c)`` of a canonical form as row-major float tuples."""
     tag, tau, p = form.tag, form.tau, form.noise_param
     if tag is CanonicalClass.A1:
         t, n = (0.0, 0.0), (2.0 * p + 1.0,) * 2
@@ -396,18 +382,17 @@ def _canonical(form: CanonicalForm) -> tuple:
         t, n = (s, -s), ((1.0 - tau) * (2.0 * p + 1.0),) * 2
     else:
         raise DomainError(f"unknown canonical class {tag!r}")
-    return tuple(((x, 0.0), (0.0, y)) for x, y in (t, n))
+    return tuple((x, 0.0, 0.0, y) for x, y in (t, n))
 
 
 def canonical_matrices(form: CanonicalForm):
     """The diagonal (T_c, N_c) pair of a canonical form, as read-only arrays."""
-    t_c, n_c = _canonical(form)
-    return _array(t_c), _array(n_c)
+    return tuple(_readonly(x, 2) for x in _canonical(form))
 
 
 def canonical_channel(form: CanonicalForm) -> GaussianChannel:
     """The zero-displacement channel of the canonical pair (T_c, N_c)."""
-    return GaussianChannel(*_canonical(form))
+    return GaussianChannel._of(*_canonical(form), (0.0, 0.0))
 
 
 # --- JSON-facing channel spec -------------------------------------------------

@@ -148,12 +148,6 @@ def _state_from_dict(spec):
     return GaussianState(spec["mean"], spec["cm"])
 
 
-def _state_to_dict(state) -> dict:
-    dim = len(state._mean)
-    return {"mean": list(state._mean),
-            "cm": [list(state._cm[i:i + dim]) for i in range(0, dim * dim, dim)]}
-
-
 def _cmd_classify(args) -> int:
     from .channels import channel_from_dict, classify
 
@@ -171,7 +165,7 @@ def _cmd_apply(args) -> int:
     ch = channel_from_dict(_load_json_arg(args.channel))
     state = _state_from_dict(_load_json_arg(args.state))
     out = apply_channel(ch, state, target_mode=args.mode)
-    print(_emit_json(_state_to_dict(out)))
+    print(_emit_json(out._fields()))
     return EXIT_OK
 
 

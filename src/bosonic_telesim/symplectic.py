@@ -24,7 +24,7 @@ import math
 import sys
 
 from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _entries,
-                      _integral, _nus, _real)
+                      _integral, _mid, _nus, _readonly, _real)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -46,13 +46,17 @@ __all__ = [
 def _as_matrix(m):
     import numpy as np
 
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        _square(m, "matrix")  # ragged: InvalidDimensionError; not real: ValidationError
+        raise ValidationError(f"matrix must hold real numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-def _square(m) -> tuple:
+def _square(m, what: str = "covariance matrix") -> tuple:
     """``(dim, entries)`` of a square matrix given as rows of numbers or as an
     array: its dimension and row-major floats, those of :func:`_as_matrix`."""
     rows = m.tolist() if hasattr(m, "tolist") else m
@@ -64,21 +68,13 @@ def _square(m) -> tuple:
     except (TypeError, ValueError, OverflowError) as exc:
         if any(isinstance(e, (list, tuple)) for row in rows for e in row):  # a stack
             raise InvalidDimensionError("expected a square matrix of rows of numbers") from None
-        raise ValidationError(f"covariance matrix must hold real numbers: {exc}") from None
+        raise ValidationError(f"{what} must hold real numbers: {exc}") from None
 
 
 def _check_even(dim: int) -> int:
     if dim < 2 or dim % 2 != 0:
         raise InvalidDimensionError(f"dimension must be a positive even integer, got {dim}")
     return dim // 2
-
-
-def _readonly(a):
-    import numpy as np
-
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 def symplectic_form(n: int):
@@ -174,15 +170,15 @@ def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
     is ``nu_min >= 1 - e``, and single-mode squeezing r widens it by at most
     ``(r^2 + r^-2) / 2``.  Returns the row-major floats of the symmetrized M.
 
-    A 2x2 M is decided by :func:`_floats._checked2`, and the symmetrized M
-    is built from the same floats, bit-identical to ``0.5 (M + M^T)``
-    wherever that does not overflow.  Larger M are halved before
-    ``M - M^T`` and ``M + M^T``, which is bit-identical outside the
-    subnormal range and cannot overflow; a 4x4 M in one unrolled pass over
-    its floats, with the same terms.  With w given a larger M is 4x4, a
-    two-mode CM, and the Cholesky pivots of :func:`_cholesky_accepts`
-    decide it at every scale, exactly outside a band of ``16 eps (s + e)``
-    around ``-e`` (a 4x4 closed form would not be backward stable).
+    A 2x2 M is decided by :func:`_floats._checked2`.  The skew is
+    ``max|M - M^T|``, and each symmetrized entry is :func:`_floats._mid` of
+    an entry and its mirror, ``0.5 (M + M^T)`` wherever that does not
+    overflow; the diagonal is kept as it is, so a symmetric M comes back bit
+    for bit.  A 4x4 M takes one unrolled pass over its floats, with the same
+    terms.  With w given a larger M is 4x4, a two-mode CM, and the Cholesky
+    pivots of :func:`_cholesky_accepts` decide it at every scale, exactly
+    outside a band of ``16 eps (s + e)`` around ``-e`` (a 4x4 closed form
+    would not be backward stable).
 
     Every ``tol`` consumer meets ``tol`` here first, so this is its one
     check (:func:`_floats._check_tol`)."""
@@ -193,18 +189,18 @@ def _checked(m: list, dim: int, tol: float | None, w: float | None = None,
     if not (all(map(math.isfinite, m)) and math.isfinite(0.0 if w is None else w)):
         raise ValidationError(f"{what} is not finite")
     scale = max(1.0, max(map(abs, m)))
-    half = [0.5 * x for x in m]  # halved first: M +/- M^T overflows for entries near 1e308
     if dim == 4:
-        a, b, c, d, b2, f, g, h, c2, g2, k, l, d2, h2, l2, p = half
+        a, b, c, d, b2, f, g, h, c2, g2, k, l, d2, h2, l2, p = m
         skew = max(abs(b - b2), abs(c - c2), abs(d - d2), abs(g - g2), abs(h - h2), abs(l - l2))
-        b, c, d, g, h, l = b + b2, c + c2, d + d2, g + g2, h + h2, l + l2
-        m = [a + a, b, c, d, b, f + f, g, h, c, g, k + k, l, d, h, l, p + p]
+        b, c, d = _mid(b, b2), _mid(c, c2), _mid(d, d2)
+        g, h, l = _mid(g, g2), _mid(h, h2), _mid(l, l2)
+        m = [float(a), b, c, d, b, float(f), g, h, c, g, float(k), l, d, h, l, float(p)]
     else:
-        half_t = [x for j in range(dim) for x in half[j::dim]]  # the columns, row-major
-        skew = max(abs(x - y) for x, y in zip(half, half_t))
-        m = [x + y for x, y in zip(half, half_t)]
+        m_t = [x for j in range(dim) for x in m[j::dim]]  # the columns, row-major
+        skew = max(abs(x - y) for x, y in zip(m, m_t))
+        m = [_mid(x, y) for x, y in zip(m, m_t)]
     symmetry, uncertainty = (_SYMMETRY, _UNCERTAINTY) if tol is None else (tol, tol)
-    if 2.0 * skew > symmetry * scale:
+    if skew > symmetry * scale:
         raise ValidationError(f"{what} is not symmetric within tolerance "
                               f"{symmetry:g} max(1, max|M|)")
     if w is not None:
@@ -250,14 +246,14 @@ class GaussianState:
     mu >= 1e8 in float64) constructs.  The mean must be finite.  More than
     two modes raise :class:`InvalidDimensionError`.
 
-    The state holds the floats of its mean and of its symmetrized CM,
+    The state holds only the floats of its mean and of its symmetrized CM,
     row-major, in the slots ``_mean`` and ``_cm``, which the package's float
-    routes read; ``mean`` and ``cm`` are read-only arrays built from them on
-    first read.  Instances are immutable; a copy or an unpickled state is
-    built again by the constructor, so its CM is checked again.
+    routes read; ``mean`` and ``cm`` are fresh read-only arrays built from
+    them on each read.  Instances are immutable; a copy or an unpickled state
+    is built again by the constructor, so its CM is checked again.
     """
 
-    __slots__ = ("_mean", "_cm", "_arrays")
+    __slots__ = ("_mean", "_cm")
 
     def __init__(self, mean, cm):
         mean = _entries(mean, "mean")
@@ -281,32 +277,27 @@ class GaussianState:
         x = _checked(x, len(mean), None, 1.0)
         if not all(map(math.isfinite, mean)):
             raise ValidationError("mean is not finite")
-        # past the frozen __setattr__
-        for name, value in (("_mean", tuple(mean)), ("_cm", tuple(x)), ("_arrays", None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_mean", tuple(mean))  # past the frozen __setattr__
+        object.__setattr__(self, "_cm", tuple(x))
 
     def __setattr__(self, name, value):
         raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
 
+    def _fields(self) -> dict:
+        """The row form of the floats, read by a copy, the repr and the CLI."""
+        dim = len(self._mean)
+        return {"mean": list(self._mean),
+                "cm": [list(self._cm[i:i + dim]) for i in range(0, dim * dim, dim)]}
+
     def __reduce__(self):
-        n = len(self._mean)
-        return type(self), (self._mean, [self._cm[i:i + n] for i in range(0, n * n, n)])
+        return type(self), tuple(self._fields().values())  # (mean, cm)
 
     def __repr__(self) -> str:
-        dim = len(self._mean)
-        rows = [list(self._cm[i:i + dim]) for i in range(0, dim * dim, dim)]
-        return f"GaussianState(mean={list(self._mean)}, cm={rows})"
+        return "GaussianState(mean={mean}, cm={cm})".format(**self._fields())
 
-    def _read(self, k: int):
-        """The k-th of the arrays ``(mean, cm)``, both built on the first read."""
-        if self._arrays is None:
-            dim = len(self._mean)
-            object.__setattr__(self, "_arrays", (
-                _readonly(self._mean), _readonly(self._cm).reshape(dim, dim)))
-        return self._arrays[k]
-
-    mean = property(lambda self: self._read(0), doc="The mean as a read-only array.")
-    cm = property(lambda self: self._read(1), doc="The CM as a read-only square array.")
+    mean = property(lambda self: _readonly(self._mean), doc="The mean as a read-only array.")
+    cm = property(lambda self: _readonly(self._cm, len(self._mean)),
+                  doc="The CM as a read-only square array.")
 
     @property
     def modes(self) -> int:
@@ -399,15 +390,13 @@ def apply_affine(state: GaussianState, s, d=None) -> GaussianState:
     ``S V S^T`` rounds differently, and through ``two_round_demo`` that moved
     64 to 82 of the 960 inputs per seed of the benchmark's protocol pools
     across the ``ArithmeticError`` line."""
-    import numpy as np
-
     mat = s.s if isinstance(s, SymplecticMatrix) else SymplecticMatrix(s).s
     dim = len(state._mean)
     if mat.shape[0] != dim:
         raise InvalidDimensionError(
             f"symplectic is {mat.shape[0]}-dimensional, state is {dim}-dimensional")
-    d = np.zeros(dim) if d is None else np.asarray(d, dtype=float).reshape(-1)
-    if d.shape[0] != dim:
+    d = [0.0] * dim if d is None else _entries(d, "displacement")
+    if len(d) != dim:
         raise InvalidDimensionError("displacement length does not match state dimension")
     return GaussianState._of((mat @ state.mean + d).tolist(),
                              (mat @ state.cm @ mat.T).ravel().tolist())

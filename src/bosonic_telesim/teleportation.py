@@ -112,8 +112,12 @@ class BKParameters:
 
 def bk_channel(mu: float) -> GaussianChannel:
     """The teleportation channel itself: additive noise xi(mu) I, identity T."""
-    xi = bk_added_noise(mu)
-    return GaussianChannel(((1.0, 0.0), (0.0, 1.0)), ((xi, 0.0), (0.0, xi)))
+    return _teleporter(bk_added_noise(mu))
+
+
+def _teleporter(xi: float) -> GaussianChannel:
+    """The teleportation channel of added noise xi, from its floats."""
+    return GaussianChannel._of((1.0, 0.0, 0.0, 1.0), (xi, 0.0, 0.0, xi), (0.0, 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,9 +140,9 @@ def simulate_channel(base: GaussianChannel, mu: float) -> SimulatedChannel:
     1e155) raises :class:`ValidationError`.
     """
     params = BKParameters(mu)
-    effective = compose(base, bk_channel(mu))  # a non-finite N is rejected
-    (a, b, c, d), (p, r, q), (p2, r2, q2) = base._t, base._n, effective._n
     xi = params.xi
+    effective = compose(base, _teleporter(xi))  # a non-finite N is rejected
+    (a, b, c, d), (p, r, q), (p2, r2, q2) = base._t, base._n, effective._n
     expected = (p + xi * (a * a + b * b), r + xi * (a * c + b * d), q + xi * (c * c + d * d))
     deviation = max(abs(x - y) for x, y in zip((p2, r2, q2), expected))
     if deviation > _self_check_tol(max(map(abs, expected))):

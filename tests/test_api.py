@@ -68,7 +68,8 @@ PACKAGE = pathlib.Path(bt.__file__).resolve().parent
 PRIVATE_IMPORTS = {
     "capacity": {("_floats", "_real"), ("convergence", "_diamond_bound"),
                  ("peeling", "_check_count"), ("peeling", "_protocol_form")},
-    "channels": {("_floats", "_checked2"), ("_floats", "_det"), ("_floats", "_entries")},
+    "channels": {("_floats", "_checked2"), ("_floats", "_det"), ("_floats", "_entries"),
+                 ("_floats", "_readonly")},
     "cli": {("convergence", "_scan")},
     "convergence": {("_floats", "_real"), ("fidelity", "_b1_witness_infidelity"),
                     ("fidelity", "_b2_root_infidelity"), ("fidelity", "_env_root_infidelity"),
@@ -79,12 +80,13 @@ PRIVATE_IMPORTS = {
                  ("teleportation", "_frame_row")},
     "peeling": {("_floats", "_integral"), ("_floats", "_self_check_tol"),
                 ("convergence", "_diamond_bound"), ("convergence", "_known_params")},
-    # the plain-float rules of _floats: the state layer's CM test, integer rule
-    # and invariant spectrum share them
+    # the plain-float rules of _floats: the state layer's CM test and its one
+    # symmetrization rule, integer rule, invariant spectrum and array views
     "symplectic": {("_floats", "_EPS"), ("_floats", "_ROUNDOFF"), ("_floats", "_SYMMETRY"),
                    ("_floats", "_UNCERTAINTY"), ("_floats", "_check_tol"),
                    ("_floats", "_checked2"), ("_floats", "_entries"), ("_floats", "_integral"),
-                   ("_floats", "_nus"), ("_floats", "_real")},
+                   ("_floats", "_mid"), ("_floats", "_nus"), ("_floats", "_readonly"),
+                   ("_floats", "_real")},
     "teleportation": {("_floats", "_real"), ("_floats", "_self_check_tol")},
 }
 
@@ -187,6 +189,14 @@ class TestPrivateImports:
         assert not hasattr(channels, "_sqrt_det") and "linalg" not in inspect.getsource(channels)
         assert not any(re.search(r"def _det\(|numbers\.Integral", inspect.getsource(mod))
                        for mod in LAYERS)
+        # a record holds only its floats: one read-only array builder
+        # (_floats._readonly), one float core per record and one row form
+        # (GaussianState._fields, channel_to_dict); no cached array views
+        assert not any(re.search(r"def (_readonly|_array|_pairs)\(", inspect.getsource(mod))
+                       for mod in LAYERS)
+        assert not hasattr(importlib.import_module("bosonic_telesim.cli"), "_state_to_dict")
+        for record in (symplectic.GaussianState, channels.GaussianChannel):
+            assert "_arrays" not in record.__slots__ and not hasattr(record, "_read")
 
     def test_walker_sees_each_form_of_import(self):
         source = ("from .fidelity import _new, fid_env_C\n"

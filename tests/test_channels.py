@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 import pickle
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -22,6 +24,7 @@ from bosonic_telesim import (BosonicTelesimError, CanonicalClass, CanonicalForm,
                              thermal_state, tmsv_state, validate_channel)
 from bosonic_telesim.channels import _noise_invariants, _numeric_rank
 from bosonic_telesim.convergence import decide_uniform
+from bosonic_telesim.teleportation import bk_channel, simulate_channel
 
 I2 = np.eye(2)
 Z2 = np.diag([1.0, -1.0])
@@ -777,3 +780,105 @@ class TestJsonSpec:
                 return
             assert np.isfinite(ch.t).all() and np.isfinite(ch.n).all()
             validate_channel(ch)
+
+
+def _channel_outcome(build):
+    """The hex floats of a built channel's T, N, d and tau, or the type and
+    message of what building it raised."""
+    try:
+        ch = build()
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc)
+    return [x.hex() for x in ch._t + ch._n + ch._d + (ch.tau,)]
+
+
+_ENTRIES = st.one_of(st.floats(-2.0, 2.0), st.floats(),
+                     st.sampled_from([1e308, -1e308, 1.7e308, 5e-324, -0.0]))
+
+
+@st.composite
+def _channel_floats(draw):
+    """Row-major T and N and the two floats of d; N's lower entry is its upper
+    one, that one moved by a draw of up to 1e-11 relative, or free."""
+    t, (p, r, q), d = (draw(st.lists(_ENTRIES, min_size=k, max_size=k)) for k in (4, 3, 2))
+    low = draw(st.one_of(st.just(r), st.floats(-1e-11, 1e-11).map(lambda e: r + e * r),
+                         _ENTRIES))
+    return tuple(t), (p, r, low, q), tuple(d)
+
+
+def _channel_digest(channels) -> str:
+    hexes = (x.hex() for ch in channels for x in ch._t + ch._n + ch._d + (ch.tau,))
+    return hashlib.sha256(" ".join(hexes).encode()).hexdigest()[:16]
+
+
+def _raw_physical(rng):
+    """A random physical channel: det N >= (1 - tau)^2 with N >= 0."""
+    t = [[rng.uniform(-2, 2) for _ in range(2)] for _ in range(2)]
+    tau = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+    r = rng.uniform(-1, 1)
+    a = abs(1.0 - tau) + abs(r) + rng.uniform(0, 1)
+    n = [[a + rng.uniform(0, 1), r], [r, a + rng.uniform(0, 1)]]
+    return GaussianChannel(t, n, [rng.uniform(-1, 1), rng.uniform(-1, 1)])
+
+
+class TestChannelCore:
+    """The derived route, ``GaussianChannel._of`` on row-major floats, and the
+    public constructor end in one core: the same floats bit for bit, or the
+    same exception and message."""
+
+    @given(_channel_floats())
+    @settings(max_examples=400, deadline=None)
+    def test_derived_route_equals_the_constructor(self, floats):
+        (a, b, c, d), (p, r, r2, q), shift = floats
+        public = _channel_outcome(
+            lambda: GaussianChannel([[a, b], [c, d]], [[p, r], [r2, q]], list(shift)))
+        assert _channel_outcome(lambda: GaussianChannel._of(*floats)) == public
+
+    @pytest.mark.parametrize("n, want", [
+        ((1.0, math.nan, math.nan, 1.0), "noise matrix is not finite"),
+        ((1.0, 0.0, 0.0, math.inf), "noise matrix is not finite"),
+        ((1.0, 0.0, 1e-11, 1.0), "noise matrix is not symmetric within tolerance"),
+        ((1e308, 1.7e308, 1.7e308, 1e308), None),  # r + r beyond float64 range
+        ((1e308, 1.7e308, -1.7e308, 1e308), "not symmetric"),
+    ])
+    def test_same_floats_or_same_error(self, n, want):
+        t, d = (0.5, 0.0, 0.0, 0.5), (0.0, -0.0)
+        public = _channel_outcome(lambda: GaussianChannel([t[:2], t[2:]], [n[:2], n[2:]], d))
+        assert _channel_outcome(lambda: GaussianChannel._of(t, n, d)) == public
+        if want is None:
+            assert public[4:7] == [x.hex() for x in (1e308, 1.7e308, 1e308)]
+        else:
+            assert public[0] is ValidationError and want in public[1]
+
+    def test_derived_channels_keep_their_floats(self):
+        # digests of the hex floats of each derived channel on seeded draws,
+        # taken before they were built by the core: the same floats bit for bit
+        rng = random.Random(38)
+        chs = [_raw_physical(rng) for _ in range(200)]
+        assert _channel_digest(compose(x, y) for x, y in zip(chs[::2], chs[1::2])) == \
+            "73a2dbf65a5e0c1e"
+        mus = [1.0 + 10.0 ** rng.uniform(-12, 300) for _ in range(100)] + [1.0, 2.0 ** 27, 1e300]
+        assert _channel_digest(bk_channel(mu) for mu in mus) == "beb2f8aff837be27"
+        ranges = {"tau": {"C_Att": (0.01, 0.99), "C_Amp": (1.01, 100.0), "D": (-100.0, -0.01)},
+                  "nbar": (0.0, 100.0), "xi": (0.0, 100.0)}
+        forms = []
+        for tag in CanonicalClass:
+            for _ in range(25):
+                kw = {k: rng.uniform(*(ranges[k][tag.value] if k == "tau" else ranges[k]))
+                      for k in ("tau", "nbar", "xi") if k in tag.fields}
+                forms.append(form_from_fields(tag, **kw))
+        assert _channel_digest(canonical_channel(f) for f in forms) == "479600751d478143"
+        assert _channel_digest(simulate_channel(ch, mu).effective
+                               for ch, mu in zip(chs, mus)) == "c26acefaa8b126e9"
+        identity = GaussianChannel.identity()
+        assert (identity._t, identity._n, identity._d, identity.tau) == \
+            ((1.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0), 1.0)
+
+    def test_each_view_read_is_a_fresh_read_only_array(self):
+        ch = GaussianChannel([[0.5, -0.0], [0.25, -1.5]], [[2.0, 0.5], [0.5, 3.0]], [1e-300, -0.0])
+        for name, want in (("t", ch._t), ("n", (2.0, 0.5, 0.5, 3.0)), ("d", ch._d)):
+            first, second = getattr(ch, name), getattr(ch, name)
+            assert first is not second and not np.shares_memory(first, second)
+            assert not first.flags.writeable and np.array_equal(first, second)
+            assert [x.hex() for x in first.ravel().tolist()] == [x.hex() for x in want]
+        assert ch.t.shape == ch.n.shape == (2, 2) and ch.d.shape == (2,)

@@ -60,10 +60,8 @@ def fock_point_cm(nbar1, nbar2, z, theta):
 def _unchecked_state(cm):
     """A GaussianState holding ``cm`` without its construction checks."""
     state = object.__new__(GaussianState)
-    for name, value in (("_mean", (0.0,) * len(cm)),
-                        ("_cm", tuple(np.asarray(cm, dtype=float).ravel().tolist())),
-                        ("_arrays", None)):
-        object.__setattr__(state, name, value)
+    object.__setattr__(state, "_mean", (0.0,) * len(cm))
+    object.__setattr__(state, "_cm", tuple(np.asarray(cm, dtype=float).ravel().tolist()))
     return state
 
 

@@ -86,6 +86,26 @@ class TestIsSymplectic:
             SymplecticMatrix(np.diag([2.0, 2.0]))
 
 
+class TestTypedReaderErrors:
+    """The numpy-side readers raise the package's errors, as the state and
+    channel constructors do: ragged rows are a dimension error, and an entry
+    that is no real number a validation error."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: is_symplectic([["a", 0], [0, 1]]), ValidationError),
+        (lambda: SymplecticMatrix([["a", 0], [0, 1]]), ValidationError),
+        (lambda: apply_affine(thermal_state(2.0), np.eye(2), ["x", 0]), ValidationError),
+        (lambda: is_symplectic([[1, 0], [0]]), InvalidDimensionError),
+        (lambda: williamson([[1, 0], [0]]), InvalidDimensionError),
+        (lambda: apply_affine(thermal_state(2.0), np.eye(2), [[0.0], [0.0, 1.0]]),
+         InvalidDimensionError),
+    ])
+    def test_package_errors(self, call, error):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+
+
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
         assert symplectic_eigenvalues(np.eye(2)) == pytest.approx([1.0])
@@ -404,9 +424,11 @@ class TestConstructionCore:
         public, derived = _both_routes(mean, x)
         assert derived == public
         if isinstance(public[0], list):
-            # the symmetrized CM is 0.5 m_ij + 0.5 m_ji, term for term
-            want = [0.5 * x[i * dim + j] + 0.5 * x[j * dim + i]
-                    for i in range(dim) for j in range(dim)]
+            # the symmetrized CM is 0.5 (m_ij + m_ji), halved first where the
+            # sum leaves float64 range
+            pairs = [(x[i * dim + j], x[j * dim + i]) for i in range(dim) for j in range(dim)]
+            want = [0.5 * (u + v) if abs(u + v) < math.inf else 0.5 * u + 0.5 * v
+                    for u, v in pairs]
             assert public[1] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("mean, x, want", [
@@ -440,16 +462,21 @@ class TestConstructionCore:
                                                       "within tolerance 1e-12 max(1, max|M|)")
 
 
+_SUBNORMAL = [[1, 5e-324, 0, 0], [1e-323, 1, 0, 0], [0, 0, 1, 5e-324], [0, 0, 1e-323, 1]]
+
+
 class TestCopyAndPickle:
     """A copy or an unpickled state is built again by the constructor: its
-    floats come back bit for bit, signed zeros too (these have no subnormal
-    entries), and its CM is checked."""
+    floats come back bit for bit, signed zeros and subnormal entries too, and
+    its CM is checked."""
 
     STATES = [
         lambda: tmsv_state(1.0),  # -0.0 in the off-diagonal blocks
         lambda: GaussianState([-0.0, 1.5], [[2.0, -0.0], [-0.0, 3.0]]),
         lambda: GaussianState([0.25, -0.0, 1e-300, -2.5], tmsv_state(7.0).cm),
         lambda: apply_affine(tmsv_state(3.0), random_symplectic(2, np.random.default_rng(7))),
+        lambda: GaussianState([0] * 4, _SUBNORMAL),
+        lambda: GaussianState([0] * 2, [[1, 5e-324], [1e-323, 1]]),
     ]
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
@@ -458,12 +485,29 @@ class TestCopyAndPickle:
     @pytest.mark.parametrize("make", STATES)
     def test_round_trip_keeps_every_bit(self, copier, make):
         state = make()
-        state.cm  # noqa: B018  the cached arrays are not carried over
         twin = copier(state)
         assert type(twin) is GaussianState and twin is not state
         assert [x.hex() for x in twin._mean + twin._cm] == \
             [x.hex() for x in state._mean + state._cm]
         assert np.array_equal(twin.cm, state.cm) and not twin.cm.flags.writeable
+
+    def test_one_symmetrization_rule(self):
+        # each pair of mirrored entries becomes 0.5 (x + y) at one and two
+        # modes: 0.5 (5e-324 + 1e-323) rounds to 1e-323 (ties to even), which a
+        # copy keeps; the former 4x4 rule 0.5 x + 0.5 y gave 5e-324, a copy 0.0
+        one = GaussianState([0] * 2, [[1, 5e-324], [1e-323, 1]])
+        two = GaussianState([0] * 4, _SUBNORMAL)
+        assert one._cm == (1.0, 1e-323, 1e-323, 1.0)
+        assert two._cm[1] == two._cm[4] == two._cm[11] == two._cm[14] == 1e-323
+
+    def test_each_view_read_is_a_fresh_read_only_array(self):
+        state = GaussianState([0.25, -0.0, 1e-300, -2.5], tmsv_state(7.0).cm)
+        for name, want in (("mean", state._mean), ("cm", state._cm)):
+            first, second = getattr(state, name), getattr(state, name)
+            assert first is not second and not np.shares_memory(first, second)
+            assert not first.flags.writeable and np.array_equal(first, second)
+            assert [x.hex() for x in first.ravel().tolist()] == [x.hex() for x in want]
+        assert state.mean.shape == (4,) and state.cm.shape == (4, 4)
 
     def test_unpickled_cm_is_checked_again(self):
         class Forged:
