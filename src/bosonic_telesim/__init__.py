@@ -29,7 +29,7 @@ _LAYERS = {
     "dilation": ("SingleModeDilation", "apply_via_dilation", "asymptotic_b2", "dilation_of"),
     "errors": ("BosonicTelesimError", "ClassificationAmbiguousError", "DomainError",
                "InvalidDimensionError", "NoUniformBoundError", "SingularCoefficientError",
-               "UnsupportedFormError", "ValidationError"),
+               "UnresolvableError", "UnsupportedFormError", "ValidationError"),
     "fidelity": ("BoundsPair", "b1_gamma", "fid_b2_asymptotic", "fid_env_A2", "fid_env_C",
                  "fid_output_identity", "fuchs_vdg", "gaussian_fidelity"),
     "peeling": ("TOPOLOGIES", "PeelingBound", "TwoRoundReport", "epsilon_tp_bound",

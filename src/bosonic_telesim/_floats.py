@@ -1,10 +1,10 @@
 """Plain-float rules shared by the state and channel layers: the real-number,
-integer, entry and tolerance input rules, the self-check threshold, the 2x2
-symmetry and physicality test with the one symmetrization rule, the exact
-integer ratios of floats that determinants and symplectic spectra are rounded
-once from, and the read-only array views of states and channels.  Only
-:func:`_readonly` imports numpy, when called, so the single-mode channel and
-state layers and two-mode purity run on these alone.
+integer, entry, square-matrix and tolerance input rules, the self-check
+threshold, the 2x2 symmetry and physicality test with the one symmetrization
+rule, the exact integer ratios of floats that determinants and symplectic
+spectra are rounded once from, and the read-only array views of states and
+channels.  Only :func:`_readonly` imports numpy, when called, so the
+single-mode channel and state layers and two-mode purity run on these alone.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numbers
 import sys
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, InvalidDimensionError, ValidationError
 
 _EPS = sys.float_info.epsilon
 
@@ -65,6 +65,27 @@ def _ravel(x) -> list:
     if all(isinstance(e, float) for e in x):  # flat already, as the package's own are
         return list(x)
     return [f for e in x for f in _ravel(e)]
+
+
+def _square(m, what: str = "covariance matrix", dim: int | None = None) -> tuple:
+    """``(dim, entries)`` of a square matrix given as rows of numbers or as an
+    array (each read by ``tolist()``): its dimension and row-major floats, those of
+    numpy's ``asarray(m, dtype=float)``.  The one reader of a state's CM and a
+    channel's T and N: a matrix that is not square, or not dim x dim where dim
+    is given, raises :class:`InvalidDimensionError`, and an entry that is not
+    a real number :class:`ValidationError`."""
+    rows = m.tolist() if hasattr(m, "tolist") else m
+    if isinstance(rows, (list, tuple)):  # rows given as arrays too
+        rows = [row.tolist() if hasattr(row, "tolist") else row for row in rows]
+    if isinstance(rows, list) and dim in (None, len(rows)) and all(
+            isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows):
+        try:
+            return len(rows), [float(e) for row in rows for e in row]
+        except (TypeError, ValueError, OverflowError) as exc:
+            if not any(isinstance(e, (list, tuple)) for row in rows for e in row):  # no stack
+                raise ValidationError(f"{what} must hold real numbers: {exc}") from None
+    shape = "square" if dim is None else f"{dim} x {dim}"
+    raise InvalidDimensionError(f"{what} must be a {shape} matrix of rows of numbers")
 
 
 def _self_check_tol(scale: float) -> float:

@@ -26,9 +26,8 @@ import math
 
 from ._floats import _real
 from .channels import CanonicalClass, GaussianChannel, classify
-from .convergence import _diamond_bound
 from .errors import DomainError, UnsupportedFormError
-from .peeling import _check_count, _protocol_form
+from .peeling import _check_count, _eps_tp, _protocol_form
 
 __all__ = [
     "BoundReport",
@@ -187,18 +186,22 @@ def strong_converse_bound(phi: float, v: float, n: int, eps: float) -> float:
     V is the caller-supplied variance parameter of the finite-size expansion
     (no closed form is implemented here); V = 0 reproduces the pure-loss and
     quantum-limited-amplifier form ``phi + C(eps)/n``.  Checked in order: an
-    integer n >= 1, a finite phi, a finite V >= 0 and eps in (0, 1).
+    integer n >= 1, a finite phi, a finite V >= 0 and eps in (0, 1), each
+    float a real number first (``_floats._real``).
     """
     _check_count(n, "channel uses")
+    phi = _real(phi, "key-capacity term")
     if not math.isfinite(phi):
         raise DomainError(f"key-capacity term must be finite, got {phi}")
+    v = _real(v, "variance parameter")
     if v < 0.0:
         raise DomainError(f"variance parameter must be non-negative, got {v}")
     if not math.isfinite(v):
         raise DomainError(f"variance parameter must be finite, got {v}")
+    eps = _real(eps, "security parameter")
     if not 0.0 < eps < 1.0:
         raise DomainError(f"security parameter must lie in (0, 1), got {eps}")
-    return float(phi) + math.sqrt(v / (n * (1.0 - eps))) + c_epsilon(eps) / n
+    return phi + math.sqrt(v / (n * (1.0 - eps))) + c_epsilon(eps) / n
 
 
 _PHI_BY_CLASS = {
@@ -241,7 +244,7 @@ def corrected_key_bound(ch: GaussianChannel, n: int, eps: float, mu: float,
             "supported: C_Att, C_Amp, B2")
     phi_report = _PHI_BY_CLASS[form.tag](form)
     _protocol_form(n, ch, "uniform", None, tol, form)
-    eps_tp = min(1.0, n * _diamond_bound(form, mu, r, 1.0, 0.0) / 2.0)
+    eps_tp = min(1.0, _eps_tp(n, form, mu, r, 1.0, 0.0))
     eps_all = overall_error(eps, eps_tp)
     clean = strong_converse_bound(phi_report.value, v, n, eps)
     inputs = {"class": form.tag.value, "tau": form.tau,

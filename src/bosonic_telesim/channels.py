@@ -39,9 +39,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-import numbers
 
-from ._floats import _checked2, _det, _entries, _readonly
+from ._floats import _checked2, _det, _entries, _readonly, _real, _square
 from .errors import (ClassificationAmbiguousError, DomainError,
                      InvalidDimensionError, ValidationError)
 
@@ -100,20 +99,6 @@ def _tau_region(tau: float, boundary: float) -> str:
 _BY_INVARIANTS = {(c.region, c.rank_t, c.rank_n): c for c in CanonicalClass}
 
 
-def _matrix(x, name: str) -> tuple:
-    """The four floats of the 2x2 ``name``, row-major, given as nested
-    sequences or as an array (read by ``tolist()``): the entries of
-    ``np.asarray(x, dtype=float)``."""
-    try:
-        (a, b), (c, d) = x.tolist() if hasattr(x, "tolist") else x
-    except (TypeError, ValueError):
-        raise InvalidDimensionError(f"{name} must be a 2x2 matrix") from None
-    try:
-        return float(a), float(b), float(c), float(d)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must hold real numbers: {exc}") from None
-
-
 class GaussianChannel:
     """Raw (T, N, d) representation of a single-mode Gaussian channel.
 
@@ -133,11 +118,11 @@ class GaussianChannel:
     __slots__ = ("_t", "_n", "_d", "tau", "_physical")
 
     def __init__(self, t, n, d=None):
-        t, n = _matrix(t, "T"), _matrix(n, "N")
+        t, n = _square(t, "T", 2)[1], _square(n, "N", 2)[1]
         d = (0.0, 0.0) if d is None else tuple(_entries(d, "d"))
         if len(d) != 2:
             raise InvalidDimensionError(f"d must have 2 entries, got {len(d)}")
-        self._build(t, n, d)
+        self._build(tuple(t), n, d)
 
     @classmethod
     def _of(cls, t: tuple, n: tuple, d: tuple) -> "GaussianChannel":
@@ -406,14 +391,13 @@ def form_from_fields(tag: CanonicalClass, tau: float | None = None,
                      nbar: float = 0.0, xi: float = 0.0) -> CanonicalForm:
     """Build a CanonicalForm from user-facing fields, checked against the
     class's row before any array is formed.  Each field must be a real
-    number, not a bool (so a JSON string or null is an input error); a field
-    outside the row must keep its default (tau None, nbar and xi 0.0); a free
-    tau must be given, finite and in the row's region (the rule of
-    :func:`classify` at boundary 0); nbar and xi must be finite and
-    non-negative.  Each check raises :class:`DomainError`."""
-    for name, value in (("tau", 0.0 if tau is None else tau), ("nbar", nbar), ("xi", xi)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
+    number within float64 range (``_floats._real``: a JSON string, a bool or
+    null is an input error); a field outside the row must keep its default
+    (tau None, nbar and xi 0.0); a free tau must be given, finite and in the
+    row's region (the rule of :func:`classify` at boundary 0); nbar and xi
+    must be finite and non-negative.  Each check raises :class:`DomainError`."""
+    tau = None if tau is None else _real(tau, "tau")
+    nbar, xi = _real(nbar, "nbar"), _real(xi, "xi")
     given = {"tau": tau is not None, "nbar": nbar != 0.0, "xi": xi != 0.0}
     stray = [name for name in given if given[name] and name not in tag.fields]
     if stray:
@@ -422,13 +406,12 @@ def form_from_fields(tag: CanonicalClass, tau: float | None = None,
         tau = tag.fixed_tau
     elif tau is None:
         raise DomainError(f"class {tag.value} requires a tau value")
-    tau = float(tau)
     if not (math.isfinite(tau) and _tau_region(tau, 0.0) == tag.region):
         raise DomainError(f"class {tag.value} requires a finite tau {tag.region}, got {tau}")
     for name, value in (("nbar", nbar), ("xi", xi)):
         if not 0.0 <= value < math.inf:
             raise DomainError(f"{name} must be finite and non-negative, got {value}")
-    noise = float(xi) if "xi" in tag.fields else float(nbar) if "nbar" in tag.fields else 0.0
+    noise = xi if "xi" in tag.fields else nbar if "nbar" in tag.fields else 0.0
     return CanonicalForm(tag, tau, tag.r, noise)
 
 

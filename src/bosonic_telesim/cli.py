@@ -6,7 +6,8 @@ to a JSON file.  Output is JSON (CSV for convergence scans) with floats
 printed as their shortest round-trip ``repr``, so that every emitted number
 re-parses to the identical value; a non-finite result is an error, and so
 is finite input whose arithmetic overflows float64.  Exit codes: 0 success,
-2 input error, 3 request outside the supported domain.
+2 input error, 3 request outside the supported domain (the library's
+``UnsupportedFormError``, ``NoUniformBoundError`` and ``UnresolvableError``).
 
 Channel spec   {"t": [[...]], "n": [[...]], "d": [...]}  or
                {"class": "C_Att", "tau": 0.5, "nbar": 0.0} (see channels module)
@@ -27,16 +28,15 @@ or --channel with --mu; --delta excludes --channel, --mu and --tol.
 Each command imports the layers it uses.  classify, simulate, convergence
 (full-rank and witness scans), peel, capacity and apply run on plain floats
 and never import numpy, and neither does fidelity on one-mode states; the
-two-mode fidelity does.  There numpy's floating-point errors raise (exit 2),
-and a matrix that float64 cannot resolve (numpy's ``LinAlgError``) exits 3.
+two-mode fidelity does.  A pair of states whose fidelity float64 cannot
+resolve (``UnresolvableError``, such as an indefinite ``V1 + V2``) exits 3,
+with or without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -44,7 +44,7 @@ import sys
 
 from . import __version__
 from .errors import (BosonicTelesimError, DomainError, NoUniformBoundError,
-                     UnsupportedFormError, ValidationError)
+                     UnresolvableError, UnsupportedFormError, ValidationError)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -113,33 +113,6 @@ def _float_range_int(text: str) -> int:
     return x
 
 
-def _state_command(cmd):
-    """The fidelity command: a matrix that float64 cannot resolve (numpy's
-    ``LinAlgError``, raised only where numpy is loaded) exits 3."""
-    @functools.wraps(cmd)
-    def run(args):
-        try:
-            return cmd(args)
-        except Exception as exc:
-            np = sys.modules.get("numpy")
-            if np is None or not isinstance(exc, np.linalg.LinAlgError):
-                raise
-            # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
-            print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-    return run
-
-
-def _numpy_errors(*states):
-    """Where a state has two modes, whose fidelity is numpy's, a context in
-    which numpy's floating-point errors raise (and exit 2); one-mode states
-    run on plain floats, with no numpy."""
-    if all(state.modes == 1 for state in states):
-        return contextlib.nullcontext()
-    import numpy as np
-    return np.errstate(over="raise", divide="raise", invalid="raise")
-
-
 def _state_from_dict(spec):
     from .symplectic import GaussianState
 
@@ -181,14 +154,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-@_state_command
 def _cmd_fidelity(args) -> int:
     from .fidelity import fuchs_vdg, gaussian_fidelity
 
     s1 = _state_from_dict(_load_json_arg(args.state1))
     s2 = _state_from_dict(_load_json_arg(args.state2))
-    with _numpy_errors(s1, s2):
-        f = gaussian_fidelity(s1, s2)
+    f = gaussian_fidelity(s1, s2)
     sandwich = fuchs_vdg(f)
     print(_emit_json({"fidelity": f, "trace_lower": sandwich.lower,
                       "trace_upper": sandwich.upper}))
@@ -415,9 +386,12 @@ def main(argv=None) -> int:
     except (UnsupportedFormError, NoUniformBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FloatingPointError, OverflowError) as exc:
-        # finite input whose arithmetic leaves float64 range, e.g. T ~ 1e300
-        # (numpy) or a frame squeezing r ~ 1e154 (a Python float power)
+    except UnresolvableError as exc:  # a CM singular to float64 roundoff, e.g. a TMSV at mu >= 1e8
+        print(f"error: not resolvable in float64: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except OverflowError as exc:
+        # finite input whose arithmetic leaves float64 range, e.g. a frame
+        # squeezing r ~ 1e154 (a Python float power)
         print(f"error: input beyond float64 range: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (_CliInputError, BosonicTelesimError, ValidationError, OSError) as exc:

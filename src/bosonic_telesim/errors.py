@@ -42,6 +42,11 @@ class UnsupportedFormError(BosonicTelesimError):
     """The requested operation is not defined for this canonical class."""
 
 
+class UnresolvableError(BosonicTelesimError):
+    """float64 cannot resolve the request, such as the fidelity of two states
+    whose ``V1 + V2`` is indefinite or singular to roundoff."""
+
+
 class NoUniformBoundError(BosonicTelesimError):
     """No uniform (unconstrained diamond-norm) bound exists: the channel's
     noise matrix is rank deficient, so its teleportation simulation does not

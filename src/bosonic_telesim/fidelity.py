@@ -37,7 +37,8 @@ import math
 import sys
 
 from ._floats import _integers, _real
-from .errors import DomainError, InvalidDimensionError, SingularCoefficientError
+from .errors import (DomainError, InvalidDimensionError, SingularCoefficientError,
+                     UnresolvableError)
 from .symplectic import symplectic_form
 from .teleportation import _frame_r, _frame_row, bk_added_noise
 
@@ -65,7 +66,7 @@ def _mean_factor(m1: tuple, m2: tuple, v1: tuple, v2: tuple) -> float:
     numpy's ``solve`` was up to 4.4e-12 off 60 digits on 300 two-mode pairs
     at squeezing 50 (this form 5e-16), and a float one-mode LDL^T 2.4e-9.
     A Q beyond float64 range gives 0.  Outside the fidelity's domain a
-    ``det(V1 + V2)`` of 0 raises :class:`np.linalg.LinAlgError`, and a
+    ``det(V1 + V2)`` of 0 raises :class:`UnresolvableError`, and a
     negative one :class:`OverflowError` where the exp leaves float64 range."""
     if m1 == m2:
         return 1.0
@@ -78,7 +79,7 @@ def _mean_factor(m1: tuple, m2: tuple, v1: tuple, v2: tuple) -> float:
     for k in range(n):  # after step k, b[i][j] (i, j > k) is a minor of order k + 2
         pivot = next((i for i in range(k, n) if b[i][k]), None)
         if pivot is None:
-            raise _linalg_error("det((V1 + V2) / 2) = 0 is not positive")
+            raise UnresolvableError("det((V1 + V2) / 2) = 0 is not positive")
         b[k], b[pivot] = b[pivot], b[k]  # flips the signs of both determinants, not Q
         for i in range(k + 1, n + 1):
             for j in range(k + 1, n + 1):
@@ -90,13 +91,6 @@ def _mean_factor(m1: tuple, m2: tuple, v1: tuple, v2: tuple) -> float:
     except OverflowError:  # |Q| beyond float64 range
         form = sys.float_info.max if (num > 0) == (det > 0) else -sys.float_info.max
     return math.exp(-0.25 * form)
-
-
-def _linalg_error(message: str):
-    """numpy's ``LinAlgError``, imported only on this error path."""
-    import numpy as np
-
-    return np.linalg.LinAlgError(message)
 
 
 def _spectral_w(vaux, omega):
@@ -137,11 +131,11 @@ def _one_mode_fidelity(p1: float, r1: float, q1: float, p2: float, r2: float, q2
     subnormal (never, for CMs of states: ``Delta >= det V1 + det V2``) every
     float equals that of the unhalved sum scaled by a power of two, which the
     exponent e takes back, so F is the float it was before the halving.  A
-    Delta that is not positive raises :class:`np.linalg.LinAlgError`."""
+    Delta that is not positive raises :class:`UnresolvableError`."""
     x, e = _scaled_det(0.5 * p1 + 0.5 * p2, 0.5 * r1 + 0.5 * r2, 0.5 * q1 + 0.5 * q2, 0.0)
     if not 0.0 < x < math.inf:  # never for the thermal pairs of the bounds
         half = 2.0 ** e  # exact; overflows to inf in the product, with no warning
-        raise _linalg_error(f"det((V1 + V2) / 2) = {x * half * half:g} is not positive")
+        raise UnresolvableError(f"det((V1 + V2) / 2) = {x * half * half:g} is not positive")
     e += 1  # Delta = x 4^e
     x1, e1 = _scaled_det(p1, r1, q1, 1.0)
     x2, e2 = _scaled_det(p2, r2, q2, 1.0)
@@ -165,8 +159,9 @@ def gaussian_fidelity(s1, s2) -> float:
     state is pure (``s1.is_pure() or s2.is_pure()``, each decided on plain
     floats from the exact invariants of its CM) it is the Gaussian overlap;
     otherwise the general formula.
-    A ``det(V1 + V2)`` that is not positive raises
-    :class:`np.linalg.LinAlgError` on the closed-form and overlap routes.
+    Where float64 cannot resolve the pair, a ``det((V1 + V2) / 2)`` that
+    rounds to a value that is not positive or a ``V1 + V2`` that numpy's
+    ``solve`` finds singular, every route raises :class:`UnresolvableError`.
     Two modes have no scaling: ``det(V1 + V2)``, the auxiliary matrix or
     the product of its spectrum beyond float64 range (``1e100 I`` against
     ``3e100 I``) raises :class:`OverflowError`, with no RuntimeWarning.
@@ -194,14 +189,17 @@ def gaussian_fidelity(s1, s2) -> float:
         if not math.isfinite(det):
             raise OverflowError("two-mode fidelity beyond float64 range: "
                                 "det((V1 + V2) / 2) overflows")
+        if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
+            raise UnresolvableError(f"det((V1 + V2) / 2) = {det:g} is not positive")
         if s1.is_pure() or s2.is_pure():
             # overlap route: F^2 = Tr(rho sigma) when one state is pure
-            if not det > 0.0:  # V1 + V2 singular to roundoff: TMSVs at mu >= 1e8
-                raise np.linalg.LinAlgError(f"det((V1 + V2) / 2) = {det:g} is not positive")
             overlap = 1.0 / np.sqrt(det)
             return min(float(np.sqrt(overlap)) * mean, 1.0)
         omega = symplectic_form(n)
-        vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
+        try:
+            vaux = omega.T @ np.linalg.solve(vsum, omega + v2 @ omega @ v1)
+        except np.linalg.LinAlgError as exc:
+            raise UnresolvableError(f"V1 + V2 is singular in float64: {exc}") from None
         ftot4 = math.inf
         if np.isfinite(vaux).all():
             w = _spectral_w(vaux, omega)

@@ -15,9 +15,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 
-from ._floats import _integral, _self_check_tol
+from ._floats import _integral, _real, _self_check_tol
 from .channels import CanonicalForm, GaussianChannel, apply_channel, classify
 from .convergence import _diamond_bound, _known_params, diamond_upper_bound
 from .errors import DomainError, NoUniformBoundError
@@ -60,17 +59,20 @@ def _protocol_form(rounds: int, ch: GaussianChannel, topology: str, energy_bound
                    form: CanonicalForm | None = None) -> CanonicalForm:
     """The checks of an n-round adaptive protocol over ``ch``, in order: the
     round count, the topology, the energy bound of the bounded-uniform
-    topology (a finite real, then >= 0), then the rank criterion of the
-    uniform topology, which demands a full-rank noise matrix (otherwise no
-    energy-independent bound exists).  Returns ``form``, or ``ch`` classified
+    topology (a finite real number by ``_floats._real``, then >= 0), then the
+    rank criterion of the uniform topology, which demands a full-rank noise
+    matrix (otherwise no energy-independent bound exists).  Returns ``form``, or ``ch`` classified
     under ``tol`` once the earlier checks pass."""
     _check_schedule(rounds, topology)
     if topology == "bounded_uniform":
-        if (isinstance(energy_bound, bool) or not isinstance(energy_bound, numbers.Real)
-                or not math.isfinite(energy_bound)):
+        try:
+            energy = _real(energy_bound, "energy bound")
+        except DomainError:  # None (not given), or no real number within float64 range
+            energy = math.nan
+        if not math.isfinite(energy):
             raise DomainError("bounded_uniform topology requires a finite energy bound")
-        if energy_bound < 0:
-            raise DomainError(f"energy bound must be >= 0, got {energy_bound}")
+        if energy < 0:
+            raise DomainError(f"energy bound must be >= 0, got {energy}")
     if form is None:
         form = classify(ch, tol)
     if topology == "uniform" and form.tag.rank_n != 2:
@@ -88,12 +90,19 @@ class PeelingBound:
 
 
 def peel_bound(n: int, delta: float, topology: str) -> PeelingBound:
-    """Accumulated output error after n uses at per-use error delta."""
+    """Accumulated output error after n uses at per-use error delta, a real
+    number in [0, 2]; both fields are Python floats."""
     _check_schedule(n, topology)
+    delta = _real(delta, "per-use trace-distance error")
     if not 0.0 <= delta <= 2.0:
         raise DomainError(f"per-use trace-distance error must lie in [0, 2], got {delta}")
-    return PeelingBound(per_use_delta=float(delta), total=n * float(delta),
-                        topology=topology)
+    return PeelingBound(per_use_delta=delta, total=float(n) * delta, topology=topology)
+
+
+def _eps_tp(n: int, form: CanonicalForm, mu: float, r: float, a: float, c: float) -> float:
+    """``eps_TP = n delta / 2`` of the per-use diamond bound delta of ``form``:
+    the one form of :func:`epsilon_tp_bound` and ``capacity.corrected_key_bound``."""
+    return n * _diamond_bound(form, mu, r, a, c) / 2.0
 
 
 def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
@@ -115,9 +124,8 @@ def epsilon_tp_bound(n: int, mu: float, ch: GaussianChannel, topology: str,
     """
     params = _known_params(params, _PARAMS)
     form = _protocol_form(n, ch, topology, params.get("energy_bound"), tol)
-    delta = _diamond_bound(form, mu, params.get("r", 1.0), params.get("a", 1.0),
-                           params.get("c", 0.0))
-    return n * delta / 2.0
+    return _eps_tp(n, form, mu, params.get("r", 1.0), params.get("a", 1.0),
+                   params.get("c", 0.0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,12 +183,13 @@ def two_round_demo(ch: GaussianChannel, mu: float,
     The channel must be in canonical form (the per-use bound is evaluated in
     the canonical dilation frame) with full-rank noise.  Both runs start from
     the same probe, built once and cached, and share the squeezer, validated
-    once per parameter and cached.  A squeeze whose ``cosh^2`` leaves float64
-    range, or NaN, raises :class:`DomainError`.
+    once per parameter and cached.  A squeeze that is not a real number
+    (``_floats._real``), or NaN, or whose ``cosh^2`` leaves float64 range,
+    raises :class:`DomainError`.
     """
     delta = diamond_upper_bound(ch, mu)
     effective = simulate_channel(ch, mu).effective
-    locc = _two_mode_squeezer(lo_cc_squeeze)
+    locc = _two_mode_squeezer(_real(lo_cc_squeeze, "two-mode squeezing"))
     probe = _probe()
 
     def run(channel):

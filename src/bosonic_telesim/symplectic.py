@@ -24,7 +24,7 @@ import math
 import sys
 
 from ._floats import (_EPS, _ROUNDOFF, _SYMMETRY, _UNCERTAINTY, _check_tol, _checked2, _entries,
-                      _integral, _mid, _nus, _readonly, _real)
+                      _integral, _mid, _nus, _readonly, _real, _square)
 from .errors import DomainError, InvalidDimensionError, ValidationError
 
 __all__ = [
@@ -54,21 +54,6 @@ def _as_matrix(m):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def _square(m, what: str = "covariance matrix") -> tuple:
-    """``(dim, entries)`` of a square matrix given as rows of numbers or as an
-    array: its dimension and row-major floats, those of :func:`_as_matrix`."""
-    rows = m.tolist() if hasattr(m, "tolist") else m
-    if not (isinstance(rows, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows)):
-        raise InvalidDimensionError("expected a square matrix of rows of numbers")
-    try:
-        return len(rows), [float(e) for row in rows for e in row]
-    except (TypeError, ValueError, OverflowError) as exc:
-        if any(isinstance(e, (list, tuple)) for row in rows for e in row):  # a stack
-            raise InvalidDimensionError("expected a square matrix of rows of numbers") from None
-        raise ValidationError(f"{what} must hold real numbers: {exc}") from None
 
 
 def _check_even(dim: int) -> int:

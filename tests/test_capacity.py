@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from _helpers import phi_mp
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel,
                              NoUniformBoundError, UnsupportedFormError,
-                             ValidationError, capacity,
-                             c_epsilon, canonical_channel, corrected_key_bound,
-                             diamond_upper_bound, epsilon_tp_bound,
-                             form_from_fields, overall_error, phi_add, phi_amp,
+                             ValidationError, c_epsilon, canonical_channel,
+                             corrected_key_bound, diamond_upper_bound, epsilon_tp_bound,
+                             form_from_fields, overall_error, peeling, phi_add, phi_amp,
                              phi_loss, strong_converse_bound)
 
 
@@ -399,7 +398,8 @@ class TestCorrectedKeyBound:
         assert report.inputs["excess_over_clean"] >= 0.0
 
     def test_zero_simulation_error_gives_the_clean_bound(self, monkeypatch):
-        monkeypatch.setattr(capacity, "_diamond_bound", lambda *args: 0.0)
+        # the diamond bound of the one eps_TP core, peeling._eps_tp
+        monkeypatch.setattr(peeling, "_diamond_bound", lambda *args: 0.0)
         report = corrected_key_bound(attenuator(0.5, 0.5), 100, 0.2, 1e6)
         assert report.inputs["eps_tp"] == 0.0 and report.inputs["eps_overall"] == 0.2
         assert report.value == report.inputs["clean_bound"]

@@ -12,7 +12,7 @@ from _helpers import (fidelity_mp, loglog_slope, random_state, random_symplectic
                       symplectic_invariants_mp)
 from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
                              InvalidDimensionError, SingularCoefficientError,
-                             ValidationError, apply_affine, apply_channel, b1_gamma,
+                             UnresolvableError, ValidationError, apply_affine, apply_channel, b1_gamma,
                              bk_added_noise, bk_channel, environmental_pair,
                              fid_b2_asymptotic, fid_env_A2, fid_env_C,
                              fid_output_identity, form_from_fields, fuchs_vdg,
@@ -164,6 +164,30 @@ class TestGaussianFidelity:
             with pytest.raises(OverflowError, match="auxiliary matrix"):
                 gaussian_fidelity(s1, s2)
 
+    def test_two_mode_indefinite_sum_raises_on_the_general_route(self):
+        # both states mixed, each accepted within the physicality slack of its
+        # scale, and V1 + V2 indefinite: the general route warned "invalid value
+        # encountered in scalar power" and returned NaN
+        bad = GaussianState(np.zeros(2), [[0.0, 1e20], [1e20, 1e30]])
+        s1 = tensor_states(bad, thermal_state(1e30))
+        s2 = tensor_states(GaussianState.vacuum(), thermal_state(2.0))
+        assert not (s1.is_pure() or s2.is_pure())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((s1, s2), (s2, s1)):
+                with pytest.raises(UnresolvableError,
+                                   match=r"^det\(\(V1 \+ V2\) / 2\) = -6.25e\+98 is not positive$"):
+                    gaussian_fidelity(*pair)
+
+    def test_two_mode_singular_solve_raises_unresolvable_error(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        s1, s2 = (GaussianState(np.zeros(4), np.diag(d)) for d in ([3.0] * 4, [2.0] * 4))
+        with pytest.raises(UnresolvableError, match="singular in float64: Singular matrix"):
+            gaussian_fidelity(s1, s2)
+
     @pytest.mark.parametrize("mean", [[math.inf, 0.0], [math.nan, 0.0],
                                       [0.0, 1.0, -math.inf, 0.0]])
     def test_non_finite_mean_rejected(self, mean):
@@ -219,7 +243,7 @@ class TestGaussianFidelity:
         assert _mean_factor((0.0,) * 4, (1.0, 1.0, 1.0, 0.0), swap2, swap2) == math.exp(-0.75)
         for n in (2, 4):
             singular = tuple(float(i == j == 0) for i in range(n) for j in range(n))
-            with pytest.raises(np.linalg.LinAlgError, match=r"= 0 is not positive"):
+            with pytest.raises(UnresolvableError, match=r"= 0 is not positive"):
                 _mean_factor((0.0,) * n, (1.0,) * n, singular, singular)
 
     def test_two_mode_mean_factor_within_1e_13_of_60_digits(self):
@@ -415,7 +439,7 @@ class TestOneModeClosedForm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for pair in ((GaussianState.vacuum(), state), (state, GaussianState.vacuum())):
-                with pytest.raises(np.linalg.LinAlgError) as err:
+                with pytest.raises(UnresolvableError) as err:
                     gaussian_fidelity(*pair)
                 assert str(err.value) == f"det((V1 + V2) / 2) = {value} is not positive"
 

@@ -56,6 +56,13 @@ class TestPeelBound:
             1, delta, "uniform").total
         assert 0.0 <= peel_bound(n, delta, "uniform").total <= 2.0 * n
 
+    def test_numpy_integer_count_gives_python_floats(self):
+        # n delta with a numpy integer n was a numpy float64
+        for n in (np.int64(3), np.uint8(3), 3):
+            bound = peel_bound(n, np.float64(0.1), "uniform")
+            assert type(bound.total) is float and type(bound.per_use_delta) is float
+            assert bound.total == 3 * 0.1
+
     def test_domains(self):
         with pytest.raises(DomainError):
             peel_bound(0, 0.1, "uniform")

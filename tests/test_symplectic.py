@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from _helpers import (random_cm, random_state, random_symplectic, symplectic_invariants_mp,
                       symplectic_spectrum_mp, tmsv_cm_blocks)
-from bosonic_telesim import (CanonicalClass, DomainError, GaussianState,
+from bosonic_telesim import (CanonicalClass, DomainError, GaussianChannel, GaussianState,
                              InvalidDimensionError, SymplecticMatrix, ValidationError,
                              apply_affine, canonical_channel, form_from_fields,
                              is_symplectic, partial_trace, quasi_choi, simulate_channel,
@@ -99,11 +99,25 @@ class TestTypedReaderErrors:
         (lambda: williamson([[1, 0], [0]]), InvalidDimensionError),
         (lambda: apply_affine(thermal_state(2.0), np.eye(2), [[0.0], [0.0, 1.0]]),
          InvalidDimensionError),
+        # the one matrix reader, _floats._square, of a channel's T and N too: a
+        # nested entry or a str row was a ValidationError there
+        (lambda: GaussianChannel([[[1.0], 0.0], [0.0, 1.0]], np.eye(2)), InvalidDimensionError),
+        (lambda: GaussianChannel(np.eye(2), ["ab", "cd"]), InvalidDimensionError),
+        (lambda: GaussianChannel(np.eye(3), np.eye(2)), InvalidDimensionError),
+        (lambda: GaussianChannel(np.eye(2), [[1.0, "x"], [0.0, 1.0]]), ValidationError),
     ])
     def test_package_errors(self, call, error):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error
+
+    def test_rows_given_as_arrays(self):
+        # read as numpy reads them: a channel's T and N took them before, a
+        # state's CM raised InvalidDimensionError
+        rows = [np.array([2.0, 0.5]), np.array([0.5, 1.0])]
+        assert GaussianState([0.0, 0.0], rows)._cm == (2.0, 0.5, 0.5, 1.0)
+        ch = GaussianChannel(rows, tuple(rows))
+        assert ch._t == (2.0, 0.5, 0.5, 1.0) and ch._n == (2.0, 0.5, 1.0)
 
 
 class TestSymplecticEigenvalues:
